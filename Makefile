@@ -10,7 +10,8 @@ LONGTAILVET ?= bin/longtailvet
 
 .PHONY: verify verify-fast build vet test fmtcheck lint lint-report \
 	longtailvet staticcheck govulncheck bench bench-json bench-gate \
-	chaos-serve chaos-cluster chaos-lifecycle chaos-churn fuzz-smoke
+	chaos-serve chaos-cluster chaos-lifecycle chaos-churn fuzz-smoke \
+	e2e-bench e2e-compare
 
 verify: verify-fast fuzz-smoke chaos-cluster chaos-lifecycle chaos-churn
 
@@ -71,17 +72,17 @@ govulncheck:
 
 # Native-fuzzing smoke: the single-event codec the /classify endpoint
 # parses on every request, the journal recovery path that must survive
-# arbitrary torn/corrupt segment tails, the //lint:allow directive
+# torn tails on any shard subset and arbitrary bytes in a segment (one
+# fuzzer over the one on-disk format), the //lint:allow directive
 # parser, and the facts (de)serializer whose fixed-point round trip
 # the vetx transport depends on (30s each).
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzUnmarshalEventLine -fuzztime=30s -run '^$$' ./internal/export/
-	$(GO) test -fuzz=FuzzJournalRecovery -fuzztime=30s -run '^$$' ./internal/journal/
-	$(GO) test -fuzz=FuzzShardedRecovery -fuzztime=30s -run '^$$' ./internal/journal/
+	$(GO) test -fuzz=FuzzRecovery -fuzztime=30s -run '^$$' ./internal/journal/
 	$(GO) test -fuzz=FuzzParseAllowDirective -fuzztime=30s -run '^$$' ./internal/lint/lintkit/
 	$(GO) test -fuzz=FuzzFactsRoundTrip -fuzztime=30s -run '^$$' ./internal/lint/lintkit/
-	$(GO) test -fuzz=FuzzBinaryEvents -fuzztime=30s -run '^$$' ./internal/serve/
-	$(GO) test -fuzz=FuzzBinaryVerdicts -fuzztime=30s -run '^$$' ./internal/serve/
+	$(GO) test -fuzz='^FuzzBinaryEvents$$' -fuzztime=30s -run '^$$' ./internal/serve/
+	$(GO) test -fuzz='^FuzzBinaryVerdicts$$' -fuzztime=30s -run '^$$' ./internal/serve/
 
 # Serving-layer chaos harness under the race detector: kill -9
 # mid-replay with injected transport faults and a torn journal tail,
@@ -122,6 +123,19 @@ chaos-lifecycle:
 chaos-churn:
 	CHURN_REPORT=$(CURDIR)/CHURN_report.json \
 		$(GO) test -race -run TestChaosChurn -count=1 -v ./internal/experiments/
+
+# The repo benchmark (BENCHMARK.json, bench/README.md): real daemons
+# over real sockets, all four workloads, every end-to-end and per-layer
+# metric printed by name. Build outputs and journals land in
+# .bench_work/ (gitignored).
+e2e-bench:
+	$(GO) run ./bench --workload all
+
+# Compare two files of runs written with `go run ./bench ... -out F`
+# by the bounds BENCHMARK.json fixes: make e2e-compare A=parent.jsonl B=change.jsonl
+e2e-compare:
+	@test -n "$(A)" -a -n "$(B)" || { echo "usage: make e2e-compare A=runs-a.jsonl B=runs-b.jsonl"; exit 2; }
+	$(GO) run ./bench -compare $(A) $(B)
 
 # Full benchmark harness (one benchmark per paper table/figure plus the
 # ablations and the serving-throughput benches).

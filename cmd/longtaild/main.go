@@ -111,7 +111,7 @@ func run() error {
 	shards := flag.Int("shards", 4, "worker shards")
 	queue := flag.Int("queue", 1024, "bounded ingest queue size (events)")
 	journalDir := flag.String("journal-dir", "", "write-ahead journal directory (empty: serve stateless)")
-	journalShards := flag.Int("journal-shards", 1, "journal WAL shards; >1 stripes accepts over per-shard group-commit fsync loops (1 keeps the flat single-WAL format)")
+	journalShards := flag.Int("journal-shards", 1, "journal WAL shards; >1 stripes accepts over per-shard group-commit fsync loops (shards already on disk can only raise the count)")
 	lifecycleOn := flag.Bool("lifecycle", false, "enable champion/challenger lifecycle (/admin/lifecycle, shadow evaluation, gated self-promotion)")
 	fpBudget := flag.Float64("lifecycle-fp-budget", 0.001, "max challenger FP rate over known-benign shadow traffic (paper's 0.1%)")
 	minShadow := flag.Int("lifecycle-min-samples", 200, "shadow-classified events required before the promotion gate decides")

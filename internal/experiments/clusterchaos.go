@@ -154,8 +154,8 @@ func startChaosNode(addr, dir string, ex *features.Extractor, clf *classify.Clas
 	}
 	// Every replica stripes its journal over chaosNodeShards shards, so
 	// the cluster harnesses (chaos-cluster, chaos-churn, chaos-lifecycle)
-	// all run their kill -9 / handoff / retransmit assertions over the
-	// sharded commit path rather than the flat one.
+	// all run their kill -9 / handoff / retransmit assertions with the
+	// recovery merge crossing shards.
 	ledger, rec, err := serve.OpenLedger(serve.LedgerOptions{
 		Journal:      journal.Options{Dir: dir, OpenFile: openFile},
 		Shards:       chaosNodeShards,

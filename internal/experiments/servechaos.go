@@ -184,9 +184,10 @@ func chaosServeID(b int) string { return fmt.Sprintf("cs-%04d", b) }
 
 // tornAppend writes a complete frame header (length and CRC of the
 // full payload) followed by only the first half of the payload to the
-// newest segment in segDir — exactly the on-disk state a kill -9
-// leaves when it lands mid-write.
-func tornAppend(segDir string, full []byte) error {
+// newest segment of journal shard si — exactly the on-disk state a
+// kill -9 leaves when it lands mid-write.
+func tornAppend(dir string, si int, full []byte) error {
+	segDir := filepath.Join(dir, fmt.Sprintf("shard-%03d", si))
 	entries, err := os.ReadDir(segDir)
 	if err != nil {
 		return err
@@ -217,32 +218,19 @@ func tornAppend(segDir string, full []byte) error {
 	return err
 }
 
-// chaosShardDir is the directory whose segments hold records keyed by
-// shard index si (the root for a flat single-WAL journal).
-func chaosShardDir(dir string, shards, si int) string {
-	if shards <= 1 {
-		return dir
-	}
-	return filepath.Join(dir, fmt.Sprintf("shard-%03d", si))
-}
-
 // appendTornResult appends a half-flushed result record for id to the
-// journal — into the shard directory owning id (with the sequence
-// prefix sharded records carry) when the journal is striped, the root
-// segment otherwise. It bypasses the ledger API on purpose: any
-// durable path (fsync or compaction snapshot) would defeat the tear.
-// It returns the shard index torn.
+// journal, into the shard directory owning id. It bypasses the ledger
+// API on purpose: any durable path (fsync or compaction snapshot) would
+// defeat the tear. It returns the shard index torn.
 func appendTornResult(dir string, shards int, id string, verdicts []serve.VerdictRecord) (int, error) {
 	var payload bytes.Buffer
 	payload.WriteByte(2) // journal record kind: ledger result
-	if shards > 1 {
-		// The sequence prefix every sharded record carries. The frame is
-		// torn, so recovery never parses it — any value past the
-		// already-recovered range is realistic.
-		var seq [8]byte
-		binary.LittleEndian.PutUint64(seq[:], 1<<62)
-		payload.Write(seq[:])
-	}
+	// The sequence prefix every segment record carries. The frame is
+	// torn, so recovery never parses it — any value past the
+	// already-recovered range is realistic.
+	var seq [8]byte
+	binary.LittleEndian.PutUint64(seq[:], 1<<62)
+	payload.Write(seq[:])
 	payload.WriteString(id)
 	payload.WriteByte('\n')
 	for i := range verdicts {
@@ -253,11 +241,8 @@ func appendTornResult(dir string, shards int, id string, verdicts []serve.Verdic
 		payload.Write(line)
 		payload.WriteByte('\n')
 	}
-	si := 0
-	if shards > 1 {
-		si = journal.ShardIndex(id, shards)
-	}
-	return si, tornAppend(chaosShardDir(dir, shards, si), payload.Bytes())
+	si := journal.ShardIndex(id, shards)
+	return si, tornAppend(dir, si, payload.Bytes())
 }
 
 // tearAnotherShard lands a second torn fragment on a shard other than
@@ -271,7 +256,7 @@ func tearAnotherShard(dir string, shards, avoid int) (int, error) {
 		}
 		frag := append([]byte{2}, make([]byte, 8)...) // kind + sequence prefix
 		frag = append(frag, []byte("mid-write result record lost to the kill")...)
-		if err := tornAppend(chaosShardDir(dir, shards, si), frag); err != nil {
+		if err := tornAppend(dir, si, frag); err != nil {
 			return -1, err
 		}
 		return si, nil
@@ -436,16 +421,14 @@ func RunChaosServe(cfg ChaosServeConfig) (*ChaosServeReport, error) {
 	}
 	rep.JournalShards = cfg.JournalShards
 	rep.TornShards = 1
-	if cfg.JournalShards > 1 {
-		// A second shard tears too: the kill caught independent sync
-		// loops mid-flush, and the merge must discard both tails.
-		other, err := tearAnotherShard(cfg.JournalDir, cfg.JournalShards, tornShard)
-		if err != nil {
-			return nil, err
-		}
-		if other >= 0 {
-			rep.TornShards++
-		}
+	// A second shard tears too: the kill caught independent sync loops
+	// mid-flush, and the merge must discard both tails.
+	other, err := tearAnotherShard(cfg.JournalDir, cfg.JournalShards, tornShard)
+	if err != nil {
+		return nil, err
+	}
+	if other >= 0 {
+		rep.TornShards++
 	}
 	tsA.Close()
 	srvA.Close()

@@ -2,77 +2,176 @@ package journal
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"os"
-	"path/filepath"
 	"testing"
 )
 
-// FuzzJournalRecovery feeds arbitrary bytes to recovery as the contents
-// of a segment file — the on-disk state an adversarial crash (torn
-// write, bit rot, truncation) could leave behind. Two properties must
-// hold for any input:
+// segRecord renders one segment record — a frame whose data opens with
+// the sequence prefix — the way the write path does.
+func segRecord(seq uint64, kind byte, data []byte) []byte {
+	return AppendFrame(nil, kind, append(binary.LittleEndian.AppendUint64(nil, seq), data...))
+}
+
+// FuzzRecovery drives recovery of the one on-disk format from two
+// sides. Records are appended over an arbitrary shard count with the
+// in-memory list of what was appended as the oracle; then a subset of
+// shards has its tail torn, and one shard's newest segment is replaced
+// by arbitrary bytes — the on-disk states an adversarial crash (torn
+// write, bit rot, truncation) could leave behind. For any input:
 //
-//  1. recovery never panics and never reports more discarded bytes than
-//     the file holds;
-//  2. every record recovery returns is one it would accept again — the
-//     recovered prefix, re-appended to a fresh journal, recovers to the
-//     exact same records. A record that round-trips differently (or not
-//     at all) would mean recovery acknowledged data the next recovery
-//     rejects, which is precisely the silent-loss bug the WAL exists to
-//     prevent.
-func FuzzJournalRecovery(f *testing.F) {
+//  1. recovery never panics, never fails on corrupt-but-readable
+//     segments, and never reports more discarded bytes than the damaged
+//     files hold;
+//  2. every shard that was neither torn nor overwritten recovers all of
+//     its records, a torn shard loses only a suffix of its own, and the
+//     survivors come back in append order (the merge never reorders) —
+//     with no damage at all, recovery equals the appended list exactly;
+//  3. every record recovery returns is one it would accept again: the
+//     recovered list, re-appended to a fresh journal, recovers to the
+//     exact same records. A record that round-trips differently would
+//     mean recovery acknowledged data the next recovery rejects — the
+//     silent-loss bug the WAL exists to prevent.
+func FuzzRecovery(f *testing.F) {
 	var valid []byte
 	for i := 0; i < 5; i++ {
-		valid = append(valid, encodeFrame(Record{Kind: byte(i%3 + 1), Data: []byte(fmt.Sprintf("record-%d", i))})...)
+		valid = append(valid, segRecord(uint64(100+i), byte(i%3+1), []byte(fmt.Sprintf("x-%d", i)))...)
 	}
-	f.Add(valid)
-	f.Add(valid[:len(valid)-3]) // torn tail mid-frame
-	f.Add(valid[:frameHeaderSize-1])
 	flipped := append([]byte(nil), valid...)
 	flipped[9] ^= 0xff // corrupt the first payload byte under the CRC
-	f.Add(flipped)
 	short := append([]byte(nil), valid...)
 	short[0] = 0xff // length field pointing past the end
-	f.Add(short)
-	f.Add([]byte{})
+	f.Add(uint8(3), uint8(24), uint8(0), uint8(9), false, []byte{})
+	f.Add(uint8(4), uint8(40), uint8(0b0101), uint8(17), false, []byte{})
+	f.Add(uint8(1), uint8(10), uint8(1), uint8(3), false, []byte{})
+	f.Add(uint8(6), uint8(63), uint8(0xff), uint8(60), true, valid)
+	f.Add(uint8(1), uint8(5), uint8(0), uint8(0), true, valid[:len(valid)-3]) // torn mid-frame
+	f.Add(uint8(2), uint8(9), uint8(0), uint8(0), true, valid[:frameHeaderSize-1])
+	f.Add(uint8(2), uint8(30), uint8(2), uint8(5), true, flipped)
+	f.Add(uint8(3), uint8(0), uint8(0), uint8(0), true, short)
+	f.Add(uint8(1), uint8(7), uint8(0), uint8(0), true, AppendFrame(nil, 1, []byte("no-seq"))) // CRC-clean, too short for a prefix
 
-	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) > 1<<20 {
+	f.Fuzz(func(t *testing.T, shardsRaw, countRaw, tornMask, tearRaw uint8, overwrite bool, junk []byte) {
+		if len(junk) > 1<<20 {
 			t.Skip("bounded corpus: oversized input")
 		}
+		n := int(shardsRaw%6) + 1
+		count := int(countRaw % 64)
 		dir := t.TempDir()
-		if err := os.WriteFile(filepath.Join(dir, segmentName(1)), data, 0o644); err != nil {
+		s, _, err := OpenSharded(Options{Dir: dir}, n)
+		if err != nil {
 			t.Fatal(err)
 		}
-		j, rec, err := Open(Options{Dir: dir})
+		perShard := make([][]int, n)
+		for i := 0; i < count; i++ {
+			key := fmt.Sprintf("key-%d", i)
+			if err := appendRec(s, key, byte(1+i%3), []byte(fmt.Sprintf("r-%03d", i))); err != nil {
+				t.Fatal(err)
+			}
+			si := ShardIndex(key, n)
+			perShard[si] = append(perShard[si], i)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+
+		// Damage: tear the masked shards' tails, then hand one shard's
+		// newest segment over to the fuzzer's bytes.
+		var damagedBytes int64
+		torn := make(map[int]bool)
+		for si := 0; si < n; si++ {
+			if tornMask&(1<<uint(si)) != 0 && len(perShard[si]) > 0 && truncateShardTail(t, dir, si, int64(tearRaw%40)+1) {
+				torn[si] = true
+				fi, err := os.Stat(newestSegment(t, dir, si))
+				if err != nil {
+					t.Fatal(err)
+				}
+				damagedBytes += fi.Size()
+			}
+		}
+		junked := -1
+		if overwrite {
+			junked = int(tearRaw) % n
+			if err := os.WriteFile(newestSegment(t, dir, junked), junk, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			delete(torn, junked)
+			damagedBytes += int64(len(junk))
+		}
+
+		s2, rec, err := OpenSharded(Options{Dir: dir}, n)
 		if err != nil {
 			t.Fatalf("recovery failed on corrupt-but-readable input: %v", err)
 		}
-		j.Close()
-		if rec.TornTail < 0 || rec.TornTail > int64(len(data)) {
-			t.Fatalf("torn tail %d outside [0, %d]", rec.TornTail, len(data))
+		s2.Close()
+		if rec.TornTail < 0 || rec.TornTail > damagedBytes {
+			t.Fatalf("torn tail %d outside [0, %d]", rec.TornTail, damagedBytes)
+		}
+
+		// The appended records among the survivors, as global indices.
+		// Whatever else came back was decoded out of junk.
+		var got []int
+		for _, r := range rec.Records {
+			var id int
+			if cnt, _ := fmt.Sscanf(string(r.Data), "r-%03d", &id); cnt == 1 && len(r.Data) == 5 && id < count && r.Kind == byte(1+id%3) {
+				got = append(got, id)
+			} else if !overwrite {
+				t.Fatalf("recovered unrecognizable record kind %d %q", r.Kind, r.Data)
+			}
+		}
+		survived := make(map[int]bool, len(got))
+		for i, id := range got {
+			if junked < 0 && i > 0 && id <= got[i-1] {
+				t.Fatalf("merge reordered: index %d after %d", id, got[i-1])
+			}
+			survived[id] = true
+		}
+		for si, ids := range perShard {
+			switch {
+			case si == junked:
+				continue
+			case !torn[si]:
+				for _, id := range ids {
+					if !survived[id] {
+						t.Fatalf("record %d lost from undamaged shard %d", id, si)
+					}
+				}
+			default:
+				// A torn shard keeps a prefix of its own records.
+				tail := false
+				for _, id := range ids {
+					if !survived[id] {
+						tail = true
+					} else if tail {
+						t.Fatalf("torn shard %d lost record mid-stream, then recovered %d after it", si, id)
+					}
+				}
+			}
+		}
+		if len(torn) == 0 && junked < 0 && len(got) != count {
+			t.Fatalf("undamaged journal recovered %d of %d records", len(got), count)
 		}
 
 		// Round trip: what recovery acknowledged must recover identically.
 		dir2 := t.TempDir()
-		j2, _, err := Open(Options{Dir: dir2})
+		s3, _, err := OpenSharded(Options{Dir: dir2}, n)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, r := range rec.Records {
-			if err := j2.Append(r.Kind, r.Data); err != nil {
+		for i, r := range rec.Records {
+			if err := appendRec(s3, fmt.Sprintf("again-%d", i), r.Kind, r.Data); err != nil {
 				t.Fatalf("recovered record rejected on re-append: %v", err)
 			}
 		}
-		if err := j2.Close(); err != nil {
+		if err := s3.Close(); err != nil {
 			t.Fatal(err)
 		}
-		j3, rec2, err := Open(Options{Dir: dir2})
+		s4, rec2, err := OpenSharded(Options{Dir: dir2}, n)
 		if err != nil {
 			t.Fatalf("re-recovery failed: %v", err)
 		}
-		j3.Close()
+		s4.Close()
 		if len(rec2.Records) != len(rec.Records) {
 			t.Fatalf("round trip lost records: %d recovered, %d after re-append", len(rec.Records), len(rec2.Records))
 		}
@@ -83,165 +182,6 @@ func FuzzJournalRecovery(f *testing.F) {
 		}
 		if rec2.TornTail != 0 {
 			t.Fatalf("clean re-append recovered a torn tail of %d bytes", rec2.TornTail)
-		}
-	})
-}
-
-// FuzzShardedRecovery drives the sharded merge with arbitrary shard
-// counts, record sequences and torn-tail subsets. Properties, for any
-// input:
-//
-//  1. with no tears, sharded recovery returns exactly the records a
-//     single-WAL reference fed the same (kind, payload) sequence
-//     recovers, in the same order;
-//  2. with tails torn off any subset of shards, the survivors are a
-//     subsequence of the appended order (the merge never reorders),
-//     every untorn shard's records all survive, and each torn shard
-//     loses only a suffix of its own records — exactly the guarantee
-//     a single WAL gives for its one tail, per shard.
-func FuzzShardedRecovery(f *testing.F) {
-	f.Add(uint8(3), uint8(24), uint8(0), uint8(9))
-	f.Add(uint8(4), uint8(40), uint8(0b0101), uint8(17))
-	f.Add(uint8(1), uint8(10), uint8(1), uint8(3))
-	f.Add(uint8(6), uint8(63), uint8(0xff), uint8(60))
-	f.Fuzz(func(t *testing.T, shardsRaw, countRaw, tornMask, tearRaw uint8) {
-		n := int(shardsRaw%6) + 1
-		count := int(countRaw % 64)
-		dir, refDir := t.TempDir(), t.TempDir()
-		s, _, err := OpenSharded(Options{Dir: dir}, n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ref, _, err := Open(Options{Dir: refDir})
-		if err != nil {
-			t.Fatal(err)
-		}
-		nEff := s.Shards()
-		perShard := make(map[int][]int)
-		for i := 0; i < count; i++ {
-			key := fmt.Sprintf("key-%d", i)
-			kind, payload := byte(1+i%3), []byte(fmt.Sprintf("r-%03d", i))
-			if err := s.Append(key, kind, payload); err != nil {
-				t.Fatal(err)
-			}
-			if err := ref.Append(kind, payload); err != nil {
-				t.Fatal(err)
-			}
-			si := ShardIndex(key, nEff)
-			if s.flat {
-				si = 0
-			}
-			perShard[si] = append(perShard[si], i)
-		}
-		if err := s.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if err := ref.Close(); err != nil {
-			t.Fatal(err)
-		}
-
-		// Tear the tails of the masked shards (flat mode tears the root
-		// segment — one "shard").
-		tear := int64(tearRaw%40) + 1
-		torn := make(map[int]bool)
-		for si := 0; si < nEff; si++ {
-			if tornMask&(1<<uint(si%8)) == 0 || len(perShard[si]) == 0 {
-				continue
-			}
-			sdir := dir
-			if !s.flat {
-				sdir = filepath.Join(dir, shardDirName(si))
-			}
-			entries, err := os.ReadDir(sdir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var newest string
-			for _, e := range entries {
-				var idx uint64
-				if cnt, _ := fmt.Sscanf(e.Name(), "wal-%08d.seg", &idx); cnt == 1 {
-					newest = filepath.Join(sdir, e.Name())
-				}
-			}
-			if newest == "" {
-				continue
-			}
-			fi, err := os.Stat(newest)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cut := tear
-			if cut >= fi.Size() {
-				cut = fi.Size()
-			}
-			if err := os.Truncate(newest, fi.Size()-cut); err != nil {
-				t.Fatal(err)
-			}
-			torn[si] = true
-		}
-
-		s2, rec, err := OpenSharded(Options{Dir: dir}, n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s2.Close()
-
-		// Decode the survivors back to global indices.
-		got := make([]int, len(rec.Records))
-		for i, r := range rec.Records {
-			var id int
-			if cnt, _ := fmt.Sscanf(string(r.Data), "r-%03d", &id); cnt != 1 {
-				t.Fatalf("recovered unrecognizable record %q", r.Data)
-			}
-			if r.Kind != byte(1+id%3) {
-				t.Fatalf("record %d recovered with kind %d", id, r.Kind)
-			}
-			got[i] = id
-		}
-		for i := 1; i < len(got); i++ {
-			if got[i] <= got[i-1] {
-				t.Fatalf("merge reordered: index %d after %d", got[i], got[i-1])
-			}
-		}
-		survived := make(map[int]bool, len(got))
-		for _, id := range got {
-			survived[id] = true
-		}
-		for si, ids := range perShard {
-			if !torn[si] {
-				for _, id := range ids {
-					if !survived[id] {
-						t.Fatalf("record %d lost from untorn shard %d", id, si)
-					}
-				}
-				continue
-			}
-			// A torn shard keeps a prefix of its own records.
-			tail := false
-			for _, id := range ids {
-				if !survived[id] {
-					tail = true
-				} else if tail {
-					t.Fatalf("torn shard %d lost record mid-stream, then recovered %d after it", si, id)
-				}
-			}
-		}
-
-		if len(torn) == 0 {
-			// No tears: exact equality with the single-WAL reference.
-			refJ, refRec, err := Open(Options{Dir: refDir})
-			if err != nil {
-				t.Fatal(err)
-			}
-			refJ.Close()
-			if len(rec.Records) != len(refRec.Records) {
-				t.Fatalf("sharded recovered %d records, single-WAL reference %d", len(rec.Records), len(refRec.Records))
-			}
-			for i := range rec.Records {
-				if rec.Records[i].Kind != refRec.Records[i].Kind || !bytes.Equal(rec.Records[i].Data, refRec.Records[i].Data) {
-					t.Fatalf("record %d diverges from the single-WAL reference", i)
-				}
-			}
 		}
 	})
 }

@@ -5,54 +5,57 @@
 // the event ledger underneath it — losing an accepted batch in a crash,
 // or double-counting a retransmitted one, silently corrupts the 0.1%
 // false-positive budget. The journal makes the ingest path
-// durable-by-construction: a record acknowledged by Append survives any
-// subsequent kill -9, and recovery reads back exactly the acknowledged
-// prefix, discarding at most an unacknowledged torn tail.
+// durable-by-construction: a record acknowledged by AppendFunc survives
+// any subsequent kill -9, and recovery reads back exactly the
+// acknowledged prefix, discarding at most an unacknowledged torn tail.
 //
-// Layout: a directory of numbered segment files, each a sequence of
-// frames `[u32 payload length][u32 CRC-32C][1-byte kind][data]` (little
-// endian, CRC over kind+data). A snapshot file (same framing, one
-// frame) captures compacted state; Compact writes the snapshot, rotates
-// to a fresh segment and deletes the segments the snapshot covers.
-// Recovery loads the newest valid snapshot and replays every later
-// segment in order, stopping at the first torn or corrupt frame — the
-// standard WAL contract under torn writes.
+// There is one journal type, Sharded, and one on-disk layout:
 //
-// Durability: Append is group-committed. Writes land in the segment
-// under one lock; the fsync is taken by whichever appender gets there
-// first and covers every record written before it, so N concurrent
-// appenders share one fsync instead of paying N. AppendAsync skips the
-// wait entirely for records the caller can re-derive (the serving
-// layer's verdict records, which deterministic re-classification
-// regenerates on recovery).
+//	shard-000/wal-00000001.seg   frame := [u32 len][u32 CRC-32C][kind][u64 seq][data]
+//	shard-000/wal-00000002.seg            (little endian; CRC over kind+seq+data)
+//	shard-001/wal-00000001.seg   one directory of numbered segments per shard
+//	sharded-00000003.snap        newest compaction snapshot (see CompactStaged)
+//
+// A single-shard journal is N = 1 of the same layout. Each shard is an
+// independent WAL with its own group-commit sync loop; a key picks the
+// shard, a global sequence number in every record restores the append
+// order at recovery (sharded.go). Recovery loads the newest valid
+// snapshot and replays every later segment of every shard, stopping a
+// shard at its first torn or corrupt frame — the standard WAL contract
+// under torn writes. It never appends to a pre-existing segment, so a
+// torn tail can never be followed by new valid frames.
+//
+// Durability: AppendFunc is group-committed. Writes land in the shard's
+// segment under one lock; the appender then parks until the shard's
+// sync loop has fsynced past its record, so N concurrent appenders
+// share one fsync instead of paying N. AppendAsyncFunc skips the wait
+// for records the caller can re-derive (the serving layer's verdict
+// records, which deterministic re-classification regenerates).
 package journal
 
 import (
 	"encoding/binary"
-	"fmt"
 	"hash/crc32"
 	"io"
 	"os"
-	"path/filepath"
-	"sort"
-	"sync"
-	"sync/atomic"
 )
 
 // frameHeaderSize is the fixed per-record overhead: payload length and
 // CRC-32C, each 4 bytes little endian.
 const frameHeaderSize = 8
 
-// maxFrameSize bounds one record (matches the serving layer's request
-// budget) so a corrupt length field cannot drive a huge allocation.
+// maxFrameSize bounds one log record (matches the serving layer's
+// request budget) so a corrupt length field cannot drive a huge
+// allocation. Snapshot state is not a log record and is not bounded by
+// it.
 const maxFrameSize = 1 << 26
 
 // castagnoli is the CRC-32C table (the polynomial storage systems use).
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// File is what the journal writes segments through. *os.File satisfies
-// it; internal/faults decorates it with torn-write and partial-fsync
-// injection for crash tests.
+// File is what the journal writes segments and snapshots through.
+// *os.File satisfies it; internal/faults decorates it with torn-write
+// and partial-fsync injection for crash tests.
 type File interface {
 	io.Writer
 	Sync() error
@@ -62,10 +65,11 @@ type File interface {
 // Options configures a journal. The zero value of every field selects a
 // default; Dir is required.
 type Options struct {
-	// Dir holds the segment and snapshot files; it is created if absent.
+	// Dir holds the shard directories and snapshot files; it is created
+	// if absent.
 	Dir string
-	// SegmentBytes rotates the active segment once it exceeds this size
-	// (default 8 MiB).
+	// SegmentBytes rotates a shard's active segment once it exceeds this
+	// size (default 8 MiB).
 	SegmentBytes int64
 	// OpenFile creates segment/snapshot files for writing; nil selects
 	// os.Create. Fault-injection tests substitute a crashable file here.
@@ -93,16 +97,17 @@ type Record struct {
 	Data []byte
 }
 
-// Recovered is what Open found on disk: the newest valid snapshot (nil
-// if none) and every acknowledged record appended after it, in order.
+// Recovered is what OpenSharded found on disk: the newest valid
+// snapshot (nil if none) and every acknowledged record appended after
+// it, in append order.
 type Recovered struct {
-	// Snapshot is the payload passed to the most recent valid Compact.
+	// Snapshot is the state the most recent valid CompactStaged encoded.
 	Snapshot []byte
 	// Records are the post-snapshot records, oldest first.
 	Records []Record
-	// TornTail counts bytes discarded at the end of the newest segment
-	// because they formed an incomplete or CRC-failing frame — the
-	// expected signature of a crash between write and fsync.
+	// TornTail counts bytes discarded at the end of shards' newest
+	// segments because they formed an incomplete or CRC-failing frame —
+	// the expected signature of a crash between write and fsync.
 	TornTail int64
 	// Segments is how many segment files were replayed.
 	Segments int
@@ -138,794 +143,60 @@ type BatchStats struct {
 	Count uint64
 }
 
-// add folds another snapshot into s (for aggregating across shards).
-func (s *BatchStats) add(o BatchStats) {
-	for i := range s.Buckets {
-		s.Buckets[i] += o.Buckets[i]
-	}
-	s.Sum += o.Sum
-	s.Count += o.Count
-}
-
-// Journal is an open write-ahead log. All methods are safe for
-// concurrent use.
-type Journal struct {
-	opts Options
-
-	mu        sync.Mutex // guards the write path and segment rotation
-	seg       File       // guarded by mu
-	segIndex  uint64     // guarded by mu
-	segBytes  int64      // guarded by mu
-	liveBytes int64      // guarded by mu; bytes appended since the last compaction, across rotations
-	frameBuf  []byte     // guarded by mu; reusable frame scratch, so steady-state appends allocate nothing
-
-	// appendSeq counts records written (not necessarily durable). It is
-	// only advanced under mu but read lock-free by the sync loop and the
-	// lag gauge, hence atomic.
-	appendSeq atomic.Uint64
-
-	// syncMu serializes the fsync itself; group commit happens here.
-	// syncStateMu is a separate, never-held-during-IO lock over
-	// (syncSeg, syncHi) so appenders keep writing while an fsync is in
-	// flight — that in-flight window is where commit groups form.
-	// Lock order: mu → syncMu → syncStateMu.
-	syncMu      sync.Mutex
-	syncStateMu sync.Mutex
-	syncedSeq   atomic.Uint64
-	syncSeg     File   // guarded by syncStateMu; segment the next fsync applies to
-	syncHi      uint64 // guarded by syncStateMu; appendSeq covered once syncSeg syncs
-
-	// The group-commit acknowledgment queue: with the sync loop running
-	// (StartSyncLoop), durable appenders never fsync themselves — they
-	// enqueue (write the record) and park on ackCond until the loop's
-	// next completed fsync covers their sequence number, so one fsync
-	// acks a whole batch of accepts. ackMu is taken only around condvar
-	// state, never across I/O; lock order is mu → syncMu → ackMu.
-	ackMu     sync.Mutex
-	ackCond   *sync.Cond    // broadcast under ackMu whenever syncedSeq advances or the loop stops/fails
-	wakeCond  *sync.Cond    // signaled under ackMu when an appender is waiting on durability
-	loopOn    bool          // guarded by ackMu
-	loopStop  bool          // guarded by ackMu
-	loopErr   error         // guarded by ackMu; last sync-loop fsync error
-	loopErrHi uint64        // guarded by ackMu; appendSeq the failed fsync attempted to cover
-	loopDone  chan struct{} // guarded by ackMu (the reference; closed by the loop itself)
-
-	appends     atomic.Uint64
-	syncs       atomic.Uint64
-	rotations   atomic.Uint64
-	compactions atomic.Uint64
-	bytes       atomic.Uint64
-
-	batchCounts [syncBatchBuckets]atomic.Uint64
-	batchSum    atomic.Uint64
-	batchN      atomic.Uint64
-
-	closeOnce  sync.Once
-	closeErr   error
-	closed     atomic.Bool
-	compacting atomic.Bool // single-flight latch for CompactStaged
-}
-
-// Open recovers whatever a previous process left in opts.Dir and opens
-// a fresh segment for appending. It never appends to a pre-existing
-// segment, so a torn tail from a crash can never be followed by new
-// valid frames.
-func Open(opts Options) (*Journal, *Recovered, error) {
-	if opts.Dir == "" {
-		return nil, nil, fmt.Errorf("journal: empty dir")
-	}
-	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
-		return nil, nil, fmt.Errorf("journal: %w", err)
-	}
-	rec, lastSeg, err := recover_(opts.Dir)
-	if err != nil {
-		return nil, nil, err
-	}
-	j, err := newJournal(opts, lastSeg, segmentDiskBytes(opts.Dir))
-	if err != nil {
-		return nil, nil, err
-	}
-	return j, rec, nil
-}
-
-// newJournal constructs an open journal appending to segment lastSeg+1,
-// with liveBytes seeding the compaction-debt counter. Recovery has
-// already happened (Open) or is orchestrated by the caller (OpenSharded).
-func newJournal(opts Options, lastSeg uint64, liveBytes int64) (*Journal, error) {
-	j := &Journal{opts: opts, segIndex: lastSeg + 1, liveBytes: liveBytes}
-	j.ackCond = sync.NewCond(&j.ackMu)
-	j.wakeCond = sync.NewCond(&j.ackMu)
-	if err := j.openSegmentLocked(); err != nil {
-		return nil, err
-	}
-	return j, nil
-}
-
-// segmentDiskBytes sums the on-disk segment sizes, seeding liveBytes at
-// Open: a process restarting on top of a long un-compacted history
-// should reach its compaction threshold immediately, not after another
-// threshold's worth of fresh appends.
-func segmentDiskBytes(dir string) int64 {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return 0
-	}
-	var total int64
-	for _, e := range entries {
-		var idx uint64
-		if n, _ := fmt.Sscanf(e.Name(), "wal-%08d.seg", &idx); n != 1 {
-			continue
-		}
-		if info, err := e.Info(); err == nil {
-			total += info.Size()
-		}
-	}
-	return total
-}
-
-func segmentName(index uint64) string  { return fmt.Sprintf("wal-%08d.seg", index) }
-func snapshotName(index uint64) string { return fmt.Sprintf("state-%08d.snap", index) }
-
-// openSegmentLocked creates the segment file for j.segIndex. Callers
-// hold j.mu or have exclusive access.
-func (j *Journal) openSegmentLocked() error {
-	f, err := j.opts.openFile(filepath.Join(j.opts.Dir, segmentName(j.segIndex)))
-	if err != nil {
-		return fmt.Errorf("journal: open segment %d: %w", j.segIndex, err)
-	}
-	j.seg = f
-	j.segBytes = 0
-	j.syncStateMu.Lock()
-	j.syncSeg = f
-	j.syncHi = j.appendSeq.Load()
-	j.syncStateMu.Unlock()
-	return nil
-}
-
-// encodeFrame renders one record as a framed byte slice.
-func encodeFrame(r Record) []byte {
-	return AppendFrame(make([]byte, 0, frameHeaderSize+1+len(r.Data)), r.Kind, r.Data)
-}
-
 // AppendFrame appends one record to dst in the journal's frame encoding
 // — `[u32 payload length][u32 CRC-32C][kind][data]`, CRC over
-// kind+data — and returns the extended slice. It is the byte-stream
-// counterpart of Append: anything framed with it round-trips through
-// DecodeFrames, so subsystems that ship journal-shaped records over
-// other channels (the serving layer's ledger handoff chunks) share the
-// WAL's corruption detection instead of inventing their own.
+// kind+data — and returns the extended slice. Anything framed with it
+// round-trips through DecodeFrames, so subsystems that ship
+// journal-shaped records over other channels (the serving layer's
+// ledger handoff chunks) share the WAL's corruption detection instead
+// of inventing their own.
 func AppendFrame(dst []byte, kind byte, payload []byte) []byte {
 	off := len(dst)
 	dst = append(dst, 0, 0, 0, 0, 0, 0, 0, 0, kind)
 	dst = append(dst, payload...)
-	binary.LittleEndian.PutUint32(dst[off:off+4], uint32(1+len(payload)))
-	binary.LittleEndian.PutUint32(dst[off+4:off+8], crc32.Checksum(dst[off+frameHeaderSize:], castagnoli))
+	sealFrame(dst[off:])
 	return dst
 }
 
-// DecodeFrames parses a byte stream of frames produced by AppendFrame
-// (or read back from a segment file), returning the valid record prefix
-// and how many trailing bytes did not form a complete, CRC-clean frame.
-// Record payloads are copied out of data, so the caller may reuse the
-// buffer. A non-zero tail means truncation or corruption: a torn crash
-// tail when reading a segment, a damaged chunk when receiving a
-// handoff transfer.
+// sealFrame fills in the length and CRC of a frame whose header bytes
+// are reserved and whose kind+data are already in place.
+func sealFrame(frame []byte) {
+	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(frame)-frameHeaderSize))
+	binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(frame[frameHeaderSize:], castagnoli))
+}
+
+// nextFrame parses the frame at the start of data, returning its
+// kind+data payload (aliasing data) and total size; ok is false when
+// the bytes do not form a complete, CRC-clean frame.
+func nextFrame(data []byte) (payload []byte, size int, ok bool) {
+	if len(data) < frameHeaderSize {
+		return nil, 0, false
+	}
+	n := binary.LittleEndian.Uint32(data[0:4])
+	if n == 0 || n > maxFrameSize || frameHeaderSize+int64(n) > int64(len(data)) {
+		return nil, 0, false
+	}
+	size = frameHeaderSize + int(n)
+	payload = data[frameHeaderSize:size]
+	if crc32.Checksum(payload, castagnoli) != binary.LittleEndian.Uint32(data[4:8]) {
+		return nil, 0, false
+	}
+	return payload, size, true
+}
+
+// DecodeFrames parses a byte stream of frames produced by AppendFrame,
+// returning the valid record prefix and how many trailing bytes did not
+// form a complete, CRC-clean frame. Record payloads are copied out of
+// data, so the caller may reuse the buffer. A non-zero tail means
+// truncation or corruption, e.g. a damaged handoff chunk.
 func DecodeFrames(data []byte) (recs []Record, tail int64) {
-	off := int64(0)
-	for off < int64(len(data)) {
-		rest := data[off:]
-		if len(rest) < frameHeaderSize {
-			return recs, int64(len(rest))
-		}
-		n := binary.LittleEndian.Uint32(rest[0:4])
-		if n == 0 || n > maxFrameSize || int64(frameHeaderSize)+int64(n) > int64(len(rest)) {
-			return recs, int64(len(rest))
-		}
-		payload := rest[frameHeaderSize : frameHeaderSize+int(n)]
-		if crc32.Checksum(payload, castagnoli) != binary.LittleEndian.Uint32(rest[4:8]) {
-			return recs, int64(len(rest))
+	for len(data) > 0 {
+		payload, size, ok := nextFrame(data)
+		if !ok {
+			return recs, int64(len(data))
 		}
 		recs = append(recs, Record{Kind: payload[0], Data: append([]byte(nil), payload[1:]...)})
-		off += int64(frameHeaderSize) + int64(n)
+		data = data[size:]
 	}
 	return recs, 0
-}
-
-// write appends one frame to the active segment (rotating first if the
-// segment is full) and returns the record's sequence number.
-func (j *Journal) write(r Record) (uint64, error) {
-	return j.writeFunc(r.Kind, func(dst []byte) []byte { return append(dst, r.Data...) })
-}
-
-// writeFunc is write with the payload rendered by the caller directly
-// into the journal's reusable frame buffer: build appends the payload
-// bytes to dst and returns the extended slice. One copy total — no
-// intermediate payload or frame allocations — which is what keeps the
-// serving hot path's accept records allocation-free. build runs under
-// the journal lock and must not call back into the journal.
-func (j *Journal) writeFunc(kind byte, build func(dst []byte) []byte) (uint64, error) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.closed.Load() {
-		return 0, fmt.Errorf("journal: closed")
-	}
-	buf := append(j.frameBuf[:0], 0, 0, 0, 0, 0, 0, 0, 0, kind)
-	buf = build(buf)
-	j.frameBuf = buf[:0] // retain the grown capacity across calls
-	// Enforce the frame bound on the write side too: readFrames treats a
-	// length above maxFrameSize as corruption and stops replaying, so an
-	// oversized record must never be acknowledged as durable — it would
-	// silently take the rest of its segment down with it at recovery.
-	payloadLen := len(buf) - frameHeaderSize
-	if payloadLen > maxFrameSize {
-		return 0, fmt.Errorf("journal: record of %d bytes exceeds frame limit %d", payloadLen-1, maxFrameSize-1)
-	}
-	binary.LittleEndian.PutUint32(buf[0:4], uint32(payloadLen))
-	binary.LittleEndian.PutUint32(buf[4:8], crc32.Checksum(buf[frameHeaderSize:], castagnoli))
-	frame := buf
-	if j.segBytes > 0 && j.segBytes+int64(len(frame)) > j.opts.segmentBytes() {
-		if err := j.rotateLocked(); err != nil {
-			return 0, err
-		}
-	}
-	if _, err := j.seg.Write(frame); err != nil {
-		return 0, fmt.Errorf("journal: append: %w", err)
-	}
-	j.segBytes += int64(len(frame))
-	j.liveBytes += int64(len(frame))
-	seq := j.appendSeq.Add(1)
-	j.appends.Add(1)
-	j.bytes.Add(uint64(len(frame)))
-	// Publish the high-water mark the next fsync of this segment covers.
-	// Only syncStateMu is needed, so this never blocks on an in-flight
-	// fsync — concurrent appends landing here are the commit group the
-	// current fsync holder's successor will cover in one sync.
-	j.syncStateMu.Lock()
-	j.syncHi = seq
-	j.syncStateMu.Unlock()
-	return seq, nil
-}
-
-// rotateLocked seals the active segment (fsync + close, so everything
-// in it is durable) and opens the next one. Callers hold j.mu.
-func (j *Journal) rotateLocked() error {
-	j.syncMu.Lock()
-	defer j.syncMu.Unlock()
-	if err := j.seg.Sync(); err != nil {
-		return fmt.Errorf("journal: rotate sync: %w", err)
-	}
-	j.syncs.Add(1)
-	if err := j.seg.Close(); err != nil {
-		return fmt.Errorf("journal: rotate close: %w", err)
-	}
-	j.advanceSynced(j.appendSeq.Load())
-	j.segIndex++
-	j.rotations.Add(1)
-	f, err := j.opts.openFile(filepath.Join(j.opts.Dir, segmentName(j.segIndex)))
-	if err != nil {
-		return fmt.Errorf("journal: open segment %d: %w", j.segIndex, err)
-	}
-	j.seg = f
-	j.segBytes = 0
-	j.syncStateMu.Lock()
-	j.syncSeg = f
-	j.syncHi = j.appendSeq.Load()
-	j.syncStateMu.Unlock()
-	return nil
-}
-
-// advanceSynced publishes hi as the durable high-water mark, records
-// the group-commit batch size it retired, and wakes every ack-queue
-// waiter whose record it covers. Callers hold syncMu (the only place
-// syncedSeq advances), so the load-compare-store is race-free.
-func (j *Journal) advanceSynced(hi uint64) {
-	prev := j.syncedSeq.Load()
-	if hi <= prev {
-		return
-	}
-	j.syncedSeq.Store(hi)
-	j.recordSyncBatch(hi - prev)
-	j.ackMu.Lock()
-	j.ackCond.Broadcast()
-	j.ackMu.Unlock()
-}
-
-// recordSyncBatch observes one fsync that retired n records.
-func (j *Journal) recordSyncBatch(n uint64) {
-	i := 0
-	for i < len(SyncBatchBounds) && n > SyncBatchBounds[i] {
-		i++
-	}
-	j.batchCounts[i].Add(1)
-	j.batchSum.Add(n)
-	j.batchN.Add(1)
-}
-
-// SyncBatches returns a snapshot of the acked-per-fsync histogram.
-func (j *Journal) SyncBatches() BatchStats {
-	var s BatchStats
-	for i := range j.batchCounts {
-		s.Buckets[i] = j.batchCounts[i].Load()
-	}
-	s.Sum = j.batchSum.Load()
-	s.Count = j.batchN.Load()
-	return s
-}
-
-// SyncLag returns how many appended records are not yet durable — the
-// depth of the acknowledgment queue.
-func (j *Journal) SyncLag() uint64 {
-	// Load the durable mark first: appendSeq only grows, so racing the
-	// two loads this way can only over-report lag, never underflow.
-	synced := j.syncedSeq.Load()
-	appended := j.appendSeq.Load()
-	if appended <= synced {
-		return 0
-	}
-	return appended - synced
-}
-
-// StartSyncLoop starts the journal's background group-commit loop:
-// from then on, durable appends enqueue and park until the loop's next
-// completed fsync acks them in batch, instead of competing to fsync
-// themselves. Idempotent; the loop stops at Close. Without the loop the
-// journal keeps the caller-driven group commit (whoever reaches the
-// fsync first syncs for everyone), which is the right shape for
-// single-writer callers that cannot amortize an extra goroutine.
-func (j *Journal) StartSyncLoop() {
-	j.ackMu.Lock()
-	if j.loopOn || j.closed.Load() {
-		j.ackMu.Unlock()
-		return
-	}
-	j.loopOn = true
-	j.loopStop = false
-	j.loopDone = make(chan struct{})
-	done := j.loopDone
-	j.ackMu.Unlock()
-	go j.syncLoop(done)
-}
-
-// syncLoop is the group-commit worker: wait until at least one appender
-// parks on the ack queue, fsync once to the current append high-water
-// mark, broadcast, repeat. An fsync failure is delivered to exactly the
-// waiters it attempted to cover (their sequence numbers are <= the
-// captured high-water mark); the loop then parks until new appends
-// arrive rather than hot-retrying a failing device. Terminates when
-// stopSyncLoop (via Close) sets loopStop; done is closed on exit so the
-// stopper can join.
-func (j *Journal) syncLoop(done chan struct{}) {
-	defer close(done)
-	var failedHi uint64
-	for {
-		j.ackMu.Lock()
-		for !j.loopStop {
-			appended := j.appendSeq.Load()
-			if appended > j.syncedSeq.Load() && appended > failedHi {
-				break
-			}
-			j.wakeCond.Wait()
-		}
-		if j.loopStop {
-			j.ackMu.Unlock()
-			return
-		}
-		j.ackMu.Unlock()
-		hi := j.appendSeq.Load()
-		if err := j.syncTo(hi); err != nil {
-			failedHi = hi
-			j.ackMu.Lock()
-			j.loopErr = err
-			j.loopErrHi = hi
-			j.ackCond.Broadcast()
-			j.ackMu.Unlock()
-			continue
-		}
-		failedHi = 0
-	}
-}
-
-// stopSyncLoop stops the background loop and joins it, then wakes any
-// parked waiters so they fall back to syncing themselves.
-func (j *Journal) stopSyncLoop() {
-	j.ackMu.Lock()
-	if !j.loopOn {
-		j.ackMu.Unlock()
-		return
-	}
-	j.loopStop = true
-	j.wakeCond.Signal()
-	done := j.loopDone
-	j.ackMu.Unlock()
-	<-done
-	j.ackMu.Lock()
-	j.loopOn = false
-	j.ackCond.Broadcast()
-	j.ackMu.Unlock()
-}
-
-// waitDurable blocks until record seq is durable. With the sync loop
-// running it enqueues on the acknowledgment queue (waking the loop) and
-// is acked in batch by the next completed fsync; otherwise it takes the
-// caller-driven group-commit path.
-func (j *Journal) waitDurable(seq uint64) error {
-	if j.syncedSeq.Load() >= seq {
-		return nil // someone else's group commit already covered us
-	}
-	j.ackMu.Lock()
-	if !j.loopOn {
-		j.ackMu.Unlock()
-		return j.syncTo(seq)
-	}
-	j.wakeCond.Signal()
-	for j.syncedSeq.Load() < seq {
-		if j.loopErr != nil && j.loopErrHi >= seq {
-			err := j.loopErr
-			j.ackMu.Unlock()
-			return err
-		}
-		if j.loopStop || !j.loopOn {
-			// The loop is shutting down with our record still queued;
-			// settle it ourselves (Close's final sync usually already has).
-			j.ackMu.Unlock()
-			return j.syncTo(seq)
-		}
-		j.ackCond.Wait()
-	}
-	j.ackMu.Unlock()
-	return nil
-}
-
-// Append writes a record and returns once it is durable. Concurrent
-// appenders group-commit: with the sync loop running they are acked in
-// batch by its next fsync; without it, whoever reaches the fsync first
-// syncs for everyone written before it.
-func (j *Journal) Append(kind byte, data []byte) error {
-	seq, err := j.write(Record{Kind: kind, Data: data})
-	if err != nil {
-		return err
-	}
-	return j.waitDurable(seq)
-}
-
-// AppendAsync writes a record without waiting for durability. Use it
-// only for records the caller can re-derive after a crash; they become
-// durable with the next Append, Sync, rotation or Close.
-func (j *Journal) AppendAsync(kind byte, data []byte) error {
-	_, err := j.write(Record{Kind: kind, Data: data})
-	return err
-}
-
-// AppendFunc is Append with the payload rendered by build directly into
-// the journal's frame buffer (see writeFunc): durable on return, zero
-// steady-state allocations. build must not call back into the journal.
-func (j *Journal) AppendFunc(kind byte, build func(dst []byte) []byte) error {
-	seq, err := j.writeFunc(kind, build)
-	if err != nil {
-		return err
-	}
-	return j.waitDurable(seq)
-}
-
-// AppendAsyncFunc is AppendAsync with the payload rendered by build
-// directly into the journal's frame buffer. Same re-derivability caveat
-// as AppendAsync; build must not call back into the journal.
-func (j *Journal) AppendAsyncFunc(kind byte, build func(dst []byte) []byte) error {
-	_, err := j.writeFunc(kind, build)
-	return err
-}
-
-// Sync forces everything appended so far to durable storage.
-func (j *Journal) Sync() error {
-	return j.syncTo(j.appendSeq.Load())
-}
-
-// syncTo blocks until record seq is durable, fsyncing if needed.
-func (j *Journal) syncTo(seq uint64) error {
-	if j.syncedSeq.Load() >= seq {
-		return nil // someone else's group commit already covered us
-	}
-	j.syncMu.Lock()
-	defer j.syncMu.Unlock()
-	if j.syncedSeq.Load() >= seq {
-		return nil // the previous holder's fsync covered our record
-	}
-	j.syncStateMu.Lock()
-	f, hi := j.syncSeg, j.syncHi
-	j.syncStateMu.Unlock()
-	if err := datasync(f); err != nil {
-		return fmt.Errorf("journal: sync: %w", err)
-	}
-	j.syncs.Add(1)
-	j.advanceSynced(hi)
-	if j.syncedSeq.Load() < seq {
-		// Only possible if the record was written to a newer segment
-		// after we captured syncSeg; rotation syncs the old segment, so
-		// one more pass over the current segment settles it.
-		return fmt.Errorf("journal: sync: record %d not covered", seq)
-	}
-	return nil
-}
-
-// Compact captures the caller's state as a snapshot, rotates to a fresh
-// segment and deletes every segment the snapshot covers. After a crash,
-// recovery loads the snapshot and replays only the later segments.
-//
-// The snapshot must already dominate every appended record. If the
-// caller's state and the journal are written concurrently (appends
-// racing with the state mutation the snapshot serializes), use
-// CompactFunc instead — a snapshot captured outside the journal lock
-// can miss a record whose append lands before the rotation, and that
-// record's only durable copy is then deleted.
-func (j *Journal) Compact(snapshot []byte) error {
-	return j.CompactFunc(func() ([]byte, error) { return snapshot, nil })
-}
-
-// CompactFunc is Compact with the state capture made atomic against the
-// write path: capture runs under the journal's write lock, so no record
-// can be appended between the moment the caller serializes its state
-// and the rotation that seals the old segments. Everything capture
-// observes is covered by the snapshot; everything it cannot observe
-// lands in the fresh segment and survives the deletion. capture must
-// not append to this journal (deadlock); an error from capture aborts
-// the compaction with the journal unchanged.
-//
-// capture runs in full — including serialization — under the write
-// lock. Callers whose state encodes to many megabytes should use
-// CompactStaged instead, which only needs a cheap reference capture
-// under the lock.
-func (j *Journal) CompactFunc(capture func() ([]byte, error)) error {
-	return j.CompactStaged(func() (func() ([]byte, error), error) {
-		snapshot, err := capture()
-		if err != nil {
-			return nil, err
-		}
-		return func() ([]byte, error) { return snapshot, nil }, nil
-	})
-}
-
-// CompactStaged is CompactFunc with the expensive serialization moved
-// off the write lock. stage runs under the journal's write lock and
-// should be cheap — capture references to (immutable) state and return
-// an encode thunk. The journal then seals the active segment, releases
-// the lock, and runs encode with appends flowing: every record stage
-// could observe lives in a sealed segment the snapshot replaces, and
-// every append that lands during encode goes to the fresh segment,
-// which recovery replays on top of the snapshot. Compaction is
-// single-flight: a call that finds one already running returns nil
-// without compacting, since the in-flight snapshot already dominates
-// everything this caller observed.
-func (j *Journal) CompactStaged(stage func() (func() ([]byte, error), error)) error {
-	if !j.compacting.CompareAndSwap(false, true) {
-		return nil
-	}
-	defer j.compacting.Store(false)
-	j.mu.Lock()
-	if j.closed.Load() {
-		j.mu.Unlock()
-		return fmt.Errorf("journal: closed")
-	}
-	encode, err := stage()
-	if err != nil {
-		j.mu.Unlock()
-		return err
-	}
-	// Seal the active segment so the snapshot strictly dominates every
-	// earlier record, and reset the live-log counter now: from here on
-	// the live log is whatever lands in the fresh segment. (If the
-	// snapshot write below fails, the sealed segments survive with the
-	// counter already reset; the log is briefly under-counted, which
-	// only delays the next trigger.)
-	if err := j.rotateLocked(); err != nil {
-		j.mu.Unlock()
-		return err
-	}
-	snapIdx := j.segIndex
-	covered := snapIdx - 1 // segments <= covered are now redundant
-	j.liveBytes = 0
-	j.mu.Unlock()
-
-	snapshot, err := encode()
-	if err != nil {
-		return err
-	}
-	if 1+len(snapshot) > maxFrameSize {
-		return fmt.Errorf("journal: snapshot of %d bytes exceeds frame limit %d", len(snapshot), maxFrameSize-1)
-	}
-	path := filepath.Join(j.opts.Dir, snapshotName(snapIdx))
-	tmp := path + ".tmp"
-	f, err := j.opts.openFile(tmp)
-	if err != nil {
-		return fmt.Errorf("journal: compact: %w", err)
-	}
-	// Frame the snapshot without materializing header+payload in one
-	// buffer — at tens of megabytes the encodeFrame copy would dwarf
-	// the checksum itself.
-	var hdr [frameHeaderSize + 1]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(1+len(snapshot)))
-	hdr[frameHeaderSize] = 0 // snapshot record kind
-	crc := crc32.Update(crc32.Checksum(hdr[frameHeaderSize:], castagnoli), castagnoli, snapshot)
-	binary.LittleEndian.PutUint32(hdr[4:8], crc)
-	if _, err := f.Write(hdr[:]); err != nil {
-		f.Close()
-		return fmt.Errorf("journal: compact write: %w", err)
-	}
-	if _, err := f.Write(snapshot); err != nil {
-		f.Close()
-		return fmt.Errorf("journal: compact write: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("journal: compact sync: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("journal: compact close: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return fmt.Errorf("journal: compact rename: %w", err)
-	}
-	j.compactions.Add(1)
-	// Best-effort cleanup: a crash here leaves redundant-but-harmless
-	// files that the next Compact retries.
-	entries, err := os.ReadDir(j.opts.Dir)
-	if err != nil {
-		return nil
-	}
-	for _, e := range entries {
-		var idx uint64
-		if n, _ := fmt.Sscanf(e.Name(), "wal-%08d.seg", &idx); n == 1 && idx <= covered {
-			os.Remove(filepath.Join(j.opts.Dir, e.Name()))
-		}
-		if n, _ := fmt.Sscanf(e.Name(), "state-%08d.snap", &idx); n == 1 && idx < snapIdx {
-			os.Remove(filepath.Join(j.opts.Dir, e.Name()))
-		}
-	}
-	return nil
-}
-
-// LiveBytes returns the bytes appended since the last compaction,
-// accumulated across segment rotations (and seeded from the on-disk
-// segments at Open) — the replay debt a crash right now would pay, and
-// the number to compare against a compaction threshold. Unlike the
-// active segment's size it is not capped by SegmentBytes, so a
-// threshold larger than one segment is still reachable.
-func (j *Journal) LiveBytes() int64 {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.liveBytes
-}
-
-// Stats returns a snapshot of the journal counters.
-func (j *Journal) Stats() Stats {
-	return Stats{
-		Appends:     j.appends.Load(),
-		Syncs:       j.syncs.Load(),
-		Rotations:   j.rotations.Load(),
-		Compactions: j.compactions.Load(),
-		Bytes:       j.bytes.Load(),
-	}
-}
-
-// Close stops the sync loop (if running), syncs and closes the active
-// segment. Idempotent.
-func (j *Journal) Close() error {
-	j.closeOnce.Do(func() {
-		j.stopSyncLoop()
-		j.mu.Lock()
-		defer j.mu.Unlock()
-		j.closed.Store(true)
-		j.syncMu.Lock()
-		defer j.syncMu.Unlock()
-		if err := j.seg.Sync(); err != nil {
-			j.closeErr = err
-		}
-		if err := j.seg.Close(); err != nil && j.closeErr == nil {
-			j.closeErr = err
-		}
-		if j.closeErr == nil {
-			// Publish the final sync so late waiters settle without
-			// touching the now-closed segment.
-			j.advanceSynced(j.appendSeq.Load())
-		}
-	})
-	return j.closeErr
-}
-
-// recover_ scans dir for the newest valid snapshot and replays every
-// segment after it. Returns the recovered state and the highest segment
-// index seen on disk (0 if none).
-func recover_(dir string) (*Recovered, uint64, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, 0, fmt.Errorf("journal: %w", err)
-	}
-	var snapIdx []uint64
-	for _, e := range entries {
-		var idx uint64
-		if n, _ := fmt.Sscanf(e.Name(), "state-%08d.snap", &idx); n == 1 {
-			snapIdx = append(snapIdx, idx)
-		}
-	}
-	sort.Slice(snapIdx, func(a, b int) bool { return snapIdx[a] > snapIdx[b] })
-
-	var snapshot []byte
-	var fromSeg uint64
-	// Newest snapshot that parses wins; a torn snapshot (crash during
-	// Compact before the rename) is simply skipped.
-	for _, idx := range snapIdx {
-		recs, torn, err := readFrames(filepath.Join(dir, snapshotName(idx)))
-		if err != nil {
-			return nil, 0, err
-		}
-		if len(recs) >= 1 && torn == 0 {
-			snapshot = recs[0].Data
-			fromSeg = idx
-			break
-		}
-	}
-	rec, lastSeg, err := replaySegments(dir, fromSeg)
-	if err != nil {
-		return nil, 0, err
-	}
-	rec.Snapshot = snapshot
-	return rec, lastSeg, nil
-}
-
-// replaySegments replays the segment files in dir with index >= fromSeg
-// in order, stopping after a torn frame that is not the final segment's
-// crash tail. Returns the replayed records (Snapshot left nil) and the
-// highest segment index present on disk (0 if none). The sharded
-// journal calls this directly: its compaction snapshots live at the
-// root, so per-shard replay boundaries arrive as an argument instead of
-// being discovered from a local snapshot file.
-func replaySegments(dir string, fromSeg uint64) (*Recovered, uint64, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, 0, fmt.Errorf("journal: %w", err)
-	}
-	var segIdx []uint64
-	for _, e := range entries {
-		var idx uint64
-		if n, _ := fmt.Sscanf(e.Name(), "wal-%08d.seg", &idx); n == 1 {
-			segIdx = append(segIdx, idx)
-		}
-	}
-	sort.Slice(segIdx, func(a, b int) bool { return segIdx[a] < segIdx[b] })
-
-	rec := &Recovered{}
-	lastSeg := uint64(0)
-	if len(segIdx) > 0 {
-		lastSeg = segIdx[len(segIdx)-1]
-	}
-	for _, idx := range segIdx {
-		if idx < fromSeg {
-			continue
-		}
-		recs, torn, err := readFrames(filepath.Join(dir, segmentName(idx)))
-		if err != nil {
-			return nil, 0, err
-		}
-		rec.Records = append(rec.Records, recs...)
-		rec.Segments++
-		if torn > 0 {
-			rec.TornTail += torn
-			if idx != lastSeg {
-				// A torn frame mid-history (not the crash tail) means
-				// everything after it is unreadable; stop replaying.
-				return rec, lastSeg, nil
-			}
-		}
-	}
-	return rec, lastSeg, nil
-}
-
-// readFrames parses one segment file, returning the valid record prefix
-// and the number of torn/corrupt bytes discarded at the end.
-func readFrames(path string) ([]Record, int64, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, 0, fmt.Errorf("journal: read %s: %w", filepath.Base(path), err)
-	}
-	recs, tail := DecodeFrames(data)
-	return recs, tail, nil
 }

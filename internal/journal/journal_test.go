@@ -7,42 +7,74 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/faults"
 )
 
-// reopen closes nothing (simulating a crash) and recovers the dir.
-func reopen(t *testing.T, dir string) (*Journal, *Recovered) {
+// reopen recovers dir with the given shard count (closing nothing, so it
+// also simulates a crash), failing the test on error.
+func reopen(t *testing.T, dir string, shards int) (*Sharded, *Recovered) {
 	t.Helper()
-	j, rec, err := Open(Options{Dir: dir})
+	s, rec, err := OpenSharded(Options{Dir: dir}, shards)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return j, rec
+	t.Cleanup(func() { s.Close() })
+	return s, rec
+}
+
+// appendRec appends data durably under key.
+func appendRec(s *Sharded, key string, kind byte, data []byte) error {
+	return s.AppendFunc(key, kind, func(dst []byte) []byte { return append(dst, data...) })
+}
+
+// appendAsync appends data under key without the durability wait.
+func appendAsync(s *Sharded, key string, kind byte, data []byte) error {
+	return s.AppendAsyncFunc(key, kind, func(dst []byte) []byte { return append(dst, data...) })
+}
+
+// compact snapshots state, captured up front: only safe when nothing
+// appends concurrently.
+func compact(s *Sharded, state []byte) error {
+	return s.CompactStaged(func() (func() ([]byte, error), error) {
+		return func() ([]byte, error) { return state, nil }, nil
+	})
+}
+
+// crashFS returns a crashable filesystem with the given fault mix.
+func crashFS(t *testing.T, cfg faults.Config) *faults.CrashFS {
+	t.Helper()
+	inj, err := faults.NewInjector(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs, err := faults.NewCrashFS(inj)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fs
 }
 
 // TestAppendRecoverRoundTrip: every acknowledged record survives a
 // reopen, in order, with kind and payload intact.
 func TestAppendRecoverRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	j, rec, err := Open(Options{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s, rec := reopen(t, dir, 1)
 	if rec.Snapshot != nil || len(rec.Records) != 0 {
 		t.Fatalf("fresh dir recovered %+v", rec)
 	}
 	for i := 0; i < 100; i++ {
-		if err := j.Append(byte(1+i%3), []byte(fmt.Sprintf("rec-%03d", i))); err != nil {
+		if err := appendRec(s, "k", byte(1+i%3), []byte(fmt.Sprintf("rec-%03d", i))); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := j.Close(); err != nil {
+	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	_, rec2 := reopen(t, dir)
+	_, rec2 := reopen(t, dir, 1)
 	if len(rec2.Records) != 100 {
 		t.Fatalf("recovered %d records, want 100", len(rec2.Records))
 	}
@@ -56,35 +88,46 @@ func TestAppendRecoverRoundTrip(t *testing.T) {
 	}
 }
 
+// TestRootLevelFlatFilesRefused: a directory holding segment or
+// snapshot files at its root (the single-WAL layout this package once
+// wrote) is refused with an error naming the file, not half-read.
+func TestRootLevelFlatFilesRefused(t *testing.T) {
+	for _, name := range []string{"wal-00000001.seg", "state-00000002.snap"} {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, name), AppendFrame(nil, 1, []byte("old")), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for _, shards := range []int{1, 3} {
+			_, _, err := OpenSharded(Options{Dir: dir}, shards)
+			if err == nil || !strings.Contains(err.Error(), name) {
+				t.Fatalf("OpenSharded(%d) over root-level %s = %v, want a refusal naming it", shards, name, err)
+			}
+		}
+	}
+}
+
 // TestRecoveryAfterCrashDiscardsOnlyUnsyncedTail: synced records
 // survive a kill -9 (with a torn tail of unsynced bytes on disk);
 // async-appended records after the last sync may be lost but never
 // corrupt recovery.
 func TestRecoveryAfterCrashDiscardsOnlyUnsyncedTail(t *testing.T) {
-	inj, err := faults.NewInjector(faults.Config{Seed: 5, TornWriteRate: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fs, err := faults.NewCrashFS(inj)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fs := crashFS(t, faults.Config{Seed: 5, TornWriteRate: 1})
 	dir := t.TempDir()
-	j, _, err := Open(Options{
+	s, _, err := OpenSharded(Options{
 		Dir:      dir,
 		OpenFile: func(path string) (File, error) { return fs.Open(path) },
-	})
+	}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 40; i++ {
-		if err := j.Append(1, []byte(fmt.Sprintf("durable-%02d", i))); err != nil {
+		if err := appendRec(s, "k", 1, []byte(fmt.Sprintf("durable-%02d", i))); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// Unsynced tail: lost or torn at crash, never acknowledged.
 	for i := 0; i < 20; i++ {
-		if err := j.AppendAsync(2, []byte(fmt.Sprintf("volatile-%02d", i))); err != nil {
+		if err := appendAsync(s, "k", 2, []byte(fmt.Sprintf("volatile-%02d", i))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -94,7 +137,7 @@ func TestRecoveryAfterCrashDiscardsOnlyUnsyncedTail(t *testing.T) {
 	if st := fs.Stats(); st.TornKept == 0 {
 		t.Fatal("TornWriteRate 1 left no torn tail; the test is vacuous")
 	}
-	_, rec := reopen(t, dir)
+	_, rec := reopen(t, dir, 1)
 	if len(rec.Records) < 40 {
 		t.Fatalf("recovered %d records, want >= 40 durable ones", len(rec.Records))
 	}
@@ -115,28 +158,21 @@ func TestRecoveryAfterCrashDiscardsOnlyUnsyncedTail(t *testing.T) {
 }
 
 // TestPartialFsyncSurfacesError: an injected partial fsync fails the
-// Append, and recovery still never yields a record out of order.
+// append, and recovery still never yields a record out of order.
 func TestPartialFsyncSurfacesError(t *testing.T) {
-	inj, err := faults.NewInjector(faults.Config{Seed: 3, SyncFailRate: 0.5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fs, err := faults.NewCrashFS(inj)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fs := crashFS(t, faults.Config{Seed: 3, SyncFailRate: 0.5})
 	dir := t.TempDir()
-	j, _, err := Open(Options{
+	s, _, err := OpenSharded(Options{
 		Dir:      dir,
 		OpenFile: func(path string) (File, error) { return fs.Open(path) },
-	})
+	}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	failures := 0
 	acked := 0
 	for i := 0; i < 50; i++ {
-		if err := j.Append(1, []byte(fmt.Sprintf("r-%02d", i))); err != nil {
+		if err := appendRec(s, "k", 1, []byte(fmt.Sprintf("r-%02d", i))); err != nil {
 			failures++
 		} else {
 			acked++
@@ -148,7 +184,7 @@ func TestPartialFsyncSurfacesError(t *testing.T) {
 	if err := fs.Crash(); err != nil {
 		t.Fatal(err)
 	}
-	_, rec := reopen(t, dir)
+	_, rec := reopen(t, dir, 1)
 	// Every record present must be a strict prefix-ordered subset.
 	for i, r := range rec.Records {
 		if string(r.Data) != fmt.Sprintf("r-%02d", i) {
@@ -163,22 +199,22 @@ func TestPartialFsyncSurfacesError(t *testing.T) {
 // TestSegmentRotation: records spanning many segments all recover.
 func TestSegmentRotation(t *testing.T) {
 	dir := t.TempDir()
-	j, _, err := Open(Options{Dir: dir, SegmentBytes: 256})
+	s, _, err := OpenSharded(Options{Dir: dir, SegmentBytes: 256}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 64; i++ {
-		if err := j.Append(1, bytes.Repeat([]byte{byte(i)}, 32)); err != nil {
+		if err := appendRec(s, "k", 1, bytes.Repeat([]byte{byte(i)}, 32)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if st := j.Stats(); st.Rotations == 0 {
+	if st := s.Stats(); st.Rotations == 0 {
 		t.Fatal("no rotations at 256-byte segments; the test is vacuous")
 	}
-	if err := j.Close(); err != nil {
+	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	_, rec := reopen(t, dir)
+	_, rec := reopen(t, dir, 1)
 	if len(rec.Records) != 64 {
 		t.Fatalf("recovered %d records across segments, want 64", len(rec.Records))
 	}
@@ -187,70 +223,20 @@ func TestSegmentRotation(t *testing.T) {
 	}
 }
 
-// TestCompaction: after Compact, recovery sees the snapshot plus only
-// post-snapshot records, and covered segment files are gone.
-func TestCompaction(t *testing.T) {
-	dir := t.TempDir()
-	j, _, err := Open(Options{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 10; i++ {
-		if err := j.Append(1, []byte(fmt.Sprintf("old-%d", i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := j.Compact([]byte("snapshot-state")); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		if err := j.Append(2, []byte(fmt.Sprintf("new-%d", i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
-	_, rec := reopen(t, dir)
-	if string(rec.Snapshot) != "snapshot-state" {
-		t.Fatalf("snapshot = %q", rec.Snapshot)
-	}
-	if len(rec.Records) != 3 {
-		t.Fatalf("recovered %d post-snapshot records, want 3", len(rec.Records))
-	}
-	for i, r := range rec.Records {
-		if string(r.Data) != fmt.Sprintf("new-%d", i) {
-			t.Fatalf("post-snapshot record %d = %q", i, r.Data)
-		}
-	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range entries {
-		if e.Name() == segmentName(1) {
-			t.Fatal("compaction left the covered segment behind")
-		}
-	}
-}
-
 // TestCorruptMidFileStopsReplay: flipping a byte in the middle of a
 // segment truncates recovery at the corruption, never past it.
 func TestCorruptMidFileStopsReplay(t *testing.T) {
 	dir := t.TempDir()
-	j, _, err := Open(Options{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s, _ := reopen(t, dir, 1)
 	for i := 0; i < 20; i++ {
-		if err := j.Append(1, []byte(fmt.Sprintf("rec-%02d", i))); err != nil {
+		if err := appendRec(s, "k", 1, []byte(fmt.Sprintf("rec-%02d", i))); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := j.Close(); err != nil {
+	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(dir, segmentName(1))
+	path := filepath.Join(dir, shardDirName(0), segmentName(1))
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -259,7 +245,7 @@ func TestCorruptMidFileStopsReplay(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, rec := reopen(t, dir)
+	_, rec := reopen(t, dir, 1)
 	if len(rec.Records) >= 20 {
 		t.Fatal("recovery read past a corrupt frame")
 	}
@@ -285,20 +271,19 @@ func (s *slowSyncFile) Sync() error {
 	return s.f.Sync()
 }
 
-// TestConcurrentAppendGroupCommit: concurrent appenders share fsyncs
-// (group commit) and every acknowledged record recovers.
+func openSlowSync(path string) (File, error) {
+	f, err := os.Create(path)
+	if err != nil {
+		return nil, err
+	}
+	return &slowSyncFile{f: f}, nil
+}
+
+// TestConcurrentAppendGroupCommit: concurrent appenders on one shard
+// share fsyncs (group commit) and every acknowledged record recovers.
 func TestConcurrentAppendGroupCommit(t *testing.T) {
 	dir := t.TempDir()
-	j, _, err := Open(Options{
-		Dir: dir,
-		OpenFile: func(path string) (File, error) {
-			f, err := os.Create(path)
-			if err != nil {
-				return nil, err
-			}
-			return &slowSyncFile{f: f}, nil
-		},
-	})
+	s, _, err := OpenSharded(Options{Dir: dir, OpenFile: openSlowSync}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,7 +294,7 @@ func TestConcurrentAppendGroupCommit(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < perWriter; i++ {
-				if err := j.Append(1, []byte(fmt.Sprintf("w%d-%03d", w, i))); err != nil {
+				if err := appendRec(s, "k", 1, []byte(fmt.Sprintf("w%d-%03d", w, i))); err != nil {
 					t.Error(err)
 					return
 				}
@@ -317,45 +302,105 @@ func TestConcurrentAppendGroupCommit(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	st := j.Stats()
+	st := s.Stats()
 	if st.Appends != writers*perWriter {
 		t.Fatalf("Appends = %d, want %d", st.Appends, writers*perWriter)
 	}
 	if st.Syncs >= st.Appends {
 		t.Fatalf("no group commit: %d syncs for %d appends", st.Syncs, st.Appends)
 	}
-	if err := j.Close(); err != nil {
+	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	_, rec := reopen(t, dir)
+	_, rec := reopen(t, dir, 1)
 	if len(rec.Records) != writers*perWriter {
 		t.Fatalf("recovered %d records, want %d", len(rec.Records), writers*perWriter)
 	}
 }
 
-// TestOversizeRecordRejected: a record recovery could never read back
-// (readFrames treats len > maxFrameSize as corruption) is refused at
-// the write path instead of being acknowledged and silently lost.
-func TestOversizeRecordRejected(t *testing.T) {
-	dir := t.TempDir()
-	j, _, err := Open(Options{Dir: dir})
+// nopFile discards writes and syncs instantly, so the commit path's own
+// synchronization is the only thing a test over it exercises.
+type nopFile struct{}
+
+func (nopFile) Write(p []byte) (int, error) { return len(p), nil }
+func (nopFile) Sync() error                 { return nil }
+func (nopFile) Close() error                { return nil }
+
+// TestGroupCommitNeverMissesAPublishedRecord: with appenders and a
+// concurrent Sync hammering one shard whose fsyncs cost nothing, every
+// durable append must be acknowledged without error. The sync path
+// takes its target from the same counter an append publishes with; a
+// second, later-published mark (what this package once kept) let the
+// loop target a record it then failed to cover, surfacing as `sync:
+// record N not covered` — a 500 at the serving layer.
+func TestGroupCommitNeverMissesAPublishedRecord(t *testing.T) {
+	s, _, err := OpenSharded(Options{
+		Dir:      t.TempDir(),
+		OpenFile: func(string) (File, error) { return nopFile{}, nil },
+	}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := j.Append(1, make([]byte, maxFrameSize)); err == nil {
-		t.Fatal("oversize Append acknowledged as durable")
+	defer s.Close()
+	const writers, perWriter = 6, 20000
+	var wg sync.WaitGroup
+	var stop atomic.Bool
+	errs := make(chan error, writers+1)
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			payload := []byte("x")
+			for i := 0; i < perWriter; i++ {
+				if err := appendRec(s, "k", 1, payload); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
 	}
-	if err := j.AppendAsync(1, make([]byte, maxFrameSize)); err == nil {
-		t.Fatal("oversize AppendAsync accepted")
+	syncDone := make(chan struct{})
+	go func() {
+		defer close(syncDone)
+		for !stop.Load() {
+			if err := s.Sync(); err != nil {
+				errs <- err
+				return
+			}
+		}
+	}()
+	wg.Wait()
+	stop.Store(true)
+	<-syncDone
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); st.Appends != writers*perWriter {
+		t.Fatalf("Appends = %d, want %d", st.Appends, writers*perWriter)
+	}
+}
+
+// TestOversizeRecordRejected: a record recovery could never read back
+// (a length above maxFrameSize reads as corruption) is refused at the
+// write path instead of being acknowledged and silently lost.
+func TestOversizeRecordRejected(t *testing.T) {
+	dir := t.TempDir()
+	s, _ := reopen(t, dir, 1)
+	if err := appendRec(s, "k", 1, make([]byte, maxFrameSize)); err == nil {
+		t.Fatal("oversize durable append acknowledged")
+	}
+	if err := appendAsync(s, "k", 1, make([]byte, maxFrameSize)); err == nil {
+		t.Fatal("oversize async append accepted")
 	}
 	// The rejection leaves the journal fully usable.
-	if err := j.Append(1, []byte("ok")); err != nil {
+	if err := appendRec(s, "k", 1, []byte("ok")); err != nil {
 		t.Fatal(err)
 	}
-	if err := j.Close(); err != nil {
+	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	_, rec := reopen(t, dir)
+	_, rec := reopen(t, dir, 1)
 	if len(rec.Records) != 1 || string(rec.Records[0].Data) != "ok" {
 		t.Fatalf("recovered %+v, want exactly the in-bounds record", rec.Records)
 	}
@@ -366,65 +411,60 @@ func TestOversizeRecordRejected(t *testing.T) {
 
 // TestLiveBytesAcrossRotations: the compaction trigger accumulates
 // across segment rotations (so a threshold above one segment's size is
-// reachable), resets on Compact, and is seeded from the on-disk backlog
-// at Open.
+// reachable), resets on compaction, and is seeded from the on-disk
+// backlog at open.
 func TestLiveBytesAcrossRotations(t *testing.T) {
 	dir := t.TempDir()
-	j, _, err := Open(Options{Dir: dir, SegmentBytes: 256})
+	s, _, err := OpenSharded(Options{Dir: dir, SegmentBytes: 256}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 64; i++ {
-		if err := j.Append(1, bytes.Repeat([]byte{byte(i)}, 32)); err != nil {
+		if err := appendRec(s, "k", 1, bytes.Repeat([]byte{byte(i)}, 32)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if st := j.Stats(); st.Rotations == 0 {
+	if st := s.Stats(); st.Rotations == 0 {
 		t.Fatal("no rotations at 256-byte segments; the test is vacuous")
 	}
-	if lb := j.LiveBytes(); lb <= 256 {
+	if lb := s.LiveBytes(); lb <= 256 {
 		t.Fatalf("LiveBytes = %d, capped at one segment — the compaction trigger can never fire", lb)
 	}
-	if err := j.Compact([]byte("snap")); err != nil {
+	if err := compact(s, []byte("snap")); err != nil {
 		t.Fatal(err)
 	}
-	if lb := j.LiveBytes(); lb != 0 {
-		t.Fatalf("LiveBytes = %d after Compact, want 0", lb)
+	if lb := s.LiveBytes(); lb != 0 {
+		t.Fatalf("LiveBytes = %d after compaction, want 0", lb)
 	}
 	for i := 0; i < 8; i++ {
-		if err := j.Append(1, bytes.Repeat([]byte{byte(i)}, 32)); err != nil {
+		if err := appendRec(s, "k", 1, bytes.Repeat([]byte{byte(i)}, 32)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	postCompact := j.LiveBytes()
+	postCompact := s.LiveBytes()
 	if postCompact <= 0 {
 		t.Fatalf("LiveBytes = %d after post-compaction appends", postCompact)
 	}
-	if err := j.Close(); err != nil {
+	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	j2, _ := reopen(t, dir)
-	defer j2.Close()
-	if lb := j2.LiveBytes(); lb < postCompact {
+	s2, _ := reopen(t, dir, 1)
+	if lb := s2.LiveBytes(); lb < postCompact {
 		t.Fatalf("reopen seeded LiveBytes = %d, want >= %d (the un-compacted backlog)", lb, postCompact)
 	}
 }
 
-// TestCompactFuncCapturesUnderWriteLock: the ledger protocol in
+// TestCompactStagedCapturesUnderWriteLock: the ledger protocol in
 // miniature — writers mark an ID in shared state *before* appending its
-// record, a compactor snapshots that state via CompactFunc. Because the
-// capture runs under the journal write lock, any record already in a
+// record, a compactor snapshots that state via CompactStaged. Because
+// stage runs under the write locks, any record already in a
 // to-be-deleted segment has its state mark visible to the capture; a
-// capture taken outside the lock (the old Compact(bytes) pattern) can
-// miss a record whose append beats the rotation, deleting its only
-// durable copy. After recovery, every ID must appear in the snapshot or
-// in a surviving segment.
-func TestCompactFuncCapturesUnderWriteLock(t *testing.T) {
+// capture taken outside the locks can miss a record whose append beats
+// the rotation, deleting its only durable copy. After recovery, every
+// ID must appear in the snapshot or in a surviving segment.
+func TestCompactStagedCapturesUnderWriteLock(t *testing.T) {
 	dir := t.TempDir()
-	j, _, err := Open(Options{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s, _ := reopen(t, dir, 2)
 	const writers, perWriter = 4, 50
 	var stateMu sync.Mutex
 	var state []string
@@ -438,7 +478,7 @@ func TestCompactFuncCapturesUnderWriteLock(t *testing.T) {
 				stateMu.Lock()
 				state = append(state, id)
 				stateMu.Unlock()
-				if err := j.Append(1, []byte(id)); err != nil {
+				if err := appendRec(s, id, 1, []byte(id)); err != nil {
 					t.Error(err)
 					return
 				}
@@ -449,10 +489,11 @@ func TestCompactFuncCapturesUnderWriteLock(t *testing.T) {
 	go func() {
 		defer close(done)
 		for i := 0; i < 20; i++ {
-			err := j.CompactFunc(func() ([]byte, error) {
+			err := s.CompactStaged(func() (func() ([]byte, error), error) {
 				stateMu.Lock()
-				defer stateMu.Unlock()
-				return []byte(strings.Join(state, "\n")), nil
+				captured := state[:len(state):len(state)]
+				stateMu.Unlock()
+				return func() ([]byte, error) { return []byte(strings.Join(captured, "\n")), nil }, nil
 			})
 			if err != nil {
 				t.Error(err)
@@ -462,10 +503,10 @@ func TestCompactFuncCapturesUnderWriteLock(t *testing.T) {
 	}()
 	wg.Wait()
 	<-done
-	if err := j.Close(); err != nil {
+	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	_, rec := reopen(t, dir)
+	_, rec := reopen(t, dir, 2)
 	present := make(map[string]bool)
 	for _, id := range strings.Split(string(rec.Snapshot), "\n") {
 		present[id] = true
@@ -484,20 +525,20 @@ func TestCompactFuncCapturesUnderWriteLock(t *testing.T) {
 
 // TestDoubleClose: Close is idempotent, and appends after Close fail.
 func TestDoubleClose(t *testing.T) {
-	j, _, err := Open(Options{Dir: t.TempDir()})
-	if err != nil {
+	s, _ := reopen(t, t.TempDir(), 1)
+	if err := appendRec(s, "k", 1, []byte("x")); err != nil {
 		t.Fatal(err)
 	}
-	if err := j.Append(1, []byte("x")); err != nil {
+	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := j.Close(); err != nil {
+	if err := s.Close(); err != nil {
 		t.Fatalf("second Close = %v", err)
 	}
-	if err := j.Append(1, []byte("y")); err == nil {
+	if err := appendRec(s, "k", 1, []byte("y")); err == nil {
 		t.Fatal("append after Close succeeded")
+	}
+	if err := compact(s, []byte("z")); err == nil {
+		t.Fatal("compaction after Close succeeded")
 	}
 }

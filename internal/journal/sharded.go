@@ -1,53 +1,45 @@
 // Sharded journal: N independent WALs whose fsyncs overlap across
-// cores. One journal serializes every durable accept behind a single
-// fsync pipeline; at provider-scale feed rates (ROADMAP: "saturate the
-// hardware") that one pipeline is the ceiling. The sharded journal
-// splits the commit path by key — the ledger routes each event ID to a
-// shard with the same FNV affinity the engine uses for its workers — so
-// N group-commit sync loops run concurrently and the commit rate scales
+// cores. One WAL serializes every durable accept behind a single fsync
+// pipeline; at provider-scale feed rates (ROADMAP: "saturate the
+// hardware") that one pipeline is the ceiling. Sharding splits the
+// commit path by key — the ledger routes each event ID to a shard with
+// the same FNV affinity the engine uses for its workers — so N
+// group-commit sync loops run concurrently and the commit rate scales
 // with spindles/flash queues instead of serializing on one file.
 //
 // Global ordering is preserved by a sequence number, not by file order:
-// every sharded record's payload is prefixed with an 8-byte
-// little-endian sequence drawn from one atomic counter (assigned inside
-// the owning shard's write lock, so per-shard file order and sequence
-// order agree). Recovery replays every shard's segments and merges the
-// records by sequence — byte-equivalent to what a single WAL would have
-// recovered, in the same order, minus whatever torn tails each shard
-// lost past its own durable mark. Records a caller saw acknowledged
-// were durable in their shard before the ack, so the merge never loses
-// an acknowledged record no matter which subset of shards tore.
+// every record's payload is prefixed with an 8-byte little-endian
+// sequence drawn from one atomic counter (assigned inside the owning
+// shard's write lock, so per-shard file order and sequence order
+// agree). Recovery replays every shard's segments and merges the
+// records by sequence — what one WAL would have recovered, in the same
+// order, minus whatever torn tails each shard lost past its own durable
+// mark. Records a caller saw acknowledged were durable in their shard
+// before the ack, so the merge never loses an acknowledged record no
+// matter which subset of shards tore.
 //
-// Layout compatibility: with shards <= 1 and no shard directories on
-// disk, OpenSharded degenerates to the flat single-WAL format —
-// byte-identical to Open, no sequence prefixes — so existing journals
-// keep working and single-shard deployments pay nothing. The first open
-// with shards > 1 creates `shard-NNN/` subdirectories and starts
-// appending there; pre-existing flat records are recovered first
-// (they are strictly older than any sharded record) and the first
-// sharded compaction migrates everything into a root-level
-// `sharded-NNNNNNNN.snap` whose header records the shard count, the
-// last assigned sequence and each shard's covered-segment boundary.
+// The shard count is max(requested, shard directories on disk): records
+// never move between shards after the fact (the merge makes placement
+// irrelevant), so a journal can be reopened wider but never narrower.
 package journal
 
 import (
 	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sort"
 	"sync/atomic"
 )
 
-// shardedSnapMagic opens a sharded snapshot payload; the trailing digit
-// versions the header layout.
-const shardedSnapMagic = "lts1"
+// snapMagic opens a snapshot header; the trailing digit versions the
+// file layout.
+const snapMagic = "lts2"
 
 func shardDirName(i int) string { return fmt.Sprintf("shard-%03d", i) }
 
-func shardedSnapshotName(index uint64) string {
-	return fmt.Sprintf("sharded-%08d.snap", index)
-}
+func snapshotName(index uint64) string { return fmt.Sprintf("sharded-%08d.snap", index) }
 
 // ShardIndex routes a key to one of n shards with FNV-1a — the same
 // affinity the serving layer's engine uses to pin an event ID to a
@@ -65,40 +57,31 @@ func ShardIndex(key string, n int) int {
 	return int(h % uint64(n))
 }
 
-// Sharded is a write-ahead log striped over N shard journals, each with
-// its own group-commit sync loop. All methods are safe for concurrent
-// use. Appends are key-addressed: the key picks the shard, so records
-// that must replay in order relative to each other (the ledger's accept
-// and result for one event ID) share a key and therefore a shard.
+// Sharded is a write-ahead log striped over N shards, each with its own
+// group-commit sync loop. All methods are safe for concurrent use.
+// Appends are key-addressed: the key picks the shard, so records that
+// must replay in order relative to each other (the ledger's accept and
+// result for one event ID) share a key and therefore a shard.
 type Sharded struct {
 	opts   Options
-	n      int
-	flat   bool       // single-WAL compatibility mode: no prefixes, no shard dirs
-	shards []*Journal // immutable after OpenSharded
+	shards []*wal // immutable after OpenSharded
 
 	// seq is the global record sequence; the next record gets seq+1,
 	// assigned inside the owning shard's write lock.
 	seq atomic.Uint64
 
-	// snapIdx is the newest sharded snapshot index; guarded by
-	// compacting (only the single in-flight compaction advances it).
+	// snapIdx is the newest snapshot index; only the one compaction
+	// holding the compacting latch reads or advances it.
 	snapIdx     uint64
 	compacting  atomic.Bool
 	compactions atomic.Uint64
-
-	// legacyBytes counts flat-format bytes still in the root directory,
-	// so pre-migration history keeps counting toward the caller's
-	// compaction threshold until the first sharded snapshot deletes it.
-	legacyBytes atomic.Int64
 }
 
-// OpenSharded recovers whatever a previous process left in opts.Dir —
-// flat single-WAL layout, sharded layout, or a flat history mid-way
-// through migration to sharded — and opens the journal with at least
-// `shards` shards (existing shard directories can only raise the count;
-// records never move between shards after the fact, the merge-by-
-// sequence recovery makes the placement irrelevant). Every shard's
-// group-commit sync loop is started, so appends are acked in batch.
+// OpenSharded recovers whatever a previous process left in opts.Dir and
+// opens the journal with max(shards, shard directories on disk) shards,
+// every shard's sync loop running. A directory holding segment or
+// snapshot files at its root was not written by this layout and is
+// refused rather than half-read.
 func OpenSharded(opts Options, shards int) (*Sharded, *Recovered, error) {
 	if opts.Dir == "" {
 		return nil, nil, fmt.Errorf("journal: empty dir")
@@ -106,268 +89,227 @@ func OpenSharded(opts Options, shards int) (*Sharded, *Recovered, error) {
 	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
 		return nil, nil, fmt.Errorf("journal: %w", err)
 	}
-	if shards < 1 {
-		shards = 1
-	}
 	entries, err := os.ReadDir(opts.Dir)
 	if err != nil {
 		return nil, nil, fmt.Errorf("journal: %w", err)
 	}
-	existing := 0
+	n := max(shards, 1)
 	var snapIdxs []uint64
 	for _, e := range entries {
 		var idx uint64
-		if n, _ := fmt.Sscanf(e.Name(), "shard-%03d", &idx); n == 1 && e.IsDir() {
-			if int(idx)+1 > existing {
-				existing = int(idx) + 1
-			}
+		if c, _ := fmt.Sscanf(e.Name(), "shard-%03d", &idx); c == 1 && e.IsDir() {
+			n = max(n, int(idx)+1)
 		}
-		if n, _ := fmt.Sscanf(e.Name(), "sharded-%08d.snap", &idx); n == 1 {
+		if c, _ := fmt.Sscanf(e.Name(), "sharded-%08d.snap", &idx); c == 1 {
 			snapIdxs = append(snapIdxs, idx)
 		}
-	}
-	if shards == 1 && existing == 0 && len(snapIdxs) == 0 {
-		// Flat compatibility mode: byte-identical to the single WAL.
-		j, rec, err := Open(opts)
-		if err != nil {
-			return nil, nil, err
+		for _, pattern := range []string{"wal-%08d.seg", "state-%08d.snap"} {
+			if c, _ := fmt.Sscanf(e.Name(), pattern, &idx); c == 1 {
+				return nil, nil, fmt.Errorf("journal: %s holds root-level flat journal file %s; only the %s layout is read",
+					opts.Dir, e.Name(), shardDirName(0))
+			}
 		}
-		j.StartSyncLoop()
-		return &Sharded{opts: opts, n: 1, flat: true, shards: []*Journal{j}}, rec, nil
-	}
-	n := shards
-	if existing > n {
-		n = existing
 	}
 
-	// Newest sharded snapshot that parses wins; a torn or truncated one
-	// (crash during compaction before the rename) is skipped, exactly
-	// like the flat journal's snapshot scan.
+	// Newest snapshot that verifies wins; a torn one (crash during
+	// compaction, bit rot) is skipped in favor of its predecessor.
 	sort.Slice(snapIdxs, func(a, b int) bool { return snapIdxs[a] > snapIdxs[b] })
-	var snapState []byte
+	rec := &Recovered{}
+	fromSeg := make([]uint64, n)
 	var lastSeq uint64
-	var snapFrom []uint64
-	haveSnap := false
 	for _, idx := range snapIdxs {
-		recs, torn, err := readFrames(filepath.Join(opts.Dir, shardedSnapshotName(idx)))
+		snap, err := readSnapshot(filepath.Join(opts.Dir, snapshotName(idx)))
 		if err != nil {
 			return nil, nil, err
 		}
-		if len(recs) < 1 || torn != 0 {
+		if snap == nil {
 			continue
 		}
-		state, seq, from, err := parseShardedSnapshot(recs[0].Data)
-		if err != nil {
-			continue
+		if len(snap.fromSeg) > n {
+			return nil, nil, fmt.Errorf("journal: snapshot %d covers %d shards but only %d exist on disk", idx, len(snap.fromSeg), n)
 		}
-		snapState, lastSeq, snapFrom, haveSnap = state, seq, from, true
+		rec.Snapshot, lastSeq = snap.state, snap.lastSeq
+		copy(fromSeg, snap.fromSeg)
 		break
 	}
-	if len(snapFrom) > n {
-		n = len(snapFrom)
-	}
-	fromSeg := make([]uint64, n)
-	copy(fromSeg, snapFrom)
 
-	rec := &Recovered{Snapshot: snapState}
-	if !haveSnap {
-		// Flat history predating the migration (or no sharded snapshot
-		// yet): every flat record is strictly older than every sharded
-		// one, so it replays first. A sharded snapshot dominates the
-		// flat files entirely — its compaction observed their replay.
-		legacy, _, err := recover_(opts.Dir)
-		if err != nil {
-			return nil, nil, err
-		}
-		rec.Snapshot = legacy.Snapshot
-		rec.Records = append(rec.Records, legacy.Records...)
-		rec.TornTail += legacy.TornTail
-		rec.Segments += legacy.Segments
-	}
-
-	s := &Sharded{opts: opts, n: n, shards: make([]*Journal, n)}
-	s.legacyBytes.Store(segmentDiskBytes(opts.Dir))
+	s := &Sharded{opts: opts, shards: make([]*wal, 0, n)}
 	if len(snapIdxs) > 0 {
 		s.snapIdx = snapIdxs[0] // slice is sorted descending
 	}
-	type seqRec struct {
-		seq uint64
-		r   Record
-	}
-	var merged []seqRec
-	closeOpened := func() {
-		for _, j := range s.shards {
-			if j != nil {
-				j.Close()
-			}
-		}
-	}
+	var merged []seqRecord
 	for i := 0; i < n; i++ {
-		dir := filepath.Join(opts.Dir, shardDirName(i))
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			closeOpened()
-			return nil, nil, fmt.Errorf("journal: %w", err)
-		}
-		srec, lastSegI, err := replaySegments(dir, fromSeg[i])
-		if err != nil {
-			closeOpened()
-			return nil, nil, err
-		}
-		for _, r := range srec.Records {
-			if len(r.Data) < 8 {
-				closeOpened()
-				return nil, nil, fmt.Errorf("journal: shard %d: record below sequence-prefix size", i)
-			}
-			merged = append(merged, seqRec{
-				seq: binary.LittleEndian.Uint64(r.Data[:8]),
-				r:   Record{Kind: r.Kind, Data: r.Data[8:]},
-			})
-		}
-		rec.TornTail += srec.TornTail
-		rec.Segments += srec.Segments
 		shardOpts := opts
-		shardOpts.Dir = dir
-		j, err := newJournal(shardOpts, lastSegI, segmentDiskBytes(dir))
+		shardOpts.Dir = filepath.Join(opts.Dir, shardDirName(i))
+		w, recs, err := openShard(shardOpts, fromSeg[i], rec)
 		if err != nil {
-			closeOpened()
+			s.Close()
 			return nil, nil, err
 		}
-		s.shards[i] = j
+		s.shards = append(s.shards, w)
+		merged = append(merged, recs...)
 	}
-	sort.Slice(merged, func(a, b int) bool { return merged[a].seq < merged[b].seq })
-	maxSeq := lastSeq
-	for _, sr := range merged {
-		rec.Records = append(rec.Records, sr.r)
-		if sr.seq > maxSeq {
-			maxSeq = sr.seq
-		}
+	// Within a shard file order is sequence order, so this is a merge of
+	// sorted runs; stability keeps file order for anything else.
+	sort.SliceStable(merged, func(a, b int) bool { return merged[a].seq < merged[b].seq })
+	rec.Records = make([]Record, len(merged))
+	for i, sr := range merged {
+		rec.Records[i] = sr.rec
+		lastSeq = max(lastSeq, sr.seq)
 	}
-	s.seq.Store(maxSeq)
-	for _, j := range s.shards {
-		j.StartSyncLoop()
-	}
+	s.seq.Store(lastSeq)
 	return s, rec, nil
 }
 
-// parseShardedSnapshot splits a sharded snapshot payload into the
-// caller state, the last assigned sequence and the per-shard
-// covered-segment boundaries.
-func parseShardedSnapshot(data []byte) (state []byte, lastSeq uint64, fromSeg []uint64, err error) {
-	if len(data) < 16 || string(data[:4]) != shardedSnapMagic {
-		return nil, 0, nil, fmt.Errorf("journal: not a sharded snapshot")
+// openShard replays one shard directory (creating it if absent) from
+// segment fromSeg on and opens its WAL on a fresh segment.
+func openShard(opts Options, fromSeg uint64, rec *Recovered) (*wal, []seqRecord, error) {
+	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
+		return nil, nil, fmt.Errorf("journal: %w", err)
 	}
-	count := binary.LittleEndian.Uint32(data[4:8])
-	lastSeq = binary.LittleEndian.Uint64(data[8:16])
-	if count > 1<<16 || len(data) < 16+int(count)*8 {
-		return nil, 0, nil, fmt.Errorf("journal: sharded snapshot header truncated")
+	recs, lastSeg, diskBytes, err := replaySegments(opts.Dir, fromSeg, rec)
+	if err != nil {
+		return nil, nil, err
 	}
-	fromSeg = make([]uint64, count)
-	off := 16
-	for i := range fromSeg {
-		fromSeg[i] = binary.LittleEndian.Uint64(data[off : off+8])
-		off += 8
-	}
-	return data[off:], lastSeq, fromSeg, nil
+	w, err := newWAL(opts, lastSeg, diskBytes)
+	return w, recs, err
 }
 
-// Shards returns the shard count (1 in flat mode).
-func (s *Sharded) Shards() int { return s.n }
+// snapshot is a decoded snapshot file: the caller's state, the last
+// sequence number it dominates and, per shard, the first segment it
+// does not cover.
+type snapshot struct {
+	state   []byte
+	lastSeq uint64
+	fromSeg []uint64
+}
 
-// shard returns the journal owning key.
-func (s *Sharded) shard(key string) *Journal {
-	return s.shards[ShardIndex(key, s.n)]
+// snapshotHeader renders the framed header that opens a snapshot file:
+// `[frame: magic, u32 shard count, u64 last seq, per-shard u64
+// from-segment, u64 state length, u32 state CRC-32C]`. The state bytes
+// follow it unframed, so a snapshot is written with two Writes and no
+// copy of the state, and its size is not bounded by maxFrameSize.
+func snapshotHeader(lastSeq uint64, fromSeg []uint64, state []byte) []byte {
+	p := make([]byte, 0, len(snapMagic)+4+8+8*len(fromSeg)+8+4)
+	p = append(p, snapMagic...)
+	p = binary.LittleEndian.AppendUint32(p, uint32(len(fromSeg)))
+	p = binary.LittleEndian.AppendUint64(p, lastSeq)
+	for _, fs := range fromSeg {
+		p = binary.LittleEndian.AppendUint64(p, fs)
+	}
+	p = binary.LittleEndian.AppendUint64(p, uint64(len(state)))
+	p = binary.LittleEndian.AppendUint32(p, crc32.Checksum(state, castagnoli))
+	return AppendFrame(nil, 0, p)
+}
+
+// readSnapshot loads and verifies one snapshot file. It returns nil
+// without error for a torn file — header frame incomplete or failing
+// its CRC, state shorter or longer than the header says, state CRC
+// mismatch — and an error for a file it cannot read or whose intact
+// header names a layout this version does not write.
+func readSnapshot(path string) (*snapshot, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, fmt.Errorf("journal: read snapshot: %w", err)
+	}
+	payload, size, ok := nextFrame(data)
+	if !ok {
+		return nil, nil
+	}
+	p := payload[1:]
+	if len(p) < len(snapMagic) || string(p[:len(snapMagic)]) != snapMagic {
+		return nil, fmt.Errorf("journal: %s is not a %q snapshot; unsupported layout", filepath.Base(path), snapMagic)
+	}
+	p = p[len(snapMagic):]
+	if len(p) < 4+8 {
+		return nil, nil
+	}
+	count := int(binary.LittleEndian.Uint32(p))
+	snap := &snapshot{lastSeq: binary.LittleEndian.Uint64(p[4:])}
+	p = p[4+8:]
+	if len(p) != 8*count+8+4 {
+		return nil, nil
+	}
+	snap.fromSeg = make([]uint64, count)
+	for i := range snap.fromSeg {
+		snap.fromSeg[i] = binary.LittleEndian.Uint64(p[8*i:])
+	}
+	p = p[8*count:]
+	snap.state = data[size:]
+	if uint64(len(snap.state)) != binary.LittleEndian.Uint64(p) ||
+		crc32.Checksum(snap.state, castagnoli) != binary.LittleEndian.Uint32(p[8:]) {
+		return nil, nil
+	}
+	return snap, nil
+}
+
+// shard returns the WAL owning key.
+func (s *Sharded) shard(key string) *wal {
+	return s.shards[ShardIndex(key, len(s.shards))]
+}
+
+// write appends a record to key's shard with the next global sequence
+// number as its prefix. The sequence is drawn inside the shard's write
+// lock, so within a shard the file order and the sequence order agree —
+// the invariant the recovery merge depends on.
+func (s *Sharded) write(key string, kind byte, build func(dst []byte) []byte) (*wal, uint64, error) {
+	w := s.shard(key)
+	pos, err := w.writeFunc(kind, func(dst []byte) []byte {
+		return build(binary.LittleEndian.AppendUint64(dst, s.seq.Add(1)))
+	})
+	return w, pos, err
 }
 
 // AppendFunc writes a record to key's shard and returns once it is
 // durable — parked on the shard's acknowledgment queue and acked in
 // batch by its sync loop's next fsync. build renders the payload
-// directly into the shard's frame buffer (see Journal.AppendFunc) and
-// must not call back into the journal.
+// directly into the shard's frame buffer (zero steady-state
+// allocations), runs under the shard's write lock and must not call
+// back into the journal.
 func (s *Sharded) AppendFunc(key string, kind byte, build func(dst []byte) []byte) error {
-	if s.flat {
-		return s.shards[0].AppendFunc(kind, build)
-	}
-	j := s.shard(key)
-	seq, err := j.writeFunc(kind, func(dst []byte) []byte {
-		// The global sequence is drawn inside the shard's write lock, so
-		// within a shard the file order and the sequence order agree —
-		// the invariant the recovery merge depends on.
-		dst = binary.LittleEndian.AppendUint64(dst, s.seq.Add(1))
-		return build(dst)
-	})
+	w, pos, err := s.write(key, kind, build)
 	if err != nil {
 		return err
 	}
-	return j.waitDurable(seq)
+	return w.waitDurable(pos)
 }
 
 // AppendAsyncFunc is AppendFunc without the durability wait, for records
-// the caller can re-derive after a crash.
+// the caller can re-derive after a crash; they become durable with the
+// shard's next fsync, rotation or Close.
 func (s *Sharded) AppendAsyncFunc(key string, kind byte, build func(dst []byte) []byte) error {
-	if s.flat {
-		return s.shards[0].AppendAsyncFunc(kind, build)
-	}
-	_, err := s.shard(key).writeFunc(kind, func(dst []byte) []byte {
-		dst = binary.LittleEndian.AppendUint64(dst, s.seq.Add(1))
-		return build(dst)
-	})
+	_, _, err := s.write(key, kind, build)
 	return err
-}
-
-// Append writes a record to key's shard and returns once it is durable.
-func (s *Sharded) Append(key string, kind byte, data []byte) error {
-	return s.AppendFunc(key, kind, func(dst []byte) []byte { return append(dst, data...) })
-}
-
-// AppendAsync writes a record to key's shard without waiting for
-// durability.
-func (s *Sharded) AppendAsync(key string, kind byte, data []byte) error {
-	return s.AppendAsyncFunc(key, kind, func(dst []byte) []byte { return append(dst, data...) })
 }
 
 // Sync forces everything appended so far, on every shard, to durable
 // storage.
 func (s *Sharded) Sync() error {
 	var first error
-	for _, j := range s.shards {
-		if err := j.Sync(); err != nil && first == nil {
+	for _, w := range s.shards {
+		if err := w.syncTo(w.appendSeq.Load()); err != nil && first == nil {
 			first = err
 		}
 	}
 	return first
 }
 
-// Compact captures snapshot as the new recovery baseline across every
-// shard. Same domination caveat as Journal.Compact.
-func (s *Sharded) Compact(snapshot []byte) error {
-	return s.CompactFunc(func() ([]byte, error) { return snapshot, nil })
-}
-
-// CompactFunc is Compact with the state capture made atomic against the
-// write path of every shard.
-func (s *Sharded) CompactFunc(capture func() ([]byte, error)) error {
-	return s.CompactStaged(func() (func() ([]byte, error), error) {
-		snapshot, err := capture()
-		if err != nil {
-			return nil, err
-		}
-		return func() ([]byte, error) { return snapshot, nil }, nil
-	})
-}
-
-// CompactStaged compacts the sharded journal: stage runs with every
-// shard's write lock held (so the captured state dominates every record
-// on every shard), each shard rotates to a fresh segment, and the
-// encoded snapshot lands in one root-level file whose header records
-// each shard's covered-segment boundary. Appends flow again as soon as
-// the rotations finish — the encode and the snapshot write happen off
-// the locks. Single-flight, like Journal.CompactStaged. The first
-// sharded compaction also deletes any flat-format files left from
-// before the migration: the snapshot's state observed their replay.
+// CompactStaged captures the caller's state as the new recovery
+// baseline and deletes every segment it covers. stage runs with every
+// shard's write lock held — so what it captures dominates every record
+// on every shard, and no record can be appended between the capture and
+// the rotation that seals the old segments — and should be cheap:
+// capture references to (immutable) state and return an encode thunk.
+// Each shard then rotates to a fresh segment and the locks are
+// released; the expensive encode and the snapshot write happen with
+// appends flowing into the fresh segments, which recovery replays on
+// top of the snapshot. The snapshot lands in one root-level file
+// (snapshotHeader) via tmp+rename. stage and encode must not append to
+// this journal; an error from either aborts the compaction with the
+// log intact. Compaction is single-flight: a call that finds one
+// already running returns nil without compacting, since the in-flight
+// snapshot already dominates everything this caller observed.
 func (s *Sharded) CompactStaged(stage func() (func() ([]byte, error), error)) error {
-	if s.flat {
-		return s.shards[0].CompactStaged(stage)
-	}
 	if !s.compacting.CompareAndSwap(false, true) {
 		return nil
 	}
@@ -375,155 +317,138 @@ func (s *Sharded) CompactStaged(stage func() (func() ([]byte, error), error)) er
 	// Taking every shard's write lock in ascending shard order; the
 	// fixed order means two compactions (already excluded by the latch)
 	// or any future multi-shard path cannot deadlock.
-	for _, j := range s.shards {
-		j.mu.Lock()
+	for _, w := range s.shards {
+		w.mu.Lock()
 	}
 	unlock := func() {
 		for i := len(s.shards) - 1; i >= 0; i-- {
 			s.shards[i].mu.Unlock()
 		}
 	}
-	if s.shards[0].closed.Load() {
+	if s.shards[0].closed {
 		unlock()
-		return fmt.Errorf("journal: closed")
+		return errClosed
 	}
 	encode, err := stage()
 	if err != nil {
 		unlock()
 		return err
 	}
+	// Seal every active segment so the snapshot strictly dominates every
+	// earlier record, and reset the live-log counters now: from here on
+	// the live log is whatever lands in the fresh segments. (If the
+	// snapshot write below fails, the sealed segments survive with the
+	// counters already reset; the log is briefly under-counted, which
+	// only delays the next trigger.)
 	fromSeg := make([]uint64, len(s.shards))
-	for i, j := range s.shards {
-		if err := j.rotateLocked(); err != nil {
+	for i, w := range s.shards {
+		if err := w.rotateLocked(); err != nil {
 			unlock()
 			return err
 		}
-		fromSeg[i] = j.segIndex // segments below the fresh one are covered
-		j.liveBytes = 0
+		fromSeg[i] = w.segIndex // segments below the fresh one are covered
+		w.liveBytes = 0
 	}
 	// No append can be in flight with every write lock held, so this is
 	// exactly the highest sequence the snapshot dominates.
 	lastSeq := s.seq.Load()
 	unlock()
 
-	snapshot, err := encode()
+	state, err := encode()
 	if err != nil {
 		return err
 	}
-	header := 4 + 4 + 8 + 8*len(fromSeg)
-	if 1+header+len(snapshot) > maxFrameSize {
-		return fmt.Errorf("journal: snapshot of %d bytes exceeds frame limit %d", len(snapshot), maxFrameSize-1)
-	}
-	payload := make([]byte, 0, header+len(snapshot))
-	payload = append(payload, shardedSnapMagic...)
-	payload = binary.LittleEndian.AppendUint32(payload, uint32(len(fromSeg)))
-	payload = binary.LittleEndian.AppendUint64(payload, lastSeq)
-	for _, fs := range fromSeg {
-		payload = binary.LittleEndian.AppendUint64(payload, fs)
-	}
-	payload = append(payload, snapshot...)
-
 	snapIdx := s.snapIdx + 1
-	path := filepath.Join(s.opts.Dir, shardedSnapshotName(snapIdx))
-	tmp := path + ".tmp"
-	f, err := s.opts.openFile(tmp)
-	if err != nil {
+	path := filepath.Join(s.opts.Dir, snapshotName(snapIdx))
+	if err := s.writeSnapshot(path, snapshotHeader(lastSeq, fromSeg, state), state); err != nil {
 		return fmt.Errorf("journal: compact: %w", err)
-	}
-	frame := AppendFrame(make([]byte, 0, frameHeaderSize+1+len(payload)), 0, payload)
-	if _, err := f.Write(frame); err != nil {
-		f.Close()
-		return fmt.Errorf("journal: compact write: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("journal: compact sync: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("journal: compact close: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return fmt.Errorf("journal: compact rename: %w", err)
 	}
 	s.snapIdx = snapIdx
 	s.compactions.Add(1)
-	s.legacyBytes.Store(0)
 
 	// Best-effort cleanup — a crash anywhere below leaves redundant
 	// files that recovery skips (the snapshot header carries every
 	// shard's boundary) and the next compaction re-deletes.
-	for i := range s.shards {
-		dir := filepath.Join(s.opts.Dir, shardDirName(i))
-		entries, err := os.ReadDir(dir)
-		if err != nil {
-			continue
-		}
-		for _, e := range entries {
-			var idx uint64
-			if n, _ := fmt.Sscanf(e.Name(), "wal-%08d.seg", &idx); n == 1 && idx < fromSeg[i] {
-				os.Remove(filepath.Join(dir, e.Name()))
-			}
-		}
+	for i, w := range s.shards {
+		removeBelow(w.opts.Dir, "wal-%08d.seg", fromSeg[i])
 	}
-	entries, err := os.ReadDir(s.opts.Dir)
-	if err != nil {
-		return nil
-	}
-	for _, e := range entries {
-		var idx uint64
-		if n, _ := fmt.Sscanf(e.Name(), "sharded-%08d.snap", &idx); n == 1 && idx < snapIdx {
-			os.Remove(filepath.Join(s.opts.Dir, e.Name()))
-			continue
-		}
-		// Flat-format leftovers from before the migration.
-		if n, _ := fmt.Sscanf(e.Name(), "wal-%08d.seg", &idx); n == 1 {
-			os.Remove(filepath.Join(s.opts.Dir, e.Name()))
-			continue
-		}
-		if n, _ := fmt.Sscanf(e.Name(), "state-%08d.snap", &idx); n == 1 {
-			os.Remove(filepath.Join(s.opts.Dir, e.Name()))
-		}
-	}
+	removeBelow(s.opts.Dir, "sharded-%08d.snap", snapIdx)
 	return nil
 }
 
-// LiveBytes returns the bytes appended since the last compaction summed
-// across shards, plus any flat-format history not yet migrated — the
-// replay debt a crash right now would pay.
-func (s *Sharded) LiveBytes() int64 {
-	total := s.legacyBytes.Load()
-	if s.flat {
-		total = 0 // flat mode's journal seeds its own counter from disk
+// writeSnapshot writes header then state to path via a synced temporary
+// file and a rename, so path either holds a complete snapshot or does
+// not exist.
+func (s *Sharded) writeSnapshot(path string, header, state []byte) error {
+	tmp := path + ".tmp"
+	f, err := s.opts.openFile(tmp)
+	if err != nil {
+		return err
 	}
-	for _, j := range s.shards {
-		total += j.LiveBytes()
+	for _, part := range [][]byte{header, state} {
+		if _, err := f.Write(part); err != nil {
+			f.Close()
+			return err
+		}
+	}
+	if err := f.Sync(); err != nil {
+		f.Close()
+		return err
+	}
+	if err := f.Close(); err != nil {
+		return err
+	}
+	return os.Rename(tmp, path)
+}
+
+// removeBelow deletes the files in dir whose name matches pattern (one
+// %08d index) with an index below limit.
+func removeBelow(dir, pattern string, limit uint64) {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return
+	}
+	for _, e := range entries {
+		var idx uint64
+		if n, _ := fmt.Sscanf(e.Name(), pattern, &idx); n == 1 && idx < limit {
+			os.Remove(filepath.Join(dir, e.Name()))
+		}
+	}
+}
+
+// LiveBytes returns the bytes appended since the last compaction,
+// summed across shards and accumulated across segment rotations (and
+// seeded from the on-disk segments at open) — the replay debt a crash
+// right now would pay, and the number to compare against a compaction
+// threshold. It is not capped by SegmentBytes, so a threshold larger
+// than one segment is still reachable.
+func (s *Sharded) LiveBytes() int64 {
+	var total int64
+	for _, w := range s.shards {
+		w.mu.Lock()
+		total += w.liveBytes
+		w.mu.Unlock()
 	}
 	return total
 }
 
 // Stats returns the journal counters aggregated across shards.
 func (s *Sharded) Stats() Stats {
-	if s.flat {
-		return s.shards[0].Stats()
-	}
-	var agg Stats
-	for _, j := range s.shards {
-		st := j.Stats()
+	agg := Stats{Compactions: s.compactions.Load()}
+	for _, st := range s.ShardStats() {
 		agg.Appends += st.Appends
 		agg.Syncs += st.Syncs
 		agg.Rotations += st.Rotations
-		agg.Compactions += st.Compactions
 		agg.Bytes += st.Bytes
 	}
-	agg.Compactions += s.compactions.Load()
 	return agg
 }
 
 // ShardStats returns each shard's counters, indexed by shard.
 func (s *Sharded) ShardStats() []Stats {
 	out := make([]Stats, len(s.shards))
-	for i, j := range s.shards {
-		out[i] = j.Stats()
+	for i, w := range s.shards {
+		out[i] = w.stats()
 	}
 	return out
 }
@@ -532,8 +457,8 @@ func (s *Sharded) ShardStats() []Stats {
 // but not yet durable records), indexed by shard.
 func (s *Sharded) ShardLag() []uint64 {
 	out := make([]uint64, len(s.shards))
-	for i, j := range s.shards {
-		out[i] = j.SyncLag()
+	for i, w := range s.shards {
+		out[i] = w.syncLag()
 	}
 	return out
 }
@@ -542,8 +467,8 @@ func (s *Sharded) ShardLag() []uint64 {
 // across shards.
 func (s *Sharded) SyncBatches() BatchStats {
 	var agg BatchStats
-	for _, j := range s.shards {
-		agg.add(j.SyncBatches())
+	for _, w := range s.shards {
+		w.addSyncBatches(&agg)
 	}
 	return agg
 }
@@ -552,8 +477,8 @@ func (s *Sharded) SyncBatches() BatchStats {
 // Idempotent.
 func (s *Sharded) Close() error {
 	var first error
-	for _, j := range s.shards {
-		if err := j.Close(); err != nil && first == nil {
+	for _, w := range s.shards {
+		if err := w.close(); err != nil && first == nil {
 			first = err
 		}
 	}

@@ -10,113 +10,6 @@ import (
 	"repro/internal/faults"
 )
 
-// reopenSharded recovers dir with the given shard count, failing the
-// test on error.
-func reopenSharded(t *testing.T, dir string, shards int) (*Sharded, *Recovered) {
-	t.Helper()
-	s, rec, err := OpenSharded(Options{Dir: dir}, shards)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return s, rec
-}
-
-// TestShardedFlatCompat: shards=1 on a directory with no sharded state
-// is byte-identical to the single WAL — what OpenSharded writes, Open
-// recovers, and vice versa, with no shard directories created.
-func TestShardedFlatCompat(t *testing.T) {
-	dir := t.TempDir()
-	s, rec := reopenSharded(t, dir, 1)
-	if !s.flat {
-		t.Fatal("shards=1 on a fresh dir did not open in flat mode")
-	}
-	if rec.Snapshot != nil || len(rec.Records) != 0 {
-		t.Fatalf("fresh dir recovered %+v", rec)
-	}
-	for i := 0; i < 30; i++ {
-		if err := s.Append(fmt.Sprintf("key-%d", i), 1, []byte(fmt.Sprintf("rec-%02d", i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// The flat reader must see exactly the same records: no sequence
-	// prefixes, no shard subdirectories.
-	j, rec2 := reopen(t, dir)
-	defer j.Close()
-	if len(rec2.Records) != 30 {
-		t.Fatalf("flat Open recovered %d records from a shards=1 journal, want 30", len(rec2.Records))
-	}
-	for i, r := range rec2.Records {
-		if string(r.Data) != fmt.Sprintf("rec-%02d", i) {
-			t.Fatalf("record %d = %q: shards=1 is not byte-compatible with the flat format", i, r.Data)
-		}
-	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range entries {
-		if e.IsDir() {
-			t.Fatalf("flat mode created directory %s", e.Name())
-		}
-	}
-}
-
-// TestShardedRecoversLegacyFlatJournal: a journal written by the flat
-// single-WAL code recovers through OpenSharded — first unchanged at
-// shards=1, then as the pre-migration history at shards>1, ordered
-// before everything appended sharded.
-func TestShardedRecoversLegacyFlatJournal(t *testing.T) {
-	dir := t.TempDir()
-	j, _, err := Open(Options{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 10; i++ {
-		if err := j.Append(1, []byte(fmt.Sprintf("flat-%d", i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	s, rec := reopenSharded(t, dir, 3)
-	if s.flat {
-		t.Fatal("shards=3 opened in flat mode")
-	}
-	if len(rec.Records) != 10 {
-		t.Fatalf("sharded open recovered %d legacy records, want 10", len(rec.Records))
-	}
-	for i := 0; i < 5; i++ {
-		if err := s.Append(fmt.Sprintf("key-%d", i), 2, []byte(fmt.Sprintf("sharded-%d", i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Mid-migration recovery: flat history strictly first, sharded
-	// records after it, both in append order.
-	_, rec2 := reopenSharded(t, dir, 3)
-	if len(rec2.Records) != 15 {
-		t.Fatalf("recovered %d records, want 15", len(rec2.Records))
-	}
-	for i := 0; i < 10; i++ {
-		if string(rec2.Records[i].Data) != fmt.Sprintf("flat-%d", i) {
-			t.Fatalf("record %d = %q, want the legacy flat history first", i, rec2.Records[i].Data)
-		}
-	}
-	for i := 0; i < 5; i++ {
-		if string(rec2.Records[10+i].Data) != fmt.Sprintf("sharded-%d", i) {
-			t.Fatalf("record %d = %q, want sharded records in append order", 10+i, rec2.Records[10+i].Data)
-		}
-	}
-}
-
 // appendKeyed appends count records with deterministic keys and
 // payloads and returns, per shard, the global indices routed to it.
 func appendKeyed(t *testing.T, s *Sharded, n, count int) [][]int {
@@ -124,7 +17,7 @@ func appendKeyed(t *testing.T, s *Sharded, n, count int) [][]int {
 	perShard := make([][]int, n)
 	for i := 0; i < count; i++ {
 		key := fmt.Sprintf("k-%03d", i)
-		if err := s.Append(key, byte(1+i%3), []byte(fmt.Sprintf("rec-%04d", i))); err != nil {
+		if err := appendRec(s, key, byte(1+i%3), []byte(fmt.Sprintf("rec-%04d", i))); err != nil {
 			t.Fatal(err)
 		}
 		si := ShardIndex(key, n)
@@ -133,27 +26,14 @@ func appendKeyed(t *testing.T, s *Sharded, n, count int) [][]int {
 	return perShard
 }
 
-// TestShardedMergeEqualsSingleWAL: the same (kind, payload) sequence fed
-// to a 4-shard journal and to a single WAL recovers to identical
-// records in identical order — the merge by sequence number is
-// equivalent to one file's physical order.
-func TestShardedMergeEqualsSingleWAL(t *testing.T) {
-	const count = 60
-	shardedDir, flatDir := t.TempDir(), t.TempDir()
-	s, _ := reopenSharded(t, shardedDir, 4)
-	ref, _, err := Open(Options{Dir: flatDir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < count; i++ {
-		kind, payload := byte(1+i%3), []byte(fmt.Sprintf("rec-%04d", i))
-		if err := s.Append(fmt.Sprintf("k-%03d", i), kind, payload); err != nil {
-			t.Fatal(err)
-		}
-		if err := ref.Append(kind, payload); err != nil {
-			t.Fatal(err)
-		}
-	}
+// TestShardedMergeRestoresAppendOrder: records striped over 4 shards
+// recover in exactly the order they were appended — the merge by
+// sequence number is equivalent to one file's physical order.
+func TestShardedMergeRestoresAppendOrder(t *testing.T) {
+	const n, count = 4, 60
+	dir := t.TempDir()
+	s, _ := reopen(t, dir, n)
+	appendKeyed(t, s, n, count)
 	// The stripes must actually spread: a single hot shard would make
 	// the merge trivially file-ordered.
 	busy := 0
@@ -168,26 +48,20 @@ func TestShardedMergeEqualsSingleWAL(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := ref.Close(); err != nil {
-		t.Fatal(err)
+	_, rec := reopen(t, dir, n)
+	if len(rec.Records) != count {
+		t.Fatalf("recovered %d records, want %d", len(rec.Records), count)
 	}
-
-	_, srec := reopenSharded(t, shardedDir, 4)
-	_, frec := reopen(t, flatDir)
-	if len(srec.Records) != len(frec.Records) {
-		t.Fatalf("sharded recovered %d records, single WAL %d", len(srec.Records), len(frec.Records))
-	}
-	for i := range srec.Records {
-		if srec.Records[i].Kind != frec.Records[i].Kind || !bytes.Equal(srec.Records[i].Data, frec.Records[i].Data) {
-			t.Fatalf("record %d diverges: sharded %d %q, flat %d %q", i,
-				srec.Records[i].Kind, srec.Records[i].Data, frec.Records[i].Kind, frec.Records[i].Data)
+	for i, r := range rec.Records {
+		if r.Kind != byte(1+i%3) || string(r.Data) != fmt.Sprintf("rec-%04d", i) {
+			t.Fatalf("position %d = kind %d %q: merge lost the append order", i, r.Kind, r.Data)
 		}
 	}
 }
 
-// truncateShardTail cuts n bytes off the newest segment in shard si's
-// directory — the on-disk shape of a crash that tore that shard's tail.
-func truncateShardTail(t *testing.T, dir string, si int, n int64) {
+// newestSegment returns the path of the newest segment in shard si's
+// directory ("" if it has none).
+func newestSegment(t *testing.T, dir string, si int) string {
 	t.Helper()
 	sdir := filepath.Join(dir, shardDirName(si))
 	entries, err := os.ReadDir(sdir)
@@ -201,19 +75,26 @@ func truncateShardTail(t *testing.T, dir string, si int, n int64) {
 			newest = filepath.Join(sdir, e.Name())
 		}
 	}
+	return newest
+}
+
+// truncateShardTail cuts up to n bytes off the newest segment in shard
+// si's directory — the on-disk shape of a crash that tore that shard's
+// tail. It reports whether there was a segment to tear.
+func truncateShardTail(t *testing.T, dir string, si int, n int64) bool {
+	t.Helper()
+	newest := newestSegment(t, dir, si)
 	if newest == "" {
-		t.Fatalf("shard %d has no segment to tear", si)
+		return false
 	}
 	fi, err := os.Stat(newest)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fi.Size() <= n {
-		t.Fatalf("shard %d segment is %d bytes, cannot tear %d", si, fi.Size(), n)
-	}
-	if err := os.Truncate(newest, fi.Size()-n); err != nil {
+	if err := os.Truncate(newest, max(fi.Size()-n, 0)); err != nil {
 		t.Fatal(err)
 	}
+	return true
 }
 
 // TestShardedTornTailsOnTwoShards: tearing the tails of two shards
@@ -222,7 +103,7 @@ func truncateShardTail(t *testing.T, dir string, si int, n int64) {
 func TestShardedTornTailsOnTwoShards(t *testing.T) {
 	const n, count = 4, 60
 	dir := t.TempDir()
-	s, _ := reopenSharded(t, dir, n)
+	s, _ := reopen(t, dir, n)
 	perShard := appendKeyed(t, s, n, count)
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
@@ -232,7 +113,7 @@ func TestShardedTornTailsOnTwoShards(t *testing.T) {
 	// frameHeaderSize + kind + 8-byte sequence + 8-byte payload = 25
 	// bytes; cutting 2 frames + 3 bytes tears a third frame mid-payload,
 	// so each torn shard loses exactly its last 3 records.
-	const frameSize = frameHeaderSize + 1 + 8 + 8
+	const frameSize = frameHeaderSize + 1 + seqPrefixSize + 8
 	torn := []int{-1, -1}
 	for si := range perShard {
 		if torn[0] < 0 || len(perShard[si]) > len(perShard[torn[0]]) {
@@ -254,7 +135,7 @@ func TestShardedTornTailsOnTwoShards(t *testing.T) {
 		}
 	}
 
-	_, rec := reopenSharded(t, dir, n)
+	_, rec := reopen(t, dir, n)
 	if rec.TornTail == 0 {
 		t.Fatal("mid-frame truncation not reported as torn bytes")
 	}
@@ -276,18 +157,11 @@ func TestShardedTornTailsOnTwoShards(t *testing.T) {
 }
 
 // TestShardedCrashDurablePrefix: under an injected crash filesystem,
-// every record Append acknowledged as durable survives recovery across
-// all shards, in order; async records may be lost but never corrupt the
+// every record acknowledged as durable survives recovery across all
+// shards, in order; async records may be lost but never corrupt the
 // merge.
 func TestShardedCrashDurablePrefix(t *testing.T) {
-	inj, err := faults.NewInjector(faults.Config{Seed: 11, TornWriteRate: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fs, err := faults.NewCrashFS(inj)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fs := crashFS(t, faults.Config{Seed: 11, TornWriteRate: 1})
 	dir := t.TempDir()
 	const n = 3
 	s, _, err := OpenSharded(Options{
@@ -298,19 +172,19 @@ func TestShardedCrashDurablePrefix(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 40; i++ {
-		if err := s.Append(fmt.Sprintf("k-%03d", i), 1, []byte(fmt.Sprintf("durable-%02d", i))); err != nil {
+		if err := appendRec(s, fmt.Sprintf("k-%03d", i), 1, []byte(fmt.Sprintf("durable-%02d", i))); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i := 0; i < 20; i++ {
-		if err := s.AppendAsync(fmt.Sprintf("a-%03d", i), 2, []byte(fmt.Sprintf("volatile-%02d", i))); err != nil {
+		if err := appendAsync(s, fmt.Sprintf("a-%03d", i), 2, []byte(fmt.Sprintf("volatile-%02d", i))); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if err := fs.Crash(); err != nil {
 		t.Fatal(err)
 	}
-	_, rec := reopenSharded(t, dir, n)
+	_, rec := reopen(t, dir, n)
 	durable := 0
 	for _, r := range rec.Records {
 		if r.Kind == 1 {
@@ -325,68 +199,48 @@ func TestShardedCrashDurablePrefix(t *testing.T) {
 	}
 }
 
-// TestShardedCompaction: a sharded compaction collapses every shard's
-// history (and any legacy flat files) into one root snapshot; recovery
-// sees the snapshot plus only post-compaction records, and the covered
-// files are gone.
+// TestShardedCompaction: a compaction collapses every shard's history
+// into one root snapshot; recovery sees the snapshot plus only
+// post-compaction records, and the covered segments are gone.
 func TestShardedCompaction(t *testing.T) {
-	dir := t.TempDir()
-	// Legacy flat history first, so the compaction also exercises the
-	// migration cleanup.
-	j, _, err := Open(Options{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := j.Append(1, []byte("flat-old")); err != nil {
-		t.Fatal(err)
-	}
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	const n = 3
-	s, _ := reopenSharded(t, dir, n)
-	appendKeyed(t, s, n, 20)
-	if err := s.Compact([]byte("snapshot-state")); err != nil {
-		t.Fatal(err)
-	}
-	if lb := s.LiveBytes(); lb != 0 {
-		t.Fatalf("LiveBytes = %d after Compact, want 0", lb)
-	}
-	for i := 0; i < 4; i++ {
-		if err := s.Append(fmt.Sprintf("post-%d", i), 2, []byte(fmt.Sprintf("new-%d", i))); err != nil {
+	for _, n := range []int{1, 3} {
+		dir := t.TempDir()
+		s, _ := reopen(t, dir, n)
+		appendKeyed(t, s, n, 20)
+		if err := compact(s, []byte("snapshot-state")); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
+		if lb := s.LiveBytes(); lb != 0 {
+			t.Fatalf("LiveBytes = %d after compaction, want 0", lb)
+		}
+		for i := 0; i < 4; i++ {
+			if err := appendRec(s, fmt.Sprintf("post-%d", i), 2, []byte(fmt.Sprintf("new-%d", i))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if st := s.Stats(); st.Compactions != 1 {
+			t.Fatalf("Compactions = %d, want 1", st.Compactions)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
 
-	_, rec := reopenSharded(t, dir, n)
-	if string(rec.Snapshot) != "snapshot-state" {
-		t.Fatalf("snapshot = %q", rec.Snapshot)
-	}
-	if len(rec.Records) != 4 {
-		t.Fatalf("recovered %d post-snapshot records, want 4", len(rec.Records))
-	}
-	for i, r := range rec.Records {
-		if string(r.Data) != fmt.Sprintf("new-%d", i) {
-			t.Fatalf("post-snapshot record %d = %q", i, r.Data)
+		_, rec := reopen(t, dir, n)
+		if string(rec.Snapshot) != "snapshot-state" {
+			t.Fatalf("snapshot = %q", rec.Snapshot)
 		}
-	}
-	// The migration cleanup must have removed the flat-format files; the
-	// snapshot's state observed their replay.
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range entries {
-		var idx uint64
-		if cnt, _ := fmt.Sscanf(e.Name(), "wal-%08d.seg", &idx); cnt == 1 {
-			t.Fatalf("compaction left legacy flat segment %s behind", e.Name())
+		if len(rec.Records) != 4 {
+			t.Fatalf("recovered %d post-snapshot records, want 4", len(rec.Records))
 		}
-		if cnt, _ := fmt.Sscanf(e.Name(), "state-%08d.snap", &idx); cnt == 1 {
-			t.Fatalf("compaction left legacy flat snapshot %s behind", e.Name())
+		for i, r := range rec.Records {
+			if string(r.Data) != fmt.Sprintf("new-%d", i) {
+				t.Fatalf("post-snapshot record %d = %q", i, r.Data)
+			}
+		}
+		for si := 0; si < n; si++ {
+			if _, err := os.Stat(filepath.Join(dir, shardDirName(si), segmentName(1))); !os.IsNotExist(err) {
+				t.Fatalf("compaction left shard %d's covered segment behind (stat: %v)", si, err)
+			}
 		}
 	}
 }
@@ -397,12 +251,12 @@ func TestShardedCompaction(t *testing.T) {
 func TestShardedTornSnapshotSkipped(t *testing.T) {
 	dir := t.TempDir()
 	const n = 2
-	s, _ := reopenSharded(t, dir, n)
+	s, _ := reopen(t, dir, n)
 	appendKeyed(t, s, n, 10)
-	if err := s.Compact([]byte("good-state")); err != nil {
+	if err := compact(s, []byte("good-state")); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Append("after", 2, []byte("post-snap")); err != nil {
+	if err := appendRec(s, "after", 2, []byte("post-snap")); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {
@@ -410,15 +264,99 @@ func TestShardedTornSnapshotSkipped(t *testing.T) {
 	}
 	// A newer snapshot that never finished: garbage bytes under a
 	// higher index.
-	if err := os.WriteFile(filepath.Join(dir, shardedSnapshotName(99)), []byte("torn-garbage"), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, snapshotName(99)), []byte("torn-garbage"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, rec := reopenSharded(t, dir, n)
+	_, rec := reopen(t, dir, n)
 	if string(rec.Snapshot) != "good-state" {
 		t.Fatalf("snapshot = %q, want the older valid snapshot", rec.Snapshot)
 	}
 	if len(rec.Records) != 1 || string(rec.Records[0].Data) != "post-snap" {
 		t.Fatalf("recovered %+v, want exactly the post-snapshot record", rec.Records)
+	}
+}
+
+// TestLargeSnapshotSurvivesAndDamageFallsBack: snapshot state is not a
+// log record, so a state above maxFrameSize compacts and recovers
+// intact; and a newer snapshot that is truncated or has one bit flipped
+// — in the header or anywhere in the state — fails its length/CRC check
+// and recovery falls back to the previous snapshot.
+func TestLargeSnapshotSurvivesAndDamageFallsBack(t *testing.T) {
+	dir := t.TempDir()
+	s, _ := reopen(t, dir, 2)
+	big := bytes.Repeat([]byte("long-tail "), (maxFrameSize+(1<<20))/10)
+	if len(big) <= maxFrameSize {
+		t.Fatalf("state of %d bytes does not exceed the frame limit", len(big))
+	}
+	if err := appendRec(s, "a", 1, []byte("covered")); err != nil {
+		t.Fatal(err)
+	}
+	if err := compact(s, big); err != nil {
+		t.Fatalf("compacting a %d-byte state: %v", len(big), err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, rec := reopen(t, dir, 2)
+	if !bytes.Equal(rec.Snapshot, big) || len(rec.Records) != 0 {
+		t.Fatalf("recovered a %d-byte snapshot and %d records, want the %d-byte state and none", len(rec.Snapshot), len(rec.Records), len(big))
+	}
+
+	newer := snapshotHeader(0, []uint64{1, 1}, []byte("newer-state"))
+	newer = append(newer, "newer-state"...)
+	damage := map[string][]byte{
+		"truncated state":  newer[:len(newer)-4],
+		"truncated header": newer[:frameHeaderSize+6],
+		"trailing bytes":   append(append([]byte(nil), newer...), 0),
+	}
+	for _, at := range []int{frameHeaderSize + 7, len(newer) - 3} {
+		flipped := append([]byte(nil), newer...)
+		flipped[at] ^= 0x10
+		damage[fmt.Sprintf("bit flip at %d", at)] = flipped
+	}
+	for name, data := range damage {
+		if err := os.WriteFile(filepath.Join(dir, snapshotName(2)), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s2, rec, err := OpenSharded(Options{Dir: dir}, 2)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		s2.Close()
+		if !bytes.Equal(rec.Snapshot, big) {
+			t.Fatalf("%s: recovered a %d-byte snapshot, want the previous %d-byte one", name, len(rec.Snapshot), len(big))
+		}
+	}
+	// Undamaged, the newer snapshot wins — the fallback above was the
+	// damage, not the file being ignored.
+	if err := os.WriteFile(filepath.Join(dir, snapshotName(2)), newer, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, rec = reopen(t, dir, 2)
+	if string(rec.Snapshot) != "newer-state" {
+		t.Fatalf("intact newer snapshot not preferred: recovered %d bytes", len(rec.Snapshot))
+	}
+}
+
+// TestSnapshotNamingMissingShardsFailsOpen: the shard count comes from
+// the request and the directories on disk; a snapshot header covering
+// more shards than exist means shard directories were lost, and the
+// open fails instead of silently dropping their records.
+func TestSnapshotNamingMissingShardsFailsOpen(t *testing.T) {
+	dir := t.TempDir()
+	s, _ := reopen(t, dir, 3)
+	appendKeyed(t, s, 3, 12)
+	if err := compact(s, []byte("state")); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.RemoveAll(filepath.Join(dir, shardDirName(2))); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := OpenSharded(Options{Dir: dir}, 1); err == nil {
+		t.Fatal("open succeeded with a snapshot covering 3 shards and 2 on disk")
 	}
 }
 
@@ -428,21 +366,21 @@ func TestShardedTornSnapshotSkipped(t *testing.T) {
 // explicit lower count is overridden by the directories on disk.
 func TestShardedShardCountGrowth(t *testing.T) {
 	dir := t.TempDir()
-	s, _ := reopenSharded(t, dir, 2)
-	appendKeyed(t, s, 2, 30)
+	s, _ := reopen(t, dir, 1)
+	appendKeyed(t, s, 1, 30)
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	s4, rec := reopenSharded(t, dir, 4)
-	if got := s4.Shards(); got != 4 {
-		t.Fatalf("Shards() = %d after growth, want 4", got)
+	s4, rec := reopen(t, dir, 4)
+	if got := len(s4.ShardStats()); got != 4 {
+		t.Fatalf("%d shards after growth, want 4", got)
 	}
 	if len(rec.Records) != 30 {
 		t.Fatalf("recovered %d records after growth, want 30", len(rec.Records))
 	}
 	for i := 30; i < 50; i++ {
-		if err := s4.Append(fmt.Sprintf("k-%03d", i), byte(1+i%3), []byte(fmt.Sprintf("rec-%04d", i))); err != nil {
+		if err := appendRec(s4, fmt.Sprintf("k-%03d", i), byte(1+i%3), []byte(fmt.Sprintf("rec-%04d", i))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -451,10 +389,9 @@ func TestShardedShardCountGrowth(t *testing.T) {
 	}
 
 	// shards=1 cannot shrink a striped journal: the directories win.
-	s1, rec2 := reopenSharded(t, dir, 1)
-	defer s1.Close()
-	if got := s1.Shards(); got != 4 {
-		t.Fatalf("Shards() = %d when reopened with shards=1, want the on-disk 4", got)
+	s1, rec2 := reopen(t, dir, 1)
+	if got := len(s1.ShardStats()); got != 4 {
+		t.Fatalf("%d shards when reopened with shards=1, want the on-disk 4", got)
 	}
 	if len(rec2.Records) != 50 {
 		t.Fatalf("recovered %d records, want 50", len(rec2.Records))
@@ -472,16 +409,7 @@ func TestShardedShardCountGrowth(t *testing.T) {
 func TestShardedGroupCommitAcrossShards(t *testing.T) {
 	dir := t.TempDir()
 	const n = 2
-	s, _, err := OpenSharded(Options{
-		Dir: dir,
-		OpenFile: func(path string) (File, error) {
-			f, err := os.Create(path)
-			if err != nil {
-				return nil, err
-			}
-			return &slowSyncFile{f: f}, nil
-		},
-	}, n)
+	s, _, err := OpenSharded(Options{Dir: dir, OpenFile: openSlowSync}, n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -490,7 +418,7 @@ func TestShardedGroupCommitAcrossShards(t *testing.T) {
 	for w := 0; w < writers; w++ {
 		go func(w int) {
 			for i := 0; i < perWriter; i++ {
-				if err := s.Append(fmt.Sprintf("w%d-%03d", w, i), 1, []byte(fmt.Sprintf("w%d-%03d", w, i))); err != nil {
+				if err := appendRec(s, fmt.Sprintf("w%d-%03d", w, i), 1, []byte(fmt.Sprintf("w%d-%03d", w, i))); err != nil {
 					errs <- err
 					return
 				}
@@ -520,7 +448,7 @@ func TestShardedGroupCommitAcrossShards(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	_, rec := reopenSharded(t, dir, n)
+	_, rec := reopen(t, dir, n)
 	if len(rec.Records) != writers*perWriter {
 		t.Fatalf("recovered %d records, want %d", len(rec.Records), writers*perWriter)
 	}

@@ -11,6 +11,7 @@ import (
 	"repro/internal/avsim"
 	"repro/internal/classify"
 	"repro/internal/dataset"
+	"repro/internal/export"
 	"repro/internal/features"
 	"repro/internal/journal"
 	"repro/internal/labeling"
@@ -334,7 +335,14 @@ func TestHarvesterDrainsLedger(t *testing.T) {
 	}
 	t.Cleanup(func() { l.Close() })
 	events := f.replay[:30]
-	if err := l.Accept("batch-1", events); err != nil {
+	var wire []byte
+	for i := range events {
+		if wire, err = export.AppendEventLine(wire, &events[i]); err != nil {
+			t.Fatal(err)
+		}
+		wire = append(wire, '\n')
+	}
+	if err := l.AcceptWire("batch-1", events, string(wire)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := l.Result("batch-1", champVerdicts(t, f, events)); err != nil {

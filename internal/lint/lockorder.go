@@ -293,7 +293,7 @@ func typeHasMutex(t types.Type, seen map[types.Type]bool) bool {
 }
 
 // shortLock trims the package path off a lock identity, keeping the
-// last path segment ("repro/internal/journal.Journal.mu" → "journal.Journal.mu").
+// last path segment ("repro/internal/serve.Ledger.mu" → "serve.Ledger.mu").
 func shortLock(id string) string {
 	if i := strings.LastIndexByte(id, '/'); i >= 0 {
 		return id[i+1:]

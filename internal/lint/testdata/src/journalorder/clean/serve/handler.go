@@ -7,12 +7,12 @@ import "net/http"
 
 type ledger struct{}
 
-func (l *ledger) Accept(batch []byte) error { return nil }
+func (l *ledger) AcceptWire(batch []byte) error { return nil }
 
 // handleSubmit journals first, then acknowledges.
 func handleSubmit(l *ledger, w http.ResponseWriter, r *http.Request) {
 	batch := []byte("batch")
-	if err := l.Accept(batch); err != nil {
+	if err := l.AcceptWire(batch); err != nil {
 		http.Error(w, "journal failed", http.StatusInternalServerError)
 		return
 	}

@@ -12,13 +12,24 @@ type VerdictRecord struct {
 
 type ledger struct{}
 
-func (l *ledger) Accept(id string, body []byte) error   { return nil }
-func (l *ledger) AppendAsync(kind byte, b []byte) error { return nil }
-func (l *ledger) ImportChunk(data []byte) error         { return nil }
+func (l *ledger) AcceptWire(id string, body []byte) error { return nil }
+func (l *ledger) ImportChunk(data []byte) error           { return nil }
+
+type wal struct{}
+
+func (j *wal) AppendAsyncFunc(key string, kind byte, build func([]byte) []byte) error { return nil }
+
+// response is a handler's answer as data, the staged handler's shape.
+type response struct {
+	status int
+	body   []byte
+}
+
+func classify(body []byte) response { return response{status: http.StatusOK, body: body} }
 
 // Good: journal first, respond second — the durable handshake.
 func handleGood(w http.ResponseWriter, l *ledger, id string, body []byte) {
-	if err := l.Accept(id, body); err != nil {
+	if err := l.AcceptWire(id, body); err != nil {
 		http.Error(w, "journal unavailable", http.StatusServiceUnavailable)
 		return
 	}
@@ -26,19 +37,44 @@ func handleGood(w http.ResponseWriter, l *ledger, id string, body []byte) {
 	w.Write(body)
 }
 
+// Good: the staged shape — the accept overlaps classification on its
+// own goroutine, the stages return data, and the one response write
+// comes after both, in the function that issued the accept.
+func handleStagedGood(w http.ResponseWriter, l *ledger, id string, body []byte) {
+	accepted := make(chan error, 1)
+	go func() { accepted <- l.AcceptWire(id, body) }()
+	resp := classify(body)
+	if err := <-accepted; err != nil {
+		resp = response{status: http.StatusInternalServerError}
+	}
+	w.WriteHeader(resp.status)
+	w.Write(resp.body)
+}
+
+// Bad: the staged shape with the two halves swapped — the response is
+// written out and only then is the accept issued.
+func handleStagedBad(w http.ResponseWriter, l *ledger, id string, body []byte) {
+	resp := classify(body)
+	w.WriteHeader(resp.status) // want `http response WriteHeader happens before the batch's journal accept`
+	w.Write(resp.body)         // want `http response Write happens before the batch's journal accept`
+	accepted := make(chan error, 1)
+	go func() { accepted <- l.AcceptWire(id, body) }()
+	<-accepted
+}
+
 // Bad: the 200 escapes before the batch is durable; a crash between
 // the two acknowledges a batch the ledger never heard of.
 func handleBad(w http.ResponseWriter, l *ledger, id string, body []byte) {
 	w.WriteHeader(http.StatusOK) // want `http response WriteHeader happens before the batch's journal accept`
 	w.Write(body)                // want `http response Write happens before the batch's journal accept`
-	l.Accept(id, body)
+	l.AcceptWire(id, body)
 }
 
 // Bad: a verdict escaping on a channel before the journal accept is
 // the same lost-batch window in the worker-pool shape.
-func pipelineBad(out chan VerdictRecord, l *ledger, id string, body []byte) {
+func pipelineBad(out chan VerdictRecord, j *wal, id string, body []byte) {
 	out <- VerdictRecord{File: id} // want `verdict channel send happens before the batch's journal accept`
-	l.AppendAsync(1, body)
+	j.AppendAsyncFunc(id, 1, func(dst []byte) []byte { return append(dst, body...) })
 }
 
 // Good: a handoff import journals the chunk before the ack escapes —
@@ -67,5 +103,5 @@ func reject(w http.ResponseWriter) {
 
 // Fine: a pure journaling helper writes no response.
 func persist(l *ledger, id string, body []byte) error {
-	return l.Accept(id, body)
+	return l.AcceptWire(id, body)
 }

@@ -1,9 +1,7 @@
 package serve
 
 import (
-	"bytes"
 	"fmt"
-	"sort"
 
 	"repro/internal/dataset"
 	"repro/internal/export"
@@ -79,24 +77,12 @@ func (l *Ledger) ExportRange(migrating func(id string) bool, maxChunkBytes int) 
 		maxChunkBytes = DefaultHandoffChunkBytes
 	}
 	l.mu.Lock()
-	doneIDs := make([]string, 0, len(l.results))
-	for id := range l.results {
-		if migrating(id) {
-			doneIDs = append(doneIDs, id)
-		}
-	}
-	sort.Strings(doneIDs)
+	doneIDs := sortedIDs(l.results, migrating)
 	bodies := make([][]byte, len(doneIDs))
 	for i, id := range doneIDs {
 		bodies[i] = l.results[id]
 	}
-	pendIDs := make([]string, 0, len(l.pending))
-	for id := range l.pending {
-		if migrating(id) {
-			pendIDs = append(pendIDs, id)
-		}
-	}
-	sort.Strings(pendIDs)
+	pendIDs := sortedIDs(l.pending, migrating)
 	pendEvents := make([][]dataset.DownloadEvent, len(pendIDs))
 	for i, id := range pendIDs {
 		pendEvents[i] = l.pending[id]
@@ -164,74 +150,39 @@ func (l *Ledger) ImportChunk(data []byte) (HandoffImportStats, error) {
 		return st, fmt.Errorf("serve: handoff import: %d trailing bytes fail CRC framing", tail)
 	}
 	for _, r := range recs {
-		switch r.Kind {
-		case recResult:
-			idx := bytes.IndexByte(r.Data, '\n')
-			if idx <= 0 {
-				return st, fmt.Errorf("serve: handoff import: result without id line")
-			}
-			id := string(r.Data[:idx])
-			body := r.Data[idx+1:]
-			l.mu.Lock()
-			_, done := l.results[id]
-			l.mu.Unlock()
-			if done {
-				st.Duplicates++
-				continue
-			}
-			// Journal before the in-memory install (and before any ack can
-			// escape the caller): a crash after the append replays the
-			// record on recovery; a crash before it leaves nothing — never
-			// an acknowledged entry whose only copy was in memory.
-			if err := l.j.AppendAsyncFunc(id, recResult, func(dst []byte) []byte {
-				return append(dst, r.Data...)
-			}); err != nil {
-				return st, fmt.Errorf("serve: handoff import %s: %w", id, err)
-			}
-			l.mu.Lock()
-			if _, raced := l.results[id]; raced {
-				st.Duplicates++
-			} else {
-				l.storeResultLocked(id, body)
-				delete(l.pending, id)
-				st.Imported++
-			}
-			l.mu.Unlock()
-		case recAccept:
-			id, lines, err := splitPayload(r.Data)
-			if err != nil {
-				return st, fmt.Errorf("serve: handoff import: %w", err)
-			}
-			events, err := parseEventLines(lines)
-			if err != nil {
-				return st, fmt.Errorf("serve: handoff import %s: %w", id, err)
-			}
-			l.mu.Lock()
-			_, done := l.results[id]
-			_, pending := l.pending[id]
-			l.mu.Unlock()
-			if done || pending {
-				st.Duplicates++
-				continue
-			}
-			if err := l.j.AppendAsyncFunc(id, recAccept, func(dst []byte) []byte {
-				return append(dst, r.Data...)
-			}); err != nil {
-				return st, fmt.Errorf("serve: handoff import %s: %w", id, err)
-			}
-			l.mu.Lock()
-			if _, raced := l.pending[id]; raced {
-				st.Duplicates++
-			} else if _, raced := l.results[id]; raced {
-				st.Duplicates++
-			} else {
-				l.pending[id] = events
-				st.Pending++
-			}
-			l.mu.Unlock()
-		default:
-			return st, fmt.Errorf("serve: handoff import: unknown record kind %d", r.Kind)
+		id, body, events, err := decodeRecord(r)
+		if err != nil {
+			return st, fmt.Errorf("serve: handoff import: %w", err)
 		}
+		l.mu.Lock()
+		held := l.holdsLocked(id, r.Kind)
+		l.mu.Unlock()
+		if held {
+			st.Duplicates++
+			continue
+		}
+		// Journal before the in-memory install (and before any ack can
+		// escape the caller): a crash after the append replays the
+		// record on recovery; a crash before it leaves nothing — never
+		// an acknowledged entry whose only copy was in memory.
+		if err := l.j.AppendAsyncFunc(id, r.Kind, func(dst []byte) []byte {
+			return append(dst, r.Data...)
+		}); err != nil {
+			return st, fmt.Errorf("serve: handoff import %s: %w", id, err)
+		}
+		l.mu.Lock()
+		switch {
+		case l.holdsLocked(id, r.Kind): // raced a local accept or result
+			st.Duplicates++
+		case r.Kind == recResult:
+			l.storeResultLocked(id, body)
+			delete(l.pending, id)
+			st.Imported++
+		default:
+			l.pending[id] = events
+			st.Pending++
+		}
+		l.mu.Unlock()
 	}
 	// One group fsync (per journal shard) acks the whole chunk: cheaper
 	// than per-entry durability, still strictly before the caller's
@@ -242,7 +193,15 @@ func (l *Ledger) ImportChunk(data []byte) (HandoffImportStats, error) {
 	return st, nil
 }
 
-// ImportPendingIDs returns the pending IDs installed by imports or
-// accepts — an alias of PendingIDs kept for symmetry at call sites that
-// replay imported pending batches through the engine.
-func (l *Ledger) ImportPendingIDs() []string { return l.PendingIDs() }
+// holdsLocked reports whether this ledger already holds what a record
+// of the given kind for id would install: a result if it has the
+// result, an accept if the batch is completed or pending. Callers hold
+// l.mu.
+func (l *Ledger) holdsLocked(id string, kind byte) bool {
+	_, done := l.results[id]
+	if done || kind == recResult {
+		return done
+	}
+	_, pending := l.pending[id]
+	return pending
+}

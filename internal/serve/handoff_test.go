@@ -21,7 +21,7 @@ func fillLedger(t *testing.T, l *Ledger, n, p int) map[string][]byte {
 	for i := 0; i < n; i++ {
 		id := fmt.Sprintf("done-%02d", i)
 		ev := f.replay[i%len(f.replay) : i%len(f.replay)+1]
-		if err := l.Accept(id, ev); err != nil {
+		if err := acceptEvents(l, id, ev); err != nil {
 			t.Fatal(err)
 		}
 		body, err := l.Result(id, []VerdictRecord{{Type: "verdict", File: fmt.Sprintf("file-%02d", i), Verdict: "benign"}})
@@ -33,7 +33,7 @@ func fillLedger(t *testing.T, l *Ledger, n, p int) map[string][]byte {
 	for i := 0; i < p; i++ {
 		id := fmt.Sprintf("pend-%02d", i)
 		ev := f.replay[i%len(f.replay) : i%len(f.replay)+2]
-		if err := l.Accept(id, ev); err != nil {
+		if err := acceptEvents(l, id, ev); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -5,8 +5,11 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"log"
 	"sort"
+	"strings"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/dataset"
 	"repro/internal/export"
@@ -29,7 +32,7 @@ const (
 //
 // The protocol, per batch:
 //
-//  1. Accept(id, events) — journaled durably (fsync, group-committed)
+//  1. AcceptWire(id, events, body) — journaled durably (fsync, group-committed)
 //     BEFORE any response bytes leave the server. A batch the client
 //     was told about can therefore never vanish in a crash.
 //  2. Result(id, verdicts) — journaled asynchronously. Losing a result
@@ -68,6 +71,9 @@ type Ledger struct {
 	// compactBytes triggers snapshot+compaction once that many bytes
 	// have been journaled since the last compaction (-1 = never).
 	compactBytes int64
+	// compactErrors counts triggered compactions that failed; the log
+	// they would have truncated is intact and the next Result retries.
+	compactErrors atomic.Uint64
 }
 
 // LedgerOptions configures OpenLedger.
@@ -79,8 +85,8 @@ type LedgerOptions struct {
 	// with its own group-commit sync loop, so accept fsyncs overlap
 	// across cores (journal.OpenSharded). Request IDs pick the shard by
 	// FNV affinity; recovery merges all shards by global sequence.
-	// Values <= 1 keep the flat single-WAL on-disk format; a directory
-	// already sharded on disk can only grow the count.
+	// Values <= 1 mean one shard of the same layout; the shard
+	// directories already on disk can only raise the count.
 	Shards int
 	// CompactBytes compacts the journal (snapshot of the full ledger
 	// state, then segment truncation) whenever the bytes journaled since
@@ -148,20 +154,11 @@ func OpenLedger(opts LedgerOptions) (*Ledger, *LedgerRecovery, error) {
 		// A snapshot loses completion order, so restore in sorted-ID
 		// order: deterministic across restarts, which is what matters
 		// for a bound that only approximates "oldest first".
-		ids := make([]string, 0, len(snap.Results))
-		for id := range snap.Results {
-			ids = append(ids, id)
-		}
-		sort.Strings(ids)
-		for _, id := range ids {
+		for _, id := range sortedIDs(snap.Results, nil) {
 			l.storeResultLocked(id, []byte(snap.Results[id]))
 		}
-		for id, strLines := range snap.Pending {
-			lines := make([][]byte, len(strLines))
-			for i, s := range strLines {
-				lines[i] = []byte(s)
-			}
-			events, err := parseEventLines(lines)
+		for id, lines := range snap.Pending {
+			events, err := parseEventLines([]byte(strings.Join(lines, "\n")))
 			if err != nil {
 				j.Close()
 				return nil, nil, fmt.Errorf("serve: ledger snapshot %s: %w", id, err)
@@ -170,36 +167,16 @@ func OpenLedger(opts LedgerOptions) (*Ledger, *LedgerRecovery, error) {
 		}
 	}
 	for _, r := range rec.Records {
-		switch r.Kind {
-		case recAccept:
-			id, lines, err := splitPayload(r.Data)
-			if err != nil {
-				j.Close()
-				return nil, nil, fmt.Errorf("serve: ledger replay: %w", err)
-			}
-			if _, done := l.results[id]; done {
-				continue // duplicate accept of an already-resulted batch
-			}
-			events, err := parseEventLines(lines)
-			if err != nil {
-				j.Close()
-				return nil, nil, fmt.Errorf("serve: ledger replay %s: %w", id, err)
-			}
-			l.pending[id] = events
-		case recResult:
-			// A result payload is `id\n` + the response body verbatim —
-			// no parsing needed, the blob is served as-is on dedup.
-			idx := bytes.IndexByte(r.Data, '\n')
-			if idx <= 0 {
-				j.Close()
-				return nil, nil, fmt.Errorf("serve: ledger replay: result without id line")
-			}
-			id := string(r.Data[:idx])
-			l.storeResultLocked(id, r.Data[idx+1:])
-			delete(l.pending, id)
-		default:
+		id, body, events, err := decodeRecord(r)
+		if err != nil {
 			j.Close()
-			return nil, nil, fmt.Errorf("serve: ledger replay: unknown record kind %d", r.Kind)
+			return nil, nil, fmt.Errorf("serve: ledger replay: %w", err)
+		}
+		if r.Kind == recResult {
+			l.storeResultLocked(id, body)
+			delete(l.pending, id)
+		} else if _, done := l.results[id]; !done { // else: duplicate accept of an already-resulted batch
+			l.pending[id] = events
 		}
 	}
 	out := &LedgerRecovery{
@@ -213,28 +190,34 @@ func OpenLedger(opts LedgerOptions) (*Ledger, *LedgerRecovery, error) {
 	return l, out, nil
 }
 
-// splitPayload splits a journaled `id\n` + line-JSON payload.
-func splitPayload(data []byte) (string, [][]byte, error) {
-	idx := bytes.IndexByte(data, '\n')
-	if idx < 0 {
-		return "", nil, fmt.Errorf("payload without id line")
+// decodeRecord splits a journal (or handoff) record into its request ID
+// and what it carries: a result's payload is `id\n` + the response body
+// verbatim — no parsing needed, the blob is served as-is on dedup — and
+// an accept's is `id\n` + the batch's event lines.
+func decodeRecord(r journal.Record) (id string, body []byte, events []dataset.DownloadEvent, err error) {
+	idx := bytes.IndexByte(r.Data, '\n')
+	if idx <= 0 {
+		return "", nil, nil, fmt.Errorf("record without id line")
 	}
-	id := string(data[:idx])
-	if id == "" {
-		return "", nil, fmt.Errorf("empty request id")
+	id, rest := string(r.Data[:idx]), r.Data[idx+1:]
+	switch r.Kind {
+	case recResult:
+		return id, rest, nil, nil
+	case recAccept:
+		events, err = parseEventLines(rest)
+		return id, nil, events, err
 	}
-	var lines [][]byte
-	for _, line := range bytes.Split(data[idx+1:], []byte{'\n'}) {
-		if len(line) > 0 {
-			lines = append(lines, line)
-		}
-	}
-	return id, lines, nil
+	return "", nil, nil, fmt.Errorf("unknown record kind %d", r.Kind)
 }
 
-func parseEventLines(lines [][]byte) ([]dataset.DownloadEvent, error) {
-	events := make([]dataset.DownloadEvent, 0, len(lines))
-	for _, line := range lines {
+// parseEventLines parses '\n'-separated line-JSON event records,
+// skipping empty lines.
+func parseEventLines(data []byte) ([]dataset.DownloadEvent, error) {
+	events := make([]dataset.DownloadEvent, 0, bytes.Count(data, []byte{'\n'})+1)
+	for _, line := range bytes.Split(data, []byte{'\n'}) {
+		if len(line) == 0 {
+			continue
+		}
 		ev, err := export.UnmarshalEventLine(line)
 		if err != nil {
 			return nil, err
@@ -244,16 +227,17 @@ func parseEventLines(lines [][]byte) ([]dataset.DownloadEvent, error) {
 	return events, nil
 }
 
-func parseVerdictLines(lines [][]byte) ([]VerdictRecord, error) {
-	verdicts := make([]VerdictRecord, 0, len(lines))
-	for _, line := range lines {
-		var v VerdictRecord
-		if err := json.Unmarshal(line, &v); err != nil {
-			return nil, err
+// sortedIDs returns the keys of m that keep accepts (all of them when
+// keep is nil) in sorted order, so whatever walks them is deterministic.
+func sortedIDs[V any](m map[string]V, keep func(id string) bool) []string {
+	ids := make([]string, 0, len(m))
+	for id := range m {
+		if keep == nil || keep(id) {
+			ids = append(ids, id)
 		}
-		verdicts = append(verdicts, v)
 	}
-	return verdicts, nil
+	sort.Strings(ids)
+	return ids
 }
 
 // storeResultLocked records the response body served for id and evicts
@@ -281,42 +265,16 @@ func (l *Ledger) storeResultLocked(id string, body []byte) {
 	}
 }
 
-// Accept journals a batch durably under its request ID and marks it
-// pending. It returns only after the record is fsynced (group-committed
-// with concurrent accepts); on journal failure the in-memory pending
-// mark is rolled back so a retransmit can try again cleanly.
-func (l *Ledger) Accept(id string, events []dataset.DownloadEvent) error {
-	lines := make([][]byte, len(events))
-	for i := range events {
-		line, err := export.MarshalEventLine(&events[i])
-		if err != nil {
-			return fmt.Errorf("serve: ledger accept %s: %w", id, err)
-		}
-		lines[i] = line
-	}
-	return l.acceptFunc(id, events, func(dst []byte) []byte {
-		for _, line := range lines {
-			dst = append(dst, line...)
-			dst = append(dst, '\n')
-		}
-		return dst
-	})
-}
-
-// AcceptWire is Accept for the serving hot path: body is the batch's
-// own wire bytes (the non-empty line-JSON event lines of the request,
-// '\n'-terminated), journaled verbatim instead of re-marshaling events.
-// body and events must describe the same batch.
+// AcceptWire journals a batch durably under its request ID and marks it
+// pending. body is the batch's own wire bytes (the non-empty line-JSON
+// event lines of the request, '\n'-terminated), journaled verbatim as
+// `id\n` + body, rendered straight into the journal's frame buffer —
+// no re-marshaling, no allocation beyond the pending-map entry. body
+// and events must describe the same batch. It returns only after the
+// record is fsynced (group-committed with concurrent accepts); on
+// journal failure the in-memory pending mark is rolled back so a
+// retransmit can try again cleanly.
 func (l *Ledger) AcceptWire(id string, events []dataset.DownloadEvent, body string) error {
-	return l.acceptFunc(id, events, func(dst []byte) []byte {
-		return append(dst, body...)
-	})
-}
-
-// acceptFunc marks id pending and journals `id\n` + whatever body
-// appends, rendered straight into the journal's frame buffer — the
-// accept path allocates nothing beyond the pending-map entry.
-func (l *Ledger) acceptFunc(id string, events []dataset.DownloadEvent, body func(dst []byte) []byte) error {
 	if id == "" {
 		return fmt.Errorf("serve: ledger: empty request id")
 	}
@@ -330,7 +288,7 @@ func (l *Ledger) acceptFunc(id string, events []dataset.DownloadEvent, body func
 	err := l.j.AppendFunc(id, recAccept, func(dst []byte) []byte {
 		dst = append(dst, id...)
 		dst = append(dst, '\n')
-		return body(dst)
+		return append(dst, body...)
 	})
 	if err != nil {
 		l.mu.Lock()
@@ -346,9 +304,11 @@ func (l *Ledger) acceptFunc(id string, events []dataset.DownloadEvent, body func
 // mark. The first result for an ID wins; a concurrent duplicate (e.g. a
 // retransmit raced through classification) is dropped, keeping the
 // accounting exactly-once. The returned body is the response to serve
-// for id — the winner's bytes, identical across retransmits.
+// for id — the winner's bytes, identical across retransmits. A
+// compaction this call triggers is housekeeping, not part of the
+// request: its failure is logged and counted, never returned.
 func (l *Ledger) Result(id string, verdicts []VerdictRecord) ([]byte, error) {
-	// Rendered by the same append encoder writeVerdicts uses, so the
+	// Rendered by the same append encoder verdictResponse uses, so the
 	// journaled body a dedup replay serves is byte-identical to what a
 	// stateless response would have been.
 	body := appendVerdictBody(make([]byte, 0, verdictBodySize(verdicts)), verdicts)
@@ -385,7 +345,10 @@ func (l *Ledger) Result(id string, verdicts []VerdictRecord) ([]byte, error) {
 			threshold = p
 		}
 		if l.j.LiveBytes() > threshold {
-			return body, l.Compact()
+			if err := l.Compact(); err != nil {
+				l.compactErrors.Add(1)
+				log.Printf("serve: ledger: compaction failed, journal left uncompacted: %v", err)
+			}
 		}
 	}
 	return body, nil
@@ -414,13 +377,7 @@ func (l *Ledger) LookupVerdicts(id string) ([]VerdictRecord, bool) {
 	if !ok {
 		return nil, false
 	}
-	var lines [][]byte
-	for _, line := range bytes.Split(body, []byte{'\n'}) {
-		if len(line) > 0 {
-			lines = append(lines, line)
-		}
-	}
-	verdicts, err := parseVerdictLines(lines)
+	verdicts, err := parseVerdictBody(body)
 	if err != nil {
 		return nil, false
 	}
@@ -448,12 +405,7 @@ func (l *Ledger) PendingEvents(id string) []dataset.DownloadEvent {
 func (l *Ledger) PendingIDs() []string {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	ids := make([]string, 0, len(l.pending))
-	for id := range l.pending {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	return ids
+	return sortedIDs(l.pending, nil)
 }
 
 // CompletedIDs returns the request IDs with journaled results, in
@@ -462,12 +414,7 @@ func (l *Ledger) PendingIDs() []string {
 func (l *Ledger) CompletedIDs() []string {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	ids := make([]string, 0, len(l.results))
-	for id := range l.results {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	return ids
+	return sortedIDs(l.results, nil)
 }
 
 // Counts returns (pending, completed) batch counts.
@@ -534,12 +481,7 @@ func appendSnapshot(results map[string][]byte, pending map[string][]dataset.Down
 	}
 	dst := make([]byte, 0, size)
 	dst = append(dst, `{"results":{`...)
-	ids := make([]string, 0, len(results))
-	for id := range results {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	for i, id := range ids {
+	for i, id := range sortedIDs(results, nil) {
 		if i > 0 {
 			dst = append(dst, ',')
 		}
@@ -548,12 +490,7 @@ func appendSnapshot(results map[string][]byte, pending map[string][]dataset.Down
 		dst = export.AppendJSONBytes(dst, results[id])
 	}
 	dst = append(dst, `},"pending":{`...)
-	ids = ids[:0]
-	for id := range pending {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	for i, id := range ids {
+	for i, id := range sortedIDs(pending, nil) {
 		if i > 0 {
 			dst = append(dst, ',')
 		}
@@ -584,10 +521,11 @@ func (l *Ledger) Stats() journal.Stats { return l.j.Stats() }
 // the group-commit batch-size histogram.
 func (l *Ledger) JournalMetrics() JournalMetrics {
 	return JournalMetrics{
-		Stats:     l.j.Stats(),
-		Shards:    l.j.ShardStats(),
-		Lag:       l.j.ShardLag(),
-		SyncBatch: l.j.SyncBatches(),
+		Stats:         l.j.Stats(),
+		Shards:        l.j.ShardStats(),
+		Lag:           l.j.ShardLag(),
+		SyncBatch:     l.j.SyncBatches(),
+		CompactErrors: l.compactErrors.Load(),
 	}
 }
 

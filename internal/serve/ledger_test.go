@@ -1,13 +1,33 @@
 package serve
 
 import (
+	"bytes"
 	"context"
+	"errors"
 	"fmt"
+	"os"
+	"strings"
 	"sync"
 	"testing"
 
+	"repro/internal/dataset"
+	"repro/internal/export"
 	"repro/internal/journal"
 )
+
+// acceptEvents accepts a batch the way the handler does: through
+// AcceptWire, with the events' canonical line-JSON form as the body.
+func acceptEvents(l *Ledger, id string, events []dataset.DownloadEvent) error {
+	var body []byte
+	for i := range events {
+		var err error
+		if body, err = export.AppendEventLine(body, &events[i]); err != nil {
+			return err
+		}
+		body = append(body, '\n')
+	}
+	return l.AcceptWire(id, events, string(body))
+}
 
 func newTestLedger(t *testing.T, dir string) (*Ledger, *LedgerRecovery) {
 	t.Helper()
@@ -28,7 +48,7 @@ func TestLedgerAcceptResultLookup(t *testing.T) {
 		t.Fatalf("fresh ledger recovered %+v", rec)
 	}
 	events := f.replay[:4]
-	if err := l.Accept("batch-1", events); err != nil {
+	if err := acceptEvents(l, "batch-1", events); err != nil {
 		t.Fatal(err)
 	}
 	if !l.IsPending("batch-1") {
@@ -57,7 +77,7 @@ func TestLedgerAcceptResultLookup(t *testing.T) {
 		t.Fatal("duplicate result overwrote the first")
 	}
 	// Accept of an already-resulted ID is a no-op, not a new pending.
-	if err := l.Accept("batch-1", events); err != nil {
+	if err := acceptEvents(l, "batch-1", events); err != nil {
 		t.Fatal(err)
 	}
 	if l.IsPending("batch-1") {
@@ -79,14 +99,14 @@ func TestLedgerRecoveryReplaysPending(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Accept("done-1", done); err != nil {
+	if err := acceptEvents(l, "done-1", done); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := l.Result("done-1", verdicts); err != nil {
 		t.Fatal(err)
 	}
 	pending := f.replay[3:8]
-	if err := l.Accept("pend-1", pending); err != nil {
+	if err := acceptEvents(l, "pend-1", pending); err != nil {
 		t.Fatal(err)
 	}
 	// Simulate the crash window: results are async, so force them down
@@ -141,14 +161,14 @@ func TestLedgerCompaction(t *testing.T) {
 	l, _ := newTestLedger(t, dir)
 	for i := 0; i < 10; i++ {
 		id := fmt.Sprintf("b-%02d", i)
-		if err := l.Accept(id, f.replay[i:i+1]); err != nil {
+		if err := acceptEvents(l, id, f.replay[i:i+1]); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := l.Result(id, []VerdictRecord{{Type: "verdict", File: string(f.replay[i].File)}}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := l.Accept("open-1", f.replay[10:12]); err != nil {
+	if err := acceptEvents(l, "open-1", f.replay[10:12]); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Compact(); err != nil {
@@ -188,7 +208,7 @@ func TestLedgerResultRetention(t *testing.T) {
 	}
 	for i := 0; i < 10; i++ {
 		id := fmt.Sprintf("b-%02d", i)
-		if err := l.Accept(id, f.replay[i:i+1]); err != nil {
+		if err := acceptEvents(l, id, f.replay[i:i+1]); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := l.Result(id, []VerdictRecord{{Type: "verdict", File: string(f.replay[i].File)}}); err != nil {
@@ -208,7 +228,7 @@ func TestLedgerResultRetention(t *testing.T) {
 	}
 	// A retransmit of an evicted ID is re-accepted (and would be
 	// reclassified — deterministically, so the verdicts match).
-	if err := l.Accept("b-00", f.replay[0:1]); err != nil {
+	if err := acceptEvents(l, "b-00", f.replay[0:1]); err != nil {
 		t.Fatal(err)
 	}
 	if !l.IsPending("b-00") {
@@ -252,7 +272,7 @@ func TestLedgerCompactConcurrentAccept(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perWriter; i++ {
 				id := fmt.Sprintf("w%d-%03d", w, i)
-				if err := l.Accept(id, f.replay[:1]); err != nil {
+				if err := acceptEvents(l, id, f.replay[:1]); err != nil {
 					t.Error(err)
 					return
 				}
@@ -301,7 +321,64 @@ func TestLedgerEmptyID(t *testing.T) {
 	f := sharedFixture(t)
 	l, _ := newTestLedger(t, t.TempDir())
 	defer l.Close()
-	if err := l.Accept("", f.replay[:1]); err == nil {
+	if err := acceptEvents(l, "", f.replay[:1]); err == nil {
 		t.Fatal("empty request id accepted")
+	}
+}
+
+// TestLedgerCompactionFailureDoesNotFailResult: the compaction a Result
+// happens to trigger is housekeeping. When it fails (here: the snapshot
+// file cannot be created), the request that triggered it still gets the
+// body it stored and journaled, the failure is counted for /metrics,
+// and nothing is lost — the log the snapshot would have replaced is
+// still there at the next open.
+func TestLedgerCompactionFailureDoesNotFailResult(t *testing.T) {
+	f := sharedFixture(t)
+	dir := t.TempDir()
+	l, _, err := OpenLedger(LedgerOptions{
+		Journal: journal.Options{Dir: dir, OpenFile: func(path string) (journal.File, error) {
+			if strings.HasSuffix(path, ".snap.tmp") {
+				return nil, errors.New("disk full")
+			}
+			return os.Create(path)
+		}},
+		CompactBytes: 1, // every Result arms compaction
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		id := fmt.Sprintf("b-%d", i)
+		if err := acceptEvents(l, id, f.replay[i:i+1]); err != nil {
+			t.Fatal(err)
+		}
+		want := []VerdictRecord{{Type: "verdict", File: id}}
+		body, err := l.Result(id, want)
+		if err != nil {
+			t.Fatalf("Result failed because its compaction did: %v", err)
+		}
+		if got, ok := l.Lookup(id); !ok || !bytes.Equal(got, body) || len(body) == 0 {
+			t.Fatalf("Result returned %q, ledger holds %q (%v)", body, got, ok)
+		}
+	}
+	jm := l.JournalMetrics()
+	if jm.CompactErrors == 0 || jm.Stats.Compactions != 0 {
+		t.Fatalf("CompactErrors = %d, Compactions = %d; want failures and no success — the test is vacuous", jm.CompactErrors, jm.Stats.Compactions)
+	}
+	var out strings.Builder
+	(&Metrics{}).WriteTo(&out, 0, false, &jm)
+	if !strings.Contains(out.String(), fmt.Sprintf("longtail_journal_compact_errors_total %d\n", jm.CompactErrors)) {
+		t.Fatalf("/metrics does not expose the failures:\n%s", out.String())
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	l2, rec, err := OpenLedger(LedgerOptions{Journal: journal.Options{Dir: dir}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l2.Close()
+	if rec.Results != 3 {
+		t.Fatalf("recovered %d results after failed compactions, want 3", rec.Results)
 	}
 }

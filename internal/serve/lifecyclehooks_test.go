@@ -132,7 +132,7 @@ func TestLedgerCompletedIDs(t *testing.T) {
 	want := []string{"req-a", "req-c", "req-b"}
 	for i, id := range want {
 		events := f.replay[i*5 : i*5+5]
-		if err := l.Accept(id, events); err != nil {
+		if err := acceptEvents(l, id, events); err != nil {
 			t.Fatal(err)
 		}
 		verdicts, err := engine.ClassifyBatch(context.Background(), events)
@@ -144,7 +144,7 @@ func TestLedgerCompletedIDs(t *testing.T) {
 		}
 	}
 	// One accepted-but-unresolved batch must not appear.
-	if err := l.Accept("req-pending", f.replay[20:25]); err != nil {
+	if err := acceptEvents(l, "req-pending", f.replay[20:25]); err != nil {
 		t.Fatal(err)
 	}
 

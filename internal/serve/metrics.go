@@ -144,6 +144,8 @@ type JournalMetrics struct {
 	Shards    []journal.Stats
 	Lag       []uint64
 	SyncBatch journal.BatchStats
+	// CompactErrors counts compactions the ledger triggered that failed.
+	CompactErrors uint64
 }
 
 // WriteTo emits the metrics in Prometheus-style text exposition format.
@@ -174,6 +176,7 @@ func (m *Metrics) WriteTo(w io.Writer, queueDepth int, degraded bool, jm *Journa
 		fmt.Fprintf(w, "longtail_journal_syncs_total %d\n", js.Syncs)
 		fmt.Fprintf(w, "longtail_journal_rotations_total %d\n", js.Rotations)
 		fmt.Fprintf(w, "longtail_journal_compactions_total %d\n", js.Compactions)
+		fmt.Fprintf(w, "longtail_journal_compact_errors_total %d\n", jm.CompactErrors)
 		fmt.Fprintf(w, "longtail_journal_bytes_total %d\n", js.Bytes)
 		// Per-shard fsync counts and ack-queue lag: uneven syncs mean a
 		// skewed key distribution; sustained lag on one shard means its

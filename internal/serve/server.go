@@ -276,45 +276,89 @@ func wantsBinaryVerdicts(r *http.Request) bool {
 	return a == ContentTypeBinaryVerdicts || strings.HasPrefix(a, ContentTypeBinaryVerdicts+";")
 }
 
-// writeVerdicts streams verdict records as line JSON, rendered by the
-// same append encoder the ledger journals (one buffer, one Write).
-func writeVerdicts(w http.ResponseWriter, verdicts []VerdictRecord) {
-	buf := make([]byte, 0, verdictBodySize(verdicts))
-	w.Write(appendVerdictBody(buf, verdicts))
+// classifyCall is one /classify request as the stages see it.
+type classifyCall struct {
+	id        string
+	journaled bool // a ledger is attached and the request carries an ID
+	binary    bool // the request negotiated the binary wire format
+	events    []dataset.DownloadEvent
+	// wire is the batch's canonical line-JSON form, what the ledger
+	// journals; "" when the call is not journaled.
+	wire string
 }
 
-// writeBinaryVerdicts streams verdict records in the binary format.
-func writeBinaryVerdicts(w http.ResponseWriter, verdicts []VerdictRecord) {
-	w.Header().Set("Content-Type", ContentTypeBinaryVerdicts)
-	w.Write(appendBinaryVerdicts(make([]byte, 0, 16+verdictBodySize(verdicts)), verdicts))
+// classifyResponse is a /classify answer as data; handleClassify is
+// the one place it is written out. Status 0 means 200; a status >= 400
+// carries its message in body.
+type classifyResponse struct {
+	status      int
+	retryAfter  bool
+	contentType string // "" leaves net/http's default
+	body        []byte
 }
 
-// writeLedgerBody serves a response body the ledger already journaled —
+var errPostOnly = errors.New("POST only")
+
+// badRequestError marks a request body the decode stage refused.
+type badRequestError struct{ error }
+
+// errorResponse maps a stage's error to its HTTP status — the one place
+// a /classify failure becomes a status code. Anything unrecognized
+// (journal I/O, a ledger body that no longer parses) is a 500.
+func errorResponse(err error) *classifyResponse {
+	resp := &classifyResponse{status: http.StatusInternalServerError, body: []byte(err.Error())}
+	switch {
+	case errors.Is(err, errPostOnly):
+		resp.status = http.StatusMethodNotAllowed
+	case errors.As(err, new(badRequestError)):
+		resp.status = http.StatusBadRequest
+	case errors.Is(err, ErrOverloaded):
+		// Top of the admission ladder: shed.
+		resp.status, resp.retryAfter = http.StatusTooManyRequests, true
+	case errors.Is(err, ErrDeadlineExceeded):
+		// The client's deadline expired in-queue; the work was shed.
+		resp.status, resp.retryAfter = http.StatusServiceUnavailable, true
+	case errors.Is(err, ErrDraining):
+		resp.status = http.StatusServiceUnavailable
+	}
+	return resp
+}
+
+// deferredResponse acknowledges a journaled-and-deferred batch: the
+// events are durable, classification happens in the background, and the
+// client fetches the verdicts from GET /result.
+func deferredResponse(id string) *classifyResponse {
+	body, _ := json.Marshal(map[string]any{"deferred": true, "id": id}) // a string and a bool cannot fail to marshal
+	return &classifyResponse{status: http.StatusAccepted, body: append(body, '\n')}
+}
+
+// verdictResponse renders freshly classified verdicts in the format
+// the request negotiated, by the same append encoders the ledger
+// journals with.
+func verdictResponse(verdicts []VerdictRecord, binary bool) *classifyResponse {
+	if binary {
+		return &classifyResponse{
+			contentType: ContentTypeBinaryVerdicts,
+			body:        appendBinaryVerdicts(make([]byte, 0, 16+verdictBodySize(verdicts)), verdicts),
+		}
+	}
+	return &classifyResponse{body: appendVerdictBody(make([]byte, 0, verdictBodySize(verdicts)), verdicts)}
+}
+
+// ledgerResponse renders a response body the ledger already journaled —
 // a first response after Result, a dedup replay, a GET /result hit. The
 // stored body is canonical line-JSON; a binary-negotiated request gets
 // it re-encoded through the deterministic binary codec, so retransmit
-// replies stay byte-identical within each format. The journal-before-
-// response invariant is upheld by the caller's contract (the body comes
-// out of the ledger), not by call order in this helper.
-func (s *Server) writeLedgerBody(w http.ResponseWriter, respBody []byte, binary bool) {
+// replies stay byte-identical within each format.
+func ledgerResponse(body []byte, binary bool) (*classifyResponse, error) {
 	if !binary {
-		w.Write(respBody)
-		return
+		return &classifyResponse{body: body}, nil
 	}
-	verdicts, err := parseVerdictBody(respBody)
+	verdicts, err := parseVerdictBody(body)
 	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
+		return nil, err
 	}
-	writeBinaryVerdicts(w, verdicts)
-}
-
-// writeDeferred acknowledges a journaled-and-deferred batch: the events
-// are durable, classification happens in the background, and the client
-// fetches the verdicts from GET /result.
-func (s *Server) writeDeferred(w http.ResponseWriter, id string) {
-	w.WriteHeader(http.StatusAccepted)
-	json.NewEncoder(w).Encode(map[string]any{"deferred": true, "id": id})
+	return verdictResponse(verdicts, true), nil
 }
 
 // requestContext derives the classification context, honoring the
@@ -326,146 +370,169 @@ func requestContext(r *http.Request) (context.Context, context.CancelFunc) {
 	return r.Context(), func() {}
 }
 
+// handleClassify runs one batch through the stages dedup → decode →
+// admit → accept ∥ classify → record → respond. A stage returns a
+// response when it has answered the request, an error when it has
+// failed it, and neither to pass the call on.
 func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST only", http.StatusMethodNotAllowed)
-		return
-	}
-	m := s.engine.Metrics()
-	id := r.Header.Get(RequestIDHeader)
-	journaled := s.ledger != nil && id != ""
-	binary := binaryRequest(r)
-
-	if journaled {
-		// Exactly-once: a retransmit of a completed batch replays the
-		// journaled response verbatim (re-encoded binary when this
-		// retransmit negotiated it); one still in flight (or deferred)
-		// is re-acknowledged and nudged toward the background worker.
-		if respBody, ok := s.ledger.Lookup(id); ok {
-			m.DedupHits.Add(1)
-			m.RequestsAccepted.Add(1)
-			s.writeLedgerBody(w, respBody, binary)
-			return
-		}
-		if s.ledger.IsPending(id) {
-			s.enqueueDeferred(id)
-			s.writeDeferred(w, id)
-			return
-		}
-	}
-
-	var events []dataset.DownloadEvent
-	var body string
+	c := &classifyCall{id: r.Header.Get(RequestIDHeader), binary: binaryRequest(r)}
+	c.journaled = s.ledger != nil && c.id != ""
+	var resp *classifyResponse
 	var err error
-	if binary {
-		events, body, err = readBinaryEvents(r, journaled)
-	} else {
-		events, body, err = readEvents(r, journaled)
+	if r.Method != http.MethodPost {
+		err = errPostOnly
 	}
-	if err != nil {
-		m.BadRequests.Add(1)
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
+	if err == nil {
+		resp, err = s.dedupStage(c)
 	}
-
-	// Admission ladder, rung 2: past the high-water mark, journal the
-	// batch durably and classify it in the background instead of making
-	// the client wait in a saturated queue.
-	if journaled && s.engine.QueueDepth() >= int(s.deferHighWater*float64(s.engine.Capacity())) {
-		if s.tryDefer(w, id, events, body, m) {
-			return
-		}
+	if resp == nil && err == nil {
+		err = s.decodeStage(r, c)
 	}
-
-	ctx, cancel := requestContext(r)
-	defer cancel()
-
-	var acceptErr chan error
-	if journaled {
+	if resp == nil && err == nil {
+		resp, err = s.admitStage(c)
+	}
+	if resp == nil && err == nil {
 		// Durable accept overlaps with classification: the fsync hides
 		// behind the extract/classify work and the response is held
 		// until both finish.
-		acceptErr = make(chan error, 1)
-		events, body := events, body
-		go func() { acceptErr <- s.ledger.AcceptWire(id, events, body) }()
-	}
-	verdicts, err := s.engine.ClassifyBatch(ctx, events)
-	if acceptErr != nil {
-		if aerr := <-acceptErr; aerr != nil {
-			http.Error(w, aerr.Error(), http.StatusInternalServerError)
-			return
+		ctx, cancel := requestContext(r)
+		defer cancel()
+		accepted := make(chan error, 1)
+		if c.journaled {
+			go func() { accepted <- s.ledger.AcceptWire(c.id, c.events, c.wire) }()
+		} else {
+			accepted <- nil
+		}
+		verdicts, cerr := s.engine.ClassifyBatch(ctx, c.events)
+		switch err = <-accepted; {
+		case err != nil: // not durable: fail the request whatever classification said
+		case cerr != nil:
+			resp, err = s.shedStage(c, cerr)
+		default:
+			resp, err = s.recordStage(c, verdicts)
 		}
 	}
-	switch {
-	case errors.Is(err, ErrOverloaded):
-		// Rung 2 again (the queue filled between the check and the
-		// reservation), then rung 3: shed with 429.
-		if journaled && s.tryDefer(w, id, events, body, m) {
-			return
-		}
-		m.RequestsRejected.Add(1)
+	if err != nil {
+		resp = errorResponse(err)
+	}
+	if resp.retryAfter {
 		w.Header().Set("Retry-After", "1")
-		http.Error(w, err.Error(), http.StatusTooManyRequests)
-		return
-	case errors.Is(err, ErrDeadlineExceeded):
-		// The client's deadline expired in-queue; the work was shed. A
-		// journaled batch is already durable, so finish it in the
-		// background and let the client pick the verdicts up later.
-		if journaled {
-			s.enqueueDeferred(id)
-			m.RequestsDeferred.Add(1)
-			s.writeDeferred(w, id)
-			return
-		}
-		w.Header().Set("Retry-After", "1")
-		http.Error(w, err.Error(), http.StatusServiceUnavailable)
-		return
-	case errors.Is(err, ErrDraining):
-		http.Error(w, err.Error(), http.StatusServiceUnavailable)
-		return
-	case err != nil:
-		http.Error(w, err.Error(), http.StatusInternalServerError)
+	}
+	if resp.status >= http.StatusBadRequest {
+		http.Error(w, string(resp.body), resp.status)
 		return
 	}
-	if journaled {
-		// Result returns the canonical response body for the ID (the
-		// winner's bytes if a retransmit raced this request), which is
-		// what goes on the wire — dedup replies are byte-identical.
-		respBody, err := s.ledger.Result(id, verdicts)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		m.RequestsAccepted.Add(1)
-		s.writeLedgerBody(w, respBody, binary)
-		return
+	if resp.contentType != "" {
+		w.Header().Set("Content-Type", resp.contentType)
 	}
-	m.RequestsAccepted.Add(1)
-	if binary {
-		writeBinaryVerdicts(w, verdicts)
-		return
+	if resp.status != 0 {
+		w.WriteHeader(resp.status)
 	}
-	writeVerdicts(w, verdicts)
+	w.Write(resp.body)
 }
 
-// tryDefer journals the batch durably and hands it to the background
-// worker, acknowledging with 202. Returns false when the defer queue is
-// saturated (the caller falls through to 429) or the journal write
-// failed (500 written here).
-func (s *Server) tryDefer(w http.ResponseWriter, id string, events []dataset.DownloadEvent, body string, m *Metrics) bool {
-	if err := s.ledger.AcceptWire(id, events, body); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return true
+// dedupStage is exactly-once: a retransmit of a completed batch replays
+// the journaled response verbatim (re-encoded binary when this
+// retransmit negotiated it); one still in flight (or deferred) is
+// re-acknowledged and nudged toward the background worker.
+func (s *Server) dedupStage(c *classifyCall) (*classifyResponse, error) {
+	if !c.journaled {
+		return nil, nil
 	}
-	if !s.enqueueDeferred(id) {
-		// Defer queue full: top of the ladder. The accept record stays
-		// journaled; the client's retry will be re-acknowledged as
-		// pending and re-enqueued once there is room.
-		return false
+	if body, ok := s.ledger.Lookup(c.id); ok {
+		m := s.engine.Metrics()
+		m.DedupHits.Add(1)
+		m.RequestsAccepted.Add(1)
+		return ledgerResponse(body, c.binary)
 	}
-	m.RequestsDeferred.Add(1)
-	s.writeDeferred(w, id)
-	return true
+	if s.ledger.IsPending(c.id) {
+		s.enqueueDeferred(c.id)
+		return deferredResponse(c.id), nil
+	}
+	return nil, nil
+}
+
+// decodeStage parses the request body in the format it negotiated,
+// keeping the canonical wire form when the batch will be journaled.
+func (s *Server) decodeStage(r *http.Request, c *classifyCall) error {
+	var err error
+	if c.binary {
+		c.events, c.wire, err = readBinaryEvents(r, c.journaled)
+	} else {
+		c.events, c.wire, err = readEvents(r, c.journaled)
+	}
+	if err != nil {
+		s.engine.Metrics().BadRequests.Add(1)
+		return badRequestError{err}
+	}
+	return nil
+}
+
+// admitStage is rung 2 of the admission ladder: past the high-water
+// mark, journal the batch durably and classify it in the background
+// instead of making the client wait in a saturated queue.
+func (s *Server) admitStage(c *classifyCall) (*classifyResponse, error) {
+	if !c.journaled || s.engine.QueueDepth() < int(s.deferHighWater*float64(s.engine.Capacity())) {
+		return nil, nil
+	}
+	return s.deferBatch(c)
+}
+
+// deferBatch journals the batch durably and hands it to the background
+// worker, answering 202. It answers nothing when the defer queue is
+// saturated: the accept record stays journaled, the caller moves on to
+// the next rung, and a retry of a shed batch is re-acknowledged as
+// pending and re-enqueued once there is room.
+func (s *Server) deferBatch(c *classifyCall) (*classifyResponse, error) {
+	if err := s.ledger.AcceptWire(c.id, c.events, c.wire); err != nil {
+		return nil, err
+	}
+	if !s.enqueueDeferred(c.id) {
+		return nil, nil
+	}
+	s.engine.Metrics().RequestsDeferred.Add(1)
+	return deferredResponse(c.id), nil
+}
+
+// shedStage answers a batch the engine refused. A journaled batch is
+// deferred instead of shed: on overflow (the queue filled between the
+// admit check and the reservation) through rung 2 again, on an expired
+// deadline directly — it is already durable, so it finishes in the
+// background and the client picks the verdicts up later. Everything
+// else is the engine's error, counted as rejected when it is overload.
+func (s *Server) shedStage(c *classifyCall, cerr error) (*classifyResponse, error) {
+	m := s.engine.Metrics()
+	switch {
+	case errors.Is(cerr, ErrOverloaded):
+		if c.journaled {
+			if resp, err := s.deferBatch(c); resp != nil || err != nil {
+				return resp, err
+			}
+		}
+		m.RequestsRejected.Add(1)
+	case errors.Is(cerr, ErrDeadlineExceeded) && c.journaled:
+		s.enqueueDeferred(c.id)
+		m.RequestsDeferred.Add(1)
+		return deferredResponse(c.id), nil
+	}
+	return nil, cerr
+}
+
+// recordStage journals the verdicts of a journaled batch and renders
+// the response. Result returns the canonical response body for the ID
+// (the winner's bytes if a retransmit raced this request), which is
+// what goes on the wire — dedup replies are byte-identical.
+func (s *Server) recordStage(c *classifyCall, verdicts []VerdictRecord) (*classifyResponse, error) {
+	if !c.journaled {
+		s.engine.Metrics().RequestsAccepted.Add(1)
+		return verdictResponse(verdicts, c.binary), nil
+	}
+	body, err := s.ledger.Result(c.id, verdicts)
+	if err != nil {
+		return nil, err
+	}
+	s.engine.Metrics().RequestsAccepted.Add(1)
+	return ledgerResponse(body, c.binary)
 }
 
 // enqueueDeferred hands id to the background worker (idempotent: the
@@ -533,7 +600,15 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if respBody, ok := s.ledger.Lookup(id); ok {
-		s.writeLedgerBody(w, respBody, wantsBinaryVerdicts(r))
+		resp, err := ledgerResponse(respBody, wantsBinaryVerdicts(r))
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+			return
+		}
+		if resp.contentType != "" {
+			w.Header().Set("Content-Type", resp.contentType)
+		}
+		w.Write(resp.body)
 		return
 	}
 	if s.ledger.IsPending(id) {

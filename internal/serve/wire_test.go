@@ -224,7 +224,7 @@ func TestBinaryClassifyNegotiation(t *testing.T) {
 // TestLedgerDedupAcrossShardCountChange: the exactly-once guarantee
 // survives a -journal-shards change between restarts — results written
 // under one shard count dedup retransmits after reopening under
-// another, in both directions (flat→sharded and wider).
+// another (one shard → three → five).
 func TestLedgerDedupAcrossShardCountChange(t *testing.T) {
 	f := sharedFixture(t)
 	engine := newTestEngine(t, f, EngineConfig{})
@@ -235,12 +235,12 @@ func TestLedgerDedupAcrossShardCountChange(t *testing.T) {
 	}
 	dir := t.TempDir()
 
-	// Generation 1: flat single-WAL layout.
+	// Generation 1: one shard.
 	l1, _, err := OpenLedger(LedgerOptions{Journal: journal.Options{Dir: dir}, Shards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := l1.Accept("cross-1", events); err != nil {
+	if err := acceptEvents(l1, "cross-1", events); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := l1.Result("cross-1", verdicts); err != nil {
@@ -250,7 +250,7 @@ func TestLedgerDedupAcrossShardCountChange(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Generation 2: reopened striped over 3 shards. The flat history
+	// Generation 2: reopened striped over 3 shards. The one-shard history
 	// must recover and keep deduplicating.
 	l2, rec, err := OpenLedger(LedgerOptions{Journal: journal.Options{Dir: dir}, Shards: 3})
 	if err != nil {
@@ -268,14 +268,14 @@ func TestLedgerDedupAcrossShardCountChange(t *testing.T) {
 			t.Fatalf("verdict %d = %q across shard-count change, want %q", i, got[i].Key(), verdicts[i].Key())
 		}
 	}
-	if err := l2.Accept("cross-1", events); err != nil {
+	if err := acceptEvents(l2, "cross-1", events); err != nil {
 		t.Fatal(err)
 	}
 	if l2.IsPending("cross-1") {
 		t.Fatal("retransmit of a completed batch re-entered pending after shard-count change")
 	}
 	// New work lands sharded; widen again and everything must survive.
-	if err := l2.Accept("cross-2", events); err != nil {
+	if err := acceptEvents(l2, "cross-2", events); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := l2.Result("cross-2", verdicts); err != nil {
@@ -296,7 +296,7 @@ func TestLedgerDedupAcrossShardCountChange(t *testing.T) {
 		if _, ok := l3.LookupVerdicts(id); !ok {
 			t.Fatalf("result %q lost after widening to 5 shards", id)
 		}
-		if err := l3.Accept(id, events); err != nil {
+		if err := acceptEvents(l3, id, events); err != nil {
 			t.Fatal(err)
 		}
 		if l3.IsPending(id) {
