@@ -2,8 +2,10 @@
 # plus a gofmt cleanliness gate, the project lint suite (longtailvet)
 # and a short fuzz smoke over the wire codec and the journal recovery
 # path. `make verify` is the one command CI and pre-commit hooks run;
-# `make verify-fast` is the same gate minus the fuzz smoke, for tight
-# edit-compile loops.
+# `make verify-fast` is the same gate minus the fuzz smoke and the chaos
+# harnesses, for tight edit-compile loops; it also runs every layer
+# benchmark for one iteration, so one that stops compiling or panics
+# fails the gate.
 
 GO ?= go
 LONGTAILVET ?= bin/longtailvet
@@ -11,11 +13,11 @@ LONGTAILVET ?= bin/longtailvet
 .PHONY: verify verify-fast build vet test fmtcheck lint lint-report \
 	longtailvet staticcheck govulncheck bench bench-json bench-gate \
 	chaos-serve chaos-cluster chaos-lifecycle chaos-churn fuzz-smoke \
-	e2e-bench e2e-compare
+	e2e-bench e2e-compare bench-layers bench-layers-smoke
 
 verify: verify-fast fuzz-smoke chaos-cluster chaos-lifecycle chaos-churn
 
-verify-fast: build vet test fmtcheck lint
+verify-fast: build vet test fmtcheck lint bench-layers-smoke
 
 build:
 	$(GO) build ./...
@@ -136,6 +138,18 @@ e2e-bench:
 e2e-compare:
 	@test -n "$(A)" -a -n "$(B)" || { echo "usage: make e2e-compare A=runs-a.jsonl B=runs-b.jsonl"; exit 2; }
 	$(GO) run ./bench -compare $(A) $(B)
+
+# The layer benchmarks beside the code they measure: the engine's
+# per-frame work on fresh, hot and Zipf-mixed keys (ns/event,
+# allocs/event, bytes the worker state retains), feature extraction on
+# a frozen store from several goroutines, and the indexed match on the
+# 35-rule set a daemon trains at boot. Seconds per run: the first thing
+# to look at before a 30-second real-process pair (e2e-compare).
+bench-layers:
+	$(GO) test -run '^$$' -bench . -benchmem $(BENCHFLAGS) ./internal/serve ./internal/features ./internal/classify
+
+bench-layers-smoke:
+	$(MAKE) bench-layers BENCHFLAGS=-benchtime=1x
 
 # Full benchmark harness (one benchmark per paper table/figure plus the
 # ablations and the serving-throughput benches).

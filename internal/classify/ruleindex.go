@@ -34,8 +34,14 @@ import (
 // the reference linear scan (matchedRulesLinear); the differential fuzz
 // test in ruleindex_test.go holds the two paths equal.
 type ruleIndex struct {
-	eq  map[eqKey][]pivotRule
-	num []numPivots // one entry per attribute that has numeric pivots
+	eq map[eqKey][]pivotRule
+	// eqAttrs lists the attribute slots that own an equality pivot,
+	// ascending. A learned rule set pivots on a few attributes (signers
+	// above all); probe hashes an instance's value only for those. A
+	// pivot on an AttrIndex outside the schema is left out: no instance
+	// has a value in such a slot.
+	eqAttrs []int
+	num     []numPivots // one entry per attribute that has numeric pivots
 
 	// always holds rules with no conditions: the linear scan's empty
 	// conjunction matches every instance. Train and NewFromRules never
@@ -144,6 +150,7 @@ func buildIndex(rules []part.Rule) *ruleIndex {
 		}
 	}
 	numByAttr := make(map[int]*numPivots)
+	var ownsEq [features.NumNominal + 1]bool
 	for ri := range rules {
 		conds := rules[ri].Conditions
 		if len(conds) == 0 {
@@ -182,6 +189,9 @@ func buildIndex(rules []part.Rule) *ruleIndex {
 		case part.OpEquals:
 			k := eqKey{pc.AttrIndex, pc.Value}
 			ix.eq[k] = append(ix.eq[k], pr)
+			if pc.AttrIndex >= 0 && pc.AttrIndex < len(ownsEq) {
+				ownsEq[pc.AttrIndex] = true
+			}
 		default:
 			np := numByAttr[pc.AttrIndex]
 			if np == nil {
@@ -193,6 +203,11 @@ func buildIndex(rules []part.Rule) *ruleIndex {
 			} else {
 				np.gt = append(np.gt, numEntry{pc.Threshold, pr})
 			}
+		}
+	}
+	for a, owns := range ownsEq {
+		if owns {
+			ix.eqAttrs = append(ix.eqAttrs, a)
 		}
 	}
 	attrs := make([]int, 0, len(numByAttr))
@@ -211,10 +226,10 @@ func buildIndex(rules []part.Rule) *ruleIndex {
 
 // probe sets the bit of every rule matching in.
 func (ix *ruleIndex) probe(in *features.Instance, bitset []uint64) {
-	// Equality pivots: one bucket lookup per attribute slot. The numeric
-	// slot's string value is always "", so a single extra key covers
-	// (degenerate) equality conditions on it.
-	for attr := 0; attr <= features.NumNominal; attr++ {
+	// Equality pivots: one bucket lookup per attribute slot that owns
+	// one. The numeric slot's string value is always "", so a single
+	// extra key covers (degenerate) equality conditions on it.
+	for _, attr := range ix.eqAttrs {
 		prs, ok := ix.eq[eqKey{attr, nominalAt(in, attr)}]
 		if !ok {
 			continue

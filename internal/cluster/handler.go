@@ -61,12 +61,15 @@ func (rt *Router) handleClassify(w http.ResponseWriter, r *http.Request) {
 		ctx, cancel = context.WithTimeout(ctx, timeout)
 		defer cancel()
 	}
-	data, err := rt.Forward(ctx, id, body, timeout)
+	data, replyType, err := rt.ForwardTyped(ctx, id, r.Header.Get("Content-Type"), body, timeout)
 	if err != nil {
 		writeForwardError(w, err)
 		return
 	}
 	w.Header().Set(serve.RequestIDHeader, id)
+	if replyType != "" {
+		w.Header().Set("Content-Type", replyType)
+	}
 	w.Write(data)
 }
 

@@ -295,24 +295,30 @@ func (rt *Router) Metrics() *Metrics { return &rt.metrics }
 
 // attemptResult is one replica attempt's outcome on the forward path.
 type attemptResult struct {
-	addr string
-	data []byte
-	err  error
+	addr      string
+	data      []byte
+	replyType string // the replica's Content-Type for data
+	err       error
 }
 
-// Forward routes one pre-marshaled /classify body to the replica owning
+// ForwardTyped routes one pre-marshaled /classify body to the replica owning
 // id, failing over along ring successors on error and hedging to the
 // next successor when the owner stalls past HedgeDelay. Healthy nodes
 // are tried first, degraded ones only when no healthy candidate
 // remains; a node whose breaker refuses admission is skipped without an
 // attempt. The first success wins; its replica is pinned in the sticky
 // route cache so retransmits of id reach the same ledger.
-func (rt *Router) Forward(ctx context.Context, id string, body []byte, timeout time.Duration) ([]byte, error) {
+//
+// The wire format travels with the body: contentType is the client's
+// Content-Type, sent to whichever replica is tried — first transmit,
+// failover and sticky retransmit alike — and replyType is the
+// Content-Type the answering replica gave data.
+func (rt *Router) ForwardTyped(ctx context.Context, id, contentType string, body []byte, timeout time.Duration) (data []byte, replyType string, err error) {
 	rt.metrics.Requests.Add(1)
 	candidates := rt.candidatesFor(id)
 	if len(candidates) == 0 {
 		rt.metrics.NoReplica.Add(1)
-		return nil, ErrNoReplica
+		return nil, "", ErrNoReplica
 	}
 	// A usable pin marks the one replica whose ledger holds id's
 	// verdict. Its attempt retries transient failures in place (see
@@ -338,14 +344,14 @@ func (rt *Router) Forward(ctx context.Context, id string, body []byte, timeout t
 			}
 			outstanding++
 			n.inflight.Add(1)
-			go rt.attempt(ctx, n, id, body, timeout, n.addr == stickyAddr, resCh)
+			go rt.attempt(ctx, n, id, contentType, body, timeout, n.addr == stickyAddr, resCh)
 			return true
 		}
 		return false
 	}
 	if !launchNext() {
 		rt.metrics.NoReplica.Add(1)
-		return nil, ErrNoReplica
+		return nil, "", ErrNoReplica
 	}
 
 	var hedgeC <-chan time.Time
@@ -362,7 +368,7 @@ func (rt *Router) Forward(ctx context.Context, id string, body []byte, timeout t
 			if res.err == nil {
 				rt.metrics.Forwarded.Add(1)
 				rt.recordRoute(id, res.addr)
-				return res.data, nil
+				return res.data, res.replyType, nil
 			}
 			if firstErr == nil {
 				firstErr = res.err
@@ -370,7 +376,7 @@ func (rt *Router) Forward(ctx context.Context, id string, body []byte, timeout t
 			if retry.IsPermanent(res.err) {
 				// The replica answered and refused (4xx): another replica
 				// would refuse the same bytes the same way.
-				return nil, res.err
+				return nil, "", res.err
 			}
 			if launchNext() {
 				rt.metrics.Failover.Add(1)
@@ -381,13 +387,19 @@ func (rt *Router) Forward(ctx context.Context, id string, body []byte, timeout t
 				rt.metrics.Hedged.Add(1)
 			}
 		case <-ctx.Done():
-			return nil, ctx.Err()
+			return nil, "", ctx.Err()
 		}
 	}
 	if firstErr == nil {
 		firstErr = ErrNoReplica
 	}
-	return nil, fmt.Errorf("cluster: all replicas failed: %w", firstErr)
+	return nil, "", fmt.Errorf("cluster: all replicas failed: %w", firstErr)
+}
+
+// Forward is ForwardTyped for a line-JSON body.
+func (rt *Router) Forward(ctx context.Context, id string, body []byte, timeout time.Duration) ([]byte, error) {
+	data, _, err := rt.ForwardTyped(ctx, id, "", body, timeout)
+	return data, err
 }
 
 // attempt runs one replica attempt. The breaker slot taken by Allow is
@@ -401,8 +413,8 @@ func (rt *Router) Forward(ctx context.Context, id string, body []byte, timeout t
 // Forward would fall back to reaches a replica without the verdict and
 // classifies the retransmit fresh. A genuinely dead pin still fails
 // over — its failures trip the breaker, which ends the retry loop.
-func (rt *Router) attempt(ctx context.Context, n *node, id string, body []byte, timeout time.Duration, sticky bool, resCh chan<- attemptResult) {
-	data, err := n.client.ClassifyRaw(ctx, id, body, timeout)
+func (rt *Router) attempt(ctx context.Context, n *node, id, contentType string, body []byte, timeout time.Duration, sticky bool, resCh chan<- attemptResult) {
+	data, replyType, err := n.client.ClassifyRaw(ctx, id, contentType, body, timeout)
 	if sticky {
 		pol := rt.opts.Retry
 		maxAttempts := pol.MaxAttempts
@@ -437,7 +449,7 @@ func (rt *Router) attempt(ctx context.Context, n *node, id string, body []byte, 
 			t := time.NewTimer(backoff)
 			select {
 			case <-t.C:
-				data, err = n.client.ClassifyRaw(ctx, id, body, timeout)
+				data, replyType, err = n.client.ClassifyRaw(ctx, id, contentType, body, timeout)
 			case <-ctx.Done():
 				t.Stop()
 				err = ctx.Err()
@@ -462,7 +474,7 @@ func (rt *Router) attempt(ctx context.Context, n *node, id string, body []byte, 
 	}
 	n.inflight.Add(-1)
 	rt.drainCond.Broadcast()
-	resCh <- attemptResult{addr: n.addr, data: data, err: err}
+	resCh <- attemptResult{addr: n.addr, data: data, replyType: replyType, err: err}
 }
 
 // stickyRoute is one sticky-cache entry. A pinned entry (reconciling

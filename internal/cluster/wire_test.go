@@ -1,0 +1,152 @@
+package cluster
+
+import (
+	"bytes"
+	"context"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"repro/internal/classify"
+	"repro/internal/features"
+	"repro/internal/journal"
+	"repro/internal/part"
+	"repro/internal/serve"
+	"repro/internal/synth"
+)
+
+// replyRecorder keeps every reply a client receives: body bytes and
+// Content-Type, in order.
+type replyRecorder struct {
+	mu      sync.Mutex
+	bodies  [][]byte
+	ctypes  []string
+	wrapped http.RoundTripper
+}
+
+func (rr *replyRecorder) RoundTrip(r *http.Request) (*http.Response, error) {
+	resp, err := rr.wrapped.RoundTrip(r)
+	if err != nil {
+		return nil, err
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		return nil, err
+	}
+	rr.mu.Lock()
+	rr.bodies = append(rr.bodies, body)
+	rr.ctypes = append(rr.ctypes, resp.Header.Get("Content-Type"))
+	rr.mu.Unlock()
+	resp.Body = io.NopCloser(bytes.NewReader(body))
+	return resp, nil
+}
+
+// TestRouterCarriesBinaryWire: a binary-format batch sent through the
+// router's HTTP surface to real serve.Servers comes back as binary
+// verdicts serve.Client decodes — on the first transmit, which is made
+// to fail over, and on the sticky retransmit, which the pinned
+// replica's ledger answers with the same bytes.
+func TestRouterCarriesBinaryWire(t *testing.T) {
+	res, err := synth.Generate(synth.DefaultConfig(7, 0.004))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res.Store.Freeze()
+	ex, err := features.NewExtractor(res.Store, res.Oracle)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One rule every event matches, so the expected verdict is known
+	// without an offline pass.
+	clf, err := classify.NewFromRules([]part.Rule{{
+		Conditions: []part.Condition{{
+			AttrIndex: features.NumNominal, AttrName: features.AttributeNames[features.NumNominal],
+			Op: part.OpLE, Threshold: 1e12,
+		}},
+		Class: classify.ClassMalicious, ClassName: "malicious",
+	}}, classify.Reject)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// failNext makes the next /classify to reach any replica a 500: the
+	// ring owner's attempt fails and the batch lands on its successor.
+	var failNext atomic.Int32
+	var addrs []string
+	var metrics []*serve.Metrics
+	for i := 0; i < 2; i++ {
+		engine, err := serve.NewEngine(ex, clf, serve.EngineConfig{}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(engine.Close)
+		ledger, _, err := serve.OpenLedger(serve.LedgerOptions{Journal: journal.Options{Dir: t.TempDir()}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { ledger.Close() })
+		srv, err := serve.NewServer(engine, classify.Reject, serve.WithLedger(ledger))
+		if err != nil {
+			t.Fatal(err)
+		}
+		node := srv.Handler()
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == "/classify" && failNext.Add(-1) >= 0 {
+				http.Error(w, "induced failure", http.StatusInternalServerError)
+				return
+			}
+			node.ServeHTTP(w, r)
+		}))
+		t.Cleanup(ts.Close)
+		addrs = append(addrs, ts.Listener.Addr().String())
+		metrics = append(metrics, engine.Metrics())
+	}
+	rt, err := NewRouter(Options{Replicas: addrs, Retry: fastPolicy, ProbeTimeout: 2 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(rt.Close)
+	front := httptest.NewServer(rt.Handler())
+	t.Cleanup(front.Close)
+
+	rec := &replyRecorder{wrapped: http.DefaultTransport}
+	client := &serve.Client{
+		BaseURL: front.URL, Binary: true,
+		//lint:allow retrypolicy the transport only records replies; retries stay with serve.Client
+		HTTPClient: &http.Client{Transport: rec},
+	}
+	events := res.Store.Events()[:16]
+	failNext.Store(1)
+	for pass := 0; pass < 2; pass++ {
+		verdicts, err := client.ClassifyWithID(context.Background(), "bin-000001", events)
+		if err != nil {
+			t.Fatalf("transmit %d of a binary batch through the router: %v", pass+1, err)
+		}
+		for i, v := range verdicts {
+			if v.File != string(events[i].File) || v.Verdict != "malicious" {
+				t.Fatalf("transmit %d verdict %d = %+v", pass+1, i, v)
+			}
+		}
+	}
+	if got := rt.Metrics().Failover.Load(); got != 1 {
+		t.Fatalf("Failover = %d, want 1: the first transmit was meant to fail over", got)
+	}
+	if hits := metrics[0].DedupHits.Load() + metrics[1].DedupHits.Load(); hits != 1 {
+		t.Fatalf("replica dedup hits = %d, want 1: the retransmit was meant to be a ledger replay on the pinned replica", hits)
+	}
+	if len(rec.bodies) != 2 {
+		t.Fatalf("client saw %d replies, want 2", len(rec.bodies))
+	}
+	for i, ct := range rec.ctypes {
+		if ct != serve.ContentTypeBinaryVerdicts {
+			t.Fatalf("reply %d Content-Type = %q, want %q", i+1, ct, serve.ContentTypeBinaryVerdicts)
+		}
+	}
+	if !bytes.Equal(rec.bodies[0], rec.bodies[1]) {
+		t.Fatal("the retransmit's reply differs from the first reply")
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -11,9 +12,15 @@ import (
 // file metadata and ground truth attached to them. It is the dataset the
 // measurement analytics and the rule learner consume.
 //
-// A Store is safe for concurrent reads after Freeze; writes (AddEvent,
-// PutFile, SetTruth) are serialized internally but must not race with
-// reads of the derived indexes.
+// Writes (AddEvent, PutFile, SetTruth, SetURLVerdict) take mu and are
+// refused once the store is frozen. Reads of an unfrozen store take
+// mu's read side and so serialize against those writes. Freeze is the
+// last write: it builds the derived indexes under mu and then publishes
+// frozen with one atomic store, after which no field below ever changes
+// again — so a read that observes frozen takes no lock at all. That is
+// the serving path's contract: every store behind a features.Extractor
+// is frozen at boot, and its per-event lookups cost a map probe and one
+// atomic load.
 type Store struct {
 	mu     sync.RWMutex
 	events []DownloadEvent
@@ -21,7 +28,9 @@ type Store struct {
 	truth  map[FileHash]GroundTruth
 	urls   map[string]URLVerdict // keyed by e2LD
 
-	frozen bool
+	// frozen is stored under mu (writers test it there) and loaded
+	// without it by readers.
+	frozen atomic.Bool
 
 	// Derived indexes, built by Freeze.
 	prevalence map[FileHash]int
@@ -47,7 +56,7 @@ func (s *Store) AddEvent(e DownloadEvent) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.frozen {
+	if s.frozen.Load() {
 		return fmt.Errorf("dataset: store is frozen")
 	}
 	s.events = append(s.events, e)
@@ -62,7 +71,7 @@ func (s *Store) PutFile(m *FileMeta) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.frozen {
+	if s.frozen.Load() {
 		return fmt.Errorf("dataset: store is frozen")
 	}
 	s.files[m.Hash] = m
@@ -76,7 +85,7 @@ func (s *Store) SetTruth(h FileHash, gt GroundTruth) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.frozen {
+	if s.frozen.Load() {
 		return fmt.Errorf("dataset: store is frozen")
 	}
 	s.truth[h] = gt
@@ -90,7 +99,7 @@ func (s *Store) SetURLVerdict(domain string, v URLVerdict) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.frozen {
+	if s.frozen.Load() {
 		return fmt.Errorf("dataset: store is frozen")
 	}
 	s.urls[domain] = v
@@ -103,7 +112,7 @@ func (s *Store) SetURLVerdict(domain string, v URLVerdict) error {
 func (s *Store) Freeze() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.frozen {
+	if s.frozen.Load() {
 		return
 	}
 	sort.SliceStable(s.events, func(i, j int) bool {
@@ -136,42 +145,51 @@ func (s *Store) Freeze() {
 		s.byMonth[m] = append(s.byMonth[m], i)
 	}
 	sort.Slice(s.months, func(i, j int) bool { return s.months[i].Before(s.months[j]) })
-	s.frozen = true
+	s.frozen.Store(true)
 }
 
 // Frozen reports whether Freeze has run.
-func (s *Store) Frozen() bool {
+func (s *Store) Frozen() bool { return s.frozen.Load() }
+
+// rlock takes the read lock unless the store is frozen and reports
+// whether it did; every read method opens with
+// defer s.runlock(s.rlock()).
+func (s *Store) rlock() bool {
+	if s.frozen.Load() {
+		return false
+	}
 	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.frozen
+	return true
+}
+
+func (s *Store) runlock(locked bool) {
+	if locked {
+		s.mu.RUnlock()
+	}
 }
 
 // NumEvents returns the number of events.
 func (s *Store) NumEvents() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+	defer s.runlock(s.rlock())
 	return len(s.events)
 }
 
 // Events returns the event slice. After Freeze it is sorted by time; the
 // caller must not modify it.
 func (s *Store) Events() []DownloadEvent {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+	defer s.runlock(s.rlock())
 	return s.events
 }
 
 // File returns the metadata for hash, or nil when unregistered.
 func (s *Store) File(h FileHash) *FileMeta {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+	defer s.runlock(s.rlock())
 	return s.files[h]
 }
 
 // Files returns all registered file hashes in unspecified order.
 func (s *Store) Files() []FileHash {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+	defer s.runlock(s.rlock())
 	out := make([]FileHash, 0, len(s.files))
 	for h := range s.files {
 		out = append(out, h)
@@ -182,8 +200,7 @@ func (s *Store) Files() []FileHash {
 // Truth returns the ground truth for hash. Files never labeled get the
 // zero value, i.e. LabelUnknown.
 func (s *Store) Truth(h FileHash) GroundTruth {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+	defer s.runlock(s.rlock())
 	return s.truth[h]
 }
 
@@ -192,8 +209,7 @@ func (s *Store) Label(h FileHash) Label { return s.Truth(h).Label }
 
 // URLVerdict returns the verdict recorded for a domain, or URLUnknown.
 func (s *Store) URLVerdict(domain string) URLVerdict {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+	defer s.runlock(s.rlock())
 	return s.urls[domain]
 }
 
@@ -201,32 +217,28 @@ func (s *Store) URLVerdict(domain string) URLVerdict {
 // file, as observed in the stored (i.e. post-collection-server) events.
 // The store must be frozen.
 func (s *Store) Prevalence(h FileHash) int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+	defer s.runlock(s.rlock())
 	return s.prevalence[h]
 }
 
 // EventsForFile returns indexes (into Events()) of the events that
 // downloaded file h, in time order. The store must be frozen.
 func (s *Store) EventsForFile(h FileHash) []int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+	defer s.runlock(s.rlock())
 	return s.byFile[h]
 }
 
 // EventsForMachine returns indexes of machine m's events in time order.
 // The store must be frozen.
 func (s *Store) EventsForMachine(m MachineID) []int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+	defer s.runlock(s.rlock())
 	return s.byMachine[m]
 }
 
 // Machines returns all machine IDs observed in events. The store must be
 // frozen.
 func (s *Store) Machines() []MachineID {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+	defer s.runlock(s.rlock())
 	out := make([]MachineID, 0, len(s.byMachine))
 	for m := range s.byMachine {
 		out = append(out, m)
@@ -238,8 +250,7 @@ func (s *Store) Machines() []MachineID {
 // appearing as the File of some event, regardless of metadata
 // registration). The store must be frozen.
 func (s *Store) DownloadedFiles() []FileHash {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+	defer s.runlock(s.rlock())
 	out := make([]FileHash, 0, len(s.byFile))
 	for f := range s.byFile {
 		out = append(out, f)
@@ -280,8 +291,7 @@ func (m Month) Next() Month {
 // Months returns the distinct months spanned by the stored events, in
 // chronological order. The store must be frozen.
 func (s *Store) Months() []Month {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+	defer s.runlock(s.rlock())
 	return s.months
 }
 
@@ -289,7 +299,6 @@ func (s *Store) Months() []Month {
 // month m, in time order. The store must be frozen; the caller must not
 // modify the returned slice.
 func (s *Store) EventIndexesInMonth(m Month) []int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+	defer s.runlock(s.rlock())
 	return s.byMonth[m]
 }

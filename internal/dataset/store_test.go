@@ -2,6 +2,7 @@ package dataset
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 )
@@ -226,5 +227,97 @@ func TestStoreFreezeIdempotent(t *testing.T) {
 	s.Freeze() // must not panic or duplicate indexes
 	if got := s.Prevalence("f1"); got != 1 {
 		t.Errorf("Prevalence after double Freeze = %d", got)
+	}
+}
+
+// TestFrozenStoreReadsTakeNoLock: once Freeze has published the store,
+// reads from any number of goroutines touch no lock — they complete
+// while the test itself sits on the write lock — and see everything
+// written before Freeze (go test -race covers the ordering).
+func TestFrozenStoreReadsTakeNoLock(t *testing.T) {
+	s := NewStore()
+	const files = 64
+	for i := 0; i < files; i++ {
+		h := fmt.Sprintf("f%d", i)
+		if err := s.PutFile(&FileMeta{Hash: FileHash(h), Signer: h}); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.SetTruth(FileHash(h), GroundTruth{Label: LabelMalicious}); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.AddEvent(makeEvent(h, "m1", 1+i%28)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.SetURLVerdict("example.com", URLMalicious); err != nil {
+		t.Fatal(err)
+	}
+	// Freeze on another goroutine: readers must be ordered after it by
+	// the frozen flag alone.
+	frozen := make(chan struct{})
+	go func() {
+		s.Freeze()
+		close(frozen)
+	}()
+	<-frozen
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 4*files; i++ {
+				h := FileHash(fmt.Sprintf("f%d", (g+i)%files))
+				if m := s.File(h); m == nil || m.Signer != string(h) {
+					t.Errorf("File(%s) = %+v", h, m)
+					return
+				}
+				if s.Label(h) != LabelMalicious || s.URLVerdict("example.com") != URLMalicious ||
+					s.Prevalence(h) != 1 || len(s.EventsForFile(h)) != 1 || s.NumEvents() != files ||
+					len(s.Months()) != 1 || !s.Frozen() {
+					t.Errorf("frozen reads of %s disagree with what was stored", h)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}
+
+// TestUnfrozenStoreReadsSerializeWithWrites: before Freeze the maps are
+// still written, so reads must keep taking the lock. Readers and
+// PutFile run together here; an unlocked read is a data race (and a
+// "concurrent map read and map write" crash) under go test -race.
+func TestUnfrozenStoreReadsSerializeWithWrites(t *testing.T) {
+	s := NewStore()
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(2)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 500; i++ {
+				if err := s.PutFile(&FileMeta{Hash: FileHash(fmt.Sprintf("f%d-%d", g, i))}); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(g)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 500; i++ {
+				h := FileHash(fmt.Sprintf("f%d-%d", g, i))
+				if m := s.File(h); m != nil && m.Hash != h {
+					t.Errorf("File(%s) = %+v", h, m)
+					return
+				}
+				s.Truth(h)
+				s.Files()
+			}
+		}(g)
+	}
+	wg.Wait()
+	if got := len(s.Files()); got != 4*500 {
+		t.Fatalf("store holds %d files, want %d", got, 4*500)
 	}
 }

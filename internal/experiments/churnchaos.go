@@ -270,7 +270,7 @@ func RunChaosChurn(cfg ChaosChurnConfig) (*ChaosChurnReport, error) {
 		}
 		var data []byte
 		err = retry.Do(ctx, pol, func(ctx context.Context) error {
-			d, derr := client.ClassifyRaw(ctx, id, body, 0)
+			d, _, derr := client.ClassifyRaw(ctx, id, "", body, 0)
 			if derr != nil {
 				return derr
 			}
@@ -459,7 +459,7 @@ func RunChaosChurn(cfg ChaosChurnConfig) (*ChaosChurnReport, error) {
 	for id, want := range served {
 		var data []byte
 		err := retry.Do(ctx, pol, func(ctx context.Context) error {
-			d, derr := client.ClassifyRaw(ctx, id, payloads[id], 0)
+			d, _, derr := client.ClassifyRaw(ctx, id, "", payloads[id], 0)
 			if derr != nil {
 				return derr
 			}

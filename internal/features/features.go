@@ -109,7 +109,9 @@ func processTypeName(meta *dataset.FileMeta) string {
 	return meta.Category.String()
 }
 
-// Vector extracts the features of one event.
+// Vector extracts the features of one event: two file-metadata lookups
+// and one rank lookup, without allocation and — the store being frozen,
+// as every serving store is — without a lock.
 func (e *Extractor) Vector(ev *dataset.DownloadEvent) (Vector, error) {
 	if ev == nil {
 		return Vector{}, fmt.Errorf("features: nil event")

@@ -118,11 +118,9 @@ func Do(ctx context.Context, p Policy, op func(ctx context.Context) error) error
 	if sleep == nil {
 		sleep = realSleep
 	}
-	seed := p.JitterSeed
-	if seed == 0 {
-		seed = 1
-	}
-	jitter := rand.New(rand.NewSource(seed))
+	// Seeded on the first backoff: a source is 5 KB of state, and nearly
+	// every call succeeds on its first attempt.
+	var jitter *rand.Rand
 
 	start := now()
 	backoff := initial
@@ -153,6 +151,13 @@ func Do(ctx context.Context, p Policy, op func(ctx context.Context) error) error
 		}
 		// Full jitter: sleep uniformly in [0, backoff], then grow the
 		// ceiling exponentially up to MaxBackoff.
+		if jitter == nil {
+			seed := p.JitterSeed
+			if seed == 0 {
+				seed = 1
+			}
+			jitter = rand.New(rand.NewSource(seed))
+		}
 		d := time.Duration(jitter.Int63n(int64(backoff) + 1))
 		if err := sleep(ctx, d); err != nil {
 			return err

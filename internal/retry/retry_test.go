@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -144,10 +145,34 @@ func TestDoJitterDeterministic(t *testing.T) {
 	if len(a) != 5 || len(b) != 5 {
 		t.Fatalf("sleep counts = %d, %d, want 5", len(a), len(b))
 	}
+	// The sequence is the seed's, drawn from the first backoff on: when
+	// the source is built must not show in what it yields.
+	src := rand.New(rand.NewSource(42))
+	backoff := 100 * time.Millisecond
 	for i := range a {
 		if a[i] != b[i] {
 			t.Errorf("jitter draw %d differs: %v vs %v", i, a[i], b[i])
 		}
+		if want := time.Duration(src.Int63n(int64(backoff) + 1)); a[i] != want {
+			t.Errorf("jitter draw %d = %v, seed 42 yields %v", i, a[i], want)
+		}
+		backoff *= 2
+	}
+}
+
+// TestDoFirstAttemptAllocatesNothing: labeling calls Do once per file
+// and nearly every call succeeds at once, so the jitter source (5 KB of
+// state) must not exist until a backoff needs it.
+func TestDoFirstAttemptAllocatesNothing(t *testing.T) {
+	ctx := context.Background()
+	p := Policy{JitterSeed: 42, Sleep: noSleep}
+	op := func(context.Context) error { return nil }
+	if n := testing.AllocsPerRun(100, func() {
+		if err := Do(ctx, p, op); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("a first-attempt success allocates %v objects, want 0", n)
 	}
 }
 

@@ -227,7 +227,7 @@ func (c *Client) classify(ctx context.Context, id string, body []byte, n int) ([
 	}
 	if deferred {
 		c.Deferred.Add(1)
-		data, err = c.pollResult(ctx, id)
+		data, err = c.pollResult(ctx, id, c.Binary)
 		if err != nil {
 			return nil, err
 		}
@@ -248,8 +248,9 @@ func (c *Client) classify(ctx context.Context, id string, body []byte, n int) ([
 }
 
 // pollResult fetches the verdicts of a journaled-and-deferred batch,
-// backing off while the background worker catches up (204).
-func (c *Client) pollResult(ctx context.Context, id string) ([]byte, error) {
+// backing off while the background worker catches up (204); binary
+// asks for them in the binary wire format.
+func (c *Client) pollResult(ctx context.Context, id string, binary bool) ([]byte, error) {
 	var out []byte
 	pol := c.Retry
 	if pol.MaxAttempts == 0 {
@@ -262,7 +263,7 @@ func (c *Client) pollResult(ctx context.Context, id string) ([]byte, error) {
 		if err != nil {
 			return retry.Permanent(err)
 		}
-		if c.Binary {
+		if binary {
 			req.Header.Set("Accept", ContentTypeBinaryVerdicts)
 		}
 		resp, err := c.httpClient().Do(req)
@@ -297,43 +298,54 @@ var (
 	ErrUnknownRequest = errors.New("serve: unknown request id")
 )
 
-// ClassifyRaw forwards a pre-marshaled line-JSON event body under a
-// caller-chosen request ID in exactly one attempt — the cluster
-// router's building block, where retries, circuit breakers, and
-// failover to ring successors live above this call rather than inside
-// it. timeout, when positive, rides the deadline header so the replica
-// can shed work the original caller has given up on. A 202
-// journal-and-defer response is resolved here by polling /result: once
-// a replica has accepted the batch, its ledger owns the verdict, so
-// there is nothing to fail over.
-func (c *Client) ClassifyRaw(ctx context.Context, id string, body []byte, timeout time.Duration) ([]byte, error) {
+// ClassifyRaw forwards a pre-marshaled event body under a caller-chosen
+// request ID in exactly one attempt — the cluster router's building
+// block, where retries, circuit breakers, and failover to ring
+// successors live above this call rather than inside it. contentType is
+// the body's wire format as the original client declared it ("" is
+// line-JSON); the reply comes back with the Content-Type the replica
+// gave it, so a forwarder can hand both through untouched. timeout,
+// when positive, rides the deadline header so the replica can shed work
+// the original caller has given up on. A 202 journal-and-defer response
+// is resolved here by polling /result in the request's format: once a
+// replica has accepted the batch, its ledger owns the verdict, so there
+// is nothing to fail over.
+func (c *Client) ClassifyRaw(ctx context.Context, id, contentType string, body []byte, timeout time.Duration) (data []byte, replyType string, err error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.BaseURL+"/classify", bytes.NewReader(body))
 	if err != nil {
-		return nil, retry.Permanent(err)
+		return nil, "", retry.Permanent(err)
 	}
 	req.Header.Set(RequestIDHeader, id)
+	if contentType != "" {
+		req.Header.Set("Content-Type", contentType)
+	}
 	if timeout > 0 {
 		req.Header.Set(TimeoutHeader, fmt.Sprintf("%d", timeout.Milliseconds()))
 	}
 	resp, err := c.httpClient().Do(req)
 	if err != nil {
-		return nil, err
+		return nil, "", err
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
+	data, err = io.ReadAll(resp.Body)
 	if err != nil {
-		return nil, err
+		return nil, "", err
 	}
 	switch {
 	case resp.StatusCode == http.StatusOK:
-		return data, nil
+		return data, resp.Header.Get("Content-Type"), nil
 	case resp.StatusCode == http.StatusAccepted:
 		c.Deferred.Add(1)
-		return c.pollResult(ctx, id)
+		binary := isBinaryEvents(contentType)
+		if binary {
+			replyType = ContentTypeBinaryVerdicts
+		}
+		data, err = c.pollResult(ctx, id, binary)
+		return data, replyType, err
 	case resp.StatusCode == http.StatusTooManyRequests || resp.StatusCode >= 500:
-		return nil, fmt.Errorf("serve: /classify: %s", resp.Status)
+		return nil, "", fmt.Errorf("serve: /classify: %s", resp.Status)
 	default:
-		return nil, retry.Permanent(fmt.Errorf("serve: /classify: %s: %s", resp.Status, bytes.TrimSpace(data)))
+		return nil, "", retry.Permanent(fmt.Errorf("serve: /classify: %s: %s", resp.Status, bytes.TrimSpace(data)))
 	}
 }
 

@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/bits"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -112,37 +114,101 @@ type shardBatch struct {
 
 var framePool = sync.Pool{New: func() any { return new(shardBatch) }}
 
-// memoKey identifies a verdict-determining input: the feature vector is
-// a pure function of (file, process, domain) against the immutable
-// store and oracle, so two events agreeing on these three fields get
-// identical verdicts under the same rule generation. File alone decides
-// the shard (FNV affinity), so every event of one file — and therefore
-// every memo reader/writer of one key — runs on one worker.
-type memoKey struct {
+// The verdict memo is keyed by (file, process, domain): the feature
+// vector is a pure function of those three fields against the immutable
+// store and oracle, so two events agreeing on them get identical
+// verdicts under the same rule generation. File alone decides the shard
+// (FNV affinity), so every event of one file — and therefore every memo
+// reader/writer of one key — runs on one worker.
+//
+// Most keys are seen once (the paper's long tail), so a key earns its
+// memo entry on second sight: the first sight only leaves the key's
+// hash in the worker's doorkeeper, the second finds it there and admits
+// the verdict, the third is the first hit.
+
+// memoVal caches the classification outcome for a key under one rule
+// generation. The key strings are clones: an entry outlives the request
+// that produced it and must not pin that request's body. rules is shared
+// across hits — verdict attributions are immutable once produced.
+type memoVal struct {
 	file    dataset.FileHash
 	process dataset.FileHash
 	domain  string
-}
-
-// memoVal caches the classification outcome for a key under one rule
-// generation. rules is shared across hits — verdict attributions are
-// immutable once produced.
-type memoVal struct {
 	verdict classify.Verdict
 	rules   []int
 }
 
-// memoMaxEntries caps each worker's memo; past it the map resets
-// wholesale (repeat downloads re-warm it in one miss each).
+// memoMaxEntries caps each worker's memo — past it the map resets
+// wholesale (repeaters re-admit in one miss each) — and sizes the
+// doorkeeper. A power of two: the doorkeeper is indexed by mask.
 const memoMaxEntries = 1 << 16
 
 // workerState is the per-worker (hence single-goroutine) memo: repeat
-// downloads of a file skip extraction and matching entirely. gen pins
-// the entries to one rule-set generation; a hot reload naturally
-// invalidates everything on the next sub-batch.
+// downloads of a file skip extraction and matching entirely. The map is
+// keyed by the key's hash and an entry is verified against the event's
+// strings, so two keys colliding on 64 bits cost each other a miss,
+// never a wrong verdict. door is the doorkeeper: direct-mapped, one key
+// hash per slot (512 KB, pointer-free), so a later key on the same slot
+// evicts the earlier one's first sight — again one extra miss. gen pins
+// both to one rule-set generation; a hot reload invalidates everything
+// on the next sub-batch.
 type workerState struct {
-	memo map[memoKey]memoVal
+	memo map[uint64]memoVal
+	door []uint64
 	gen  uint64
+}
+
+func newWorkerState() *workerState {
+	return &workerState{memo: make(map[uint64]memoVal), door: make([]uint64, memoMaxEntries)}
+}
+
+// reset forgets every entry and every sighting and pins the state to gen.
+func (ws *workerState) reset(gen uint64) {
+	clear(ws.memo)
+	clear(ws.door)
+	ws.gen = gen
+}
+
+// hashKey hashes an event's memo key, sixteen bytes per multiply (the
+// folded 64×64→128 product of wyhash). It is unseeded so that the memo's
+// behaviour — and MemoHits — for a given event sequence is the same in
+// every process; a weak input costs the memo a miss, never a verdict.
+func hashKey(ev *dataset.DownloadEvent) uint64 {
+	// The lengths go in first so field boundaries count: ("ab","c") and
+	// ("a","bc") hash apart.
+	h := uint64(len(ev.File)) | uint64(len(ev.Process))<<20 | uint64(len(ev.Domain))<<40
+	h = hashString(h^0xa0761d6478bd642f, string(ev.File))
+	h = hashString(h, string(ev.Process))
+	h = hashString(h, ev.Domain)
+	return mix64(h, 0xe7037ed1a0b428db)
+}
+
+func mix64(a, b uint64) uint64 {
+	hi, lo := bits.Mul64(a, b)
+	return hi ^ lo
+}
+
+func load64(s string) uint64 {
+	_ = s[7]
+	return uint64(s[0]) | uint64(s[1])<<8 | uint64(s[2])<<16 | uint64(s[3])<<24 |
+		uint64(s[4])<<32 | uint64(s[5])<<40 | uint64(s[6])<<48 | uint64(s[7])<<56
+}
+
+func hashString(h uint64, s string) uint64 {
+	const k = 0x8ebc6af09c88c6e3
+	for ; len(s) > 16; s = s[16:] {
+		h = mix64(load64(s)^k, load64(s[8:])^h)
+	}
+	var a, b uint64
+	switch {
+	case len(s) >= 8: // the two words overlap when len(s) < 16
+		a, b = load64(s), load64(s[len(s)-8:])
+	default:
+		for i := 0; i < len(s); i++ {
+			a |= uint64(s[i]) << (8 * uint(i))
+		}
+	}
+	return mix64(a^k, b^h)
 }
 
 // Engine is the classification core: bounded sharded queues feeding a
@@ -378,7 +444,7 @@ func (e *Engine) ClassifyBatch(ctx context.Context, events []dataset.DownloadEve
 // goroutine alone — shard affinity is what makes it race-free.
 func (e *Engine) worker(ch chan *shardBatch) {
 	defer e.wg.Done()
-	ws := &workerState{memo: make(map[memoKey]memoVal)}
+	ws := newWorkerState()
 	for f := range ch {
 		e.processFrame(f, ws)
 	}
@@ -417,9 +483,9 @@ func (e *Engine) processFrame(f *shardBatch, ws *workerState) {
 	} else {
 		rg := e.rules.Load()
 		if ws.gen != rg.gen {
-			// Hot reload: a new generation invalidates every memo entry.
-			ws.memo = make(map[memoKey]memoVal)
-			ws.gen = rg.gen
+			// Hot reload: a new generation invalidates every memo entry,
+			// and sightings start over with it.
+			ws.reset(rg.gen)
 		}
 		for _, i := range f.idx {
 			ev := &f.events[i]
@@ -427,13 +493,18 @@ func (e *Engine) processFrame(f *shardBatch, ws *workerState) {
 			rec.Type = "verdict"
 			rec.File = string(ev.File)
 			rec.Generation = rg.gen
-			key := memoKey{file: ev.File, process: ev.Process, domain: ev.Domain}
-			if mv, ok := ws.memo[key]; ok {
-				tally.memoHits++
-				tally.verdicts[mv.verdict]++
-				rec.Verdict = mv.verdict.String()
-				rec.Rules = mv.rules
-				continue
+			h := hashKey(ev)
+			slot := &ws.door[h&(memoMaxEntries-1)]
+			seen := *slot == h
+			*slot = h
+			if seen {
+				if mv, ok := ws.memo[h]; ok && mv.file == ev.File && mv.process == ev.Process && mv.domain == ev.Domain {
+					tally.memoHits++
+					tally.verdicts[mv.verdict]++
+					rec.Verdict = mv.verdict.String()
+					rec.Rules = mv.rules
+					continue
+				}
 			}
 			var (
 				vec features.Vector
@@ -468,10 +539,18 @@ func (e *Engine) processFrame(f *shardBatch, ws *workerState) {
 			tally.verdicts[v]++
 			rec.Verdict = v.String()
 			rec.Rules = mr
-			if len(ws.memo) >= memoMaxEntries {
-				ws.memo = make(map[memoKey]memoVal)
+			if !seen {
+				continue // first sight: the doorkeeper remembers, the memo does not
 			}
-			ws.memo[key] = memoVal{verdict: v, rules: mr}
+			if len(ws.memo) >= memoMaxEntries {
+				clear(ws.memo)
+			}
+			ws.memo[h] = memoVal{
+				file:    dataset.FileHash(strings.Clone(string(ev.File))),
+				process: dataset.FileHash(strings.Clone(string(ev.Process))),
+				domain:  strings.Clone(ev.Domain),
+				verdict: v, rules: mr,
+			}
 		}
 	}
 

@@ -437,7 +437,10 @@ func (l *Ledger) Counts() (pending, completed int) {
 // compaction. (Lock order is journal → ledger; Accept and Result never
 // append while holding l.mu, so this cannot deadlock.)
 func (l *Ledger) Compact() error {
-	return l.j.CompactStaged(func() (func() ([]byte, error), error) {
+	// Stays -1 when CompactStaged found a compaction in flight and
+	// returned without calling back.
+	snapBytes := int64(-1)
+	err := l.j.CompactStaged(func() (func() ([]byte, error), error) {
 		l.mu.Lock()
 		results := make(map[string][]byte, len(l.results))
 		for id, body := range l.results {
@@ -450,14 +453,19 @@ func (l *Ledger) Compact() error {
 		l.mu.Unlock()
 		return func() ([]byte, error) {
 			snap, err := appendSnapshot(results, pending)
-			if err == nil {
-				l.mu.Lock()
-				l.lastSnapshotBytes = int64(len(snap))
-				l.mu.Unlock()
-			}
+			snapBytes = int64(len(snap))
 			return snap, err
 		}, nil
 	})
+	if err != nil || snapBytes < 0 {
+		return err
+	}
+	// Only a snapshot that reached the disk moves the next trigger:
+	// Result scales its threshold by this size.
+	l.mu.Lock()
+	l.lastSnapshotBytes = snapBytes
+	l.mu.Unlock()
+	return nil
 }
 
 // appendSnapshot serializes the ledger state by hand into the

@@ -365,6 +365,14 @@ func TestLedgerCompactionFailureDoesNotFailResult(t *testing.T) {
 	if jm.CompactErrors == 0 || jm.Stats.Compactions != 0 {
 		t.Fatalf("CompactErrors = %d, Compactions = %d; want failures and no success — the test is vacuous", jm.CompactErrors, jm.Stats.Compactions)
 	}
+	// No snapshot reached the disk, so the trigger Result scales by the
+	// last snapshot's size must not have moved.
+	l.mu.Lock()
+	lastSnap := l.lastSnapshotBytes
+	l.mu.Unlock()
+	if lastSnap != 0 {
+		t.Fatalf("lastSnapshotBytes = %d after %d failed compactions and no successful one, want 0", lastSnap, jm.CompactErrors)
+	}
 	var out strings.Builder
 	(&Metrics{}).WriteTo(&out, 0, false, &jm)
 	if !strings.Contains(out.String(), fmt.Sprintf("longtail_journal_compact_errors_total %d\n", jm.CompactErrors)) {

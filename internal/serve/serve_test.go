@@ -59,7 +59,7 @@ func labeledStore(cfg synth.Config) (*synth.Result, error) {
 	return res, nil
 }
 
-func sharedFixture(t *testing.T) *fixture {
+func sharedFixture(t testing.TB) *fixture {
 	t.Helper()
 	fixOnce.Do(func() {
 		p, err := labeledStore(synth.DefaultConfig(7, 0.004))
@@ -102,7 +102,7 @@ func sharedFixture(t *testing.T) *fixture {
 
 // offlineKey computes the canonical offline verdict for one event, the
 // reference every streamed verdict must match byte-for-byte.
-func offlineKey(t *testing.T, f *fixture, clf *classify.Classifier, ev *dataset.DownloadEvent) string {
+func offlineKey(t testing.TB, f *fixture, clf *classify.Classifier, ev *dataset.DownloadEvent) string {
 	t.Helper()
 	vec, err := f.ex.Vector(ev)
 	if err != nil {
@@ -113,7 +113,7 @@ func offlineKey(t *testing.T, f *fixture, clf *classify.Classifier, ev *dataset.
 	return fmt.Sprintf("%s %s %v", ev.File, v, matched)
 }
 
-func newTestEngine(t *testing.T, f *fixture, cfg EngineConfig) *Engine {
+func newTestEngine(t testing.TB, f *fixture, cfg EngineConfig) *Engine {
 	t.Helper()
 	engine, err := NewEngine(f.ex, f.clf, cfg, &Metrics{})
 	if err != nil {

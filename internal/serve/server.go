@@ -264,9 +264,10 @@ func readBinaryEvents(r *http.Request, keepBody bool) ([]dataset.DownloadEvent, 
 
 // binaryRequest reports whether the /classify request negotiated the
 // binary wire format via its Content-Type.
-func binaryRequest(r *http.Request) bool {
-	ct := r.Header.Get("Content-Type")
-	return ct == ContentTypeBinaryEvents || strings.HasPrefix(ct, ContentTypeBinaryEvents+";")
+func binaryRequest(r *http.Request) bool { return isBinaryEvents(r.Header.Get("Content-Type")) }
+
+func isBinaryEvents(contentType string) bool {
+	return contentType == ContentTypeBinaryEvents || strings.HasPrefix(contentType, ContentTypeBinaryEvents+";")
 }
 
 // wantsBinaryVerdicts reports whether the client asked GET /result for

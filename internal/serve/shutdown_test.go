@@ -203,22 +203,10 @@ func TestDeadlineShedInQueue(t *testing.T) {
 	engine := newTestEngine(t, f, EngineConfig{})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	events := f.replay[:2]
-	results := make([]VerdictRecord, len(events))
-	var done sync.WaitGroup
-	var shed atomic.Int64
-	done.Add(len(events))
-	engine.inflight.Add(int64(len(events)))
 	before := engine.Metrics().ExtractErrors.Load()
-	frame := framePool.Get().(*shardBatch)
-	frame.events, frame.results = events, results
-	frame.ctx, frame.enqueued = ctx, time.Now()
-	frame.done, frame.shed = &done, &shed
-	frame.idx = append(frame.idx, 0, 1)
-	engine.processFrame(frame, &workerState{memo: make(map[memoKey]memoVal)})
-	done.Wait()
-	if shed.Load() != 2 {
-		t.Fatalf("shed %d of 2 expired events", shed.Load())
+	results, shed := runFrame(engine, newWorkerState(), ctx, f.replay[:2])
+	if shed != 2 {
+		t.Fatalf("shed %d of 2 expired events", shed)
 	}
 	for i := range results {
 		if !strings.HasPrefix(results[i].Error, "shed:") {
