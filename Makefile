@@ -15,7 +15,7 @@ LONGTAILVET ?= bin/longtailvet
 	chaos-serve chaos-cluster chaos-lifecycle chaos-churn fuzz-smoke \
 	e2e-bench e2e-compare bench-layers bench-layers-smoke
 
-verify: verify-fast fuzz-smoke chaos-cluster chaos-lifecycle chaos-churn
+verify: verify-fast fuzz-smoke chaos-serve chaos-cluster chaos-lifecycle chaos-churn
 
 verify-fast: build vet test fmtcheck lint bench-layers-smoke
 

@@ -37,6 +37,10 @@ var (
 	pipelineOnce sync.Once
 	pipeline     *experiments.Pipeline
 	pipelineErr  error
+
+	worldOnce sync.Once
+	world     *experiments.ServingWorld
+	worldErr  error
 )
 
 func benchScale() float64 {
@@ -57,6 +61,29 @@ func sharedPipeline(b *testing.B) *experiments.Pipeline {
 		b.Fatal(pipelineErr)
 	}
 	return pipeline
+}
+
+// sharedWorld is the serving world over the shared pipeline — extractor,
+// month-1 instances, the tau=0.001 rule set trained on them, month 2 as
+// replay — built once for the ablation, rule-match and serve benchmarks.
+func sharedWorld(b *testing.B) *experiments.ServingWorld {
+	b.Helper()
+	p := sharedPipeline(b)
+	worldOnce.Do(func() { world, worldErr = p.ServingWorld(0.001) })
+	if worldErr != nil {
+		b.Fatal(worldErr)
+	}
+	return world
+}
+
+// testInstances is month 2 as instances, the ablations' test window.
+func testInstances(b *testing.B, w *experiments.ServingWorld) []features.Instance {
+	b.Helper()
+	test, err := w.Instances(1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return test
 }
 
 // benchExperiment runs one registered experiment per iteration.
@@ -153,22 +180,11 @@ func BenchmarkGenerate(b *testing.B) {
 }
 
 // trainFirstWindow trains one classifier on the first month with the
-// given options, for the ablation benches.
-func trainFirstWindow(b *testing.B, p *experiments.Pipeline, tau float64, policy classify.ConflictPolicy, maskSigner bool) (*classify.Classifier, []features.Instance, []features.Instance) {
+// given options and returns it with the second month's instances, for
+// the ablation benches.
+func trainFirstWindow(b *testing.B, w *experiments.ServingWorld, tau float64, policy classify.ConflictPolicy, maskSigner bool) (*classify.Classifier, []features.Instance) {
 	b.Helper()
-	months := p.Store.Months()
-	ex, err := features.NewExtractor(p.Store, p.Result.Oracle)
-	if err != nil {
-		b.Fatal(err)
-	}
-	train, err := ex.Instances(p.Store.EventIndexesInMonth(months[0]))
-	if err != nil {
-		b.Fatal(err)
-	}
-	test, err := ex.Instances(p.Store.EventIndexesInMonth(months[1]))
-	if err != nil {
-		b.Fatal(err)
-	}
+	train, test := w.Train, testInstances(b, w)
 	if maskSigner {
 		train = maskSignerFeature(train)
 		test = maskSignerFeature(test)
@@ -177,7 +193,7 @@ func trainFirstWindow(b *testing.B, p *experiments.Pipeline, tau float64, policy
 	if err != nil {
 		b.Fatal(err)
 	}
-	return clf, train, test
+	return clf, test
 }
 
 func maskSignerFeature(in []features.Instance) []features.Instance {
@@ -193,7 +209,7 @@ func maskSignerFeature(in []features.Instance) []features.Instance {
 // BenchmarkAblationConflict compares the paper's conflict-rejection
 // policy against majority voting.
 func BenchmarkAblationConflict(b *testing.B) {
-	p := sharedPipeline(b)
+	w := sharedWorld(b)
 	for _, tc := range []struct {
 		name   string
 		policy classify.ConflictPolicy
@@ -204,7 +220,7 @@ func BenchmarkAblationConflict(b *testing.B) {
 		b.Run(tc.name, func(b *testing.B) {
 			var fp, tp float64
 			for i := 0; i < b.N; i++ {
-				clf, _, test := trainFirstWindow(b, p, 0.001, tc.policy, false)
+				clf, test := trainFirstWindow(b, w, 0.001, tc.policy, false)
 				res := clf.Evaluate(test)
 				tp = 100 * res.TPRate()
 				fp = 100 * res.FPRate()
@@ -217,12 +233,12 @@ func BenchmarkAblationConflict(b *testing.B) {
 
 // BenchmarkAblationTau sweeps the rule-selection error threshold.
 func BenchmarkAblationTau(b *testing.B) {
-	p := sharedPipeline(b)
+	w := sharedWorld(b)
 	for _, tau := range []float64{0.0, 0.001, 0.01, 0.05} {
 		b.Run(strconv.FormatFloat(tau, 'f', -1, 64), func(b *testing.B) {
 			var rules, fp float64
 			for i := 0; i < b.N; i++ {
-				clf, _, test := trainFirstWindow(b, p, tau, classify.Reject, false)
+				clf, test := trainFirstWindow(b, w, tau, classify.Reject, false)
 				res := clf.Evaluate(test)
 				rules = float64(len(clf.Rules))
 				fp = 100 * res.FPRate()
@@ -236,13 +252,8 @@ func BenchmarkAblationTau(b *testing.B) {
 // BenchmarkAblationFeatures removes the dominant file-signer feature
 // (plus its CA shadow) and measures the decay in unknown-file coverage.
 func BenchmarkAblationFeatures(b *testing.B) {
-	p := sharedPipeline(b)
-	months := p.Store.Months()
-	ex, err := features.NewExtractor(p.Store, p.Result.Oracle)
-	if err != nil {
-		b.Fatal(err)
-	}
-	unknowns, err := ex.UnknownInstances(p.Store.EventIndexesInMonth(months[1]))
+	w := sharedWorld(b)
+	unknowns, err := w.Extractor.UnknownInstances(w.Store.EventIndexesInMonth(w.Store.Months()[1]))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -256,12 +267,12 @@ func BenchmarkAblationFeatures(b *testing.B) {
 		b.Run(tc.name, func(b *testing.B) {
 			var matched float64
 			for i := 0; i < b.N; i++ {
-				clf, _, _ := trainFirstWindow(b, p, 0.001, classify.Reject, tc.mask)
+				clf, _ := trainFirstWindow(b, w, 0.001, classify.Reject, tc.mask)
 				u := unknowns
 				if tc.mask {
 					u = maskSignerFeature(unknowns)
 				}
-				res := clf.ClassifyUnknowns(u, p.Store)
+				res := clf.ClassifyUnknowns(u, w.Store)
 				matched = 100 * res.MatchRate()
 			}
 			b.ReportMetric(matched, "unknownMatched%")
@@ -276,20 +287,8 @@ func BenchmarkAblationFeatures(b *testing.B) {
 // the rule set may abstain or reject, which is where its FP advantage
 // comes from.
 func BenchmarkAblationTreeVsRules(b *testing.B) {
-	p := sharedPipeline(b)
-	months := p.Store.Months()
-	ex, err := features.NewExtractor(p.Store, p.Result.Oracle)
-	if err != nil {
-		b.Fatal(err)
-	}
-	train, err := ex.Instances(p.Store.EventIndexesInMonth(months[0]))
-	if err != nil {
-		b.Fatal(err)
-	}
-	test, err := ex.Instances(p.Store.EventIndexesInMonth(months[1]))
-	if err != nil {
-		b.Fatal(err)
-	}
+	w := sharedWorld(b)
+	train, test := w.Train, testInstances(b, w)
 	b.Run("rules", func(b *testing.B) {
 		var tp, fp float64
 		for i := 0; i < b.N; i++ {
@@ -427,16 +426,7 @@ func BenchmarkAblationCoInstall(b *testing.B) {
 // BenchmarkPARTTraining isolates the PART learner on one month of
 // instances.
 func BenchmarkPARTTraining(b *testing.B) {
-	p := sharedPipeline(b)
-	months := p.Store.Months()
-	ex, err := features.NewExtractor(p.Store, p.Result.Oracle)
-	if err != nil {
-		b.Fatal(err)
-	}
-	train, err := ex.Instances(p.Store.EventIndexesInMonth(months[0]))
-	if err != nil {
-		b.Fatal(err)
-	}
+	train := sharedWorld(b).Train
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := classify.Train(train, 0.001, classify.Reject); err != nil {
@@ -452,24 +442,8 @@ func BenchmarkPARTTraining(b *testing.B) {
 // month-2 instances. allocs/op is the headline — the indexed path must
 // not allocate per miss beyond the matched-rule slice.
 func BenchmarkRuleMatch(b *testing.B) {
-	p := sharedPipeline(b)
-	months := p.Store.Months()
-	ex, err := features.NewExtractor(p.Store, p.Result.Oracle)
-	if err != nil {
-		b.Fatal(err)
-	}
-	train, err := ex.Instances(p.Store.EventIndexesInMonth(months[0]))
-	if err != nil {
-		b.Fatal(err)
-	}
-	test, err := ex.Instances(p.Store.EventIndexesInMonth(months[1]))
-	if err != nil {
-		b.Fatal(err)
-	}
-	clf, err := classify.Train(train, 0.001, classify.Reject)
-	if err != nil {
-		b.Fatal(err)
-	}
+	w := sharedWorld(b)
+	clf, test := w.Rules, testInstances(b, w)
 	linear := &classify.Classifier{Rules: clf.Rules, Policy: classify.Reject}
 	for _, tc := range []struct {
 		name string
@@ -532,56 +506,45 @@ func driveServeBench(b *testing.B, url string, replay []dataset.DownloadEvent, b
 	return int(sent.Load())
 }
 
-// BenchmarkServeThroughput measures the online serving subsystem end to
-// end: an in-process longtaild (HTTP server over the sharded engine)
-// driven by loadgen-style clients replaying month-2 events in batches.
-// The custom metric is sustained verdicts per second through the full
-// wire path (line-JSON encode, HTTP, queue, extract, classify, line-JSON
+// serveBench is the set-up and the measured section the three serve
+// benchmarks share: an in-process longtaild over the shared world (the
+// sharded engine with tap installed, the HTTP server with opts) driven
+// by loadgen-style clients replaying month-2 events in batches. The
+// custom metric is sustained verdicts per second through the full wire
+// path (line-JSON encode, HTTP, queue, extract, classify, line-JSON
 // decode).
-func BenchmarkServeThroughput(b *testing.B) {
-	p := sharedPipeline(b)
-	months := p.Store.Months()
-	ex, err := features.NewExtractor(p.Store, p.Result.Oracle)
-	if err != nil {
-		b.Fatal(err)
-	}
-	train, err := ex.Instances(p.Store.EventIndexesInMonth(months[0]))
-	if err != nil {
-		b.Fatal(err)
-	}
-	clf, err := classify.Train(train, 0.001, classify.Reject)
-	if err != nil {
-		b.Fatal(err)
-	}
-	engine, err := serve.NewEngine(ex, clf, serve.EngineConfig{
+func serveBench(b *testing.B, tap serve.BatchTap, opts ...serve.ServerOption) {
+	w := sharedWorld(b)
+	engine, err := serve.NewEngine(w.Extractor, w.Rules, serve.EngineConfig{
 		Shards: runtime.GOMAXPROCS(0), QueueSize: 8192,
 	}, &serve.Metrics{})
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer engine.Close()
-	srv, err := serve.NewServer(engine, classify.Reject)
+	engine.SetBatchTap(tap)
+	srv, err := serve.NewServer(engine, classify.Reject, opts...)
 	if err != nil {
 		b.Fatal(err)
 	}
+	defer srv.Close()
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	events := p.Store.Events()
-	var replay []dataset.DownloadEvent
-	for _, idx := range p.Store.EventIndexesInMonth(months[1]) {
-		replay = append(replay, events[idx])
-	}
 	const batch = 256
-	if len(replay) < batch {
-		b.Fatalf("only %d replay events; need %d", len(replay), batch)
+	if len(w.Replay) < batch {
+		b.Fatalf("only %d replay events; need %d", len(w.Replay), batch)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
-	sent := driveServeBench(b, ts.URL, replay, batch)
+	sent := driveServeBench(b, ts.URL, w.Replay, batch)
 	b.StopTimer()
 	b.ReportMetric(float64(sent)/b.Elapsed().Seconds(), "events/sec")
 }
+
+// BenchmarkServeThroughput measures the online serving subsystem end to
+// end, stateless: no journal, no tap.
+func BenchmarkServeThroughput(b *testing.B) { serveBench(b, nil) }
 
 // BenchmarkServeThroughputJournaled is BenchmarkServeThroughput with
 // the write-ahead journal enabled, striped over one shard per core:
@@ -593,27 +556,6 @@ func BenchmarkServeThroughput(b *testing.B) {
 // benchjson; a single-core host serializes the shards and measures the
 // overlap as overhead).
 func BenchmarkServeThroughputJournaled(b *testing.B) {
-	p := sharedPipeline(b)
-	months := p.Store.Months()
-	ex, err := features.NewExtractor(p.Store, p.Result.Oracle)
-	if err != nil {
-		b.Fatal(err)
-	}
-	train, err := ex.Instances(p.Store.EventIndexesInMonth(months[0]))
-	if err != nil {
-		b.Fatal(err)
-	}
-	clf, err := classify.Train(train, 0.001, classify.Reject)
-	if err != nil {
-		b.Fatal(err)
-	}
-	engine, err := serve.NewEngine(ex, clf, serve.EngineConfig{
-		Shards: runtime.GOMAXPROCS(0), QueueSize: 8192,
-	}, &serve.Metrics{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer engine.Close()
 	ledger, _, err := serve.OpenLedger(serve.LedgerOptions{
 		Journal: journal.Options{Dir: b.TempDir()},
 		Shards:  runtime.GOMAXPROCS(0),
@@ -622,28 +564,7 @@ func BenchmarkServeThroughputJournaled(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer ledger.Close()
-	srv, err := serve.NewServer(engine, classify.Reject, serve.WithLedger(ledger))
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer srv.Close()
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-
-	events := p.Store.Events()
-	var replay []dataset.DownloadEvent
-	for _, idx := range p.Store.EventIndexesInMonth(months[1]) {
-		replay = append(replay, events[idx])
-	}
-	const batch = 256
-	if len(replay) < batch {
-		b.Fatalf("only %d replay events; need %d", len(replay), batch)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	sent := driveServeBench(b, ts.URL, replay, batch)
-	b.StopTimer()
-	b.ReportMetric(float64(sent)/b.Elapsed().Seconds(), "events/sec")
+	serveBench(b, nil, serve.WithLedger(ledger))
 	js := ledger.Stats()
 	b.ReportMetric(float64(js.Syncs), "fsyncs")
 	b.ReportMetric(float64(js.Compactions), "compactions")
@@ -656,33 +577,13 @@ func BenchmarkServeThroughputJournaled(b *testing.B) {
 // the hot path. The events/sec metric against the unshadowed benchmark
 // is the shadowing tax; the acceptance bar is a regression <= 5%.
 func BenchmarkServeThroughputShadow(b *testing.B) {
-	p := sharedPipeline(b)
-	months := p.Store.Months()
-	ex, err := features.NewExtractor(p.Store, p.Result.Oracle)
+	w := sharedWorld(b)
+	challenger, err := classify.Train(w.Train, 0.005, classify.Reject)
 	if err != nil {
 		b.Fatal(err)
 	}
-	train, err := ex.Instances(p.Store.EventIndexesInMonth(months[0]))
-	if err != nil {
-		b.Fatal(err)
-	}
-	clf, err := classify.Train(train, 0.001, classify.Reject)
-	if err != nil {
-		b.Fatal(err)
-	}
-	challenger, err := classify.Train(train, 0.005, classify.Reject)
-	if err != nil {
-		b.Fatal(err)
-	}
-	engine, err := serve.NewEngine(ex, clf, serve.EngineConfig{
-		Shards: runtime.GOMAXPROCS(0), QueueSize: 8192,
-	}, &serve.Metrics{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer engine.Close()
 	truth := func(file dataset.FileHash) (bool, bool) {
-		switch p.Store.Label(file) {
+		switch w.Store.Label(file) {
 		case dataset.LabelMalicious:
 			return true, true
 		case dataset.LabelBenign:
@@ -690,34 +591,13 @@ func BenchmarkServeThroughputShadow(b *testing.B) {
 		}
 		return false, false
 	}
-	eval, err := lifecycle.NewEvaluator(ex, truth, lifecycle.EvaluatorConfig{})
+	eval, err := lifecycle.NewEvaluator(w.Extractor, truth, lifecycle.EvaluatorConfig{})
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer eval.Close()
 	eval.SetChallenger(challenger, "bench-challenger")
-	engine.SetBatchTap(eval.Tap())
-	srv, err := serve.NewServer(engine, classify.Reject)
-	if err != nil {
-		b.Fatal(err)
-	}
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-
-	events := p.Store.Events()
-	var replay []dataset.DownloadEvent
-	for _, idx := range p.Store.EventIndexesInMonth(months[1]) {
-		replay = append(replay, events[idx])
-	}
-	const batch = 256
-	if len(replay) < batch {
-		b.Fatalf("only %d replay events; need %d", len(replay), batch)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	sent := driveServeBench(b, ts.URL, replay, batch)
-	b.StopTimer()
-	b.ReportMetric(float64(sent)/b.Elapsed().Seconds(), "events/sec")
+	serveBench(b, eval.Tap())
 	eval.Flush()
 	st := eval.Snapshot()
 	b.ReportMetric(float64(st.Samples), "shadow-samples")

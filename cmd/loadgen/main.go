@@ -38,10 +38,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/classify"
-	"repro/internal/dataset"
 	"repro/internal/experiments"
-	"repro/internal/features"
 	"repro/internal/retry"
 	"repro/internal/serve"
 	"repro/internal/synth"
@@ -74,54 +71,36 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	ex, err := features.NewExtractor(p.Store, p.Result.Oracle)
+	w, err := experiments.NewServingWorld(p.Store, p.Result.Oracle)
 	if err != nil {
 		return err
 	}
-	months := p.Store.Months()
-	if len(months) == 0 {
-		return fmt.Errorf("no data generated")
-	}
-	var clf *classify.Classifier
-	if *rulesPath != "" {
-		clf, err = serve.LoadRulesFile(*rulesPath, classify.Reject)
-	} else {
-		var train []features.Instance
-		train, err = ex.Instances(p.Store.EventIndexesInMonth(months[0]))
-		if err != nil {
-			return err
-		}
-		clf, err = classify.Train(train, *tau, classify.Reject)
-	}
-	if err != nil {
+	if err := w.LoadOrTrainRules(*rulesPath, *tau); err != nil {
 		return err
 	}
+	clf := w.Rules
 	var rulesJSON bytes.Buffer
 	if err := serve.ExportRules(&rulesJSON, clf); err != nil {
 		return err
 	}
 
-	month := months[0]
-	if len(months) > 1 {
-		month = months[1]
+	months := p.Store.Months()
+	if len(months) == 0 {
+		return fmt.Errorf("no data generated")
 	}
+	monthIdx := min(1, len(months)-1)
 	if *monthFlag != "" {
-		found := false
-		for _, m := range months {
+		monthIdx = -1
+		for i, m := range months {
 			if m.String() == *monthFlag {
-				month, found = m, true
-				break
+				monthIdx = i
 			}
 		}
-		if !found {
+		if monthIdx < 0 {
 			return fmt.Errorf("month %q not in dataset (have %v)", *monthFlag, months)
 		}
 	}
-	allEvents := p.Store.Events()
-	var replay []dataset.DownloadEvent
-	for _, idx := range p.Store.EventIndexesInMonth(month) {
-		replay = append(replay, allEvents[idx])
-	}
+	month, replay := months[monthIdx], w.Month(monthIdx)
 	if len(replay) == 0 {
 		return fmt.Errorf("month %s has no events", month)
 	}
@@ -208,15 +187,11 @@ func run() error {
 			if *noVerify {
 				continue
 			}
-			ev := &replay[lo+i]
-			vec, err := ex.Vector(ev)
+			offline, err := w.Offline(clf, &replay[lo+i])
 			if err != nil {
 				return err
 			}
-			inst := features.Instance{Vector: vec, File: ev.File}
-			offline, matched := clf.ClassifyFile([]features.Instance{inst})
-			want := fmt.Sprintf("%s %s %v", ev.File, offline, matched)
-			if got := v.Key(); got != want {
+			if got, want := v.Key(), offline.Key(); got != want {
 				mismatches++
 				if mismatches <= 5 {
 					fmt.Printf("  MISMATCH: streamed %q, offline %q\n", got, want)

@@ -46,7 +46,6 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/experiments"
 	"repro/internal/export"
-	"repro/internal/features"
 	"repro/internal/journal"
 	"repro/internal/lifecycle"
 	"repro/internal/reputation"
@@ -82,23 +81,6 @@ func loadContext(path string, seed int64, scale float64) (*dataset.Store, *reput
 	}
 	store.Freeze()
 	return store, oracle, nil
-}
-
-// loadOrTrainRules loads the rule set from disk when -rules is given,
-// otherwise trains on the first month of the context dataset.
-func loadOrTrainRules(path string, store *dataset.Store, ex *features.Extractor, tau float64) (*classify.Classifier, error) {
-	if path != "" {
-		return serve.LoadRulesFile(path, classify.Reject)
-	}
-	months := store.Months()
-	if len(months) == 0 {
-		return nil, fmt.Errorf("dataset has no events to train on")
-	}
-	train, err := ex.Instances(store.EventIndexesInMonth(months[0]))
-	if err != nil {
-		return nil, err
-	}
-	return classify.Train(train, tau, classify.Reject)
 }
 
 func run() error {
@@ -139,14 +121,16 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	ex, err := features.NewExtractor(store, oracle)
+	// The rule set comes from disk when -rules is given, otherwise from
+	// training on the first month of the context dataset.
+	w, err := experiments.NewServingWorld(store, oracle)
 	if err != nil {
 		return err
 	}
-	clf, err := loadOrTrainRules(*rulesPath, store, ex, *tau)
-	if err != nil {
+	if err := w.LoadOrTrainRules(*rulesPath, *tau); err != nil {
 		return err
 	}
+	ex, clf := w.Extractor, w.Rules
 	engine, err := serve.NewEngine(ex, clf, serve.EngineConfig{Shards: *shards, QueueSize: *queue}, &serve.Metrics{})
 	if err != nil {
 		return err

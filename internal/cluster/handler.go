@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 	"time"
@@ -31,14 +30,25 @@ func (rt *Router) Handler() http.Handler {
 	return mux
 }
 
+// readBody reads a request body under the nodes' own cap (a batch no
+// replica could accept is refused here, 413) and answers the failure
+// itself.
+func readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
+	body, err := serve.ReadBody(w, r)
+	if err != nil {
+		http.Error(w, "read body: "+err.Error(), serve.BodyErrorStatus(err))
+		return nil, false
+	}
+	return body, true
+}
+
 func (rt *Router) handleClassify(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
 		return
 	}
-	body, err := io.ReadAll(r.Body)
-	if err != nil {
-		http.Error(w, "read body: "+err.Error(), http.StatusBadRequest)
+	body, ok := readBody(w, r)
+	if !ok {
 		return
 	}
 	id := r.Header.Get(serve.RequestIDHeader)
@@ -113,9 +123,8 @@ func (rt *Router) handleReload(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
 		return
 	}
-	rules, err := io.ReadAll(r.Body)
-	if err != nil {
-		http.Error(w, "read body: "+err.Error(), http.StatusBadRequest)
+	rules, ok := readBody(w, r)
+	if !ok {
 		return
 	}
 	gen, err := rt.Reload(r.Context(), rules)

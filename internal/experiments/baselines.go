@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"repro/internal/classify"
-	"repro/internal/features"
 	"repro/internal/polonium"
 	"repro/internal/report"
 	"repro/internal/urlrep"
@@ -26,23 +24,15 @@ func Baselines(p *Pipeline, w io.Writer) error {
 	testIdx := p.Store.EventIndexesInMonth(months[1])
 
 	// Rule-based classifier (this paper).
-	ex, err := features.NewExtractor(p.Store, p.Result.Oracle)
+	world, err := p.ServingWorld(0.001)
 	if err != nil {
 		return err
 	}
-	trainInsts, err := ex.Instances(trainIdx)
+	testInsts, err := world.Instances(1)
 	if err != nil {
 		return err
 	}
-	testInsts, err := ex.Instances(testIdx)
-	if err != nil {
-		return err
-	}
-	clf, err := classify.Train(trainInsts, 0.001, classify.Reject)
-	if err != nil {
-		return err
-	}
-	ruleEval := clf.Evaluate(testInsts)
+	ruleEval := world.Rules.Evaluate(testInsts)
 
 	// Polonium-style graph propagation.
 	graph, err := polonium.Run(p.Store, trainIdx, polonium.DefaultConfig())

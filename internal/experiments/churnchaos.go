@@ -1,26 +1,12 @@
 package experiments
 
 import (
-	"bytes"
-	"context"
-	"encoding/json"
 	"fmt"
 	"io"
-	"net/http"
-	"net/http/httptest"
 	"os"
-	"path/filepath"
-	"time"
 
-	"repro/internal/classify"
-	"repro/internal/cluster"
-	"repro/internal/dataset"
-	"repro/internal/export"
+	"repro/internal/chaoskit"
 	"repro/internal/faults"
-	"repro/internal/features"
-	"repro/internal/journal"
-	"repro/internal/retry"
-	"repro/internal/serve"
 	"repro/internal/synth"
 )
 
@@ -77,13 +63,9 @@ type ChaosChurnReport struct {
 	Batches  int
 	Events   int
 
-	// Link-fault accounting across all router->replica links.
-	LinkKeys          int
-	FaultedKeys       int
-	RequestsDropped   int64
-	ResponsesLost     int64
-	PartitionRefusals int64
-	Failovers         uint64
+	// Link-fault accounting across all router->replica links, and the
+	// router's failovers.
+	chaoskit.LinkReport
 
 	// The planned leave: history drained to the new ring owners before
 	// the node is forgotten.
@@ -97,43 +79,19 @@ type ChaosChurnReport struct {
 	HandoffFails       uint64
 
 	// The kill -9 and journal recovery of the mid-handoff victim.
-	CrashAccepted    int
-	RecoveredResults int
-	RecoveredPending int
-	TornTailBytes    int64
-	VictimReplayed   int
+	CrashAccepted int
+	chaoskit.Recovery
+	VictimReplayed int
 
 	// Reconciliation when the crashed node returns on probation.
 	ReconcileReplayed     uint64
 	PendingAfterReconcile int64
 
-	// Retransmit storm over every ID ever served. StormReclassified is
-	// the cluster-wide EventsIn delta during the storm — zero means
-	// every retransmit was answered from a replica ledger.
-	StormRetransmits  int
-	StormReclassified uint64
-
-	// Divergence counters — all must be zero.
-	LostBatches   int
-	StormDiverged int
-}
-
-// churnID is the stable request ID of batch b — identical across
-// retransmits, handoffs, and replica incarnations.
-func churnID(b int) string { return fmt.Sprintf("churn-%04d", b) }
-
-// churnBody marshals a batch exactly like serve.Client does, so the
-// raw /classify payload is byte-stable across retransmits.
-func churnBody(events []dataset.DownloadEvent) ([]byte, error) {
-	var body []byte
-	for i := range events {
-		line, err := export.AppendEventLine(body, &events[i])
-		if err != nil {
-			return nil, err
-		}
-		body = append(line, '\n')
-	}
-	return body, nil
+	// The divergence counters, all of which must be zero, and
+	// StormRetransmits: the closing storm re-sends every ID ever served,
+	// and every retransmit must be answered from a replica ledger with
+	// the first response's bytes.
+	chaoskit.Audit
 }
 
 // RunChaosChurn replays a synth trace through a 3-replica journaled
@@ -141,359 +99,121 @@ func churnBody(events []dataset.DownloadEvent) ([]byte, error) {
 // replica 0 leaves cleanly (its dedup history drains to the new ring
 // owners before it is forgotten), replica 1 dies mid-handoff (its
 // planned leave fails against a partitioned import target, then kill
-// -9 with a torn journal tail), and later restarts into probation,
+// -9 with torn journal tails), and later restarts into probation,
 // where readmission reconciles its trapped history to the current
 // owners. A final retransmit storm re-sends every ID ever served and
 // holds the cluster to the exactly-once bar: zero lost, zero
-// re-classified, byte-identical response bodies.
+// re-classified, byte-identical response bodies. The fixture, the fault
+// steps and the checkers are chaoskit's (DESIGN.md "Chaos kit").
 func RunChaosChurn(cfg ChaosChurnConfig) (*ChaosChurnReport, error) {
-	if cfg.Dir == "" {
-		return nil, fmt.Errorf("experiments: chaos-churn: empty dir")
-	}
-	if cfg.Batch <= 0 {
-		cfg.Batch = 32
-	}
-	if err := cfg.Faults.Validate(); err != nil {
+	w, err := BootServingWorld(cfg.Synth, cfg.Tau)
+	if err != nil {
 		return nil, fmt.Errorf("experiments: chaos-churn: %w", err)
 	}
-	inj, err := faults.NewInjector(cfg.Faults)
-	if err != nil {
-		return nil, err
-	}
-
-	// The deterministic world every replica incarnation shares.
-	p, err := Run(cfg.Synth)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: chaos-churn: pipeline: %w", err)
-	}
-	ex, err := features.NewExtractor(p.Store, p.Result.Oracle)
-	if err != nil {
-		return nil, err
-	}
-	months := p.Store.Months()
-	if len(months) < 2 {
-		return nil, fmt.Errorf("experiments: chaos-churn: need >= 2 months")
-	}
-	train, err := ex.Instances(p.Store.EventIndexesInMonth(months[0]))
-	if err != nil {
-		return nil, err
-	}
-	clf, err := classify.Train(train, cfg.Tau, classify.Reject)
-	if err != nil {
-		return nil, err
-	}
-	all := p.Store.Events()
-	var replay []dataset.DownloadEvent
-	for _, idx := range p.Store.EventIndexesInMonth(months[1]) {
-		replay = append(replay, all[idx])
-	}
-	nBatches := (len(replay) + cfg.Batch - 1) / cfg.Batch
-	if nBatches < 12 {
-		return nil, fmt.Errorf("experiments: chaos-churn: %d batches too few to stage the scenario (need >= 12)", nBatches)
-	}
-	batchOf := func(b int) []dataset.DownloadEvent {
-		lo, hi := b*cfg.Batch, (b+1)*cfg.Batch
-		if hi > len(replay) {
-			hi = len(replay)
-		}
-		return replay[lo:hi]
-	}
-
-	rep := &ChaosChurnReport{Replicas: 3, Batches: nBatches, Events: len(replay)}
-	ctx := context.Background()
-
-	// ---- Boot the cluster: replica 0 leaves cleanly mid-run, replica 1
-	// is the mid-handoff kill -9 victim (journaling through a crashable
-	// filesystem), replica 2 survives and absorbs the handoffs.
-	fs, err := faults.NewCrashFS(inj)
-	if err != nil {
-		return nil, err
-	}
-	nodes := make([]*chaosNode, 3)
-	for i := range nodes {
-		var open func(string) (journal.File, error)
-		if i == 1 {
-			open = func(path string) (journal.File, error) { return fs.Open(path) }
-		}
-		n, _, _, err := startChaosNode("", filepath.Join(cfg.Dir, fmt.Sprintf("replica-%d", i)), ex, clf, open)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: chaos-churn: replica %d: %w", i, err)
-		}
-		defer n.stop()
-		nodes[i] = n
-	}
-	leaver, victim, survivor := nodes[0], nodes[1], nodes[2]
-	addrs := []string{leaver.addr, victim.addr, survivor.addr}
-
-	linkT, err := faults.NewTransport(inj, http.DefaultTransport)
-	if err != nil {
-		return nil, err
-	}
-	rt, err := cluster.NewRouter(cluster.Options{
-		Replicas: addrs,
-		//lint:allow retrypolicy the chaos harness wires the fault-injecting link transport directly; the router supplies the breaker/failover layer above it
-		HTTPClient:       &http.Client{Transport: linkT},
-		BreakerThreshold: 3,
-		BreakerReset:     50 * time.Millisecond,
-		ProbeInterval:    0, // probes are driven manually for determinism
-		ProbeTimeout:     time.Second,
-		EjectAfter:       3,
-		// HedgeDelay stays 0: timer-raced duplicate classification would
-		// make the storm's zero-reclassification accounting timing-
-		// dependent.
+	// Replica 0 leaves cleanly mid-run, replica 1 is the mid-handoff
+	// kill -9 victim, replica 2 survives and absorbs the handoffs.
+	const leaver, victim, survivor = 0, 1, 2
+	c, err := bootChaosKit("chaos-churn", w, chaoskit.Options{
+		Dir: cfg.Dir, Replicas: 3, Router: true, Faults: &cfg.Faults,
+		Shards: chaosNodeShards, CompactBytes: chaosNodeCompactBytes,
+		Batch: cfg.Batch, MinBatches: 12, IDPrefix: "churn",
 	})
 	if err != nil {
 		return nil, err
 	}
-	defer rt.Close()
-	front := httptest.NewServer(rt.Handler())
-	defer front.Close()
-	client := &serve.Client{BaseURL: front.URL}
-	probeRounds := func(k int) {
-		for i := 0; i < k; i++ {
-			rt.ProbeAll(ctx)
-		}
-	}
-
-	// Raw-body bookkeeping: the storm's byte-identity check compares
-	// against the first response the client ever saw for each ID, so
-	// serving goes through ClassifyRaw (one attempt per call) wrapped in
-	// the harness's own retry.
-	pol := retry.Policy{MaxAttempts: 6, InitialBackoff: 10 * time.Millisecond}
-	served := make(map[string][]byte, nBatches)   // id -> first response bytes
-	payloads := make(map[string][]byte, nBatches) // id -> request body
-	sendThroughRouter := func(b int) error {
-		id := churnID(b)
-		body, err := churnBody(batchOf(b))
-		if err != nil {
-			return err
-		}
-		var data []byte
-		err = retry.Do(ctx, pol, func(ctx context.Context) error {
-			d, _, derr := client.ClassifyRaw(ctx, id, "", body, 0)
-			if derr != nil {
-				return derr
-			}
-			data = d
-			return nil
-		})
-		if err != nil {
-			rep.LostBatches++
-			return nil
-		}
-		if _, ok := served[id]; !ok {
-			served[id] = data
-			payloads[id] = body
-		}
-		return nil
-	}
+	defer c.Close()
+	nBatches := c.Batches()
+	rep := &ChaosChurnReport{Replicas: 3, Batches: nBatches, Events: len(w.Replay)}
+	rm := c.Router.Metrics()
 
 	// Scenario timeline over the batch sequence.
 	leaveAt := nBatches / 3
 	partialAt := nBatches / 2
 	restartAt := 3 * nBatches / 4
 
-	// ---- Phase 1: three healthy replicas under link faults.
-	for b := 0; b < leaveAt; b++ {
-		if err := sendThroughRouter(b); err != nil {
-			return nil, err
-		}
-	}
+	// Phase 1: three healthy replicas under link faults.
+	c.SendRange(0, leaveAt)
 
-	// ---- The planned leave. Replica 0 drains its dedup history to the
+	// The planned leave. Replica 0 drains its dedup history to the
 	// two-node ring's owners before the router forgets it; everything it
 	// served must keep answering from the survivors' ledgers.
-	chunksBefore := rt.Metrics().HandoffChunks.Load()
-	entriesBefore := rt.Metrics().HandoffEntries.Load()
-	if err := rt.Leave(ctx, leaver.addr); err != nil {
-		return nil, fmt.Errorf("experiments: chaos-churn: planned leave: %w", err)
+	if err := c.Leave(leaver); err != nil {
+		c.Failf("planned leave: %w", err)
 	}
-	rep.LeaveChunks = rt.Metrics().HandoffChunks.Load() - chunksBefore
-	rep.LeaveEntries = rt.Metrics().HandoffEntries.Load() - entriesBefore
-	for _, n := range rt.Status().Nodes {
-		if n.Addr == leaver.addr {
-			return nil, fmt.Errorf("experiments: chaos-churn: leaver still in membership after Leave")
-		}
-		if n.HandoffPending != 0 {
-			return nil, fmt.Errorf("experiments: chaos-churn: %s owes %d entries after clean leave", n.Addr, n.HandoffPending)
-		}
+	rep.LeaveChunks, rep.LeaveEntries = rm.HandoffChunks.Load(), rm.HandoffEntries.Load()
+	if c.Member(leaver).Addr != "" {
+		c.Failf("leaver still in membership after Leave")
 	}
-	leaver.stop()
-
-	// ---- Phase 2: the two-node ring carries the load.
-	for b := leaveAt; b < partialAt; b++ {
-		if err := sendThroughRouter(b); err != nil {
-			return nil, err
+	for _, i := range []int{victim, survivor} {
+		if debt := c.Member(i).HandoffPending; debt != 0 {
+			c.Failf("%s owes %d entries after clean leave", c.Nodes[i].Name, debt)
 		}
 	}
 
-	// ---- Kill -9 mid-handoff. The victim's planned leave runs against
-	// a partitioned import target: the transfer cannot complete, so
-	// Leave must fail without splitting authority — the victim returns
-	// to rotation (degraded) still answering for its history, the debt
-	// visible on the pending gauge. Then the "kill": engine down (the
-	// next batches are journal-accepted but never answered), filesystem
-	// crash with a torn tail, listener gone.
-	linkT.Partition(survivor.addr)
-	if err := rt.Leave(ctx, victim.addr); err == nil {
-		return nil, fmt.Errorf("experiments: chaos-churn: leave succeeded with the import target partitioned")
-	}
-	rep.PartialLeaveFailed = true
-	rep.HandoffFails = rt.Metrics().HandoffFails.Load()
-	for _, n := range rt.Status().Nodes {
-		if n.Addr != victim.addr {
-			continue
-		}
-		if n.State != "degraded" {
-			return nil, fmt.Errorf("experiments: chaos-churn: mid-handoff victim state = %s, want degraded", n.State)
-		}
-		rep.PartialPending = n.HandoffPending
-	}
-	if rep.PartialPending == 0 {
-		return nil, fmt.Errorf("experiments: chaos-churn: partial handoff left no visible pending debt")
-	}
+	// Phase 2: the two-node ring carries the load.
+	c.SendRange(leaveAt, partialAt)
 
-	victim.engine.Close()
-	killClient := &serve.Client{BaseURL: "http://" + victim.addr, Retry: retry.Policy{MaxAttempts: 1}}
-	for b := partialAt; b < partialAt+cfg.CrashWindow; b++ {
-		if _, err := killClient.ClassifyWithID(ctx, churnID(b), batchOf(b)); err == nil {
-			return nil, fmt.Errorf("experiments: chaos-churn: batch %d answered by a dead engine", b)
-		}
+	// Kill -9 mid-handoff. The victim's planned leave runs against a
+	// partitioned import target: the transfer cannot complete, so Leave
+	// must fail without splitting authority — the victim returns to
+	// rotation (degraded) still answering for its history, the debt
+	// visible on the pending gauge. Then the kill.
+	c.Partition(survivor)
+	rep.PartialLeaveFailed = c.Leave(victim) != nil
+	if !rep.PartialLeaveFailed {
+		c.Failf("leave succeeded with the import target partitioned")
 	}
+	rep.HandoffFails = rm.HandoffFails.Load()
+	c.ExpectState("after the failed leave", "degraded", victim)
+	if rep.PartialPending = c.Member(victim).HandoffPending; rep.PartialPending == 0 {
+		c.Failf("partial handoff left no visible pending debt")
+	}
+	c.Kill9(victim, partialAt, cfg.CrashWindow)
 	rep.CrashAccepted = cfg.CrashWindow
-	if err := fs.Crash(); err != nil {
-		return nil, err
-	}
-	tornBatch := batchOf(partialAt)
-	tornVerdicts := make([]serve.VerdictRecord, 0, len(tornBatch))
-	for i := range tornBatch {
-		ev := &tornBatch[i]
-		vec, verr := ex.Vector(ev)
-		if verr != nil {
-			return nil, verr
-		}
-		v, matched := clf.ClassifyFile([]features.Instance{{Vector: vec, File: ev.File}})
-		tornVerdicts = append(tornVerdicts, serve.VerdictRecord{
-			Type: "verdict", File: string(ev.File), Verdict: v.String(), Generation: 1, Rules: matched,
-		})
-	}
-	if _, err := appendTornResult(victim.dir, chaosNodeShards, churnID(partialAt), tornVerdicts); err != nil {
-		return nil, err
-	}
-	victim.ln.Close()
-	victim.hsrv.Close()
-	victim.srv.Close()
-	// No ledger.Close(): kill -9 leaves no chance to flush.
-	victim.stopped = true
 
 	// Heal the partition; probes eject the corpse, flipping its sticky
 	// pins into the reconciliation window.
-	linkT.Heal(survivor.addr)
-	probeRounds(3)
-	if st := nodeState(rt, victim.addr); st != "ejected" {
-		return nil, fmt.Errorf("experiments: chaos-churn: victim state after probes = %s, want ejected", st)
-	}
+	c.Heal(survivor)
+	c.Probe(3)
+	c.ExpectState("after the kill", "ejected", victim)
 
-	// ---- Phase 3: the survivor carries the ring alone; the crash-window
+	// Phase 3: the survivor carries the ring alone; the crash-window
 	// batches are retransmitted through the router (the client never
 	// heard verdicts for them).
-	for b := partialAt; b < restartAt; b++ {
-		if err := sendThroughRouter(b); err != nil {
-			return nil, err
-		}
+	c.SendRange(partialAt, restartAt)
+
+	// Restart and reconcile. The victim returns, recovering its journal —
+	// completed results, the imports it acked before the crash, the
+	// accepted-but-unanswered crash window, and the torn tails to
+	// discard. The readmitting probe round must pull its export and
+	// re-home the entries the current ring no longer assigns to it.
+	rep.Recovery, rep.VictimReplayed = c.Restart(victim)
+	replayedBefore := rm.HandoffReplayed.Load()
+	c.Probe(1)
+	if c.Member(victim).State == "ejected" {
+		c.Failf("victim not readmitted after restart")
+	}
+	rep.ReconcileReplayed = rm.HandoffReplayed.Load() - replayedBefore
+	if rep.PendingAfterReconcile = c.Member(victim).HandoffPending; rep.PendingAfterReconcile != 0 {
+		c.Failf("victim still owes %d entries after reconcile", rep.PendingAfterReconcile)
+	}
+	c.Probe(2)
+	c.ExpectState("after reconcile", "healthy", victim, survivor)
+
+	// Phase 4: steady state on the reconciled two-node ring, then the
+	// retransmit storm over every ID ever served.
+	c.SendRange(restartAt, nBatches)
+	c.Storm(0, nBatches)
+
+	rep.LinkReport, rep.Audit = c.LinkReport(), c.Audit
+	if rep.MismatchedVerdicts > 0 {
+		c.Failf("%d first responses differ from offline classification", rep.MismatchedVerdicts)
+	}
+	if err := c.Err(); err != nil {
+		return nil, fmt.Errorf("experiments: chaos-churn: %w", err)
 	}
 
-	// ---- Restart and reconcile. The victim returns on its original
-	// address, recovering its journal — completed results, the imports it
-	// acked before the crash, the accepted-but-unanswered crash window,
-	// and the torn tail to discard. The readmitting probe round must pull
-	// its export and re-home the entries the current ring no longer
-	// assigns to it.
-	restarted, rec, replayed, err := startChaosNode(victim.addr, victim.dir, ex, clf, nil)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: chaos-churn: victim restart: %w", err)
-	}
-	defer restarted.stop()
-	rep.RecoveredResults = rec.Results
-	rep.RecoveredPending = len(rec.Pending)
-	rep.TornTailBytes = rec.TornTail
-	rep.VictimReplayed = replayed
-	replayedBefore := rt.Metrics().HandoffReplayed.Load()
-	probeRounds(1)
-	if st := nodeState(rt, victim.addr); st == "ejected" {
-		return nil, fmt.Errorf("experiments: chaos-churn: victim not readmitted after restart")
-	}
-	rep.ReconcileReplayed = rt.Metrics().HandoffReplayed.Load() - replayedBefore
-	for _, n := range rt.Status().Nodes {
-		if n.Addr == victim.addr {
-			rep.PendingAfterReconcile = n.HandoffPending
-		}
-	}
-	if rep.PendingAfterReconcile != 0 {
-		return nil, fmt.Errorf("experiments: chaos-churn: victim still owes %d entries after reconcile", rep.PendingAfterReconcile)
-	}
-	live := []*chaosNode{restarted, survivor}
-	probeRounds(2)
-	for _, n := range live {
-		if st := nodeState(rt, n.addr); st != "healthy" {
-			return nil, fmt.Errorf("experiments: chaos-churn: %s state after reconcile = %s, want healthy", n.addr, st)
-		}
-	}
-
-	// ---- Phase 4: steady state on the reconciled two-node ring.
-	for b := restartAt; b < nBatches; b++ {
-		if err := sendThroughRouter(b); err != nil {
-			return nil, err
-		}
-	}
-
-	// ---- The retransmit storm: every ID ever served is re-sent under
-	// its original ID. Whatever node answers — the survivor, the
-	// restarted victim, or an importer that absorbed a handoff — must
-	// return the exact bytes of the first response, and cluster-wide
-	// EventsIn may not move. One probe round first so a breaker left
-	// open by transient faults cannot steer a pinned ID to a fresh
-	// classification.
-	probeRounds(1)
-	stormBase := clusterEventsIn(live)
-	for id, want := range served {
-		var data []byte
-		err := retry.Do(ctx, pol, func(ctx context.Context) error {
-			d, _, derr := client.ClassifyRaw(ctx, id, "", payloads[id], 0)
-			if derr != nil {
-				return derr
-			}
-			data = d
-			return nil
-		})
-		if err != nil {
-			rep.LostBatches++
-			continue
-		}
-		if !bytes.Equal(data, want) {
-			rep.StormDiverged++
-		}
-	}
-	rep.StormRetransmits = len(served)
-	rep.StormReclassified = clusterEventsIn(live) - stormBase
-
-	rep.LinkKeys, rep.FaultedKeys = linkT.Counts()
-	ts := linkT.Stats()
-	rep.RequestsDropped = ts.Dropped
-	rep.ResponsesLost = ts.ResponsesLost
-	rep.PartitionRefusals = ts.PartitionRefusals
-	rep.Failovers = rt.Metrics().Failover.Load()
-
-	if cfg.ReportPath != "" {
-		data, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			return nil, err
-		}
-		if err := os.WriteFile(cfg.ReportPath, append(data, '\n'), 0o644); err != nil {
-			return nil, fmt.Errorf("experiments: chaos-churn: write report: %w", err)
-		}
-	}
-	return rep, nil
+	return rep, writeReportArtifact(cfg.ReportPath, rep)
 }
 
 // ChaosChurn is the registry adapter: run the default scenario in a

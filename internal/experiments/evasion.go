@@ -18,26 +18,15 @@ import (
 // recall decays — and what residual coverage the non-signer features
 // retain.
 func Evasion(p *Pipeline, w io.Writer) error {
-	months := p.Store.Months()
-	if len(months) < 2 {
-		return fmt.Errorf("experiments: need two months for evasion study")
-	}
-	ex, err := features.NewExtractor(p.Store, p.Result.Oracle)
+	world, err := p.ServingWorld(0.001)
 	if err != nil {
 		return err
 	}
-	train, err := ex.Instances(p.Store.EventIndexesInMonth(months[0]))
+	test, err := world.Instances(1)
 	if err != nil {
 		return err
 	}
-	test, err := ex.Instances(p.Store.EventIndexesInMonth(months[1]))
-	if err != nil {
-		return err
-	}
-	clf, err := classify.Train(train, 0.001, classify.Reject)
-	if err != nil {
-		return err
-	}
+	clf := world.Rules
 
 	tbl := report.NewTable("Section VII: signer-rotation evasion",
 		"rotated share", "matched malicious", "TP", "abstained malicious")

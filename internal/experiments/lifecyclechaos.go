@@ -5,16 +5,13 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"net/http"
-	"net/http/httptest"
 	"os"
-	"path/filepath"
 	"strings"
 	"time"
 
 	"repro/internal/avsim"
+	"repro/internal/chaoskit"
 	"repro/internal/classify"
-	"repro/internal/cluster"
 	"repro/internal/dataset"
 	"repro/internal/features"
 	"repro/internal/labeling"
@@ -102,9 +99,9 @@ type ChaosLifecycleReport struct {
 	RuleMetricsSeen  bool
 	DecayMetricsSeen bool
 
-	WrongGenVerdicts   int
-	LostBatches        int
-	MismatchedVerdicts int
+	// The serving invariants: WrongGenVerdicts, LostBatches and
+	// MismatchedVerdicts must all be zero.
+	chaoskit.Audit
 }
 
 // lifecycleShadowReport is the JSON artifact written to ReportPath: the
@@ -195,62 +192,22 @@ func overbroadChallenger(ex *features.Extractor, champion *classify.Classifier, 
 //     lost batches, zero wrong-generation verdicts, and zero dropped
 //     shadow batches.
 func RunChaosLifecycle(cfg ChaosLifecycleConfig) (*ChaosLifecycleReport, error) {
-	if cfg.Dir == "" {
-		return nil, fmt.Errorf("experiments: chaos-lifecycle: empty dir")
-	}
 	if cfg.Replicas < 3 {
 		return nil, fmt.Errorf("experiments: chaos-lifecycle: need >= 3 replicas, have %d", cfg.Replicas)
 	}
-	if cfg.Batch <= 0 {
-		cfg.Batch = 32
-	}
-
 	// The deterministic world: a labeled corpus, a champion trained on
 	// month 0, and month 1 as the live traffic the lifecycle rides.
-	p, err := Run(cfg.Synth)
+	w, err := BootServingWorld(cfg.Synth, cfg.Tau)
 	if err != nil {
-		return nil, fmt.Errorf("experiments: chaos-lifecycle: pipeline: %w", err)
+		return nil, fmt.Errorf("experiments: chaos-lifecycle: %w", err)
 	}
-	ex, err := features.NewExtractor(p.Store, p.Result.Oracle)
-	if err != nil {
-		return nil, err
-	}
-	months := p.Store.Months()
-	if len(months) < 2 {
-		return nil, fmt.Errorf("experiments: chaos-lifecycle: need >= 2 months")
-	}
-	train, err := ex.Instances(p.Store.EventIndexesInMonth(months[0]))
-	if err != nil {
-		return nil, err
-	}
-	champion, err := classify.Train(train, cfg.Tau, classify.Reject)
-	if err != nil {
-		return nil, err
-	}
-	all := p.Store.Events()
-	var replay []dataset.DownloadEvent
-	for _, idx := range p.Store.EventIndexesInMonth(months[1]) {
-		replay = append(replay, all[idx])
-	}
-	nBatches := (len(replay) + cfg.Batch - 1) / cfg.Batch
-	if nBatches < 8 {
-		return nil, fmt.Errorf("experiments: chaos-lifecycle: %d batches too few to stage the scenario (need >= 8)", nBatches)
-	}
-	batchOf := func(b int) []dataset.DownloadEvent {
-		lo, hi := b*cfg.Batch, (b+1)*cfg.Batch
-		if hi > len(replay) {
-			hi = len(replay)
-		}
-		return replay[lo:hi]
-	}
-	rep := &ChaosLifecycleReport{Replicas: cfg.Replicas, Batches: nBatches, Events: len(replay)}
-	ctx := context.Background()
+	champion, replay := w.Rules, w.Replay
 
 	// ---- Harvest ground truth up front, the paper's protocol: every
 	// file in the window gets its re-scan at download time + 2 years;
 	// the virtual clock jumps past the last due date. A daemon would do
 	// this continuously on wall clock; the harness owns the clock.
-	harv, err := lifecycle.NewHarvester(avsim.NewDefaultService(), ex, p.Result.Samples, 0)
+	harv, err := lifecycle.NewHarvester(avsim.NewDefaultService(), w.Extractor, w.Pipeline.Result.Samples, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -264,95 +221,70 @@ func RunChaosLifecycle(cfg ChaosLifecycleConfig) (*ChaosLifecycleReport, error) 
 	harv.Advance(lastSeen.Add(labeling.DefaultRescanDelay).AddDate(0, 1, 0))
 	truth := harv.Truth()
 	hstats := harv.Stats()
-	rep.Harvested = hstats.Harvested
-	rep.DiscardedWeak = hstats.Discarded
-	if rep.Harvested == 0 {
+	if hstats.Harvested == 0 {
 		return nil, fmt.Errorf("experiments: chaos-lifecycle: harvest produced no labeled instances")
 	}
 
 	// ---- Boot the cluster: every replica journals, taps its engine
 	// into a shadow evaluator, and exposes the evaluator on /metrics.
 	evals := make([]*lifecycle.Evaluator, cfg.Replicas)
-	nodes := make([]*chaosNode, cfg.Replicas)
-	for i := range nodes {
-		e, err := lifecycle.NewEvaluator(ex, truth, lifecycle.EvaluatorConfig{})
-		if err != nil {
+	for i := range evals {
+		if evals[i], err = lifecycle.NewEvaluator(w.Extractor, truth, lifecycle.EvaluatorConfig{}); err != nil {
 			return nil, err
 		}
-		defer e.Close()
-		evals[i] = e
-		n, _, _, err := startChaosNode("", filepath.Join(cfg.Dir, fmt.Sprintf("replica-%d", i)), ex, champion, nil,
-			serve.WithMetricsAppender(e.WriteMetrics))
-		if err != nil {
-			return nil, fmt.Errorf("experiments: chaos-lifecycle: replica %d: %w", i, err)
-		}
-		defer n.stop()
-		n.engine.SetBatchTap(e.Tap())
-		nodes[i] = n
+		defer evals[i].Close()
 	}
-	addrs := make([]string, len(nodes))
-	for i, n := range nodes {
-		addrs[i] = n.addr
-	}
-	rt, err := cluster.NewRouter(cluster.Options{
-		Replicas:      addrs,
-		ProbeInterval: 0, // probes driven manually for determinism
-		ProbeTimeout:  time.Second,
+	c, err := bootChaosKit("chaos-lifecycle", w, chaoskit.Options{
+		Dir: cfg.Dir, Replicas: cfg.Replicas, Router: true,
+		Shards: chaosNodeShards, CompactBytes: chaosNodeCompactBytes,
+		ServerOptions: func(i int) []serve.ServerOption {
+			return []serve.ServerOption{serve.WithMetricsAppender(evals[i].WriteMetrics)}
+		},
+		Batch: cfg.Batch, MinBatches: 8, IDPrefix: "lc",
 	})
 	if err != nil {
 		return nil, err
 	}
-	defer rt.Close()
-	front := httptest.NewServer(rt.Handler())
-	defer front.Close()
-	client := &serve.Client{BaseURL: front.URL}
-	probeRounds := func(k int) {
-		for i := 0; i < k; i++ {
-			rt.ProbeAll(ctx)
-		}
+	defer c.Close()
+	for i, n := range c.Nodes {
+		n.Engine.SetBatchTap(evals[i].Tap())
 	}
+	nBatches := c.Batches()
+	rep := &ChaosLifecycleReport{Replicas: cfg.Replicas, Batches: nBatches, Events: len(replay),
+		Harvested: hstats.Harvested, DiscardedWeak: hstats.Discarded}
+	ctx := context.Background()
 
-	offline := func(ev *dataset.DownloadEvent, clf *classify.Classifier) (string, error) {
-		vec, err := ex.Vector(ev)
-		if err != nil {
-			return "", err
-		}
-		v, matched := clf.ClassifyFile([]features.Instance{{Vector: vec, File: ev.File}})
-		return fmt.Sprintf("%s %s %v", ev.File, v, matched), nil
-	}
 	flushAll := func() {
 		for _, e := range evals {
 			e.Flush()
 		}
 	}
-	// sendBatch replays one batch through the router and holds every
-	// verdict to the serving contract: present, generation wantGen, and
-	// byte-identical to offline classification with clf (the champion
-	// before promotion, the promoted challenger after).
-	sendBatch := func(b int, clf *classify.Classifier, wantGen uint64) error {
-		events := batchOf(b)
-		verdicts, err := client.ClassifyWithID(ctx, fmt.Sprintf("lc-%04d", b), events)
-		if err != nil || len(verdicts) != len(events) {
-			rep.LostBatches++
-			return nil
-		}
-		for i := range events {
-			want, err := offline(&events[i], clf)
-			if err != nil {
-				return err
-			}
-			if verdicts[i].Key() != want {
-				rep.MismatchedVerdicts++
-			}
-			if verdicts[i].Generation != wantGen {
-				rep.WrongGenVerdicts++
+	// serveRange replays batches [lo, hi) through the router; chaoskit
+	// holds every verdict to the serving contract — present, generation
+	// c.WantGeneration, byte-identical to offline classification with
+	// c.Expect (the champion before promotion, the challenger after).
+	serveRange := func(lo, hi int) {
+		for b := lo; b < hi; b++ {
+			c.Send(b)
+			if b%4 == 3 {
+				flushAll() // keep the bounded shadow queues from overflowing
 			}
 		}
-		if b%4 == 3 {
-			flushAll() // keep the bounded shadow queues from overflowing
-		}
-		return nil
+		flushAll()
 	}
+	// metrics concatenates the /metrics expositions of replicas [0, n).
+	metrics := func(n int) string {
+		var combined strings.Builder
+		for i := 0; i < n; i++ {
+			m, err := c.Direct(i).Metrics(ctx)
+			if err != nil {
+				c.Failf("replica %d metrics: %w", i, err)
+			}
+			combined.WriteString(m)
+		}
+		return combined.String()
+	}
+	c.WantGeneration = 1
 
 	badEnd := nBatches / 2
 	goodEnd := 3 * nBatches / 4
@@ -362,36 +294,24 @@ func RunChaosLifecycle(cfg ChaosLifecycleConfig) (*ChaosLifecycleReport, error) 
 	mgr, err := lifecycle.NewManager(lifecycle.Config{
 		FPBudget:         cfg.FPBudget,
 		MinShadowSamples: cfg.MinShadowSamples,
-	}, lifecycle.ReloadPromoter{Client: client}, evals...)
+	}, lifecycle.ReloadPromoter{Client: c.Client}, evals...)
 	if err != nil {
 		return nil, err
 	}
-	bad, err := overbroadChallenger(ex, champion, replay, truth)
+	bad, err := overbroadChallenger(w.Extractor, champion, replay, truth)
 	if err != nil {
 		return nil, err
 	}
 	if _, err := mgr.BeginShadow(bad); err != nil {
 		return nil, err
 	}
-	for b := 0; b < badEnd; b++ {
-		if err := sendBatch(b, champion, 1); err != nil {
-			return nil, err
-		}
-	}
-	flushAll()
+	serveRange(0, badEnd)
 
 	// Mid-shadow, /metrics on the replicas must expose per-rule hit/FP
 	// counters for BOTH generations — the rule-efficacy surface.
-	var combined strings.Builder
-	for _, n := range nodes {
-		m, err := (&serve.Client{BaseURL: "http://" + n.addr}).Metrics(ctx)
-		if err != nil {
-			return nil, err
-		}
-		combined.WriteString(m)
-	}
-	rep.RuleMetricsSeen = strings.Contains(combined.String(), `longtail_rule_hits_total{role="champion",gen="1"`) &&
-		strings.Contains(combined.String(), `longtail_rule_hits_total{role="challenger"`)
+	combined := metrics(cfg.Replicas)
+	rep.RuleMetricsSeen = strings.Contains(combined, `longtail_rule_hits_total{role="champion",gen="1"`) &&
+		strings.Contains(combined, `longtail_rule_hits_total{role="challenger"`)
 
 	badAgg := mgr.Aggregate()
 	badDisagreements := mgr.Disagreements()
@@ -405,51 +325,37 @@ func RunChaosLifecycle(cfg ChaosLifecycleConfig) (*ChaosLifecycleReport, error) 
 	badStatus := mgr.Status()
 	rep.BadReason, _ = badStatus["reason"].(string)
 	if !rep.BadRejected {
-		return nil, fmt.Errorf("experiments: chaos-lifecycle: bad challenger resolved %s, want rejected (FP rate %.4f, stats %+v)", st, rep.BadFPRate, badAgg)
+		c.Failf("bad challenger resolved %s, want rejected (FP rate %.4f, stats %+v)", st, rep.BadFPRate, badAgg)
 	}
-	if rtStatus := rt.Status(); rtStatus.Generation != 1 {
-		return nil, fmt.Errorf("experiments: chaos-lifecycle: cluster generation moved to %d during a rejected shadow run", rtStatus.Generation)
+	if gen := c.Router.Status().Generation; gen != 1 {
+		c.Failf("cluster generation moved to %d during a rejected shadow run", gen)
 	}
 
 	// ---- Degraded fold-in: a garbage reload breaks replica 0. The
 	// node serves its old generation in degraded mode until the
 	// lifecycle promotion — riding the same reload path — heals it.
-	resp, err := http.Post("http://"+nodes[0].addr+"/admin/reload", "application/json", strings.NewReader("not rules"))
-	if err != nil {
-		return nil, err
+	if _, err := c.Direct(0).Reload(ctx, []byte("not rules")); err == nil {
+		c.Failf("replica 0 accepted a garbage reload")
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		return nil, fmt.Errorf("experiments: chaos-lifecycle: garbage reload = %d, want 400", resp.StatusCode)
-	}
-	m0, err := (&serve.Client{BaseURL: "http://" + nodes[0].addr}).Metrics(ctx)
-	if err != nil {
-		return nil, err
-	}
-	rep.DegradedAfterBadReload = strings.Contains(m0, "longtail_degraded 1")
+	rep.DegradedAfterBadReload = strings.Contains(metrics(1), "longtail_degraded 1")
 	if !rep.DegradedAfterBadReload {
-		return nil, fmt.Errorf("experiments: chaos-lifecycle: longtail_degraded not raised after failed reload")
+		c.Failf("longtail_degraded not raised after failed reload")
 	}
-	probeRounds(1) // the router demotes the degraded replica out of the healthy tier
+	c.Probe(1) // the router demotes the degraded replica out of the healthy tier
 
 	// ---- Phase B: the real challenger — warm-started from the
 	// champion's rules over its window plus the harvest — shadows the
 	// next traffic slice and must promote within the FP budget.
-	good, err := classify.Retrain(champion, harv.Training(train), cfg.Tau, classify.Reject)
+	good, err := classify.Retrain(champion, harv.Training(w.Train), cfg.Tau, classify.Reject)
 	if err != nil {
 		return nil, err
 	}
 	if _, err := mgr.BeginShadow(good); err != nil {
 		return nil, err
 	}
-	for b := badEnd; b < goodEnd; b++ {
-		if err := sendBatch(b, champion, 1); err != nil {
-			return nil, err
-		}
-	}
-	flushAll()
-	for _, n := range nodes {
-		harv.DrainLedger(n.ledger)
+	serveRange(badEnd, goodEnd)
+	for _, n := range c.Nodes {
+		harv.DrainLedger(n.Ledger)
 	}
 	rep.ServedFiles = harv.Stats().ServedFiles
 
@@ -466,72 +372,64 @@ func RunChaosLifecycle(cfg ChaosLifecycleConfig) (*ChaosLifecycleReport, error) 
 	rep.GoodPromoted = st == lifecycle.StatePromoted
 	rep.PromotedGeneration = mgr.PromotedGeneration()
 	if !rep.GoodPromoted {
-		return nil, fmt.Errorf("experiments: chaos-lifecycle: good challenger resolved %s, want promoted (FP rate %.4f over %d known benign)", st, rep.GoodFPRate, goodAgg.KnownBenign)
+		c.Failf("good challenger resolved %s, want promoted (FP rate %.4f over %d known benign)", st, rep.GoodFPRate, goodAgg.KnownBenign)
 	}
 
 	// Promotion converged the fleet: advertised == target == 2, the
 	// degraded replica healed (same reload path), probes restore it to
 	// the healthy tier.
-	probeRounds(2)
-	rtStatus := rt.Status()
+	c.Probe(2)
+	rtStatus := c.Router.Status()
 	rep.RouterConverged = rtStatus.Status == "ok" && rtStatus.Generation == rtStatus.TargetGeneration && rtStatus.Generation == rep.PromotedGeneration
 	if !rep.RouterConverged {
-		return nil, fmt.Errorf("experiments: chaos-lifecycle: router did not converge after promotion (status %+v)", rtStatus)
+		c.Failf("router did not converge after promotion (status %+v)", rtStatus)
 	}
-	m0, err = (&serve.Client{BaseURL: "http://" + nodes[0].addr}).Metrics(ctx)
-	if err != nil {
-		return nil, err
-	}
-	rep.DegradedCleared = strings.Contains(m0, "longtail_degraded 0")
+	rep.DegradedCleared = strings.Contains(metrics(1), "longtail_degraded 0")
 
 	// ---- Phase C: the promoted generation serves the rest of the
 	// window; every verdict must carry generation 2 and match the
 	// challenger's offline classification.
-	for b := goodEnd; b < nBatches; b++ {
-		if err := sendBatch(b, good, rep.PromotedGeneration); err != nil {
-			return nil, err
-		}
-	}
-	flushAll()
+	c.Expect, c.WantGeneration = good, rep.PromotedGeneration
+	serveRange(goodEnd, nBatches)
 
 	// Post-promotion, the champion counters accumulate under gen="2" —
 	// the per-rule decay trend across generations on one surface.
-	combined.Reset()
-	for _, n := range nodes {
-		m, err := (&serve.Client{BaseURL: "http://" + n.addr}).Metrics(ctx)
-		if err != nil {
-			return nil, err
-		}
-		combined.WriteString(m)
-	}
-	rep.DecayMetricsSeen = strings.Contains(combined.String(), fmt.Sprintf(`longtail_rule_hits_total{role="champion",gen="%d"`, rep.PromotedGeneration))
+	rep.DecayMetricsSeen = strings.Contains(metrics(cfg.Replicas), fmt.Sprintf(`longtail_rule_hits_total{role="champion",gen="%d"`, rep.PromotedGeneration))
 
-	var dropped uint64
 	for _, e := range evals {
-		dropped += e.Snapshot().Dropped
+		rep.ShadowDropped += e.Snapshot().Dropped
 	}
-	rep.ShadowDropped = dropped
+	rep.Audit = c.Audit
+	if err := c.Err(); err != nil {
+		return nil, fmt.Errorf("experiments: chaos-lifecycle: %w", err)
+	}
 
-	if cfg.ReportPath != "" {
-		doc := lifecycleShadowReport{
-			Bad: lifecycleShadowRun{
-				State: lifecycle.StateRejected.String(), Reason: rep.BadReason,
-				Stats: badAgg, Disagreements: badDisagreements,
-			},
-			Good: lifecycleShadowRun{
-				State: lifecycle.StatePromoted.String(), Generation: rep.PromotedGeneration,
-				Stats: goodAgg, Disagreements: goodDisagreements,
-			},
-		}
-		data, err := json.MarshalIndent(doc, "", "  ")
-		if err != nil {
-			return nil, err
-		}
-		if err := os.WriteFile(cfg.ReportPath, append(data, '\n'), 0o644); err != nil {
-			return nil, fmt.Errorf("experiments: chaos-lifecycle: write report: %w", err)
-		}
+	return rep, writeReportArtifact(cfg.ReportPath, lifecycleShadowReport{
+		Bad: lifecycleShadowRun{
+			State: lifecycle.StateRejected.String(), Reason: rep.BadReason,
+			Stats: badAgg, Disagreements: badDisagreements,
+		},
+		Good: lifecycleShadowRun{
+			State: lifecycle.StatePromoted.String(), Generation: rep.PromotedGeneration,
+			Stats: goodAgg, Disagreements: goodDisagreements,
+		},
+	})
+}
+
+// writeReportArtifact writes doc as indented JSON to path, the file CI
+// archives; an empty path writes nothing.
+func writeReportArtifact(path string, doc any) error {
+	if path == "" {
+		return nil
 	}
-	return rep, nil
+	data, err := json.MarshalIndent(doc, "", "  ")
+	if err != nil {
+		return err
+	}
+	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
+		return fmt.Errorf("experiments: write report artifact: %w", err)
+	}
+	return nil
 }
 
 // ChaosLifecycle is the registry adapter: run the default scenario in a

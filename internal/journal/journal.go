@@ -50,6 +50,10 @@ const frameHeaderSize = 8
 // it.
 const maxFrameSize = 1 << 26
 
+// MaxRecordBytes is maxFrameSize for the serving layer, which refuses a
+// request body no record could hold.
+const MaxRecordBytes = maxFrameSize
+
 // castagnoli is the CRC-32C table (the polynomial storage systems use).
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 

@@ -34,7 +34,7 @@ var Determinism = &lintkit.Analyzer{
 	Name: "determinism",
 	Doc:  "flag wall-clock, global PRNG and unsorted map-iteration output in the deterministic pipeline core",
 	Flags: []*lintkit.Flag{
-		{Name: "determinism.pkgs", Usage: "comma-separated package base names under the determinism invariant", Value: "synth,export,faults,experiments,classify,part,lifecycle"},
+		{Name: "determinism.pkgs", Usage: "comma-separated package base names under the determinism invariant", Value: "synth,export,faults,experiments,chaoskit,classify,part,lifecycle"},
 		{Name: "determinism.allow", Usage: "comma-separated fully qualified functions (pkgpath.Func) exempt from the determinism check", Value: ""},
 	},
 	Run: runDeterminism,

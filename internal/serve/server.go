@@ -16,6 +16,7 @@ import (
 	"repro/internal/classify"
 	"repro/internal/dataset"
 	"repro/internal/export"
+	"repro/internal/journal"
 	"repro/internal/retry"
 )
 
@@ -149,11 +150,49 @@ var copyBufPool = sync.Pool{New: func() any {
 	return &b
 }}
 
-// readBody drains the request body into a single string. Content-Length
-// (which our own client always sends) pre-sizes the builder, so the
-// whole body lands in one allocation instead of io.ReadAll's doubling
-// churn, and strings.Builder's String() hands back its buffer without
-// the second copy a []byte→string conversion would pay.
+// maxBodyBytes caps every request body a node or the router reads. It
+// is the journal's record limit: a larger batch could never be
+// accepted, so reading it only spends memory on a client's say-so.
+const maxBodyBytes = journal.MaxRecordBytes
+
+// ErrBodyTooLarge refuses a body that declares or delivers more than
+// maxBodyBytes; BodyErrorStatus turns it into a 413.
+var ErrBodyTooLarge = fmt.Errorf("serve: request body exceeds %d bytes", maxBodyBytes)
+
+// LimitBody bounds r.Body at maxBodyBytes, and refuses up front a
+// request whose Content-Length already says it is larger — before any
+// buffer is sized from that client-declared number.
+func LimitBody(w http.ResponseWriter, r *http.Request) error {
+	if r.ContentLength > maxBodyBytes {
+		return ErrBodyTooLarge
+	}
+	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
+	return nil
+}
+
+// ReadBody reads a whole request body under LimitBody's cap.
+func ReadBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
+	if err := LimitBody(w, r); err != nil {
+		return nil, err
+	}
+	return io.ReadAll(r.Body)
+}
+
+// BodyErrorStatus is the status for a body that could not be read or
+// parsed: 413 when the cap was hit, 400 otherwise.
+func BodyErrorStatus(err error) int {
+	if errors.Is(err, ErrBodyTooLarge) || errors.As(err, new(*http.MaxBytesError)) {
+		return http.StatusRequestEntityTooLarge
+	}
+	return http.StatusBadRequest
+}
+
+// readBody drains the request body (bounded by LimitBody) into a single
+// string. Content-Length (which our own client always sends) pre-sizes
+// the builder, so the whole body lands in one allocation instead of
+// io.ReadAll's doubling churn, and strings.Builder's String() hands
+// back its buffer without the second copy a []byte→string conversion
+// would pay.
 func readBody(r *http.Request) (string, error) {
 	var sb strings.Builder
 	if n := r.ContentLength; n > 0 {
@@ -308,11 +347,12 @@ type badRequestError struct{ error }
 // (journal I/O, a ledger body that no longer parses) is a 500.
 func errorResponse(err error) *classifyResponse {
 	resp := &classifyResponse{status: http.StatusInternalServerError, body: []byte(err.Error())}
+	var bad badRequestError
 	switch {
 	case errors.Is(err, errPostOnly):
 		resp.status = http.StatusMethodNotAllowed
-	case errors.As(err, new(badRequestError)):
-		resp.status = http.StatusBadRequest
+	case errors.As(err, &bad):
+		resp.status = BodyErrorStatus(bad.error)
 	case errors.Is(err, ErrOverloaded):
 		// Top of the admission ladder: shed.
 		resp.status, resp.retryAfter = http.StatusTooManyRequests, true
@@ -387,7 +427,7 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 		resp, err = s.dedupStage(c)
 	}
 	if resp == nil && err == nil {
-		err = s.decodeStage(r, c)
+		err = s.decodeStage(w, r, c)
 	}
 	if resp == nil && err == nil {
 		resp, err = s.admitStage(c)
@@ -455,11 +495,13 @@ func (s *Server) dedupStage(c *classifyCall) (*classifyResponse, error) {
 
 // decodeStage parses the request body in the format it negotiated,
 // keeping the canonical wire form when the batch will be journaled.
-func (s *Server) decodeStage(r *http.Request, c *classifyCall) error {
-	var err error
-	if c.binary {
+func (s *Server) decodeStage(w http.ResponseWriter, r *http.Request, c *classifyCall) error {
+	err := LimitBody(w, r)
+	switch {
+	case err != nil:
+	case c.binary:
 		c.events, c.wire, err = readBinaryEvents(r, c.journaled)
-	} else {
+	default:
 		c.events, c.wire, err = readEvents(r, c.journaled)
 	}
 	if err != nil {
@@ -625,13 +667,17 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
 		return
 	}
-	clf, err := LoadRules(r.Body, s.policy)
+	err := LimitBody(w, r)
+	var clf *classify.Classifier
+	if err == nil {
+		clf, err = LoadRules(r.Body, s.policy)
+	}
 	if err != nil {
 		// Supervised degraded mode: the old generation keeps serving;
 		// health reports the refused update instead of flapping.
 		s.engine.MarkDegraded(err.Error())
 		s.engine.Metrics().BadRequests.Add(1)
-		http.Error(w, err.Error(), http.StatusBadRequest)
+		http.Error(w, err.Error(), BodyErrorStatus(err))
 		return
 	}
 	gen, err := s.engine.Swap(clf)
@@ -685,9 +731,10 @@ func (s *Server) handleHandoffImport(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "no journal attached", http.StatusNotFound)
 		return
 	}
-	data, err := io.ReadAll(r.Body)
+	data, err := ReadBody(w, r)
 	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+		s.engine.Metrics().BadRequests.Add(1)
+		http.Error(w, err.Error(), BodyErrorStatus(err))
 		return
 	}
 	st, err := s.ledger.ImportChunk(data)
