@@ -74,8 +74,9 @@ govulncheck:
 
 # Native-fuzzing smoke: the single-event codec the /classify endpoint
 # parses on every request, the journal recovery path that must survive
-# torn tails on any shard subset and arbitrary bytes in a segment (one
-# fuzzer over the one on-disk format), the //lint:allow directive
+# torn tails on any shard subset, arbitrary bytes in a segment and a
+# compaction killed at any of its crash points (one fuzzer over the one
+# on-disk format), the //lint:allow directive
 # parser, and the facts (de)serializer whose fixed-point round trip
 # the vetx transport depends on (30s each).
 fuzz-smoke:
@@ -142,9 +143,12 @@ e2e-compare:
 # The layer benchmarks beside the code they measure: the engine's
 # per-frame work on fresh, hot and Zipf-mixed keys (ns/event,
 # allocs/event, bytes the worker state retains), feature extraction on
-# a frozen store from several goroutines, and the indexed match on the
-# 35-rule set a daemon trains at boot. Seconds per run: the first thing
-# to look at before a 30-second real-process pair (e2e-compare).
+# a frozen store from several goroutines, the indexed match on the
+# 35-rule set a daemon trains at boot, and the ledger on a full
+# retention window of 2,048 replies — one compaction (ms, how long a
+# writer stalls behind the shard locks, bytes written), one restart,
+# one dedup lookup hit and miss. Seconds per run: the first thing to
+# look at before a 30-second real-process pair (e2e-compare).
 bench-layers:
 	$(GO) test -run '^$$' -bench . -benchmem $(BENCHFLAGS) ./internal/serve ./internal/features ./internal/classify
 

@@ -16,7 +16,7 @@
 // across consistent-hash routing, failover and retransmit dedup.
 // Around the run loadgen reports the cluster's node states from
 // /healthz and the deltas of the router's forwarding counters
-// (requests, forwards, failovers, hedges, no-replica rejections), so a
+// (requests, forwards, failovers, no-replica rejections), so a
 // replay doubles as a cluster health report.
 //
 // Usage:
@@ -62,7 +62,7 @@ func run() error {
 	reloadAt := flag.Float64("reload-at", 0.5, "hot-reload the rule set after this fraction of the replay (<0 disables)")
 	rulesPath := flag.String("rules", "", "rule set JSON to verify against and reload (default: train locally)")
 	noVerify := flag.Bool("noverify", false, "skip the offline cross-check")
-	router := flag.Bool("router", false, "-addr is a longtailrouter front: report node states and failover/hedge counter deltas around the run")
+	router := flag.Bool("router", false, "-addr is a longtailrouter front: report node states and failover counter deltas around the run")
 	flag.Parse()
 	ctx := context.Background()
 
@@ -312,7 +312,6 @@ func reportRouter(ctx context.Context, client *serve.Client, before map[string]f
 		"longtail_router_requests_total",
 		"longtail_router_forwarded_total",
 		"longtail_failover_total",
-		"longtail_hedged_total",
 		"longtail_router_no_replica_total",
 		"longtail_router_reloads_total",
 		"longtail_router_reload_failures_total",

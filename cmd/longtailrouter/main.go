@@ -1,7 +1,7 @@
 // Command longtailrouter is the cluster front tier: it owns a
 // consistent-hash ring over longtaild replicas and forwards /classify
 // batches to the replica owning each request ID, with per-node circuit
-// breakers, hedged failover to ring successors, active health probing,
+// breakers, failover to ring successors, active health probing,
 // and generation-consistent rule distribution.
 //
 // The router speaks the same wire protocol as a single replica —
@@ -17,7 +17,7 @@
 //	longtailrouter -replicas 127.0.0.1:8787,127.0.0.1:8788,127.0.0.1:8789
 //	               [-addr :8780] [-probe-interval 2s] [-probe-timeout 1s]
 //	               [-eject-after 3] [-breaker-threshold 3] [-breaker-reset 2s]
-//	               [-hedge-delay 0] [-vnodes 64] [-drain 10s]
+//	               [-vnodes 64] [-drain 10s]
 //
 // Exactly-once across failover rides on the replicas' verdict ledgers:
 // the router forwards each batch's X-Request-Id unchanged and pins
@@ -57,7 +57,6 @@ func run() error {
 	ejectAfter := flag.Int("eject-after", 3, "consecutive failed probes before a replica is ejected from the ring")
 	breakerThreshold := flag.Int("breaker-threshold", 3, "consecutive forward failures tripping a replica's circuit breaker")
 	breakerReset := flag.Duration("breaker-reset", 2*time.Second, "breaker open period before a half-open probe")
-	hedgeDelay := flag.Duration("hedge-delay", 0, "launch a hedged attempt on the next ring successor after this stall (0: off)")
 	vnodes := flag.Int("vnodes", cluster.DefaultVirtualNodes, "virtual nodes per replica on the hash ring")
 	drain := flag.Duration("drain", 10*time.Second, "graceful shutdown budget")
 	flag.Parse()
@@ -77,7 +76,6 @@ func run() error {
 		EjectAfter:       *ejectAfter,
 		BreakerThreshold: *breakerThreshold,
 		BreakerReset:     *breakerReset,
-		HedgeDelay:       *hedgeDelay,
 		VirtualNodes:     *vnodes,
 	})
 	if err != nil {

@@ -215,3 +215,31 @@ func TestLeaveThenJoinStaysExactlyOnce(t *testing.T) {
 		t.Fatalf("storm retransmitted %d of 48", c.StormRetransmits)
 	}
 }
+
+// TestAcknowledgedAfterACrashSurvivesTheNextRestart: a kill -9 leaves
+// torn tails on the journal shards; the restarted replica acknowledges
+// more batches and is then stopped cleanly and restarted again. The
+// second restart must still find everything the first one acknowledged:
+// a tear left in the file sat, by then, in the middle of its shard's
+// history, where replay stops — and the storm reclassified every batch
+// sent in between.
+func TestAcknowledgedAfterACrashSurvivesTheNextRestart(t *testing.T) {
+	c := boot(t, 1, false, &faults.Config{Seed: 3, TornWriteRate: 1})
+	c.SendRange(0, 8)
+	if torn := c.Kill9(0, 8, 2); torn != 2 {
+		t.Fatalf("kill -9 tore %d shards, want 2", torn)
+	}
+	if rec, _ := c.Restart(0); rec.TornTailBytes == 0 {
+		t.Fatal("the restart found no torn tail; the test is vacuous")
+	}
+	c.SendRange(8, 24)
+	c.Stop(0)
+	if rec, _ := c.Restart(0); rec.TornTailBytes != 0 || rec.RecoveredResults != 24 {
+		t.Fatalf("second restart recovered %d results and %d torn bytes, want 24 and 0", rec.RecoveredResults, rec.TornTailBytes)
+	}
+	c.Storm(0, 24)
+	wantClean(t, c)
+	if c.StormRetransmits != 24 {
+		t.Fatalf("storm retransmitted %d of 24", c.StormRetransmits)
+	}
+}

@@ -185,9 +185,6 @@ func Boot(opts Options) (*Cluster, error) {
 		ProbeInterval:    0, // probes are driven by Probe, for determinism
 		ProbeTimeout:     time.Second,
 		EjectAfter:       3,
-		// HedgeDelay stays 0: a timer-raced duplicate classification would
-		// make Storm's zero-reclassification accounting timing-dependent.
-		// Failover on error is the path under test.
 	})
 	if err != nil {
 		c.Close()

@@ -61,7 +61,7 @@ func (c *Cluster) Kill9(i, lo, n int) (tornShards int) {
 // si: a complete header (length and CRC of a full result record) and
 // only the first half of the payload — the on-disk state a kill -9
 // leaves when it lands mid-write. It bypasses the ledger on purpose:
-// any durable path (fsync, compaction snapshot) would defeat the tear.
+// any durable path (fsync, compaction) would defeat the tear.
 // Recovery must discard the frame by its length alone, so the payload
 // is a record kind, a sequence prefix past anything recovered, and note.
 func tearShard(dir string, si int, note string) error {

@@ -240,7 +240,6 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "longtail_router_requests_total %d\n", m.Requests.Load())
 	fmt.Fprintf(w, "longtail_router_forwarded_total %d\n", m.Forwarded.Load())
 	fmt.Fprintf(w, "longtail_failover_total %d\n", m.Failover.Load())
-	fmt.Fprintf(w, "longtail_hedged_total %d\n", m.Hedged.Load())
 	fmt.Fprintf(w, "longtail_router_no_replica_total %d\n", m.NoReplica.Load())
 	fmt.Fprintf(w, "longtail_router_reloads_total %d\n", m.Reloads.Load())
 	fmt.Fprintf(w, "longtail_router_reload_failures_total %d\n", m.ReloadErr.Load())

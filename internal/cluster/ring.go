@@ -1,7 +1,7 @@
 // Package cluster scales the single-node serving layer horizontally: a
 // consistent-hash ring assigns every request to an owning replica, and a
 // health-aware router forwards batches with per-node circuit breakers
-// and hedged failover to ring successors. The exactly-once guarantees of
+// and failover to ring successors. The exactly-once guarantees of
 // one longtaild (journaled accepts, retransmit dedup by X-Request-Id)
 // compose across the cluster because failover retries carry the same
 // request ID the original attempt did: whichever replica accepted the

@@ -105,10 +105,6 @@ type Options struct {
 	// MaxConsecutiveFailures or chaos runs eject nodes that were only
 	// unlucky.
 	EjectAfter int
-	// HedgeDelay launches a hedged attempt on the next ring successor
-	// when the owner has not answered within this delay; 0 disables
-	// hedging (failover still happens on error).
-	HedgeDelay time.Duration
 	// VirtualNodes is the ring positions per replica (default
 	// DefaultVirtualNodes).
 	VirtualNodes int
@@ -150,7 +146,6 @@ type Metrics struct {
 	Requests  atomic.Uint64 // forwards attempted
 	Forwarded atomic.Uint64 // forwards answered successfully
 	Failover  atomic.Uint64 // extra attempts launched because one failed
-	Hedged    atomic.Uint64 // extra attempts launched by the hedge timer
 	NoReplica atomic.Uint64 // forwards rejected: no eligible replica
 	Reloads   atomic.Uint64
 	ReloadErr atomic.Uint64
@@ -165,7 +160,7 @@ type Metrics struct {
 }
 
 // Router fronts a replica set: consistent-hash ownership, per-node
-// circuit breakers, hedged failover along ring successors, active
+// circuit breakers, failover along ring successors, active
 // health probing, and generation-consistent rule distribution. The
 // exactly-once story rides on the replicas' ledgers: every forward
 // carries the client's X-Request-Id unchanged, and sticky routing pins
@@ -293,21 +288,15 @@ func (rt *Router) NextRequestID() string {
 // Metrics exposes the router counter set.
 func (rt *Router) Metrics() *Metrics { return &rt.metrics }
 
-// attemptResult is one replica attempt's outcome on the forward path.
-type attemptResult struct {
-	addr      string
-	data      []byte
-	replyType string // the replica's Content-Type for data
-	err       error
-}
-
-// ForwardTyped routes one pre-marshaled /classify body to the replica owning
-// id, failing over along ring successors on error and hedging to the
-// next successor when the owner stalls past HedgeDelay. Healthy nodes
-// are tried first, degraded ones only when no healthy candidate
-// remains; a node whose breaker refuses admission is skipped without an
-// attempt. The first success wins; its replica is pinned in the sticky
-// route cache so retransmits of id reach the same ledger.
+// ForwardTyped routes one pre-marshaled /classify body to the replica
+// owning id, failing over along ring successors on error, one attempt
+// at a time: a second replica is asked only after the first has failed,
+// never while it may still be classifying — two replicas working one ID
+// are two authorities for it. Healthy nodes are tried first, degraded
+// ones only when no healthy candidate remains; a node whose breaker
+// refuses admission is skipped without an attempt. The first success
+// wins; its replica is pinned in the sticky route cache so retransmits
+// of id reach the same ledger.
 //
 // The wire format travels with the body: contentType is the client's
 // Content-Type, sent to whichever replica is tried — first transmit,
@@ -315,11 +304,6 @@ type attemptResult struct {
 // Content-Type the answering replica gave data.
 func (rt *Router) ForwardTyped(ctx context.Context, id, contentType string, body []byte, timeout time.Duration) (data []byte, replyType string, err error) {
 	rt.metrics.Requests.Add(1)
-	candidates := rt.candidatesFor(id)
-	if len(candidates) == 0 {
-		rt.metrics.NoReplica.Add(1)
-		return nil, "", ErrNoReplica
-	}
 	// A usable pin marks the one replica whose ledger holds id's
 	// verdict. Its attempt retries transient failures in place (see
 	// attempt) instead of failing over: rerouting a pinned ID forfeits
@@ -329,69 +313,33 @@ func (rt *Router) ForwardTyped(ctx context.Context, id, contentType string, body
 	if r, ok := rt.lookupRoute(id); ok && !r.reconciling {
 		stickyAddr = r.addr
 	}
-
-	// Buffered to the candidate count: attempt goroutines can always
-	// deliver and exit, even after the caller has returned.
-	resCh := make(chan attemptResult, len(candidates))
-	next := 0
-	outstanding := 0
-	launchNext := func() bool {
-		for next < len(candidates) {
-			n := candidates[next]
-			next++
-			if err := n.breaker.Allow(); err != nil {
-				continue // breaker-open: skip without an attempt
-			}
-			outstanding++
-			n.inflight.Add(1)
-			go rt.attempt(ctx, n, id, contentType, body, timeout, n.addr == stickyAddr, resCh)
-			return true
-		}
-		return false
-	}
-	if !launchNext() {
-		rt.metrics.NoReplica.Add(1)
-		return nil, "", ErrNoReplica
-	}
-
-	var hedgeC <-chan time.Time
-	if rt.opts.HedgeDelay > 0 && next < len(candidates) {
-		t := time.NewTimer(rt.opts.HedgeDelay)
-		defer t.Stop()
-		hedgeC = t.C
-	}
 	var firstErr error
-	for outstanding > 0 {
-		select {
-		case res := <-resCh:
-			outstanding--
-			if res.err == nil {
-				rt.metrics.Forwarded.Add(1)
-				rt.recordRoute(id, res.addr)
-				return res.data, res.replyType, nil
-			}
-			if firstErr == nil {
-				firstErr = res.err
-			}
-			if retry.IsPermanent(res.err) {
-				// The replica answered and refused (4xx): another replica
-				// would refuse the same bytes the same way.
-				return nil, "", res.err
-			}
-			if launchNext() {
-				rt.metrics.Failover.Add(1)
-			}
-		case <-hedgeC:
-			hedgeC = nil
-			if launchNext() {
-				rt.metrics.Hedged.Add(1)
-			}
-		case <-ctx.Done():
+	for _, n := range rt.candidatesFor(id) {
+		if n.breaker.Allow() != nil {
+			continue // breaker-open: skip without an attempt
+		}
+		if firstErr != nil {
+			rt.metrics.Failover.Add(1)
+		}
+		data, replyType, err := rt.attempt(ctx, n, id, contentType, body, timeout, n.addr == stickyAddr)
+		switch {
+		case err == nil:
+			rt.metrics.Forwarded.Add(1)
+			rt.recordRoute(id, n.addr)
+			return data, replyType, nil
+		case ctx.Err() != nil:
 			return nil, "", ctx.Err()
+		case retry.IsPermanent(err):
+			// The replica answered and refused (4xx): another replica
+			// would refuse the same bytes the same way.
+			return nil, "", err
+		case firstErr == nil:
+			firstErr = err
 		}
 	}
 	if firstErr == nil {
-		firstErr = ErrNoReplica
+		rt.metrics.NoReplica.Add(1)
+		return nil, "", ErrNoReplica
 	}
 	return nil, "", fmt.Errorf("cluster: all replicas failed: %w", firstErr)
 }
@@ -403,8 +351,8 @@ func (rt *Router) Forward(ctx context.Context, id string, body []byte, timeout t
 }
 
 // attempt runs one replica attempt. The breaker slot taken by Allow is
-// always resolved here — a lost hedge still Records, or the single-probe
-// half-open admission would wedge.
+// always resolved here, or the single-probe half-open admission would
+// wedge.
 //
 // A sticky attempt (the replica pinned as id's ledger authority)
 // additionally retries transient failures in place, bounded by the
@@ -413,8 +361,13 @@ func (rt *Router) Forward(ctx context.Context, id string, body []byte, timeout t
 // Forward would fall back to reaches a replica without the verdict and
 // classifies the retransmit fresh. A genuinely dead pin still fails
 // over — its failures trip the breaker, which ends the retry loop.
-func (rt *Router) attempt(ctx context.Context, n *node, id, contentType string, body []byte, timeout time.Duration, sticky bool, resCh chan<- attemptResult) {
-	data, replyType, err := n.client.ClassifyRaw(ctx, id, contentType, body, timeout)
+func (rt *Router) attempt(ctx context.Context, n *node, id, contentType string, body []byte, timeout time.Duration, sticky bool) (data []byte, replyType string, err error) {
+	n.inflight.Add(1)
+	defer func() {
+		n.inflight.Add(-1)
+		rt.drainCond.Broadcast()
+	}()
+	data, replyType, err = n.client.ClassifyRaw(ctx, id, contentType, body, timeout)
 	if sticky {
 		pol := rt.opts.Retry
 		maxAttempts := pol.MaxAttempts
@@ -441,10 +394,7 @@ func (rt *Router) attempt(ctx context.Context, n *node, id, contentType string, 
 			n.failed.Add(1)
 			n.breaker.Record(err)
 			if n.breaker.Allow() != nil {
-				n.inflight.Add(-1)
-				rt.drainCond.Broadcast()
-				resCh <- attemptResult{addr: n.addr, err: err}
-				return
+				return nil, "", err
 			}
 			t := time.NewTimer(backoff)
 			select {
@@ -472,9 +422,7 @@ func (rt *Router) attempt(ctx context.Context, n *node, id, contentType string, 
 		n.failed.Add(1)
 		n.breaker.Record(err)
 	}
-	n.inflight.Add(-1)
-	rt.drainCond.Broadcast()
-	resCh <- attemptResult{addr: n.addr, data: data, replyType: replyType, err: err}
+	return data, replyType, err
 }
 
 // stickyRoute is one sticky-cache entry. A pinned entry (reconciling

@@ -362,32 +362,36 @@ func TestRouterBreakerSkipsOpenNode(t *testing.T) {
 	}
 }
 
-func TestRouterHedgeOnStall(t *testing.T) {
+// TestRouterNeverRacesAStalledOwner: a replica that is slow, not
+// failed, keeps the request to itself. A second replica is asked only
+// after the first attempt has failed — two replicas classifying and
+// journaling one ID would be two authorities for it.
+func TestRouterNeverRacesAStalledOwner(t *testing.T) {
 	replicas := []*fakeReplica{newFakeReplica(t), newFakeReplica(t)}
 	hang := make(chan struct{})
 	defer close(hang)
 
-	rt := newTestRouter(t, replicas, func(o *Options) {
-		o.HedgeDelay = 10 * time.Millisecond
-	})
-	id := "req-hedge"
+	rt := newTestRouter(t, replicas, nil)
+	id := "req-stalled"
 	owner := rt.ring.Load().Owner(id)
+	var other *fakeReplica
 	for _, f := range replicas {
 		if f.addr() == owner {
 			f.set(func(f *fakeReplica) { f.hang = hang })
+		} else {
+			other = f
 		}
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
-	data, err := rt.Forward(ctx, id, []byte("batch"), 0)
-	if err != nil {
-		t.Fatal(err)
+	if _, err := rt.Forward(ctx, id, []byte("batch"), 0); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("Forward = %v, want the caller's deadline", err)
 	}
-	if strings.Contains(string(data), owner) {
-		t.Fatalf("verdict %q came from the stalled owner", data)
+	if n := other.classifiedCount(); n != 0 {
+		t.Fatalf("the successor classified %d batches while the owner was still working", n)
 	}
-	if got := rt.Metrics().Hedged.Load(); got != 1 {
-		t.Errorf("hedged counter = %d, want 1", got)
+	if got := rt.Metrics().Failover.Load(); got != 0 {
+		t.Errorf("failover counter = %d for a stall, want 0", got)
 	}
 }
 
@@ -599,7 +603,7 @@ func TestRouterHandlerWireProtocol(t *testing.T) {
 		t.Fatal(err)
 	}
 	metrics := string(raw)
-	for _, want := range []string{"longtail_node_state{", "longtail_failover_total", "longtail_hedged_total", "longtail_probe_total{", "longtail_breaker_state{"} {
+	for _, want := range []string{"longtail_node_state{", "longtail_failover_total", "longtail_probe_total{", "longtail_breaker_state{"} {
 		if !strings.Contains(metrics, want) {
 			t.Errorf("metrics missing %s", want)
 		}

@@ -83,61 +83,6 @@ func AppendJSONString(dst []byte, s string) []byte {
 	return dst
 }
 
-// AppendJSONBytes is AppendJSONString for a byte slice, sparing callers
-// that hold []byte (journal payloads, response bodies) the string
-// conversion copy. Same byte-for-byte encoding contract.
-func AppendJSONBytes(dst, s []byte) []byte {
-	dst = append(dst, '"')
-	start := 0
-	for i := 0; i < len(s); {
-		if b := s[i]; b < utf8.RuneSelf {
-			if jsonSafe(b) {
-				i++
-				continue
-			}
-			dst = append(dst, s[start:i]...)
-			switch b {
-			case '\\', '"':
-				dst = append(dst, '\\', b)
-			case '\b':
-				dst = append(dst, '\\', 'b')
-			case '\f':
-				dst = append(dst, '\\', 'f')
-			case '\n':
-				dst = append(dst, '\\', 'n')
-			case '\r':
-				dst = append(dst, '\\', 'r')
-			case '\t':
-				dst = append(dst, '\\', 't')
-			default:
-				dst = append(dst, '\\', 'u', '0', '0', hexDigits[b>>4], hexDigits[b&0xF])
-			}
-			i++
-			start = i
-			continue
-		}
-		c, size := utf8.DecodeRune(s[i:])
-		if c == utf8.RuneError && size == 1 {
-			dst = append(dst, s[start:i]...)
-			dst = append(dst, '\\', 'u', 'f', 'f', 'f', 'd')
-			i += size
-			start = i
-			continue
-		}
-		if c == '\u2028' || c == '\u2029' {
-			dst = append(dst, s[start:i]...)
-			dst = append(dst, '\\', 'u', '2', '0', '2', hexDigits[c&0xF])
-			i += size
-			start = i
-			continue
-		}
-		i += size
-	}
-	dst = append(dst, s[start:]...)
-	dst = append(dst, '"')
-	return dst
-}
-
 // timeStrict reports whether t round-trips through time.Time's strict
 // RFC 3339 JSON marshaling (year within [0,9999], whole-minute zone
 // offset) — the preconditions under which AppendFormat(RFC3339Nano)

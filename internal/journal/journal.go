@@ -14,16 +14,19 @@
 //	shard-000/wal-00000001.seg   frame := [u32 len][u32 CRC-32C][kind][u64 seq][data]
 //	shard-000/wal-00000002.seg            (little endian; CRC over kind+seq+data)
 //	shard-001/wal-00000001.seg   one directory of numbered segments per shard
-//	sharded-00000003.snap        newest compaction snapshot (see CompactStaged)
 //
-// A single-shard journal is N = 1 of the same layout. Each shard is an
-// independent WAL with its own group-commit sync loop; a key picks the
-// shard, a global sequence number in every record restores the append
-// order at recovery (sharded.go). Recovery loads the newest valid
-// snapshot and replays every later segment of every shard, stopping a
-// shard at its first torn or corrupt frame — the standard WAL contract
-// under torn writes. It never appends to a pre-existing segment, so a
-// torn tail can never be followed by new valid frames.
+// and nothing else: the log is the state. A single-shard journal is
+// N = 1 of the same layout. Each shard is an independent WAL with its
+// own group-commit sync loop; a key picks the shard, a global sequence
+// number in every record restores the append order at recovery
+// (sharded.go). Recovery replays every segment of every shard, stopping
+// a shard at its first torn or corrupt frame — the standard WAL
+// contract under torn writes — and merges the records by sequence. It
+// never appends to a pre-existing segment, and cuts the newest one's
+// torn tail off at open, so a tear is never followed by valid frames.
+// Compaction (Sharded.Compact) keeps the log bounded by rewriting the
+// entries still live as ordinary records into fresh segments and
+// deleting the segments they supersede; recovery does not know it ran.
 //
 // Durability: AppendFunc is group-committed. Writes land in the shard's
 // segment under one lock; the appender then parks until the shard's
@@ -46,8 +49,7 @@ const frameHeaderSize = 8
 
 // maxFrameSize bounds one log record (matches the serving layer's
 // request budget) so a corrupt length field cannot drive a huge
-// allocation. Snapshot state is not a log record and is not bounded by
-// it.
+// allocation.
 const maxFrameSize = 1 << 26
 
 // MaxRecordBytes is maxFrameSize for the serving layer, which refuses a
@@ -57,7 +59,7 @@ const MaxRecordBytes = maxFrameSize
 // castagnoli is the CRC-32C table (the polynomial storage systems use).
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// File is what the journal writes segments and snapshots through.
+// File is what the journal writes segments through.
 // *os.File satisfies it; internal/faults decorates it with torn-write
 // and partial-fsync injection for crash tests.
 type File interface {
@@ -69,13 +71,12 @@ type File interface {
 // Options configures a journal. The zero value of every field selects a
 // default; Dir is required.
 type Options struct {
-	// Dir holds the shard directories and snapshot files; it is created
-	// if absent.
+	// Dir holds the shard directories; it is created if absent.
 	Dir string
 	// SegmentBytes rotates a shard's active segment once it exceeds this
 	// size (default 8 MiB).
 	SegmentBytes int64
-	// OpenFile creates segment/snapshot files for writing; nil selects
+	// OpenFile creates segment files for writing; nil selects
 	// os.Create. Fault-injection tests substitute a crashable file here.
 	OpenFile func(path string) (File, error)
 }
@@ -101,13 +102,11 @@ type Record struct {
 	Data []byte
 }
 
-// Recovered is what OpenSharded found on disk: the newest valid
-// snapshot (nil if none) and every acknowledged record appended after
-// it, in append order.
+// Recovered is what OpenSharded found on disk.
 type Recovered struct {
-	// Snapshot is the state the most recent valid CompactStaged encoded.
-	Snapshot []byte
-	// Records are the post-snapshot records, oldest first.
+	// Records are the records of every segment present, merged by
+	// sequence: append order, oldest first. After a compaction the oldest
+	// are its rewrite of the entries then live.
 	Records []Record
 	// TornTail counts bytes discarded at the end of shards' newest
 	// segments because they formed an incomplete or CRC-failing frame —

@@ -36,11 +36,17 @@ func appendAsync(s *Sharded, key string, kind byte, data []byte) error {
 	return s.AppendAsyncFunc(key, kind, func(dst []byte) []byte { return append(dst, data...) })
 }
 
-// compact snapshots state, captured up front: only safe when nothing
-// appends concurrently.
-func compact(s *Sharded, state []byte) error {
-	return s.CompactStaged(func() (func() ([]byte, error), error) {
-		return func() ([]byte, error) { return state, nil }, nil
+// rewrite compacts s down to one kind-1 record per live entry (key and
+// payload both the entry), captured up front: only safe when nothing
+// appends concurrently. It returns the bytes the rewrite appended.
+func rewrite(s *Sharded, live ...string) (int64, error) {
+	return s.Compact(func(put func(key string, kind byte, build func(dst []byte) []byte) error) error {
+		for _, e := range live {
+			if err := put(e, 1, func(dst []byte) []byte { return append(dst, e...) }); err != nil {
+				return err
+			}
+		}
+		return nil
 	})
 }
 
@@ -63,7 +69,7 @@ func crashFS(t *testing.T, cfg faults.Config) *faults.CrashFS {
 func TestAppendRecoverRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	s, rec := reopen(t, dir, 1)
-	if rec.Snapshot != nil || len(rec.Records) != 0 {
+	if len(rec.Records) != 0 {
 		t.Fatalf("fresh dir recovered %+v", rec)
 	}
 	for i := 0; i < 100; i++ {
@@ -89,10 +95,11 @@ func TestAppendRecoverRoundTrip(t *testing.T) {
 }
 
 // TestRootLevelFlatFilesRefused: a directory holding segment or
-// snapshot files at its root (the single-WAL layout this package once
-// wrote) is refused with an error naming the file, not half-read.
+// snapshot files at its root (the single-WAL layout and the compaction
+// snapshot this package once wrote) is refused with an error naming the
+// file, not half-read.
 func TestRootLevelFlatFilesRefused(t *testing.T) {
-	for _, name := range []string{"wal-00000001.seg", "state-00000002.snap"} {
+	for _, name := range []string{"wal-00000001.seg", "state-00000002.snap", "sharded-00000003.snap"} {
 		dir := t.TempDir()
 		if err := os.WriteFile(filepath.Join(dir, name), AppendFrame(nil, 1, []byte("old")), 0o644); err != nil {
 			t.Fatal(err)
@@ -411,8 +418,8 @@ func TestOversizeRecordRejected(t *testing.T) {
 
 // TestLiveBytesAcrossRotations: the compaction trigger accumulates
 // across segment rotations (so a threshold above one segment's size is
-// reachable), resets on compaction, and is seeded from the on-disk
-// backlog at open.
+// reachable), restarts at the rewrite's size on compaction, and is
+// seeded from the on-disk backlog at open.
 func TestLiveBytesAcrossRotations(t *testing.T) {
 	dir := t.TempDir()
 	s, _, err := OpenSharded(Options{Dir: dir, SegmentBytes: 256}, 1)
@@ -430,11 +437,12 @@ func TestLiveBytesAcrossRotations(t *testing.T) {
 	if lb := s.LiveBytes(); lb <= 256 {
 		t.Fatalf("LiveBytes = %d, capped at one segment — the compaction trigger can never fire", lb)
 	}
-	if err := compact(s, []byte("snap")); err != nil {
+	rewritten, err := rewrite(s, "live-a", "live-b")
+	if err != nil {
 		t.Fatal(err)
 	}
-	if lb := s.LiveBytes(); lb != 0 {
-		t.Fatalf("LiveBytes = %d after compaction, want 0", lb)
+	if lb := s.LiveBytes(); rewritten <= 0 || lb != rewritten {
+		t.Fatalf("LiveBytes = %d after a compaction that rewrote %d bytes, want exactly those", lb, rewritten)
 	}
 	for i := 0; i < 8; i++ {
 		if err := appendRec(s, "k", 1, bytes.Repeat([]byte{byte(i)}, 32)); err != nil {
@@ -442,8 +450,8 @@ func TestLiveBytesAcrossRotations(t *testing.T) {
 		}
 	}
 	postCompact := s.LiveBytes()
-	if postCompact <= 0 {
-		t.Fatalf("LiveBytes = %d after post-compaction appends", postCompact)
+	if postCompact <= rewritten {
+		t.Fatalf("LiveBytes = %d after post-compaction appends on a %d-byte rewrite", postCompact, rewritten)
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
@@ -454,15 +462,15 @@ func TestLiveBytesAcrossRotations(t *testing.T) {
 	}
 }
 
-// TestCompactStagedCapturesUnderWriteLock: the ledger protocol in
-// miniature — writers mark an ID in shared state *before* appending its
-// record, a compactor snapshots that state via CompactStaged. Because
-// stage runs under the write locks, any record already in a
-// to-be-deleted segment has its state mark visible to the capture; a
-// capture taken outside the locks can miss a record whose append beats
-// the rotation, deleting its only durable copy. After recovery, every
-// ID must appear in the snapshot or in a surviving segment.
-func TestCompactStagedCapturesUnderWriteLock(t *testing.T) {
+// TestCompactEmitsUnderWriteLocks: the ledger protocol in miniature —
+// writers mark an ID in shared state *before* appending its record, a
+// compactor rewrites that state via Compact. Because emit runs under
+// the write locks, after the seal, any record already in a sealed
+// segment has its state mark visible to emit; a state read before the
+// locks can miss a record whose append beats the rotation, deleting its
+// only durable copy. After recovery every ID must be in the log, and
+// the journal directory holds segments and nothing else.
+func TestCompactEmitsUnderWriteLocks(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := reopen(t, dir, 2)
 	const writers, perWriter = 4, 50
@@ -489,11 +497,16 @@ func TestCompactStagedCapturesUnderWriteLock(t *testing.T) {
 	go func() {
 		defer close(done)
 		for i := 0; i < 20; i++ {
-			err := s.CompactStaged(func() (func() ([]byte, error), error) {
+			_, err := s.Compact(func(put func(key string, kind byte, build func(dst []byte) []byte) error) error {
 				stateMu.Lock()
 				captured := state[:len(state):len(state)]
 				stateMu.Unlock()
-				return func() ([]byte, error) { return []byte(strings.Join(captured, "\n")), nil }, nil
+				for _, id := range captured {
+					if err := put(id, 1, func(dst []byte) []byte { return append(dst, id...) }); err != nil {
+						return err
+					}
+				}
+				return nil
 			})
 			if err != nil {
 				t.Error(err)
@@ -508,17 +521,82 @@ func TestCompactStagedCapturesUnderWriteLock(t *testing.T) {
 	}
 	_, rec := reopen(t, dir, 2)
 	present := make(map[string]bool)
-	for _, id := range strings.Split(string(rec.Snapshot), "\n") {
-		present[id] = true
-	}
 	for _, r := range rec.Records {
 		present[string(r.Data)] = true
 	}
 	for w := 0; w < writers; w++ {
 		for i := 0; i < perWriter; i++ {
 			if id := fmt.Sprintf("w%d-%03d", w, i); !present[id] {
-				t.Fatalf("record %s lost: not in the snapshot and its segment was deleted", id)
+				t.Fatalf("record %s lost: not rewritten and its segment was deleted", id)
 			}
+		}
+	}
+	onlySegments(t, dir)
+}
+
+// onlySegments fails the test unless dir holds shard directories of
+// wal-*.seg files and nothing else.
+func onlySegments(t *testing.T, dir string) {
+	t.Helper()
+	err := filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
+		if err != nil || path == dir {
+			return err
+		}
+		var idx uint64
+		pattern := "wal-%08d.seg"
+		if d.IsDir() {
+			pattern = "shard-%03d"
+		}
+		if n, _ := fmt.Sscanf(d.Name(), pattern, &idx); n != 1 {
+			t.Errorf("journal directory holds %s", path)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestTornTailCutAtOpen: records acknowledged after a crash must
+// survive the next restart too. The crash leaves a torn tail on the
+// newest segment; the reopened journal appends to the next segment, so
+// unless the tear is cut off at open the second restart finds it in the
+// middle of the shard's history and stops replaying before everything
+// acknowledged since.
+func TestTornTailCutAtOpen(t *testing.T) {
+	dir := t.TempDir()
+	s, _ := reopen(t, dir, 1)
+	for i := 0; i < 3; i++ {
+		if err := appendRec(s, "k", 1, []byte(fmt.Sprintf("first-%d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	truncateShardTail(t, dir, 0, 3)
+
+	s2, rec := reopen(t, dir, 1)
+	if len(rec.Records) != 2 || rec.TornTail == 0 {
+		t.Fatalf("after the tear: %d records, %d torn bytes; want 2 records and a torn tail", len(rec.Records), rec.TornTail)
+	}
+	for i := 0; i < 2; i++ {
+		if err := appendRec(s2, "k", 1, []byte(fmt.Sprintf("second-%d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s2.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	_, rec = reopen(t, dir, 1)
+	want := []string{"first-0", "first-1", "second-0", "second-1"}
+	if len(rec.Records) != len(want) || rec.TornTail != 0 {
+		t.Fatalf("second restart recovered %d records and %d torn bytes, want %d and 0: records acknowledged after the first restart are gone", len(rec.Records), rec.TornTail, len(want))
+	}
+	for i, r := range rec.Records {
+		if string(r.Data) != want[i] {
+			t.Fatalf("record %d = %q, want %q", i, r.Data, want[i])
 		}
 	}
 }
@@ -538,7 +616,7 @@ func TestDoubleClose(t *testing.T) {
 	if err := appendRec(s, "k", 1, []byte("y")); err == nil {
 		t.Fatal("append after Close succeeded")
 	}
-	if err := compact(s, []byte("z")); err == nil {
+	if _, err := rewrite(s, "z"); err == nil {
 		t.Fatal("compaction after Close succeeded")
 	}
 }

@@ -26,20 +26,13 @@ package journal
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sort"
 	"sync/atomic"
 )
 
-// snapMagic opens a snapshot header; the trailing digit versions the
-// file layout.
-const snapMagic = "lts2"
-
 func shardDirName(i int) string { return fmt.Sprintf("shard-%03d", i) }
-
-func snapshotName(index uint64) string { return fmt.Sprintf("sharded-%08d.snap", index) }
 
 // ShardIndex routes a key to one of n shards with FNV-1a — the same
 // affinity the serving layer's engine uses to pin an event ID to a
@@ -70,18 +63,16 @@ type Sharded struct {
 	// assigned inside the owning shard's write lock.
 	seq atomic.Uint64
 
-	// snapIdx is the newest snapshot index; only the one compaction
-	// holding the compacting latch reads or advances it.
-	snapIdx     uint64
 	compacting  atomic.Bool
 	compactions atomic.Uint64
 }
 
 // OpenSharded recovers whatever a previous process left in opts.Dir and
 // opens the journal with max(shards, shard directories on disk) shards,
-// every shard's sync loop running. A directory holding segment or
-// snapshot files at its root was not written by this layout and is
-// refused rather than half-read.
+// every shard's sync loop running. Recovery is one path: every segment
+// present in every shard is replayed and the records are merged by
+// sequence. A directory holding segment or snapshot files at its root
+// was not written by this layout and is refused rather than half-read.
 func OpenSharded(opts Options, shards int) (*Sharded, *Recovered, error) {
 	if opts.Dir == "" {
 		return nil, nil, fmt.Errorf("journal: empty dir")
@@ -94,54 +85,26 @@ func OpenSharded(opts Options, shards int) (*Sharded, *Recovered, error) {
 		return nil, nil, fmt.Errorf("journal: %w", err)
 	}
 	n := max(shards, 1)
-	var snapIdxs []uint64
 	for _, e := range entries {
 		var idx uint64
 		if c, _ := fmt.Sscanf(e.Name(), "shard-%03d", &idx); c == 1 && e.IsDir() {
 			n = max(n, int(idx)+1)
 		}
-		if c, _ := fmt.Sscanf(e.Name(), "sharded-%08d.snap", &idx); c == 1 {
-			snapIdxs = append(snapIdxs, idx)
-		}
-		for _, pattern := range []string{"wal-%08d.seg", "state-%08d.snap"} {
+		for _, pattern := range []string{"wal-%08d.seg", "state-%08d.snap", "sharded-%08d.snap"} {
 			if c, _ := fmt.Sscanf(e.Name(), pattern, &idx); c == 1 {
-				return nil, nil, fmt.Errorf("journal: %s holds root-level flat journal file %s; only the %s layout is read",
-					opts.Dir, e.Name(), shardDirName(0))
+				return nil, nil, fmt.Errorf("journal: %s holds root-level file %s; only %s/%s is read",
+					opts.Dir, e.Name(), shardDirName(0), segmentName(1))
 			}
 		}
 	}
 
-	// Newest snapshot that verifies wins; a torn one (crash during
-	// compaction, bit rot) is skipped in favor of its predecessor.
-	sort.Slice(snapIdxs, func(a, b int) bool { return snapIdxs[a] > snapIdxs[b] })
-	rec := &Recovered{}
-	fromSeg := make([]uint64, n)
-	var lastSeq uint64
-	for _, idx := range snapIdxs {
-		snap, err := readSnapshot(filepath.Join(opts.Dir, snapshotName(idx)))
-		if err != nil {
-			return nil, nil, err
-		}
-		if snap == nil {
-			continue
-		}
-		if len(snap.fromSeg) > n {
-			return nil, nil, fmt.Errorf("journal: snapshot %d covers %d shards but only %d exist on disk", idx, len(snap.fromSeg), n)
-		}
-		rec.Snapshot, lastSeq = snap.state, snap.lastSeq
-		copy(fromSeg, snap.fromSeg)
-		break
-	}
-
 	s := &Sharded{opts: opts, shards: make([]*wal, 0, n)}
-	if len(snapIdxs) > 0 {
-		s.snapIdx = snapIdxs[0] // slice is sorted descending
-	}
+	rec := &Recovered{}
 	var merged []seqRecord
 	for i := 0; i < n; i++ {
 		shardOpts := opts
 		shardOpts.Dir = filepath.Join(opts.Dir, shardDirName(i))
-		w, recs, err := openShard(shardOpts, fromSeg[i], rec)
+		w, recs, err := openShard(shardOpts, rec)
 		if err != nil {
 			s.Close()
 			return nil, nil, err
@@ -153,6 +116,7 @@ func OpenSharded(opts Options, shards int) (*Sharded, *Recovered, error) {
 	// sorted runs; stability keeps file order for anything else.
 	sort.SliceStable(merged, func(a, b int) bool { return merged[a].seq < merged[b].seq })
 	rec.Records = make([]Record, len(merged))
+	var lastSeq uint64
 	for i, sr := range merged {
 		rec.Records[i] = sr.rec
 		lastSeq = max(lastSeq, sr.seq)
@@ -161,13 +125,13 @@ func OpenSharded(opts Options, shards int) (*Sharded, *Recovered, error) {
 	return s, rec, nil
 }
 
-// openShard replays one shard directory (creating it if absent) from
-// segment fromSeg on and opens its WAL on a fresh segment.
-func openShard(opts Options, fromSeg uint64, rec *Recovered) (*wal, []seqRecord, error) {
+// openShard replays one shard directory (creating it if absent) and
+// opens its WAL on a fresh segment.
+func openShard(opts Options, rec *Recovered) (*wal, []seqRecord, error) {
 	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
 		return nil, nil, fmt.Errorf("journal: %w", err)
 	}
-	recs, lastSeg, diskBytes, err := replaySegments(opts.Dir, fromSeg, rec)
+	recs, lastSeg, diskBytes, err := replaySegments(opts.Dir, rec)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -175,88 +139,25 @@ func openShard(opts Options, fromSeg uint64, rec *Recovered) (*wal, []seqRecord,
 	return w, recs, err
 }
 
-// snapshot is a decoded snapshot file: the caller's state, the last
-// sequence number it dominates and, per shard, the first segment it
-// does not cover.
-type snapshot struct {
-	state   []byte
-	lastSeq uint64
-	fromSeg []uint64
-}
-
-// snapshotHeader renders the framed header that opens a snapshot file:
-// `[frame: magic, u32 shard count, u64 last seq, per-shard u64
-// from-segment, u64 state length, u32 state CRC-32C]`. The state bytes
-// follow it unframed, so a snapshot is written with two Writes and no
-// copy of the state, and its size is not bounded by maxFrameSize.
-func snapshotHeader(lastSeq uint64, fromSeg []uint64, state []byte) []byte {
-	p := make([]byte, 0, len(snapMagic)+4+8+8*len(fromSeg)+8+4)
-	p = append(p, snapMagic...)
-	p = binary.LittleEndian.AppendUint32(p, uint32(len(fromSeg)))
-	p = binary.LittleEndian.AppendUint64(p, lastSeq)
-	for _, fs := range fromSeg {
-		p = binary.LittleEndian.AppendUint64(p, fs)
-	}
-	p = binary.LittleEndian.AppendUint64(p, uint64(len(state)))
-	p = binary.LittleEndian.AppendUint32(p, crc32.Checksum(state, castagnoli))
-	return AppendFrame(nil, 0, p)
-}
-
-// readSnapshot loads and verifies one snapshot file. It returns nil
-// without error for a torn file — header frame incomplete or failing
-// its CRC, state shorter or longer than the header says, state CRC
-// mismatch — and an error for a file it cannot read or whose intact
-// header names a layout this version does not write.
-func readSnapshot(path string) (*snapshot, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("journal: read snapshot: %w", err)
-	}
-	payload, size, ok := nextFrame(data)
-	if !ok {
-		return nil, nil
-	}
-	p := payload[1:]
-	if len(p) < len(snapMagic) || string(p[:len(snapMagic)]) != snapMagic {
-		return nil, fmt.Errorf("journal: %s is not a %q snapshot; unsupported layout", filepath.Base(path), snapMagic)
-	}
-	p = p[len(snapMagic):]
-	if len(p) < 4+8 {
-		return nil, nil
-	}
-	count := int(binary.LittleEndian.Uint32(p))
-	snap := &snapshot{lastSeq: binary.LittleEndian.Uint64(p[4:])}
-	p = p[4+8:]
-	if len(p) != 8*count+8+4 {
-		return nil, nil
-	}
-	snap.fromSeg = make([]uint64, count)
-	for i := range snap.fromSeg {
-		snap.fromSeg[i] = binary.LittleEndian.Uint64(p[8*i:])
-	}
-	p = p[8*count:]
-	snap.state = data[size:]
-	if uint64(len(snap.state)) != binary.LittleEndian.Uint64(p) ||
-		crc32.Checksum(snap.state, castagnoli) != binary.LittleEndian.Uint32(p[8:]) {
-		return nil, nil
-	}
-	return snap, nil
-}
-
 // shard returns the WAL owning key.
 func (s *Sharded) shard(key string) *wal {
 	return s.shards[ShardIndex(key, len(s.shards))]
 }
 
-// write appends a record to key's shard with the next global sequence
-// number as its prefix. The sequence is drawn inside the shard's write
-// lock, so within a shard the file order and the sequence order agree —
-// the invariant the recovery merge depends on.
+// sequenced prefixes build's payload with the next global sequence
+// number. The number is drawn when the shard renders the frame, inside
+// its write lock, so within a shard the file order and the sequence
+// order agree — the invariant the recovery merge depends on.
+func (s *Sharded) sequenced(build func(dst []byte) []byte) func(dst []byte) []byte {
+	return func(dst []byte) []byte {
+		return build(binary.LittleEndian.AppendUint64(dst, s.seq.Add(1)))
+	}
+}
+
+// write appends a sequenced record to key's shard.
 func (s *Sharded) write(key string, kind byte, build func(dst []byte) []byte) (*wal, uint64, error) {
 	w := s.shard(key)
-	pos, err := w.writeFunc(kind, func(dst []byte) []byte {
-		return build(binary.LittleEndian.AppendUint64(dst, s.seq.Add(1)))
-	})
+	pos, err := w.writeFunc(kind, s.sequenced(build))
 	return w, pos, err
 }
 
@@ -294,29 +195,39 @@ func (s *Sharded) Sync() error {
 	return first
 }
 
-// CompactStaged captures the caller's state as the new recovery
-// baseline and deletes every segment it covers. stage runs with every
-// shard's write lock held — so what it captures dominates every record
-// on every shard, and no record can be appended between the capture and
-// the rotation that seals the old segments — and should be cheap:
-// capture references to (immutable) state and return an encode thunk.
-// Each shard then rotates to a fresh segment and the locks are
-// released; the expensive encode and the snapshot write happen with
-// appends flowing into the fresh segments, which recovery replays on
-// top of the snapshot. The snapshot lands in one root-level file
-// (snapshotHeader) via tmp+rename. stage and encode must not append to
-// this journal; an error from either aborts the compaction with the
-// log intact. Compaction is single-flight: a call that finds one
-// already running returns nil without compacting, since the in-flight
-// snapshot already dominates everything this caller observed.
-func (s *Sharded) CompactStaged(stage func() (func() ([]byte, error), error)) error {
+// Compact replaces the log's history with the entries that are still
+// live, written as ordinary records — the log stays the only form of
+// state on disk and recovery stays "replay every segment present".
+//
+// Seal: every shard's write lock is taken (ascending shard order) and
+// every shard rotates, so everything appended so far sits in sealed
+// segments. Emit: still under the locks, emit puts each live entry
+// through put, which appends it — next sequence number, key's shard —
+// to the fresh segments; no request's record can land between the seal
+// and the state, so a fresh segment begins with the state and the sealed
+// segments are superseded by construction. emit therefore has to see
+// every entry whose record a sealed segment holds: writers install an
+// entry in the caller's state before they append it. emit must not
+// call any other method of this journal. The locks are released, the
+// rewritten records are fsynced and only then are the sealed segments
+// deleted.
+//
+// A crash at any point leaves a log that replays to the same state:
+// before the fsync completes the sealed segments are all there and the
+// (possibly torn) rewrite repeats a prefix of what they say; after it,
+// any subset of the sealed segments may survive next to the complete
+// rewrite, which follows them in sequence order and so wins. An error
+// from emit or the fsync leaves the sealed segments in place.
+//
+// It returns the bytes the rewrite appended. Compaction is
+// single-flight: a call that finds one in flight returns 0, nil without
+// calling emit.
+func (s *Sharded) Compact(emit func(put func(key string, kind byte, build func(dst []byte) []byte) error) error) (int64, error) {
 	if !s.compacting.CompareAndSwap(false, true) {
-		return nil
+		return 0, nil
 	}
 	defer s.compacting.Store(false)
-	// Taking every shard's write lock in ascending shard order; the
-	// fixed order means two compactions (already excluded by the latch)
-	// or any future multi-shard path cannot deadlock.
+	// The fixed order means no two multi-shard paths can deadlock.
 	for _, w := range s.shards {
 		w.mu.Lock()
 	}
@@ -327,101 +238,73 @@ func (s *Sharded) CompactStaged(stage func() (func() ([]byte, error), error)) er
 	}
 	if s.shards[0].closed {
 		unlock()
-		return errClosed
+		return 0, errClosed
 	}
-	encode, err := stage()
-	if err != nil {
-		unlock()
-		return err
-	}
-	// Seal every active segment so the snapshot strictly dominates every
-	// earlier record, and reset the live-log counters now: from here on
-	// the live log is whatever lands in the fresh segments. (If the
-	// snapshot write below fails, the sealed segments survive with the
-	// counters already reset; the log is briefly under-counted, which
-	// only delays the next trigger.)
-	fromSeg := make([]uint64, len(s.shards))
+	// The live-log counters restart here: from now on the live log is
+	// whatever lands in the fresh segments. (If the rewrite fails the
+	// sealed segments survive uncounted, which only delays the next
+	// trigger.)
+	fresh := make([]uint64, len(s.shards))
 	for i, w := range s.shards {
 		if err := w.rotateLocked(); err != nil {
 			unlock()
-			return err
+			return 0, err
 		}
-		fromSeg[i] = w.segIndex // segments below the fresh one are covered
+		fresh[i] = w.segIndex
 		w.liveBytes = 0
 	}
-	// No append can be in flight with every write lock held, so this is
-	// exactly the highest sequence the snapshot dominates.
-	lastSeq := s.seq.Load()
+	err := emit(func(key string, kind byte, build func(dst []byte) []byte) error {
+		// No rotation: a shard's fresh segment takes its whole share of the
+		// state, so the locks are never held across an fsync of it.
+		w := s.shard(key)
+		frame, err := w.renderLocked(kind, s.sequenced(build))
+		if err == nil {
+			_, err = w.appendLocked(frame)
+		}
+		return err
+	})
+	var rewritten int64
+	for _, w := range s.shards {
+		rewritten += w.liveBytes
+	}
 	unlock()
 
-	state, err := encode()
+	if err == nil {
+		err = s.Sync()
+	}
 	if err != nil {
-		return err
+		return 0, fmt.Errorf("journal: compact: %w", err)
 	}
-	snapIdx := s.snapIdx + 1
-	path := filepath.Join(s.opts.Dir, snapshotName(snapIdx))
-	if err := s.writeSnapshot(path, snapshotHeader(lastSeq, fromSeg, state), state); err != nil {
-		return fmt.Errorf("journal: compact: %w", err)
-	}
-	s.snapIdx = snapIdx
 	s.compactions.Add(1)
-
-	// Best-effort cleanup — a crash anywhere below leaves redundant
-	// files that recovery skips (the snapshot header carries every
-	// shard's boundary) and the next compaction re-deletes.
+	// Best-effort: a sealed segment that survives (crash, failed remove)
+	// is replayed under the rewrite and deleted by the next compaction.
 	for i, w := range s.shards {
-		removeBelow(w.opts.Dir, "wal-%08d.seg", fromSeg[i])
+		removeBelow(w.opts.Dir, fresh[i])
 	}
-	removeBelow(s.opts.Dir, "sharded-%08d.snap", snapIdx)
-	return nil
+	return rewritten, nil
 }
 
-// writeSnapshot writes header then state to path via a synced temporary
-// file and a rename, so path either holds a complete snapshot or does
-// not exist.
-func (s *Sharded) writeSnapshot(path string, header, state []byte) error {
-	tmp := path + ".tmp"
-	f, err := s.opts.openFile(tmp)
-	if err != nil {
-		return err
-	}
-	for _, part := range [][]byte{header, state} {
-		if _, err := f.Write(part); err != nil {
-			f.Close()
-			return err
-		}
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
-}
-
-// removeBelow deletes the files in dir whose name matches pattern (one
-// %08d index) with an index below limit.
-func removeBelow(dir, pattern string, limit uint64) {
+// removeBelow deletes dir's segments with an index below limit.
+func removeBelow(dir string, limit uint64) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return
 	}
 	for _, e := range entries {
 		var idx uint64
-		if n, _ := fmt.Sscanf(e.Name(), pattern, &idx); n == 1 && idx < limit {
+		if n, _ := fmt.Sscanf(e.Name(), "wal-%08d.seg", &idx); n == 1 && idx < limit {
 			os.Remove(filepath.Join(dir, e.Name()))
 		}
 	}
 }
 
-// LiveBytes returns the bytes appended since the last compaction,
-// summed across shards and accumulated across segment rotations (and
-// seeded from the on-disk segments at open) — the replay debt a crash
-// right now would pay, and the number to compare against a compaction
-// threshold. It is not capped by SegmentBytes, so a threshold larger
-// than one segment is still reachable.
+// LiveBytes returns the bytes in the live log: what the last compaction
+// rewrote plus everything appended since, summed across shards and
+// accumulated across segment rotations (and seeded from the on-disk
+// segments at open) — the replay debt a crash right now would pay. A
+// compaction trigger compares it, less the rewrite Compact reported,
+// with its threshold. It is not capped by SegmentBytes, so a threshold
+// larger than one segment is still reachable.
 func (s *Sharded) LiveBytes() int64 {
 	var total int64
 	for _, w := range s.shards {

@@ -1,10 +1,10 @@
 package journal
 
 import (
-	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/faults"
@@ -199,165 +199,116 @@ func TestShardedCrashDurablePrefix(t *testing.T) {
 	}
 }
 
-// TestShardedCompaction: a compaction collapses every shard's history
-// into one root snapshot; recovery sees the snapshot plus only
-// post-compaction records, and the covered segments are gone.
+// TestShardedCompaction: a compaction replaces every shard's history
+// with the live entries, as ordinary records; recovery sees them,
+// in emit order, followed by the post-compaction records, and the
+// sealed segments are gone.
 func TestShardedCompaction(t *testing.T) {
 	for _, n := range []int{1, 3} {
 		dir := t.TempDir()
 		s, _ := reopen(t, dir, n)
 		appendKeyed(t, s, n, 20)
-		if err := compact(s, []byte("snapshot-state")); err != nil {
+		before := s.Stats()
+		live := []string{"live-c", "live-a", "live-b"}
+		rewritten, err := rewrite(s, live...)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if lb := s.LiveBytes(); lb != 0 {
-			t.Fatalf("LiveBytes = %d after compaction, want 0", lb)
+		// The rewrite is ordinary appends, counted as such.
+		if st := s.Stats(); st.Appends != before.Appends+3 || int64(st.Bytes-before.Bytes) != rewritten || st.Compactions != 1 {
+			t.Fatalf("stats %+v after rewriting %d bytes on top of %+v", st, rewritten, before)
 		}
 		for i := 0; i < 4; i++ {
 			if err := appendRec(s, fmt.Sprintf("post-%d", i), 2, []byte(fmt.Sprintf("new-%d", i))); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if st := s.Stats(); st.Compactions != 1 {
-			t.Fatalf("Compactions = %d, want 1", st.Compactions)
-		}
 		if err := s.Close(); err != nil {
 			t.Fatal(err)
 		}
 
 		_, rec := reopen(t, dir, n)
-		if string(rec.Snapshot) != "snapshot-state" {
-			t.Fatalf("snapshot = %q", rec.Snapshot)
-		}
-		if len(rec.Records) != 4 {
-			t.Fatalf("recovered %d post-snapshot records, want 4", len(rec.Records))
+		want := append(live, "new-0", "new-1", "new-2", "new-3")
+		if len(rec.Records) != len(want) {
+			t.Fatalf("recovered %d records, want the 3 rewritten and the 4 appended since", len(rec.Records))
 		}
 		for i, r := range rec.Records {
-			if string(r.Data) != fmt.Sprintf("new-%d", i) {
-				t.Fatalf("post-snapshot record %d = %q", i, r.Data)
+			if string(r.Data) != want[i] {
+				t.Fatalf("record %d = %q, want %q", i, r.Data, want[i])
 			}
 		}
 		for si := 0; si < n; si++ {
 			if _, err := os.Stat(filepath.Join(dir, shardDirName(si), segmentName(1))); !os.IsNotExist(err) {
-				t.Fatalf("compaction left shard %d's covered segment behind (stat: %v)", si, err)
+				t.Fatalf("compaction left shard %d's sealed segment behind (stat: %v)", si, err)
 			}
 		}
+		onlySegments(t, dir)
 	}
 }
 
-// TestShardedTornSnapshotSkipped: a snapshot file torn by a crash
-// mid-compaction is skipped; recovery falls back to the newest valid
-// snapshot and the records it does not cover.
-func TestShardedTornSnapshotSkipped(t *testing.T) {
+// TestFailedCompactionKeepsSealedSegments: an emit that fails midway
+// and a rewrite whose fsync fails both leave every sealed segment in
+// place, so the history the rewrite would have replaced still recovers
+// — under whatever part of the rewrite reached the fresh segments.
+func TestFailedCompactionKeepsSealedSegments(t *testing.T) {
+	const n, count = 2, 12
+	var failSync atomic.Bool
 	dir := t.TempDir()
-	const n = 2
-	s, _ := reopen(t, dir, n)
-	appendKeyed(t, s, n, 10)
-	if err := compact(s, []byte("good-state")); err != nil {
+	s, _, err := OpenSharded(Options{Dir: dir, OpenFile: func(path string) (File, error) {
+		f, err := os.Create(path)
+		return &failingSyncFile{File: f, fail: &failSync}, err
+	}}, n)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := appendRec(s, "after", 2, []byte("post-snap")); err != nil {
-		t.Fatal(err)
+	appendKeyed(t, s, n, count)
+	_, err = s.Compact(func(put func(key string, kind byte, build func(dst []byte) []byte) error) error {
+		if err := put("k-000", 1, func(dst []byte) []byte { return append(dst, "rec-0000"...) }); err != nil {
+			return err
+		}
+		return fmt.Errorf("state capture failed")
+	})
+	if err == nil {
+		t.Fatal("Compact swallowed the emit error")
+	}
+	_, err = s.Compact(func(put func(key string, kind byte, build func(dst []byte) []byte) error) error {
+		failSync.Store(true) // after the seal: the rewrite's own fsync is the one that fails
+		return put("k-001", 1, func(dst []byte) []byte { return append(dst, "rec-0001"...) })
+	})
+	if err == nil {
+		t.Fatal("Compact reported success although the rewrite was never made durable")
+	}
+	failSync.Store(false)
+	if st := s.Stats(); st.Compactions != 0 {
+		t.Fatalf("Compactions = %d after two failed compactions", st.Compactions)
 	}
 	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// A newer snapshot that never finished: garbage bytes under a
-	// higher index.
-	if err := os.WriteFile(filepath.Join(dir, snapshotName(99)), []byte("torn-garbage"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	_, rec := reopen(t, dir, n)
-	if string(rec.Snapshot) != "good-state" {
-		t.Fatalf("snapshot = %q, want the older valid snapshot", rec.Snapshot)
+	seen := make(map[string]bool)
+	for _, r := range rec.Records {
+		seen[string(r.Data)] = true
 	}
-	if len(rec.Records) != 1 || string(rec.Records[0].Data) != "post-snap" {
-		t.Fatalf("recovered %+v, want exactly the post-snapshot record", rec.Records)
+	for i := 0; i < count; i++ {
+		if !seen[fmt.Sprintf("rec-%04d", i)] {
+			t.Fatalf("record %d lost to a failed compaction", i)
+		}
 	}
 }
 
-// TestLargeSnapshotSurvivesAndDamageFallsBack: snapshot state is not a
-// log record, so a state above maxFrameSize compacts and recovers
-// intact; and a newer snapshot that is truncated or has one bit flipped
-// — in the header or anywhere in the state — fails its length/CRC check
-// and recovery falls back to the previous snapshot.
-func TestLargeSnapshotSurvivesAndDamageFallsBack(t *testing.T) {
-	dir := t.TempDir()
-	s, _ := reopen(t, dir, 2)
-	big := bytes.Repeat([]byte("long-tail "), (maxFrameSize+(1<<20))/10)
-	if len(big) <= maxFrameSize {
-		t.Fatalf("state of %d bytes does not exceed the frame limit", len(big))
-	}
-	if err := appendRec(s, "a", 1, []byte("covered")); err != nil {
-		t.Fatal(err)
-	}
-	if err := compact(s, big); err != nil {
-		t.Fatalf("compacting a %d-byte state: %v", len(big), err)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	_, rec := reopen(t, dir, 2)
-	if !bytes.Equal(rec.Snapshot, big) || len(rec.Records) != 0 {
-		t.Fatalf("recovered a %d-byte snapshot and %d records, want the %d-byte state and none", len(rec.Snapshot), len(rec.Records), len(big))
-	}
-
-	newer := snapshotHeader(0, []uint64{1, 1}, []byte("newer-state"))
-	newer = append(newer, "newer-state"...)
-	damage := map[string][]byte{
-		"truncated state":  newer[:len(newer)-4],
-		"truncated header": newer[:frameHeaderSize+6],
-		"trailing bytes":   append(append([]byte(nil), newer...), 0),
-	}
-	for _, at := range []int{frameHeaderSize + 7, len(newer) - 3} {
-		flipped := append([]byte(nil), newer...)
-		flipped[at] ^= 0x10
-		damage[fmt.Sprintf("bit flip at %d", at)] = flipped
-	}
-	for name, data := range damage {
-		if err := os.WriteFile(filepath.Join(dir, snapshotName(2)), data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		s2, rec, err := OpenSharded(Options{Dir: dir}, 2)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		s2.Close()
-		if !bytes.Equal(rec.Snapshot, big) {
-			t.Fatalf("%s: recovered a %d-byte snapshot, want the previous %d-byte one", name, len(rec.Snapshot), len(big))
-		}
-	}
-	// Undamaged, the newer snapshot wins — the fallback above was the
-	// damage, not the file being ignored.
-	if err := os.WriteFile(filepath.Join(dir, snapshotName(2)), newer, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	_, rec = reopen(t, dir, 2)
-	if string(rec.Snapshot) != "newer-state" {
-		t.Fatalf("intact newer snapshot not preferred: recovered %d bytes", len(rec.Snapshot))
-	}
+// failingSyncFile fails Sync while fail is set. It is not an *os.File,
+// so the journal syncs it through this method.
+type failingSyncFile struct {
+	File
+	fail *atomic.Bool
 }
 
-// TestSnapshotNamingMissingShardsFailsOpen: the shard count comes from
-// the request and the directories on disk; a snapshot header covering
-// more shards than exist means shard directories were lost, and the
-// open fails instead of silently dropping their records.
-func TestSnapshotNamingMissingShardsFailsOpen(t *testing.T) {
-	dir := t.TempDir()
-	s, _ := reopen(t, dir, 3)
-	appendKeyed(t, s, 3, 12)
-	if err := compact(s, []byte("state")); err != nil {
-		t.Fatal(err)
+func (f *failingSyncFile) Sync() error {
+	if f.fail.Load() {
+		return fmt.Errorf("injected fsync failure")
 	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.RemoveAll(filepath.Join(dir, shardDirName(2))); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := OpenSharded(Options{Dir: dir}, 1); err == nil {
-		t.Fatal("open succeeded with a snapshot covering 3 shards and 2 on disk")
-	}
+	return f.File.Sync()
 }
 
 // TestShardedShardCountGrowth: reopening with a higher shard count

@@ -23,7 +23,7 @@ type wal struct {
 	seg       File       // guarded by mu
 	segIndex  uint64     // guarded by mu
 	segBytes  int64      // guarded by mu
-	liveBytes int64      // guarded by mu; bytes appended since the last compaction, across rotations
+	liveBytes int64      // guarded by mu; bytes appended since the last compaction sealed the log, its rewrite included, across rotations
 	frameBuf  []byte     // guarded by mu; reusable frame scratch, so steady-state appends allocate nothing
 	closed    bool       // guarded by mu
 
@@ -100,17 +100,31 @@ func (w *wal) openSegmentLocked() error {
 
 // writeFunc appends one frame to the active segment (rotating first if
 // the segment is full) and returns the record's position in the shard.
-// The payload is rendered by the caller directly into the shard's
-// reusable frame buffer: build appends the payload bytes to dst and
-// returns the extended slice. One copy total — no intermediate payload
-// or frame allocations — which is what keeps the serving hot path's
-// accept records allocation-free. build runs under the shard's write
-// lock and must not call back into the journal.
 func (w *wal) writeFunc(kind byte, build func(dst []byte) []byte) (uint64, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	frame, err := w.renderLocked(kind, build)
+	if err != nil {
+		return 0, err
+	}
+	if w.segBytes > 0 && w.segBytes+int64(len(frame)) > w.opts.segmentBytes() {
+		if err := w.rotateLocked(); err != nil {
+			return 0, err
+		}
+	}
+	return w.appendLocked(frame)
+}
+
+// renderLocked builds one sealed frame in the shard's reusable frame
+// buffer, valid until the next call; callers hold w.mu. The payload is
+// rendered by the caller directly into that buffer: build appends the
+// payload bytes to dst and returns the extended slice. One copy total —
+// no intermediate payload or frame allocations — which is what keeps
+// the serving hot path's accept records allocation-free. build runs
+// under the shard's write lock and must not call back into the journal.
+func (w *wal) renderLocked(kind byte, build func(dst []byte) []byte) ([]byte, error) {
 	if w.closed {
-		return 0, errClosed
+		return nil, errClosed
 	}
 	frame := build(append(w.frameBuf[:0], 0, 0, 0, 0, 0, 0, 0, 0, kind))
 	w.frameBuf = frame[:0] // retain the grown capacity across calls
@@ -119,14 +133,16 @@ func (w *wal) writeFunc(kind byte, build func(dst []byte) []byte) (uint64, error
 	// oversized record must never be acknowledged as durable — it would
 	// silently take the rest of its segment down with it at recovery.
 	if n := len(frame) - frameHeaderSize; n > maxFrameSize {
-		return 0, fmt.Errorf("journal: record of %d bytes exceeds frame limit %d", n, maxFrameSize)
+		return nil, fmt.Errorf("journal: record of %d bytes exceeds frame limit %d", n, maxFrameSize)
 	}
 	sealFrame(frame)
-	if w.segBytes > 0 && w.segBytes+int64(len(frame)) > w.opts.segmentBytes() {
-		if err := w.rotateLocked(); err != nil {
-			return 0, err
-		}
-	}
+	return frame, nil
+}
+
+// appendLocked writes a rendered frame to the active segment, whatever
+// its size, and returns the record's position in the shard. Callers
+// hold w.mu.
+func (w *wal) appendLocked(frame []byte) (uint64, error) {
 	if _, err := w.seg.Write(frame); err != nil {
 		return 0, fmt.Errorf("journal: append: %w", err)
 	}
@@ -343,17 +359,20 @@ type seqRecord struct {
 	rec Record
 }
 
-// replaySegments reads the segment files in dir: those with index >=
-// fromSeg are replayed in order, stopping after a torn frame that is
-// not the final segment's crash tail (everything after a mid-history
-// tear is unreadable). A CRC-clean record too short to carry a
-// sequence prefix cannot have been written by this package and counts
-// as torn. It also returns the highest segment index on disk (0 if
-// none) and the summed size of every segment file — the seed for
+// replaySegments reads the segment files in dir in order, stopping
+// after a torn frame that is not the newest segment's crash tail
+// (everything after a mid-history tear is unreadable). The newest
+// segment's torn tail was never acknowledged and is cut off the file:
+// this process appends to the next segment, and a tear left in place
+// would read as mid-history damage at the following open and hide
+// everything acknowledged from here on. A CRC-clean record too short
+// to carry a sequence prefix cannot have been written by this package
+// and counts as torn. It also returns the highest segment index on disk
+// (0 if none) and the summed size of every segment file — the seed for
 // liveBytes, so a process restarting on top of a long un-compacted
 // history reaches its compaction threshold immediately, not after
 // another threshold's worth of fresh appends.
-func replaySegments(dir string, fromSeg uint64, rec *Recovered) (recs []seqRecord, lastSeg uint64, diskBytes int64, err error) {
+func replaySegments(dir string, rec *Recovered) (recs []seqRecord, lastSeg uint64, diskBytes int64, err error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, 0, 0, fmt.Errorf("journal: %w", err)
@@ -374,14 +393,13 @@ func replaySegments(dir string, fromSeg uint64, rec *Recovered) (recs []seqRecor
 		lastSeg = segIdx[len(segIdx)-1]
 	}
 	for _, idx := range segIdx {
-		if idx < fromSeg {
-			continue
-		}
-		data, err := os.ReadFile(filepath.Join(dir, segmentName(idx)))
+		path := filepath.Join(dir, segmentName(idx))
+		data, err := os.ReadFile(path)
 		if err != nil {
 			return nil, 0, 0, fmt.Errorf("journal: read segment: %w", err)
 		}
 		rec.Segments++
+		fileSize := int64(len(data))
 		for len(data) > 0 {
 			payload, size, ok := nextFrame(data)
 			if !ok || len(payload) < 1+seqPrefixSize {
@@ -397,6 +415,9 @@ func replaySegments(dir string, fromSeg uint64, rec *Recovered) (recs []seqRecor
 			rec.TornTail += int64(len(data))
 			if idx != lastSeg {
 				break
+			}
+			if err := os.Truncate(path, fileSize-int64(len(data))); err != nil {
+				return nil, 0, 0, fmt.Errorf("journal: cut torn tail: %w", err)
 			}
 		}
 	}

@@ -9,6 +9,7 @@ import (
 	"hash/crc32"
 	"io"
 	"net/http"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -85,82 +86,83 @@ func (c *Client) nextRequestID(body []byte) string {
 	return fmt.Sprintf("%s-%06d-%08x", prefix, c.seq.Add(1), crc32.Checksum(body, idChecksum))
 }
 
-// post sends body and returns the response body, retrying per policy.
-// The same requestID header rides every attempt. A 202 means the
-// server journaled the batch and deferred classification; the caller
-// polls /result.
-func (c *Client) post(ctx context.Context, path string, body []byte, requestID, contentType string) ([]byte, bool, error) {
-	var out []byte
-	deferred := false
-	err := retry.Do(ctx, c.Retry, func(ctx context.Context) error {
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.BaseURL+path, bytes.NewReader(body))
-		if err != nil {
-			return retry.Permanent(err)
+// errDeferred is do's reading of a 202: the server journaled the batch
+// and deferred classification; the verdicts come from /result.
+var errDeferred = errors.New("serve: batch deferred")
+
+// errNotFound is do's reading of a 404. What it means is the path's
+// business: FetchResult reads it as ErrUnknownRequest.
+var errNotFound = errors.New("404 Not Found")
+
+// do performs one exchange — header is name, value pairs, empty values
+// skipped — and returns the response body, its Content-Type and the one
+// reading of the status every method shares: nil for 200, errDeferred
+// for 202, ErrResultPending for 204, a permanent error matching
+// errNotFound for 404, a retryable error for 429 (backpressure)
+// and 5xx, a permanent one for any other status. Transport errors are
+// retryable. The body is returned whatever the status.
+func (c *Client) do(ctx context.Context, method, path string, body []byte, header ...string) (data []byte, replyType string, err error) {
+	var rd io.Reader
+	if body != nil {
+		rd = bytes.NewReader(body)
+	}
+	req, err := http.NewRequestWithContext(ctx, method, c.BaseURL+path, rd)
+	if err != nil {
+		return nil, "", retry.Permanent(err)
+	}
+	for i := 0; i+1 < len(header); i += 2 {
+		if header[i+1] != "" {
+			req.Header.Set(header[i], header[i+1])
 		}
-		if requestID != "" {
-			req.Header.Set(RequestIDHeader, requestID)
-		}
-		if contentType != "" {
-			req.Header.Set("Content-Type", contentType)
-		}
-		if c.Timeout > 0 {
-			req.Header.Set(TimeoutHeader, fmt.Sprintf("%d", c.Timeout.Milliseconds()))
-		}
-		resp, err := c.httpClient().Do(req)
-		if err != nil {
-			return err
-		}
-		defer resp.Body.Close()
-		data, err := io.ReadAll(resp.Body)
-		if err != nil {
-			return err
-		}
-		switch {
-		case resp.StatusCode == http.StatusOK:
-			out = data
-			return nil
-		case resp.StatusCode == http.StatusAccepted:
-			deferred = true
-			return nil
-		case resp.StatusCode == http.StatusTooManyRequests || resp.StatusCode >= 500:
-			// Backpressure or server-side trouble: retry after backoff.
-			return fmt.Errorf("serve: %s: %s", path, resp.Status)
-		default:
-			return retry.Permanent(fmt.Errorf("serve: %s: %s: %s", path, resp.Status, bytes.TrimSpace(data)))
-		}
-	})
-	return out, deferred, err
+	}
+	resp, err := c.httpClient().Do(req)
+	if err != nil {
+		return nil, "", err
+	}
+	defer resp.Body.Close()
+	if data, err = io.ReadAll(resp.Body); err != nil {
+		return nil, "", err
+	}
+	route, _, _ := strings.Cut(path, "?")
+	switch code := resp.StatusCode; {
+	case code == http.StatusOK:
+	case code == http.StatusAccepted:
+		err = errDeferred
+	case code == http.StatusNoContent:
+		err = ErrResultPending
+	case code == http.StatusTooManyRequests || code >= 500:
+		err = fmt.Errorf("serve: %s: %s", route, resp.Status)
+	case code == http.StatusNotFound:
+		err = retry.Permanent(fmt.Errorf("serve: %s: %w: %s", route, errNotFound, bytes.TrimSpace(data)))
+	default:
+		err = retry.Permanent(fmt.Errorf("serve: %s: %s: %s", route, resp.Status, bytes.TrimSpace(data)))
+	}
+	return data, resp.Header.Get("Content-Type"), err
 }
 
-// parseVerdicts decodes a line-JSON verdict stream. The body converts
-// to one string and canonical lines (the exact shape appendVerdictLine
-// emits) decode by substring slicing; anything else falls back to
-// encoding/json per line.
-func parseVerdicts(data []byte) ([]VerdictRecord, error) {
-	s := string(data)
-	verdicts := make([]VerdictRecord, 0, strings.Count(s, "\n")+1)
-	for len(s) > 0 {
-		line := s
-		if nl := strings.IndexByte(s, '\n'); nl >= 0 {
-			line, s = s[:nl], s[nl+1:]
-		} else {
-			s = ""
-		}
-		line = strings.TrimSuffix(line, "\r")
-		if len(line) == 0 {
-			continue
-		}
-		if v, ok := parseVerdictLine(line); ok {
-			verdicts = append(verdicts, v)
-			continue
-		}
-		var v VerdictRecord
-		if err := json.Unmarshal([]byte(line), &v); err != nil {
-			return nil, fmt.Errorf("serve: verdict line: %w", err)
-		}
-		verdicts = append(verdicts, v)
+// timeoutHeader renders a per-request deadline for TimeoutHeader; "" —
+// no header — when there is none.
+func timeoutHeader(d time.Duration) string {
+	if d <= 0 {
+		return ""
 	}
-	return verdicts, nil
+	return strconv.FormatInt(d.Milliseconds(), 10)
+}
+
+// post sends body and returns the response body, retrying per policy.
+// The same requestID header rides every attempt. deferred reports a
+// 202; the caller polls /result.
+func (c *Client) post(ctx context.Context, path string, body []byte, requestID, contentType string) (out []byte, deferred bool, err error) {
+	err = retry.Do(ctx, c.Retry, func(ctx context.Context) error {
+		var err error
+		out, _, err = c.do(ctx, http.MethodPost, path, body,
+			RequestIDHeader, requestID, "Content-Type", contentType, TimeoutHeader, timeoutHeader(c.Timeout))
+		if deferred = errors.Is(err, errDeferred); deferred {
+			return nil
+		}
+		return err
+	})
+	return out, deferred, err
 }
 
 // Classify streams a batch of events to /classify and parses the
@@ -236,7 +238,7 @@ func (c *Client) classify(ctx context.Context, id string, body []byte, n int) ([
 	if c.Binary {
 		verdicts, err = decodeBinaryVerdicts(string(data))
 	} else {
-		verdicts, err = parseVerdicts(data)
+		verdicts, err = parseVerdictBody(data)
 	}
 	if err != nil {
 		return nil, err
@@ -250,40 +252,21 @@ func (c *Client) classify(ctx context.Context, id string, body []byte, n int) ([
 // pollResult fetches the verdicts of a journaled-and-deferred batch,
 // backing off while the background worker catches up (204); binary
 // asks for them in the binary wire format.
-func (c *Client) pollResult(ctx context.Context, id string, binary bool) ([]byte, error) {
-	var out []byte
+func (c *Client) pollResult(ctx context.Context, id string, binary bool) (out []byte, err error) {
 	pol := c.Retry
 	if pol.MaxAttempts == 0 {
 		pol.MaxAttempts = 50
 	} else if pol.MaxAttempts > 0 {
 		pol.MaxAttempts *= 10
 	}
-	err := retry.Do(ctx, pol, func(ctx context.Context) error {
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+"/result?id="+id, nil)
-		if err != nil {
-			return retry.Permanent(err)
-		}
-		if binary {
-			req.Header.Set("Accept", ContentTypeBinaryVerdicts)
-		}
-		resp, err := c.httpClient().Do(req)
-		if err != nil {
-			return err
-		}
-		defer resp.Body.Close()
-		data, err := io.ReadAll(resp.Body)
-		if err != nil {
-			return err
-		}
-		switch resp.StatusCode {
-		case http.StatusOK:
-			out = data
-			return nil
-		case http.StatusNoContent:
-			return fmt.Errorf("serve: result %s still pending", id)
-		default:
-			return retry.Permanent(fmt.Errorf("serve: /result: %s: %s", resp.Status, bytes.TrimSpace(data)))
-		}
+	accept := ""
+	if binary {
+		accept = ContentTypeBinaryVerdicts
+	}
+	err = retry.Do(ctx, pol, func(ctx context.Context) error {
+		var err error
+		out, _, err = c.do(ctx, http.MethodGet, "/result?id="+id, nil, "Accept", accept)
+		return err
 	})
 	return out, err
 }
@@ -311,42 +294,22 @@ var (
 // replica has accepted the batch, its ledger owns the verdict, so there
 // is nothing to fail over.
 func (c *Client) ClassifyRaw(ctx context.Context, id, contentType string, body []byte, timeout time.Duration) (data []byte, replyType string, err error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.BaseURL+"/classify", bytes.NewReader(body))
-	if err != nil {
-		return nil, "", retry.Permanent(err)
-	}
-	req.Header.Set(RequestIDHeader, id)
-	if contentType != "" {
-		req.Header.Set("Content-Type", contentType)
-	}
-	if timeout > 0 {
-		req.Header.Set(TimeoutHeader, fmt.Sprintf("%d", timeout.Milliseconds()))
-	}
-	resp, err := c.httpClient().Do(req)
-	if err != nil {
-		return nil, "", err
-	}
-	defer resp.Body.Close()
-	data, err = io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, "", err
-	}
+	data, replyType, err = c.do(ctx, http.MethodPost, "/classify", body,
+		RequestIDHeader, id, "Content-Type", contentType, TimeoutHeader, timeoutHeader(timeout))
 	switch {
-	case resp.StatusCode == http.StatusOK:
-		return data, resp.Header.Get("Content-Type"), nil
-	case resp.StatusCode == http.StatusAccepted:
-		c.Deferred.Add(1)
-		binary := isBinaryEvents(contentType)
-		if binary {
-			replyType = ContentTypeBinaryVerdicts
-		}
-		data, err = c.pollResult(ctx, id, binary)
-		return data, replyType, err
-	case resp.StatusCode == http.StatusTooManyRequests || resp.StatusCode >= 500:
-		return nil, "", fmt.Errorf("serve: /classify: %s", resp.Status)
-	default:
-		return nil, "", retry.Permanent(fmt.Errorf("serve: /classify: %s: %s", resp.Status, bytes.TrimSpace(data)))
+	case err == nil:
+		return data, replyType, nil
+	case !errors.Is(err, errDeferred):
+		return nil, "", err
 	}
+	c.Deferred.Add(1)
+	binary := isBinaryEvents(contentType)
+	replyType = ""
+	if binary {
+		replyType = ContentTypeBinaryVerdicts
+	}
+	data, err = c.pollResult(ctx, id, binary)
+	return data, replyType, err
 }
 
 // FetchResult asks this replica's ledger for the verdicts of id in a
@@ -354,29 +317,11 @@ func (c *Client) ClassifyRaw(ctx context.Context, id, contentType string, body [
 // unclassified, ErrUnknownRequest when the ledger has never seen the
 // ID.
 func (c *Client) FetchResult(ctx context.Context, id string) ([]byte, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+"/result?id="+id, nil)
-	if err != nil {
-		return nil, retry.Permanent(err)
+	data, _, err := c.do(ctx, http.MethodGet, "/result?id="+id, nil)
+	if errors.Is(err, errNotFound) {
+		err = ErrUnknownRequest
 	}
-	resp, err := c.httpClient().Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, err
-	}
-	switch resp.StatusCode {
-	case http.StatusOK:
-		return data, nil
-	case http.StatusNoContent:
-		return nil, ErrResultPending
-	case http.StatusNotFound:
-		return nil, ErrUnknownRequest
-	default:
-		return nil, fmt.Errorf("serve: /result: %s: %s", resp.Status, bytes.TrimSpace(data))
-	}
+	return data, err
 }
 
 // Reload posts a rulemine-format JSON rule set to /admin/reload and
@@ -396,19 +341,15 @@ func (c *Client) Reload(ctx context.Context, rulesJSON []byte) (uint64, error) {
 	return resp.Generation, nil
 }
 
-// Health fetches /healthz.
+// Health fetches /healthz. A router that is not "ok" answers 503 with
+// the same document, so the body is decoded whatever the status.
 func (c *Client) Health(ctx context.Context) (map[string]any, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+"/healthz", nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.httpClient().Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
+	data, _, err := c.do(ctx, http.MethodGet, "/healthz", nil)
 	var out map[string]any
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+	if jerr := json.Unmarshal(data, &out); jerr != nil {
+		if err == nil {
+			err = jerr
+		}
 		return nil, err
 	}
 	return out, nil
@@ -417,21 +358,12 @@ func (c *Client) Health(ctx context.Context) (map[string]any, error) {
 // Lifecycle fetches /admin/lifecycle — the champion/challenger state a
 // lifecycle-enabled daemon (or, aggregated, the cluster router) exposes.
 func (c *Client) Lifecycle(ctx context.Context) (map[string]any, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+"/admin/lifecycle", nil)
+	data, _, err := c.do(ctx, http.MethodGet, "/admin/lifecycle", nil)
 	if err != nil {
 		return nil, err
-	}
-	resp, err := c.httpClient().Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		data, _ := io.ReadAll(resp.Body)
-		return nil, fmt.Errorf("serve: /admin/lifecycle: %s: %s", resp.Status, bytes.TrimSpace(data))
 	}
 	var out map[string]any
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+	if err := json.Unmarshal(data, &out); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -443,23 +375,8 @@ func (c *Client) Lifecycle(ctx context.Context) (map[string]any, error) {
 // and breaker state, the same way it owns them for forwarded classify
 // traffic.
 func (c *Client) HandoffExport(ctx context.Context) ([]byte, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+"/admin/handoff/export", nil)
-	if err != nil {
-		return nil, retry.Permanent(err)
-	}
-	resp, err := c.httpClient().Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("serve: /admin/handoff/export: %s: %s", resp.Status, bytes.TrimSpace(data))
-	}
-	return data, nil
+	data, _, err := c.do(ctx, http.MethodGet, "/admin/handoff/export", nil)
+	return data, err
 }
 
 // HandoffImportStatsWire is the JSON ack /admin/handoff/import returns.
@@ -476,22 +393,9 @@ type HandoffImportStatsWire struct {
 // retry.Do.
 func (c *Client) HandoffImport(ctx context.Context, chunk []byte) (HandoffImportStatsWire, error) {
 	var st HandoffImportStatsWire
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.BaseURL+"/admin/handoff/import", bytes.NewReader(chunk))
-	if err != nil {
-		return st, retry.Permanent(err)
-	}
-	req.Header.Set("Content-Type", "application/octet-stream")
-	resp, err := c.httpClient().Do(req)
+	data, _, err := c.do(ctx, http.MethodPost, "/admin/handoff/import", chunk, "Content-Type", "application/octet-stream")
 	if err != nil {
 		return st, err
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return st, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return st, fmt.Errorf("serve: /admin/handoff/import: %s: %s", resp.Status, bytes.TrimSpace(data))
 	}
 	if err := json.Unmarshal(data, &st); err != nil {
 		return st, fmt.Errorf("serve: handoff import ack: %w", err)
@@ -501,15 +405,6 @@ func (c *Client) HandoffImport(ctx context.Context, chunk []byte) (HandoffImport
 
 // Metrics fetches the raw /metrics exposition text.
 func (c *Client) Metrics(ctx context.Context) (string, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+"/metrics", nil)
-	if err != nil {
-		return "", err
-	}
-	resp, err := c.httpClient().Do(req)
-	if err != nil {
-		return "", err
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
+	data, _, err := c.do(ctx, http.MethodGet, "/metrics", nil)
 	return string(data), err
 }

@@ -6,9 +6,6 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
-
-	"repro/internal/dataset"
-	"repro/internal/export"
 )
 
 // The verdict-line fast codec's contract mirrors export's: the append
@@ -98,61 +95,6 @@ func TestVerdictKey(t *testing.T) {
 		want := fmt.Sprintf("%s %s %v", v.File, v.Verdict, v.Rules)
 		if got := v.Key(); got != want {
 			t.Errorf("Key() = %q, want %q", got, want)
-		}
-	}
-}
-
-// TestSnapshotEncodingMatchesJSON holds the hand-rolled compaction
-// snapshot encoder byte-identical to the json.Marshal of the
-// ledgerSnapshot shape it replaced — the recovery decoder stays
-// encoding/json, so equivalence here is what keeps old and new
-// snapshots mutually readable.
-func TestSnapshotEncodingMatchesJSON(t *testing.T) {
-	f := sharedFixture(t)
-	cases := []struct {
-		name    string
-		results map[string][]byte
-		pending map[string][]dataset.DownloadEvent
-	}{
-		{"empty", map[string][]byte{}, map[string][]dataset.DownloadEvent{}},
-		{"mixed", map[string][]byte{
-			"b-02": []byte("{\"type\":\"verdict\"}\n{\"v\":2}\n"),
-			"a-01": []byte("line with \"quotes\" and <html> & bytes\n"),
-			"c-03": {0xff, 0x80, '\n', 0x01},
-		}, map[string][]dataset.DownloadEvent{
-			"p-02": f.replay[0:2],
-			"p-01": f.replay[2:3],
-		}},
-	}
-	for _, tc := range cases {
-		snap := ledgerSnapshot{
-			Results: make(map[string]string, len(tc.results)),
-			Pending: make(map[string][]string, len(tc.pending)),
-		}
-		for id, v := range tc.results {
-			snap.Results[id] = string(v)
-		}
-		for id, events := range tc.pending {
-			lines := make([]string, len(events))
-			for i := range events {
-				line, err := export.MarshalEventLine(&events[i])
-				if err != nil {
-					t.Fatal(err)
-				}
-				lines[i] = string(line)
-			}
-			snap.Pending[id] = lines
-		}
-		want, err := json.Marshal(snap)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := appendSnapshot(tc.results, tc.pending)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Errorf("%s: appendSnapshot = %q, want %q", tc.name, got, want)
 		}
 	}
 }

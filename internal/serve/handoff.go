@@ -2,9 +2,8 @@ package serve
 
 import (
 	"fmt"
+	"slices"
 
-	"repro/internal/dataset"
-	"repro/internal/export"
 	"repro/internal/journal"
 )
 
@@ -57,18 +56,17 @@ type HandoffImportStats struct {
 
 // ExportRange snapshots the ledger entries whose request ID the
 // predicate claims are migrating and renders them as CRC-framed chunks:
-// every completed (request-ID, response-body) pair first, then every
-// pending accepted-but-unresulted batch, both in sorted-ID order so an
-// export is deterministic for a given ledger state. The capture is
-// atomic: both maps are walked under the ledger lock (bodies and event
-// slices are immutable once stored, so retaining references pins a
-// consistent view), which is what makes exporting safe against a
+// every completed (request-ID, response-body) pair first, in completion
+// order — so the importer's eviction queue inherits it — then every
+// pending accepted-but-unresulted batch in sorted-ID order; an export is
+// deterministic for a given ledger state. The capture is atomic
+// (Ledger.live), which is what makes exporting safe against a
 // concurrent Compact — an entry present when ExportRange is called
-// cannot vanish from the export because a compaction snapshot or
-// eviction ran mid-iteration. migrating must be fast (it runs under the
-// ledger lock) and must not call back into the ledger. maxChunkBytes <=
-// 0 selects DefaultHandoffChunkBytes. An empty range exports zero
-// chunks, not an error.
+// cannot vanish from the export because a compaction or eviction ran
+// mid-iteration. migrating must be fast (it runs under the ledger lock)
+// and must not call back into the ledger. maxChunkBytes <= 0 selects
+// DefaultHandoffChunkBytes. An empty range exports zero chunks, not an
+// error.
 func (l *Ledger) ExportRange(migrating func(id string) bool, maxChunkBytes int) ([]HandoffChunk, error) {
 	if migrating == nil {
 		return nil, fmt.Errorf("serve: handoff export: nil predicate")
@@ -76,58 +74,25 @@ func (l *Ledger) ExportRange(migrating func(id string) bool, maxChunkBytes int) 
 	if maxChunkBytes <= 0 {
 		maxChunkBytes = DefaultHandoffChunkBytes
 	}
-	l.mu.Lock()
-	doneIDs := sortedIDs(l.results, migrating)
-	bodies := make([][]byte, len(doneIDs))
-	for i, id := range doneIDs {
-		bodies[i] = l.results[id]
+	entries, err := l.live(migrating)
+	if err != nil {
+		return nil, fmt.Errorf("serve: handoff export %w", err)
 	}
-	pendIDs := sortedIDs(l.pending, migrating)
-	pendEvents := make([][]dataset.DownloadEvent, len(pendIDs))
-	for i, id := range pendIDs {
-		pendEvents[i] = l.pending[id]
-	}
-	l.mu.Unlock()
-
-	// Encode outside the lock: serving traffic keeps flowing while the
-	// chunks render.
 	var chunks []HandoffChunk
-	cur := HandoffChunk{}
-	flush := func() {
-		if cur.Entries > 0 {
-			cur.Seq = len(chunks)
-			chunks = append(chunks, cur)
-			cur = HandoffChunk{}
-		}
-	}
-	add := func(kind byte, payload []byte) {
+	var cur HandoffChunk
+	var payload []byte
+	for _, e := range entries {
+		payload = appendPayload(payload[:0], e.id, e.body)
 		if cur.Entries > 0 && len(cur.Data)+len(payload) > maxChunkBytes {
-			flush()
+			chunks = append(chunks, cur)
+			cur = HandoffChunk{Seq: len(chunks)}
 		}
-		cur.Data = journal.AppendFrame(cur.Data, kind, payload)
+		cur.Data = journal.AppendFrame(cur.Data, e.kind, payload)
 		cur.Entries++
 	}
-	var payload []byte
-	for i, id := range doneIDs {
-		payload = append(payload[:0], id...)
-		payload = append(payload, '\n')
-		payload = append(payload, bodies[i]...)
-		add(recResult, payload)
+	if cur.Entries > 0 {
+		chunks = append(chunks, cur)
 	}
-	for i, id := range pendIDs {
-		payload = append(payload[:0], id...)
-		payload = append(payload, '\n')
-		for j := range pendEvents[i] {
-			line, err := export.MarshalEventLine(&pendEvents[i][j])
-			if err != nil {
-				return nil, fmt.Errorf("serve: handoff export %s: %w", id, err)
-			}
-			payload = append(payload, line...)
-			payload = append(payload, '\n')
-		}
-		add(recAccept, payload)
-	}
-	flush()
 	return chunks, nil
 }
 
@@ -138,10 +103,10 @@ func (l *Ledger) ExportRange(migrating func(id string) bool, maxChunkBytes int) 
 // may forget the range). The import is idempotent: entries whose ID
 // this ledger already holds are skipped, so duplicated or reordered
 // chunk retransmissions — and a full chunk replay after a kill -9
-// mid-import — converge to the same state. First-wins matches the
-// ledger's Result semantics; since exported bodies are byte-exact
-// copies, either copy answers retransmits identically. Imported
-// results pass through the same MaxResults retention bound as
+// mid-import — converge to the same state. First wins, as in Result: a
+// held result keeps its body whatever the chunk says, in memory as in
+// the journal, so retransmits stay byte-identical.
+// Imported results pass through the same MaxResults retention bound as
 // locally-served ones, so handoff cannot balloon the dedup window.
 func (l *Ledger) ImportChunk(data []byte) (HandoffImportStats, error) {
 	var st HandoffImportStats
@@ -149,40 +114,44 @@ func (l *Ledger) ImportChunk(data []byte) (HandoffImportStats, error) {
 	if tail != 0 {
 		return st, fmt.Errorf("serve: handoff import: %d trailing bytes fail CRC framing", tail)
 	}
+	// One import at a time: a retransmit of this chunk waits here until
+	// every entry it would skip as held has been appended and synced.
+	l.importMu.Lock()
+	defer l.importMu.Unlock()
 	for _, r := range recs {
-		id, body, events, err := decodeRecord(r)
+		e, err := decodeRecord(r)
 		if err != nil {
 			return st, fmt.Errorf("serve: handoff import: %w", err)
 		}
+		// Install, then append — the order every writer keeps. Were the
+		// record appended first, a compaction between the two steps would
+		// seal it, rewrite a state without it and delete its only copy,
+		// and the Sync below would still acknowledge it.
 		l.mu.Lock()
-		held := l.holdsLocked(id, r.Kind)
-		l.mu.Unlock()
-		if held {
+		if l.holdsLocked(e) {
+			l.mu.Unlock()
 			st.Duplicates++
 			continue
 		}
-		// Journal before the in-memory install (and before any ack can
-		// escape the caller): a crash after the append replays the
-		// record on recovery; a crash before it leaves nothing — never
-		// an acknowledged entry whose only copy was in memory.
-		if err := l.j.AppendAsyncFunc(id, r.Kind, func(dst []byte) []byte {
-			return append(dst, r.Data...)
-		}); err != nil {
-			return st, fmt.Errorf("serve: handoff import %s: %w", id, err)
+		accepted, wasPending := l.pending[e.id] // what an imported result resolves
+		l.installLocked(e)
+		l.mu.Unlock()
+		if err := l.j.AppendAsyncFunc(e.id, e.kind, func(dst []byte) []byte { return append(dst, r.Data...) }); err != nil {
+			// Not journaled, so not held: a retry of the chunk must find
+			// the entry missing and append it, not skip it as a duplicate.
+			l.mu.Lock()
+			l.forgetLocked(e)
+			if wasPending {
+				l.pending[e.id] = accepted
+			}
+			l.mu.Unlock()
+			return st, fmt.Errorf("serve: handoff import %s: %w", e.id, err)
 		}
-		l.mu.Lock()
-		switch {
-		case l.holdsLocked(id, r.Kind): // raced a local accept or result
-			st.Duplicates++
-		case r.Kind == recResult:
-			l.storeResultLocked(id, body)
-			delete(l.pending, id)
+		if e.kind == recResult {
 			st.Imported++
-		default:
-			l.pending[id] = events
+		} else {
 			st.Pending++
 		}
-		l.mu.Unlock()
 	}
 	// One group fsync (per journal shard) acks the whole chunk: cheaper
 	// than per-entry durability, still strictly before the caller's
@@ -193,15 +162,18 @@ func (l *Ledger) ImportChunk(data []byte) (HandoffImportStats, error) {
 	return st, nil
 }
 
-// holdsLocked reports whether this ledger already holds what a record
-// of the given kind for id would install: a result if it has the
-// result, an accept if the batch is completed or pending. Callers hold
-// l.mu.
-func (l *Ledger) holdsLocked(id string, kind byte) bool {
-	_, done := l.results[id]
-	if done || kind == recResult {
-		return done
+// forgetLocked removes the entry an import just installed and could not
+// journal. A result the install evicted to stay within MaxResults is
+// not brought back: the bound dropped its oldest entry one result early,
+// which a retransmit of that ID answers by reclassifying, as after any
+// eviction. Callers hold l.mu.
+func (l *Ledger) forgetLocked(e entry) {
+	if e.kind == recAccept {
+		delete(l.pending, e.id)
+		return
 	}
-	_, pending := l.pending[id]
-	return pending
+	delete(l.results, e.id)
+	if i := slices.Index(l.order, e.id); i >= 0 {
+		l.order = slices.Delete(l.order, i, i+1)
+	}
 }

@@ -3,9 +3,12 @@ package serve
 import (
 	"bytes"
 	"fmt"
+	"os"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/faults"
 	"repro/internal/journal"
@@ -311,11 +314,12 @@ func TestHandoffImportCrashReplay(t *testing.T) {
 	}
 }
 
-// TestExportConcurrentCompact: satellite for the snapshot race — export
-// iteration (ExportRange, CompletedIDs, LookupVerdicts) interleaved
-// with staged compaction under -race. Every ID completed before an
-// export begins must appear in that export; compaction running
-// mid-export must never drop captured records.
+// TestExportConcurrentCompact: export iteration (ExportRange,
+// CompletedIDs, LookupVerdicts) interleaved with compaction under
+// -race — both capture the live entries through Ledger.live, one under
+// the journal's write locks. Every ID completed before an export begins
+// must appear in that export; compaction running mid-export must never
+// drop captured records.
 func TestExportConcurrentCompact(t *testing.T) {
 	l, _ := newTestLedger(t, t.TempDir())
 	defer l.Close()
@@ -365,4 +369,235 @@ func TestExportConcurrentCompact(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// TestImportConcurrentCompact: chunks imported while a loop compacts.
+// An import installs each entry in memory before it appends the record,
+// so a compaction that seals the record's segment rewrites the entry;
+// with the append first, a compaction between the two steps deleted the
+// entry's only copy and the chunk's ack promised something the journal
+// no longer held. After a close and reopen every entry of every
+// acknowledged chunk must be there, byte for byte.
+func TestImportConcurrentCompact(t *testing.T) {
+	src, _ := newTestLedger(t, t.TempDir())
+	defer src.Close()
+	bodies := fillLedger(t, src, 96, 8)
+	chunks, err := src.ExportRange(func(string) bool { return true }, 256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const importers = 4
+	if len(chunks) < 4*importers {
+		t.Fatalf("only %d chunks to spread over %d importers", len(chunks), importers)
+	}
+
+	dir := t.TempDir()
+	dst, _, err := OpenLedger(LedgerOptions{Journal: journal.Options{Dir: dir}, Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan struct{})
+	compacted := make(chan int)
+	go func() {
+		n := 0
+		for {
+			select {
+			case <-stop:
+				compacted <- n
+				return
+			default:
+			}
+			if err := dst.Compact(); err != nil {
+				t.Error(err)
+			}
+			n++
+		}
+	}()
+	var wg sync.WaitGroup
+	for w := 0; w < importers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := w; i < len(chunks); i += importers {
+				if _, err := dst.ImportChunk(chunks[i].Data); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(stop)
+	if n := <-compacted; n == 0 {
+		t.Fatal("no compaction ran alongside the imports; the test is vacuous")
+	}
+	if err := dst.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	dst2, rec, err := OpenLedger(LedgerOptions{Journal: journal.Options{Dir: dir}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dst2.Close()
+	for id, want := range bodies {
+		if got, ok := dst2.Lookup(id); !ok || !bytes.Equal(got, want) {
+			t.Fatalf("acknowledged import of %s lost to a concurrent compaction (held: %v)", id, ok)
+		}
+	}
+	if len(rec.Pending) != 8 {
+		t.Fatalf("recovered %d pending imports, want 8", len(rec.Pending))
+	}
+}
+
+// TestImportJournalFailureIsNotHeld: an entry whose append failed is
+// not left installed — otherwise the source's retry of the chunk would
+// skip it as a duplicate and be acknowledged for an entry the journal
+// never received.
+func TestImportJournalFailureIsNotHeld(t *testing.T) {
+	src, _ := newTestLedger(t, t.TempDir())
+	defer src.Close()
+	fillLedger(t, src, 3, 1)
+	chunks, err := src.ExportRange(func(string) bool { return true }, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var failWrites atomic.Bool
+	dst, _, err := OpenLedger(LedgerOptions{Journal: journal.Options{Dir: t.TempDir(), OpenFile: func(path string) (journal.File, error) {
+		f, err := os.Create(path)
+		return &flakyFile{File: f, failWrites: &failWrites}, err
+	}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dst.Close()
+	// done-00, the chunk's first entry, is also accepted here and waiting
+	// to be classified: the imported result resolves it, so the failed
+	// import has to hand it back to whoever classifies pending batches.
+	if err := acceptEvents(dst, "done-00", sharedFixture(t).replay[:1]); err != nil {
+		t.Fatal(err)
+	}
+	failWrites.Store(true)
+	if _, err := dst.ImportChunk(chunks[0].Data); err == nil {
+		t.Fatal("import acknowledged although the journal refused the records")
+	}
+	if pending, completed := dst.Counts(); pending != 1 || completed != 0 || !dst.IsPending("done-00") {
+		t.Fatalf("failed import left %d pending and %d completed entries, done-00 pending: %v; want only the local accept",
+			pending, completed, dst.IsPending("done-00"))
+	}
+	failWrites.Store(false)
+	st, err := dst.ImportChunk(chunks[0].Data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Imported != 3 || st.Pending != 1 || st.Duplicates != 0 {
+		t.Fatalf("retry after the failure = %+v, want everything imported afresh", st)
+	}
+}
+
+// TestImportKeepsHeldResult: first wins. A result this ledger already
+// holds keeps its body when a chunk brings another one for the same ID
+// (a failover reclassified the batch across a rule reload), in memory
+// and — since the skipped record is not journaled either — after a
+// restart, so retransmits stay byte-identical.
+func TestImportKeepsHeldResult(t *testing.T) {
+	src, _ := newTestLedger(t, t.TempDir())
+	defer src.Close()
+	if _, err := src.Result("x-1", []VerdictRecord{{Type: "verdict", File: "x", Verdict: "malicious"}}); err != nil {
+		t.Fatal(err)
+	}
+	chunks, err := src.ExportRange(func(string) bool { return true }, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	dir := t.TempDir()
+	dst, _ := newTestLedger(t, dir)
+	want, err := dst.Result("x-1", []VerdictRecord{{Type: "verdict", File: "x", Verdict: "benign"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := dst.ImportChunk(chunks[0].Data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Duplicates != 1 || st.Imported != 0 {
+		t.Fatalf("import of a held result = %+v, want one duplicate", st)
+	}
+	if got, _ := dst.Lookup("x-1"); !bytes.Equal(got, want) {
+		t.Fatalf("import replaced the held body %q with %q", want, got)
+	}
+	if err := dst.Close(); err != nil {
+		t.Fatal(err)
+	}
+	dst, _ = newTestLedger(t, dir)
+	defer dst.Close()
+	if got, _ := dst.Lookup("x-1"); !bytes.Equal(got, want) {
+		t.Fatalf("after a restart the ledger answers %q, want %q", got, want)
+	}
+}
+
+// blockingFile parks every Write until release is closed, announcing
+// the first one on entered.
+type blockingFile struct {
+	journal.File
+	entered chan<- struct{}
+	once    *sync.Once
+	release <-chan struct{}
+}
+
+func (f *blockingFile) Write(p []byte) (int, error) {
+	f.once.Do(func() { close(f.entered) })
+	<-f.release
+	return f.File.Write(p)
+}
+
+// TestImportRetransmitWaitsForFirstCopy: a retransmit of a chunk whose
+// first copy is still being appended is not acknowledged on the strength
+// of the entry the first copy installed — its ack waits until that
+// record is in the journal.
+func TestImportRetransmitWaitsForFirstCopy(t *testing.T) {
+	src, _ := newTestLedger(t, t.TempDir())
+	defer src.Close()
+	fillLedger(t, src, 1, 0)
+	chunks, err := src.ExportRange(func(string) bool { return true }, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	entered, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	dst, _, err := OpenLedger(LedgerOptions{Journal: journal.Options{Dir: t.TempDir(), OpenFile: func(path string) (journal.File, error) {
+		f, err := os.Create(path)
+		return &blockingFile{File: f, entered: entered, once: &once, release: release}, err
+	}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dst.Close()
+
+	acked := make(chan uint64, 2) // records in the journal when each import was acknowledged
+	importOnce := func() {
+		if _, err := dst.ImportChunk(chunks[0].Data); err != nil {
+			t.Error(err)
+		}
+		acked <- dst.Stats().Appends
+	}
+	go importOnce()
+	<-entered // the first copy has installed done-00 and is inside its append
+	go importOnce()
+	var early []uint64
+	select {
+	case n := <-acked:
+		early = append(early, n)
+	case <-time.After(100 * time.Millisecond):
+	}
+	close(release)
+	for i := len(early); i < 2; i++ {
+		if n := <-acked; n != 1 {
+			t.Errorf("import acknowledged with %d records journaled, want 1", n)
+		}
+	}
+	if len(early) > 0 {
+		t.Fatalf("a copy of the chunk was acknowledged with %d records journaled and the append still in flight", early[0])
+	}
 }

@@ -3,7 +3,6 @@ package serve
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"log"
 	"sort"
@@ -45,6 +44,11 @@ const (
 type Ledger struct {
 	j *journal.Sharded
 
+	// importMu serializes ImportChunk calls, so a retransmitted chunk
+	// cannot find an entry installed whose append (and fsync) the first
+	// copy of the chunk has yet to finish. Taken before mu and the journal.
+	importMu sync.Mutex
+
 	mu      sync.Mutex
 	pending map[string][]dataset.DownloadEvent // guarded by mu
 	// results maps request ID -> the exact response body served for it;
@@ -57,19 +61,19 @@ type Ledger struct {
 	results map[string][]byte
 	// order lists result IDs oldest-completed first (guarded by mu) — the eviction queue
 	// bounding results at maxResults entries, so a long-running daemon's
-	// dedup state (and every compaction snapshot) stays O(retransmit
-	// window), not O(total request history).
+	// dedup state (and every compaction's rewrite) stays O(retransmit
+	// window), not O(total request history). Compaction emits in this
+	// order, so it survives a restart.
 	order      []string
 	maxResults int
-	// stateBytes approximates the snapshot size: the summed length of
-	// retained response bodies (guarded by mu). lastSnapshotBytes is the
-	// size of the most recent compaction snapshot; the compaction
-	// trigger scales with it — see Result.
-	stateBytes        int64
-	lastSnapshotBytes int64
+	// rewritten is how many bytes of the live log the last compaction
+	// wrote (guarded by mu): the part of journal.LiveBytes no request
+	// appended, and the cost the compaction trigger scales with — see
+	// Result.
+	rewritten int64
 
-	// compactBytes triggers snapshot+compaction once that many bytes
-	// have been journaled since the last compaction (-1 = never).
+	// compactBytes triggers compaction once requests have journaled that
+	// many bytes since the last one (-1 = never).
 	compactBytes int64
 	// compactErrors counts triggered compactions that failed; the log
 	// they would have truncated is intact and the next Result retries.
@@ -88,11 +92,11 @@ type LedgerOptions struct {
 	// Values <= 1 mean one shard of the same layout; the shard
 	// directories already on disk can only raise the count.
 	Shards int
-	// CompactBytes compacts the journal (snapshot of the full ledger
-	// state, then segment truncation) whenever the bytes journaled since
-	// the last compaction — cumulative across segment rotations, not the
-	// size of any one segment — exceed this threshold. Default 32 MiB;
-	// negative disables.
+	// CompactBytes compacts the journal (the live entries rewritten into
+	// fresh segments, the older segments deleted) whenever the bytes
+	// journaled since the last compaction — cumulative across segment
+	// rotations, not the size of any one segment — exceed this threshold.
+	// Default 32 MiB; negative disables.
 	CompactBytes int64
 	// MaxResults bounds how many completed batches the dedup cache
 	// retains; beyond it the oldest-completed results are evicted.
@@ -116,16 +120,9 @@ type LedgerRecovery struct {
 	TornTail int64
 }
 
-// ledgerSnapshot is the compaction snapshot: the full dedup state,
-// serialized with sorted keys so identical ledgers snapshot to
-// identical bytes. Results carry each batch's response body verbatim.
-type ledgerSnapshot struct {
-	Results map[string]string   `json:"results"`
-	Pending map[string][]string `json:"pending"`
-}
-
 // OpenLedger opens (or creates) the journal in opts.Journal.Dir and
-// reconstructs the ledger state a previous process left behind.
+// reconstructs the ledger state a previous process left behind by
+// replaying its records — whether a request or a compaction wrote them.
 func OpenLedger(opts LedgerOptions) (*Ledger, *LedgerRecovery, error) {
 	j, rec, err := journal.OpenSharded(opts.Journal, opts.Shards)
 	if err != nil {
@@ -144,40 +141,18 @@ func OpenLedger(opts LedgerOptions) (*Ledger, *LedgerRecovery, error) {
 	if l.maxResults == 0 {
 		l.maxResults = 65536
 	}
-	if rec.Snapshot != nil {
-		l.lastSnapshotBytes = int64(len(rec.Snapshot))
-		var snap ledgerSnapshot
-		if err := json.Unmarshal(rec.Snapshot, &snap); err != nil {
-			j.Close()
-			return nil, nil, fmt.Errorf("serve: ledger snapshot: %w", err)
-		}
-		// A snapshot loses completion order, so restore in sorted-ID
-		// order: deterministic across restarts, which is what matters
-		// for a bound that only approximates "oldest first".
-		for _, id := range sortedIDs(snap.Results, nil) {
-			l.storeResultLocked(id, []byte(snap.Results[id]))
-		}
-		for id, lines := range snap.Pending {
-			events, err := parseEventLines([]byte(strings.Join(lines, "\n")))
-			if err != nil {
-				j.Close()
-				return nil, nil, fmt.Errorf("serve: ledger snapshot %s: %w", id, err)
-			}
-			l.pending[id] = events
-		}
-	}
 	for _, r := range rec.Records {
-		id, body, events, err := decodeRecord(r)
+		e, err := decodeRecord(r)
 		if err != nil {
 			j.Close()
 			return nil, nil, fmt.Errorf("serve: ledger replay: %w", err)
 		}
-		if r.Kind == recResult {
-			l.storeResultLocked(id, body)
-			delete(l.pending, id)
-		} else if _, done := l.results[id]; !done { // else: duplicate accept of an already-resulted batch
-			l.pending[id] = events
-		}
+		l.installLocked(e)
+	}
+	// What a compaction of the recovered state would rewrite, near
+	// enough: the trigger's reference until the first one runs.
+	for id, body := range l.results {
+		l.rewritten += int64(len(id) + len(body))
 	}
 	out := &LedgerRecovery{
 		Pending:  make(map[string][]dataset.DownloadEvent, len(l.pending)),
@@ -190,41 +165,126 @@ func OpenLedger(opts LedgerOptions) (*Ledger, *LedgerRecovery, error) {
 	return l, out, nil
 }
 
-// decodeRecord splits a journal (or handoff) record into its request ID
-// and what it carries: a result's payload is `id\n` + the response body
-// verbatim — no parsing needed, the blob is served as-is on dedup — and
-// an accept's is `id\n` + the batch's event lines.
-func decodeRecord(r journal.Record) (id string, body []byte, events []dataset.DownloadEvent, err error) {
-	idx := bytes.IndexByte(r.Data, '\n')
-	if idx <= 0 {
-		return "", nil, nil, fmt.Errorf("record without id line")
-	}
-	id, rest := string(r.Data[:idx]), r.Data[idx+1:]
-	switch r.Kind {
-	case recResult:
-		return id, rest, nil, nil
-	case recAccept:
-		events, err = parseEventLines(rest)
-		return id, nil, events, err
-	}
-	return "", nil, nil, fmt.Errorf("unknown record kind %d", r.Kind)
+// entry is one ledger entry in record form, as the journal and a
+// handoff chunk carry it: a completed batch (kind recResult, body the
+// exact response served) or an accepted one still without a result
+// (kind recAccept, body the batch's event lines). The record payload is
+// `id\n` + body.
+type entry struct {
+	kind   byte
+	id     string
+	body   []byte
+	events []dataset.DownloadEvent // recAccept: body, parsed
 }
 
-// parseEventLines parses '\n'-separated line-JSON event records,
-// skipping empty lines.
-func parseEventLines(data []byte) ([]dataset.DownloadEvent, error) {
-	events := make([]dataset.DownloadEvent, 0, bytes.Count(data, []byte{'\n'})+1)
-	for _, line := range bytes.Split(data, []byte{'\n'}) {
-		if len(line) == 0 {
-			continue
-		}
-		ev, err := export.UnmarshalEventLine(line)
-		if err != nil {
+// appendPayload renders a record payload — the one encoder AcceptWire,
+// Result, compaction and ExportRange write records with.
+func appendPayload[B ~string | ~[]byte](dst []byte, id string, body B) []byte {
+	dst = append(dst, id...)
+	dst = append(dst, '\n')
+	return append(dst, body...)
+}
+
+// appendEventLines renders events as '\n'-terminated line-JSON, the
+// body of an accept record.
+func appendEventLines(dst []byte, events []dataset.DownloadEvent) ([]byte, error) {
+	for i := range events {
+		var err error
+		if dst, err = export.AppendEventLine(dst, &events[i]); err != nil {
 			return nil, err
 		}
-		events = append(events, ev)
+		dst = append(dst, '\n')
 	}
-	return events, nil
+	return dst, nil
+}
+
+// decodeRecord splits a journal (or handoff) record into its entry. A
+// result's body is served as-is on dedup and needs no parsing; an
+// accept's event lines are parsed out of one string copy of the body.
+func decodeRecord(r journal.Record) (entry, error) {
+	idx := bytes.IndexByte(r.Data, '\n')
+	if idx <= 0 {
+		return entry{}, fmt.Errorf("record without id line")
+	}
+	e := entry{kind: r.Kind, id: string(r.Data[:idx]), body: r.Data[idx+1:]}
+	switch r.Kind {
+	case recResult:
+		return e, nil
+	case recAccept:
+		lines := string(e.body)
+		e.events = make([]dataset.DownloadEvent, 0, strings.Count(lines, "\n"))
+		for len(lines) > 0 {
+			line, rest, _ := strings.Cut(lines, "\n")
+			if lines = rest; line == "" {
+				continue
+			}
+			ev, err := export.ParseEventLine(line)
+			if err != nil {
+				return entry{}, err
+			}
+			e.events = append(e.events, ev)
+		}
+		return e, nil
+	}
+	return entry{}, fmt.Errorf("unknown record kind %d", r.Kind)
+}
+
+// installLocked applies one replayed or imported record to the
+// in-memory state, last write wins: replay follows the log, where a
+// second result for an ID is the reclassification of a batch evicted and
+// accepted again, and is the one the dead process held. An accept of a
+// completed batch changes nothing. Callers hold l.mu (or, during
+// OpenLedger, have exclusive access).
+func (l *Ledger) installLocked(e entry) {
+	if e.kind == recResult {
+		l.storeResultLocked(e.id, e.body)
+		delete(l.pending, e.id)
+	} else if _, done := l.results[e.id]; !done {
+		l.pending[e.id] = e.events
+	}
+}
+
+// holdsLocked reports whether the ledger already holds what e would
+// install: a result if it has the result, an accept if the batch is
+// completed or pending. An import skips such an entry — first wins, as
+// in Result, so the body a retransmit is answered with never changes
+// under it. Callers hold l.mu.
+func (l *Ledger) holdsLocked(e entry) bool {
+	_, done := l.results[e.id]
+	if done || e.kind == recResult {
+		return done
+	}
+	_, pending := l.pending[e.id]
+	return pending
+}
+
+// live lists the entries keep admits (all of them when keep is nil):
+// the completed batches in completion order, then the pending ones in
+// sorted-ID order with their event lines rendered. The capture is
+// atomic — both maps are walked under the ledger lock; bodies and event
+// slices are immutable once stored, so retaining references pins a
+// consistent view — and the rendering happens outside it.
+func (l *Ledger) live(keep func(id string) bool) ([]entry, error) {
+	l.mu.Lock()
+	out := make([]entry, 0, len(l.order)+len(l.pending))
+	for _, id := range l.order {
+		if keep == nil || keep(id) {
+			out = append(out, entry{kind: recResult, id: id, body: l.results[id]})
+		}
+	}
+	for _, id := range sortedIDs(l.pending, keep) {
+		out = append(out, entry{kind: recAccept, id: id, events: l.pending[id]})
+	}
+	l.mu.Unlock()
+	for i := range out {
+		if e := &out[i]; e.kind == recAccept {
+			var err error
+			if e.body, err = appendEventLines(nil, e.events); err != nil {
+				return nil, fmt.Errorf("%s: %w", e.id, err)
+			}
+		}
+	}
+	return out, nil
 }
 
 // sortedIDs returns the keys of m that keep accepts (all of them when
@@ -243,22 +303,18 @@ func sortedIDs[V any](m map[string]V, keep func(id string) bool) []string {
 // storeResultLocked records the response body served for id and evicts
 // the oldest-completed batches once more than maxResults are retained.
 // Callers hold l.mu (or, during OpenLedger, have exclusive access).
-// Evicted IDs keep their journal records until the next compaction's
-// snapshot drops them, but recovery replays through this same bound, so
-// a restart cannot resurrect an unbounded history either.
+// Evicted IDs keep their journal records until the next compaction
+// leaves them out, but recovery replays through this same bound, so a
+// restart cannot resurrect an unbounded history either.
 func (l *Ledger) storeResultLocked(id string, body []byte) {
-	if prev, ok := l.results[id]; !ok {
+	if _, ok := l.results[id]; !ok {
 		l.order = append(l.order, id)
-	} else {
-		l.stateBytes -= int64(len(prev))
 	}
 	l.results[id] = body
-	l.stateBytes += int64(len(body))
 	if l.maxResults <= 0 {
 		return
 	}
 	for len(l.order) > l.maxResults {
-		l.stateBytes -= int64(len(l.results[l.order[0]]))
 		delete(l.results, l.order[0])
 		l.order[0] = "" // release the string so the sliced-off slot doesn't pin it
 		l.order = l.order[1:]
@@ -273,7 +329,9 @@ func (l *Ledger) storeResultLocked(id string, body []byte) {
 // and events must describe the same batch. It returns only after the
 // record is fsynced (group-committed with concurrent accepts); on
 // journal failure the in-memory pending mark is rolled back so a
-// retransmit can try again cleanly.
+// retransmit can try again cleanly. Like every writer it installs in
+// memory before it appends, so a compaction that seals the record's
+// segment finds the entry in the state it rewrites.
 func (l *Ledger) AcceptWire(id string, events []dataset.DownloadEvent, body string) error {
 	if id == "" {
 		return fmt.Errorf("serve: ledger: empty request id")
@@ -285,11 +343,7 @@ func (l *Ledger) AcceptWire(id string, events []dataset.DownloadEvent, body stri
 	}
 	l.pending[id] = events
 	l.mu.Unlock()
-	err := l.j.AppendFunc(id, recAccept, func(dst []byte) []byte {
-		dst = append(dst, id...)
-		dst = append(dst, '\n')
-		return append(dst, body...)
-	})
+	err := l.j.AppendFunc(id, recAccept, func(dst []byte) []byte { return appendPayload(dst, id, body) })
 	if err != nil {
 		l.mu.Lock()
 		delete(l.pending, id)
@@ -319,32 +373,29 @@ func (l *Ledger) Result(id string, verdicts []VerdictRecord) ([]byte, error) {
 	}
 	l.storeResultLocked(id, body)
 	delete(l.pending, id)
-	lastSnap := l.lastSnapshotBytes
+	rewritten := l.rewritten
 	l.mu.Unlock()
-	err := l.j.AppendAsyncFunc(id, recResult, func(dst []byte) []byte {
-		dst = append(dst, id...)
-		dst = append(dst, '\n')
-		return append(dst, body...)
-	})
+	err := l.j.AppendAsyncFunc(id, recResult, func(dst []byte) []byte { return appendPayload(dst, id, body) })
 	if err != nil {
 		return body, fmt.Errorf("serve: ledger result %s: %w", id, err)
 	}
 	// Compaction trigger: the log/state-ratio rule. A compaction's cost
-	// is one full snapshot — O(stateBytes) of encode, write and fsync —
-	// so firing it every fixed CompactBytes makes the amortized cost per
-	// request grow linearly with the retained dedup window. Requiring
-	// the log to also outgrow a multiple of the LAST snapshot's size
-	// bounds the amortized snapshot cost per journaled byte by a
-	// constant, at the price of a bounded extra replay debt. Comparing
-	// against the previous snapshot (not the live state) keeps the
-	// trigger live: the log grows without bound between compactions
+	// is one rewrite of the retained state — O(state) of encode, write
+	// and fsync — so firing it every fixed CompactBytes makes the
+	// amortized cost per request grow linearly with the retained dedup
+	// window. Requiring the bytes requests journaled since the last
+	// compaction (the live log minus its rewrite) to also outgrow a
+	// multiple of that rewrite bounds the amortized cost per journaled
+	// byte by a constant, at the price of a bounded extra replay debt.
+	// Comparing against the previous rewrite (not the live state) keeps
+	// the trigger live: the log grows without bound between compactions
 	// while the reference size stays fixed, so compaction always
 	// eventually fires even when state grows as fast as the log.
 	if threshold := l.compactBytes; threshold > 0 {
-		if p := compactSnapshotFactor * lastSnap; p > threshold {
+		if p := compactRewriteFactor * rewritten; p > threshold {
 			threshold = p
 		}
-		if l.j.LiveBytes() > threshold {
+		if l.j.LiveBytes()-rewritten > threshold {
 			if err := l.Compact(); err != nil {
 				l.compactErrors.Add(1)
 				log.Printf("serve: ledger: compaction failed, journal left uncompacted: %v", err)
@@ -354,12 +405,15 @@ func (l *Ledger) Result(id string, verdicts []VerdictRecord) ([]byte, error) {
 	return body, nil
 }
 
-// compactSnapshotFactor is the log/snapshot ratio that arms compaction:
-// the journal must exceed both CompactBytes and this multiple of the
-// previous snapshot's size. 4 keeps the amortized snapshot cost under
-// ~25% of the bytes-proportional journaling work while capping the
-// recovery replay at 4x the snapshot it would load anyway.
-const compactSnapshotFactor = 4
+// compactRewriteFactor is the log/state ratio that arms compaction: the
+// bytes journaled since the last compaction must exceed both
+// CompactBytes and this multiple of what that compaction rewrote. 5
+// keeps the amortized rewrite cost at ~20% of the bytes-proportional
+// journaling work while capping the recovery replay at 6x the state it
+// would load anyway. It is the cadence of the snapshot file's 4×: that
+// file JSON-escaped every reply, measured 1.21× the bytes of the same
+// replies as records, so 4 × snapshot ≈ 4.85 × rewrite.
+const compactRewriteFactor = 5
 
 // Lookup returns the response body journaled for id, if the batch
 // completed.
@@ -424,100 +478,41 @@ func (l *Ledger) Counts() (pending, completed int) {
 	return len(l.pending), len(l.results)
 }
 
-// Compact snapshots the full ledger state into the journal and drops
-// the segments the snapshot covers. The capture runs via
-// journal.CompactStaged: under the journal's write lock (with l.mu
-// also held) it takes a shallow clone of the state maps — response
-// bodies and pending event slices are immutable once stored, so
-// cloning the map headers pins a consistent snapshot — and the
-// O(stateBytes) encode then runs with serving traffic flowing. No
-// Accept can slip a record into a to-be-deleted segment after the
-// clone is taken, so every durable batch is either in the snapshot or
-// in a segment that survives — the exactly-once contract holds across
-// compaction. (Lock order is journal → ledger; Accept and Result never
-// append while holding l.mu, so this cannot deadlock.)
+// Compact rewrites the journal down to the live entries — the retained
+// results in completion order, then the pending accepts — as the same
+// records requests write, and drops the segments they supersede
+// (journal.Compact). The state is captured with every journal shard's
+// write lock held and the older segments sealed; since AcceptWire,
+// Result and ImportChunk install an entry in memory before they append
+// its record, every record in a sealed segment is either in the capture
+// or about an ID the ledger has evicted, and a record appended after
+// the capture lands behind the rewrite and wins the replay — the
+// exactly-once contract holds across compaction. (Lock order is journal
+// → ledger; no writer appends while holding l.mu, so this cannot
+// deadlock.)
 func (l *Ledger) Compact() error {
-	// Stays -1 when CompactStaged found a compaction in flight and
-	// returned without calling back.
-	snapBytes := int64(-1)
-	err := l.j.CompactStaged(func() (func() ([]byte, error), error) {
-		l.mu.Lock()
-		results := make(map[string][]byte, len(l.results))
-		for id, body := range l.results {
-			results[id] = body
+	ran := false // stays false when a compaction was already in flight
+	rewritten, err := l.j.Compact(func(put func(key string, kind byte, build func(dst []byte) []byte) error) error {
+		ran = true
+		entries, err := l.live(nil)
+		if err != nil {
+			return fmt.Errorf("serve: ledger compact %w", err)
 		}
-		pending := make(map[string][]dataset.DownloadEvent, len(l.pending))
-		for id, events := range l.pending {
-			pending[id] = events
+		for _, e := range entries {
+			if err := put(e.id, e.kind, func(dst []byte) []byte { return appendPayload(dst, e.id, e.body) }); err != nil {
+				return err
+			}
 		}
-		l.mu.Unlock()
-		return func() ([]byte, error) {
-			snap, err := appendSnapshot(results, pending)
-			snapBytes = int64(len(snap))
-			return snap, err
-		}, nil
+		return nil
 	})
-	if err != nil || snapBytes < 0 {
+	if err != nil || !ran {
 		return err
 	}
-	// Only a snapshot that reached the disk moves the next trigger:
-	// Result scales its threshold by this size.
+	// Only a rewrite that reached the disk moves the next trigger.
 	l.mu.Lock()
-	l.lastSnapshotBytes = snapBytes
+	l.rewritten = rewritten
 	l.mu.Unlock()
 	return nil
-}
-
-// appendSnapshot serializes the ledger state by hand into the
-// ledgerSnapshot JSON shape OpenLedger decodes with encoding/json.
-// Compaction cost scales with the retained dedup window (every response
-// body is re-serialized into the snapshot), so this path matters: the
-// reflective json.Marshal of the intermediate string maps made each
-// compaction a multi-hundred-millisecond stall on a loaded ledger,
-// most of it copying bodies into throwaway strings. Keys are emitted
-// sorted, so identical ledgers still snapshot to identical bytes.
-func appendSnapshot(results map[string][]byte, pending map[string][]dataset.DownloadEvent) ([]byte, error) {
-	size := 64
-	for id, v := range results {
-		// Verdict-line bodies escape to roughly +10% (a quote or two
-		// per ten bytes); undershooting here costs a full re-copy of a
-		// many-megabyte buffer on the final growth.
-		size += len(id) + len(v) + len(v)/8 + 8
-	}
-	for id, events := range pending {
-		size += len(id) + len(events)*160 + 8
-	}
-	dst := make([]byte, 0, size)
-	dst = append(dst, `{"results":{`...)
-	for i, id := range sortedIDs(results, nil) {
-		if i > 0 {
-			dst = append(dst, ',')
-		}
-		dst = export.AppendJSONString(dst, id)
-		dst = append(dst, ':')
-		dst = export.AppendJSONBytes(dst, results[id])
-	}
-	dst = append(dst, `},"pending":{`...)
-	for i, id := range sortedIDs(pending, nil) {
-		if i > 0 {
-			dst = append(dst, ',')
-		}
-		dst = export.AppendJSONString(dst, id)
-		dst = append(dst, `:[`...)
-		for j := range pending[id] {
-			line, err := export.MarshalEventLine(&pending[id][j])
-			if err != nil {
-				return nil, fmt.Errorf("serve: ledger compact: %w", err)
-			}
-			if j > 0 {
-				dst = append(dst, ',')
-			}
-			dst = export.AppendJSONBytes(dst, line)
-		}
-		dst = append(dst, ']')
-	}
-	dst = append(dst, `}}`...)
-	return dst, nil
 }
 
 // Stats exposes the underlying journal counters, aggregated across
@@ -556,7 +551,9 @@ func RecoverLedger(engine *Engine, l *Ledger, rec *LedgerRecovery) (int, error) 
 		if events == nil {
 			continue
 		}
-		verdicts, err := engine.ClassifyBatch(context.Background(), events)
+		verdicts, err := classifyInSlices(engine, events, func(slice []dataset.DownloadEvent) ([]VerdictRecord, error) {
+			return engine.ClassifyBatch(context.Background(), slice)
+		})
 		if err != nil {
 			return replayed, fmt.Errorf("serve: recover %s: %w", id, err)
 		}
@@ -566,4 +563,23 @@ func RecoverLedger(engine *Engine, l *Ledger, rec *LedgerRecovery) (int, error) 
 		replayed++
 	}
 	return replayed, nil
+}
+
+// classifyInSlices classifies a pending batch in slices of at most the
+// engine's capacity. Admission is all-or-nothing, so a batch journaled
+// under a larger -queue than this process runs with would be refused
+// whole on every attempt; verdicts are per event, so the slices'
+// answers concatenate to the unsliced one.
+func classifyInSlices(engine *Engine, events []dataset.DownloadEvent, classify func([]dataset.DownloadEvent) ([]VerdictRecord, error)) ([]VerdictRecord, error) {
+	verdicts := make([]VerdictRecord, 0, len(events))
+	for len(events) > 0 {
+		n := min(len(events), engine.Capacity())
+		v, err := classify(events[:n])
+		if err != nil {
+			return nil, err
+		}
+		verdicts = append(verdicts, v...)
+		events = events[n:]
+	}
+	return verdicts, nil
 }

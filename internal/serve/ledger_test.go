@@ -6,8 +6,11 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/dataset"
@@ -255,8 +258,8 @@ func TestLedgerResultRetention(t *testing.T) {
 // TestLedgerCompactConcurrentAccept: compaction racing with live
 // accepts/results must never delete a batch's only durable record —
 // after a reopen, every acknowledged ID is either completed or pending,
-// regardless of where its journal append fell relative to the
-// snapshot+rotation.
+// regardless of where its journal append fell relative to the seal and
+// the rewrite.
 func TestLedgerCompactConcurrentAccept(t *testing.T) {
 	f := sharedFixture(t)
 	dir := t.TempDir()
@@ -326,21 +329,46 @@ func TestLedgerEmptyID(t *testing.T) {
 	}
 }
 
+// flakyFile is a journal file whose writes fail while failWrites is set
+// and whose first fsync fails when failFirstSync is. It is not an
+// *os.File, so the journal syncs it through Sync.
+type flakyFile struct {
+	journal.File
+	failWrites    *atomic.Bool
+	failFirstSync bool
+	synced        bool
+}
+
+func (f *flakyFile) Write(p []byte) (int, error) {
+	if f.failWrites != nil && f.failWrites.Load() {
+		return 0, errors.New("disk full")
+	}
+	return f.File.Write(p)
+}
+
+func (f *flakyFile) Sync() error {
+	if first := !f.synced; first {
+		if f.synced = true; f.failFirstSync {
+			return errors.New("injected fsync failure")
+		}
+	}
+	return f.File.Sync()
+}
+
 // TestLedgerCompactionFailureDoesNotFailResult: the compaction a Result
-// happens to trigger is housekeeping. When it fails (here: the snapshot
-// file cannot be created), the request that triggered it still gets the
+// happens to trigger is housekeeping. When it fails (here: the fsync of
+// the rewritten entries — the first fsync of every segment a compaction
+// opens — errors out), the request that triggered it still gets the
 // body it stored and journaled, the failure is counted for /metrics,
-// and nothing is lost — the log the snapshot would have replaced is
-// still there at the next open.
+// and nothing is lost — the segments the rewrite would have replaced
+// are still there at the next open.
 func TestLedgerCompactionFailureDoesNotFailResult(t *testing.T) {
 	f := sharedFixture(t)
 	dir := t.TempDir()
 	l, _, err := OpenLedger(LedgerOptions{
 		Journal: journal.Options{Dir: dir, OpenFile: func(path string) (journal.File, error) {
-			if strings.HasSuffix(path, ".snap.tmp") {
-				return nil, errors.New("disk full")
-			}
-			return os.Create(path)
+			file, err := os.Create(path)
+			return &flakyFile{File: file, failFirstSync: !strings.HasSuffix(path, "wal-00000001.seg")}, err
 		}},
 		CompactBytes: 1, // every Result arms compaction
 	})
@@ -365,13 +393,13 @@ func TestLedgerCompactionFailureDoesNotFailResult(t *testing.T) {
 	if jm.CompactErrors == 0 || jm.Stats.Compactions != 0 {
 		t.Fatalf("CompactErrors = %d, Compactions = %d; want failures and no success — the test is vacuous", jm.CompactErrors, jm.Stats.Compactions)
 	}
-	// No snapshot reached the disk, so the trigger Result scales by the
-	// last snapshot's size must not have moved.
+	// No rewrite reached the disk, so the reference the trigger scales by
+	// must not have moved.
 	l.mu.Lock()
-	lastSnap := l.lastSnapshotBytes
+	rewritten := l.rewritten
 	l.mu.Unlock()
-	if lastSnap != 0 {
-		t.Fatalf("lastSnapshotBytes = %d after %d failed compactions and no successful one, want 0", lastSnap, jm.CompactErrors)
+	if rewritten != 0 {
+		t.Fatalf("rewritten = %d after %d failed compactions and no successful one, want 0", rewritten, jm.CompactErrors)
 	}
 	var out strings.Builder
 	(&Metrics{}).WriteTo(&out, 0, false, &jm)
@@ -388,5 +416,128 @@ func TestLedgerCompactionFailureDoesNotFailResult(t *testing.T) {
 	defer l2.Close()
 	if rec.Results != 3 {
 		t.Fatalf("recovered %d results after failed compactions, want 3", rec.Results)
+	}
+}
+
+// TestLedgerCompactionIsTheLog: a ledger filled, compacted and reopened
+// comes back from ordinary records — Lookup bodies byte-identical, the
+// same pending set, nothing in the journal directory but segments — and
+// in completion order: the further results evict the oldest-completed
+// IDs first. (A snapshot restored in sorted-ID order evicted w first.)
+func TestLedgerCompactionIsTheLog(t *testing.T) {
+	f := sharedFixture(t)
+	dir := t.TempDir()
+	opts := LedgerOptions{Journal: journal.Options{Dir: dir}, Shards: 2, MaxResults: 4}
+	l, _, err := OpenLedger(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	completed := []string{"z-first", "y-second", "x-third", "w-fourth"}
+	bodies := make(map[string][]byte)
+	for i, id := range completed {
+		if err := acceptEvents(l, id, f.replay[i:i+2]); err != nil {
+			t.Fatal(err)
+		}
+		body, err := l.Result(id, []VerdictRecord{{Type: "verdict", File: id, Verdict: "quote\"<&>\u00e9"}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		bodies[id] = body
+	}
+	for i, id := range []string{"pend-b", "pend-a"} {
+		if err := acceptEvents(l, id, f.replay[10+i:13+i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wantPending := l.PendingIDs()
+	for round := 0; round < 2; round++ { // the second compacts a log that is only a rewrite
+		if err := l.Compact(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	err = filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
+		if err == nil && !d.IsDir() && !(strings.HasPrefix(d.Name(), "wal-") && strings.HasSuffix(d.Name(), ".seg")) {
+			t.Errorf("journal directory holds %s after compaction", path)
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	l2, rec, err := OpenLedger(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l2.Close()
+	for id, want := range bodies {
+		if got, ok := l2.Lookup(id); !ok || !bytes.Equal(got, want) {
+			t.Fatalf("%s after compact + reopen = %q (%v), want %q", id, got, ok, want)
+		}
+	}
+	if got := l2.PendingIDs(); !slices.Equal(got, wantPending) || len(rec.Pending["pend-a"]) != 3 {
+		t.Fatalf("pending after compact + reopen = %v (%d events in pend-a), want %v", got, len(rec.Pending["pend-a"]), wantPending)
+	}
+	for i, evicted := range completed {
+		id := fmt.Sprintf("new-%d", i)
+		if _, err := l2.Result(id, []VerdictRecord{{Type: "verdict", File: id}}); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := l2.Lookup(evicted); ok {
+			t.Fatalf("result %d after the restart did not evict %s, the oldest completed", i+1, evicted)
+		}
+		for _, id := range completed[i+1:] {
+			if _, ok := l2.Lookup(id); !ok {
+				t.Fatalf("result %d after the restart evicted %s ahead of %s: completion order lost", i+1, id, evicted)
+			}
+		}
+	}
+}
+
+// TestRecoverOversizedPendingBatch: a journal written under a larger
+// -queue holds a pending batch of three times this engine's capacity.
+// Admission is all-or-nothing, so classifying it whole fails forever and
+// used to fail the boot; recovery classifies it in slices and the
+// verdicts equal the offline classifier's, event for event.
+func TestRecoverOversizedPendingBatch(t *testing.T) {
+	f := sharedFixture(t)
+	dir := t.TempDir()
+	l, _ := newTestLedger(t, dir)
+	const capacity = 16
+	events := f.replay[:3*capacity]
+	if err := acceptEvents(l, "big-1", events); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	engine := newTestEngine(t, f, EngineConfig{QueueSize: capacity})
+	if _, err := engine.ClassifyBatch(context.Background(), events); !errors.Is(err, ErrOverloaded) {
+		t.Fatalf("whole batch = %v, want ErrOverloaded; the test is vacuous", err)
+	}
+	l2, rec := newTestLedger(t, dir)
+	defer l2.Close()
+	if n, err := RecoverLedger(engine, l2, rec); err != nil || n != 1 {
+		t.Fatalf("RecoverLedger = %d, %v", n, err)
+	}
+	got, ok := l2.Lookup("big-1")
+	if !ok {
+		t.Fatal("oversized pending batch not resolved by recovery")
+	}
+	whole, err := newTestEngine(t, f, EngineConfig{}).ClassifyBatch(context.Background(), events)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range events {
+		if want := offlineKey(t, f, f.clf, &events[i]); whole[i].Key() != want {
+			t.Fatalf("unsliced verdict %d = %q, offline %q", i, whole[i].Key(), want)
+		}
+	}
+	if want := appendVerdictBody(nil, whole); !bytes.Equal(got, want) {
+		t.Fatalf("sliced recovery body differs from the unsliced answer:\n got %q\nwant %q", got, want)
 	}
 }

@@ -17,7 +17,6 @@ import (
 	"repro/internal/avsim"
 	"repro/internal/classify"
 	"repro/internal/dataset"
-	"repro/internal/export"
 	"repro/internal/features"
 	"repro/internal/labeling"
 	"repro/internal/synth"
@@ -355,16 +354,12 @@ func TestServerBackpressure429(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	var body bytes.Buffer
-	for i := 0; i < 5; i++ {
-		line, err := export.MarshalEventLine(&f.replay[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		body.Write(line)
-		body.WriteByte('\n')
-	}
-	resp, err := http.Post(ts.URL+"/classify", "application/json", &body)
+	// Half the window is taken, as by a batch in flight: three events
+	// fit the queue, but not now.
+	engine.inflight.Add(2)
+	defer engine.inflight.Add(-2)
+	body, _ := wireEvents(t, f.replay[:3])
+	resp, err := http.Post(ts.URL+"/classify", "application/json", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -377,6 +372,59 @@ func TestServerBackpressure429(t *testing.T) {
 	}
 	if engine.Metrics().RequestsRejected.Load() != 1 {
 		t.Fatalf("RequestsRejected = %d, want 1", engine.Metrics().RequestsRejected.Load())
+	}
+}
+
+// TestOversizedBatchRefused: a batch with more events than the ingest
+// queue holds can never be admitted — admission is all-or-nothing — so
+// it is refused with 413 in the decode stage, stateless or journaled,
+// in either wire format, before a byte of it reaches the journal. (It
+// used to be journaled, answered 202 and retried by the deferred worker
+// forever, and then failed every later boot's recovery.)
+func TestOversizedBatchRefused(t *testing.T) {
+	f := sharedFixture(t)
+	engine := newTestEngine(t, f, EngineConfig{Shards: 1, QueueSize: 4})
+	ledger, _ := newTestLedger(t, t.TempDir())
+	defer ledger.Close()
+	for name, opts := range map[string][]ServerOption{"stateless": nil, "journaled": {WithLedger(ledger)}} {
+		srv, err := NewServer(engine, classify.Reject, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(srv.Handler())
+		for _, binary := range []bool{false, true} {
+			body, _ := wireEvents(t, f.replay[:5])
+			contentType := "application/json"
+			if binary {
+				body, contentType = string(appendBinaryEvents(nil, f.replay[:5])), ContentTypeBinaryEvents
+			}
+			req, err := http.NewRequest(http.MethodPost, ts.URL+"/classify", strings.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			req.Header.Set("Content-Type", contentType)
+			req.Header.Set(RequestIDHeader, "too-big-1")
+			bad := engine.Metrics().BadRequests.Load()
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusRequestEntityTooLarge {
+				t.Fatalf("%s, binary %v: status = %d, want 413", name, binary, resp.StatusCode)
+			}
+			if got := engine.Metrics().BadRequests.Load(); got != bad+1 {
+				t.Fatalf("%s, binary %v: BadRequests went %d -> %d, want one more", name, binary, bad, got)
+			}
+		}
+		ts.Close()
+		srv.Close()
+	}
+	if pending, completed := ledger.Counts(); pending+completed != 0 || ledger.Stats().Appends != 0 {
+		t.Fatalf("refused batch reached the ledger: %d pending, %d completed, %d journal appends", pending, completed, ledger.Stats().Appends)
+	}
+	if m := engine.Metrics(); m.RequestsDeferred.Load() != 0 || m.EventsIn.Load() != 0 {
+		t.Fatalf("refused batch was deferred (%d) or classified (%d events)", m.RequestsDeferred.Load(), m.EventsIn.Load())
 	}
 }
 

@@ -159,6 +159,11 @@ const maxBodyBytes = journal.MaxRecordBytes
 // maxBodyBytes; BodyErrorStatus turns it into a 413.
 var ErrBodyTooLarge = fmt.Errorf("serve: request body exceeds %d bytes", maxBodyBytes)
 
+// errBatchTooLarge refuses a batch with more events than the ingest
+// queue holds, also a 413. Admission is all-or-nothing, so no amount of
+// waiting or retrying would ever classify it.
+var errBatchTooLarge = errors.New("serve: batch exceeds the ingest queue")
+
 // LimitBody bounds r.Body at maxBodyBytes, and refuses up front a
 // request whose Content-Length already says it is larger — before any
 // buffer is sized from that client-declared number.
@@ -181,7 +186,7 @@ func ReadBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
 // BodyErrorStatus is the status for a body that could not be read or
 // parsed: 413 when the cap was hit, 400 otherwise.
 func BodyErrorStatus(err error) int {
-	if errors.Is(err, ErrBodyTooLarge) || errors.As(err, new(*http.MaxBytesError)) {
+	if errors.Is(err, ErrBodyTooLarge) || errors.Is(err, errBatchTooLarge) || errors.As(err, new(*http.MaxBytesError)) {
 		return http.StatusRequestEntityTooLarge
 	}
 	return http.StatusBadRequest
@@ -274,8 +279,8 @@ func readEvents(r *http.Request, keepBody bool) ([]dataset.DownloadEvent, string
 
 // readBinaryEvents decodes a binary-format /classify body. With
 // keepBody it also renders the batch's canonical line-JSON form — what
-// the ledger journals — so the journal, its snapshots, handoff chunks
-// and recovery speak exactly one format no matter what the wire spoke,
+// the ledger journals — so the journal, handoff chunks and recovery
+// speak exactly one format no matter what the wire spoke,
 // and a client may switch formats between a transmit and its
 // retransmit without splitting the dedup state.
 func readBinaryEvents(r *http.Request, keepBody bool) ([]dataset.DownloadEvent, string, error) {
@@ -494,7 +499,10 @@ func (s *Server) dedupStage(c *classifyCall) (*classifyResponse, error) {
 }
 
 // decodeStage parses the request body in the format it negotiated,
-// keeping the canonical wire form when the batch will be journaled.
+// keeping the canonical wire form when the batch will be journaled. A
+// batch the engine could never admit is refused here, before anything
+// is journaled: accepted, it would sit at the head of the deferred
+// queue forever and fail every later boot's recovery.
 func (s *Server) decodeStage(w http.ResponseWriter, r *http.Request, c *classifyCall) error {
 	err := LimitBody(w, r)
 	switch {
@@ -503,6 +511,9 @@ func (s *Server) decodeStage(w http.ResponseWriter, r *http.Request, c *classify
 		c.events, c.wire, err = readBinaryEvents(r, c.journaled)
 	default:
 		c.events, c.wire, err = readEvents(r, c.journaled)
+	}
+	if err == nil && len(c.events) > s.engine.Capacity() {
+		err = fmt.Errorf("%w: %d events, capacity %d", errBatchTooLarge, len(c.events), s.engine.Capacity())
 	}
 	if err != nil {
 		s.engine.Metrics().BadRequests.Add(1)
@@ -611,18 +622,23 @@ func (s *Server) deferLoop() {
 			if events == nil {
 				continue
 			}
-			var verdicts []VerdictRecord
-			err := retry.Do(s.deferCtx, retry.Policy{
-				MaxAttempts:    -1,
-				InitialBackoff: time.Millisecond,
-				MaxBackoff:     50 * time.Millisecond,
-			}, func(ctx context.Context) error {
-				var cerr error
-				verdicts, cerr = s.engine.ClassifyBatch(ctx, events)
-				if errors.Is(cerr, ErrDraining) {
-					return retry.Permanent(cerr)
-				}
-				return cerr
+			// In slices the queue can hold, each retried around overload: a
+			// batch imported from, or journaled by, a process with a larger
+			// -queue must not wedge this worker.
+			verdicts, err := classifyInSlices(s.engine, events, func(slice []dataset.DownloadEvent) (verdicts []VerdictRecord, err error) {
+				err = retry.Do(s.deferCtx, retry.Policy{
+					MaxAttempts:    -1,
+					InitialBackoff: time.Millisecond,
+					MaxBackoff:     50 * time.Millisecond,
+				}, func(ctx context.Context) error {
+					var cerr error
+					verdicts, cerr = s.engine.ClassifyBatch(ctx, slice)
+					if errors.Is(cerr, ErrDraining) {
+						return retry.Permanent(cerr)
+					}
+					return cerr
+				})
+				return verdicts, err
 			})
 			if err != nil {
 				continue // draining or closed: stays pending for recovery

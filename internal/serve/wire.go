@@ -1,10 +1,10 @@
 package serve
 
 import (
-	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"strings"
 	"time"
 
 	"repro/internal/dataset"
@@ -19,8 +19,8 @@ import (
 //
 // The format is wire-only: a binary request is decoded and immediately
 // re-rendered to canonical line-JSON before it reaches the ledger, so
-// the journal, its snapshots, the handoff chunks and recovery all keep
-// speaking exactly one format, and a client can switch formats between
+// the journal, the handoff chunks and recovery all keep speaking
+// exactly one format, and a client can switch formats between
 // a transmit and its retransmit without splitting the dedup state. The
 // JSON path remains the reference implementation — wire_test.go holds
 // the two equal differentially, including under fuzz.
@@ -314,31 +314,30 @@ func decodeBinaryVerdicts(s string) ([]VerdictRecord, error) {
 	return verdicts, nil
 }
 
-// parseVerdictBody parses a journaled line-JSON response body back into
-// verdict records: the bridge a binary-negotiated retransmit crosses —
-// the ledger stores one canonical JSON body per ID, and the binary
-// reply is re-encoded from it deterministically, so binary retransmits
-// are byte-identical just like JSON ones. Canonical lines take the
-// slicing fast path; anything else falls back to encoding/json.
+// parseVerdictBody parses a line-JSON verdict body — a response off the
+// wire, or one the ledger journaled — back into verdict records. For
+// the ledger it is the bridge a binary-negotiated retransmit crosses:
+// one canonical JSON body is stored per ID and the binary reply is
+// re-encoded from it deterministically, so binary retransmits are
+// byte-identical just like JSON ones. The body converts to one string
+// and canonical lines (the exact shape appendVerdictLine emits) decode
+// by substring slicing; anything else falls back to encoding/json per
+// line.
 func parseVerdictBody(body []byte) ([]VerdictRecord, error) {
-	verdicts := make([]VerdictRecord, 0, bytes.Count(body, []byte{'\n'}))
-	for len(body) > 0 {
-		line := body
-		if nl := bytes.IndexByte(body, '\n'); nl >= 0 {
-			line, body = body[:nl], body[nl+1:]
-		} else {
-			body = nil
-		}
-		if len(line) == 0 {
+	s := string(body)
+	verdicts := make([]VerdictRecord, 0, strings.Count(s, "\n")+1)
+	for len(s) > 0 {
+		line, rest, _ := strings.Cut(s, "\n")
+		s = rest
+		if line = strings.TrimSuffix(line, "\r"); line == "" {
 			continue
 		}
-		if v, ok := parseVerdictLine(string(line)); ok {
-			verdicts = append(verdicts, v)
-			continue
-		}
-		var v VerdictRecord
-		if err := json.Unmarshal(line, &v); err != nil {
-			return nil, fmt.Errorf("serve: verdict body: %w", err)
+		v, ok := parseVerdictLine(line)
+		if !ok {
+			v = VerdictRecord{} // the fast path may have filled fields before giving up
+			if err := json.Unmarshal([]byte(line), &v); err != nil {
+				return nil, fmt.Errorf("serve: verdict body: %w", err)
+			}
 		}
 		verdicts = append(verdicts, v)
 	}

@@ -164,7 +164,7 @@ func TestBinaryClassifyNegotiation(t *testing.T) {
 	if ctype != ContentTypeBinaryVerdicts {
 		t.Fatalf("binary response Content-Type = %q, want %q", ctype, ContentTypeBinaryVerdicts)
 	}
-	jsonV, err := parseVerdicts(jsonResp)
+	jsonV, err := parseVerdictBody(jsonResp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +199,7 @@ func TestBinaryClassifyNegotiation(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("JSON retransmit = %d %s", code, asJSON)
 	}
-	fromStored, err := parseVerdicts(asJSON)
+	fromStored, err := parseVerdictBody(asJSON)
 	if err != nil {
 		t.Fatal(err)
 	}
