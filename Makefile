@@ -35,18 +35,19 @@ fmtcheck:
 	fi
 
 # The project's own static-analysis suite (internal/lint, DESIGN.md
-# §10): ten analyzers enforcing the determinism, locking, lock-order,
+# §10): nine analyzers enforcing the determinism, locking, lock-order,
 # goroutine-lifecycle, context-flow, metric-naming, journal-ordering,
-# retry-policy, error-wrapping and atomic-swap invariants — the last
-# four interprocedural, fed by per-package facts riding vet's vetx
-# files. Run through `go vet -vettool` so findings cover _test.go
-# files and participate in vet's result cache.
+# retry-policy and error-wrapping invariants — lock-order, goroutine-
+# lifecycle, context-flow and metric-naming interprocedural, fed by
+# facts the loader computes for the whole module. One sweep loads every
+# package once, _test.go files included; exit status 2 on findings
+# fails the target.
 longtailvet:
 	@mkdir -p $(dir $(LONGTAILVET))
 	$(GO) build -o $(LONGTAILVET) ./cmd/longtailvet
 
 lint: longtailvet
-	$(GO) vet -vettool=$(LONGTAILVET) ./...
+	$(LONGTAILVET) ./...
 
 # Machine-readable findings for CI: the same tree-wide sweep rendered
 # as JSON — active findings plus every //lint:allow-suppressed site
@@ -76,14 +77,11 @@ govulncheck:
 # parses on every request, the journal recovery path that must survive
 # torn tails on any shard subset, arbitrary bytes in a segment and a
 # compaction killed at any of its crash points (one fuzzer over the one
-# on-disk format), the //lint:allow directive
-# parser, and the facts (de)serializer whose fixed-point round trip
-# the vetx transport depends on (30s each).
+# on-disk format), and the //lint:allow directive parser (30s each).
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzUnmarshalEventLine -fuzztime=30s -run '^$$' ./internal/export/
 	$(GO) test -fuzz=FuzzRecovery -fuzztime=30s -run '^$$' ./internal/journal/
 	$(GO) test -fuzz=FuzzParseAllowDirective -fuzztime=30s -run '^$$' ./internal/lint/lintkit/
-	$(GO) test -fuzz=FuzzFactsRoundTrip -fuzztime=30s -run '^$$' ./internal/lint/lintkit/
 	$(GO) test -fuzz='^FuzzBinaryEvents$$' -fuzztime=30s -run '^$$' ./internal/serve/
 	$(GO) test -fuzz='^FuzzBinaryVerdicts$$' -fuzztime=30s -run '^$$' ./internal/serve/
 

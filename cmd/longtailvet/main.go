@@ -1,18 +1,17 @@
 // Command longtailvet runs the repo's project-specific static-analysis
-// suite (internal/lint): six analyzers that mechanically enforce the
-// determinism, locking, journal-ordering, retry-policy, error-wrapping
-// and atomic-swap invariants the reproduction's correctness rests on.
+// suite (internal/lint): nine analyzers that mechanically enforce the
+// determinism, locking, lock-order, goroutine-lifetime, context-flow,
+// metric-naming, journal-ordering, retry-policy and error-wrapping
+// invariants the reproduction's correctness rests on.
 //
-// Two ways to run it:
+//	longtailvet [-json] ./...
 //
-//	longtailvet ./...                         # standalone, vet-style output
-//	go vet -vettool=$(which longtailvet) ./... # as a vet tool (covers _test.go files)
-//
-// The vettool form speaks cmd/go's unitchecker protocol, so findings
-// come back in standard file:line:col form, participate in go vet's
-// result caching, and include test files. Exit status 2 means findings,
-// 1 means an internal error. Intentional exceptions in the tree carry
-// `//lint:allow <analyzer> <reason>` annotations; see internal/lint.
+// It loads the whole module once, test files included, and prints
+// findings in vet's file:line:col form (-json: a report that also lists
+// every //lint:allow-suppressed site with its reason). Exit status 2
+// means findings, 1 means an internal error. Intentional exceptions in
+// the tree carry `//lint:allow <analyzer> <reason>` annotations; see
+// internal/lint.
 package main
 
 import (

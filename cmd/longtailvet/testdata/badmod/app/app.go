@@ -1,21 +1,16 @@
-// Package app violates the errwrap, retrypolicy and atomicswap
-// invariants in one compact file; the longtailvet integration test
+// Package app violates the errwrap and retrypolicy invariants in one
+// compact file; the longtailvet integration test
 // asserts this module's exact diagnostic set.
 package app
 
 import (
 	"errors"
 	"fmt"
-	"sync/atomic"
 	"time"
 )
 
 // ErrBusy is a sentinel.
 var ErrBusy = errors.New("busy")
-
-type state struct {
-	gen atomic.Uint64
-}
 
 // Wrap flattens an error with %v.
 func Wrap(err error) error {
@@ -32,10 +27,4 @@ func WaitBusy(do func() error) {
 	for IsBusy(do()) {
 		time.Sleep(50 * time.Millisecond)
 	}
-}
-
-// Fork copies an atomic field.
-func (s *state) Fork() uint64 {
-	snapshot := s.gen
-	return snapshot.Load()
 }

@@ -1,6 +1,6 @@
 // Package lock is the dependency side of the interprocedural seeds:
 // its lock facts and context rooting reach the serve package only
-// through the vetx facts files cmd/go threads between vet invocations.
+// through the cross-package fact set the loader builds.
 // Analyzed on its own it is clean — every finding it enables is
 // reported at the serve call sites.
 package lock

@@ -2,7 +2,7 @@
 // cross-package lock-order cycle (both directions visible only through
 // the lock package's facts), a leaked goroutine, a dropped request
 // context, and a misspelled metric. The longtailvet integration test
-// asserts each is caught through the real `go vet` facts pipeline.
+// asserts each is caught by the built binary.
 package serve
 
 import (

@@ -116,7 +116,6 @@ func TestRouterCarriesBinaryWire(t *testing.T) {
 	rec := &replyRecorder{wrapped: http.DefaultTransport}
 	client := &serve.Client{
 		BaseURL: front.URL, Binary: true,
-		//lint:allow retrypolicy the transport only records replies; retries stay with serve.Client
 		HTTPClient: &http.Client{Transport: rec},
 	}
 	events := res.Store.Events()[:16]

@@ -39,7 +39,7 @@ func TestTransportDeterministicDropsAndRecovery(t *testing.T) {
 
 	cfg := Config{Seed: 11, ErrorRate: 1, MaxConsecutiveFailures: 2, AckLossRate: 0}
 	tr := newLinkTransport(t, cfg, nil)
-	client := &http.Client{Transport: tr} //lint:allow retrypolicy test harness drives the fault transport directly
+	client := &http.Client{Transport: tr}
 
 	do := func(id string) error {
 		req, err := http.NewRequest(http.MethodPost, srv.URL+"/classify", nil)

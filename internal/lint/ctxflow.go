@@ -9,7 +9,7 @@ import (
 )
 
 // Ctxflow enforces context propagation on request paths. In the scoped
-// packages (default: serve, cluster, lifecycle — the layers that
+// packages (ctxflowPkgs: serve, cluster, lifecycle — the layers that
 // forward requests, hand off ownership, and pace rescans), any
 // function that receives a context.Context or *http.Request is on a
 // request path, and on a request path:
@@ -29,14 +29,13 @@ import (
 var Ctxflow = &lintkit.Analyzer{
 	Name: "ctxflow",
 	Doc:  "request paths must propagate the caller's context; no context.Background/TODO or deadline-dropping callees",
-	Flags: []*lintkit.Flag{
-		{Name: "ctxflow.pkgs", Usage: "comma-separated package base names whose context flow is enforced", Value: "serve,cluster,lifecycle"},
-	},
-	Run: runCtxflow,
+	Run:  runCtxflow,
 }
 
+const ctxflowPkgs = "serve,cluster,lifecycle"
+
 func runCtxflow(pass *lintkit.Pass) error {
-	if !pkgInScope(pass.Path, pass.Analyzer.Lookup("ctxflow.pkgs").Value) {
+	if !pkgInScope(pass.Path, ctxflowPkgs) {
 		return nil
 	}
 	for _, f := range pass.Files {

@@ -25,20 +25,15 @@ import (
 //     run-to-run; collect the keys, sort, then emit.
 //
 // The daemon and serving layer legitimately read the real clock, which
-// is why the scope is package-based and configurable: -determinism.pkgs
-// lists the package base names under the invariant, and
-// -determinism.allow lists fully qualified functions (e.g. "time.Now")
-// exempted everywhere — the config-driven escape for a deliberately
-// wall-clock-aware component.
+// is why the scope is package-based: determinismPkgs lists the package
+// base names under the invariant.
 var Determinism = &lintkit.Analyzer{
 	Name: "determinism",
 	Doc:  "flag wall-clock, global PRNG and unsorted map-iteration output in the deterministic pipeline core",
-	Flags: []*lintkit.Flag{
-		{Name: "determinism.pkgs", Usage: "comma-separated package base names under the determinism invariant", Value: "synth,export,faults,experiments,chaoskit,classify,part,lifecycle"},
-		{Name: "determinism.allow", Usage: "comma-separated fully qualified functions (pkgpath.Func) exempt from the determinism check", Value: ""},
-	},
-	Run: runDeterminism,
+	Run:  runDeterminism,
 }
+
+const determinismPkgs = "synth,export,faults,experiments,chaoskit,classify,part,lifecycle"
 
 // randConstructors are the math/rand package-level functions that do
 // NOT touch the global source and are therefore fine.
@@ -53,15 +48,8 @@ var writerCallNames = map[string]bool{
 }
 
 func runDeterminism(pass *lintkit.Pass) error {
-	a := pass.Analyzer
-	if !pkgInScope(pass.Path, a.Lookup("determinism.pkgs").Value) {
+	if !pkgInScope(pass.Path, determinismPkgs) {
 		return nil
-	}
-	allowed := make(map[string]bool)
-	for _, fn := range strings.Split(a.Lookup("determinism.allow").Value, ",") {
-		if fn = strings.TrimSpace(fn); fn != "" {
-			allowed[fn] = true
-		}
 	}
 	for _, f := range pass.Files {
 		if lintkit.IsTestFile(pass.Fset, f) {
@@ -70,7 +58,7 @@ func runDeterminism(pass *lintkit.Pass) error {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.CallExpr:
-				checkDeterministicCall(pass, n, allowed)
+				checkDeterministicCall(pass, n)
 			case *ast.RangeStmt:
 				checkMapRangeOutput(pass, n)
 			}
@@ -93,7 +81,7 @@ func qualifiedName(obj types.Object) string {
 	return fn.Pkg().Path() + "." + fn.Name()
 }
 
-func checkDeterministicCall(pass *lintkit.Pass, call *ast.CallExpr, allowed map[string]bool) {
+func checkDeterministicCall(pass *lintkit.Pass, call *ast.CallExpr) {
 	id := calleeIdent(call)
 	if id == nil {
 		return
@@ -103,12 +91,9 @@ func checkDeterministicCall(pass *lintkit.Pass, call *ast.CallExpr, allowed map[
 		return
 	}
 	qn := qualifiedName(obj)
-	if qn == "" || allowed[qn] {
-		return
-	}
 	switch {
 	case qn == "time.Now":
-		pass.Reportf(call.Pos(), "time.Now breaks seed-determinism in package %s; derive timestamps from the trace clock (or exempt via -determinism.allow)", pass.Pkg.Name())
+		pass.Reportf(call.Pos(), "time.Now breaks seed-determinism in package %s; derive timestamps from the trace clock", pass.Pkg.Name())
 	case strings.HasPrefix(qn, "math/rand.") || strings.HasPrefix(qn, "math/rand/v2."):
 		name := qn[strings.LastIndexByte(qn, '.')+1:]
 		if !randConstructors[name] {

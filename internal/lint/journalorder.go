@@ -15,8 +15,8 @@ import (
 // client believing in a batch the ledger never heard of — exactly the
 // lost-update the write-ahead journal exists to prevent.
 //
-// The check is per-function and lexical: in any function (default
-// scope: package base "serve") that both journals a batch and writes a
+// The check is per-function and lexical: in any function (scope,
+// journalorderPkgs: package base "serve") that both journals a batch and writes a
 // response — an http.ResponseWriter Write/WriteHeader, or a send into
 // a channel of verdict records — the first response write must come
 // after the first journal call. Functions that only do one of the two
@@ -40,11 +40,10 @@ import (
 var JournalOrder = &lintkit.Analyzer{
 	Name: "journalorder",
 	Doc:  "no response write may precede the batch's journal accept in the same function",
-	Flags: []*lintkit.Flag{
-		{Name: "journalorder.pkgs", Usage: "comma-separated package base names under the journal-before-response invariant", Value: "serve"},
-	},
-	Run: runJournalOrder,
+	Run:  runJournalOrder,
 }
+
+const journalorderPkgs = "serve"
 
 // journalCallNames are the durable-accept entry points. Import and
 // ImportChunk cover the handoff plane: acking a received chunk is a
@@ -56,7 +55,7 @@ var journalCallNames = map[string]bool{
 }
 
 func runJournalOrder(pass *lintkit.Pass) error {
-	if !pkgInScope(pass.Path, pass.Analyzer.Lookup("journalorder.pkgs").Value) {
+	if !pkgInScope(pass.Path, journalorderPkgs) {
 		return nil
 	}
 	for _, f := range pass.Files {

@@ -1,11 +1,11 @@
 // Package lint is longtailvet: the project-specific static-analysis
 // suite that mechanically enforces the conventions the reproduction's
-// correctness rests on. The paper's Table I–IX numbers only reproduce
+// correctness rests on. The paper's Table I–XVII numbers only reproduce
 // if every pipeline stage is byte-deterministic from a seed, and the
-// serving layer's exactly-once contract only holds if journal appends,
-// lock-guarded state and the hot-swapped rule-set pointer are touched
-// the way their comments promise. Each analyzer encodes one such
-// invariant so `make verify` catches violations before review does:
+// serving layer's exactly-once contract only holds if journal appends
+// and lock-guarded state are touched the way their comments promise.
+// Each analyzer encodes one such invariant so tier-1 (TestTreeClean)
+// and `make lint` catch violations before review does:
 //
 //	determinism  — no wall clock, global PRNG, or unsorted map
 //	              iteration feeding output inside the deterministic core
@@ -16,14 +16,13 @@
 //	retrypolicy  — no hand-rolled sleep-retry loops or raw http.Client
 //	              construction outside the retry/serve layers
 //	errwrap      — errors wrap with %w and compare with errors.Is
-//	atomicswap   — sync/atomic fields are only touched via their methods
 //
 // Four analyzers are interprocedural, built on lintkit's cross-package
-// facts (per-package summaries serialized alongside export data and
-// imported transitively — see lintkit/facts.go):
+// facts (per-package summaries the loader computes for the whole
+// module — see lintkit/facts.go):
 //
 //	lockorder    — the global mutex-acquisition graph is acyclic; no
-//	              double locks or lock-value copies
+//	              double locks
 //	goroutinelife — every go statement has a provable termination path
 //	              (WaitGroup.Done, channel signal, or context)
 //	ctxflow      — request paths propagate the caller's context; no
@@ -31,9 +30,13 @@
 //	metricdrift  — longtail_* metric names are snake_case, uniquely
 //	              spelled tree-wide, and documented
 //
+// Copies of lock- and atomic-bearing values are left to `go vet`'s
+// copylocks, which tier-1 runs; testdata/src/copylocks pins that.
+//
 // Intentional exceptions carry `//lint:allow <analyzer> <reason>`
-// (reason mandatory — see lintkit). The suite runs standalone
-// (`longtailvet ./...`) and as `go vet -vettool=$(longtailvet)`.
+// (reason mandatory, and a directive that suppresses nothing is itself
+// a finding — see lintkit). The suite runs one way: `longtailvet
+// [-json] ./...`, test files included.
 package lint
 
 import (
@@ -55,7 +58,6 @@ func Suite() []*lintkit.Analyzer {
 		JournalOrder,
 		RetryPolicy,
 		ErrWrap,
-		AtomicSwap,
 	}
 }
 

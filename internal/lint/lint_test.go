@@ -1,10 +1,12 @@
 package lint
 
 import (
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"repro/internal/lint/lintkit"
 	"repro/internal/lint/lintkit/lintkittest"
 )
 
@@ -35,9 +37,9 @@ func TestLockguard(t *testing.T) {
 // directly: the PR 3 bug shape — guarded state captured before the
 // write lock — must be flagged, and the fixed shape must not.
 func TestLockguardCatchesCompactionBug(t *testing.T) {
-	diags := lintkittest.Findings(t, "testdata/src/lockguard/serve", Lockguard)
-	lintkittest.MustFind(t, diags, "lockguard", `pending is guarded by mu but compactRacy accesses it`)
-	for _, d := range diags {
+	res := lintkittest.Run(t, "testdata/src/lockguard/serve", Lockguard)
+	lintkittest.MustFind(t, res.Diags, "lockguard", `pending is guarded by mu but compactRacy accesses it`)
+	for _, d := range res.Diags {
 		if strings.Contains(d.Message, "compactSafe") {
 			t.Errorf("compactSafe (capture under the lock) must be clean, got: %s", d)
 		}
@@ -51,7 +53,7 @@ func TestLockguardClean(t *testing.T) {
 // TestLockorder pins the acceptance bug class: a real cross-package
 // lock-order cycle, where one direction comes from a call made under a
 // lock and the other from a closure run under the callee's lock — both
-// resolved through serialized facts.
+// resolved through the cross-package facts.
 func TestLockorder(t *testing.T) {
 	lintkittest.Run(t, "testdata/src/lockorder/a", Lockorder)
 }
@@ -84,14 +86,13 @@ func TestCtxflowClean(t *testing.T) {
 // file for the duration of one test.
 func withMetricDocs(t *testing.T, path string) {
 	t.Helper()
-	f := Metricdrift.Lookup("metricdrift.docs")
 	abs, err := filepath.Abs(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	old := f.Value
-	f.Value = abs
-	t.Cleanup(func() { f.Value = old })
+	old := metricDocs
+	metricDocs = abs
+	t.Cleanup(func() { metricDocs = old })
 }
 
 // TestMetricdrift pins the misspelled-metric class: case drift,
@@ -138,12 +139,23 @@ func TestErrWrapClean(t *testing.T) {
 	lintkittest.Run(t, "testdata/src/errwrap/clean", ErrWrap)
 }
 
-func TestAtomicSwap(t *testing.T) {
-	lintkittest.Run(t, "testdata/src/atomicswap/app", AtomicSwap)
-}
-
-func TestAtomicSwapClean(t *testing.T) {
-	lintkittest.Run(t, "testdata/src/atomicswap/clean", AtomicSwap)
+// TestCopyLocksVet pins the invariant the retired atomicswap analyzer
+// and lockorder's dereference check guarded to the check that remains:
+// plain `go vet` (tier-1) reports a copied atomic and a copied mutex.
+func TestCopyLocksVet(t *testing.T) {
+	out, err := exec.Command("go", "vet", "./testdata/src/copylocks").CombinedOutput()
+	if err == nil {
+		t.Fatalf("go vet passed the copylocks fixture; want findings\n%s", out)
+	}
+	for _, want := range []string{
+		"assignment copies lock value to snapshot: sync/atomic.Pointer[",
+		"assignment copies lock value to snapshot: sync/atomic.Uint64 contains sync/atomic.noCopy",
+		"assignment copies lock value to dup: repro/internal/lint/testdata/src/copylocks.counter contains sync.Mutex",
+	} {
+		if !strings.Contains(string(out), want) {
+			t.Errorf("go vet output lacks %q:\n%s", want, out)
+		}
+	}
 }
 
 // TestAllowDirectives runs the whole suite over the directive fixture:
@@ -152,13 +164,33 @@ func TestAllowDirectives(t *testing.T) {
 	lintkittest.Run(t, "testdata/src/allow/app", Suite()...)
 }
 
-// TestSuiteSelfClean runs every analyzer over the lint packages
-// themselves — the suite must hold itself to its own invariants.
-func TestSuiteSelfClean(t *testing.T) {
-	for _, dir := range []string{".", "lintkit", "lintkit/lintkittest"} {
-		diags := lintkittest.Findings(t, dir, Suite()...)
-		for _, d := range diags {
-			t.Errorf("suite is not self-clean: %s", d)
-		}
+// TestTestFiles pins that the loader hands analyzers a package's
+// _test.go files: the fixture's in-package and external test files each
+// hold a %v-wrapped error, the in-package one a reason-less
+// //lint:allow. It fails if Load stops listing with -test. Every file
+// must also be analysed exactly once although the plain package, its
+// test variant and the external test package are all listed: a
+// duplicate finding has no want left to match, and the one suppressed
+// site must appear once.
+func TestTestFiles(t *testing.T) {
+	res := lintkittest.Run(t, "testdata/src/testfiles/app", ErrWrap)
+	if len(res.Suppressed) != 1 {
+		t.Errorf("got %d suppressed findings, want the one site in app.go: %v", len(res.Suppressed), res.Suppressed)
+	}
+}
+
+// TestTreeClean holds the whole module — the lint packages included —
+// to the suite on every `go test ./...`, not only under `make lint`.
+func TestTreeClean(t *testing.T) {
+	pkgs, err := lintkit.Load("", "repro/...")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := lintkit.Run(pkgs, Suite())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range res.Diags {
+		t.Error(d)
 	}
 }

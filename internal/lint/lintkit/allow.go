@@ -18,38 +18,25 @@ import (
 // every escape hatch in the tree documents why it is safe.
 const allowPrefix = "//lint:allow"
 
-// allowDirective is one parsed //lint:allow comment.
+// allowDirective is one parsed //lint:allow comment. A directive
+// covers its own line and the one below (same-line and line-above
+// placement); one in a top-level declaration's doc comment covers the
+// whole declaration, through declEnd.
 type allowDirective struct {
 	analyzer string
 	reason   string
 	file     string
 	line     int
+	declEnd  int
 	pos      token.Pos
+	// used records that the directive suppressed at least one finding;
+	// one that never does is dead weight the checker reports.
+	used bool
 }
 
 // allowIndex answers "is this diagnostic suppressed?" for one package.
 type allowIndex struct {
-	// byLine maps file -> line -> directives on that line (the
-	// directive's own line; a directive suppresses its line and the one
-	// below, covering both same-line and line-above placement).
-	byLine map[string]map[int][]allowEntry
-	// spans are declaration-wide allowances from doc comments.
-	spans []allowSpan
-	// missingReason collects malformed directives to report.
-	missingReason []allowDirective
-}
-
-// allowEntry is one well-formed directive's payload.
-type allowEntry struct {
-	analyzer string
-	reason   string
-}
-
-type allowSpan struct {
-	file       string
-	start, end int // line range, inclusive
-	analyzer   string
-	reason     string
+	directives []*allowDirective
 }
 
 // parseAllowComment extracts the directive from one comment, if any.
@@ -79,31 +66,10 @@ func parseAllowComment(c *ast.Comment) (analyzer, reason string, ok bool) {
 
 // buildAllowIndex scans every comment in the package's files.
 func buildAllowIndex(fset *token.FileSet, files []*ast.File) *allowIndex {
-	idx := &allowIndex{byLine: make(map[string]map[int][]allowEntry)}
+	idx := &allowIndex{}
 	for _, f := range files {
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				analyzer, reason, ok := parseAllowComment(c)
-				if !ok {
-					continue
-				}
-				pos := fset.Position(c.Pos())
-				if analyzer == "" || reason == "" {
-					idx.missingReason = append(idx.missingReason, allowDirective{
-						analyzer: analyzer, reason: reason,
-						file: pos.Filename, line: pos.Line, pos: c.Pos(),
-					})
-					continue
-				}
-				lines := idx.byLine[pos.Filename]
-				if lines == nil {
-					lines = make(map[int][]allowEntry)
-					idx.byLine[pos.Filename] = lines
-				}
-				lines[pos.Line] = append(lines[pos.Line], allowEntry{analyzer: analyzer, reason: reason})
-			}
-		}
 		// Doc-comment directives cover their whole declaration.
+		declEnd := make(map[*ast.Comment]int)
 		for _, decl := range f.Decls {
 			var doc *ast.CommentGroup
 			switch d := decl.(type) {
@@ -112,20 +78,22 @@ func buildAllowIndex(fset *token.FileSet, files []*ast.File) *allowIndex {
 			case *ast.GenDecl:
 				doc = d.Doc
 			}
-			if doc == nil {
-				continue
-			}
-			for _, c := range doc.List {
-				analyzer, reason, ok := parseAllowComment(c)
-				if !ok || analyzer == "" || reason == "" {
-					continue // malformed ones were collected above
+			if doc != nil {
+				for _, c := range doc.List {
+					declEnd[c] = fset.Position(decl.End()).Line
 				}
-				idx.spans = append(idx.spans, allowSpan{
-					file:     fset.Position(decl.Pos()).Filename,
-					start:    fset.Position(decl.Pos()).Line,
-					end:      fset.Position(decl.End()).Line,
-					analyzer: analyzer,
-					reason:   reason,
+			}
+		}
+		for _, cg := range f.Comments {
+			for _, c := range cg.List {
+				analyzer, reason, ok := parseAllowComment(c)
+				if !ok {
+					continue
+				}
+				pos := fset.Position(c.Pos())
+				idx.directives = append(idx.directives, &allowDirective{
+					analyzer: analyzer, reason: reason,
+					file: pos.Filename, line: pos.Line, declEnd: declEnd[c], pos: c.Pos(),
 				})
 			}
 		}
@@ -133,21 +101,20 @@ func buildAllowIndex(fset *token.FileSet, files []*ast.File) *allowIndex {
 	return idx
 }
 
+// wellFormed reports whether the directive names an analyzer and a
+// reason; a malformed one suppresses nothing and is itself reported.
+func (d *allowDirective) wellFormed() bool { return d.analyzer != "" && d.reason != "" }
+
 // allows reports whether a finding from analyzer at (file, line) is
 // suppressed, and by which directive's reason.
 func (idx *allowIndex) allows(analyzer, file string, line int) (bool, string) {
-	if lines, ok := idx.byLine[file]; ok {
-		for _, l := range []int{line, line - 1} {
-			for _, e := range lines[l] {
-				if e.analyzer == analyzer {
-					return true, e.reason
-				}
-			}
+	for _, d := range idx.directives {
+		if !d.wellFormed() || d.analyzer != analyzer || d.file != file {
+			continue
 		}
-	}
-	for _, s := range idx.spans {
-		if s.analyzer == analyzer && s.file == file && line >= s.start && line <= s.end {
-			return true, s.reason
+		if line >= d.line && line <= max(d.line+1, d.declEnd) {
+			d.used = true
+			return true, d.reason
 		}
 	}
 	return false, ""

@@ -1,10 +1,9 @@
 // Package lintkit is a self-contained, stdlib-only re-implementation of
 // the golang.org/x/tools/go/analysis runtime surface this repo's
 // project-specific analyzers need: an Analyzer/Pass/Diagnostic model, a
-// package loader built on `go list -export` plus the compiler's export
-// data, an in-source suppression directive (//lint:allow), and a driver
-// speaking both the standalone command-line protocol and the
-// `go vet -vettool` unitchecker protocol.
+// whole-module package loader built on `go list -export -test` plus the
+// compiler's export data, an in-source suppression directive
+// (//lint:allow), and the `longtailvet [-json] <packages>` driver.
 //
 // The repo's invariants — byte-determinism from a seed, mutex-guarded
 // field access, journal-before-response ordering — are enforced by the
@@ -27,60 +26,32 @@ import (
 
 // Analyzer describes one static analysis pass: a name findings are
 // attributed to (and suppressed by, via //lint:allow <name>), doc text,
-// optional string-valued flags relayed through `go vet`, and the Run
-// function applied once per loaded package.
+// and the Run function applied once per loaded package.
 type Analyzer struct {
 	// Name identifies the analyzer; it must be a valid identifier as it
-	// doubles as a flag-name prefix and a //lint:allow selector.
+	// doubles as the //lint:allow selector.
 	Name string
 	// Doc is the one-paragraph invariant statement shown by -help.
 	Doc string
-	// Flags declares the analyzer's configuration knobs. Each is
-	// registered as -<name> in standalone mode and advertised to cmd/go
-	// in vettool mode, so `go vet -vettool=... -<name>=v` works too.
-	Flags []*Flag
 	// Run inspects one package and reports findings via pass.Reportf.
 	// A returned error aborts the whole run (reserved for internal
 	// failures, not findings).
 	Run func(pass *Pass) error
 }
 
-// Flag is one string-valued analyzer option.
-type Flag struct {
-	// Name is the full flag name, conventionally "<analyzer>.<option>".
-	Name  string
-	Usage string
-	// Value holds the default until the driver overwrites it from the
-	// command line; analyzers read it inside Run.
-	Value string
-}
-
-// Lookup returns the analyzer's flag with the given name, or nil.
-func (a *Analyzer) Lookup(name string) *Flag {
-	for _, f := range a.Flags {
-		if f.Name == name {
-			return f
-		}
-	}
-	return nil
-}
-
 // Pass carries one typed package through one analyzer.
 type Pass struct {
 	Analyzer *Analyzer
-	// Path is the package's import path as the build system reports it
-	// (for test variants under `go vet` this is the displayed ID, e.g.
-	// "repro/internal/serve [repro/internal/serve.test]").
+	// Path is the package's plain import path (LoadedPackage.Path).
 	Path  string
 	Fset  *token.FileSet
 	Files []*ast.File
 	Pkg   *types.Package
 	Info  *types.Info
 	// Facts holds the interprocedural summaries for this package and
-	// its (in-module, transitive) dependencies — see facts.go. Never
-	// nil under the standard drivers; test harnesses constructing a
-	// Pass by hand may leave it nil, and the FactSet accessors are
-	// nil-tolerant.
+	// every other in-module package of the load — see facts.go. Never
+	// nil under Run; test harnesses constructing a Pass by hand may
+	// leave it nil, and the FactSet accessors are nil-tolerant.
 	Facts *FactSet
 
 	report func(Diagnostic)
@@ -97,8 +68,7 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 
 // ReportPosition records a finding at an explicit file:line — the form
 // interprocedural analyzers use when the evidence comes from facts
-// (whose positions are serialized file/line pairs, not token.Pos values
-// in this process's FileSet).
+// (whose positions are file/line pairs, not token.Pos values).
 func (p *Pass) ReportPosition(file string, line int, format string, args ...any) {
 	p.report(Diagnostic{
 		Pos:      token.Position{Filename: file, Line: line},
@@ -113,7 +83,7 @@ func (p *Pass) OwnFacts() *PackageFacts {
 	if p.Facts == nil {
 		return nil
 	}
-	return p.Facts.Pkgs[CanonPath(p.Path)]
+	return p.Facts.Pkgs[p.Path]
 }
 
 // TypeOf is a nil-tolerant shorthand for Info.TypeOf.
@@ -133,8 +103,7 @@ type Diagnostic struct {
 	Pos            token.Position
 	Analyzer       string
 	Message        string
-	Suppressed     bool   `json:",omitempty"`
-	SuppressReason string `json:",omitempty"`
+	SuppressReason string
 }
 
 // String renders the standard vet form the rest of the toolchain (and
@@ -161,15 +130,9 @@ func SortDiagnostics(diags []Diagnostic) {
 	})
 }
 
-// PathBase returns the last slash-separated segment of an import path,
-// with any `go vet` test-variant suffix (" [pkg.test]") stripped — the
-// key the analyzers' package scoping matches on, so that
-// "repro/internal/serve [repro/internal/serve.test]" still scopes as
-// "serve".
+// PathBase returns the last slash-separated segment of an import path
+// — the key the analyzers' package scoping matches on.
 func PathBase(path string) string {
-	if i := strings.IndexByte(path, ' '); i >= 0 {
-		path = path[:i]
-	}
 	if i := strings.LastIndexByte(path, '/'); i >= 0 {
 		path = path[i+1:]
 	}
@@ -178,7 +141,7 @@ func PathBase(path string) string {
 
 // IsTestFile reports whether the file's name marks it as a _test.go
 // file. Analyzers whose invariants only bind production code use it to
-// skip test sources when `go vet` hands them the test variant.
+// skip the test sources of a package's test variant.
 func IsTestFile(fset *token.FileSet, f *ast.File) bool {
 	return strings.HasSuffix(fset.Position(f.Package).Filename, "_test.go")
 }

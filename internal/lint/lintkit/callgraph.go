@@ -27,16 +27,6 @@ import (
 // acquired in an outer block stay held — the fall-through path past a
 // nested `if { return }` genuinely still holds them.
 
-// CanonPath strips the `go vet` test-variant suffix from an import path
-// ("repro/internal/serve [repro/internal/serve.test]" → the plain
-// path), the canonical key facts are stored under.
-func CanonPath(path string) string {
-	if i := strings.IndexByte(path, ' '); i >= 0 {
-		return path[:i]
-	}
-	return path
-}
-
 // CanonFuncName returns the canonical facts key for a function object:
 // "pkg/path.Func", or "pkg/path.Type.Method" for methods (pointer and
 // value receivers collapse). Interface methods and unattributable
@@ -51,9 +41,9 @@ func CanonFuncName(fn *types.Func) string {
 		if !ok || types.IsInterface(named) || named.Obj().Pkg() == nil {
 			return ""
 		}
-		return CanonPath(named.Obj().Pkg().Path()) + "." + named.Obj().Name() + "." + fn.Name()
+		return named.Obj().Pkg().Path() + "." + named.Obj().Name() + "." + fn.Name()
 	}
-	return CanonPath(fn.Pkg().Path()) + "." + fn.Name()
+	return fn.Pkg().Path() + "." + fn.Name()
 }
 
 func derefType(t types.Type) types.Type {
@@ -70,13 +60,13 @@ func derefType(t types.Type) types.Type {
 // string literal (exposition format strings include labels and verbs).
 var metricNameRE = regexp.MustCompile(`longtail_[A-Za-z0-9_]*`)
 
-// SummarizePackage computes the facts for one typed package. Test
-// files are excluded: facts describe production code only, so the
-// test-variant package cmd/go hands the vettool summarizes identically
-// to the plain one.
+// SummarizePackage computes the facts for one typed package, path
+// being its plain import path. Test files are excluded: facts describe
+// production code only, so a package's test variant summarizes
+// identically to the plain one.
 func SummarizePackage(path string, fset *token.FileSet, files []*ast.File, info *types.Info) *PackageFacts {
 	s := &summarizer{
-		pf:   &PackageFacts{Path: CanonPath(path), Funcs: make(map[string]*FuncFact)},
+		pf:   &PackageFacts{Path: path, Funcs: make(map[string]*FuncFact)},
 		fset: fset,
 		info: info,
 	}
@@ -117,11 +107,11 @@ func SummarizePackage(path string, fset *token.FileSet, files []*ast.File, info 
 // the literal is at hand and only its callees need facts lookup.
 func SummarizeFuncLit(pkgPath string, fset *token.FileSet, info *types.Info, lit *ast.FuncLit) *FuncFact {
 	s := &summarizer{
-		pf:   &PackageFacts{Path: CanonPath(pkgPath), Funcs: make(map[string]*FuncFact)},
+		pf:   &PackageFacts{Path: pkgPath, Funcs: make(map[string]*FuncFact)},
 		fset: fset,
 		info: info,
 	}
-	return s.summarizeFunc(CanonPath(pkgPath)+".<golit>", lit.Type, lit.Body)
+	return s.summarizeFunc(pkgPath+".<golit>", lit.Type, lit.Body)
 }
 
 // collectMetrics records every longtail_* name in the file's string
@@ -576,7 +566,7 @@ func (s *summarizer) lockIdent(sel *ast.SelectorExpr) (id, path string) {
 			chain = append(chain, fld.Name())
 			cur = derefType(fld.Type()).Underlying()
 		}
-		base := CanonPath(named.Obj().Pkg().Path()) + "." + named.Obj().Name()
+		base := named.Obj().Pkg().Path() + "." + named.Obj().Name()
 		return base + "." + strings.Join(chain, "."), types.ExprString(recv) + "." + strings.Join(chain, ".")
 	}
 	switch e := recv.(type) {
@@ -584,19 +574,19 @@ func (s *summarizer) lockIdent(sel *ast.SelectorExpr) (id, path string) {
 		if baseID, ok := ast.Unparen(e.X).(*ast.Ident); ok {
 			if _, isPkg := s.info.Uses[baseID].(*types.PkgName); isPkg {
 				if obj := s.info.Uses[e.Sel]; obj != nil && obj.Pkg() != nil {
-					return CanonPath(obj.Pkg().Path()) + "." + e.Sel.Name, types.ExprString(recv)
+					return obj.Pkg().Path() + "." + e.Sel.Name, types.ExprString(recv)
 				}
 				return "", ""
 			}
 		}
 		owner := derefType(s.info.TypeOf(e.X))
 		if named, ok := owner.(*types.Named); ok && named.Obj().Pkg() != nil {
-			return CanonPath(named.Obj().Pkg().Path()) + "." + named.Obj().Name() + "." + e.Sel.Name,
+			return named.Obj().Pkg().Path() + "." + named.Obj().Name() + "." + e.Sel.Name,
 				types.ExprString(recv)
 		}
 	case *ast.Ident:
 		if v, ok := s.info.Uses[e].(*types.Var); ok && v.Pkg() != nil && v.Parent() == v.Pkg().Scope() {
-			return CanonPath(v.Pkg().Path()) + "." + e.Name, e.Name
+			return v.Pkg().Path() + "." + e.Name, e.Name
 		}
 	}
 	return "", ""

@@ -1,50 +1,24 @@
 package lintkit
 
 import (
-	"crypto/sha256"
 	"encoding/json"
 	"flag"
 	"fmt"
-	"go/token"
-	"go/types"
-	"io"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strings"
 )
 
-// Main is the entry point shared by every driver binary (cmd/longtailvet).
-// It speaks two protocols:
-//
-//   - Standalone: `longtailvet [flags] ./...` loads the matched packages
-//     via `go list -export` and prints findings in vet format. Exit code
-//     2 means findings, 1 means an internal error, 0 means clean.
-//
-//   - Vettool: when cmd/go drives it via `go vet -vettool=$(which
-//     longtailvet)`, the binary is invoked with -flags (describe flags as
-//     JSON), -V=full (print a version line incorporating the binary's own
-//     content hash, so vet's result cache invalidates when the analyzers
-//     change), and finally once per package with a JSON config file
-//     argument (*.cfg) listing sources and export data. Dependencies
-//     arrive with VetxOnly=true: module-internal ones are type-checked
-//     and summarized into the facts file cmd/go threads to importers
-//     (the interprocedural analyzers' transport); standard-library ones
-//     get an empty facts file and no analysis.
+// Main is the entry point of the driver binary (cmd/longtailvet):
+// `longtailvet [-json] <packages>` loads the matched packages (Load),
+// runs the analyzers over them and prints findings in vet format. Exit
+// code 2 means findings, 1 means an internal error, 0 means clean.
 func Main(analyzers ...*Analyzer) {
 	progname := filepath.Base(os.Args[0])
 	fs := flag.NewFlagSet(progname, flag.ExitOnError)
-	printFlags := fs.Bool("flags", false, "print analyzer flags in JSON (vettool protocol)")
-	version := fs.String("V", "", "print version and exit (-V=full, vettool protocol)")
 	jsonOut := fs.Bool("json", false, "emit findings as JSON instead of vet text")
-	for _, a := range analyzers {
-		for _, f := range a.Flags {
-			fs.StringVar(&f.Value, f.Name, f.Value, f.Usage)
-		}
-	}
 	fs.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: %s [flags] <packages>   (standalone)\n", progname)
-		fmt.Fprintf(os.Stderr, "       go vet -vettool=$(which %s) <packages>\n\n", progname)
+		fmt.Fprintf(os.Stderr, "usage: %s [-json] <packages>\n\n", progname)
 		fmt.Fprintf(os.Stderr, "analyzers:\n")
 		for _, a := range analyzers {
 			doc := a.Doc
@@ -57,63 +31,21 @@ func Main(analyzers ...*Analyzer) {
 		fs.PrintDefaults()
 	}
 	fs.Parse(os.Args[1:])
-
-	switch {
-	case *printFlags:
-		describeFlags(analyzers)
-		os.Exit(0)
-	case *version != "":
-		// The line format cmd/go's buildid parser accepts; the content
-		// hash makes vet's action cache sensitive to analyzer changes.
-		fmt.Printf("%s version devel comments-go-here buildID=%s\n", progname, selfHash())
-		os.Exit(0)
+	patterns := fs.Args()
+	if len(patterns) == 0 {
+		patterns = []string{"."}
 	}
-
-	args := fs.Args()
-	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
-		os.Exit(vettoolRun(args[0], analyzers, *jsonOut))
-	}
-	if len(args) == 0 {
-		args = []string{"."}
-	}
-	os.Exit(standaloneRun(args, analyzers, *jsonOut))
-}
-
-// describeFlags prints the JSON flag description cmd/go requests with
-// -flags before relaying user flags to the tool.
-func describeFlags(analyzers []*Analyzer) {
-	type jsonFlag struct {
-		Name  string
-		Bool  bool
-		Usage string
-	}
-	var out []jsonFlag
-	for _, a := range analyzers {
-		for _, f := range a.Flags {
-			out = append(out, jsonFlag{Name: f.Name, Usage: f.Usage})
-		}
-	}
-	data, _ := json.Marshal(out)
-	fmt.Println(string(data))
-}
-
-// selfHash hashes the executable so the version line (vet's cache key)
-// changes whenever the analyzers are rebuilt.
-func selfHash() string {
-	exe, err := os.Executable()
+	pkgs, err := Load("", patterns...)
 	if err != nil {
-		return "unknown"
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
 	}
-	f, err := os.Open(exe)
+	res, err := Run(pkgs, analyzers)
 	if err != nil {
-		return "unknown"
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
 	}
-	defer f.Close()
-	h := sha256.New()
-	if _, err := io.Copy(h, f); err != nil {
-		return "unknown"
-	}
-	return fmt.Sprintf("%x", h.Sum(nil))[:40]
+	os.Exit(emit(res, *jsonOut))
 }
 
 // jsonFinding is the machine-readable finding shape `-json` emits.
@@ -147,173 +79,21 @@ func toJSONFindings(diags []Diagnostic) []jsonFinding {
 
 // emit prints findings and returns the process exit code. Only active
 // findings fail the run; suppressed ones appear in -json output only.
-func emit(diags, suppressed []Diagnostic, jsonOut bool) int {
+func emit(res *Result, jsonOut bool) int {
 	if jsonOut {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "\t")
 		enc.Encode(jsonReport{
-			Findings:   toJSONFindings(diags),
-			Suppressed: toJSONFindings(suppressed),
+			Findings:   toJSONFindings(res.Diags),
+			Suppressed: toJSONFindings(res.Suppressed),
 		})
 	} else {
-		for _, d := range diags {
+		for _, d := range res.Diags {
 			fmt.Fprintln(os.Stderr, d.String())
 		}
 	}
-	if len(diags) > 0 {
+	if len(res.Diags) > 0 {
 		return 2
 	}
 	return 0
 }
-
-// standaloneRun is the `longtailvet ./...` path.
-func standaloneRun(patterns []string, analyzers []*Analyzer, jsonOut bool) int {
-	pkgs, err := Load("", patterns...)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
-	}
-	var diags, suppressed []Diagnostic
-	for _, lp := range pkgs {
-		res, err := Run(lp, analyzers)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
-		diags = append(diags, res.Diags...)
-		suppressed = append(suppressed, res.Suppressed...)
-	}
-	SortDiagnostics(diags)
-	SortDiagnostics(suppressed)
-	return emit(diags, suppressed, jsonOut)
-}
-
-// vetConfig mirrors the JSON config cmd/go writes for vet tools (the
-// unitchecker protocol). PackageVetx/VetxOutput carry the
-// interprocedural facts files between per-package invocations exactly
-// like gc export data; Standard marks standard-library packages, which
-// get an empty facts file instead of a source type-check.
-type vetConfig struct {
-	ID                        string
-	Compiler                  string
-	Dir                       string
-	ImportPath                string
-	GoVersion                 string
-	GoFiles                   []string
-	ImportMap                 map[string]string
-	PackageFile               map[string]string
-	Standard                  map[string]bool
-	PackageVetx               map[string]string
-	VetxOnly                  bool
-	VetxOutput                string
-	SucceedOnTypecheckFailure bool
-}
-
-// vettoolRun analyzes one package as directed by a vet config file.
-// Every non-standard package — dependencies included, which arrive
-// with VetxOnly=true — is type-checked and summarized, and its facts
-// file re-exports the transitive facts it imported, so each invocation
-// only needs its direct dependencies' vetx files.
-func vettoolRun(cfgPath string, analyzers []*Analyzer, jsonOut bool) int {
-	data, err := os.ReadFile(cfgPath)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
-	}
-	var cfg vetConfig
-	if err := json.Unmarshal(data, &cfg); err != nil {
-		fmt.Fprintf(os.Stderr, "longtailvet: parsing %s: %v\n", cfgPath, err)
-		return 1
-	}
-	writeVetx := func(facts *FactSet) int {
-		if cfg.VetxOutput == "" {
-			return 0
-		}
-		var out []byte
-		if facts != nil {
-			out = EncodeFacts(facts)
-		}
-		if err := os.WriteFile(cfg.VetxOutput, out, 0o666); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
-		return 0
-	}
-	if cfg.Standard[cfg.ImportPath] || isStdUnit(&cfg) {
-		// Standard-library dependency: no facts, nothing to analyze —
-		// but cmd/go requires the vetx file to exist. (cfg.Standard only
-		// marks the unit's imports, so the unit's own origin is checked
-		// against GOROOT: the standalone loader never summarizes the
-		// standard library, and the two modes must produce identical
-		// findings.)
-		return writeVetx(nil)
-	}
-	facts := NewFactSet()
-	for _, vetxFile := range cfg.PackageVetx {
-		data, err := os.ReadFile(vetxFile)
-		if err != nil {
-			continue // missing dependency facts degrade, not fail
-		}
-		if dep, err := DecodeFacts(data); err == nil {
-			for _, pf := range dep.Pkgs {
-				facts.Add(pf)
-			}
-		}
-	}
-	fset := token.NewFileSet()
-	compilerImp := exportDataImporter(fset, func(path string) (string, bool) {
-		f, ok := cfg.PackageFile[path]
-		return f, ok
-	})
-	imp := importerFunc(func(path string) (*types.Package, error) {
-		if mapped, ok := cfg.ImportMap[path]; ok {
-			path = mapped
-		}
-		return compilerImp.Import(path)
-	})
-	lp, err := TypeCheck(cfg.ID, fset, cfg.GoFiles, imp, cfg.GoVersion)
-	if err != nil {
-		if code := writeVetx(facts); code != 0 {
-			return code
-		}
-		if cfg.SucceedOnTypecheckFailure || cfg.VetxOnly {
-			return 0
-		}
-		fmt.Fprintln(os.Stderr, err)
-		return 1
-	}
-	facts.Add(SummarizePackage(lp.Path, lp.Fset, lp.Files, lp.Info))
-	lp.Facts = facts
-	if code := writeVetx(facts); code != 0 {
-		return code
-	}
-	if cfg.VetxOnly {
-		// A dependency: facts-only invocation, nothing to analyze.
-		return 0
-	}
-	res, err := Run(lp, analyzers)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
-	}
-	return emit(res.Diags, res.Suppressed, jsonOut)
-}
-
-// isStdUnit reports whether the unit's sources live under GOROOT —
-// cmd/go vets standard-library dependencies for their facts files, but
-// this suite's facts describe the module's own code only.
-func isStdUnit(cfg *vetConfig) bool {
-	if len(cfg.GoFiles) == 0 {
-		return false
-	}
-	goroot := runtime.GOROOT()
-	if goroot == "" {
-		return false
-	}
-	rel, err := filepath.Rel(filepath.Clean(goroot), filepath.Clean(cfg.GoFiles[0]))
-	return err == nil && rel != ".." && !strings.HasPrefix(rel, ".."+string(filepath.Separator))
-}
-
-type importerFunc func(path string) (*types.Package, error)
-
-func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }

@@ -1,25 +1,16 @@
 package lintkit
 
-import (
-	"encoding/json"
-	"fmt"
-	"sort"
-	"strings"
-)
+import "strings"
 
 // Cross-package facts. Each package's summarizer (callgraph.go) distills
 // its typed syntax into a PackageFacts value: a lightweight call graph
 // (static calls and method sets; interface dispatch is dropped rather
 // than widened, so every recorded edge is real), the mutex events each
 // function performs, goroutine-termination signals, context rooting,
-// and the `longtail_*` metric literals the package emits. Facts travel
-// exactly like gc export data: in vettool mode they are serialized to
-// the VetxOutput file cmd/go assigns each package and re-imported
-// through PackageVetx; in standalone mode the loader computes them for
-// every in-module package before analysis begins. Either way an
-// analyzer sees the same FactSet and can answer interprocedural
-// questions ("what locks does this callee take, transitively?") without
-// whole-program loading.
+// and the `longtail_*` metric literals the package emits. The loader
+// computes them for every in-module package before analysis begins, so
+// the one in-memory FactSet answers interprocedural questions ("what
+// locks does this callee take, transitively?") for the whole module.
 
 // LockEdge is one ordered pair in the global mutex-acquisition graph:
 // the lock To was (or would be) acquired while From was held, at
@@ -29,8 +20,8 @@ import (
 type LockEdge struct {
 	From string
 	To   string
-	File string `json:",omitempty"`
-	Line int    `json:",omitempty"`
+	File string
+	Line int
 }
 
 // CallUnder records a static call made while locks were held: every
@@ -39,8 +30,8 @@ type LockEdge struct {
 type CallUnder struct {
 	Callee string
 	Held   []string
-	File   string `json:",omitempty"`
-	Line   int    `json:",omitempty"`
+	File   string
+	Line   int
 }
 
 // ParamInvoke records that a function invokes its Param'th (flattened)
@@ -59,8 +50,8 @@ type ClosureArg struct {
 	Callee string
 	Param  int
 	Lit    string
-	File   string `json:",omitempty"`
-	Line   int    `json:",omitempty"`
+	File   string
+	Line   int
 }
 
 // FuncFact is one function's interprocedural summary. Function keys are
@@ -69,38 +60,38 @@ type ClosureArg struct {
 // "<parent>$<n>" for the n'th function literal inside parent.
 type FuncFact struct {
 	// Acquires lists lock IDs this function itself Lock()s or RLock()s.
-	Acquires []string `json:",omitempty"`
+	Acquires []string
 	// Edges are held→acquired pairs observed lexically inside the body.
-	Edges []LockEdge `json:",omitempty"`
+	Edges []LockEdge
 	// DoubleLocks are re-acquisitions of a lock already held on the same
 	// syntactic path — self-deadlocks for a plain sync.Mutex.
-	DoubleLocks []LockEdge `json:",omitempty"`
+	DoubleLocks []LockEdge
 	// CallsUnder are static calls made while locks were held.
-	CallsUnder []CallUnder `json:",omitempty"`
+	CallsUnder []CallUnder
 	// Calls lists every statically resolved callee (deduplicated).
-	Calls []string `json:",omitempty"`
+	Calls []string
 	// InvokesParamUnder marks func-typed parameters invoked under locks.
-	InvokesParamUnder []ParamInvoke `json:",omitempty"`
+	InvokesParamUnder []ParamInvoke
 	// ClosureArgs are function literals handed to static callees.
-	ClosureArgs []ClosureArg `json:",omitempty"`
+	ClosureArgs []ClosureArg
 	// Signals reports a termination/completion signal in the body: a
 	// channel operation or select, a WaitGroup.Done, or any use of a
 	// context (Done/Err or passing one to a call).
-	Signals bool `json:",omitempty"`
+	Signals bool
 	// LoopNoExit reports a `for {}` loop with no reachable exit (return,
 	// break, panic/fatal) and no signal inside — a goroutine running it
 	// can never terminate. LoopFile/LoopLine locate the loop.
-	LoopNoExit bool   `json:",omitempty"`
-	LoopFile   string `json:",omitempty"`
-	LoopLine   int    `json:",omitempty"`
+	LoopNoExit bool
+	LoopFile   string
+	LoopLine   int
 	// RootsCtx reports a context.Background()/TODO() call outside an
 	// `if ctx == nil` guard; CtxParam reports a context.Context or
 	// *http.Request parameter. A RootsCtx function without a CtxParam
 	// severs any caller's deadline.
-	RootsCtx  bool   `json:",omitempty"`
-	RootsFile string `json:",omitempty"`
-	RootsLine int    `json:",omitempty"`
-	CtxParam  bool   `json:",omitempty"`
+	RootsCtx  bool
+	RootsFile string
+	RootsLine int
+	CtxParam  bool
 }
 
 // MetricUse is one `longtail_*` metric name occurrence in non-test code.
@@ -114,12 +105,13 @@ type MetricUse struct {
 // analysis.
 type PackageFacts struct {
 	Path    string
-	Funcs   map[string]*FuncFact `json:",omitempty"`
-	Metrics []MetricUse          `json:",omitempty"`
+	Funcs   map[string]*FuncFact
+	Metrics []MetricUse
 }
 
-// FactSet is the union of facts visible to one analysis pass: the
-// current package plus its (transitive, in-module) dependencies.
+// FactSet is the union of facts visible to every analysis pass, built
+// in memory for the whole module: one PackageFacts per non-standard
+// package of the load, keyed by plain import path.
 type FactSet struct {
 	Pkgs map[string]*PackageFacts
 }
@@ -129,8 +121,7 @@ func NewFactSet() *FactSet {
 	return &FactSet{Pkgs: make(map[string]*PackageFacts)}
 }
 
-// Add merges pf into the set (later adds win, so a package's own
-// summary overrides a stale re-export from a dependency).
+// Add puts pf into the set.
 func (fs *FactSet) Add(pf *PackageFacts) {
 	if pf == nil || pf.Path == "" {
 		return
@@ -160,57 +151,4 @@ func (fs *FactSet) Func(key string) *FuncFact {
 		return nil
 	}
 	return pf.Funcs[key]
-}
-
-// factsEnvelope is the on-disk vetx framing. A version bump invalidates
-// stale facts (the driver's selfHash already invalidates vet's action
-// cache whenever the binary changes, so this is belt and braces for
-// hand-kept files).
-type factsEnvelope struct {
-	Version int
-	Pkgs    []*PackageFacts
-}
-
-// factsVersion is the current facts file format version.
-const factsVersion = 1
-
-// EncodeFacts serializes the set deterministically (packages sorted by
-// path, map keys sorted by encoding/json).
-func EncodeFacts(fs *FactSet) []byte {
-	env := factsEnvelope{Version: factsVersion}
-	if fs != nil {
-		for _, pf := range fs.Pkgs {
-			env.Pkgs = append(env.Pkgs, pf)
-		}
-	}
-	sort.Slice(env.Pkgs, func(i, j int) bool { return env.Pkgs[i].Path < env.Pkgs[j].Path })
-	data, err := json.Marshal(env)
-	if err != nil {
-		// Only unmarshalable types reach this; the envelope has none.
-		panic(fmt.Sprintf("lintkit: encoding facts: %v", err))
-	}
-	return data
-}
-
-// DecodeFacts parses a facts file. Empty input decodes to an empty set
-// (cmd/go pre-creates empty vetx files for packages without facts); a
-// version mismatch also yields an empty set rather than an error, so a
-// stale dependency file degrades to intraprocedural analysis instead of
-// failing the build.
-func DecodeFacts(data []byte) (*FactSet, error) {
-	fs := NewFactSet()
-	if len(data) == 0 {
-		return fs, nil
-	}
-	var env factsEnvelope
-	if err := json.Unmarshal(data, &env); err != nil {
-		return nil, fmt.Errorf("lintkit: decoding facts: %w", err)
-	}
-	if env.Version != factsVersion {
-		return fs, nil
-	}
-	for _, pf := range env.Pkgs {
-		fs.Add(pf)
-	}
-	return fs, nil
 }

@@ -1,7 +1,6 @@
 package lintkit
 
 import (
-	"bytes"
 	"go/ast"
 	"strings"
 	"testing"
@@ -38,50 +37,6 @@ func FuzzParseAllowDirective(f *testing.F) {
 		}
 		if strings.Contains(analyzer, "//") || strings.Contains(reason, "//") {
 			t.Fatalf("directive %q kept an embedded comment: %q / %q", text, analyzer, reason)
-		}
-	})
-}
-
-// FuzzFactsRoundTrip feeds arbitrary bytes to the facts decoder: it
-// must never panic, and any input it accepts must re-encode into a
-// stable fixed point — decode(encode(decode(x))) encodes to the same
-// bytes, the property the vetx transport relies on when facts files
-// are re-exported across compilation units.
-func FuzzFactsRoundTrip(f *testing.F) {
-	seed := NewFactSet()
-	seed.Add(&PackageFacts{
-		Path: "repro/internal/serve",
-		Funcs: map[string]*FuncFact{
-			"serve.Engine.Classify": {
-				Acquires:    []string{"serve.Engine.mu"},
-				Edges:       []LockEdge{{From: "serve.Engine.mu", To: "serve.Ledger.mu", File: "engine.go", Line: 7}},
-				Calls:       []string{"journal.Journal.Append"},
-				CallsUnder:  []CallUnder{{Callee: "journal.Journal.Append", Held: []string{"serve.Engine.mu"}, File: "engine.go", Line: 9}},
-				ClosureArgs: []ClosureArg{{Callee: "serve.run", Param: 0, Lit: "serve.Engine.Classify$1", File: "engine.go", Line: 11}},
-				Signals:     true,
-				CtxParam:    true,
-			},
-		},
-		Metrics: []MetricUse{{Name: "longtail_requests_total", File: "metrics.go", Line: 3}},
-	})
-	f.Add(EncodeFacts(seed))
-	f.Add([]byte{})
-	f.Add([]byte("{"))
-	f.Add([]byte(`{"version":1,"pkgs":null}`))
-	f.Add([]byte(`{"version":99,"pkgs":{}}`))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		fs1, err := DecodeFacts(data)
-		if err != nil {
-			return
-		}
-		enc1 := EncodeFacts(fs1)
-		fs2, err := DecodeFacts(enc1)
-		if err != nil {
-			t.Fatalf("own encoding failed to decode: %v\n%s", err, enc1)
-		}
-		enc2 := EncodeFacts(fs2)
-		if !bytes.Equal(enc1, enc2) {
-			t.Fatalf("facts round trip is not a fixed point:\nfirst:  %s\nsecond: %s", enc1, enc2)
 		}
 	})
 }

@@ -88,9 +88,8 @@ func TestLangVersion(t *testing.T) {
 
 func TestPathBase(t *testing.T) {
 	cases := map[string]string{
-		"repro/internal/serve":                             "serve",
-		"repro/internal/serve [repro/internal/serve.test]": "serve",
-		"serve": "serve",
+		"repro/internal/serve": "serve",
+		"serve":                "serve",
 	}
 	for in, want := range cases {
 		if got := PathBase(in); got != want {

@@ -27,9 +27,11 @@ import (
 var wantRE = regexp.MustCompile("// want `([^`]*)`")
 
 // Run loads the package rooted at dir (a directory containing one Go
-// package, e.g. "testdata/src/determinism/synth") and asserts the
-// analyzers' findings match the fixture's want comments.
-func Run(t *testing.T, dir string, analyzers ...*lintkit.Analyzer) {
+// package, e.g. "testdata/src/determinism/synth", with its _test.go
+// files) and asserts the analyzers' findings match the fixture's want
+// comments. It returns the result for tests that inspect the findings
+// or the suppressed sites further.
+func Run(t *testing.T, dir string, analyzers ...*lintkit.Analyzer) *lintkit.Result {
 	t.Helper()
 	abs, err := filepath.Abs(dir)
 	if err != nil {
@@ -39,18 +41,15 @@ func Run(t *testing.T, dir string, analyzers ...*lintkit.Analyzer) {
 	if err != nil {
 		t.Fatalf("loading fixture %s: %v", dir, err)
 	}
-	if len(pkgs) != 1 {
-		t.Fatalf("fixture %s: loaded %d packages, want 1", dir, len(pkgs))
+	if len(pkgs) == 0 {
+		t.Fatalf("fixture %s: no package loaded", dir)
 	}
-	var diags []lintkit.Diagnostic
-	for _, lp := range pkgs {
-		res, err := lintkit.Run(lp, analyzers)
-		if err != nil {
-			t.Fatalf("running analyzers on %s: %v", dir, err)
-		}
-		diags = append(diags, res.Diags...)
+	res, err := lintkit.Run(pkgs, analyzers)
+	if err != nil {
+		t.Fatalf("running analyzers on %s: %v", dir, err)
 	}
-	checkWants(t, abs, diags)
+	checkWants(t, abs, res.Diags)
+	return res
 }
 
 // wantKey identifies one expectation site.
@@ -126,30 +125,6 @@ func checkWants(t *testing.T, dir string, diags []lintkit.Diagnostic) {
 		}
 		t.Logf("all findings:\n%s", strings.Join(all, "\n"))
 	}
-}
-
-// Findings runs analyzers over dir and returns the diagnostics without
-// asserting wants — for tests that inspect the set directly.
-func Findings(t *testing.T, dir string, analyzers ...*lintkit.Analyzer) []lintkit.Diagnostic {
-	t.Helper()
-	abs, err := filepath.Abs(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkgs, err := lintkit.Load(abs, ".")
-	if err != nil {
-		t.Fatalf("loading fixture %s: %v", dir, err)
-	}
-	var diags []lintkit.Diagnostic
-	for _, lp := range pkgs {
-		res, err := lintkit.Run(lp, analyzers)
-		if err != nil {
-			t.Fatalf("running analyzers on %s: %v", dir, err)
-		}
-		diags = append(diags, res.Diags...)
-	}
-	lintkit.SortDiagnostics(diags)
-	return diags
 }
 
 // MustFind asserts at least one finding from analyzer matches pattern.

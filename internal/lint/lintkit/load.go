@@ -19,6 +19,8 @@ import (
 
 // LoadedPackage is one type-checked package ready for analysis.
 type LoadedPackage struct {
+	// Path is the plain import path ("repro/internal/serve"), also for
+	// the test variant; an external test package is "<path>_test".
 	Path  string
 	Fset  *token.FileSet
 	Files []*ast.File
@@ -33,29 +35,32 @@ type LoadedPackage struct {
 // listPackage is the subset of `go list -json` output the loader needs.
 type listPackage struct {
 	ImportPath string
-	Name       string
 	Dir        string
 	GoFiles    []string
 	Export     string
 	Standard   bool
 	DepOnly    bool
+	ForTest    string
+	ImportMap  map[string]string
 	Error      *struct{ Err string }
 }
 
-// Load resolves patterns with `go list -export -deps` run in dir and
-// type-checks every directly matched (non-dependency) package from
-// source. Standard-library imports resolve through the compiler export
-// data the go command reports, so loading is exact, offline, and as
-// fast as a regular build. Non-standard dependencies (the module's own
-// packages) are additionally type-checked from source so their
-// interprocedural facts (facts.go) can be summarized: the resulting
-// FactSet is shared by every returned package, giving analyzers the
-// same cross-package view the vettool protocol assembles from vetx
-// files.
+// Load resolves patterns with `go list -export -deps -test` run in dir
+// and type-checks every non-standard package in the build graph once
+// from source: its test variant (the package plus its in-package
+// _test.go files) when it has one, the plain package otherwise, and an
+// external _test package on its own. Imports resolve through the
+// compiler export data the go command reports, so loading is exact,
+// offline, and as fast as a regular build. Each package's
+// interprocedural facts (facts.go) are summarized into one FactSet
+// shared by every returned package; the packages the patterns matched
+// (not their dependencies) are returned for analysis. A package that
+// fails to type-check fails the load: missing facts would silently
+// blind the interprocedural analyzers.
 func Load(dir string, patterns ...string) ([]*LoadedPackage, error) {
 	args := append([]string{
-		"list", "-e", "-export", "-deps",
-		"-json=ImportPath,Name,Dir,GoFiles,Export,Standard,DepOnly,Error",
+		"list", "-e", "-export", "-deps", "-test",
+		"-json=ImportPath,Dir,GoFiles,Export,Standard,DepOnly,ForTest,ImportMap,Error",
 	}, patterns...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = dir
@@ -66,11 +71,12 @@ func Load(dir string, patterns ...string) ([]*LoadedPackage, error) {
 		return nil, fmt.Errorf("lintkit: go list %s: %w\n%s", strings.Join(patterns, " "), err, stderr.Bytes())
 	}
 	exports := make(map[string]string)
-	var targets, factDeps []*listPackage
+	units := make(map[string]*listPackage) // by plain import path
+	var order []string
 	dec := json.NewDecoder(bytes.NewReader(out))
 	for {
-		var p listPackage
-		if err := dec.Decode(&p); errors.Is(err, io.EOF) {
+		p := new(listPackage)
+		if err := dec.Decode(p); errors.Is(err, io.EOF) {
 			break
 		} else if err != nil {
 			return nil, fmt.Errorf("lintkit: decode go list output: %w", err)
@@ -81,40 +87,36 @@ func Load(dir string, patterns ...string) ([]*LoadedPackage, error) {
 		if p.Export != "" {
 			exports[p.ImportPath] = p.Export
 		}
-		pkg := p
+		// Test variants list as "path [for.test]"; units go by plain path.
+		path, _, _ := strings.Cut(p.ImportPath, " ")
 		switch {
-		case !p.DepOnly:
-			targets = append(targets, &pkg)
-		case !p.Standard && len(p.GoFiles) > 0:
-			factDeps = append(factDeps, &pkg)
+		case p.Standard || len(p.GoFiles) == 0:
+			continue
+		case p.ForTest == "" && strings.HasSuffix(path, ".test"):
+			continue // the generated test main
+		case p.ForTest != "" && path != p.ForTest && path != p.ForTest+"_test":
+			continue // a dependency recompiled against a test variant; its plain listing is the unit
 		}
+		if units[path] == nil {
+			order = append(order, path)
+		}
+		units[path] = p // the test variant lists after the plain package and replaces it
 	}
 
 	fset := token.NewFileSet()
-	imp := exportDataImporter(fset, func(path string) (string, bool) {
-		f, ok := exports[path]
-		return f, ok
-	})
 	facts := NewFactSet()
-	for _, p := range factDeps {
-		lp, err := TypeCheck(p.ImportPath, fset, sourceFiles(p), imp, runtime.Version())
-		if err != nil {
-			// A dependency that fails source type-checking degrades to
-			// no facts rather than failing the whole run; its export
-			// data still serves the import graph.
-			continue
-		}
-		facts.Add(SummarizePackage(lp.Path, lp.Fset, lp.Files, lp.Info))
-	}
 	var loaded []*LoadedPackage
-	for _, p := range targets {
-		lp, err := TypeCheck(p.ImportPath, fset, sourceFiles(p), imp, runtime.Version())
+	for _, path := range order {
+		p := units[path]
+		lp, err := typeCheck(path, fset, sourceFiles(p), unitImporter(fset, p, exports))
 		if err != nil {
 			return nil, err
 		}
 		facts.Add(SummarizePackage(lp.Path, lp.Fset, lp.Files, lp.Info))
 		lp.Facts = facts
-		loaded = append(loaded, lp)
+		if !p.DepOnly {
+			loaded = append(loaded, lp)
+		}
 	}
 	return loaded, nil
 }
@@ -135,12 +137,20 @@ func joinDir(dir, file string) string {
 	return dir + string(os.PathSeparator) + file
 }
 
-// exportDataImporter builds a types.Importer that resolves import
-// paths to compiler export data files via resolve. The gc importer
-// handles the archive/raw framing and caches packages internally.
-func exportDataImporter(fset *token.FileSet, resolve func(path string) (string, bool)) types.Importer {
+// unitImporter builds the types.Importer for one listed package: an
+// import path resolves, through the unit's ImportMap, to the compiler
+// export data file `go list` reported for it. One importer per unit,
+// because the gc importer keys packages by import path and an external
+// test package must see its package's test variant (and dependencies
+// recompiled against it) under the paths another unit resolves to the
+// plain packages. Mapping inside the lookup keeps every types.Package
+// under its source import path, so analyzers never see a variant path.
+func unitImporter(fset *token.FileSet, p *listPackage, exports map[string]string) types.Importer {
 	return importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
-		file, ok := resolve(path)
+		if mapped, ok := p.ImportMap[path]; ok {
+			path = mapped
+		}
+		file, ok := exports[path]
 		if !ok {
 			return nil, fmt.Errorf("lintkit: no export data for %q", path)
 		}
@@ -148,10 +158,8 @@ func exportDataImporter(fset *token.FileSet, resolve func(path string) (string, 
 	})
 }
 
-// TypeCheck parses and type-checks one package from its source files.
-// goVersion is the language version handed to go/types (e.g. from the
-// vet config or runtime.Version()).
-func TypeCheck(path string, fset *token.FileSet, filenames []string, imp types.Importer, goVersion string) (*LoadedPackage, error) {
+// typeCheck parses and type-checks one package from its source files.
+func typeCheck(path string, fset *token.FileSet, filenames []string, imp types.Importer) (*LoadedPackage, error) {
 	var files []*ast.File
 	for _, name := range filenames {
 		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments)
@@ -170,10 +178,10 @@ func TypeCheck(path string, fset *token.FileSet, filenames []string, imp types.I
 	}
 	conf := types.Config{
 		Importer:  imp,
-		GoVersion: langVersion(goVersion),
+		GoVersion: langVersion(runtime.Version()),
 		// Analyzers only need a well-typed view of the code that exists;
 		// soft errors (e.g. unused variables in fixtures) must not block
-		// analysis, matching vet's tolerance.
+		// analysis.
 		Error: func(error) {},
 	}
 	pkg, err := conf.Check(path, fset, files, info)

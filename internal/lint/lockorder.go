@@ -1,8 +1,6 @@
 package lint
 
 import (
-	"go/ast"
-	"go/types"
 	"sort"
 	"strconv"
 	"strings"
@@ -12,7 +10,7 @@ import (
 
 // Lockorder detects potential deadlocks from inconsistent mutex
 // acquisition order, using the interprocedural facts lintkit computes
-// per package. Three checks:
+// per package. Two checks:
 //
 //   - Lock-order cycles: every "lock B acquired while lock A held" site
 //     — whether both acquisitions are in one body, the second comes
@@ -25,9 +23,10 @@ import (
 //   - Double locks: re-acquiring an exclusive lock already held on the
 //     same syntactic path (m.mu.Lock(); m.mu.Lock()) self-deadlocks.
 //     Shared RLock/RLock pairs are fine.
-//   - Mutex copies: assigning through a pointer dereference whose type
-//     contains a mutex (snapshot := *s) clones the lock, silently
-//     splitting one critical section into two.
+//
+// Copying a mutex-bearing value (snapshot := *s), which silently splits
+// one critical section into two, is `go vet`'s copylocks check; the
+// copylocks fixture pins that it stays caught.
 //
 // Lock identities are type-level ("pkg.Type.field", "pkg.var"), so the
 // hierarchy is about code structure, not instances; local mutexes have
@@ -36,12 +35,11 @@ import (
 // unlock-then-call sequences.
 var Lockorder = &lintkit.Analyzer{
 	Name: "lockorder",
-	Doc:  "mutex acquisition order must be globally consistent (no lock-order cycles, double locks, or lock copies)",
+	Doc:  "mutex acquisition order must be globally consistent (no lock-order cycles or double locks)",
 	Run:  runLockorder,
 }
 
 func runLockorder(pass *lintkit.Pass) error {
-	checkMutexCopies(pass)
 	own := pass.OwnFacts()
 	if own == nil {
 		return nil
@@ -234,62 +232,6 @@ func cyclePath(adj map[string]map[string]bool, from, to string) []string {
 		}
 	}
 	return nil
-}
-
-// checkMutexCopies flags value copies made by dereferencing a pointer
-// to a mutex-bearing type.
-func checkMutexCopies(pass *lintkit.Pass) {
-	for _, f := range pass.Files {
-		if lintkit.IsTestFile(pass.Fset, f) {
-			continue
-		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			as, ok := n.(*ast.AssignStmt)
-			if !ok {
-				return true
-			}
-			for _, rhs := range as.Rhs {
-				star, ok := ast.Unparen(rhs).(*ast.StarExpr)
-				if !ok {
-					continue
-				}
-				t := pass.TypeOf(star)
-				if t != nil && typeHasMutex(t, make(map[types.Type]bool)) {
-					pass.Reportf(rhs.Pos(),
-						"dereference copies %s, which contains a mutex — the copy is a distinct lock guarding nothing",
-						types.TypeString(t, types.RelativeTo(pass.Pkg)))
-				}
-			}
-			return true
-		})
-	}
-}
-
-// typeHasMutex reports whether t contains a sync.Mutex or sync.RWMutex
-// (directly, or through struct fields and arrays).
-func typeHasMutex(t types.Type, seen map[types.Type]bool) bool {
-	if t == nil || seen[t] {
-		return false
-	}
-	seen[t] = true
-	if named, ok := t.(*types.Named); ok {
-		obj := named.Obj()
-		if obj.Pkg() != nil && obj.Pkg().Path() == "sync" &&
-			(obj.Name() == "Mutex" || obj.Name() == "RWMutex") {
-			return true
-		}
-	}
-	switch u := t.Underlying().(type) {
-	case *types.Struct:
-		for i := 0; i < u.NumFields(); i++ {
-			if typeHasMutex(u.Field(i).Type(), seen) {
-				return true
-			}
-		}
-	case *types.Array:
-		return typeHasMutex(u.Elem(), seen)
-	}
-	return false
 }
 
 // shortLock trims the package path off a lock identity, keeping the

@@ -30,11 +30,6 @@ func TestSuiteMeta(t *testing.T) {
 		if a.Run == nil {
 			t.Errorf("analyzer %s has no Run function", a.Name)
 		}
-		for _, f := range a.Flags {
-			if !strings.HasPrefix(f.Name, a.Name+".") {
-				t.Errorf("analyzer %s flag %q is not namespaced as %s.<option>", a.Name, f.Name, a.Name)
-			}
-		}
 		checkFixtures(t, a.Name)
 	}
 }

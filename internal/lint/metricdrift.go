@@ -21,8 +21,8 @@ import (
 //     in word segmentation or case (longtail_requests_total vs
 //     longtail_request_stotal) are drift, and every undocumented
 //     spelling of the pair is flagged;
-//   - appear in the metric documentation (default: DESIGN.md and
-//     README.md at the module root; override with -metricdrift.docs).
+//   - appear in the metric documentation (metricDocs: DESIGN.md and
+//     README.md at the module root).
 //     Histogram series suffixes (_bucket, _sum, _count) resolve to
 //     their base name first.
 //
@@ -32,11 +32,13 @@ import (
 var Metricdrift = &lintkit.Analyzer{
 	Name: "metricdrift",
 	Doc:  "longtail_* metric names must be snake_case, uniquely spelled tree-wide, and documented",
-	Flags: []*lintkit.Flag{
-		{Name: "metricdrift.docs", Usage: "comma-separated metric documentation files (relative to the module root unless absolute)", Value: "DESIGN.md,README.md"},
-	},
-	Run: runMetricdrift,
+	Run:  runMetricdrift,
 }
+
+// metricDocs lists the metric documentation files, comma-separated and
+// relative to the module root unless absolute. A variable only so the
+// fixtures' tests can point it at their own METRICS.md.
+var metricDocs = "DESIGN.md,README.md"
 
 // metricSnakeRE is the canonical shape: words of lowercase letters and
 // digits joined by single underscores.
@@ -48,7 +50,7 @@ func runMetricdrift(pass *lintkit.Pass) error {
 		return nil
 	}
 	spellings := collectSpellings(pass.Facts)
-	docs := loadMetricDocs(pass.Analyzer.Lookup("metricdrift.docs").Value, own.Metrics[0].File)
+	docs := loadMetricDocs(metricDocs, own.Metrics[0].File)
 	for _, m := range own.Metrics {
 		base := histogramBase(m.Name)
 		documented := docs != nil && (docs[m.Name] || docs[base])
@@ -63,7 +65,7 @@ func runMetricdrift(pass *lintkit.Pass) error {
 		case docs != nil && !documented:
 			pass.ReportPosition(m.File, m.Line,
 				"metric %s is not documented in %s; every exposition name needs a doc-table entry",
-				m.Name, pass.Analyzer.Lookup("metricdrift.docs").Value)
+				m.Name, metricDocs)
 		}
 	}
 	return nil
@@ -132,13 +134,13 @@ func histogramBase(name string) string {
 	return name
 }
 
-// loadMetricDocs reads the documented metric names from the configured
-// doc files. Relative paths resolve against the module root found by
+// loadMetricDocs reads the documented metric names from the
+// comma-separated doc files. Relative paths resolve against the module root found by
 // walking up from anchorFile. Returns nil when nothing was readable.
-func loadMetricDocs(docsFlag, anchorFile string) map[string]bool {
+func loadMetricDocs(docFiles, anchorFile string) map[string]bool {
 	root := moduleRoot(filepath.Dir(anchorFile))
 	var docs map[string]bool
-	for _, p := range strings.Split(docsFlag, ",") {
+	for _, p := range strings.Split(docFiles, ",") {
 		p = strings.TrimSpace(p)
 		if p == "" {
 			continue

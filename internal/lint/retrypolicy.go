@@ -13,8 +13,8 @@ import (
 // ad-hoc `for { ...; time.Sleep(d) }` loops — which retry forever,
 // synchronize into thundering herds, and ignore context cancellation —
 // and so HTTP transports stay decoratable by internal/faults. The
-// analyzer therefore flags, outside the exempt packages (default
-// "retry,serve", the two layers that implement the policy):
+// analyzer therefore flags, outside the exempt packages
+// (retrypolicyExempt: the two layers that implement the policy):
 //
 //   - time.Sleep inside any for/range loop — use retry.Do with a
 //     Policy, which backs off, jitters and honors ctx;
@@ -24,14 +24,13 @@ import (
 var RetryPolicy = &lintkit.Analyzer{
 	Name: "retrypolicy",
 	Doc:  "forbid hand-rolled sleep-retry loops and raw http.Client construction outside internal/retry and internal/serve",
-	Flags: []*lintkit.Flag{
-		{Name: "retrypolicy.exempt", Usage: "comma-separated package base names allowed to sleep in loops and build http.Clients", Value: "retry,serve"},
-	},
-	Run: runRetryPolicy,
+	Run:  runRetryPolicy,
 }
 
+const retrypolicyExempt = "retry,serve"
+
 func runRetryPolicy(pass *lintkit.Pass) error {
-	if pkgInScope(pass.Path, pass.Analyzer.Lookup("retrypolicy.exempt").Value) {
+	if pkgInScope(pass.Path, retrypolicyExempt) {
 		return nil
 	}
 	for _, f := range pass.Files {

@@ -1,7 +1,8 @@
 // Package app is the suppression-directive fixture: //lint:allow must
 // silence the named analyzer on its line (or the line below, or its
-// whole declaration from a doc comment), and a directive without a
-// reason is itself a finding.
+// whole declaration from a doc comment), and a directive that cannot
+// do its job — no reason, no finding to suppress, no such analyzer —
+// is itself a finding.
 package app
 
 import (
@@ -35,7 +36,13 @@ func missingReason(err error) bool {
 	return err == ErrBusy //lint:allow errwrap // want `comparing an error to sentinel ErrBusy` // want `lint:allow directive must name an analyzer and give a reason`
 }
 
-// Naming a different analyzer does not suppress this one.
+// Naming a different analyzer does not suppress this one, and leaves
+// the directive with nothing to suppress.
 func wrongAnalyzer(err error) bool {
-	return err == ErrBusy //lint:allow determinism not about clocks at all // want `comparing an error to sentinel ErrBusy`
+	return err == ErrBusy //lint:allow determinism not about clocks at all // want `comparing an error to sentinel ErrBusy` // want `lint:allow determinism suppresses no finding`
+}
+
+// Naming an analyzer the suite does not have is a dead directive too.
+func retiredAnalyzer(err error) error {
+	return err //lint:allow atomicswap the analyzer was retired // want `lint:allow names atomicswap, which is no analyzer in the suite`
 }

@@ -1,7 +1,7 @@
 // Package a is the lockorder positive fixture: One establishes
 // muA -> muB through a call made under muA, Two establishes
 // muB -> muA through a closure run under b's lock — a cross-package
-// lock-order cycle. Dbl self-deadlocks, Snapshot copies a lock.
+// lock-order cycle. Dbl self-deadlocks.
 package a
 
 import (
@@ -40,10 +40,4 @@ func Dbl(c *Counter) {
 	c.mu.Lock() // want `already held`
 	c.mu.Unlock()
 	c.mu.Unlock()
-}
-
-// Snapshot copies the counter — and its lock — through a dereference.
-func Snapshot(c *Counter) int {
-	dup := *c // want `contains a mutex`
-	return dup.n
 }
