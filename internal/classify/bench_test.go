@@ -19,7 +19,10 @@ var corpus = sync.OnceValues(func() (*experiments.Pipeline, error) {
 // against the rule set a bare longtaild trains at boot: the default
 // corpus (seed 42, scale 0.02), its first month, tau 0.001 — 35 rules,
 // reported as "rules" so a change of the set shows. The instances are
-// the second month's events, in trace order.
+// the second month's events, in trace order. /indexed is the compiled
+// pivot index a daemon matches with (hash-map equality buckets plus
+// sorted-threshold binary search) and must stay at 0 allocs/op; /linear
+// is the reference scan over the same rules the index is tested against.
 func BenchmarkClassifyOne(b *testing.B) {
 	p, err := corpus()
 	if err != nil {
@@ -50,14 +53,21 @@ func BenchmarkClassifyOne(b *testing.B) {
 		}
 		insts = append(insts, features.Instance{Vector: vec, File: events[i].File})
 	}
-	matched := 0
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if v, _ := clf.ClassifyOne(&insts[i%len(insts)]); v != classify.VerdictNone {
-			matched++
-		}
+	linear := &classify.Classifier{Rules: clf.Rules, Policy: classify.Reject}
+	for _, tc := range []struct {
+		name string
+		clf  *classify.Classifier
+	}{{"indexed", clf}, {"linear", linear}} {
+		b.Run(tc.name, func(b *testing.B) {
+			matched := 0
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if v, _ := tc.clf.ClassifyOne(&insts[i%len(insts)]); v != classify.VerdictNone {
+					matched++
+				}
+			}
+			b.ReportMetric(float64(len(clf.Rules)), "rules")
+			b.ReportMetric(float64(matched)/float64(b.N), "matched-share")
+		})
 	}
-	b.ReportMetric(float64(len(clf.Rules)), "rules")
-	b.ReportMetric(float64(matched)/float64(b.N), "matched-share")
 }

@@ -95,13 +95,6 @@ func mix64(x uint64) uint64 {
 	return x
 }
 
-// Members returns the distinct member addresses in sorted order.
-func (r *Ring) Members() []string {
-	out := make([]string, len(r.nodes))
-	copy(out, r.nodes)
-	return out
-}
-
 // Len returns the number of distinct members.
 func (r *Ring) Len() int { return len(r.nodes) }
 

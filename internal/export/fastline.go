@@ -133,12 +133,13 @@ func AppendEventLine(dst []byte, e *dataset.DownloadEvent) ([]byte, error) {
 	return dst, nil
 }
 
-// scanPlainString scans a JSON string literal starting at s[i] (which
+// ScanPlainString scans a JSON string literal starting at s[i] (which
 // must be the opening quote) containing only unescaped printable ASCII,
 // returning the contents and the index past the closing quote. ok is
 // false when the literal is absent, escaped, or non-ASCII — the caller
-// falls back to the reference decoder.
-func scanPlainString(s string, i int) (val string, next int, ok bool) {
+// falls back to the reference decoder. The serving layer's verdict-line
+// fast path (internal/serve) scans with it too.
+func ScanPlainString(s string, i int) (val string, next int, ok bool) {
 	if i >= len(s) || s[i] != '"' {
 		return "", i, false
 	}
@@ -157,8 +158,8 @@ func scanPlainString(s string, i int) (val string, next int, ok bool) {
 	return "", i, false
 }
 
-// literal matches lit at s[i], returning the index past it.
-func literal(s string, i int, lit string) (int, bool) {
+// Literal matches lit at s[i], returning the index past it.
+func Literal(s string, i int, lit string) (int, bool) {
 	if len(s)-i < len(lit) || s[i:i+len(lit)] != lit {
 		return i, false
 	}
@@ -185,42 +186,42 @@ func ParseEventLine(line string) (dataset.DownloadEvent, error) {
 
 func parseEventFast(line string) (dataset.DownloadEvent, bool) {
 	var ev dataset.DownloadEvent
-	i, ok := literal(line, 0, `{"type":"event","file":`)
+	i, ok := Literal(line, 0, `{"type":"event","file":`)
 	if !ok {
 		return ev, false
 	}
 	var file, machine, process string
-	if file, i, ok = scanPlainString(line, i); !ok {
+	if file, i, ok = ScanPlainString(line, i); !ok {
 		return ev, false
 	}
-	if i, ok = literal(line, i, `,"machine":`); !ok {
+	if i, ok = Literal(line, i, `,"machine":`); !ok {
 		return ev, false
 	}
-	if machine, i, ok = scanPlainString(line, i); !ok {
+	if machine, i, ok = ScanPlainString(line, i); !ok {
 		return ev, false
 	}
-	if i, ok = literal(line, i, `,"process":`); !ok {
+	if i, ok = Literal(line, i, `,"process":`); !ok {
 		return ev, false
 	}
-	if process, i, ok = scanPlainString(line, i); !ok {
+	if process, i, ok = ScanPlainString(line, i); !ok {
 		return ev, false
 	}
-	if i, ok = literal(line, i, `,"url":`); !ok {
+	if i, ok = Literal(line, i, `,"url":`); !ok {
 		return ev, false
 	}
-	if ev.URL, i, ok = scanPlainString(line, i); !ok {
+	if ev.URL, i, ok = ScanPlainString(line, i); !ok {
 		return ev, false
 	}
-	if j, isDomain := literal(line, i, `,"domain":`); isDomain {
-		if ev.Domain, i, ok = scanPlainString(line, j); !ok {
+	if j, isDomain := Literal(line, i, `,"domain":`); isDomain {
+		if ev.Domain, i, ok = ScanPlainString(line, j); !ok {
 			return ev, false
 		}
 	}
-	if i, ok = literal(line, i, `,"time":`); !ok {
+	if i, ok = Literal(line, i, `,"time":`); !ok {
 		return ev, false
 	}
 	var stamp string
-	if stamp, i, ok = scanPlainString(line, i); !ok {
+	if stamp, i, ok = ScanPlainString(line, i); !ok {
 		return ev, false
 	}
 	// time.Parse takes the allocation-free parseRFC3339 fast path for
@@ -237,7 +238,7 @@ func parseEventFast(line string) (dataset.DownloadEvent, bool) {
 		return ev, false
 	}
 	ev.Time = t
-	if i, ok = literal(line, i, `,"executed":`); !ok {
+	if i, ok = Literal(line, i, `,"executed":`); !ok {
 		return ev, false
 	}
 	switch {

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"strconv"
-	"unicode/utf8"
 
 	"repro/internal/export"
 )
@@ -83,34 +82,6 @@ func canonicalVerdict(s string) string {
 	}
 }
 
-// scanPlain scans an unescaped printable-ASCII JSON string literal
-// opening at s[i]; ok=false sends the caller to the reference decoder.
-func scanPlain(s string, i int) (val string, next int, ok bool) {
-	if i >= len(s) || s[i] != '"' {
-		return "", i, false
-	}
-	i++
-	start := i
-	for i < len(s) {
-		b := s[i]
-		if b == '"' {
-			return s[start:i], i + 1, true
-		}
-		if b == '\\' || b < 0x20 || b >= utf8.RuneSelf {
-			return "", i, false
-		}
-		i++
-	}
-	return "", i, false
-}
-
-func verdictLit(s string, i int, lit string) (int, bool) {
-	if len(s)-i < len(lit) || s[i:i+len(lit)] != lit {
-		return i, false
-	}
-	return i + len(lit), true
-}
-
 // scanUint scans a decimal uint64 at s[i], rejecting the leading zeros
 // JSON forbids (and the canonical encoder never emits).
 func scanUint(s string, i int) (uint64, int, bool) {
@@ -135,34 +106,34 @@ func scanUint(s string, i int) (uint64, int, bool) {
 // caller falls back to encoding/json, which defines the semantics.
 func parseVerdictLine(line string) (VerdictRecord, bool) {
 	var v VerdictRecord
-	i, ok := verdictLit(line, 0, `{"type":`)
+	i, ok := export.Literal(line, 0, `{"type":`)
 	if !ok {
 		return v, false
 	}
-	if v.Type, i, ok = scanPlain(line, i); !ok {
+	if v.Type, i, ok = export.ScanPlainString(line, i); !ok {
 		return v, false
 	}
-	if i, ok = verdictLit(line, i, `,"file":`); !ok {
+	if i, ok = export.Literal(line, i, `,"file":`); !ok {
 		return v, false
 	}
-	if v.File, i, ok = scanPlain(line, i); !ok {
+	if v.File, i, ok = export.ScanPlainString(line, i); !ok {
 		return v, false
 	}
-	if i, ok = verdictLit(line, i, `,"verdict":`); !ok {
+	if i, ok = export.Literal(line, i, `,"verdict":`); !ok {
 		return v, false
 	}
 	var verdict string
-	if verdict, i, ok = scanPlain(line, i); !ok {
+	if verdict, i, ok = export.ScanPlainString(line, i); !ok {
 		return v, false
 	}
 	v.Verdict = canonicalVerdict(verdict)
-	if i, ok = verdictLit(line, i, `,"gen":`); !ok {
+	if i, ok = export.Literal(line, i, `,"gen":`); !ok {
 		return v, false
 	}
 	if v.Generation, i, ok = scanUint(line, i); !ok {
 		return v, false
 	}
-	if j, hasRules := verdictLit(line, i, `,"rules":[`); hasRules {
+	if j, hasRules := export.Literal(line, i, `,"rules":[`); hasRules {
 		i = j
 		for {
 			neg := false
@@ -190,12 +161,12 @@ func parseVerdictLine(line string) (VerdictRecord, bool) {
 		}
 		i++
 	}
-	if j, hasErr := verdictLit(line, i, `,"error":`); hasErr {
-		if v.Error, i, ok = scanPlain(line, j); !ok {
+	if j, hasErr := export.Literal(line, i, `,"error":`); hasErr {
+		if v.Error, i, ok = export.ScanPlainString(line, j); !ok {
 			return v, false
 		}
 	}
-	if i, ok = verdictLit(line, i, "}"); !ok || i != len(line) {
+	if i, ok = export.Literal(line, i, "}"); !ok || i != len(line) {
 		return v, false
 	}
 	return v, true

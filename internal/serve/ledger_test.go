@@ -330,13 +330,14 @@ func TestLedgerEmptyID(t *testing.T) {
 }
 
 // flakyFile is a journal file whose writes fail while failWrites is set
-// and whose first fsync fails when failFirstSync is. It is not an
-// *os.File, so the journal syncs it through Sync.
+// and whose every fsync fails for as long as *epoch is still the value
+// it had when the file was opened (born). It is not an *os.File, so the
+// journal syncs it through Sync.
 type flakyFile struct {
 	journal.File
-	failWrites    *atomic.Bool
-	failFirstSync bool
-	synced        bool
+	failWrites *atomic.Bool
+	epoch      *atomic.Int64
+	born       int64
 }
 
 func (f *flakyFile) Write(p []byte) (int, error) {
@@ -347,35 +348,41 @@ func (f *flakyFile) Write(p []byte) (int, error) {
 }
 
 func (f *flakyFile) Sync() error {
-	if first := !f.synced; first {
-		if f.synced = true; f.failFirstSync {
-			return errors.New("injected fsync failure")
-		}
+	if f.epoch != nil && f.epoch.Load() == f.born {
+		return errors.New("injected fsync failure")
 	}
 	return f.File.Sync()
 }
 
 // TestLedgerCompactionFailureDoesNotFailResult: the compaction a Result
 // happens to trigger is housekeeping. When it fails (here: the fsync of
-// the rewritten entries — the first fsync of every segment a compaction
-// opens — errors out), the request that triggered it still gets the
-// body it stored and journaled, the failure is counted for /metrics,
-// and nothing is lost — the segments the rewrite would have replaced
-// are still there at the next open.
+// the rewritten entries errors out), the request that triggered it
+// still gets the body it stored and journaled, the failure is counted
+// for /metrics, and nothing is lost — the segments the rewrite would
+// have replaced are still there at the next open.
+//
+// The segment a compaction opens cannot be fsynced until the Result
+// that triggered it has returned — by the compaction or by the
+// journal's sync loop, which may get to the rewritten records first —
+// so every compaction fails whichever of the two runs the fsync; the
+// epoch then moves on and the same segment takes the next Accept.
 func TestLedgerCompactionFailureDoesNotFailResult(t *testing.T) {
 	f := sharedFixture(t)
 	dir := t.TempDir()
+	var epoch atomic.Int64
 	l, _, err := OpenLedger(LedgerOptions{
 		Journal: journal.Options{Dir: dir, OpenFile: func(path string) (journal.File, error) {
 			file, err := os.Create(path)
-			return &flakyFile{File: file, failFirstSync: !strings.HasSuffix(path, "wal-00000001.seg")}, err
+			return &flakyFile{File: file, epoch: &epoch, born: epoch.Load()}, err
 		}},
 		CompactBytes: 1, // every Result arms compaction
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 3; i++ {
+	const results = 3
+	for i := 0; i < results; i++ {
+		epoch.Add(1) // every segment opened so far syncs; the next one will not, for now
 		id := fmt.Sprintf("b-%d", i)
 		if err := acceptEvents(l, id, f.replay[i:i+1]); err != nil {
 			t.Fatal(err)
@@ -390,8 +397,8 @@ func TestLedgerCompactionFailureDoesNotFailResult(t *testing.T) {
 		}
 	}
 	jm := l.JournalMetrics()
-	if jm.CompactErrors == 0 || jm.Stats.Compactions != 0 {
-		t.Fatalf("CompactErrors = %d, Compactions = %d; want failures and no success — the test is vacuous", jm.CompactErrors, jm.Stats.Compactions)
+	if jm.CompactErrors != results || jm.Stats.Compactions != 0 {
+		t.Fatalf("CompactErrors = %d, Compactions = %d; want %d failures and no success", jm.CompactErrors, jm.Stats.Compactions, results)
 	}
 	// No rewrite reached the disk, so the reference the trigger scales by
 	// must not have moved.
@@ -406,6 +413,7 @@ func TestLedgerCompactionFailureDoesNotFailResult(t *testing.T) {
 	if !strings.Contains(out.String(), fmt.Sprintf("longtail_journal_compact_errors_total %d\n", jm.CompactErrors)) {
 		t.Fatalf("/metrics does not expose the failures:\n%s", out.String())
 	}
+	epoch.Add(1)
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -414,8 +422,8 @@ func TestLedgerCompactionFailureDoesNotFailResult(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l2.Close()
-	if rec.Results != 3 {
-		t.Fatalf("recovered %d results after failed compactions, want 3", rec.Results)
+	if rec.Results != results {
+		t.Fatalf("recovered %d results after failed compactions, want %d", rec.Results, results)
 	}
 }
 

@@ -120,13 +120,6 @@ type Metrics struct {
 	verdicts [4]atomic.Uint64
 }
 
-// CountVerdict records one served verdict.
-func (m *Metrics) CountVerdict(v classify.Verdict) {
-	if v >= 0 && int(v) < len(m.verdicts) {
-		m.verdicts[v].Add(1)
-	}
-}
-
 // VerdictCount returns the number of verdicts served with value v.
 func (m *Metrics) VerdictCount(v classify.Verdict) uint64 {
 	if v < 0 || int(v) >= len(m.verdicts) {

@@ -56,7 +56,8 @@ type Server struct {
 	// server stateless (the pre-journal behavior).
 	ledger *Ledger
 	// deferHighWater is the queue-load fraction beyond which new
-	// journaled batches are deferred instead of classified inline.
+	// journaled batches are deferred instead of classified inline:
+	// defaultDeferHighWater, except in tests that defer every batch.
 	deferHighWater float64
 
 	deferCh   chan string
@@ -69,6 +70,8 @@ type Server struct {
 	metricsAppenders []func(io.Writer)
 }
 
+const defaultDeferHighWater = 0.75
+
 // ServerOption customizes NewServer.
 type ServerOption func(*Server)
 
@@ -76,13 +79,6 @@ type ServerOption func(*Server)
 // dedup, the journal-and-defer admission rung and GET /result.
 func WithLedger(l *Ledger) ServerOption {
 	return func(s *Server) { s.ledger = l }
-}
-
-// WithDeferHighWater sets the queue-load fraction (0..1] above which
-// identified batches are journaled and deferred. 0 defers every
-// identified batch (useful in tests); default 0.75.
-func WithDeferHighWater(f float64) ServerOption {
-	return func(s *Server) { s.deferHighWater = f }
 }
 
 // WithMetricsAppender registers a function that appends extra
@@ -103,7 +99,7 @@ func NewServer(engine *Engine, policy classify.ConflictPolicy, opts ...ServerOpt
 	if engine == nil {
 		return nil, fmt.Errorf("serve: nil engine")
 	}
-	s := &Server{engine: engine, policy: policy, deferHighWater: 0.75}
+	s := &Server{engine: engine, policy: policy, deferHighWater: defaultDeferHighWater}
 	for _, opt := range opts {
 		opt(s)
 	}

@@ -95,10 +95,11 @@ func TestDrainWithNonEmptyJournal(t *testing.T) {
 	// Defer every identified batch, and stop the background worker
 	// before any request arrives: these are the requests that land
 	// mid-drain, after the worker stopped but before the listener did.
-	srv, err := NewServer(engine, classify.Reject, WithLedger(l), WithDeferHighWater(0))
+	srv, err := NewServer(engine, classify.Reject, WithLedger(l))
 	if err != nil {
 		t.Fatal(err)
 	}
+	srv.deferHighWater = 0
 	srv.Close()
 
 	events := f.replay[:6]
