@@ -17,7 +17,7 @@ LONGTAILVET ?= bin/longtailvet
 .PHONY: verify verify-fast build vet test fmtcheck lint lint-report \
 	longtailvet staticcheck govulncheck bench bench-gate \
 	chaos-serve chaos-cluster chaos-lifecycle chaos-churn fuzz-smoke \
-	e2e-bench e2e-compare bench-layers bench-layers-smoke
+	e2e-bench e2e-compare bench-layers bench-layers-smoke loc
 
 verify: verify-fast fuzz-smoke chaos-serve chaos-cluster chaos-lifecycle chaos-churn
 
@@ -173,3 +173,15 @@ bench:
 # -fence does.
 bench-gate:
 	$(GO) test -run '^TestJournaledFence$$' -count=1 -v -fence .
+
+# Non-test lines of Go per package directory and tree-wide, the way the
+# simplicity issues count them: every *.go that is not a *_test.go,
+# lint testdata included, bench/ (the benchmark's own program) left
+# out. CHANGES.md quotes this output, not a hand tally.
+loc:
+	@total=0; \
+	for d in $$(find . -path ./bench -prune -o -name '*.go' -not -name '*_test.go' -print | xargs -n1 dirname | sort -u); do \
+		n=$$(find $$d -maxdepth 1 -name '*.go' -not -name '*_test.go' | xargs cat | wc -l); \
+		printf '%7d  %s\n' $$n $${d#./}; total=$$((total+n)); \
+	done; \
+	printf '%7d  total outside bench/\n' $$total

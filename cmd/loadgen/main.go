@@ -257,11 +257,11 @@ func printRouterHealth(ctx context.Context, client *serve.Client, label string) 
 		return err
 	}
 	fmt.Printf("router %s: status %v, generation %v", label, h["status"], h["generation"])
-	if t, ok := h["target_generation"]; ok {
+	if t, ok := h["targetGeneration"]; ok {
 		fmt.Printf(" (target %v)", t)
 	}
 	fmt.Println()
-	if reason, ok := h["degraded_reason"].(string); ok && reason != "" {
+	if reason, ok := h["degradedReason"].(string); ok && reason != "" {
 		fmt.Printf("  degraded: %s\n", reason)
 	}
 	nodes, _ := h["nodes"].([]any)

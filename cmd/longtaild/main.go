@@ -95,9 +95,6 @@ func run() error {
 	journalDir := flag.String("journal-dir", "", "write-ahead journal directory (empty: serve stateless)")
 	journalShards := flag.Int("journal-shards", 1, "journal WAL shards; >1 stripes accepts over per-shard group-commit fsync loops (shards already on disk can only raise the count)")
 	lifecycleOn := flag.Bool("lifecycle", false, "enable champion/challenger lifecycle (/admin/lifecycle, shadow evaluation, gated self-promotion)")
-	fpBudget := flag.Float64("lifecycle-fp-budget", 0.001, "max challenger FP rate over known-benign shadow traffic (paper's 0.1%)")
-	minShadow := flag.Int("lifecycle-min-samples", 200, "shadow-classified events required before the promotion gate decides")
-	lifecycleInterval := flag.Duration("lifecycle-interval", 250*time.Millisecond, "promotion-gate evaluation period")
 	retention := flag.Int("result-retention", 0, "completed batches kept for retransmit dedup (0: default 65536, negative: unbounded)")
 	drain := flag.Duration("drain", 10*time.Second, "graceful shutdown budget")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this side address (e.g. localhost:6060; empty: off)")
@@ -188,11 +185,7 @@ func run() error {
 
 	handler := srv.Handler()
 	if *lifecycleOn {
-		mgr, err := lifecycle.NewManager(lifecycle.Config{
-			FPBudget:         *fpBudget,
-			MinShadowSamples: *minShadow,
-			Interval:         *lifecycleInterval,
-		}, lifecycle.ReloadPromoter{
+		mgr, err := lifecycle.NewManager(lifecycle.Config{}, lifecycle.ReloadPromoter{
 			Client: &serve.Client{BaseURL: loopbackURL(*addr)},
 		}, eval)
 		if err != nil {
@@ -202,7 +195,7 @@ func run() error {
 		mux.HandleFunc("/admin/lifecycle", lifecycleHandler(ctx, mgr, classify.Reject))
 		mux.Handle("/", handler)
 		handler = mux
-		log.Printf("longtaild: lifecycle enabled (FP budget %.4f, min shadow samples %d)", *fpBudget, *minShadow)
+		log.Printf("longtaild: lifecycle enabled")
 	}
 	httpSrv := &http.Server{Addr: *addr, Handler: handler}
 	errCh := make(chan error, 1)

@@ -4,20 +4,24 @@
 // breakers, failover to ring successors, active health probing,
 // and generation-consistent rule distribution.
 //
-// The router speaks the same wire protocol as a single replica —
-// POST /classify, GET /result, POST /admin/reload, GET /healthz,
-// GET /metrics — so clients built against longtaild (cmd/loadgen,
-// serve.Client) point at a router unchanged. Router-only endpoints:
-// POST /admin/join?addr=H:P and POST /admin/leave?addr=H:P for
-// membership changes (a leaving replica drains in-flight batches before
-// it is forgotten).
+// POST /classify, POST /admin/reload, GET /healthz and GET /metrics
+// answer as a single replica's do, so clients built against longtaild
+// (cmd/loadgen, serve.Client) point at a router unchanged; there is no
+// GET /result, because the forward resolves a replica's 202 before the
+// client hears anything. GET /admin/lifecycle aggregates the replicas'.
+// Router-only endpoints: POST /admin/join?addr=H:P and
+// POST /admin/leave?addr=H:P for membership changes (a leaving replica
+// hands off its ledger and drains in-flight batches before it is
+// forgotten).
 //
 // Usage:
 //
 //	longtailrouter -replicas 127.0.0.1:8787,127.0.0.1:8788,127.0.0.1:8789
-//	               [-addr :8780] [-probe-interval 2s] [-probe-timeout 1s]
-//	               [-eject-after 3] [-breaker-threshold 3] [-breaker-reset 2s]
-//	               [-vnodes 64] [-drain 10s]
+//	               [-addr :8780] [-drain 10s]
+//
+// Probing (every 2s, 1s timeout, ejection after 3 consecutive failures),
+// the breakers (3 failures, 2s reset) and the ring (64 virtual nodes per
+// replica) run at cluster.Options' defaults.
 //
 // Exactly-once across failover rides on the replicas' verdict ledgers:
 // the router forwards each batch's X-Request-Id unchanged and pins
@@ -52,12 +56,6 @@ func main() {
 func run() error {
 	addr := flag.String("addr", ":8780", "listen address")
 	replicas := flag.String("replicas", "", "comma-separated replica addresses (host:port), e.g. 127.0.0.1:8787,127.0.0.1:8788")
-	probeInterval := flag.Duration("probe-interval", 2*time.Second, "active health-probe period (0: probing off)")
-	probeTimeout := flag.Duration("probe-timeout", time.Second, "per-probe timeout")
-	ejectAfter := flag.Int("eject-after", 3, "consecutive failed probes before a replica is ejected from the ring")
-	breakerThreshold := flag.Int("breaker-threshold", 3, "consecutive forward failures tripping a replica's circuit breaker")
-	breakerReset := flag.Duration("breaker-reset", 2*time.Second, "breaker open period before a half-open probe")
-	vnodes := flag.Int("vnodes", cluster.DefaultVirtualNodes, "virtual nodes per replica on the hash ring")
 	drain := flag.Duration("drain", 10*time.Second, "graceful shutdown budget")
 	flag.Parse()
 
@@ -69,15 +67,7 @@ func run() error {
 		addrs[i] = strings.TrimSpace(addrs[i])
 	}
 
-	rt, err := cluster.NewRouter(cluster.Options{
-		Replicas:         addrs,
-		ProbeInterval:    *probeInterval,
-		ProbeTimeout:     *probeTimeout,
-		EjectAfter:       *ejectAfter,
-		BreakerThreshold: *breakerThreshold,
-		BreakerReset:     *breakerReset,
-		VirtualNodes:     *vnodes,
-	})
+	rt, err := cluster.NewRouter(cluster.Options{Replicas: addrs, ProbeInterval: 2 * time.Second})
 	if err != nil {
 		return err
 	}

@@ -6,28 +6,39 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"strconv"
-	"time"
 
 	"repro/internal/retry"
 	"repro/internal/serve"
 )
 
-// Handler returns the router's HTTP surface. It speaks the same wire
-// protocol as a single replica — /classify, /result, /admin/reload,
-// /healthz, /metrics — so serve.Client and cmd/loadgen point at a
-// router unchanged; /admin/join and /admin/leave are router-only.
+// Handler returns the router's HTTP surface: seven routes. /classify,
+// /admin/reload, /healthz and /metrics answer as a single replica's do,
+// so serve.Client and cmd/loadgen point at a router unchanged;
+// /admin/lifecycle aggregates the replicas'; /admin/join and
+// /admin/leave are router-only. There is no /result: a replica's 202 is
+// resolved by the forward (serve.Client.ClassifyRaw polls the replica
+// that accepted), so the router never hands one to a client.
 func (rt *Router) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/classify", rt.handleClassify)
-	mux.HandleFunc("/result", rt.handleResult)
-	mux.HandleFunc("/admin/reload", rt.handleReload)
-	mux.HandleFunc("/admin/join", rt.handleJoin)
+	mux.HandleFunc("/classify", postOnly(rt.handleClassify))
+	mux.HandleFunc("/admin/reload", postOnly(rt.handleReload))
+	mux.HandleFunc("/admin/join", postOnly(rt.handleJoin))
 	mux.HandleFunc("/admin/lifecycle", rt.handleLifecycle)
-	mux.HandleFunc("/admin/leave", rt.handleLeave)
+	mux.HandleFunc("/admin/leave", postOnly(rt.handleLeave))
 	mux.HandleFunc("/healthz", rt.handleHealthz)
 	mux.HandleFunc("/metrics", rt.handleMetrics)
 	return mux
+}
+
+// postOnly answers anything but a POST with 405.
+func postOnly(h http.HandlerFunc) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != http.MethodPost {
+			http.Error(w, "POST only", http.StatusMethodNotAllowed)
+			return
+		}
+		h(w, r)
+	}
 }
 
 // readBody reads a request body under the nodes' own cap (a batch no
@@ -43,10 +54,6 @@ func readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
 }
 
 func (rt *Router) handleClassify(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST only", http.StatusMethodNotAllowed)
-		return
-	}
 	body, ok := readBody(w, r)
 	if !ok {
 		return
@@ -56,17 +63,15 @@ func (rt *Router) handleClassify(w http.ResponseWriter, r *http.Request) {
 		id = rt.NextRequestID()
 	}
 	ctx := r.Context()
-	var timeout time.Duration
-	if ms := r.Header.Get(serve.TimeoutHeader); ms != "" {
-		v, err := strconv.ParseInt(ms, 10, 64)
-		if err != nil || v <= 0 {
-			http.Error(w, "bad timeout header", http.StatusBadRequest)
-			return
-		}
+	timeout, err := serve.ParseTimeout(r.Header.Get(serve.TimeoutHeader))
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
+	}
+	if timeout > 0 {
 		// Propagate the client's deadline: the router gives up when the
 		// client would, and forwards the same budget to the replica so it
 		// can shed work nobody is waiting for.
-		timeout = time.Duration(v) * time.Millisecond
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, timeout)
 		defer cancel()
@@ -88,9 +93,7 @@ func (rt *Router) handleClassify(w http.ResponseWriter, r *http.Request) {
 // problems, the replica's own refusal for permanent ones.
 func writeForwardError(w http.ResponseWriter, err error) {
 	switch {
-	case errors.Is(err, ErrNoReplica):
-		http.Error(w, err.Error(), http.StatusServiceUnavailable)
-	case errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled):
+	case errors.Is(err, ErrNoReplica), errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
 		http.Error(w, err.Error(), http.StatusServiceUnavailable)
 	case retry.IsPermanent(err):
 		http.Error(w, err.Error(), http.StatusBadRequest)
@@ -99,30 +102,7 @@ func writeForwardError(w http.ResponseWriter, err error) {
 	}
 }
 
-func (rt *Router) handleResult(w http.ResponseWriter, r *http.Request) {
-	id := r.URL.Query().Get("id")
-	if id == "" {
-		http.Error(w, "missing id", http.StatusBadRequest)
-		return
-	}
-	data, err := rt.FetchResult(r.Context(), id)
-	switch {
-	case err == nil:
-		w.Write(data)
-	case errors.Is(err, serve.ErrResultPending):
-		w.WriteHeader(http.StatusNoContent)
-	case errors.Is(err, serve.ErrUnknownRequest):
-		http.Error(w, "unknown request id", http.StatusNotFound)
-	default:
-		http.Error(w, err.Error(), http.StatusBadGateway)
-	}
-}
-
 func (rt *Router) handleReload(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST only", http.StatusMethodNotAllowed)
-		return
-	}
 	rules, ok := readBody(w, r)
 	if !ok {
 		return
@@ -139,10 +119,6 @@ func (rt *Router) handleReload(w http.ResponseWriter, r *http.Request) {
 }
 
 func (rt *Router) handleJoin(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST only", http.StatusMethodNotAllowed)
-		return
-	}
 	addr := r.URL.Query().Get("addr")
 	if addr == "" {
 		http.Error(w, "missing addr", http.StatusBadRequest)
@@ -157,18 +133,11 @@ func (rt *Router) handleJoin(w http.ResponseWriter, r *http.Request) {
 	// retransmit of a remapped ID finds its verdict on the new owner.
 	// Best-effort: a failed rebalance leaves incumbents authoritative
 	// (sticky pins unchanged) and a non-zero pending gauge.
-	rebalanced := true
-	if err := rt.Rebalance(r.Context(), addr); err != nil {
-		rebalanced = false
-	}
-	json.NewEncoder(w).Encode(map[string]any{"joined": addr, "rebalanced": rebalanced})
+	err := rt.Rebalance(r.Context(), addr)
+	json.NewEncoder(w).Encode(map[string]any{"joined": addr, "rebalanced": err == nil})
 }
 
 func (rt *Router) handleLeave(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST only", http.StatusMethodNotAllowed)
-		return
-	}
 	addr := r.URL.Query().Get("addr")
 	if addr == "" {
 		http.Error(w, "missing addr", http.StatusBadRequest)
@@ -194,14 +163,8 @@ func (rt *Router) handleLifecycle(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	st := rt.Status()
-	rt.mu.Lock()
-	nodes := make([]*node, 0, len(rt.nodes))
-	for _, n := range rt.nodes {
-		nodes = append(nodes, n)
-	}
-	rt.mu.Unlock()
-	perNode := make(map[string]any, len(nodes))
-	for _, n := range nodes {
+	perNode := make(map[string]any, len(st.Nodes))
+	for _, n := range rt.nodeList() {
 		status, err := n.client.Lifecycle(r.Context())
 		if err != nil {
 			// A replica without -lifecycle (404) or unreachable: report the
@@ -228,11 +191,6 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	json.NewEncoder(w).Encode(st)
 }
 
-// nodeStates is the full label domain of longtail_node_state: every
-// state is exported as a 0/1 gauge per node so dashboards can plot
-// transitions without discovering label values.
-var nodeStates = []NodeState{NodeHealthy, NodeDegraded, NodeEjected, NodeLeaving}
-
 func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 	st := rt.Status()
@@ -255,12 +213,14 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "longtail_handoff_replayed_total %d\n", m.HandoffReplayed.Load())
 	fmt.Fprintf(w, "longtail_handoff_failures_total %d\n", m.HandoffFails.Load())
 	for _, n := range st.Nodes {
-		for _, s := range nodeStates {
+		// Every state is exported as a 0/1 gauge per node so dashboards
+		// can plot transitions without discovering label values.
+		for _, s := range nodeStateNames {
 			v := 0
-			if n.State == s.String() {
+			if n.State == s {
 				v = 1
 			}
-			fmt.Fprintf(w, "longtail_node_state{node=%q,state=%q} %d\n", n.Addr, s.String(), v)
+			fmt.Fprintf(w, "longtail_node_state{node=%q,state=%q} %d\n", n.Addr, s, v)
 		}
 		fmt.Fprintf(w, "longtail_node_generation{node=%q} %d\n", n.Addr, n.Generation)
 		fmt.Fprintf(w, "longtail_node_served_total{node=%q} %d\n", n.Addr, n.Served)

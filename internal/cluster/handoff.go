@@ -1,31 +1,34 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"sort"
 
-	"repro/internal/journal"
 	"repro/internal/retry"
 	"repro/internal/serve"
 )
 
 // Handoff orchestration: moving ledger history to the replicas that the
 // ring says now own it, so membership churn never turns a retransmit
-// into a re-classification. Three flows share the machinery here:
+// into a re-classification. There is one procedure, handoff — pull a
+// source's export, split it by current ring owner, re-pin what stays,
+// push the rest — and three occasions for it:
 //
 //   - planned leave: Leave drains the leaver's ledger to the new ring
-//     owners (handoffFrom) before the node is forgotten;
+//     owners before the node is forgotten;
 //   - crash return: a node ejected with undrained state is flagged
 //     needsReconcile, and its first probation readmit triggers
 //     reconcileNode — recovery replay on the node's side already
-//     rebuilt its ledger from the journal, this side exports the ranges
+//     rebuilt its ledger from the journal, this side ships the ranges
 //     it no longer owns to their current owners;
-//   - join: Rebalance pulls, from every incumbent, the history for key
-//     ranges the grown ring assigns to the joiner.
+//   - join: Rebalance runs it on every incumbent, shipping only the
+//     history for key ranges the grown ring assigns to the joiner.
 //
-// Authority rule, same in all three: the SOURCE stays authoritative for
+// The record format is the nodes' business: serve.SplitExport reads the
+// stream and cuts the chunks, this file only says where IDs belong.
+//
+// Authority rule, same on all three: the SOURCE stays authoritative for
 // an ID until an importer's durable ack (the importer fsyncs before
 // answering), after which both hold byte-identical records, so there is
 // never a moment where nobody can answer and never a moment where two
@@ -33,74 +36,9 @@ import (
 // leaves the range pinned to the source — visible as a non-zero
 // longtail_handoff_pending gauge — rather than splitting authority.
 
-// handoffEntry is one ledger record in flight between replicas: the
-// request ID it concerns plus the record's full journal payload, ready
-// to be re-framed for the importer.
-type handoffEntry struct {
-	kind byte
-	id   string
-	data []byte
-}
-
-// decodeHandoffEntries parses an export stream (concatenated CRC
-// frames) into routable entries. Any framing damage rejects the whole
-// stream: the source still holds everything, re-pulling is cheap, and
-// importing a prefix of a damaged stream would hide the damage.
-func decodeHandoffEntries(stream []byte) ([]handoffEntry, error) {
-	recs, tail := journal.DecodeFrames(stream)
-	if tail != 0 {
-		return nil, fmt.Errorf("cluster: handoff stream: %d trailing bytes fail CRC framing", tail)
-	}
-	out := make([]handoffEntry, 0, len(recs))
-	for _, r := range recs {
-		idx := bytes.IndexByte(r.Data, '\n')
-		if idx <= 0 {
-			return nil, fmt.Errorf("cluster: handoff record without id line")
-		}
-		out = append(out, handoffEntry{kind: r.Kind, id: string(r.Data[:idx]), data: r.Data})
-	}
-	return out, nil
-}
-
-// chunkEntries re-frames entries into import-sized chunks, preserving
-// order. Each chunk is independently importable and idempotent, so a
-// retransmitted or reordered chunk converges on the importer.
-func chunkEntries(entries []handoffEntry, maxBytes int) (chunks [][]byte, counts []int) {
-	var cur []byte
-	n := 0
-	for _, e := range entries {
-		if n > 0 && len(cur)+len(e.data) > maxBytes {
-			chunks = append(chunks, cur)
-			counts = append(counts, n)
-			cur, n = nil, 0
-		}
-		cur = journal.AppendFrame(cur, e.kind, e.data)
-		n++
-	}
-	if n > 0 {
-		chunks = append(chunks, cur)
-		counts = append(counts, n)
-	}
-	return chunks, counts
-}
-
-// pullExport fetches a replica's full ledger export, retrying per the
-// router policy. No breaker gating: exports are pulled from nodes that
-// are leaving or freshly returned, exactly the nodes whose breakers may
-// still be settling.
-func (rt *Router) pullExport(ctx context.Context, n *node) ([]byte, error) {
-	var stream []byte
-	err := retry.Do(ctx, rt.opts.Retry, func(ctx context.Context) error {
-		var err error
-		stream, err = n.client.HandoffExport(ctx)
-		return err
-	})
-	return stream, err
-}
-
 // pushChunk ships one chunk to target with backoff and breaker gating:
 // a breaker-open target fails the attempt without a network call, and
-// availability errors feed the breaker exactly like forward attempts.
+// the outcome feeds the breaker exactly like a forward attempt's.
 // nil error means the target journaled and fsynced the chunk — the
 // durable ack that releases the source's authority for those IDs.
 func (rt *Router) pushChunk(ctx context.Context, target *node, chunk []byte) error {
@@ -108,131 +46,102 @@ func (rt *Router) pushChunk(ctx context.Context, target *node, chunk []byte) err
 		if err := target.breaker.Allow(); err != nil {
 			return err
 		}
-		_, err := target.client.HandoffImport(ctx, chunk)
-		if err == nil || retry.IsPermanent(err) {
-			// A permanent refusal means the target answered; only
-			// availability failures count against the breaker.
-			target.breaker.Record(nil)
-		} else {
-			target.breaker.Record(err)
-		}
+		err := target.client.HandoffImport(ctx, chunk)
+		target.record(err)
 		return err
 	})
 }
 
-// routeEntries groups entries by their current ring owner. Entries the
-// ring maps back to source (reconciliation of a node that still owns
-// part of its old range) need no transfer — the caller just re-pins
-// them.
-func (rt *Router) routeEntries(entries []handoffEntry, source string) (groups map[string][]handoffEntry, keep []handoffEntry) {
-	ring := rt.ring.Load()
-	groups = make(map[string][]handoffEntry)
-	for _, e := range entries {
-		owner := ring.Owner(e.id)
-		if owner == "" || owner == source {
-			keep = append(keep, e)
-			continue
-		}
-		groups[owner] = append(groups[owner], e)
+// handoff moves what source's ledger holds to where the ring says it
+// belongs and reports how many entries it shipped. With only == "" every
+// entry goes to its current ring owner and the ones the ring maps back
+// to source (a reconciled node that still owns part of its old range)
+// are re-pinned to it; with only set, just the entries that address now
+// owns move and the rest are left alone (a join: the incumbents keep
+// what is theirs).
+//
+// Sticky routes are re-pinned as chunks ack, and source.handoffPending
+// tracks the not-yet-acked entry count throughout, so a partial
+// transfer is observable the moment it stalls. On a push error, entries
+// already acked stay transferred (idempotent on retry) and entries not
+// yet acked remain the source's.
+func (rt *Router) handoff(ctx context.Context, source *node, only string) (shipped int, err error) {
+	// No breaker gating on the pull: exports come from nodes that are
+	// leaving or freshly returned, exactly the nodes whose breakers may
+	// still be settling.
+	var stream []byte
+	err = retry.Do(ctx, rt.opts.Retry, func(ctx context.Context) (err error) {
+		stream, err = source.client.HandoffExport(ctx)
+		return err
+	})
+	if err != nil {
+		rt.metrics.HandoffFails.Add(1)
+		return 0, fmt.Errorf("cluster: handoff export from %s: %w", source.addr, err)
 	}
-	return groups, keep
-}
-
-// pushGroups transfers each owner's group and re-pins sticky routes as
-// chunks ack. source.handoffPending tracks the not-yet-acked entry
-// count throughout, so a partial transfer is observable the moment it
-// stalls. Returns the first push error; entries already acked stay
-// transferred (idempotent on retry), entries not yet acked remain the
-// source's.
-func (rt *Router) pushGroups(ctx context.Context, source *node, groups map[string][]handoffEntry) error {
+	ring := rt.ring.Load()
+	groups, err := serve.SplitExport(stream, func(id string) string {
+		owner := ring.Owner(id)
+		switch {
+		case only != "" && owner != only:
+			return ""
+		case owner == "" || owner == source.addr:
+			rt.repinRoute(id, source.addr) // stays where it is: no transfer
+			return ""
+		}
+		return owner
+	})
+	if err != nil {
+		rt.metrics.HandoffFails.Add(1)
+		return 0, fmt.Errorf("cluster: handoff export from %s: %w", source.addr, err)
+	}
 	owners := make([]string, 0, len(groups))
-	total := 0
-	for addr, g := range groups {
+	for addr, chunks := range groups {
 		owners = append(owners, addr)
-		total += len(g)
+		for _, chunk := range chunks {
+			shipped += chunk.Entries
+		}
+	}
+	if shipped == 0 {
+		return 0, nil
 	}
 	sort.Strings(owners)
-	source.handoffPending.Store(int64(total))
+	source.handoffPending.Store(int64(shipped))
 	for _, addr := range owners {
 		rt.mu.Lock()
 		target := rt.nodes[addr]
 		rt.mu.Unlock()
 		if target == nil {
 			rt.metrics.HandoffFails.Add(1)
-			return fmt.Errorf("cluster: handoff target %s is not a member", addr)
+			return shipped, fmt.Errorf("cluster: handoff target %s is not a member", addr)
 		}
-		entries := groups[addr]
-		chunks, counts := chunkEntries(entries, serve.DefaultHandoffChunkBytes)
-		sent := 0
-		for i, chunk := range chunks {
-			if err := rt.pushChunk(ctx, target, chunk); err != nil {
+		for _, chunk := range groups[addr] {
+			if err := rt.pushChunk(ctx, target, chunk.Data); err != nil {
 				rt.metrics.HandoffFails.Add(1)
-				return fmt.Errorf("cluster: handoff push to %s: %w", addr, err)
+				return shipped, fmt.Errorf("cluster: handoff push to %s: %w", addr, err)
 			}
 			rt.metrics.HandoffChunks.Add(1)
-			rt.metrics.HandoffEntries.Add(uint64(counts[i]))
-			source.handoffPending.Add(-int64(counts[i]))
-			for _, e := range entries[sent : sent+counts[i]] {
-				rt.repinRoute(e.id, addr)
+			rt.metrics.HandoffEntries.Add(uint64(chunk.Entries))
+			source.handoffPending.Add(-int64(chunk.Entries))
+			for _, id := range chunk.IDs {
+				rt.repinRoute(id, addr)
 			}
-			sent += counts[i]
 		}
 	}
-	return nil
-}
-
-// handoffFrom drains source's entire ledger to the current ring owners
-// of its keys. The caller has already taken source out of the ring (or
-// left it in, for reconciliation — self-owned entries are kept, not
-// shipped).
-func (rt *Router) handoffFrom(ctx context.Context, source *node) error {
-	stream, err := rt.pullExport(ctx, source)
-	if err != nil {
-		rt.metrics.HandoffFails.Add(1)
-		return fmt.Errorf("cluster: handoff export from %s: %w", source.addr, err)
-	}
-	entries, err := decodeHandoffEntries(stream)
-	if err != nil {
-		rt.metrics.HandoffFails.Add(1)
-		return err
-	}
-	groups, keep := rt.routeEntries(entries, source.addr)
-	for _, e := range keep {
-		rt.repinRoute(e.id, source.addr)
-	}
-	return rt.pushGroups(ctx, source, groups)
+	return shipped, nil
 }
 
 // reconcileNode runs the background half of the reconciliation window:
 // a node that crashed out of the ring has returned on probation, its
 // own recovery replay has rebuilt its ledger from whatever the journal
-// preserved, and this pull exports the ranges it no longer owns to
-// their current owners. Entries the shrunken-then-regrown ring still
-// assigns to the node are simply re-pinned. On success the node's
-// pending gauge and reconcile flag clear; on failure both persist and
-// the next probe round retries — sticky entries for the node stay in
-// the reconciling state, so retransmits keep consulting current owners
-// rather than trusting a pin that predates the crash.
+// preserved, and this handoff ships the ranges it no longer owns to
+// their current owners. On success the node's pending gauge and
+// reconcile flag clear; on failure both persist and the next probe
+// round retries — sticky entries for the node stay in the reconciling
+// state, so retransmits keep consulting current owners rather than
+// trusting a pin that predates the crash.
 func (rt *Router) reconcileNode(ctx context.Context, n *node) error {
-	stream, err := rt.pullExport(ctx, n)
+	shipped, err := rt.handoff(ctx, n, "")
 	if err != nil {
-		rt.metrics.HandoffFails.Add(1)
-		return fmt.Errorf("cluster: reconcile export from %s: %w", n.addr, err)
-	}
-	entries, err := decodeHandoffEntries(stream)
-	if err != nil {
-		rt.metrics.HandoffFails.Add(1)
-		return err
-	}
-	groups, keep := rt.routeEntries(entries, n.addr)
-	for _, e := range keep {
-		rt.repinRoute(e.id, n.addr)
-	}
-	shipped := 0
-	for _, g := range groups {
-		shipped += len(g)
-	}
-	if err := rt.pushGroups(ctx, n, groups); err != nil {
 		return err
 	}
 	rt.metrics.HandoffReplayed.Add(uint64(shipped))
@@ -250,53 +159,18 @@ func (rt *Router) reconcileNode(ctx context.Context, n *node) error {
 // failure leaves a working (if unevenly pinned) cluster.
 func (rt *Router) Rebalance(ctx context.Context, addr string) error {
 	rt.mu.Lock()
-	target := rt.nodes[addr]
-	sources := make([]*node, 0, len(rt.nodes))
-	for a, n := range rt.nodes {
-		if a == addr {
-			continue
-		}
-		if st := n.State(); st != NodeEjected && st != NodeLeaving {
-			sources = append(sources, n)
-		}
-	}
+	member := rt.nodes[addr] != nil
 	rt.mu.Unlock()
-	if target == nil {
+	if !member {
 		return fmt.Errorf("cluster: %s is not a member", addr)
 	}
-	sort.Slice(sources, func(i, j int) bool { return sources[i].addr < sources[j].addr })
-	ring := rt.ring.Load()
 	var firstErr error
-	for _, src := range sources {
-		stream, err := rt.pullExport(ctx, src)
-		if err != nil {
-			rt.metrics.HandoffFails.Add(1)
-			if firstErr == nil {
-				firstErr = fmt.Errorf("cluster: rebalance export from %s: %w", src.addr, err)
-			}
+	for _, src := range rt.nodeList() {
+		if src.addr == addr || !src.inRotation() {
 			continue
 		}
-		entries, err := decodeHandoffEntries(stream)
-		if err != nil {
-			rt.metrics.HandoffFails.Add(1)
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
-		migrating := entries[:0]
-		for _, e := range entries {
-			if ring.Owner(e.id) == addr {
-				migrating = append(migrating, e)
-			}
-		}
-		if len(migrating) == 0 {
-			continue
-		}
-		if err := rt.pushGroups(ctx, src, map[string][]handoffEntry{addr: migrating}); err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
+		if _, err := rt.handoff(ctx, src, addr); err != nil && firstErr == nil {
+			firstErr = err
 		}
 	}
 	return firstErr

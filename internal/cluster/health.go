@@ -68,24 +68,22 @@ func (rt *Router) probeNode(ctx context.Context, n *node) {
 		fails := n.probeFails.Add(1)
 		rt.mu.Lock()
 		defer rt.mu.Unlock()
-		switch n.State() {
-		case NodeEjected, NodeLeaving:
-			// Already out of the ring; nothing to demote.
-		default:
-			if int(fails) >= rt.opts.EjectAfter {
-				n.state.Store(int32(NodeEjected))
-				rt.rebuildRingLocked()
-				// The node died holding ledger history nobody drained:
-				// open the reconciliation window. Sticky entries pinned to
-				// it flip immediately — retransmits consult the new ring
-				// owners instead of a corpse — and the reconcile flag makes
-				// its first probation readmit export the ranges it lost.
-				n.needsReconcile.Store(true)
-				n.handoffPending.Store(1)
-				rt.invalidateRoutes(n.addr)
-			} else {
-				n.state.Store(int32(NodeDegraded))
-			}
+		if !n.inRotation() {
+			return // already out of the ring; nothing to demote
+		}
+		if int(fails) >= rt.opts.EjectAfter {
+			n.state.Store(int32(NodeEjected))
+			rt.rebuildRingLocked()
+			// The node died holding ledger history nobody drained: open
+			// the reconciliation window. Sticky entries pinned to it flip
+			// immediately — retransmits consult the new ring owners instead
+			// of a corpse — and the reconcile flag makes its first
+			// probation readmit export the ranges it lost.
+			n.needsReconcile.Store(true)
+			n.handoffPending.Store(1)
+			rt.invalidateRoutes(n.addr)
+		} else {
+			n.state.Store(int32(NodeDegraded))
 		}
 		return
 	}
@@ -157,11 +155,11 @@ func (rt *Router) probeNode(ctx context.Context, n *node) {
 func (rt *Router) rebuildRingLocked() {
 	addrs := make([]string, 0, len(rt.nodes))
 	for addr, n := range rt.nodes {
-		if st := n.State(); st != NodeEjected && st != NodeLeaving {
+		if n.inRotation() {
 			addrs = append(addrs, addr)
 		}
 	}
-	ring, err := NewRing(addrs, rt.opts.VirtualNodes)
+	ring, err := NewRing(addrs, DefaultVirtualNodes)
 	if err != nil {
 		return // addresses were validated at Join; keep the old ring
 	}
@@ -178,7 +176,7 @@ func (rt *Router) maybeAdvertiseLocked() {
 		var g uint64
 		any, uniform := false, true
 		for _, n := range rt.nodes {
-			if st := n.State(); st == NodeEjected || st == NodeLeaving {
+			if !n.inRotation() {
 				continue
 			}
 			if !any {
@@ -193,11 +191,10 @@ func (rt *Router) maybeAdvertiseLocked() {
 		return
 	}
 	for _, n := range rt.nodes {
-		st := n.State()
-		if st == NodeEjected || st == NodeLeaving {
+		if !n.inRotation() {
 			continue
 		}
-		if st != NodeHealthy || n.gen.Load() != rt.targetGen {
+		if n.State() != NodeHealthy || n.gen.Load() != rt.targetGen {
 			return
 		}
 	}
@@ -216,14 +213,13 @@ func (rt *Router) Reload(ctx context.Context, rulesJSON []byte) (uint64, error) 
 	rt.metrics.Reloads.Add(1)
 	rt.mu.Lock()
 	rt.pendingRules = append([]byte(nil), rulesJSON...)
-	targets := make([]*node, 0, len(rt.nodes))
-	for _, n := range rt.nodes {
-		if st := n.State(); st != NodeEjected && st != NodeLeaving {
+	rt.mu.Unlock()
+	var targets []*node
+	for _, n := range rt.nodeList() {
+		if n.inRotation() {
 			targets = append(targets, n)
 		}
 	}
-	rt.mu.Unlock()
-	sort.Slice(targets, func(i, j int) bool { return targets[i].addr < targets[j].addr })
 	if len(targets) == 0 {
 		rt.metrics.ReloadErr.Add(1)
 		return 0, fmt.Errorf("cluster: reload: %w", ErrNoReplica)
@@ -231,21 +227,16 @@ func (rt *Router) Reload(ctx context.Context, rulesJSON []byte) (uint64, error) 
 
 	gens := make([]uint64, len(targets))
 	errs := make([]error, len(targets))
-	for i, n := range targets {
-		gens[i], errs[i] = n.client.Reload(ctx, rulesJSON)
-		if errs[i] == nil {
-			n.gen.Store(gens[i])
-		}
-	}
-
 	var maxGen uint64
 	var failed []string
 	uniform := true
-	for i := range targets {
+	for i, n := range targets {
+		gens[i], errs[i] = n.client.Reload(ctx, rulesJSON)
 		if errs[i] != nil {
-			failed = append(failed, fmt.Sprintf("%s: %v", targets[i].addr, errs[i]))
+			failed = append(failed, fmt.Sprintf("%s: %v", n.addr, errs[i]))
 			continue
 		}
+		n.gen.Store(gens[i])
 		if maxGen != 0 && gens[i] != maxGen {
 			uniform = false
 		}
@@ -287,19 +278,17 @@ func (rt *Router) Reload(ctx context.Context, rulesJSON []byte) (uint64, error) 
 // the ring hands it its share of the key space.
 func (rt *Router) Join(addr string) error {
 	rt.mu.Lock()
+	defer rt.mu.Unlock()
 	if rt.nodes[addr] != nil {
-		rt.mu.Unlock()
 		return fmt.Errorf("cluster: %s is already a member", addr)
 	}
 	n, err := rt.newNode(addr)
 	if err != nil {
-		rt.mu.Unlock()
 		return err
 	}
 	n.state.Store(int32(NodeDegraded))
 	rt.nodes[addr] = n
 	rt.rebuildRingLocked()
-	rt.mu.Unlock()
 	return nil
 }
 
@@ -328,7 +317,7 @@ func (rt *Router) Leave(ctx context.Context, addr string) error {
 	rt.rebuildRingLocked()
 	rt.mu.Unlock()
 
-	if err := rt.handoffFrom(ctx, n); err != nil {
+	if _, err := rt.handoff(ctx, n, ""); err != nil {
 		rt.mu.Lock()
 		n.state.Store(int32(NodeDegraded))
 		rt.rebuildRingLocked()

@@ -27,7 +27,6 @@ const DefaultVirtualNodes = 64
 type Ring struct {
 	points []ringPoint // sorted by hash
 	nodes  []string    // distinct member addresses, sorted
-	vnodes int
 }
 
 type ringPoint struct {
@@ -58,7 +57,7 @@ func NewRing(addrs []string, vnodes int) (*Ring, error) {
 		nodes = append(nodes, a)
 	}
 	sort.Strings(nodes)
-	r := &Ring{nodes: nodes, vnodes: vnodes}
+	r := &Ring{nodes: nodes}
 	r.points = make([]ringPoint, 0, len(nodes)*vnodes)
 	for _, a := range nodes {
 		for i := 0; i < vnodes; i++ {

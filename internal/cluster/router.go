@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"crypto/rand"
 	"errors"
 	"fmt"
 	"net/http"
@@ -30,20 +31,16 @@ const (
 	NodeLeaving
 )
 
+// nodeStateNames is NodeState's lowercase names, indexed by state — also
+// the full label domain of longtail_node_state.
+var nodeStateNames = [...]string{"healthy", "degraded", "ejected", "leaving"}
+
 // String returns the lowercase state name.
 func (s NodeState) String() string {
-	switch s {
-	case NodeHealthy:
-		return "healthy"
-	case NodeDegraded:
-		return "degraded"
-	case NodeEjected:
-		return "ejected"
-	case NodeLeaving:
-		return "leaving"
-	default:
+	if s < 0 || int(s) >= len(nodeStateNames) {
 		return fmt.Sprintf("state(%d)", int32(s))
 	}
+	return nodeStateNames[s]
 }
 
 // node is the router's per-replica record. All fields are either
@@ -77,6 +74,13 @@ type node struct {
 
 func (n *node) State() NodeState { return NodeState(n.state.Load()) }
 
+// inRotation reports whether the node is a ring member: ejected and
+// leaving nodes are not.
+func (n *node) inRotation() bool {
+	st := n.State()
+	return st != NodeEjected && st != NodeLeaving
+}
+
 // Options configures a Router. The zero value of every optional field
 // selects a sensible default; Replicas is required.
 type Options struct {
@@ -105,40 +109,26 @@ type Options struct {
 	// MaxConsecutiveFailures or chaos runs eject nodes that were only
 	// unlucky.
 	EjectAfter int
-	// VirtualNodes is the ring positions per replica (default
-	// DefaultVirtualNodes).
-	VirtualNodes int
-	// MaxServedRoutes bounds the sticky request-ID route cache (default
-	// 65536 entries, FIFO eviction).
-	MaxServedRoutes int
-	// RequestIDPrefix namespaces router-generated request IDs for
-	// clients that did not send one (default "router").
-	RequestIDPrefix string
-	// Now replaces time.Now for breaker clocks in tests.
-	Now func() time.Time
 }
 
-func (o *Options) withDefaults() Options {
-	out := *o
-	if out.BreakerThreshold == 0 {
-		out.BreakerThreshold = 3
+// maxServedRoutes bounds the sticky request-ID route cache (FIFO
+// eviction): the retention window of one node's ledger.
+const maxServedRoutes = 65536
+
+func (o Options) withDefaults() Options {
+	if o.BreakerThreshold == 0 {
+		o.BreakerThreshold = 3
 	}
-	if out.BreakerReset == 0 {
-		out.BreakerReset = 2 * time.Second
+	if o.BreakerReset == 0 {
+		o.BreakerReset = 2 * time.Second
 	}
-	if out.ProbeTimeout == 0 {
-		out.ProbeTimeout = time.Second
+	if o.ProbeTimeout == 0 {
+		o.ProbeTimeout = time.Second
 	}
-	if out.EjectAfter == 0 {
-		out.EjectAfter = 3
+	if o.EjectAfter == 0 {
+		o.EjectAfter = 3
 	}
-	if out.MaxServedRoutes == 0 {
-		out.MaxServedRoutes = 65536
-	}
-	if out.RequestIDPrefix == "" {
-		out.RequestIDPrefix = "router"
-	}
-	return out
+	return o
 }
 
 // Metrics is the router's counter set, mirrored into /metrics.
@@ -200,6 +190,11 @@ type Router struct {
 	drainMu   sync.Mutex
 	drainCond *sync.Cond
 
+	// idPrefix heads every request ID this router mints: "router-" plus
+	// a nonce drawn at boot. The nodes' ledgers outlive a router, so a
+	// counter alone would re-issue a previous boot's IDs and have a new
+	// batch answered with an old one's verdicts.
+	idPrefix  string
 	seq       atomic.Uint64
 	probeStop context.CancelFunc
 	probeDone chan struct{}
@@ -215,10 +210,15 @@ func NewRouter(opts Options) (*Router, error) {
 	if len(o.Replicas) == 0 {
 		return nil, fmt.Errorf("cluster: no replicas configured")
 	}
+	var nonce [6]byte
+	if _, err := rand.Read(nonce[:]); err != nil {
+		return nil, fmt.Errorf("cluster: request-id nonce: %w", err)
+	}
 	rt := &Router{
-		opts:   o,
-		nodes:  make(map[string]*node, len(o.Replicas)),
-		routes: make(map[string]stickyRoute),
+		opts:     o,
+		nodes:    make(map[string]*node, len(o.Replicas)),
+		routes:   make(map[string]stickyRoute),
+		idPrefix: fmt.Sprintf("router-%x", nonce),
 	}
 	rt.drainCond = sync.NewCond(&rt.drainMu)
 	for _, addr := range o.Replicas {
@@ -226,12 +226,9 @@ func NewRouter(opts Options) (*Router, error) {
 		if err != nil {
 			return nil, err
 		}
-		if rt.nodes[addr] != nil {
-			return nil, fmt.Errorf("cluster: duplicate replica %q", addr)
-		}
-		rt.nodes[addr] = n
+		rt.nodes[addr] = n // NewRing below refuses a duplicate
 	}
-	ring, err := NewRing(o.Replicas, o.VirtualNodes)
+	ring, err := NewRing(o.Replicas, DefaultVirtualNodes)
 	if err != nil {
 		return nil, err
 	}
@@ -254,17 +251,16 @@ func (rt *Router) newNode(addr string) (*node, error) {
 	if addr == "" {
 		return nil, fmt.Errorf("cluster: empty replica address")
 	}
-	br, err := retry.NewBreaker(rt.opts.BreakerThreshold, rt.opts.BreakerReset, rt.opts.Now)
+	br, err := retry.NewBreaker(rt.opts.BreakerThreshold, rt.opts.BreakerReset, nil)
 	if err != nil {
 		return nil, err
 	}
 	return &node{
 		addr: addr,
 		client: &serve.Client{
-			BaseURL:         "http://" + addr,
-			HTTPClient:      rt.opts.HTTPClient,
-			Retry:           rt.opts.Retry,
-			RequestIDPrefix: rt.opts.RequestIDPrefix + "-" + addr,
+			BaseURL:    "http://" + addr,
+			HTTPClient: rt.opts.HTTPClient,
+			Retry:      rt.opts.Retry,
 		},
 		breaker: br,
 	}, nil
@@ -278,11 +274,11 @@ func (rt *Router) Close() {
 	}
 }
 
-// NextRequestID mints a router-local request ID for clients that sent
-// none. Retransmit dedup only helps callers who hold an ID across
-// retries, so clients that care supply their own.
+// NextRequestID mints a request ID for a client that sent none, unique
+// across router boots. Retransmit dedup only helps callers who hold an
+// ID across retries, so clients that care supply their own.
 func (rt *Router) NextRequestID() string {
-	return fmt.Sprintf("%s-%06d", rt.opts.RequestIDPrefix, rt.seq.Add(1))
+	return fmt.Sprintf("%s-%06d", rt.idPrefix, rt.seq.Add(1))
 }
 
 // Metrics exposes the router counter set.
@@ -350,79 +346,73 @@ func (rt *Router) Forward(ctx context.Context, id string, body []byte, timeout t
 	return data, err
 }
 
-// attempt runs one replica attempt. The breaker slot taken by Allow is
-// always resolved here, or the single-probe half-open admission would
-// wedge.
+// attempt runs one replica attempt in the breaker slot ForwardTyped's
+// Allow took.
 //
 // A sticky attempt (the replica pinned as id's ledger authority)
-// additionally retries transient failures in place, bounded by the
-// router's retry policy and cut short the moment the breaker opens: a
-// flaky link to the pin is worth a few backoffs, because the failover
-// Forward would fall back to reaches a replica without the verdict and
+// additionally retries transient failures in place, under the router's
+// retry policy and cut short the moment the breaker opens: a flaky link
+// to the pin is worth a few backoffs, because the failover Forward
+// would fall back to reaches a replica without the verdict and
 // classifies the retransmit fresh. A genuinely dead pin still fails
-// over — its failures trip the breaker, which ends the retry loop.
+// over — its failures trip the breaker, whose refusal of the next slot
+// ends the retries.
 func (rt *Router) attempt(ctx context.Context, n *node, id, contentType string, body []byte, timeout time.Duration, sticky bool) (data []byte, replyType string, err error) {
 	n.inflight.Add(1)
 	defer func() {
 		n.inflight.Add(-1)
 		rt.drainCond.Broadcast()
 	}()
-	data, replyType, err = n.client.ClassifyRaw(ctx, id, contentType, body, timeout)
-	if sticky {
-		pol := rt.opts.Retry
-		maxAttempts := pol.MaxAttempts
-		if maxAttempts <= 0 {
-			maxAttempts = retry.DefaultMaxAttempts
-		}
-		backoff := pol.InitialBackoff
-		if backoff <= 0 {
-			backoff = retry.DefaultInitialBackoff
-		}
-		maxBackoff := pol.MaxBackoff
-		if maxBackoff <= 0 {
-			maxBackoff = retry.DefaultMaxBackoff
-		}
-		mult := pol.Multiplier
-		if mult <= 0 {
-			mult = 2
-		}
-	retryLoop:
-		for tries := 1; err != nil && !retry.IsPermanent(err) && tries < maxAttempts; tries++ {
-			// Resolve the current breaker slot with this failure, then ask
-			// for a new one; refusal means the pin looks dead and the
-			// remaining candidates should have their chance.
-			n.failed.Add(1)
-			n.breaker.Record(err)
-			if n.breaker.Allow() != nil {
-				return nil, "", err
-			}
-			t := time.NewTimer(backoff)
-			select {
-			case <-t.C:
-				data, replyType, err = n.client.ClassifyRaw(ctx, id, contentType, body, timeout)
-			case <-ctx.Done():
-				t.Stop()
-				err = ctx.Err()
-				break retryLoop
-			}
-			if backoff = time.Duration(float64(backoff) * mult); backoff > maxBackoff {
-				backoff = maxBackoff
-			}
-		}
+	if !sticky {
+		return rt.exchange(ctx, n, id, contentType, body, timeout)
 	}
-	switch {
-	case err == nil:
-		n.served.Add(1)
-		n.breaker.Record(nil)
-	case retry.IsPermanent(err):
-		// The replica is healthy enough to reject bad input; only count
-		// availability failures against the breaker.
-		n.breaker.Record(nil)
-	default:
-		n.failed.Add(1)
+	// The pin looks dead once its breaker is open or refuses a slot: the
+	// remaining candidates should have their chance. err, as the last
+	// exchange left it, is the reason ForwardTyped reads — not Do's
+	// wrapping of it.
+	dead := retry.Permanent(retry.ErrOpen)
+	held := true // ForwardTyped's slot; each retry asks for its own
+	_ = retry.Do(ctx, rt.opts.Retry, func(ctx context.Context) error {
+		if !held && n.breaker.Allow() != nil {
+			return dead
+		}
+		held = false
+		data, replyType, err = rt.exchange(ctx, n, id, contentType, body, timeout)
+		if err != nil && n.breaker.State() == retry.BreakerOpen {
+			return dead
+		}
+		return err
+	})
+	if held {
+		// ctx ended before the first exchange; the slot still needs its
+		// Record.
+		err = ctx.Err()
 		n.breaker.Record(err)
 	}
 	return data, replyType, err
+}
+
+// exchange sends the batch to n once and resolves the breaker slot the
+// caller holds, or the single-probe half-open admission would wedge.
+func (rt *Router) exchange(ctx context.Context, n *node, id, contentType string, body []byte, timeout time.Duration) (data []byte, replyType string, err error) {
+	data, replyType, err = n.client.ClassifyRaw(ctx, id, contentType, body, timeout)
+	if err == nil {
+		n.served.Add(1)
+	} else if !retry.IsPermanent(err) {
+		n.failed.Add(1)
+	}
+	n.record(err)
+	return data, replyType, err
+}
+
+// record resolves the breaker slot an exchange with n ran in. Only
+// availability failures count against the breaker: a replica healthy
+// enough to refuse bad input (a permanent error) answered.
+func (n *node) record(err error) {
+	if retry.IsPermanent(err) {
+		err = nil
+	}
+	n.breaker.Record(err)
 }
 
 // stickyRoute is one sticky-cache entry. A pinned entry (reconciling
@@ -479,13 +469,13 @@ func (rt *Router) candidatesFor(id string) []*node {
 
 // recordRoute pins id to the replica whose ledger now owns its verdict,
 // resolving any reconciliation window for the ID. The cache is bounded:
-// FIFO eviction at MaxServedRoutes.
+// FIFO eviction at maxServedRoutes.
 func (rt *Router) recordRoute(id, addr string) {
 	rt.routeMu.Lock()
 	defer rt.routeMu.Unlock()
 	if _, ok := rt.routes[id]; !ok {
 		rt.routeOrder = append(rt.routeOrder, id)
-		if len(rt.routeOrder) > rt.opts.MaxServedRoutes {
+		if len(rt.routeOrder) > maxServedRoutes {
 			delete(rt.routes, rt.routeOrder[0])
 			rt.routeOrder = rt.routeOrder[1:]
 		}
@@ -506,18 +496,14 @@ func (rt *Router) lookupRoute(id string) (stickyRoute, bool) {
 // aged it out. Entries flip in place rather than delete so the router
 // remembers which IDs are in the window (reconcile re-pins them) and a
 // later answer from any owner resolves them through recordRoute.
-// Returns how many entries flipped.
-func (rt *Router) invalidateRoutes(addr string) int {
+func (rt *Router) invalidateRoutes(addr string) {
 	rt.routeMu.Lock()
 	defer rt.routeMu.Unlock()
-	flipped := 0
 	for id, r := range rt.routes {
-		if r.addr == addr && !r.reconciling {
+		if r.addr == addr {
 			rt.routes[id] = stickyRoute{addr: r.addr, reconciling: true}
-			flipped++
 		}
 	}
-	return flipped
 }
 
 // repinRoute points an existing sticky entry at the replica that now
@@ -531,27 +517,4 @@ func (rt *Router) repinRoute(id, addr string) {
 	if _, ok := rt.routes[id]; ok {
 		rt.routes[id] = stickyRoute{addr: addr}
 	}
-}
-
-// FetchResult resolves GET /result for id across the cluster: the
-// sticky replica first, then every ring successor, returning the first
-// ledger hit. ErrResultPending propagates (the batch is accepted
-// somewhere, still classifying); ErrUnknownRequest only when no replica
-// has seen the ID.
-func (rt *Router) FetchResult(ctx context.Context, id string) ([]byte, error) {
-	var lastErr error = serve.ErrUnknownRequest
-	for _, n := range rt.candidatesFor(id) {
-		data, err := n.client.FetchResult(ctx, id)
-		switch {
-		case err == nil:
-			return data, nil
-		case errors.Is(err, serve.ErrResultPending):
-			return nil, err
-		case errors.Is(err, serve.ErrUnknownRequest):
-			continue
-		default:
-			lastErr = err
-		}
-	}
-	return nil, lastErr
 }

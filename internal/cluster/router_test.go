@@ -12,6 +12,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -84,14 +85,6 @@ func (f *fakeReplica) handle(w http.ResponseWriter, r *http.Request) {
 		resp := fmt.Sprintf("verdict:%s:%s", f.addr(), id)
 		f.ledger[id] = resp
 		fmt.Fprint(w, resp)
-	case "/result":
-		f.mu.Lock()
-		defer f.mu.Unlock()
-		if resp, ok := f.ledger[r.URL.Query().Get("id")]; ok {
-			fmt.Fprint(w, resp)
-			return
-		}
-		http.Error(w, "unknown request id", http.StatusNotFound)
 	case "/admin/reload":
 		f.mu.Lock()
 		defer f.mu.Unlock()
@@ -233,18 +226,6 @@ func TestRouterForwardStickyDedup(t *testing.T) {
 	}
 	if total != 1 {
 		t.Fatalf("cluster classified %d times, want 1 (dedup)", total)
-	}
-
-	// /result resolves through the cluster too.
-	data, err := rt.FetchResult(ctx, "req-000001")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(data) != string(first) {
-		t.Fatalf("FetchResult = %q, want %q", data, first)
-	}
-	if _, err := rt.FetchResult(ctx, "req-unseen"); !errors.Is(err, serve.ErrUnknownRequest) {
-		t.Fatalf("FetchResult(unseen) = %v, want ErrUnknownRequest", err)
 	}
 }
 
@@ -660,5 +641,88 @@ func TestRouterLifecycleAggregation(t *testing.T) {
 		if presp.StatusCode != http.StatusMethodNotAllowed {
 			t.Fatalf("POST /admin/lifecycle = %s, want 405", presp.Status)
 		}
+	}
+}
+
+// TestRouterRestartMintsFreshIDs: the nodes' ledgers outlive a router,
+// so the ID a restarted router mints for an ID-less batch must not be
+// one its predecessor issued — or the new batch is answered with the old
+// one's verdicts out of a ledger and never classified.
+func TestRouterRestartMintsFreshIDs(t *testing.T) {
+	replica := newFakeReplica(t)
+	var minted []string
+	for boot, body := range []string{"first boot's batch", "second boot's batch"} {
+		rt := newTestRouter(t, []*fakeReplica{replica}, nil)
+		front := httptest.NewServer(rt.Handler())
+		resp, err := front.Client().Post(front.URL+"/classify", "", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		reply, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		front.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("boot %d: POST /classify = %s: %s", boot+1, resp.Status, reply)
+		}
+		minted = append(minted, resp.Header.Get(serve.RequestIDHeader))
+	}
+	if minted[0] == "" || minted[0] == minted[1] {
+		t.Fatalf("two router boots minted %q and %q for two different batches", minted[0], minted[1])
+	}
+	if got := replica.classifiedCount(); got != 2 {
+		t.Fatalf("the replica classified %d of the 2 batches; the other was answered from the ledger entry of a reused ID", got)
+	}
+}
+
+// TestStickyRetryBacksOffThroughPolicy: the in-place retries a pinned
+// replica gets run on retry.Do — every wait goes through Policy.Sleep —
+// and end at the attempt whose failure opens the breaker, not at
+// MaxAttempts; the retransmit then fails over.
+func TestStickyRetryBacksOffThroughPolicy(t *testing.T) {
+	replicas := []*fakeReplica{newFakeReplica(t), newFakeReplica(t)}
+	var sleeps atomic.Int32
+	rt := newTestRouter(t, replicas, func(o *Options) {
+		o.BreakerThreshold = 3
+		o.BreakerReset = time.Hour
+		o.Retry = retry.Policy{
+			MaxAttempts: 10,
+			Sleep: func(ctx context.Context, _ time.Duration) error {
+				sleeps.Add(1)
+				return ctx.Err()
+			},
+		}
+	})
+	const id, attemptsAllowed = "req-sticky", 1000
+	if _, err := rt.Forward(context.Background(), id, []byte("batch"), 0); err != nil {
+		t.Fatal(err)
+	}
+	pin, _ := rt.lookupRoute(id)
+	var pinned *fakeReplica
+	for _, f := range replicas {
+		if f.addr() == pin.addr {
+			pinned = f
+		}
+	}
+	pinned.set(func(f *fakeReplica) { f.failClassify = attemptsAllowed })
+
+	if _, err := rt.Forward(context.Background(), id, []byte("batch"), 0); err != nil {
+		t.Fatalf("retransmit with the pin failing: %v", err)
+	}
+	var attempts int
+	pinned.set(func(f *fakeReplica) { attempts = attemptsAllowed - f.failClassify })
+	if attempts != 3 || sleeps.Load() != 2 {
+		t.Fatalf("the pin got %d attempts around %d Policy.Sleep waits, want 3 around 2: retries end when the third failure opens the breaker", attempts, sleeps.Load())
+	}
+	rt.mu.Lock()
+	br := rt.nodes[pin.addr].breaker
+	rt.mu.Unlock()
+	if br.State() != retry.BreakerOpen || br.Trips() != 1 {
+		t.Fatalf("pin's breaker is %v after %d trips, want open after 1", br.State(), br.Trips())
+	}
+	if got := rt.Metrics().Failover.Load(); got != 1 {
+		t.Fatalf("Failover = %d, want 1", got)
+	}
+	if now, _ := rt.lookupRoute(id); now.addr == pin.addr {
+		t.Fatal("the ID is still pinned to the replica that failed it")
 	}
 }

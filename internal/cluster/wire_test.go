@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/classify"
+	"repro/internal/export"
 	"repro/internal/features"
 	"repro/internal/journal"
 	"repro/internal/part"
@@ -147,5 +148,86 @@ func TestRouterCarriesBinaryWire(t *testing.T) {
 	}
 	if !bytes.Equal(rec.bodies[0], rec.bodies[1]) {
 		t.Fatal("the retransmit's reply differs from the first reply")
+	}
+}
+
+// TestTimeoutHeaderReadOneWay: a node and the router in front of it
+// read X-Timeout-Ms by the same rule (serve.ParseTimeout), so a client
+// hears the same status for the same header whichever it talks to.
+func TestTimeoutHeaderReadOneWay(t *testing.T) {
+	res, err := synth.Generate(synth.DefaultConfig(7, 0.004))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res.Store.Freeze()
+	ex, err := features.NewExtractor(res.Store, res.Oracle)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clf, err := classify.NewFromRules([]part.Rule{{
+		Conditions: []part.Condition{{
+			AttrIndex: features.NumNominal, AttrName: features.AttributeNames[features.NumNominal],
+			Op: part.OpLE, Threshold: 1e12,
+		}},
+		Class: classify.ClassMalicious, ClassName: "malicious",
+	}}, classify.Reject)
+	if err != nil {
+		t.Fatal(err)
+	}
+	engine, err := serve.NewEngine(ex, clf, serve.EngineConfig{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(engine.Close)
+	srv, err := serve.NewServer(engine, classify.Reject)
+	if err != nil {
+		t.Fatal(err)
+	}
+	node := httptest.NewServer(srv.Handler())
+	t.Cleanup(node.Close)
+	rt, err := NewRouter(Options{Replicas: []string{node.Listener.Addr().String()}, Retry: fastPolicy})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(rt.Close)
+	front := httptest.NewServer(rt.Handler())
+	t.Cleanup(front.Close)
+
+	var body []byte
+	if body, err = export.AppendEventLine(body, &res.Store.Events()[0]); err != nil {
+		t.Fatal(err)
+	}
+	body = append(body, '\n')
+	status := func(base, header string) int {
+		req, err := http.NewRequest(http.MethodPost, base+"/classify", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if header != "" {
+			req.Header.Set(serve.TimeoutHeader, header)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	for _, row := range []struct {
+		header string
+		want   int
+	}{
+		{"", http.StatusOK},
+		{"250", http.StatusOK},
+		{"0", http.StatusBadRequest},
+		{"-5", http.StatusBadRequest},
+		{"abc", http.StatusBadRequest},
+		{"9999999999999999999", http.StatusBadRequest},
+	} {
+		direct, routed := status(node.URL, row.header), status(front.URL, row.header)
+		if direct != row.want || routed != row.want {
+			t.Errorf("%s: %q = %d from the node, %d through the router, want %d from both",
+				serve.TimeoutHeader, row.header, direct, routed, row.want)
+		}
 	}
 }

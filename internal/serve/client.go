@@ -86,19 +86,19 @@ func (c *Client) nextRequestID(body []byte) string {
 	return fmt.Sprintf("%s-%06d-%08x", prefix, c.seq.Add(1), crc32.Checksum(body, idChecksum))
 }
 
-// errDeferred is do's reading of a 202: the server journaled the batch
-// and deferred classification; the verdicts come from /result.
-var errDeferred = errors.New("serve: batch deferred")
-
-// errNotFound is do's reading of a 404. What it means is the path's
-// business: FetchResult reads it as ErrUnknownRequest.
-var errNotFound = errors.New("404 Not Found")
+// do's readings of a 202 and a 204. errDeferred: the server journaled
+// the batch and deferred classification; the verdicts come from
+// /result. errPending: /result says the batch is journaled but not yet
+// classified — retryable, so pollResult's backoff asks again.
+var (
+	errDeferred = errors.New("serve: batch deferred")
+	errPending  = errors.New("serve: result still pending")
+)
 
 // do performs one exchange — header is name, value pairs, empty values
 // skipped — and returns the response body, its Content-Type and the one
 // reading of the status every method shares: nil for 200, errDeferred
-// for 202, ErrResultPending for 204, a permanent error matching
-// errNotFound for 404, a retryable error for 429 (backpressure)
+// for 202, errPending for 204, a retryable error for 429 (backpressure)
 // and 5xx, a permanent one for any other status. Transport errors are
 // retryable. The body is returned whatever the status.
 func (c *Client) do(ctx context.Context, method, path string, body []byte, header ...string) (data []byte, replyType string, err error) {
@@ -129,11 +129,9 @@ func (c *Client) do(ctx context.Context, method, path string, body []byte, heade
 	case code == http.StatusAccepted:
 		err = errDeferred
 	case code == http.StatusNoContent:
-		err = ErrResultPending
+		err = errPending
 	case code == http.StatusTooManyRequests || code >= 500:
 		err = fmt.Errorf("serve: %s: %s", route, resp.Status)
-	case code == http.StatusNotFound:
-		err = retry.Permanent(fmt.Errorf("serve: %s: %w: %s", route, errNotFound, bytes.TrimSpace(data)))
 	default:
 		err = retry.Permanent(fmt.Errorf("serve: %s: %s: %s", route, resp.Status, bytes.TrimSpace(data)))
 	}
@@ -271,16 +269,6 @@ func (c *Client) pollResult(ctx context.Context, id string, binary bool) (out []
 	return out, err
 }
 
-// Sentinel results of FetchResult, matched with errors.Is.
-var (
-	// ErrResultPending means the batch is journaled but not yet
-	// classified; poll again.
-	ErrResultPending = errors.New("serve: result still pending")
-	// ErrUnknownRequest means this replica's ledger has never seen the
-	// request ID — a failover caller should try the next candidate.
-	ErrUnknownRequest = errors.New("serve: unknown request id")
-)
-
 // ClassifyRaw forwards a pre-marshaled event body under a caller-chosen
 // request ID in exactly one attempt — the cluster router's building
 // block, where retries, circuit breakers, and failover to ring
@@ -310,18 +298,6 @@ func (c *Client) ClassifyRaw(ctx context.Context, id, contentType string, body [
 	}
 	data, err = c.pollResult(ctx, id, binary)
 	return data, replyType, err
-}
-
-// FetchResult asks this replica's ledger for the verdicts of id in a
-// single shot: the body on a hit, ErrResultPending while journaled but
-// unclassified, ErrUnknownRequest when the ledger has never seen the
-// ID.
-func (c *Client) FetchResult(ctx context.Context, id string) ([]byte, error) {
-	data, _, err := c.do(ctx, http.MethodGet, "/result?id="+id, nil)
-	if errors.Is(err, errNotFound) {
-		err = ErrUnknownRequest
-	}
-	return data, err
 }
 
 // Reload posts a rulemine-format JSON rule set to /admin/reload and
@@ -379,28 +355,14 @@ func (c *Client) HandoffExport(ctx context.Context) ([]byte, error) {
 	return data, err
 }
 
-// HandoffImportStatsWire is the JSON ack /admin/handoff/import returns.
-type HandoffImportStatsWire struct {
-	Imported   int `json:"imported"`
-	Pending    int `json:"pending"`
-	Duplicates int `json:"duplicates"`
-}
-
 // HandoffImport ships one chunk of framed handoff records to the
 // replica. A nil error means the receiver journaled and fsynced every
 // entry before answering — the durable ack that lets the sender
 // release authority for those IDs. Single-shot; callers wrap it in
 // retry.Do.
-func (c *Client) HandoffImport(ctx context.Context, chunk []byte) (HandoffImportStatsWire, error) {
-	var st HandoffImportStatsWire
-	data, _, err := c.do(ctx, http.MethodPost, "/admin/handoff/import", chunk, "Content-Type", "application/octet-stream")
-	if err != nil {
-		return st, err
-	}
-	if err := json.Unmarshal(data, &st); err != nil {
-		return st, fmt.Errorf("serve: handoff import ack: %w", err)
-	}
-	return st, nil
+func (c *Client) HandoffImport(ctx context.Context, chunk []byte) error {
+	_, _, err := c.do(ctx, http.MethodPost, "/admin/handoff/import", chunk, "Content-Type", "application/octet-stream")
+	return err
 }
 
 // Metrics fetches the raw /metrics exposition text.

@@ -34,12 +34,53 @@ const DefaultHandoffChunkBytes = 256 << 10
 // HandoffChunk is one slab of exported ledger state: Data holds
 // journal-framed records (kind recResult / recAccept), self-delimiting
 // and CRC-checked, so chunks can be concatenated, split and
-// retransmitted freely. Seq orders chunks within one export; Entries
-// counts the records inside.
+// retransmitted freely. Seq orders chunks within one export; IDs names
+// the request each record inside concerns, in order, and Entries counts
+// them.
 type HandoffChunk struct {
 	Seq     int
 	Entries int
+	IDs     []string
 	Data    []byte
+}
+
+// appendRecord frames one record onto the last chunk, opening a new
+// chunk when that one would grow past maxBytes — the one place a chunk
+// boundary is decided. A record larger than maxBytes travels alone.
+func appendRecord(chunks []HandoffChunk, maxBytes int, kind byte, id string, payload []byte) []HandoffChunk {
+	if n := len(chunks); n == 0 || len(chunks[n-1].Data)+len(payload) > maxBytes {
+		chunks = append(chunks, HandoffChunk{Seq: n})
+	}
+	c := &chunks[len(chunks)-1]
+	c.Data = journal.AppendFrame(c.Data, kind, payload)
+	c.IDs = append(c.IDs, id)
+	c.Entries++
+	return chunks
+}
+
+// SplitExport re-chunks an export stream (what /admin/handoff/export
+// answers) by destination: dest names where each record's request ID
+// belongs now, "" leaves the record out. Each destination's chunks keep
+// the stream's order, stay within DefaultHandoffChunkBytes and import
+// independently. Any framing damage rejects the whole stream: the
+// source still holds everything, re-pulling is cheap, and importing a
+// prefix of a damaged stream would hide the damage.
+func SplitExport(stream []byte, dest func(id string) string) (map[string][]HandoffChunk, error) {
+	recs, tail := journal.DecodeFrames(stream)
+	if tail != 0 {
+		return nil, fmt.Errorf("serve: handoff stream: %d trailing bytes fail CRC framing", tail)
+	}
+	out := make(map[string][]HandoffChunk)
+	for _, r := range recs {
+		id, _, err := splitPayload(r.Data)
+		if err != nil {
+			return nil, fmt.Errorf("serve: handoff stream: %w", err)
+		}
+		if to := dest(id); to != "" {
+			out[to] = appendRecord(out[to], DefaultHandoffChunkBytes, r.Kind, id, r.Data)
+		}
+	}
+	return out, nil
 }
 
 // HandoffImportStats reports what one ImportChunk call did.
@@ -79,19 +120,10 @@ func (l *Ledger) ExportRange(migrating func(id string) bool, maxChunkBytes int) 
 		return nil, fmt.Errorf("serve: handoff export %w", err)
 	}
 	var chunks []HandoffChunk
-	var cur HandoffChunk
 	var payload []byte
 	for _, e := range entries {
 		payload = appendPayload(payload[:0], e.id, e.body)
-		if cur.Entries > 0 && len(cur.Data)+len(payload) > maxChunkBytes {
-			chunks = append(chunks, cur)
-			cur = HandoffChunk{Seq: len(chunks)}
-		}
-		cur.Data = journal.AppendFrame(cur.Data, e.kind, payload)
-		cur.Entries++
-	}
-	if cur.Entries > 0 {
-		chunks = append(chunks, cur)
+		chunks = appendRecord(chunks, maxChunkBytes, e.kind, e.id, payload)
 	}
 	return chunks, nil
 }

@@ -601,3 +601,76 @@ func TestImportRetransmitWaitsForFirstCopy(t *testing.T) {
 		t.Fatalf("a copy of the chunk was acknowledged with %d records journaled and the append still in flight", early[0])
 	}
 }
+
+// TestSplitExport: an export stream split by destination imports, at
+// each destination, exactly the entries sent there — bodies intact,
+// each chunk naming the IDs inside it — and a damaged stream is refused
+// whole.
+func TestSplitExport(t *testing.T) {
+	src, _ := newTestLedger(t, t.TempDir())
+	defer src.Close()
+	bodies := fillLedger(t, src, 12, 3)
+	chunks, err := src.ExportRange(func(string) bool { return true }, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stream []byte
+	for _, c := range chunks {
+		stream = append(stream, c.Data...)
+	}
+	// Even-numbered entries go to "a", IDs ending in 1 stay behind, the
+	// rest go to "b".
+	dest := func(id string) string {
+		switch id[len(id)-1] {
+		case '0', '2', '4', '6', '8':
+			return "a"
+		case '1':
+			return ""
+		}
+		return "b"
+	}
+	groups, err := SplitExport(stream, dest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(groups) != 2 {
+		t.Fatalf("split produced %d destinations, want a and b", len(groups))
+	}
+	for to, chunks := range groups {
+		dst, _ := newTestLedger(t, t.TempDir())
+		defer dst.Close()
+		sent := map[string]bool{}
+		for _, c := range chunks {
+			if len(c.IDs) != c.Entries {
+				t.Fatalf("%s: chunk %d names %d IDs for %d entries", to, c.Seq, len(c.IDs), c.Entries)
+			}
+			st, err := dst.ImportChunk(c.Data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.Imported+st.Pending != c.Entries {
+				t.Fatalf("%s: chunk %d imported %+v of %d entries", to, c.Seq, st, c.Entries)
+			}
+			for _, id := range c.IDs {
+				sent[id] = true
+			}
+		}
+		for id, want := range bodies {
+			got, ok := dst.Lookup(id)
+			if ok != (dest(id) == to) || ok != sent[id] {
+				t.Fatalf("%s: holds %s = %v (named in a chunk: %v), but it belongs to %q", to, id, ok, sent[id], dest(id))
+			}
+			if ok && !bytes.Equal(got, want) {
+				t.Fatalf("%s: body of %s changed in the split", to, id)
+			}
+		}
+		for i := 0; i < 3; i++ {
+			if id := fmt.Sprintf("pend-%02d", i); dst.IsPending(id) != (dest(id) == to) {
+				t.Fatalf("%s: pending %s is on the wrong side of the split", to, id)
+			}
+		}
+	}
+	if _, err := SplitExport(stream[:len(stream)-3], dest); err == nil {
+		t.Fatal("a stream with a torn last frame was split")
+	}
+}

@@ -185,6 +185,16 @@ func appendPayload[B ~string | ~[]byte](dst []byte, id string, body B) []byte {
 	return append(dst, body...)
 }
 
+// splitPayload is appendPayload's inverse — the one reader of the
+// payload layout, for replay, import and SplitExport.
+func splitPayload(data []byte) (id string, body []byte, err error) {
+	idx := bytes.IndexByte(data, '\n')
+	if idx <= 0 {
+		return "", nil, fmt.Errorf("record without id line")
+	}
+	return string(data[:idx]), data[idx+1:], nil
+}
+
 // appendEventLines renders events as '\n'-terminated line-JSON, the
 // body of an accept record.
 func appendEventLines(dst []byte, events []dataset.DownloadEvent) ([]byte, error) {
@@ -202,11 +212,11 @@ func appendEventLines(dst []byte, events []dataset.DownloadEvent) ([]byte, error
 // result's body is served as-is on dedup and needs no parsing; an
 // accept's event lines are parsed out of one string copy of the body.
 func decodeRecord(r journal.Record) (entry, error) {
-	idx := bytes.IndexByte(r.Data, '\n')
-	if idx <= 0 {
-		return entry{}, fmt.Errorf("record without id line")
+	id, body, err := splitPayload(r.Data)
+	if err != nil {
+		return entry{}, err
 	}
-	e := entry{kind: r.Kind, id: string(r.Data[:idx]), body: r.Data[idx+1:]}
+	e := entry{kind: r.Kind, id: id, body: body}
 	switch r.Kind {
 	case recResult:
 		return e, nil

@@ -94,7 +94,8 @@ type Metrics struct {
 	// ReloadFailures counts rule-set updates refused by validation; the
 	// engine keeps serving the previous generation (degraded mode).
 	ReloadFailures atomic.Uint64
-	// BadRequests counts malformed /classify or /admin/reload bodies.
+	// BadRequests counts malformed /classify or /admin/reload bodies and
+	// unreadable deadline headers.
 	BadRequests atomic.Uint64
 	// EventsIn counts individual events admitted for classification.
 	EventsIn atomic.Uint64

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"strconv"
 	"strings"
@@ -340,7 +341,8 @@ type classifyResponse struct {
 
 var errPostOnly = errors.New("POST only")
 
-// badRequestError marks a request body the decode stage refused.
+// badRequestError marks a request refused as sent: a deadline header
+// nobody can read, a body the decode stage could not take.
 type badRequestError struct{ error }
 
 // errorResponse maps a stage's error to its HTTP status — the one place
@@ -403,13 +405,20 @@ func ledgerResponse(body []byte, binary bool) (*classifyResponse, error) {
 	return verdictResponse(verdicts, true), nil
 }
 
-// requestContext derives the classification context, honoring the
-// client's deadline header so expired work can be shed in-queue.
-func requestContext(r *http.Request) (context.Context, context.CancelFunc) {
-	if ms, err := strconv.Atoi(r.Header.Get(TimeoutHeader)); err == nil && ms > 0 {
-		return context.WithTimeout(r.Context(), time.Duration(ms)*time.Millisecond)
+// ParseTimeout reads a TimeoutHeader value, for a node and for the
+// router in front of it alike: "" is no deadline, a positive count of
+// milliseconds is one, and anything else is an error the caller answers
+// with 400 — a client that states a deadline nobody can read should
+// hear so, not be served without one.
+func ParseTimeout(header string) (time.Duration, error) {
+	if header == "" {
+		return 0, nil
 	}
-	return r.Context(), func() {}
+	ms, err := strconv.ParseInt(header, 10, 64)
+	if err != nil || ms <= 0 || ms > math.MaxInt64/int64(time.Millisecond) {
+		return 0, errors.New("bad timeout header")
+	}
+	return time.Duration(ms) * time.Millisecond, nil
 }
 
 // handleClassify runs one batch through the stages dedup → decode →
@@ -421,8 +430,12 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 	c.journaled = s.ledger != nil && c.id != ""
 	var resp *classifyResponse
 	var err error
+	var timeout time.Duration
 	if r.Method != http.MethodPost {
 		err = errPostOnly
+	} else if timeout, err = ParseTimeout(r.Header.Get(TimeoutHeader)); err != nil {
+		s.engine.Metrics().BadRequests.Add(1)
+		err = badRequestError{err}
 	}
 	if err == nil {
 		resp, err = s.dedupStage(c)
@@ -436,9 +449,14 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 	if resp == nil && err == nil {
 		// Durable accept overlaps with classification: the fsync hides
 		// behind the extract/classify work and the response is held
-		// until both finish.
-		ctx, cancel := requestContext(r)
-		defer cancel()
+		// until both finish. The client's deadline rides into the shard
+		// queues so expired work can be shed there.
+		ctx := r.Context()
+		if timeout > 0 {
+			var cancel context.CancelFunc
+			ctx, cancel = context.WithTimeout(ctx, timeout)
+			defer cancel()
+		}
 		accepted := make(chan error, 1)
 		if c.journaled {
 			go func() { accepted <- s.ledger.AcceptWire(c.id, c.events, c.wire) }()
