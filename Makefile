@@ -81,13 +81,17 @@ govulncheck:
 # parses on every request, the journal recovery path that must survive
 # torn tails on any shard subset, arbitrary bytes in a segment and a
 # compaction killed at any of its crash points (one fuzzer over the one
-# on-disk format), and the //lint:allow directive parser (30s each).
+# on-disk format), the //lint:allow directive parser, and the
+# compiled feature context's table (30s each; its seeds include a
+# 70,000-byte key, and minimizing inputs that size for the default
+# minute each would be the whole smoke, hence -fuzzminimizetime).
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzUnmarshalEventLine -fuzztime=30s -run '^$$' ./internal/export/
 	$(GO) test -fuzz=FuzzRecovery -fuzztime=30s -run '^$$' ./internal/journal/
 	$(GO) test -fuzz=FuzzParseAllowDirective -fuzztime=30s -run '^$$' ./internal/lint/lintkit/
 	$(GO) test -fuzz='^FuzzBinaryEvents$$' -fuzztime=30s -run '^$$' ./internal/serve/
 	$(GO) test -fuzz='^FuzzBinaryVerdicts$$' -fuzztime=30s -run '^$$' ./internal/serve/
+	$(GO) test -fuzz='^FuzzContextLookup$$' -fuzztime=30s -fuzzminimizetime=10x -run '^$$' ./internal/features/
 
 # Serving-layer chaos harness under the race detector: kill -9
 # mid-replay with injected transport faults and a torn journal tail,
@@ -144,8 +148,11 @@ e2e-compare:
 
 # The layer benchmarks beside the code they measure: the engine's
 # per-frame work on fresh, hot and Zipf-mixed keys (ns/event,
-# allocs/event, bytes the worker state retains), feature extraction on
-# a frozen store from several goroutines, the indexed match on the
+# allocs/event, bytes the worker state retains), feature extraction
+# from several goroutines in trace order, in a shuffled order (every
+# lookup cold, as fresh-key traffic is) and on the two defaulted
+# lookups, the compile of the serving context it reads (ms, bytes,
+# slots, longest probe run), the indexed match on the
 # 35-rule set a daemon trains at boot beside the linear reference scan
 # (0 allocs/op indexed), and the ledger on a full
 # retention window of 2,048 replies — one compaction (ms, how long a

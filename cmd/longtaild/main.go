@@ -39,6 +39,7 @@ import (
 	_ "net/http/pprof" // -pprof side listener (DefaultServeMux only)
 	"os"
 	"os/signal"
+	"runtime/debug"
 	"syscall"
 	"time"
 
@@ -46,6 +47,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/experiments"
 	"repro/internal/export"
+	"repro/internal/features"
 	"repro/internal/journal"
 	"repro/internal/lifecycle"
 	"repro/internal/reputation"
@@ -60,9 +62,9 @@ func main() {
 	}
 }
 
-// loadContext builds the store and oracle the feature extractor serves
-// against: from a dataset file when given, otherwise generated.
-func loadContext(path string, seed int64, scale float64) (*dataset.Store, *reputation.Oracle, error) {
+// loadStore builds the store and oracle the serving context is compiled
+// from: read from a dataset file when given, otherwise generated.
+func loadStore(path string, seed int64, scale float64) (*dataset.Store, *reputation.Oracle, error) {
 	if path == "" {
 		p, err := experiments.Run(synth.DefaultConfig(seed, scale))
 		if err != nil {
@@ -81,6 +83,36 @@ func loadContext(path string, seed int64, scale float64) (*dataset.Store, *reput
 	}
 	store.Freeze()
 	return store, oracle, nil
+}
+
+// loadContext returns what the daemon serves with: the compiled feature
+// context as a Serving view — no store behind it — and the rule set,
+// from disk when rulesPath is given, otherwise trained on the first
+// month. The store, the generated pipeline and the training instances
+// it went through are garbage once it returns, unless wantTruth asks
+// for the store's labels as the lifecycle evaluator's ground truth,
+// which keeps the store (and nothing else) reachable.
+func loadContext(datasetPath, rulesPath string, seed int64, scale, tau float64, wantTruth bool) (*features.Extractor, *classify.Classifier, lifecycle.TruthFunc, error) {
+	store, oracle, err := loadStore(datasetPath, seed, scale)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	start := time.Now()
+	w, err := experiments.NewServingWorld(store, oracle)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	st := w.Extractor.ContextStats()
+	log.Printf("longtaild: context: %d files, %d domains, %d bytes, compiled in %s",
+		st.Files, st.Domains, st.Bytes, time.Since(start).Round(time.Millisecond))
+	if err := w.LoadOrTrainRules(rulesPath, tau); err != nil {
+		return nil, nil, nil, err
+	}
+	var truth lifecycle.TruthFunc
+	if wantTruth {
+		truth = storeTruth(store)
+	}
+	return w.Extractor.Serving(), w.Rules, truth, nil
 }
 
 func run() error {
@@ -114,20 +146,10 @@ func run() error {
 		}()
 	}
 
-	store, oracle, err := loadContext(*datasetPath, *seed, *scale)
+	ex, clf, truth, err := loadContext(*datasetPath, *rulesPath, *seed, *scale, *tau, *lifecycleOn)
 	if err != nil {
 		return err
 	}
-	// The rule set comes from disk when -rules is given, otherwise from
-	// training on the first month of the context dataset.
-	w, err := experiments.NewServingWorld(store, oracle)
-	if err != nil {
-		return err
-	}
-	if err := w.LoadOrTrainRules(*rulesPath, *tau); err != nil {
-		return err
-	}
-	ex, clf := w.Extractor, w.Rules
 	engine, err := serve.NewEngine(ex, clf, serve.EngineConfig{Shards: *shards, QueueSize: *queue}, &serve.Metrics{})
 	if err != nil {
 		return err
@@ -140,7 +162,7 @@ func run() error {
 	var srvOpts []serve.ServerOption
 	var eval *lifecycle.Evaluator
 	if *lifecycleOn {
-		eval, err = lifecycle.NewEvaluator(ex, storeTruth(store), lifecycle.EvaluatorConfig{})
+		eval, err = lifecycle.NewEvaluator(ex, truth, lifecycle.EvaluatorConfig{})
 		if err != nil {
 			return err
 		}
@@ -179,6 +201,11 @@ func run() error {
 	if err != nil {
 		return err
 	}
+	// What generating, labeling and training left behind goes back to the
+	// operating system now, not cycle by cycle under the first requests:
+	// from here on the heap is the compiled context plus what is in
+	// flight, and the longtail_heap_* gauges read a settled number.
+	debug.FreeOSMemory()
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

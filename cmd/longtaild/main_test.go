@@ -37,10 +37,30 @@ type daemon struct {
 	exitErr error
 }
 
-// startDaemon boots bin on a free loopback port with the journal in dir
-// and returns once /healthz answers. However the test ends, the process
-// is killed and reaped, and a failed test gets its log.
-func startDaemon(t *testing.T, bin, dir string) *daemon {
+// buildDaemon compiles the package under test into the test's own
+// directory.
+func buildDaemon(t *testing.T) string {
+	t.Helper()
+	bin := filepath.Join(t.TempDir(), "longtaild")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	return bin
+}
+
+// startTestWorld boots bin on the small test world with the journal in
+// dir.
+func startTestWorld(t *testing.T, bin, dir string) *daemon {
+	t.Helper()
+	return startDaemon(t, bin,
+		"-seed", fmt.Sprint(testSeed), "-scale", fmt.Sprint(testScale), "-tau", fmt.Sprint(testTau),
+		"-journal-dir", dir, "-journal-shards", "2")
+}
+
+// startDaemon boots bin with args on a free loopback port and returns
+// once /healthz answers. However the test ends, the process is killed
+// and reaped, and a failed test gets its log.
+func startDaemon(t *testing.T, bin string, args ...string) *daemon {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -49,9 +69,7 @@ func startDaemon(t *testing.T, bin, dir string) *daemon {
 	addr := ln.Addr().String()
 	ln.Close()
 	d := &daemon{
-		cmd: exec.Command(bin, "-addr", addr,
-			"-seed", fmt.Sprint(testSeed), "-scale", fmt.Sprint(testScale), "-tau", fmt.Sprint(testTau),
-			"-journal-dir", dir, "-journal-shards", "2", "-drain", testDrain.String()),
+		cmd:    exec.Command(bin, append([]string{"-addr", addr, "-drain", testDrain.String()}, args...)...),
 		client: &serve.Client{BaseURL: "http://" + addr},
 		exited: make(chan struct{}),
 	}
@@ -105,21 +123,20 @@ func (d *daemon) wait(t *testing.T, limit time.Duration) error {
 	}
 }
 
-// dedupHits reads longtail_requests_total{result="dedup"} off /metrics.
-func (d *daemon) dedupHits(t *testing.T) int {
+// metric reads one integer series off /metrics.
+func (d *daemon) metric(t *testing.T, name string) int {
 	t.Helper()
 	text, err := d.client.Metrics(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	const name = `longtail_requests_total{result="dedup"} `
-	_, rest, ok := strings.Cut(text, name)
+	_, rest, ok := strings.Cut(text, name+" ")
 	if !ok {
 		t.Fatalf("/metrics has no %s line:\n%s", name, text)
 	}
 	var n int
 	if _, err := fmt.Sscanf(rest, "%d\n", &n); err != nil {
-		t.Fatalf("%s%.20q: %v", name, rest, err)
+		t.Fatalf("%s %.20q: %v", name, rest, err)
 	}
 	return n
 }
@@ -133,10 +150,7 @@ func TestDaemonKillRestartTerm(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and boots the longtaild binary twice")
 	}
-	bin := filepath.Join(t.TempDir(), "longtaild")
-	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
-	}
+	bin := buildDaemon(t)
 	w, err := experiments.BootServingWorld(synth.DefaultConfig(testSeed, testScale), testTau)
 	if err != nil {
 		t.Fatal(err)
@@ -147,7 +161,7 @@ func TestDaemonKillRestartTerm(t *testing.T) {
 	}
 	ctx := context.Background()
 	journalDir := t.TempDir()
-	d := startDaemon(t, bin, journalDir)
+	d := startTestWorld(t, bin, journalDir)
 
 	requestID := func(b int) string { return fmt.Sprintf("batch-%d", b) }
 	requests := make([][]byte, batches)
@@ -184,7 +198,7 @@ func TestDaemonKillRestartTerm(t *testing.T) {
 	}
 	d.wait(t, testDrain)
 
-	d = startDaemon(t, bin, journalDir)
+	d = startTestWorld(t, bin, journalDir)
 	for b := range requests {
 		got, _, err := d.client.ClassifyRaw(ctx, requestID(b), "", requests[b], 0)
 		if err != nil {
@@ -194,7 +208,7 @@ func TestDaemonKillRestartTerm(t *testing.T) {
 			t.Fatalf("batch %d: retransmit after kill -9 is not byte-identical\nfirst: %s\nagain: %s", b, replies[b], got)
 		}
 	}
-	if n := d.dedupHits(t); n != batches {
+	if n := d.metric(t, `longtail_requests_total{result="dedup"}`); n != batches {
 		t.Fatalf("%d of %d retransmits were answered from the recovered ledger", n, batches)
 	}
 
@@ -203,5 +217,36 @@ func TestDaemonKillRestartTerm(t *testing.T) {
 	}
 	if err := d.wait(t, testDrain); err != nil {
 		t.Fatalf("exit after SIGTERM: %v", err)
+	}
+}
+
+// TestDaemonHeapFence boots a bare longtaild — the default corpus, no
+// journal, no -lifecycle — and reads the heap gauges off /metrics. Once
+// it serves, the daemon needs the compiled feature context and the
+// rules; the corpus it generated to get them (about 550,000 heap
+// objects) must be unreachable. The bound sits an order of magnitude
+// above what the context and an idle server hold (about 1,200) and an
+// order below the corpus, so the test fails on the day some later
+// change keeps the store, the pipeline or the training set alive.
+func TestDaemonHeapFence(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds the longtaild binary and boots it on the default corpus")
+	}
+	d := startDaemon(t, buildDaemon(t))
+	const maxObjects = 50_000
+	objects, live := d.metric(t, "longtail_heap_objects"), d.metric(t, "longtail_heap_live_bytes")
+	t.Logf("after boot: %d heap objects, %d live bytes", objects, live)
+	if objects >= maxObjects {
+		t.Errorf("%d heap objects after boot, want fewer than %d: the daemon still carries the corpus", objects, maxObjects)
+	}
+	// The log is readable once the process has been reaped.
+	if err := d.cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.wait(t, testDrain); err != nil {
+		t.Fatalf("exit after SIGTERM: %v", err)
+	}
+	if !strings.Contains(d.log.String(), "context: ") {
+		t.Errorf("no context line in the boot log:\n%s", d.log.String())
 	}
 }

@@ -17,10 +17,10 @@ import (
 // mu's read side and so serialize against those writes. Freeze is the
 // last write: it builds the derived indexes under mu and then publishes
 // frozen with one atomic store, after which no field below ever changes
-// again — so a read that observes frozen takes no lock at all. That is
-// the serving path's contract: every store behind a features.Extractor
-// is frozen at boot, and its per-event lookups cost a map probe and one
-// atomic load.
+// again — so a read that observes frozen takes no lock at all. The
+// serving path does not read the store per event at all:
+// features.NewExtractor, which takes only a frozen store, compiles what
+// it needs of it once.
 type Store struct {
 	mu     sync.RWMutex
 	events []DownloadEvent

@@ -34,8 +34,10 @@ type ServingWorld struct {
 }
 
 // NewServingWorld wraps a frozen store and its reputation oracle. It
-// neither trains nor copies events: a daemon started with -rules needs
-// no more than the extractor.
+// neither trains nor copies events; what it does is compile the
+// extractor's serving context. A daemon takes Extractor.Serving() and
+// Rules out of the world and drops the rest — the store, the pipeline,
+// Train — which the harnesses that check verdicts offline keep.
 func NewServingWorld(store *dataset.Store, oracle *reputation.Oracle) (*ServingWorld, error) {
 	ex, err := features.NewExtractor(store, oracle)
 	if err != nil {

@@ -6,6 +6,7 @@
 package features
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/dataset"
@@ -74,13 +75,18 @@ func (v *Vector) Nominal(i int) string {
 	}
 }
 
-// Extractor builds vectors from store events.
+// Extractor builds vectors from download events. What Vector reads of
+// the store and the oracle is compiled once, by NewExtractor, into a
+// servingContext; the store itself serves only Instances and
+// UnknownInstances, and a Serving view does without it.
 type Extractor struct {
-	store  *dataset.Store
-	oracle *reputation.Oracle
+	store *dataset.Store // nil in a Serving view
+	ctx   *servingContext
 }
 
-// NewExtractor builds an Extractor over a store and reputation oracle.
+// NewExtractor compiles the serving context of a frozen store and its
+// reputation oracle. An unfrozen store is refused: the context is a
+// snapshot, and a later write would never reach it.
 func NewExtractor(store *dataset.Store, oracle *reputation.Oracle) (*Extractor, error) {
 	if store == nil {
 		return nil, fmt.Errorf("features: nil store")
@@ -88,8 +94,21 @@ func NewExtractor(store *dataset.Store, oracle *reputation.Oracle) (*Extractor, 
 	if oracle == nil {
 		return nil, fmt.Errorf("features: nil oracle")
 	}
-	return &Extractor{store: store, oracle: oracle}, nil
+	if !store.Frozen() {
+		return nil, fmt.Errorf("features: store is not frozen; call Freeze before NewExtractor")
+	}
+	ctx, err := compileContext(store, oracle)
+	if err != nil {
+		return nil, err
+	}
+	return &Extractor{store: store, ctx: ctx}, nil
 }
+
+// Serving returns a view of the extractor that keeps the compiled
+// context and not the store: Vector works as before, Instances and
+// UnknownInstances return an error. A daemon that has its rules hands
+// this to the engine and lets go of the corpus.
+func (e *Extractor) Serving() *Extractor { return &Extractor{ctx: e.ctx} }
 
 // orNone maps empty metadata strings to the None marker.
 func orNone(s string) string {
@@ -99,47 +118,38 @@ func orNone(s string) string {
 	return s
 }
 
-// processTypeName renders the process-type feature: the category, with
-// browsers kept as a single class (matching Table XV's "browser, windows
-// process, etc.").
-func processTypeName(meta *dataset.FileMeta) string {
-	if meta == nil {
-		return "unknown"
-	}
-	return meta.Category.String()
-}
-
-// Vector extracts the features of one event: two file-metadata lookups
-// and one rank lookup, without allocation and — the store being frozen,
-// as every serving store is — without a lock.
+// Vector extracts the features of one event: two file lookups and one
+// rank lookup in the compiled context, without allocation or lock. The
+// process type is the category name, with browsers kept as a single
+// class (matching Table XV's "browser, windows process, etc."), and
+// "unknown" for a process the store never saw.
 func (e *Extractor) Vector(ev *dataset.DownloadEvent) (Vector, error) {
 	if ev == nil {
 		return Vector{}, fmt.Errorf("features: nil event")
 	}
-	fileMeta := e.store.File(ev.File)
-	if fileMeta == nil {
+	c := e.ctx
+	file, ok := c.files.lookup(string(ev.File))
+	if !ok {
 		return Vector{}, fmt.Errorf("features: no metadata for file %s", ev.File)
 	}
-	procMeta := e.store.File(ev.Process)
-	rank := e.oracle.AlexaRank(ev.Domain)
-	if rank == 0 {
+	proc, ok := c.files.lookup(string(ev.Process))
+	if !ok {
+		proc = c.unknownProcess
+	}
+	rank, ok := c.domains.lookup(ev.Domain)
+	if !ok {
 		rank = UnrankedValue
 	}
-	v := Vector{
-		FileSigner:  orNone(fileMeta.Signer),
-		FileCA:      orNone(fileMeta.CA),
-		FilePacker:  orNone(fileMeta.Packer),
-		ProcessType: processTypeName(procMeta),
-		AlexaRank:   rank,
-	}
-	if procMeta != nil {
-		v.ProcessSigner = orNone(procMeta.Signer)
-		v.ProcessCA = orNone(procMeta.CA)
-		v.ProcessPacker = orNone(procMeta.Packer)
-	} else {
-		v.ProcessSigner, v.ProcessCA, v.ProcessPacker = None, None, None
-	}
-	return v, nil
+	return Vector{
+		FileSigner:    c.values[file.signer],
+		FileCA:        c.values[file.ca],
+		FilePacker:    c.values[file.packer],
+		ProcessSigner: c.values[proc.signer],
+		ProcessCA:     c.values[proc.ca],
+		ProcessPacker: c.values[proc.packer],
+		ProcessType:   c.values[proc.category],
+		AlexaRank:     rank,
+	}, nil
 }
 
 // Instance is a labeled feature vector for one (file, event) pair.
@@ -149,11 +159,16 @@ type Instance struct {
 	Malicious bool
 }
 
+var errServingView = errors.New("features: a Serving view has no store to take instances from")
+
 // Instances builds one labeled instance per event whose file has strict
 // benign or malicious ground truth (likely-* and unknown files are
 // excluded from training/testing, as in the paper). Event indexes refer
 // to store.Events().
 func (e *Extractor) Instances(eventIdx []int) ([]Instance, error) {
+	if e.store == nil {
+		return nil, errServingView
+	}
 	events := e.store.Events()
 	var out []Instance
 	for _, i := range eventIdx {
@@ -181,6 +196,9 @@ func (e *Extractor) Instances(eventIdx []int) ([]Instance, error) {
 // UnknownInstances builds one unlabeled instance per event whose file is
 // unknown; Malicious is left false and meaningless.
 func (e *Extractor) UnknownInstances(eventIdx []int) ([]Instance, error) {
+	if e.store == nil {
+		return nil, errServingView
+	}
 	events := e.store.Events()
 	var out []Instance
 	for _, i := range eventIdx {

@@ -11,9 +11,10 @@ import (
 // Determinism enforces the reproduction's core property: every stage of
 // the offline pipeline is a pure function of its seed. Inside the
 // deterministic core (synth, export, faults, experiments, the
-// classifier/rule-induction packages classify and part, and the
+// classifier/rule-induction packages classify and part, the
 // champion/challenger lifecycle — whose clocks are injected by callers
-// — by default) it flags:
+// — and features, whose compiled table layout is to be a function of
+// the corpus alone, the same in every process) it flags:
 //
 //   - time.Now — wall-clock reads make two runs with the same seed
 //     diverge; derive timestamps from the synthetic trace clock.
@@ -33,7 +34,7 @@ var Determinism = &lintkit.Analyzer{
 	Run:  runDeterminism,
 }
 
-const determinismPkgs = "synth,export,faults,experiments,chaoskit,classify,part,lifecycle"
+const determinismPkgs = "synth,export,faults,experiments,chaoskit,classify,part,lifecycle,features"
 
 // randConstructors are the math/rand package-level functions that do
 // NOT touch the global source and are therefore fine.

@@ -8,6 +8,7 @@ package reputation
 
 import (
 	"fmt"
+	"sort"
 
 	"repro/internal/dataset"
 )
@@ -48,6 +49,17 @@ func (a *AlexaList) InTopMillion(domain string) bool {
 
 // Len returns the number of ranked domains.
 func (a *AlexaList) Len() int { return len(a.ranks) }
+
+// Domains returns every listed domain in ascending order, the same in
+// every process: the feature extractor lays its rank table out by it.
+func (a *AlexaList) Domains() []string {
+	out := make([]string, 0, len(a.ranks))
+	for d := range a.ranks {
+		out = append(out, d)
+	}
+	sort.Strings(out)
+	return out
+}
 
 // DomainList is a set of e2LDs, used for URL whitelists, blacklists and
 // the Safe Browsing feed.

@@ -26,6 +26,9 @@ func TestAlexaList(t *testing.T) {
 	if a.Len() != 2 {
 		t.Errorf("Len = %d", a.Len())
 	}
+	if d := a.Domains(); len(d) != 2 || d[0] != "deep.com" || d[1] != "softonic.com" {
+		t.Errorf("Domains = %v, want both in ascending order", d)
+	}
 }
 
 func TestAlexaListValidation(t *testing.T) {

@@ -59,3 +59,28 @@ func TestDeclaredOversizeBodyRefused(t *testing.T) {
 		t.Errorf("MaxBytesError status = %d, want 413", got)
 	}
 }
+
+// TestReadBodySizedFromContentLength holds the router's reader to the
+// node's: a declared length sizes the buffer once, and a body without
+// one (or longer than it declared) is still read whole.
+func TestReadBodySizedFromContentLength(t *testing.T) {
+	payload := strings.Repeat("0123456789abcdef", 4096) // 64 KiB: io.ReadAll would regrow a dozen times
+	for _, tc := range []struct {
+		name     string
+		declared int64
+	}{
+		{"declared", int64(len(payload))},
+		{"undeclared", -1},
+		{"understated", 10},
+	} {
+		req := httptest.NewRequest(http.MethodPost, "/classify", strings.NewReader(payload))
+		req.ContentLength = tc.declared
+		got, err := ReadBody(httptest.NewRecorder(), req)
+		if err != nil || string(got) != payload {
+			t.Fatalf("%s: read %d of %d bytes, err %v", tc.name, len(got), len(payload), err)
+		}
+		if tc.declared == int64(len(payload)) && cap(got) != len(payload) {
+			t.Errorf("%s: buffer of %d bytes for a declared %d: not sized from Content-Length", tc.name, cap(got), len(payload))
+		}
+	}
+}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/bits"
 	"strconv"
 	"strings"
 	"sync"
@@ -14,6 +13,7 @@ import (
 	"repro/internal/classify"
 	"repro/internal/dataset"
 	"repro/internal/features"
+	"repro/internal/keyhash"
 )
 
 // Errors the admission path returns; the HTTP layer maps them to 429,
@@ -169,46 +169,18 @@ func (ws *workerState) reset(gen uint64) {
 	ws.gen = gen
 }
 
-// hashKey hashes an event's memo key, sixteen bytes per multiply (the
-// folded 64×64→128 product of wyhash). It is unseeded so that the memo's
-// behaviour — and MemoHits — for a given event sequence is the same in
-// every process; a weak input costs the memo a miss, never a verdict.
+// hashKey hashes an event's memo key with the repository's unseeded
+// string hash, so that the memo's behaviour — and MemoHits — for a given
+// event sequence is the same in every process; a weak input costs the
+// memo a miss, never a verdict.
 func hashKey(ev *dataset.DownloadEvent) uint64 {
 	// The lengths go in first so field boundaries count: ("ab","c") and
 	// ("a","bc") hash apart.
 	h := uint64(len(ev.File)) | uint64(len(ev.Process))<<20 | uint64(len(ev.Domain))<<40
-	h = hashString(h^0xa0761d6478bd642f, string(ev.File))
-	h = hashString(h, string(ev.Process))
-	h = hashString(h, ev.Domain)
-	return mix64(h, 0xe7037ed1a0b428db)
-}
-
-func mix64(a, b uint64) uint64 {
-	hi, lo := bits.Mul64(a, b)
-	return hi ^ lo
-}
-
-func load64(s string) uint64 {
-	_ = s[7]
-	return uint64(s[0]) | uint64(s[1])<<8 | uint64(s[2])<<16 | uint64(s[3])<<24 |
-		uint64(s[4])<<32 | uint64(s[5])<<40 | uint64(s[6])<<48 | uint64(s[7])<<56
-}
-
-func hashString(h uint64, s string) uint64 {
-	const k = 0x8ebc6af09c88c6e3
-	for ; len(s) > 16; s = s[16:] {
-		h = mix64(load64(s)^k, load64(s[8:])^h)
-	}
-	var a, b uint64
-	switch {
-	case len(s) >= 8: // the two words overlap when len(s) < 16
-		a, b = load64(s), load64(s[len(s)-8:])
-	default:
-		for i := 0; i < len(s); i++ {
-			a |= uint64(s[i]) << (8 * uint(i))
-		}
-	}
-	return mix64(a^k, b^h)
+	h = keyhash.String(h^0xa0761d6478bd642f, string(ev.File))
+	h = keyhash.String(h, string(ev.Process))
+	h = keyhash.String(h, ev.Domain)
+	return keyhash.Mix(h, 0xe7037ed1a0b428db)
 }
 
 // Engine is the classification core: bounded sharded queues feeding a

@@ -3,6 +3,7 @@ package serve
 import (
 	"fmt"
 	"io"
+	"runtime/metrics"
 	"strconv"
 	"sync/atomic"
 	"time"
@@ -199,6 +200,37 @@ func (m *Metrics) WriteTo(w io.Writer, queueDepth int, degraded bool, jm *Journa
 	m.QueueWait.write(w, "longtail_stage_latency_seconds", "queue")
 	m.Extract.write(w, "longtail_stage_latency_seconds", "extract")
 	m.Classify.write(w, "longtail_stage_latency_seconds", "classify")
+	writeRuntime(w)
+}
+
+// runtimeGauges are the process's heap and collector numbers, read from
+// runtime/metrics at scrape time. After boot a node's live heap is the
+// compiled feature context plus requests in flight; a heap that holds
+// the corpus again shows here first (cmd/longtaild's test fences the
+// object count).
+var runtimeGauges = [...]struct{ name, source string }{
+	{"longtail_heap_live_bytes", "/gc/heap/live:bytes"},
+	{"longtail_heap_objects", "/gc/heap/objects:objects"},
+	{"longtail_gc_cycles_total", "/gc/cycles/total:gc-cycles"},
+	{"longtail_gc_cpu_seconds_total", "/cpu/classes/gc/total:cpu-seconds"},
+}
+
+func writeRuntime(w io.Writer) {
+	var samples [len(runtimeGauges)]metrics.Sample
+	for i, g := range runtimeGauges {
+		samples[i].Name = g.source
+	}
+	metrics.Read(samples[:])
+	for i, g := range runtimeGauges {
+		// A runtime that does not know a source reports KindBad for it;
+		// the line is then left out.
+		switch v := samples[i].Value; v.Kind() {
+		case metrics.KindUint64:
+			fmt.Fprintf(w, "%s %d\n", g.name, v.Uint64())
+		case metrics.KindFloat64:
+			fmt.Fprintf(w, "%s %g\n", g.name, v.Float64())
+		}
+	}
 }
 
 func boolGauge(b bool) int {

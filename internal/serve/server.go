@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -177,7 +178,9 @@ func ReadBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
 	if err := LimitBody(w, r); err != nil {
 		return nil, err
 	}
-	return io.ReadAll(r.Body)
+	var buf bytes.Buffer
+	err := drainBody(&buf, r)
+	return buf.Bytes(), err
 }
 
 // BodyErrorStatus is the status for a body that could not be read or
@@ -189,24 +192,36 @@ func BodyErrorStatus(err error) int {
 	return http.StatusBadRequest
 }
 
-// readBody drains the request body (bounded by LimitBody) into a single
-// string. Content-Length (which our own client always sends) pre-sizes
-// the builder, so the whole body lands in one allocation instead of
-// io.ReadAll's doubling churn, and strings.Builder's String() hands
-// back its buffer without the second copy a []byte→string conversion
-// would pay.
+// readBody is ReadBody for a caller that has applied LimitBody and
+// parses a string: strings.Builder's String() hands back its buffer
+// without the second copy a []byte→string conversion would pay.
 func readBody(r *http.Request) (string, error) {
 	var sb strings.Builder
-	if n := r.ContentLength; n > 0 {
-		sb.Grow(int(n))
+	err := drainBody(&sb, r)
+	return sb.String(), err
+}
+
+// drainBody is the one reader of request bodies, the node's and the
+// router's: it copies r.Body, which LimitBody has bounded, into dst.
+// Content-Length (which our own client always sends, and which
+// LimitBody has already refused when above the cap) sizes dst up
+// front, so the whole body lands in one allocation instead of
+// io.ReadAll's doubling churn; only a body without a length grows as
+// it is read.
+func drainBody(dst interface {
+	io.Writer
+	Grow(int)
+}, r *http.Request) error {
+	if n := r.ContentLength; n > 0 && n <= maxBodyBytes {
+		dst.Grow(int(n))
 	}
 	bp := copyBufPool.Get().(*[]byte)
-	_, err := io.CopyBuffer(&sb, r.Body, *bp)
+	// The wrapper hides bytes.Buffer's ReadFrom, which io.CopyBuffer
+	// would prefer to the scratch buffer and which regrows a buffer
+	// that is exactly full to find the end of the stream.
+	_, err := io.CopyBuffer(struct{ io.Writer }{dst}, r.Body, *bp)
 	copyBufPool.Put(bp)
-	if err != nil {
-		return "", err
-	}
-	return sb.String(), nil
+	return err
 }
 
 // readEvents parses the line-JSON request body. The whole body is read
