@@ -608,7 +608,7 @@ func BenchmarkServeThroughputShadow(b *testing.B) {
 		}
 		return false, false
 	}
-	eval, err := lifecycle.NewEvaluator(w.Extractor, truth, lifecycle.EvaluatorConfig{})
+	eval, err := lifecycle.NewEvaluator(w.Extractor, truth)
 	if err != nil {
 		b.Fatal(err)
 	}

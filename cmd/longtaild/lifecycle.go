@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"io"
 	"log"
 	"net"
 	"net/http"
@@ -60,9 +59,9 @@ func lifecycleHandler(ctx context.Context, m *lifecycle.Manager, policy classify
 			w.Header().Set("Content-Type", "application/json")
 			json.NewEncoder(w).Encode(m.Status())
 		case http.MethodPost:
-			body, err := io.ReadAll(r.Body)
+			body, err := serve.ReadBody(w, r)
 			if err != nil {
-				http.Error(w, "read body: "+err.Error(), http.StatusBadRequest)
+				http.Error(w, "read body: "+err.Error(), serve.BodyErrorStatus(err))
 				return
 			}
 			clf, err := serve.LoadRules(bytes.NewReader(body), policy)

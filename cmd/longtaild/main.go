@@ -162,7 +162,7 @@ func run() error {
 	var srvOpts []serve.ServerOption
 	var eval *lifecycle.Evaluator
 	if *lifecycleOn {
-		eval, err = lifecycle.NewEvaluator(ex, truth, lifecycle.EvaluatorConfig{})
+		eval, err = lifecycle.NewEvaluator(ex, truth)
 		if err != nil {
 			return err
 		}

@@ -40,18 +40,6 @@ type TransportStats struct {
 	MaxPending int
 }
 
-// SetReorderWindow overrides the resequencing buffer bound (for tests
-// and tuned deployments). The window must be at least 1.
-func (cs *CollectionServer) SetReorderWindow(w int) error {
-	if w < 1 {
-		return fmt.Errorf("agent: reorder window %d must be >= 1", w)
-	}
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
-	cs.reorderWindow = w
-	return nil
-}
-
 // Deliver is the at-least-once ingestion endpoint. Envelopes may arrive
 // duplicated and reordered; Deliver deduplicates by sequence number,
 // buffers out-of-order arrivals within the reorder window, and applies
@@ -193,7 +181,6 @@ type Uplink struct {
 	send        func(Envelope) error
 	policy      retry.Policy
 	retransmits int64
-	sent        int64
 }
 
 // NewUplink builds an uplink over send. The policy's OnRetry hook is
@@ -217,12 +204,8 @@ func (u *Uplink) Send(ctx context.Context, env Envelope) error {
 			base(attempt, err)
 		}
 	}
-	u.sent++
 	return retry.Do(ctx, p, func(context.Context) error { return u.send(env) })
 }
-
-// Sent returns how many envelopes Send accepted.
-func (u *Uplink) Sent() int64 { return u.sent }
 
 // Retransmissions returns how many redundant transmissions the retry
 // loop performed.

@@ -471,9 +471,6 @@ func TestTransitions(t *testing.T) {
 	if ben.Anchored != 2 || ben.Transitioned != 1 {
 		t.Fatalf("benign transitions = %+v", ben)
 	}
-	if got := ben.TransitionShare(); got != 0.5 {
-		t.Errorf("benign transition share = %v", got)
-	}
 	// PUP: nobody.
 	pup := a.Transitions(SourcePUP)
 	if pup.Anchored != 0 {
@@ -510,18 +507,6 @@ func TestPrevalenceByType(t *testing.T) {
 	}
 	if per[dataset.TypeWorm] != nil {
 		t.Error("absent type should have no histogram")
-	}
-}
-
-func TestEventsPerMachine(t *testing.T) {
-	a := newAnalyzer(t)
-	h := a.EventsPerMachine()
-	if h.Total() != 3 {
-		t.Errorf("machines = %d", h.Total())
-	}
-	// m1 has 3 events, m2 has 3, m3 has 2.
-	if h.Count(3) != 2 || h.Count(2) != 1 {
-		t.Errorf("histogram = %v buckets", h.Buckets())
 	}
 }
 

@@ -198,13 +198,3 @@ func (a *Analyzer) PrevalenceByType() map[dataset.MalwareType]*stats.Histogram {
 	}
 	return out
 }
-
-// EventsPerMachine histograms download events per machine, the activity
-// skew behind the "69% of machines touched an unknown file" aggregate.
-func (a *Analyzer) EventsPerMachine() *stats.Histogram {
-	h := stats.NewHistogram()
-	for _, m := range a.store.Machines() {
-		h.Add(len(a.store.EventsForMachine(m)))
-	}
-	return h
-}

@@ -52,11 +52,6 @@ type TransitionStats struct {
 	DeltaDays *stats.CDF
 }
 
-// TransitionShare returns Transitioned/Anchored.
-func (t *TransitionStats) TransitionShare() float64 {
-	return stats.Ratio(t.Transitioned, t.Anchored)
-}
-
 // isOtherMalware reports whether gt is a malicious file outside the
 // adware/PUP/undefined group (Figure 5's transition target).
 func isOtherMalware(gt dataset.GroundTruth) bool {

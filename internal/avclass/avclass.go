@@ -46,15 +46,6 @@ func WithAliases(aliases map[string]string) Option {
 	}
 }
 
-// WithGenericTokens merges extra tokens to treat as generic.
-func WithGenericTokens(tokens []string) Option {
-	return func(l *Labeler) {
-		for _, t := range tokens {
-			l.generic[strings.ToLower(t)] = struct{}{}
-		}
-	}
-}
-
 // NewLabeler builds a Labeler with the default generic-token and alias
 // lists.
 func NewLabeler(opts ...Option) *Labeler {

@@ -66,10 +66,7 @@ func TestLabelAliasResolution(t *testing.T) {
 }
 
 func TestLabelCustomAliasAndGenerics(t *testing.T) {
-	l := NewLabeler(
-		WithAliases(map[string]string{"Foobaz": "barqux"}),
-		WithGenericTokens([]string{"noise"}),
-	)
+	l := NewLabeler(WithAliases(map[string]string{"Foobaz": "barqux"}))
 	got := l.Label(map[string]string{
 		"A": "Trojan.Foobaz.Noise",
 		"B": "W32.Barqux",

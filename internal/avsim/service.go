@@ -147,9 +147,6 @@ func NewDefaultService() *Service {
 // NumEngines returns the roster size.
 func (s *Service) NumEngines() int { return len(s.engines) }
 
-// Engines returns the roster; callers must not modify it.
-func (s *Service) Engines() []*Engine { return s.engines }
-
 // Scan queries all engines for the sample at time at. It returns nil when
 // the corpus has no record of the sample (never submitted, or the query
 // predates its first submission) — the real-world "file not found on VT".

@@ -51,7 +51,7 @@ func TestDefaultServiceRoster(t *testing.T) {
 		t.Errorf("default roster = %d engines, want 50", svc.NumEngines())
 	}
 	trusted, leading := 0, 0
-	for _, e := range svc.Engines() {
+	for _, e := range svc.engines {
 		if e.Trusted {
 			trusted++
 		}

@@ -8,7 +8,6 @@ package dataset
 
 import (
 	"fmt"
-	"strings"
 	"time"
 )
 
@@ -157,49 +156,6 @@ func (c ProcessCategory) String() string {
 	default:
 		return fmt.Sprintf("category(%d)", int(c))
 	}
-}
-
-// categoryByExe maps executable file names observed in the wild to
-// process categories, the way the paper labels processes ("we leverage
-// the name of the executable file on disk from which the process was
-// launched ... we compiled a list of different file names observed in
-// the wild for each process category").
-var categoryByExe = map[string]ProcessCategory{
-	"firefox.exe": CategoryBrowser, "chrome.exe": CategoryBrowser,
-	"iexplore.exe": CategoryBrowser, "opera.exe": CategoryBrowser,
-	"safari.exe":  CategoryBrowser,
-	"svchost.exe": CategoryWindows, "rundll32.exe": CategoryWindows,
-	"explorer.exe": CategoryWindows, "wuauclt.exe": CategoryWindows,
-	"mshta.exe": CategoryWindows, "wscript.exe": CategoryWindows,
-	"cscript.exe": CategoryWindows, "regsvr32.exe": CategoryWindows,
-	"dllhost.exe": CategoryWindows, "taskhost.exe": CategoryWindows,
-	"winlogon.exe": CategoryWindows, "services.exe": CategoryWindows,
-	"msiexec.exe": CategoryWindows, "spoolsv.exe": CategoryWindows,
-	"lsass.exe": CategoryWindows, "conhost.exe": CategoryWindows,
-	"java.exe": CategoryJava, "javaw.exe": CategoryJava, "javaws.exe": CategoryJava,
-	"acrord32.exe": CategoryAcrobat, "acrobat.exe": CategoryAcrobat,
-}
-
-// browserByExe maps browser executables to products.
-var browserByExe = map[string]Browser{
-	"firefox.exe": BrowserFirefox, "chrome.exe": BrowserChrome,
-	"iexplore.exe": BrowserIE, "opera.exe": BrowserOpera,
-	"safari.exe": BrowserSafari,
-}
-
-// CategoryFromPath derives a process category (and browser product, when
-// applicable) from the executable's on-disk path, the paper's labeling
-// method for downloading processes. Unknown names map to CategoryOther.
-func CategoryFromPath(path string) (ProcessCategory, Browser) {
-	exe := strings.ToLower(path)
-	if i := strings.LastIndexAny(exe, "/\\"); i >= 0 {
-		exe = exe[i+1:]
-	}
-	cat, ok := categoryByExe[exe]
-	if !ok {
-		return CategoryOther, BrowserNone
-	}
-	return cat, browserByExe[exe]
 }
 
 // Browser identifies a specific web browser product (Table XI).

@@ -143,27 +143,3 @@ func TestMonth(t *testing.T) {
 		t.Error("MonthOf wrong")
 	}
 }
-
-func TestCategoryFromPath(t *testing.T) {
-	tests := []struct {
-		path    string
-		cat     ProcessCategory
-		browser Browser
-	}{
-		{"C:/Program Files/Mozilla/firefox.exe", CategoryBrowser, BrowserFirefox},
-		{"C:\\Program Files\\Google\\chrome.exe", CategoryBrowser, BrowserChrome},
-		{"C:/Windows/System32/svchost.exe", CategoryWindows, BrowserNone},
-		{"java.exe", CategoryJava, BrowserNone},
-		{"C:/Program Files/Adobe/AcroRd32.exe", CategoryAcrobat, BrowserNone},
-		{"C:/Apps/utorrent.exe", CategoryOther, BrowserNone},
-		{"IEXPLORE.EXE", CategoryBrowser, BrowserIE},
-		{"", CategoryOther, BrowserNone},
-	}
-	for _, tt := range tests {
-		cat, br := CategoryFromPath(tt.path)
-		if cat != tt.cat || br != tt.browser {
-			t.Errorf("CategoryFromPath(%q) = (%v, %v), want (%v, %v)",
-				tt.path, cat, br, tt.cat, tt.browser)
-		}
-	}
-}

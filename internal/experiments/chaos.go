@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"io"
 	"time"
 
 	"repro/internal/agent"
@@ -17,44 +16,19 @@ import (
 	"repro/internal/synth"
 )
 
-// ChaosConfig parameterizes the chaos harness: a full pipeline run with
-// faults injected into the agent->CS transport and the scan service,
-// compared against a fault-free run of the same seed.
-type ChaosConfig struct {
-	// Synth generates the dataset; KeepRawTrace is forced on.
-	Synth synth.Config
-	// Faults drives both the link and the scan-service injectors (the
-	// scanner uses Seed+1 so the two schedules are independent).
-	Faults faults.Config
-	// RedeliverTail is how many already-acknowledged envelopes the sender
-	// retransmits after the simulated CS crash (its unacked window).
-	RedeliverTail int
-}
-
-// DefaultChaosConfig returns the standard chaos scenario: a small-scale
-// dataset pushed through a link dropping 12% of sends, duplicating 6%,
-// losing 5% of acks and reordering 8%, with a scan service that fails
-// transiently at the same rate and permanently for a quarter of the
-// out-of-corpus files, plus one CS crash/restore mid-stream.
-func DefaultChaosConfig(seed int64) ChaosConfig {
-	sc := synth.DefaultConfig(seed, 0.003)
-	sc.KeepRawTrace = true
-	return ChaosConfig{
-		Synth: sc,
-		Faults: faults.Config{
-			Seed:                   seed,
-			ErrorRate:              0.12,
-			MaxConsecutiveFailures: 3,
-			TimeoutRate:            0.35,
-			DuplicateRate:          0.06,
-			AckLossRate:            0.05,
-			ReorderRate:            0.08,
-			ReorderWindow:          6,
-			PersistentRate:         0.25,
-		},
-		RedeliverTail: 8,
-	}
-}
+// The chaos scenario: a small-scale dataset pushed through a link
+// dropping 12% of sends, duplicating 6%, losing 5% of acks and
+// reordering 8%, with a scan service that fails transiently at the same
+// rate and permanently for a quarter of the out-of-corpus files, plus
+// one CS crash/restore mid-stream after which the sender retransmits
+// its unacked window — the last chaosRedeliverTail acknowledged
+// envelopes.
+const (
+	chaosScale         = 0.003
+	chaosErrorRate     = 0.12
+	chaosDuplicateRate = 0.06
+	chaosRedeliverTail = 8
+)
 
 // ChaosReport is the outcome of one chaos run.
 type ChaosReport struct {
@@ -109,12 +83,23 @@ func equalDist(a, b map[dataset.Label]int) bool {
 // degradation — and compares the two labeled stores byte for byte. With
 // a fixed seed the comparison must come out identical: that is the
 // system's headline fault-tolerance guarantee.
-func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
-	cfg.Synth.KeepRawTrace = true
-	if err := cfg.Faults.Validate(); err != nil {
-		return nil, fmt.Errorf("experiments: chaos: %w", err)
+func RunChaos(seed int64) (*ChaosReport, error) {
+	sc := synth.DefaultConfig(seed, chaosScale)
+	sc.KeepRawTrace = true
+	// One schedule drives the link and the scan-service injectors (the
+	// scanner uses Seed+1 so the two are independent).
+	fc := faults.Config{
+		Seed:                   seed,
+		ErrorRate:              chaosErrorRate,
+		MaxConsecutiveFailures: 3,
+		TimeoutRate:            0.35,
+		DuplicateRate:          chaosDuplicateRate,
+		AckLossRate:            0.05,
+		ReorderRate:            0.08,
+		ReorderWindow:          6,
+		PersistentRate:         0.25,
 	}
-	res, err := synth.Generate(cfg.Synth)
+	res, err := synth.Generate(sc)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: chaos: generate: %w", err)
 	}
@@ -138,11 +123,11 @@ func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 			return nil, err
 		}
 	}
-	cur, err := agent.NewCollectionServer(chaosStore, cfg.Synth.Sigma, res.Oracle.AgentURLWhitelist)
+	cur, err := agent.NewCollectionServer(chaosStore, sc.Sigma, res.Oracle.AgentURLWhitelist)
 	if err != nil {
 		return nil, err
 	}
-	linkInj, err := faults.NewInjector(cfg.Faults)
+	linkInj, err := faults.NewInjector(fc)
 	if err != nil {
 		return nil, err
 	}
@@ -156,9 +141,9 @@ func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 	policy := retry.Policy{
 		// The injector bounds consecutive failures, and an ack loss can
 		// stack one more error on top of a full drop streak.
-		MaxAttempts: cfg.Faults.MaxConsecutiveFailures + 2,
+		MaxAttempts: fc.MaxConsecutiveFailures + 2,
 		Sleep:       noSleep,
-		JitterSeed:  cfg.Faults.Seed,
+		JitterSeed:  fc.Seed,
 	}
 	uplink, err := agent.NewUplink(link.Send, policy)
 	if err != nil {
@@ -188,7 +173,7 @@ func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 			if err != nil {
 				return nil, fmt.Errorf("experiments: chaos: restore: %w", err)
 			}
-			for j := i - cfg.RedeliverTail; j <= i; j++ {
+			for j := i - chaosRedeliverTail; j <= i; j++ {
 				if j < 0 {
 					continue
 				}
@@ -210,7 +195,7 @@ func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 	// permanently only for files outside the scan corpus — whose ground
 	// truth is unknown either way, so degradation to unknown is exercised
 	// without being able to change any label.
-	scanCfg := cfg.Faults
+	scanCfg := fc
 	scanCfg.Seed++
 	scanInj, err := faults.NewInjector(scanCfg)
 	if err != nil {
@@ -248,37 +233,4 @@ func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 	rep.ChaosLabels = labelDist(chaosStore)
 	rep.LabelDistEqual = equalDist(rep.BaselineLabels, rep.ChaosLabels)
 	return rep, nil
-}
-
-// Chaos runs the default chaos scenario at the pipeline's seed and
-// renders the outcome.
-func Chaos(p *Pipeline, w io.Writer) error {
-	rep, err := RunChaos(DefaultChaosConfig(p.Config.Seed))
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "Chaos run: fault-injected pipeline vs fault-free baseline\n\n")
-	fmt.Fprintf(w, "raw events replayed      %8d\n", rep.RawEvents)
-	fmt.Fprintf(w, "events collected         %8d\n", rep.Collected)
-	fmt.Fprintf(w, "link drops / timeouts    %8d / %d\n", rep.Link.Drops, rep.Link.DropTimeouts)
-	fmt.Fprintf(w, "link duplicates          %8d\n", rep.Link.Duplicates)
-	fmt.Fprintf(w, "link ack losses          %8d\n", rep.Link.AckLosses)
-	fmt.Fprintf(w, "link reordered           %8d (max held %d)\n", rep.Link.Reordered, rep.Link.MaxHeld)
-	fmt.Fprintf(w, "sender retransmissions   %8d\n", rep.Retransmissions)
-	fmt.Fprintf(w, "CS duplicates dropped    %8d\n", rep.Transport.Duplicates)
-	fmt.Fprintf(w, "CS out-of-order buffered %8d (max pending %d)\n", rep.Transport.OutOfOrder, rep.Transport.MaxPending)
-	fmt.Fprintf(w, "CS crash checkpoint      %8d bytes\n", rep.CheckpointBytes)
-	fmt.Fprintf(w, "scan transient faults    %8d errors, %d timeouts\n", rep.Scan.InjectedErrors, rep.Scan.InjectedTimeouts)
-	fmt.Fprintf(w, "scan retries             %8d\n", rep.ScanRetries)
-	fmt.Fprintf(w, "files degraded->unknown  %8d (%d dead scan keys)\n", rep.Degraded, rep.Scan.PersistentKeys)
-	fmt.Fprintf(w, "\nstore bytes identical    %v\n", rep.StoreBytesEqual)
-	fmt.Fprintf(w, "label dist identical     %v\n", rep.LabelDistEqual)
-	for _, lbl := range []dataset.Label{dataset.LabelBenign, dataset.LabelLikelyBenign,
-		dataset.LabelMalicious, dataset.LabelLikelyMalicious, dataset.LabelUnknown} {
-		fmt.Fprintf(w, "  %-18s baseline %6d  chaos %6d\n", lbl, rep.BaselineLabels[lbl], rep.ChaosLabels[lbl])
-	}
-	if !rep.StoreBytesEqual || !rep.LabelDistEqual {
-		return fmt.Errorf("experiments: chaos run diverged from fault-free baseline")
-	}
-	return nil
 }

@@ -2,60 +2,13 @@ package experiments
 
 import (
 	"fmt"
-	"io"
-	"os"
 
 	"repro/internal/chaoskit"
-	"repro/internal/faults"
-	"repro/internal/synth"
 )
 
-// ChaosChurnConfig parameterizes the membership-churn chaos harness: a
-// 3-replica journaled cluster under injected link faults driven through
-// the full ledger-handoff lifecycle — a planned leave with drain, a
-// kill -9 mid-handoff (import target partitioned, then the leaver's
-// filesystem crashes), restart-and-reconcile — closed by a retransmit
-// storm of every ID ever served that must answer byte-identical with
-// zero re-classification.
-type ChaosChurnConfig struct {
-	// Synth generates the dataset every replica serves.
-	Synth synth.Config
-	// Faults drives the per-link fault schedule and the victim journal's
-	// torn-write behavior at the crash.
-	Faults faults.Config
-	// Dir is the root directory; each replica journals into a subdir.
-	Dir string
-	// Batch is events per /classify request.
-	Batch int
-	// CrashWindow is how many batches the dying victim journal-accepts
-	// without answering before the kill -9.
-	CrashWindow int
-	// Tau is the rule-selection threshold.
-	Tau float64
-	// ReportPath, when non-empty, receives the JSON churn report.
-	ReportPath string
-}
-
-// DefaultChaosChurnConfig returns the standard scenario: >= 10% of
-// router->replica classify deliveries hit an injected link fault, the
-// handoff import target is partitioned to force the partial transfer,
-// and the mid-handoff victim's journal tears at the crash.
-func DefaultChaosChurnConfig(seed int64, dir string) ChaosChurnConfig {
-	return ChaosChurnConfig{
-		Synth: synth.DefaultConfig(seed, 0.004),
-		Faults: faults.Config{
-			Seed:                   seed,
-			ErrorRate:              0.15,
-			MaxConsecutiveFailures: 2,
-			AckLossRate:            0.5, // half the faults lose the response, not the request
-			TornWriteRate:          1,
-		},
-		Dir:         dir,
-		Batch:       32,
-		CrashWindow: 4,
-		Tau:         0.001,
-	}
-}
+// chaosChurnErrorRate: >= 10% of router->replica classify deliveries
+// hit an injected link fault.
+const chaosChurnErrorRate = 0.15
 
 // ChaosChurnReport is the outcome of one churn chaos run.
 type ChaosChurnReport struct {
@@ -105,25 +58,25 @@ type ChaosChurnReport struct {
 // holds the cluster to the exactly-once bar: zero lost, zero
 // re-classified, byte-identical response bodies. The fixture, the fault
 // steps and the checkers are chaoskit's (DESIGN.md "Chaos kit").
-func RunChaosChurn(cfg ChaosChurnConfig) (*ChaosChurnReport, error) {
-	w, err := BootServingWorld(cfg.Synth, cfg.Tau)
+func RunChaosChurn(seed int64, dir string) (*ChaosChurnReport, error) {
+	w, err := bootChaosWorld("chaos-churn", seed)
 	if err != nil {
-		return nil, fmt.Errorf("experiments: chaos-churn: %w", err)
+		return nil, err
 	}
 	// Replica 0 leaves cleanly mid-run, replica 1 is the mid-handoff
 	// kill -9 victim, replica 2 survives and absorbs the handoffs.
 	const leaver, victim, survivor = 0, 1, 2
 	c, err := bootChaosKit("chaos-churn", w, chaoskit.Options{
-		Dir: cfg.Dir, Replicas: 3, Router: true, Faults: &cfg.Faults,
-		Shards: chaosNodeShards, CompactBytes: chaosNodeCompactBytes,
-		Batch: cfg.Batch, MinBatches: 12, IDPrefix: "churn",
+		Dir: dir, Replicas: chaosReplicas, Router: true, Faults: chaosLinkFaults(seed, chaosChurnErrorRate),
+		Shards: chaosNodeShards, CompactBytes: chaosCompactBytes,
+		Batch: chaosBatch, MinBatches: 12, IDPrefix: "churn",
 	})
 	if err != nil {
 		return nil, err
 	}
 	defer c.Close()
 	nBatches := c.Batches()
-	rep := &ChaosChurnReport{Replicas: 3, Batches: nBatches, Events: len(w.Replay)}
+	rep := &ChaosChurnReport{Replicas: chaosReplicas, Batches: nBatches, Events: len(w.Replay)}
 	rm := c.Router.Metrics()
 
 	// Scenario timeline over the batch sequence.
@@ -168,8 +121,8 @@ func RunChaosChurn(cfg ChaosChurnConfig) (*ChaosChurnReport, error) {
 	if rep.PartialPending = c.Member(victim).HandoffPending; rep.PartialPending == 0 {
 		c.Failf("partial handoff left no visible pending debt")
 	}
-	c.Kill9(victim, partialAt, cfg.CrashWindow)
-	rep.CrashAccepted = cfg.CrashWindow
+	c.Kill9(victim, partialAt, chaosCrashWindow)
+	rep.CrashAccepted = chaosCrashWindow
 
 	// Heal the partition; probes eject the corpse, flipping its sticky
 	// pins into the reconciliation window.
@@ -212,44 +165,5 @@ func RunChaosChurn(cfg ChaosChurnConfig) (*ChaosChurnReport, error) {
 	if err := c.Err(); err != nil {
 		return nil, fmt.Errorf("experiments: chaos-churn: %w", err)
 	}
-
-	return rep, writeReportArtifact(cfg.ReportPath, rep)
-}
-
-// ChaosChurn is the registry adapter: run the default scenario in a
-// temporary directory (report path from CHURN_REPORT when set) and
-// render the report.
-func ChaosChurn(p *Pipeline, w io.Writer) error {
-	dir, err := os.MkdirTemp("", "chaos-churn-")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(dir)
-	cfg := DefaultChaosChurnConfig(p.Config.Seed, dir)
-	cfg.ReportPath = os.Getenv("CHURN_REPORT")
-	rep, err := RunChaosChurn(cfg)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "Chaos-churn run: %d replicas, planned leave + kill -9 mid-handoff + restart-and-reconcile\n\n", rep.Replicas)
-	fmt.Fprintf(w, "workload                  %6d batches, %d events\n", rep.Batches, rep.Events)
-	fmt.Fprintf(w, "link faults               %6d/%d request keys (%d dropped, %d responses lost, %d partition refusals)\n",
-		rep.FaultedKeys, rep.LinkKeys, rep.RequestsDropped, rep.ResponsesLost, rep.PartitionRefusals)
-	fmt.Fprintf(w, "router failovers          %6d\n", rep.Failovers)
-	fmt.Fprintf(w, "planned leave             %6d chunks, %d entries drained\n", rep.LeaveChunks, rep.LeaveEntries)
-	fmt.Fprintf(w, "partial handoff           failed=%v, %d entries pinned to source, %d push failures\n",
-		rep.PartialLeaveFailed, rep.PartialPending, rep.HandoffFails)
-	fmt.Fprintf(w, "victim kill window        %6d batches (accepted, never answered)\n", rep.CrashAccepted)
-	fmt.Fprintf(w, "victim recovery           %6d results, %d pending replayed, %d torn bytes discarded\n",
-		rep.RecoveredResults, rep.VictimReplayed, rep.TornTailBytes)
-	fmt.Fprintf(w, "reconciliation            %6d entries re-homed, %d pending after\n", rep.ReconcileReplayed, rep.PendingAfterReconcile)
-	fmt.Fprintf(w, "\nretransmit storm over %d served IDs:\n", rep.StormRetransmits)
-	fmt.Fprintf(w, "  events reclassified     %6d (must be 0: all answered from ledgers)\n", rep.StormReclassified)
-	fmt.Fprintf(w, "  diverged bodies         %6d (must be 0: byte-identical)\n", rep.StormDiverged)
-	fmt.Fprintf(w, "\nlost batches              %6d\n", rep.LostBatches)
-	if rep.LostBatches > 0 || rep.StormDiverged > 0 || rep.StormReclassified > 0 {
-		return fmt.Errorf("experiments: chaos-churn: %d lost, %d diverged, %d reclassified",
-			rep.LostBatches, rep.StormDiverged, rep.StormReclassified)
-	}
-	return nil
+	return rep, nil
 }

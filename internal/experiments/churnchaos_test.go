@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"testing"
@@ -13,15 +14,11 @@ import (
 // the full retransmit storm to the exactly-once bar: zero lost
 // batches, zero re-classifications, byte-identical response bodies.
 func TestChaosChurn(t *testing.T) {
-	cfg := DefaultChaosChurnConfig(42, t.TempDir())
-	cfg.ReportPath = os.Getenv("CHURN_REPORT")
-	if cfg.ReportPath == "" {
-		cfg.ReportPath = filepath.Join(t.TempDir(), "churn-report.json")
-	}
-	rep, err := RunChaosChurn(cfg)
+	rep, err := RunChaosChurn(42, t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
+	reportPath := writeReportArtifact(t, "CHURN_REPORT", rep)
 
 	// The storm's exactly-once contract.
 	if rep.LostBatches != 0 {
@@ -86,11 +83,30 @@ func TestChaosChurn(t *testing.T) {
 	}
 
 	// The report artifact must exist and be non-empty for CI to archive.
-	st, err := os.Stat(cfg.ReportPath)
+	st, err := os.Stat(reportPath)
 	if err != nil {
 		t.Fatalf("churn report artifact: %v", err)
 	}
 	if st.Size() == 0 {
 		t.Fatal("churn report artifact is empty")
 	}
+}
+
+// writeReportArtifact writes doc as indented JSON to the path the
+// environment variable names — the file CI archives — or, when it is
+// unset, into a test temp dir, and returns the path.
+func writeReportArtifact(t *testing.T, envVar string, doc any) string {
+	t.Helper()
+	path := os.Getenv(envVar)
+	if path == "" {
+		path = filepath.Join(t.TempDir(), "report.json")
+	}
+	data, err := json.MarshalIndent(doc, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
+		t.Fatalf("write report artifact: %v", err)
+	}
+	return path
 }

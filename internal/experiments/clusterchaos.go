@@ -2,62 +2,16 @@ package experiments
 
 import (
 	"fmt"
-	"io"
-	"os"
 
 	"repro/internal/chaoskit"
 	"repro/internal/faults"
 	"repro/internal/synth"
 )
 
-// ChaosClusterConfig parameterizes the cluster-wide chaos harness: a
-// 3-replica consistent-hash cluster behind a health-aware router,
-// replaying a synth trace under injected link faults, one mid-replay
-// replica kill -9 (journal recovery on restart), one router-side
-// partition, and a generation-consistent reload with a replica
-// partitioned.
-type ChaosClusterConfig struct {
-	// Synth generates the dataset every replica serves.
-	Synth synth.Config
-	// Faults drives the per-link fault schedule and the victim journal's
-	// torn-write behavior at the crash.
-	Faults faults.Config
-	// Dir is the root directory; each replica journals into a subdir.
-	Dir string
-	// Replicas is the cluster size (>= 3: the scenario needs a victim, a
-	// partitioned node, and a survivor).
-	Replicas int
-	// Batch is events per /classify request.
-	Batch int
-	// CrashWindow is how many batches the dying victim journal-accepts
-	// without answering before the kill -9.
-	CrashWindow int
-	// Tau is the rule-selection threshold.
-	Tau float64
-}
-
-// DefaultChaosClusterConfig returns the standard scenario: ~25% of
-// router->replica classify deliveries hit an injected link fault
-// (request dropped or response lost after replica-side processing),
-// four batches are caught in the victim's kill window, and the victim's
-// journal tears at the crash.
-func DefaultChaosClusterConfig(seed int64, dir string) ChaosClusterConfig {
-	return ChaosClusterConfig{
-		Synth: synth.DefaultConfig(seed, 0.004),
-		Faults: faults.Config{
-			Seed:                   seed,
-			ErrorRate:              0.25,
-			MaxConsecutiveFailures: 2,
-			AckLossRate:            0.5, // half the faults lose the response, not the request
-			TornWriteRate:          1,
-		},
-		Dir:         dir,
-		Replicas:    3,
-		Batch:       32,
-		CrashWindow: 4,
-		Tau:         0.001,
-	}
-}
+// chaosClusterErrorRate: ~25% of router->replica classify deliveries
+// hit an injected link fault (request dropped or response lost after
+// replica-side processing).
+const chaosClusterErrorRate = 0.25
 
 // ChaosClusterReport is the outcome of one cluster chaos run.
 type ChaosClusterReport struct {
@@ -103,28 +57,25 @@ type ChaosClusterReport struct {
 // responses, which were byte-identical to offline classification. The
 // fixture, the fault steps and the checkers are chaoskit's (DESIGN.md
 // "Chaos kit").
-func RunChaosCluster(cfg ChaosClusterConfig) (*ChaosClusterReport, error) {
-	if cfg.Replicas < 3 {
-		return nil, fmt.Errorf("experiments: chaos-cluster: need >= 3 replicas, have %d", cfg.Replicas)
-	}
-	w, err := BootServingWorld(cfg.Synth, cfg.Tau)
+func RunChaosCluster(seed int64, dir string) (*ChaosClusterReport, error) {
+	w, err := bootChaosWorld("chaos-cluster", seed)
 	if err != nil {
-		return nil, fmt.Errorf("experiments: chaos-cluster: %w", err)
+		return nil, err
 	}
 	// Replica 0 is the kill -9 victim, replica 1 takes the router-side
 	// partition, replica 2 the partition during the reload.
 	const victim, partitioned, reloadVictim = 0, 1, 2
 	c, err := bootChaosKit("chaos-cluster", w, chaoskit.Options{
-		Dir: cfg.Dir, Replicas: cfg.Replicas, Router: true, Faults: &cfg.Faults,
-		Shards: chaosNodeShards, CompactBytes: chaosNodeCompactBytes,
-		Batch: cfg.Batch, MinBatches: 16, IDPrefix: "cc",
+		Dir: dir, Replicas: chaosReplicas, Router: true, Faults: chaosLinkFaults(seed, chaosClusterErrorRate),
+		Shards: chaosNodeShards, CompactBytes: chaosCompactBytes,
+		Batch: chaosBatch, MinBatches: 16, IDPrefix: "cc",
 	})
 	if err != nil {
 		return nil, err
 	}
 	defer c.Close()
 	nBatches := c.Batches()
-	rep := &ChaosClusterReport{Replicas: cfg.Replicas, Batches: nBatches, Events: len(w.Replay)}
+	rep := &ChaosClusterReport{Replicas: chaosReplicas, Batches: nBatches, Events: len(w.Replay)}
 
 	// Scenario timeline over the batch sequence.
 	killAt := nBatches / 4
@@ -137,8 +88,8 @@ func RunChaosCluster(cfg ChaosClusterConfig) (*ChaosClusterReport, error) {
 	c.SendRange(0, killAt)
 
 	// The kill -9; probes notice the dead replica and eject it.
-	c.Kill9(victim, killAt, cfg.CrashWindow)
-	rep.CrashAccepted = cfg.CrashWindow
+	c.Kill9(victim, killAt, chaosCrashWindow)
+	rep.CrashAccepted = chaosCrashWindow
 	c.Probe(3)
 	c.ExpectState("after the kill", "ejected", victim)
 
@@ -204,6 +155,48 @@ func RunChaosCluster(cfg ChaosClusterConfig) (*ChaosClusterReport, error) {
 	return rep, nil
 }
 
+// What the four serving scenarios (chaos-serve, -cluster, -churn,
+// -lifecycle) share: the corpus scale and rule threshold of their
+// world, 32-event /classify batches, a kill window of four batches the
+// dying node journal-accepts without answering, and three replicas —
+// a victim, a partitioned node and a survivor. Every cluster replica
+// opens its ledger on two journal shards, so kill -9 recovery, handoff
+// and retransmit assertions all run with the merge crossing shards,
+// and every ledger compacts at 16 KiB, low enough to rewrite the log
+// mid-run.
+const (
+	chaosServingScale = 0.004
+	chaosTau          = 0.001
+	chaosBatch        = 32
+	chaosCrashWindow  = 4
+	chaosReplicas     = 3
+	chaosNodeShards   = 2
+	chaosCompactBytes = 1 << 14
+)
+
+// bootChaosWorld generates a serving scenario's world from its seed.
+func bootChaosWorld(name string, seed int64) (*ServingWorld, error) {
+	w, err := BootServingWorld(synth.DefaultConfig(seed, chaosServingScale), chaosTau)
+	if err != nil {
+		return nil, fmt.Errorf("experiments: %s: %w", name, err)
+	}
+	return w, nil
+}
+
+// chaosLinkFaults is the serving scenarios' fault schedule at one error
+// rate: at most two failures in a row, half the faults losing the
+// response rather than the request, and a journal that tears at every
+// crash.
+func chaosLinkFaults(seed int64, errorRate float64) *faults.Config {
+	return &faults.Config{
+		Seed:                   seed,
+		ErrorRate:              errorRate,
+		MaxConsecutiveFailures: 2,
+		AckLossRate:            0.5,
+		TornWriteRate:          1,
+	}
+}
+
 // bootChaosKit boots a scenario's fixture over its world.
 func bootChaosKit(name string, w *ServingWorld, o chaoskit.Options) (*chaoskit.Cluster, error) {
 	o.Extractor, o.Rules, o.Offline, o.Events = w.Extractor, w.Rules, w.Offline, w.Replay
@@ -212,48 +205,4 @@ func bootChaosKit(name string, w *ServingWorld, o chaoskit.Options) (*chaoskit.C
 		return nil, fmt.Errorf("experiments: %s: %w", name, err)
 	}
 	return c, nil
-}
-
-// The ledger every replica of the cluster harnesses (chaos-cluster,
-// -churn, -lifecycle) opens: two journal shards, so kill -9 recovery,
-// handoff and retransmit assertions all run with the merge crossing
-// shards, and a compaction threshold low enough to snapshot mid-run.
-const (
-	chaosNodeShards       = 2
-	chaosNodeCompactBytes = 1 << 14
-)
-
-// ChaosCluster is the registry adapter: run the default scenario in a
-// temporary directory and render the report.
-func ChaosCluster(p *Pipeline, w io.Writer) error {
-	dir, err := os.MkdirTemp("", "chaos-cluster-")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(dir)
-	rep, err := RunChaosCluster(DefaultChaosClusterConfig(p.Config.Seed, dir))
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "Chaos-cluster run: %d replicas, link faults + kill -9 + partition + degraded reload\n\n", rep.Replicas)
-	fmt.Fprintf(w, "workload                  %6d batches, %d events\n", rep.Batches, rep.Events)
-	fmt.Fprintf(w, "link faults               %6d/%d request keys (%d dropped, %d responses lost, %d partition refusals)\n",
-		rep.FaultedKeys, rep.LinkKeys, rep.RequestsDropped, rep.ResponsesLost, rep.PartitionRefusals)
-	fmt.Fprintf(w, "router failovers          %6d\n", rep.Failovers)
-	fmt.Fprintf(w, "victim kill window        %6d batches (accepted, never answered)\n", rep.CrashAccepted)
-	fmt.Fprintf(w, "victim recovery           %6d results, %d pending replayed, %d torn bytes discarded\n",
-		rep.RecoveredResults, rep.VictimReplayed, rep.TornTailBytes)
-	fmt.Fprintf(w, "reload generation         %6d (degraded while partitioned: %v)\n", rep.ReloadGeneration, rep.DegradedDuringPartition)
-	fmt.Fprintf(w, "degraded-window leaks     %6d events on the stale replica\n", rep.DegradedWindowLeaks)
-	fmt.Fprintf(w, "wrong-generation verdicts %6d\n", rep.WrongGenVerdicts)
-	fmt.Fprintf(w, "\nretransmit storm over the first %d batches:\n", rep.Batches*3/4)
-	fmt.Fprintf(w, "  events reclassified     %6d (must be 0: all answered from ledgers)\n", rep.StormReclassified)
-	fmt.Fprintf(w, "  diverged batches        %6d\n", rep.StormDiverged)
-	fmt.Fprintf(w, "\nlost batches              %6d\nmismatched verdicts       %6d\n", rep.LostBatches, rep.MismatchedVerdicts)
-	if rep.LostBatches > 0 || rep.MismatchedVerdicts > 0 || rep.StormDiverged > 0 ||
-		rep.StormReclassified > 0 || rep.WrongGenVerdicts > 0 || rep.DegradedWindowLeaks > 0 {
-		return fmt.Errorf("experiments: chaos-cluster: %d lost, %d mismatched, %d storm-diverged, %d storm-reclassified, %d wrong-gen, %d degraded leaks",
-			rep.LostBatches, rep.MismatchedVerdicts, rep.StormDiverged, rep.StormReclassified, rep.WrongGenVerdicts, rep.DegradedWindowLeaks)
-	}
-	return nil
 }

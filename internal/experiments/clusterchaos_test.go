@@ -11,8 +11,7 @@ import "testing"
 // work on retransmit, byte-identical verdicts vs offline
 // classification.
 func TestChaosCluster(t *testing.T) {
-	cfg := DefaultChaosClusterConfig(42, t.TempDir())
-	rep, err := RunChaosCluster(cfg)
+	rep, err := RunChaosCluster(42, t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}

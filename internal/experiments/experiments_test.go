@@ -83,7 +83,6 @@ func TestRegistryCoversEveryPaperArtifact(t *testing.T) {
 		"table13", "table14", "table16", "table17",
 		"fig1", "fig2", "fig3", "fig4", "fig5", "fig6",
 		"packers", "rulestats", "baselines", "evasion", "avtypestats", "chains",
-		"chaos", "chaos-serve", "chaos-cluster", "chaos-lifecycle", "chaos-churn",
 	}
 	have := map[string]bool{}
 	for _, e := range All {

@@ -2,10 +2,7 @@ package experiments
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"io"
-	"os"
 	"strings"
 	"time"
 
@@ -18,50 +15,15 @@ import (
 	"repro/internal/lifecycle"
 	"repro/internal/part"
 	"repro/internal/serve"
-	"repro/internal/synth"
 )
 
-// ChaosLifecycleConfig parameterizes the lifecycle chaos harness: a
-// 3-replica cluster behind the router serving a month of traffic while
-// the champion/challenger machinery shadows it — first with a
-// deliberately over-broad challenger that must be rejected at the FP
-// gate, then with a properly retrained one that must promote
-// cluster-wide through the router's generation-consistent reload.
-type ChaosLifecycleConfig struct {
-	// Synth generates the dataset every replica serves.
-	Synth synth.Config
-	// Dir is the root directory; each replica journals into a subdir.
-	Dir string
-	// Replicas is the cluster size.
-	Replicas int
-	// Batch is events per /classify request.
-	Batch int
-	// Tau is the rule-selection threshold for champion and retrain.
-	Tau float64
-	// FPBudget is the promotion gate: max challenger FP rate over
-	// known-benign shadow traffic (the paper's 0.1% operating point).
-	FPBudget float64
-	// MinShadowSamples gates the promotion decision on evidence volume.
-	MinShadowSamples int
-	// ReportPath, when non-empty, receives the shadow-evaluation
-	// disagreement report as JSON (the CI artifact).
-	ReportPath string
-}
-
-// DefaultChaosLifecycleConfig returns the standard scenario: three
-// replicas, the paper's 0.1% FP budget, and a bad challenger crafted to
-// blow through it.
-func DefaultChaosLifecycleConfig(seed int64, dir string) ChaosLifecycleConfig {
-	return ChaosLifecycleConfig{
-		Synth:            synth.DefaultConfig(seed, 0.004),
-		Dir:              dir,
-		Replicas:         3,
-		Batch:            32,
-		Tau:              0.001,
-		FPBudget:         0.001,
-		MinShadowSamples: 200,
-	}
-}
+// The promotion gate of the chaos-lifecycle scenario: the challenger's
+// FP rate over known-benign shadow traffic may not exceed the paper's
+// 0.1% operating point, decided on no fewer than 200 shadow samples.
+const (
+	chaosFPBudget         = 0.001
+	chaosMinShadowSamples = 200
+)
 
 // ChaosLifecycleReport is the outcome of one lifecycle chaos run.
 type ChaosLifecycleReport struct {
@@ -102,17 +64,21 @@ type ChaosLifecycleReport struct {
 	// The serving invariants: WrongGenVerdicts, LostBatches and
 	// MismatchedVerdicts must all be zero.
 	chaoskit.Audit
+
+	// Shadow is the scoreboard the gate archives as JSON.
+	Shadow LifecycleShadowReport
 }
 
-// lifecycleShadowReport is the JSON artifact written to ReportPath: the
-// full scoreboard and retained disagreement examples for both shadow
-// runs.
-type lifecycleShadowReport struct {
-	Bad  lifecycleShadowRun `json:"badChallenger"`
-	Good lifecycleShadowRun `json:"goodChallenger"`
+// LifecycleShadowReport is the shadow-evaluation artifact: the full
+// scoreboard and retained disagreement examples for both shadow runs.
+type LifecycleShadowReport struct {
+	Bad  LifecycleShadowRun `json:"badChallenger"`
+	Good LifecycleShadowRun `json:"goodChallenger"`
 }
 
-type lifecycleShadowRun struct {
+// LifecycleShadowRun is one challenger's shadow run as the gate
+// resolved it.
+type LifecycleShadowRun struct {
 	State         string                   `json:"state"`
 	Reason        string                   `json:"reason,omitempty"`
 	Generation    uint64                   `json:"generation,omitempty"`
@@ -191,15 +157,12 @@ func overbroadChallenger(ex *features.Extractor, champion *classify.Classifier, 
 //     replica to generation 2, clearing the degraded node — with zero
 //     lost batches, zero wrong-generation verdicts, and zero dropped
 //     shadow batches.
-func RunChaosLifecycle(cfg ChaosLifecycleConfig) (*ChaosLifecycleReport, error) {
-	if cfg.Replicas < 3 {
-		return nil, fmt.Errorf("experiments: chaos-lifecycle: need >= 3 replicas, have %d", cfg.Replicas)
-	}
+func RunChaosLifecycle(seed int64, dir string) (*ChaosLifecycleReport, error) {
 	// The deterministic world: a labeled corpus, a champion trained on
 	// month 0, and month 1 as the live traffic the lifecycle rides.
-	w, err := BootServingWorld(cfg.Synth, cfg.Tau)
+	w, err := bootChaosWorld("chaos-lifecycle", seed)
 	if err != nil {
-		return nil, fmt.Errorf("experiments: chaos-lifecycle: %w", err)
+		return nil, err
 	}
 	champion, replay := w.Rules, w.Replay
 
@@ -227,20 +190,20 @@ func RunChaosLifecycle(cfg ChaosLifecycleConfig) (*ChaosLifecycleReport, error) 
 
 	// ---- Boot the cluster: every replica journals, taps its engine
 	// into a shadow evaluator, and exposes the evaluator on /metrics.
-	evals := make([]*lifecycle.Evaluator, cfg.Replicas)
+	evals := make([]*lifecycle.Evaluator, chaosReplicas)
 	for i := range evals {
-		if evals[i], err = lifecycle.NewEvaluator(w.Extractor, truth, lifecycle.EvaluatorConfig{}); err != nil {
+		if evals[i], err = lifecycle.NewEvaluator(w.Extractor, truth); err != nil {
 			return nil, err
 		}
 		defer evals[i].Close()
 	}
 	c, err := bootChaosKit("chaos-lifecycle", w, chaoskit.Options{
-		Dir: cfg.Dir, Replicas: cfg.Replicas, Router: true,
-		Shards: chaosNodeShards, CompactBytes: chaosNodeCompactBytes,
+		Dir: dir, Replicas: chaosReplicas, Router: true,
+		Shards: chaosNodeShards, CompactBytes: chaosCompactBytes,
 		ServerOptions: func(i int) []serve.ServerOption {
 			return []serve.ServerOption{serve.WithMetricsAppender(evals[i].WriteMetrics)}
 		},
-		Batch: cfg.Batch, MinBatches: 8, IDPrefix: "lc",
+		Batch: chaosBatch, MinBatches: 8, IDPrefix: "lc",
 	})
 	if err != nil {
 		return nil, err
@@ -250,7 +213,7 @@ func RunChaosLifecycle(cfg ChaosLifecycleConfig) (*ChaosLifecycleReport, error) 
 		n.Engine.SetBatchTap(evals[i].Tap())
 	}
 	nBatches := c.Batches()
-	rep := &ChaosLifecycleReport{Replicas: cfg.Replicas, Batches: nBatches, Events: len(replay),
+	rep := &ChaosLifecycleReport{Replicas: chaosReplicas, Batches: nBatches, Events: len(replay),
 		Harvested: hstats.Harvested, DiscardedWeak: hstats.Discarded}
 	ctx := context.Background()
 
@@ -292,8 +255,8 @@ func RunChaosLifecycle(cfg ChaosLifecycleConfig) (*ChaosLifecycleReport, error) 
 	// ---- Phase A: the over-broad challenger shadows live traffic. The
 	// gate must reject it; generation 1 keeps serving throughout.
 	mgr, err := lifecycle.NewManager(lifecycle.Config{
-		FPBudget:         cfg.FPBudget,
-		MinShadowSamples: cfg.MinShadowSamples,
+		FPBudget:         chaosFPBudget,
+		MinShadowSamples: chaosMinShadowSamples,
 	}, lifecycle.ReloadPromoter{Client: c.Client}, evals...)
 	if err != nil {
 		return nil, err
@@ -309,7 +272,7 @@ func RunChaosLifecycle(cfg ChaosLifecycleConfig) (*ChaosLifecycleReport, error) 
 
 	// Mid-shadow, /metrics on the replicas must expose per-rule hit/FP
 	// counters for BOTH generations — the rule-efficacy surface.
-	combined := metrics(cfg.Replicas)
+	combined := metrics(chaosReplicas)
 	rep.RuleMetricsSeen = strings.Contains(combined, `longtail_rule_hits_total{role="champion",gen="1"`) &&
 		strings.Contains(combined, `longtail_rule_hits_total{role="challenger"`)
 
@@ -346,7 +309,7 @@ func RunChaosLifecycle(cfg ChaosLifecycleConfig) (*ChaosLifecycleReport, error) 
 	// ---- Phase B: the real challenger — warm-started from the
 	// champion's rules over its window plus the harvest — shadows the
 	// next traffic slice and must promote within the FP budget.
-	good, err := classify.Retrain(champion, harv.Training(w.Train), cfg.Tau, classify.Reject)
+	good, err := classify.Retrain(champion, harv.Training(w.Train), chaosTau, classify.Reject)
 	if err != nil {
 		return nil, err
 	}
@@ -394,7 +357,7 @@ func RunChaosLifecycle(cfg ChaosLifecycleConfig) (*ChaosLifecycleReport, error) 
 
 	// Post-promotion, the champion counters accumulate under gen="2" —
 	// the per-rule decay trend across generations on one surface.
-	rep.DecayMetricsSeen = strings.Contains(metrics(cfg.Replicas), fmt.Sprintf(`longtail_rule_hits_total{role="champion",gen="%d"`, rep.PromotedGeneration))
+	rep.DecayMetricsSeen = strings.Contains(metrics(chaosReplicas), fmt.Sprintf(`longtail_rule_hits_total{role="champion",gen="%d"`, rep.PromotedGeneration))
 
 	for _, e := range evals {
 		rep.ShadowDropped += e.Snapshot().Dropped
@@ -404,68 +367,15 @@ func RunChaosLifecycle(cfg ChaosLifecycleConfig) (*ChaosLifecycleReport, error) 
 		return nil, fmt.Errorf("experiments: chaos-lifecycle: %w", err)
 	}
 
-	return rep, writeReportArtifact(cfg.ReportPath, lifecycleShadowReport{
-		Bad: lifecycleShadowRun{
+	rep.Shadow = LifecycleShadowReport{
+		Bad: LifecycleShadowRun{
 			State: lifecycle.StateRejected.String(), Reason: rep.BadReason,
 			Stats: badAgg, Disagreements: badDisagreements,
 		},
-		Good: lifecycleShadowRun{
+		Good: LifecycleShadowRun{
 			State: lifecycle.StatePromoted.String(), Generation: rep.PromotedGeneration,
 			Stats: goodAgg, Disagreements: goodDisagreements,
 		},
-	})
-}
-
-// writeReportArtifact writes doc as indented JSON to path, the file CI
-// archives; an empty path writes nothing.
-func writeReportArtifact(path string, doc any) error {
-	if path == "" {
-		return nil
 	}
-	data, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return fmt.Errorf("experiments: write report artifact: %w", err)
-	}
-	return nil
-}
-
-// ChaosLifecycle is the registry adapter: run the default scenario in a
-// temporary directory (report path from LIFECYCLE_REPORT when set) and
-// render the outcome.
-func ChaosLifecycle(p *Pipeline, w io.Writer) error {
-	dir, err := os.MkdirTemp("", "chaos-lifecycle-")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(dir)
-	cfg := DefaultChaosLifecycleConfig(p.Config.Seed, dir)
-	cfg.ReportPath = os.Getenv("LIFECYCLE_REPORT")
-	rep, err := RunChaosLifecycle(cfg)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "Chaos-lifecycle run: %d replicas, champion/challenger over live router traffic\n\n", rep.Replicas)
-	fmt.Fprintf(w, "workload                  %6d batches, %d events\n", rep.Batches, rep.Events)
-	fmt.Fprintf(w, "harvested ground truth    %6d instances (%d weak labels discarded, %d served files drained)\n",
-		rep.Harvested, rep.DiscardedWeak, rep.ServedFiles)
-	fmt.Fprintf(w, "shadow samples            %6d (known benign %d, known malicious %d, dropped %d)\n",
-		rep.ShadowSamples, rep.KnownBenign, rep.KnownMalicious, rep.ShadowDropped)
-	fmt.Fprintf(w, "bad challenger            FP rate %.4f -> %s (%d disagreements retained)\n",
-		rep.BadFPRate, map[bool]string{true: "rejected", false: "NOT REJECTED"}[rep.BadRejected], rep.BadDisagreements)
-	fmt.Fprintf(w, "good challenger           FP rate %.4f -> promoted generation %d (router converged: %v)\n",
-		rep.GoodFPRate, rep.PromotedGeneration, rep.RouterConverged)
-	fmt.Fprintf(w, "degraded recovery         raised: %v, cleared by promotion: %v\n",
-		rep.DegradedAfterBadReload, rep.DegradedCleared)
-	fmt.Fprintf(w, "per-rule metrics          shadowing: %v, post-promotion decay: %v\n", rep.RuleMetricsSeen, rep.DecayMetricsSeen)
-	fmt.Fprintf(w, "\nwrong-generation verdicts %6d\nlost batches              %6d\nmismatched verdicts       %6d\n",
-		rep.WrongGenVerdicts, rep.LostBatches, rep.MismatchedVerdicts)
-	if rep.LostBatches > 0 || rep.MismatchedVerdicts > 0 || rep.WrongGenVerdicts > 0 ||
-		rep.ShadowDropped > 0 || !rep.DegradedCleared || !rep.RuleMetricsSeen {
-		return fmt.Errorf("experiments: chaos-lifecycle: %d lost, %d mismatched, %d wrong-gen, %d shadow-dropped, degraded cleared %v, rule metrics %v",
-			rep.LostBatches, rep.MismatchedVerdicts, rep.WrongGenVerdicts, rep.ShadowDropped, rep.DegradedCleared, rep.RuleMetricsSeen)
-	}
-	return nil
+	return rep, nil
 }

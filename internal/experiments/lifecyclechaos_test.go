@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"os"
-	"path/filepath"
 	"testing"
 )
 
@@ -14,23 +13,19 @@ import (
 // router's generation-consistent fan-out — with zero lost batches,
 // zero wrong-generation verdicts, and zero dropped shadow batches.
 func TestChaosLifecycle(t *testing.T) {
-	cfg := DefaultChaosLifecycleConfig(42, t.TempDir())
-	cfg.ReportPath = os.Getenv("LIFECYCLE_REPORT")
-	if cfg.ReportPath == "" {
-		cfg.ReportPath = filepath.Join(t.TempDir(), "shadow-report.json")
-	}
-	rep, err := RunChaosLifecycle(cfg)
+	rep, err := RunChaosLifecycle(42, t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
+	reportPath := writeReportArtifact(t, "LIFECYCLE_REPORT", rep.Shadow)
 
 	// The bad challenger must be rejected over the paper's FP budget —
 	// and must never have reached serving.
 	if !rep.BadRejected {
 		t.Error("bad challenger was not rejected")
 	}
-	if rep.BadFPRate <= cfg.FPBudget {
-		t.Errorf("bad challenger FP rate %.4f not over budget %.4f; the scenario is vacuous", rep.BadFPRate, cfg.FPBudget)
+	if rep.BadFPRate <= chaosFPBudget {
+		t.Errorf("bad challenger FP rate %.4f not over budget %.4f; the scenario is vacuous", rep.BadFPRate, chaosFPBudget)
 	}
 	if rep.BadDisagreements == 0 {
 		t.Error("no disagreement examples retained for the report")
@@ -40,8 +35,8 @@ func TestChaosLifecycle(t *testing.T) {
 	if !rep.GoodPromoted {
 		t.Error("good challenger was not promoted")
 	}
-	if rep.GoodFPRate > cfg.FPBudget {
-		t.Errorf("good challenger FP rate %.4f over budget %.4f yet promoted", rep.GoodFPRate, cfg.FPBudget)
+	if rep.GoodFPRate > chaosFPBudget {
+		t.Errorf("good challenger FP rate %.4f over budget %.4f yet promoted", rep.GoodFPRate, chaosFPBudget)
 	}
 	if rep.PromotedGeneration != 2 {
 		t.Errorf("promoted generation = %d, want 2", rep.PromotedGeneration)
@@ -92,7 +87,7 @@ func TestChaosLifecycle(t *testing.T) {
 	}
 
 	// The disagreement report artifact exists and is non-empty.
-	if fi, err := os.Stat(cfg.ReportPath); err != nil || fi.Size() == 0 {
-		t.Errorf("shadow report artifact missing or empty at %s (err %v)", cfg.ReportPath, err)
+	if fi, err := os.Stat(reportPath); err != nil || fi.Size() == 0 {
+		t.Errorf("shadow report artifact missing or empty at %s (err %v)", reportPath, err)
 	}
 }

@@ -45,11 +45,6 @@ var All = []Experiment{
 	{ID: "evasion", Name: "Section VII: signer-rotation evasion study", Run: Evasion},
 	{ID: "avtypestats", Name: "Section II-C: AVType resolution-rule shares", Run: AVTypeStats},
 	{ID: "chains", Name: "Extension: malicious download-chain depths", Run: Chains},
-	{ID: "chaos", Name: "Robustness: fault-injected pipeline vs fault-free baseline", Run: Chaos},
-	{ID: "chaos-serve", Name: "Robustness: serving-layer kill -9 + journal recovery under transport faults", Run: ChaosServe},
-	{ID: "chaos-cluster", Name: "Robustness: 3-replica cluster under link faults, kill -9, partition, and degraded reload", Run: ChaosCluster},
-	{ID: "chaos-lifecycle", Name: "Lifecycle: champion/challenger shadow evaluation, FP-gated promotion, cluster-wide reload convergence", Run: ChaosLifecycle},
-	{ID: "chaos-churn", Name: "Churn: ledger handoff on membership change — planned leave, kill -9 mid-handoff, restart-and-reconcile", Run: ChaosChurn},
 }
 
 // ByID returns the experiment with the given ID.

@@ -12,8 +12,7 @@ func TestChaosServe(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos-serve runs the full pipeline")
 	}
-	cfg := DefaultChaosServeConfig(11, t.TempDir())
-	rep, err := RunChaosServe(cfg)
+	rep, err := RunChaosServe(11, t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,8 +32,8 @@ func TestChaosServe(t *testing.T) {
 	}
 	// The kill window must leave real work for recovery, and recovery
 	// must resolve exactly that work.
-	if rep.RecoveredPending != cfg.CrashWindow {
-		t.Errorf("recovered %d pending batches, want the %d caught in the kill window", rep.RecoveredPending, cfg.CrashWindow)
+	if rep.RecoveredPending != chaosCrashWindow {
+		t.Errorf("recovered %d pending batches, want the %d caught in the kill window", rep.RecoveredPending, chaosCrashWindow)
 	}
 	if rep.Replayed != rep.RecoveredPending {
 		t.Errorf("replayed %d of %d pending batches", rep.Replayed, rep.RecoveredPending)
@@ -50,7 +49,7 @@ func TestChaosServe(t *testing.T) {
 	}
 	wantReclassified := 0
 	for b := rep.Phase1Batches; b < rep.Batches; b++ {
-		lo, hi := b*cfg.Batch, (b+1)*cfg.Batch
+		lo, hi := b*chaosBatch, (b+1)*chaosBatch
 		if hi > rep.Events {
 			hi = rep.Events
 		}

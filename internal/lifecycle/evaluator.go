@@ -155,46 +155,35 @@ type Evaluator struct {
 	challenger atomic.Pointer[challengerState]
 	dropped    atomic.Uint64
 
-	mu      sync.Mutex
-	stats   Stats                   // guarded by mu
-	rules   map[ruleKey]*ruleCounts // guarded by mu
-	ring    []Disagreement          // guarded by mu
-	ringCap int                     // guarded by mu
+	mu    sync.Mutex
+	stats Stats                   // guarded by mu
+	rules map[ruleKey]*ruleCounts // guarded by mu
+	ring  []Disagreement          // guarded by mu
 }
 
-// EvaluatorConfig sizes the evaluator; the zero value selects defaults.
-type EvaluatorConfig struct {
-	// QueueSize bounds the shadow batch queue (default 256); a full
-	// queue drops batches rather than blocking the serving path.
-	QueueSize int
-	// RingSize bounds the retained disagreement examples (default 128).
-	RingSize int
-}
+const (
+	// shadowQueueSize bounds the shadow batch queue; a full queue drops
+	// batches rather than blocking the serving path.
+	shadowQueueSize = 256
+	// disagreementRingSize bounds the retained disagreement examples.
+	disagreementRingSize = 128
+)
 
 // NewEvaluator starts an evaluator. truth supplies harvested ground
 // truth and may be nil (no FP accounting until one is set via the
 // constructor — the FP gate then never passes, which is the safe
 // default).
-func NewEvaluator(ex *features.Extractor, truth TruthFunc, cfg EvaluatorConfig) (*Evaluator, error) {
+func NewEvaluator(ex *features.Extractor, truth TruthFunc) (*Evaluator, error) {
 	if ex == nil {
 		return nil, fmt.Errorf("lifecycle: nil extractor")
 	}
-	qs := cfg.QueueSize
-	if qs <= 0 {
-		qs = 256
-	}
-	rs := cfg.RingSize
-	if rs <= 0 {
-		rs = 128
-	}
 	e := &Evaluator{
-		ex:      ex,
-		truth:   truth,
-		feed:    make(chan evalBatch, qs),
-		quit:    make(chan struct{}),
-		done:    make(chan struct{}),
-		rules:   make(map[ruleKey]*ruleCounts),
-		ringCap: rs,
+		ex:    ex,
+		truth: truth,
+		feed:  make(chan evalBatch, shadowQueueSize),
+		quit:  make(chan struct{}),
+		done:  make(chan struct{}),
+		rules: make(map[ruleKey]*ruleCounts),
 	}
 	go e.worker()
 	return e, nil
@@ -364,7 +353,7 @@ func (e *Evaluator) process(b evalBatch) {
 			continue
 		}
 		e.stats.Disagree++
-		if len(e.ring) < e.ringCap {
+		if len(e.ring) < disagreementRingSize {
 			e.ring = append(e.ring, Disagreement{
 				File:            string(ev.File),
 				Champion:        vr.Verdict,

@@ -185,7 +185,7 @@ func badChallenger(t *testing.T, f *fixture) *classify.Classifier {
 
 func newEval(t *testing.T, f *fixture, truth TruthFunc) *Evaluator {
 	t.Helper()
-	e, err := NewEvaluator(f.ex, truth, EvaluatorConfig{})
+	e, err := NewEvaluator(f.ex, truth)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -127,22 +127,3 @@ func (t *Tree) Size() int {
 	}
 	return count(t.root)
 }
-
-// Leaves returns the number of leaves.
-func (t *Tree) Leaves() int {
-	var count func(n *treeNode) int
-	count = func(n *treeNode) int {
-		if n == nil {
-			return 0
-		}
-		if n.leaf {
-			return 1
-		}
-		total := 0
-		for _, c := range n.children {
-			total += count(c)
-		}
-		return total
-	}
-	return count(t.root)
-}

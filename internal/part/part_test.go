@@ -234,38 +234,6 @@ func TestRuleString(t *testing.T) {
 	}
 }
 
-func TestSummarize(t *testing.T) {
-	rules := []Rule{
-		{Conditions: []Condition{{AttrName: "file's signer", Op: OpEquals, Value: "X"}}, ClassName: "malicious"},
-		{Conditions: []Condition{
-			{AttrName: "file's signer", Op: OpEquals, Value: "Y"},
-			{AttrName: "file's packer", Op: OpEquals, Value: "NSIS"},
-		}, ClassName: "malicious"},
-		{Conditions: []Condition{{AttrName: "file's packer", Op: OpEquals, Value: "INNO"}}, ClassName: "benign"},
-		{ClassName: "benign"}, // default rule
-	}
-	s := Summarize(rules)
-	if s.Total != 4 {
-		t.Errorf("Total = %d", s.Total)
-	}
-	if s.PerClass["malicious"] != 2 || s.PerClass["benign"] != 2 {
-		t.Errorf("PerClass = %v", s.PerClass)
-	}
-	if s.SingleCond != 2 {
-		t.Errorf("SingleCond = %d", s.SingleCond)
-	}
-	if s.AttrUsage["file's signer"] != 2 || s.AttrUsage["file's packer"] != 2 {
-		t.Errorf("AttrUsage = %v", s.AttrUsage)
-	}
-	if s.AttrUsageBase != 3 {
-		t.Errorf("AttrUsageBase = %d", s.AttrUsageBase)
-	}
-	top := s.TopAttributes()
-	if len(top) != 2 {
-		t.Errorf("TopAttributes = %v", top)
-	}
-}
-
 func TestLearnDeterministic(t *testing.T) {
 	build := func() []Rule {
 		d := twoClassSchema(t)

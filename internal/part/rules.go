@@ -2,7 +2,6 @@ package part
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -145,57 +144,6 @@ func DecisionList(rules []Rule, inst *Instance) (int, bool) {
 		}
 	}
 	return 0, false
-}
-
-// Stats summarizes a rule list.
-type Stats struct {
-	Total         int
-	PerClass      map[string]int
-	SingleCond    int
-	AttrUsage     map[string]int
-	AttrUsageBase int // number of rules with >= 1 condition
-}
-
-// Summarize computes rule-list statistics (Section VII reports feature
-// usage shares and the share of single-condition rules).
-func Summarize(rules []Rule) Stats {
-	s := Stats{
-		PerClass:  make(map[string]int),
-		AttrUsage: make(map[string]int),
-	}
-	for _, r := range rules {
-		s.Total++
-		s.PerClass[r.ClassName]++
-		if len(r.Conditions) == 1 {
-			s.SingleCond++
-		}
-		if len(r.Conditions) > 0 {
-			s.AttrUsageBase++
-			seen := map[string]bool{}
-			for _, c := range r.Conditions {
-				if !seen[c.AttrName] {
-					s.AttrUsage[c.AttrName]++
-					seen[c.AttrName] = true
-				}
-			}
-		}
-	}
-	return s
-}
-
-// TopAttributes returns attribute names by descending usage share.
-func (s Stats) TopAttributes() []string {
-	names := make([]string, 0, len(s.AttrUsage))
-	for n := range s.AttrUsage {
-		names = append(names, n)
-	}
-	sort.Slice(names, func(i, j int) bool {
-		if s.AttrUsage[names[i]] != s.AttrUsage[names[j]] {
-			return s.AttrUsage[names[i]] > s.AttrUsage[names[j]]
-		}
-		return names[i] < names[j]
-	})
-	return names
 }
 
 // Simplify returns an equivalent rule with redundant conditions removed:

@@ -3,7 +3,6 @@
 package report
 
 import (
-	"encoding/csv"
 	"fmt"
 	"io"
 	"strings"
@@ -28,9 +27,6 @@ func NewTable(title string, headers ...string) *Table {
 func (t *Table) AddRow(cells ...string) {
 	t.rows = append(t.rows, cells)
 }
-
-// NumRows returns the number of data rows.
-func (t *Table) NumRows() int { return len(t.rows) }
 
 // Render writes the table to w.
 func (t *Table) Render(w io.Writer) error {
@@ -82,26 +78,6 @@ func (t *Table) Render(w io.Writer) error {
 	}
 	_, err := io.WriteString(w, b.String())
 	return err
-}
-
-// RenderCSV writes the table as RFC-4180-ish CSV (header row first).
-func (t *Table) RenderCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write(t.headers); err != nil {
-		return err
-	}
-	for _, r := range t.rows {
-		row := make([]string, len(t.headers))
-		copy(row, r)
-		if len(r) > len(t.headers) {
-			row = r
-		}
-		if err := cw.Write(row); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
 }
 
 // Pct formats a ratio as a percentage.

@@ -1,7 +1,6 @@
 package stats
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
@@ -211,73 +210,10 @@ func (c *Counter) Keys() []string {
 	return out
 }
 
-// Mean returns the arithmetic mean of xs, or NaN when empty.
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
-}
-
-// Entropy computes the Shannon entropy (bits) of a discrete distribution
-// given as class counts.
-func Entropy(counts []int) float64 {
-	total := 0
-	for _, c := range counts {
-		total += c
-	}
-	if total == 0 {
-		return 0
-	}
-	h := 0.0
-	for _, c := range counts {
-		if c == 0 {
-			continue
-		}
-		p := float64(c) / float64(total)
-		h -= p * math.Log2(p)
-	}
-	return h
-}
-
-// Percent formats a ratio as a percentage string with one decimal.
-func Percent(num, den int) string {
-	if den == 0 {
-		return "n/a"
-	}
-	return fmt.Sprintf("%.1f%%", 100*float64(num)/float64(den))
-}
-
 // Ratio returns num/den as float64, or 0 when den is 0.
 func Ratio(num, den int) float64 {
 	if den == 0 {
 		return 0
 	}
 	return float64(num) / float64(den)
-}
-
-// KSDistance computes the two-sample Kolmogorov-Smirnov statistic
-// between two finalized CDFs: the maximum absolute difference between
-// their cumulative fractions, evaluated at every sample point of both.
-// Returns 1 when either CDF is empty.
-func KSDistance(a, b *CDF) float64 {
-	if a == nil || b == nil || a.Len() == 0 || b.Len() == 0 {
-		return 1
-	}
-	a.Finalize()
-	b.Finalize()
-	max := 0.0
-	for _, samples := range [][]float64{a.samples, b.samples} {
-		for _, x := range samples {
-			d := math.Abs(a.At(x) - b.At(x))
-			if d > max {
-				max = d
-			}
-		}
-	}
-	return max
 }

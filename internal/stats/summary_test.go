@@ -157,79 +157,11 @@ func TestCounterKeysSorted(t *testing.T) {
 	}
 }
 
-func TestEntropy(t *testing.T) {
-	if got := Entropy([]int{5, 5}); math.Abs(got-1) > 1e-12 {
-		t.Errorf("Entropy(5,5) = %v, want 1", got)
-	}
-	if got := Entropy([]int{10, 0}); got != 0 {
-		t.Errorf("Entropy(10,0) = %v, want 0", got)
-	}
-	if got := Entropy(nil); got != 0 {
-		t.Errorf("Entropy(nil) = %v, want 0", got)
-	}
-	// Entropy of uniform over 4 classes is 2 bits.
-	if got := Entropy([]int{3, 3, 3, 3}); math.Abs(got-2) > 1e-12 {
-		t.Errorf("Entropy uniform 4 = %v, want 2", got)
-	}
-}
-
-func TestEntropyNonNegativeProperty(t *testing.T) {
-	f := func(counts []uint8) bool {
-		ints := make([]int, len(counts))
-		for i, c := range counts {
-			ints[i] = int(c)
-		}
-		h := Entropy(ints)
-		return h >= 0 && !math.IsNaN(h)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestMean(t *testing.T) {
-	if got := Mean([]float64{1, 2, 3}); got != 2 {
-		t.Errorf("Mean = %v", got)
-	}
-	if !math.IsNaN(Mean(nil)) {
-		t.Error("Mean(nil) should be NaN")
-	}
-}
-
 func TestPercentAndRatio(t *testing.T) {
-	if got := Percent(1, 4); got != "25.0%" {
-		t.Errorf("Percent = %q", got)
-	}
-	if got := Percent(1, 0); got != "n/a" {
-		t.Errorf("Percent div0 = %q", got)
-	}
 	if got := Ratio(3, 4); got != 0.75 {
 		t.Errorf("Ratio = %v", got)
 	}
 	if got := Ratio(3, 0); got != 0 {
 		t.Errorf("Ratio div0 = %v", got)
-	}
-}
-
-func TestKSDistance(t *testing.T) {
-	a := NewCDF([]float64{1, 2, 3, 4, 5})
-	same := NewCDF([]float64{1, 2, 3, 4, 5})
-	if got := KSDistance(a, same); got != 0 {
-		t.Errorf("identical CDFs distance = %v", got)
-	}
-	far := NewCDF([]float64{100, 101, 102})
-	if got := KSDistance(a, far); got != 1 {
-		t.Errorf("disjoint CDFs distance = %v, want 1", got)
-	}
-	if got := KSDistance(a, &CDF{}); got != 1 {
-		t.Errorf("empty CDF distance = %v, want 1", got)
-	}
-	if got := KSDistance(nil, a); got != 1 {
-		t.Errorf("nil CDF distance = %v, want 1", got)
-	}
-	// Symmetry.
-	b := NewCDF([]float64{2, 3, 4, 5, 6, 7})
-	if KSDistance(a, b) != KSDistance(b, a) {
-		t.Error("KS distance not symmetric")
 	}
 }

@@ -45,72 +45,16 @@ type Config struct {
 	// event stream in Result.RawTrace, so fault-tolerance harnesses can
 	// replay it through an alternative (e.g. faulty) transport.
 	KeepRawTrace bool
-	// Tuning overrides the generative world's behavioural constants;
-	// zero values keep the calibrated defaults.
+	// Tuning switches off parts of the generative world for ablation
+	// studies.
 	Tuning Tuning
 }
 
-// Tuning exposes the generator's behavioural constants for ablation
-// studies and sensitivity analysis. Zero values select the defaults the
-// paper calibration uses.
+// Tuning is the generator's ablation switches; the zero value is the
+// world the paper calibration uses.
 type Tuning struct {
-	// LatentMaliciousShare is the fraction of unknown files whose latent
-	// nature is malicious (default 0.55).
-	LatentMaliciousShare float64
-	// RiskyShare is the fraction of machines with risky download
-	// behaviour (default 0.25).
-	RiskyShare float64
-	// ReuseProbability is the chance an event re-downloads a pending
-	// file instead of minting a new one (default 0.62).
-	ReuseProbability float64
-	// CoInstallScale multiplies the bundle co-install probabilities
-	// (default 1; 0.0001 effectively disables them — use DisableCoInstall
-	// for exactly zero).
-	CoInstallScale float64
 	// DisableCoInstall turns bundle co-installs off entirely.
 	DisableCoInstall bool
-	// FollowupScale multiplies the malicious-process follow-up download
-	// rates (default 1).
-	FollowupScale float64
-}
-
-// latentMaliciousShareOrDefault resolves the tuning override.
-func (t Tuning) latentMaliciousShareOrDefault() float64 {
-	if t.LatentMaliciousShare > 0 {
-		return t.LatentMaliciousShare
-	}
-	return latentMaliciousShare
-}
-
-func (t Tuning) riskyShareOrDefault() float64 {
-	if t.RiskyShare > 0 {
-		return t.RiskyShare
-	}
-	return riskyShare
-}
-
-func (t Tuning) reuseProbabilityOrDefault() float64 {
-	if t.ReuseProbability > 0 {
-		return t.ReuseProbability
-	}
-	return reuseProbability
-}
-
-func (t Tuning) coInstallScaleOrDefault() float64 {
-	if t.DisableCoInstall {
-		return 0
-	}
-	if t.CoInstallScale > 0 {
-		return t.CoInstallScale
-	}
-	return 1
-}
-
-func (t Tuning) followupScaleOrDefault() float64 {
-	if t.FollowupScale > 0 {
-		return t.FollowupScale
-	}
-	return 1
 }
 
 // DefaultConfig returns the standard configuration at the given scale.

@@ -122,7 +122,7 @@ func (f *fileFactory) newFile(plan classPlan, typ dataset.MalwareType, viaBrowse
 
 	latentMal := false
 	if plan == planUnknown {
-		latentMal = stats.Bernoulli(f.rng, f.w.cfg.Tuning.latentMaliciousShareOrDefault())
+		latentMal = stats.Bernoulli(f.rng, latentMaliciousShare)
 		rec.latentMal = latentMal
 		if latentMal {
 			rec.typ = typeWeightOrder[f.latentTypes.Draw()]

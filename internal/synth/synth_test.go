@@ -355,34 +355,8 @@ func TestScaledMonthlyVolumes(t *testing.T) {
 }
 
 func TestTuningDefaults(t *testing.T) {
-	var tn Tuning
-	if got := tn.latentMaliciousShareOrDefault(); got != latentMaliciousShare {
-		t.Errorf("latent default = %v", got)
-	}
-	if got := tn.riskyShareOrDefault(); got != riskyShare {
-		t.Errorf("risky default = %v", got)
-	}
-	if got := tn.reuseProbabilityOrDefault(); got != reuseProbability {
-		t.Errorf("reuse default = %v", got)
-	}
-	if got := tn.coInstallScaleOrDefault(); got != 1 {
-		t.Errorf("coinstall default = %v", got)
-	}
-	if got := tn.followupScaleOrDefault(); got != 1 {
-		t.Errorf("followup default = %v", got)
-	}
-	tn = Tuning{
-		LatentMaliciousShare: 0.2, RiskyShare: 0.5, ReuseProbability: 0.9,
-		CoInstallScale: 2, FollowupScale: 0.5,
-	}
-	if tn.latentMaliciousShareOrDefault() != 0.2 || tn.riskyShareOrDefault() != 0.5 ||
-		tn.reuseProbabilityOrDefault() != 0.9 || tn.coInstallScaleOrDefault() != 2 ||
-		tn.followupScaleOrDefault() != 0.5 {
-		t.Error("tuning overrides not applied")
-	}
-	tn = Tuning{DisableCoInstall: true, CoInstallScale: 5}
-	if tn.coInstallScaleOrDefault() != 0 {
-		t.Error("DisableCoInstall should win")
+	if tn := DefaultConfig(1, 0.01).Tuning; tn != (Tuning{}) {
+		t.Errorf("the default config ablates the calibrated world: %+v", tn)
 	}
 }
 

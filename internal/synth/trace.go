@@ -219,7 +219,7 @@ func newGenerator(cfg Config, w *World, rng *rand.Rand) (*generator, error) {
 }
 
 func (g *generator) risky(m dataset.MachineID) bool {
-	return stableIndex(string(m)+"|risk", 100) < int(g.cfg.Tuning.riskyShareOrDefault()*100)
+	return stableIndex(string(m)+"|risk", 100) < int(riskyShare*100)
 }
 
 // drawClass converts a category mix into a concrete class plan and type,
@@ -272,7 +272,7 @@ func (g *generator) drawClass(ms *mixSampler, machine dataset.MachineID, br data
 func (g *generator) drawFile(plan classPlan, typ dataset.MalwareType, viaBrowser bool, t time.Time) *fileRecord {
 	key := poolKey{plan: plan, typ: typ}
 	pool := g.pending[key]
-	if len(pool) > 0 && stats.Bernoulli(g.rng, g.cfg.Tuning.reuseProbabilityOrDefault()) {
+	if len(pool) > 0 && stats.Bernoulli(g.rng, reuseProbability) {
 		i := g.rng.Intn(len(pool))
 		rec := pool[i]
 		rec.budget--
@@ -316,7 +316,7 @@ func (g *generator) scheduleFollowups(machine dataset.MachineID, rec *fileRecord
 	if depth >= 2 {
 		return
 	}
-	lambda := followupLambda[rec.typ] * g.cfg.Tuning.followupScaleOrDefault()
+	lambda := followupLambda[rec.typ]
 	if rec.plan == planUnknown {
 		lambda *= 0.5 // latent malware still downloads, unobserved by GT
 	}
@@ -341,7 +341,11 @@ func (g *generator) scheduleFollowups(machine dataset.MachineID, rec *fileRecord
 // same downloading process. Latent-malicious anchors co-install latent
 // unknowns so the ground-truth shares stay balanced.
 func (g *generator) scheduleCoInstall(machine dataset.MachineID, rec *fileRecord, proc dataset.FileHash, t time.Time, viaBrowser bool) {
-	if !stats.Bernoulli(g.rng, coInstallProb[rec.typ]*g.cfg.Tuning.coInstallScaleOrDefault()) {
+	p := coInstallProb[rec.typ]
+	if g.cfg.Tuning.DisableCoInstall {
+		p = 0
+	}
+	if !stats.Bernoulli(g.rng, p) {
 		return
 	}
 	var delay time.Duration
