@@ -82,20 +82,28 @@ govulncheck:
 	fi
 
 # Native-fuzzing smoke: the single-event codec the /classify endpoint
-# parses on every request, the journal recovery path that must survive
-# torn tails on any shard subset, arbitrary bytes in a segment and a
-# compaction killed at any of its crash points (one fuzzer over the one
-# on-disk format), the //lint:allow directive parser, and the
-# compiled feature context's table (30s each; its seeds include a
+# parses on every request — the reference decoder, and the fast path
+# that runs in front of it (canonical-line parser, string encoder and
+# stamp codec, each held to its encoding/json or package-time oracle,
+# and the verdict-line parser on the reply side) — the journal recovery
+# path that must survive torn tails on any shard subset, arbitrary
+# bytes in a segment and a compaction killed at any of its crash points
+# (one fuzzer over the one on-disk format), the //lint:allow directive
+# parser, and the compiled feature context's table (its seeds include a
 # 70,000-byte key, and minimizing inputs that size for the default
-# minute each would be the whole smoke, hence -fuzzminimizetime).
+# minute each would be the whole smoke, hence -fuzzminimizetime). Six
+# at 20s and the fast path's four at 15s: three minutes in all.
 fuzz-smoke:
-	$(GO) test -fuzz=FuzzUnmarshalEventLine -fuzztime=30s -run '^$$' ./internal/export/
-	$(GO) test -fuzz=FuzzRecovery -fuzztime=30s -run '^$$' ./internal/journal/
-	$(GO) test -fuzz=FuzzParseAllowDirective -fuzztime=30s -run '^$$' ./internal/lint/lintkit/
-	$(GO) test -fuzz='^FuzzBinaryEvents$$' -fuzztime=30s -run '^$$' ./internal/serve/
-	$(GO) test -fuzz='^FuzzBinaryVerdicts$$' -fuzztime=30s -run '^$$' ./internal/serve/
-	$(GO) test -fuzz='^FuzzContextLookup$$' -fuzztime=30s -fuzzminimizetime=10x -run '^$$' ./internal/features/
+	$(GO) test -fuzz=FuzzUnmarshalEventLine -fuzztime=20s -run '^$$' ./internal/export/
+	$(GO) test -fuzz=FuzzParseEventLineRaw -fuzztime=15s -run '^$$' ./internal/export/
+	$(GO) test -fuzz=FuzzJSONStringEncoders -fuzztime=15s -run '^$$' ./internal/export/
+	$(GO) test -fuzz=FuzzStampCodec -fuzztime=15s -run '^$$' ./internal/export/
+	$(GO) test -fuzz=FuzzParseVerdictLineRaw -fuzztime=15s -run '^$$' ./internal/serve/
+	$(GO) test -fuzz=FuzzRecovery -fuzztime=20s -run '^$$' ./internal/journal/
+	$(GO) test -fuzz=FuzzParseAllowDirective -fuzztime=20s -run '^$$' ./internal/lint/lintkit/
+	$(GO) test -fuzz='^FuzzBinaryEvents$$' -fuzztime=20s -run '^$$' ./internal/serve/
+	$(GO) test -fuzz='^FuzzBinaryVerdicts$$' -fuzztime=20s -run '^$$' ./internal/serve/
+	$(GO) test -fuzz='^FuzzContextLookup$$' -fuzztime=20s -fuzzminimizetime=10x -run '^$$' ./internal/features/
 
 # Serving-layer chaos harness under the race detector: kill -9
 # mid-replay with injected transport faults and a torn journal tail,
@@ -161,10 +169,14 @@ e2e-compare:
 # (0 allocs/op indexed), and the ledger on a full
 # retention window of 2,048 replies — one compaction (ms, how long a
 # writer stalls behind the shard locks, bytes written), one restart,
-# one dedup lookup hit and miss. Seconds per run: the first thing to
-# look at before a 30-second real-process pair (e2e-compare).
+# one dedup lookup hit and miss — and the line codec under every JSON
+# request: a 1,024-event batch parsed (canonical lines, lines with an
+# offset stamp, lines that fall back to encoding/json) and rendered, a
+# 1,024-verdict reply rendered and parsed (ns/event, allocs/event; 0 on
+# the canonical paths). Seconds per run: the first thing to look at
+# before a 30-second real-process pair (e2e-compare).
 bench-layers:
-	$(GO) test -run '^$$' -bench . -benchmem $(BENCHFLAGS) ./internal/serve ./internal/features ./internal/classify
+	$(GO) test -run '^$$' -bench . -benchmem $(BENCHFLAGS) ./internal/serve ./internal/export ./internal/features ./internal/classify
 
 bench-layers-smoke:
 	$(MAKE) bench-layers BENCHFLAGS=-benchtime=1x

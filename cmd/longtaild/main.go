@@ -12,8 +12,9 @@
 // Usage:
 //
 //	longtaild [-addr :8787] [-dataset dataset.jsonl] [-rules rules.json]
-//	          [-journal-dir DIR] [-journal-shards N] [-seed N] [-scale F]
-//	          [-tau F] [-shards N] [-queue N] [-pprof localhost:6060]
+//	          [-journal-dir DIR] [-journal-shards N] [-result-retention N]
+//	          [-seed N] [-scale F] [-tau F] [-shards N] [-queue N]
+//	          [-lifecycle] [-drain 10s] [-pprof localhost:6060]
 //
 // With -journal-dir the daemon keeps a write-ahead journal of accepted
 // /classify batches: every batch is fsynced before it is acknowledged,
@@ -21,6 +22,14 @@
 // reclassification, and on restart after a crash any
 // accepted-but-unanswered batches are replayed through the engine —
 // kill -9 mid-batch loses nothing and double-counts nothing.
+// -result-retention bounds how many completed batches the journal keeps
+// answering retransmits for (0: 65,536; negative: all of them).
+//
+// -lifecycle adds the champion/challenger lifecycle: POST
+// /admin/lifecycle takes a challenger rule set, live traffic is
+// shadow-evaluated against it, and it promotes itself once it passes
+// the gates. On SIGINT or SIGTERM the daemon stops accepting, finishes
+// what is in flight within -drain, and exits 0.
 //
 // With no -dataset the daemon generates and labels the synthetic corpus
 // in-process (same seed/scale as the rest of the harness); with no

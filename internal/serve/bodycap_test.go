@@ -84,3 +84,21 @@ func TestReadBodySizedFromContentLength(t *testing.T) {
 		}
 	}
 }
+
+// TestReadEventsBlankLines: a body of blank lines holds no events, and
+// its decode buffer is sized by what the bytes could hold, not by its
+// newlines — which would ask for 112 bytes of event per byte of body.
+func TestReadEventsBlankLines(t *testing.T) {
+	body := strings.Repeat("\n", 1<<20)
+	req := httptest.NewRequest(http.MethodPost, "/classify", strings.NewReader(body))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	events, wire, err := readEvents(req, false)
+	runtime.ReadMemStats(&after)
+	if err != nil || len(events) != 0 || wire != "" {
+		t.Fatalf("readEvents = %d events, wire of %d bytes, err %v; want none of each", len(events), len(wire), err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 4<<20 {
+		t.Errorf("decoding 1 MiB of blank lines allocated %d bytes", grew)
+	}
+}

@@ -84,6 +84,8 @@ func TestEndToEndReplay(t *testing.T) {
 		"longtail_stage_latency_seconds_count{stage=\"queue\"}",
 		"longtail_stage_latency_seconds_count{stage=\"extract\"}",
 		"longtail_stage_latency_seconds_count{stage=\"classify\"}",
+		"longtail_stage_latency_seconds_count{stage=\"decode\"}",
+		"longtail_stage_latency_seconds_count{stage=\"encode\"}",
 	} {
 		if !metricNonZero(metrics, counter) {
 			t.Fatalf("metrics counter %q is zero or missing:\n%s", counter, metrics)

@@ -66,6 +66,15 @@ func FuzzParseVerdictLineRaw(f *testing.F) {
 	f.Add(`{"gen":1,"type":"verdict"}`)
 	f.Add(`{"type":"verdict","file":"a","verdict":"none","gen":18446744073709551615}`)
 	f.Add(`{"type":"verdict","file":"a","verdict":"none","gen":1,"rules":[-4]}`)
+	// Each byte export's word kernel classifies, at every offset of two
+	// words' worth of file name: in every lane, either side of a word
+	// boundary.
+	for _, b := range []byte{'"', '\\', '<', '>', '&', 0x1f, 0x7f, 0x80, 0xff} {
+		for off := 0; off < 16; off++ {
+			file := "0123456789abcdef"[:off] + string([]byte{b}) + "0123456789abcdef"[off:]
+			f.Add(`{"type":"verdict","file":"` + file + `","verdict":"benign","gen":2}`)
+		}
+	}
 	f.Fuzz(func(t *testing.T, line string) {
 		got, ok := parseVerdictLine(line)
 		if !ok {

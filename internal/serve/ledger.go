@@ -210,7 +210,8 @@ func appendEventLines(dst []byte, events []dataset.DownloadEvent) ([]byte, error
 
 // decodeRecord splits a journal (or handoff) record into its entry. A
 // result's body is served as-is on dedup and needs no parsing; an
-// accept's event lines are parsed out of one string copy of the body.
+// accept's event lines are parsed out of one string copy of the body,
+// each into its slot of the entry's slice.
 func decodeRecord(r journal.Record) (entry, error) {
 	id, body, err := splitPayload(r.Data)
 	if err != nil {
@@ -222,17 +223,16 @@ func decodeRecord(r journal.Record) (entry, error) {
 		return e, nil
 	case recAccept:
 		lines := string(e.body)
-		e.events = make([]dataset.DownloadEvent, 0, strings.Count(lines, "\n"))
+		e.events = make([]dataset.DownloadEvent, 0, lineCapacity(lines, minEventLine))
 		for len(lines) > 0 {
 			line, rest, _ := strings.Cut(lines, "\n")
 			if lines = rest; line == "" {
 				continue
 			}
-			ev, err := export.ParseEventLine(line)
-			if err != nil {
+			e.events = append(e.events, dataset.DownloadEvent{})
+			if err := export.ParseEventLineInto(&e.events[len(e.events)-1], line); err != nil {
 				return entry{}, err
 			}
-			e.events = append(e.events, ev)
 		}
 		return e, nil
 	}

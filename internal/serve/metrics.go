@@ -114,10 +114,15 @@ type Metrics struct {
 	Generation atomic.Uint64
 
 	// Per-stage latency: time spent queued, extracting features, and
-	// classifying.
+	// classifying, per frame a worker serves; and, per request the
+	// handler decodes and answers, reading and parsing the body (Decode)
+	// and rendering the reply from the verdicts — for a journaled batch
+	// through the ledger, which records what it renders (Encode).
 	QueueWait Histogram
 	Extract   Histogram
 	Classify  Histogram
+	Decode    Histogram
+	Encode    Histogram
 
 	verdicts [4]atomic.Uint64
 }
@@ -200,6 +205,8 @@ func (m *Metrics) WriteTo(w io.Writer, queueDepth int, degraded bool, jm *Journa
 	m.QueueWait.write(w, "longtail_stage_latency_seconds", "queue")
 	m.Extract.write(w, "longtail_stage_latency_seconds", "extract")
 	m.Classify.write(w, "longtail_stage_latency_seconds", "classify")
+	m.Decode.write(w, "longtail_stage_latency_seconds", "decode")
+	m.Encode.write(w, "longtail_stage_latency_seconds", "encode")
 	writeRuntime(w)
 }
 

@@ -224,10 +224,30 @@ func drainBody(dst interface {
 	return err
 }
 
+// minEventLine and minVerdictLine are what the shortest canonical event
+// and verdict lines weigh, newline included: an event line of one-byte
+// fields is 112 bytes, a verdict line 55.
+const (
+	minEventLine   = 112
+	minVerdictLine = 55
+)
+
+// lineCapacity is how many records of at least minLine bytes a
+// line-oriented body can hold: the slice capacity to decode it into. It
+// is bounded by the bytes as well as by the newlines, because a body of
+// blank lines has one newline per byte and not one record — sized by
+// newlines alone, 64 MiB of them (inside maxBodyBytes) would ask for
+// 7.5 GB of events before one is parsed. A body of shorter,
+// non-canonical lines grows the slice as it is appended to.
+func lineCapacity(body string, minLine int) int {
+	return min(strings.Count(body, "\n"), len(body)/minLine) + 1
+}
+
 // readEvents parses the line-JSON request body. The whole body is read
 // once into a single string; canonical event lines decode by slicing
-// substrings out of it (export.ParseEventLine), so the per-event parse
-// cost is allocation-free. With keepBody it also returns the normalized
+// substrings out of it, each straight into its slot of the returned
+// slice (export.ParseEventLineInto), so the per-event parse cost is
+// allocation-free and copies no event. With keepBody it also returns the normalized
 // wire form (non-empty lines, '\n'-terminated) so a journaling server
 // can log the batch verbatim instead of re-marshaling it; a body that
 // is already normalized — every batch our client sends — is returned
@@ -238,7 +258,7 @@ func readEvents(r *http.Request, keepBody bool) ([]dataset.DownloadEvent, string
 		return nil, "", err
 	}
 	s := raw
-	events := make([]dataset.DownloadEvent, 0, strings.Count(s, "\n")+1)
+	events := make([]dataset.DownloadEvent, 0, lineCapacity(s, minEventLine))
 	// The raw body is its own normalized form until the scan finds a
 	// blank line, a '\r', or a missing final newline; body stays nil
 	// (no copy) until that first deviation.
@@ -270,11 +290,10 @@ func readEvents(r *http.Request, keepBody bool) ([]dataset.DownloadEvent, string
 		if len(line) > maxEventLine {
 			return nil, "", bufio.ErrTooLong
 		}
-		ev, err := export.ParseEventLine(line)
-		if err != nil {
+		events = append(events, dataset.DownloadEvent{})
+		if err := export.ParseEventLineInto(&events[len(events)-1], line); err != nil {
 			return nil, "", fmt.Errorf("line %d: %w", lineNo, err)
 		}
-		events = append(events, ev)
 		if keepBody && !normalized {
 			body = append(body, line...)
 			body = append(body, '\n')
@@ -456,7 +475,9 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 		resp, err = s.dedupStage(c)
 	}
 	if resp == nil && err == nil {
+		start := time.Now()
 		err = s.decodeStage(w, r, c)
+		s.engine.Metrics().Decode.Observe(time.Since(start))
 	}
 	if resp == nil && err == nil {
 		resp, err = s.admitStage(c)
@@ -484,7 +505,9 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 		case cerr != nil:
 			resp, err = s.shedStage(c, cerr)
 		default:
+			start := time.Now()
 			resp, err = s.recordStage(c, verdicts)
+			s.engine.Metrics().Encode.Observe(time.Since(start))
 		}
 	}
 	if err != nil {

@@ -325,7 +325,7 @@ func decodeBinaryVerdicts(s string) ([]VerdictRecord, error) {
 // line.
 func parseVerdictBody(body []byte) ([]VerdictRecord, error) {
 	s := string(body)
-	verdicts := make([]VerdictRecord, 0, strings.Count(s, "\n")+1)
+	verdicts := make([]VerdictRecord, 0, lineCapacity(s, minVerdictLine))
 	for len(s) > 0 {
 		line, rest, _ := strings.Cut(s, "\n")
 		s = rest
