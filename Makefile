@@ -8,9 +8,10 @@
 # chaos scenarios are go tests (TestRunChaos*, TestChaos*), so `test`
 # runs each exactly once and leaves the two reports CI archives; the
 # `chaos-*` targets re-run one scenario verbosely and are part of no
-# other target. Performance has two instruments and no committed
-# artifact: `go run ./bench` (e2e-bench, e2e-compare — real daemons, the
-# numbers a PR is accepted on) and `make bench-layers` (seconds-long
+# other target. Performance has two instruments: `go run ./bench`
+# (e2e-bench, e2e-compare — real daemons, the numbers a PR is accepted
+# on; e2e-record appends one run of it to the committed trajectory,
+# PERF_history.jsonl) and `make bench-layers` (seconds-long
 # microbenchmarks beside the code); `make bench` is the paper's
 # reproduction run and `make bench-gate` the multi-core journal fence.
 
@@ -20,7 +21,7 @@ LONGTAILVET ?= bin/longtailvet
 .PHONY: verify verify-fast build vet test fmtcheck lint lint-report \
 	longtailvet staticcheck govulncheck bench bench-gate \
 	chaos-serve chaos-cluster chaos-lifecycle chaos-churn fuzz-smoke \
-	e2e-bench e2e-compare bench-layers bench-layers-smoke loc
+	e2e-bench e2e-compare e2e-record bench-layers bench-layers-smoke loc
 
 verify: verify-fast fuzz-smoke
 
@@ -158,6 +159,25 @@ e2e-compare:
 	@test -n "$(A)" -a -n "$(B)" || { echo "usage: make e2e-compare A=runs-a.jsonl B=runs-b.jsonl"; exit 2; }
 	$(GO) run ./bench -compare $(A) $(B)
 
+# The trajectory in git: one run of every workload, each record as
+# `-out` writes it plus the commit (`-dirty` when the tree has changes
+# on top of it), the runner's shape and the toolchain, appended to
+# PERF_history.jsonl; the file keeps the last 50 lines per (workload,
+# nproc), so it stays a few hundred lines however long the project
+# runs. Commit it with the change it measures: "which commit moved
+# cpu_us_per_event" is then `git log -p PERF_history.jsonl`. bench/ is
+# not involved beyond being run.
+PERF_HISTORY ?= PERF_history.jsonl
+e2e-record:
+	@tmp=$$(mktemp) && trap 'rm -f "$$tmp"' EXIT && \
+	$(GO) run ./bench -workload all -trace 0 -out "$$tmp" && \
+	meta="\"sha\":\"$$(git describe --always --dirty --abbrev=12)\",\"nproc\":$$(nproc),\"gomaxprocs\":$${GOMAXPROCS:-$$(nproc)},\"go\":\"$$($(GO) env GOVERSION)\"" && \
+	sed "s/}$$/,$$meta}/" "$$tmp" >> $(PERF_HISTORY) && \
+	awk 'function key(l) { match(l, /"workload":"[^"]*"/); w = substr(l, RSTART, RLENGTH); match(l, /"nproc":[0-9]+/); return w substr(l, RSTART, RLENGTH) } \
+		NR == FNR { total[key($$0)]++; next } \
+		{ k = key($$0); if (++seen[k] > total[k] - 50) print }' $(PERF_HISTORY) $(PERF_HISTORY) > "$$tmp" && \
+	cp "$$tmp" $(PERF_HISTORY)
+
 # The layer benchmarks beside the code they measure: the engine's
 # per-frame work on fresh, hot and Zipf-mixed keys (ns/event,
 # allocs/event, bytes the worker state retains), feature extraction
@@ -173,10 +193,17 @@ e2e-compare:
 # request: a 1,024-event batch parsed (canonical lines, lines with an
 # offset stamp, lines that fall back to encoding/json) and rendered, a
 # 1,024-verdict reply rendered and parsed (ns/event, allocs/event; 0 on
-# the canonical paths). Seconds per run: the first thing to look at
-# before a 30-second real-process pair (e2e-compare).
+# the canonical paths) — and the durable small-batch path: a batch of
+# 16 to 1,024 fresh events through the engine as the handler submits
+# it, short frames on the caller or held to the workers; a 64-event
+# accept record made durable, append and wait apart; and the journal's
+# raw append on real files, durable and async, one and two shards, at
+# the accept record's and the result record's size, into preallocated
+# segments and into growing ones (fsyncs/op beside ns/op). Seconds per
+# run: the first thing to look at before a 30-second real-process pair
+# (e2e-compare).
 bench-layers:
-	$(GO) test -run '^$$' -bench . -benchmem $(BENCHFLAGS) ./internal/serve ./internal/export ./internal/features ./internal/classify
+	$(GO) test -run '^$$' -bench . -benchmem $(BENCHFLAGS) ./internal/serve ./internal/journal ./internal/export ./internal/features ./internal/classify
 
 bench-layers-smoke:
 	$(MAKE) bench-layers BENCHFLAGS=-benchtime=1x

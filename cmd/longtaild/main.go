@@ -134,7 +134,7 @@ func run() error {
 	shards := flag.Int("shards", 4, "worker shards")
 	queue := flag.Int("queue", 1024, "bounded ingest queue size (events)")
 	journalDir := flag.String("journal-dir", "", "write-ahead journal directory (empty: serve stateless)")
-	journalShards := flag.Int("journal-shards", 1, "journal WAL shards; >1 stripes accepts over per-shard group-commit fsync loops (shards already on disk can only raise the count)")
+	journalShards := flag.Int("journal-shards", 1, "journal WAL shards; >1 stripes accepts over per-shard group commits (shards already on disk can only raise the count)")
 	lifecycleOn := flag.Bool("lifecycle", false, "enable champion/challenger lifecycle (/admin/lifecycle, shadow evaluation, gated self-promotion)")
 	retention := flag.Int("result-retention", 0, "completed batches kept for retransmit dedup (0: default 65536, negative: unbounded)")
 	drain := flag.Duration("drain", 10*time.Second, "graceful shutdown budget")

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net"
+	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
@@ -15,6 +16,7 @@ import (
 
 	"repro/internal/experiments"
 	"repro/internal/export"
+	"repro/internal/journal"
 	"repro/internal/serve"
 	"repro/internal/synth"
 )
@@ -217,6 +219,22 @@ func TestDaemonKillRestartTerm(t *testing.T) {
 	}
 	if err := d.wait(t, testDrain); err != nil {
 		t.Fatalf("exit after SIGTERM: %v", err)
+	}
+	// Both lives preallocated their segments; the killed one's were cut
+	// at recovery and the graceful exit sealed its own, so no file is
+	// larger than the frames it holds.
+	segments, err := filepath.Glob(filepath.Join(journalDir, "shard-*", "wal-*.seg"))
+	if err != nil || len(segments) < 2 {
+		t.Fatalf("journal segments under %s: %v, %v", journalDir, segments, err)
+	}
+	for _, path := range segments {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, tail := journal.DecodeFrames(data); tail != 0 {
+			t.Errorf("%s: %d of %d bytes are not frames after a graceful exit", path, tail, len(data))
+		}
 	}
 }
 

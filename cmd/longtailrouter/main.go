@@ -17,7 +17,10 @@
 // Usage:
 //
 //	longtailrouter -replicas 127.0.0.1:8787,127.0.0.1:8788,127.0.0.1:8789
-//	               [-addr :8780] [-drain 10s]
+//	               [-addr :8780] [-drain 10s] [-pprof localhost:6060]
+//
+// -pprof serves net/http/pprof on a side listener of its own, as
+// longtaild's does: the debug endpoints never share the serving address.
 //
 // Probing (every 2s, 1s timeout, ejection after 3 consecutive failures),
 // the breakers (3 failures, 2s reset) and the ring (64 virtual nodes per
@@ -36,7 +39,9 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"net"
 	"net/http"
+	_ "net/http/pprof" // -pprof side listener (DefaultServeMux only)
 	"os"
 	"os/signal"
 	"strings"
@@ -57,6 +62,7 @@ func run() error {
 	addr := flag.String("addr", ":8780", "listen address")
 	replicas := flag.String("replicas", "", "comma-separated replica addresses (host:port), e.g. 127.0.0.1:8787,127.0.0.1:8788")
 	drain := flag.Duration("drain", 10*time.Second, "graceful shutdown budget")
+	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this side address (e.g. localhost:6060; empty: off)")
 	flag.Parse()
 
 	if *replicas == "" {
@@ -72,6 +78,30 @@ func run() error {
 		return err
 	}
 	defer rt.Close()
+
+	// Profiling stays off the serving listener: the debug endpoints are
+	// unauthenticated and hold goroutines for seconds. The side listener
+	// serves http.DefaultServeMux, where net/http/pprof registers, and
+	// closes when run returns.
+	if *pprofAddr != "" {
+		ln, err := net.Listen("tcp", *pprofAddr)
+		if err != nil {
+			return fmt.Errorf("-pprof: %w", err)
+		}
+		log.Printf("longtailrouter: pprof on http://%s/debug/pprof/", ln.Addr())
+		pprofSrv := &http.Server{}
+		pprofDone := make(chan struct{})
+		go func() {
+			defer close(pprofDone)
+			if err := pprofSrv.Serve(ln); !errors.Is(err, http.ErrServerClosed) {
+				log.Printf("longtailrouter: pprof listener: %v", err)
+			}
+		}()
+		defer func() {
+			pprofSrv.Close()
+			<-pprofDone
+		}()
+	}
 
 	httpSrv := &http.Server{Addr: *addr, Handler: rt.Handler()}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)

@@ -5,7 +5,9 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net"
+	"net/http"
 	"os/exec"
 	"path/filepath"
 	"regexp"
@@ -51,6 +53,21 @@ func freeAddr(t *testing.T) string {
 	}
 	defer ln.Close()
 	return ln.Addr().String()
+}
+
+// httpGet fetches url, requires the given status and returns the body.
+func httpGet(t *testing.T, url string, status int) string {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil || resp.StatusCode != status {
+		t.Fatalf("GET %s = %d (%v), want %d", url, resp.StatusCode, err, status)
+	}
+	return string(body)
 }
 
 // start runs bin with -addr addr and args and returns once its /healthz
@@ -148,8 +165,15 @@ func TestRouterOverDaemons(t *testing.T) {
 		daemons[i] = start(t, bin("longtaild"), freeAddr(t), append(world,
 			"-journal-dir", t.TempDir(), "-journal-shards", "2", "-drain", testDrain.String())...)
 	}
+	pprofAddr := freeAddr(t)
 	router := start(t, bin("longtailrouter"), freeAddr(t),
-		"-replicas", daemons[0].addr+","+daemons[1].addr, "-drain", testDrain.String())
+		"-replicas", daemons[0].addr+","+daemons[1].addr, "-drain", testDrain.String(), "-pprof", pprofAddr)
+	// The -pprof side listener answers on its own address, and the
+	// serving address knows nothing of /debug/pprof.
+	if body := httpGet(t, "http://"+pprofAddr+"/debug/pprof/cmdline", http.StatusOK); !strings.Contains(body, "longtailrouter") {
+		t.Fatalf("/debug/pprof/cmdline on the side listener = %q, want the router's command line", body)
+	}
+	httpGet(t, "http://"+router.addr+"/debug/pprof/cmdline", http.StatusNotFound)
 
 	requestID := func(b int) string { return fmt.Sprintf("batch-%d", b) }
 	requests := make([][]byte, batches)

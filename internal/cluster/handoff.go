@@ -107,9 +107,7 @@ func (rt *Router) handoff(ctx context.Context, source *node, only string) (shipp
 	sort.Strings(owners)
 	source.handoffPending.Store(int64(shipped))
 	for _, addr := range owners {
-		rt.mu.Lock()
-		target := rt.nodes[addr]
-		rt.mu.Unlock()
+		target := rt.table()[addr]
 		if target == nil {
 			rt.metrics.HandoffFails.Add(1)
 			return shipped, fmt.Errorf("cluster: handoff target %s is not a member", addr)
@@ -158,10 +156,7 @@ func (rt *Router) reconcileNode(ctx context.Context, n *node) error {
 // for everything until the joiner's acks land, so a mid-rebalance
 // failure leaves a working (if unevenly pinned) cluster.
 func (rt *Router) Rebalance(ctx context.Context, addr string) error {
-	rt.mu.Lock()
-	member := rt.nodes[addr] != nil
-	rt.mu.Unlock()
-	if !member {
+	if rt.table()[addr] == nil {
 		return fmt.Errorf("cluster: %s is not a member", addr)
 	}
 	var firstErr error

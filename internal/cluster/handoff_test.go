@@ -186,7 +186,7 @@ func TestEjectFlipsStickyRoutes(t *testing.T) {
 	// candidatesFor must not lead with the corpse: the ring successor
 	// answers first.
 	for _, id := range pinned {
-		cands := rt.candidatesFor(id)
+		cands := rt.candidatesFor(id, rt.stickyAddr(id))
 		if len(cands) == 0 {
 			t.Fatalf("no candidates for %s", id)
 		}

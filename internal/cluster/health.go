@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"fmt"
+	"maps"
 	"sort"
 	"strings"
 	"time"
@@ -40,10 +41,9 @@ func (rt *Router) ProbeAll(ctx context.Context) {
 
 // nodeList snapshots the node set in address order.
 func (rt *Router) nodeList() []*node {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	out := make([]*node, 0, len(rt.nodes))
-	for _, n := range rt.nodes {
+	nodes := rt.table()
+	out := make([]*node, 0, len(nodes))
+	for _, n := range nodes {
 		out = append(out, n)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].addr < out[j].addr })
@@ -153,8 +153,9 @@ func (rt *Router) probeNode(ctx context.Context, n *node) {
 // rebuildRingLocked recomputes the ring from nodes whose state keeps
 // them in rotation. Callers hold rt.mu.
 func (rt *Router) rebuildRingLocked() {
-	addrs := make([]string, 0, len(rt.nodes))
-	for addr, n := range rt.nodes {
+	nodes := rt.table()
+	addrs := make([]string, 0, len(nodes))
+	for addr, n := range nodes {
 		if n.inRotation() {
 			addrs = append(addrs, addr)
 		}
@@ -175,7 +176,7 @@ func (rt *Router) maybeAdvertiseLocked() {
 		// uniform generation the probes discovered.
 		var g uint64
 		any, uniform := false, true
-		for _, n := range rt.nodes {
+		for _, n := range rt.table() {
 			if !n.inRotation() {
 				continue
 			}
@@ -190,7 +191,7 @@ func (rt *Router) maybeAdvertiseLocked() {
 		}
 		return
 	}
-	for _, n := range rt.nodes {
+	for _, n := range rt.table() {
 		if !n.inRotation() {
 			continue
 		}
@@ -279,7 +280,7 @@ func (rt *Router) Reload(ctx context.Context, rulesJSON []byte) (uint64, error) 
 func (rt *Router) Join(addr string) error {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	if rt.nodes[addr] != nil {
+	if rt.table()[addr] != nil {
 		return fmt.Errorf("cluster: %s is already a member", addr)
 	}
 	n, err := rt.newNode(addr)
@@ -287,7 +288,9 @@ func (rt *Router) Join(addr string) error {
 		return err
 	}
 	n.state.Store(int32(NodeDegraded))
-	rt.nodes[addr] = n
+	next := maps.Clone(rt.table())
+	next[addr] = n
+	rt.nodes.Store(&next)
 	rt.rebuildRingLocked()
 	return nil
 }
@@ -308,7 +311,7 @@ func (rt *Router) Join(addr string) error {
 // targets recover.
 func (rt *Router) Leave(ctx context.Context, addr string) error {
 	rt.mu.Lock()
-	n := rt.nodes[addr]
+	n := rt.table()[addr]
 	if n == nil {
 		rt.mu.Unlock()
 		return fmt.Errorf("cluster: %s is not a member", addr)
@@ -341,7 +344,9 @@ func (rt *Router) Leave(ctx context.Context, addr string) error {
 	}
 
 	rt.mu.Lock()
-	delete(rt.nodes, addr)
+	next := maps.Clone(rt.table())
+	delete(next, addr)
+	rt.nodes.Store(&next)
 	rt.mu.Unlock()
 	return nil
 }
@@ -385,10 +390,10 @@ func (rt *Router) Status() Status {
 		Generation:       rt.advertisedGen,
 		TargetGeneration: rt.targetGen,
 		DegradedReason:   rt.degradedReason,
-		Nodes:            make([]NodeStatus, 0, len(rt.nodes)),
+		Nodes:            make([]NodeStatus, 0, len(rt.table())),
 	}
 	healthy := 0
-	for _, n := range rt.nodes {
+	for _, n := range rt.table() {
 		st := n.State()
 		if st == NodeHealthy {
 			healthy++

@@ -44,7 +44,8 @@ func (s NodeState) String() string {
 }
 
 // node is the router's per-replica record. All fields are either
-// immutable after construction or atomic: the data path never takes the
+// immutable after construction or atomic, and the table that holds the
+// nodes is published like the ring: the data path never takes the
 // router mutex.
 type node struct {
 	addr    string
@@ -164,8 +165,12 @@ type Router struct {
 	// stored). Readers never lock.
 	ring atomic.Pointer[Ring]
 
-	mu    sync.Mutex
-	nodes map[string]*node // guarded by mu
+	// nodes is the member table by address, copy-on-write like the ring:
+	// Join and Leave replace it under mu, everyone reads it through
+	// table() without.
+	nodes atomic.Pointer[map[string]*node]
+
+	mu sync.Mutex
 	// advertisedGen is the rule generation the router vouches for: every
 	// in-ring replica has confirmed it. Guarded by mu.
 	advertisedGen uint64
@@ -216,18 +221,19 @@ func NewRouter(opts Options) (*Router, error) {
 	}
 	rt := &Router{
 		opts:     o,
-		nodes:    make(map[string]*node, len(o.Replicas)),
 		routes:   make(map[string]stickyRoute),
 		idPrefix: fmt.Sprintf("router-%x", nonce),
 	}
 	rt.drainCond = sync.NewCond(&rt.drainMu)
+	nodes := make(map[string]*node, len(o.Replicas))
 	for _, addr := range o.Replicas {
 		n, err := rt.newNode(addr)
 		if err != nil {
 			return nil, err
 		}
-		rt.nodes[addr] = n // NewRing below refuses a duplicate
+		nodes[addr] = n // NewRing below refuses a duplicate
 	}
+	rt.nodes.Store(&nodes)
 	ring, err := NewRing(o.Replicas, DefaultVirtualNodes)
 	if err != nil {
 		return nil, err
@@ -265,6 +271,9 @@ func (rt *Router) newNode(addr string) (*node, error) {
 		breaker: br,
 	}, nil
 }
+
+// table returns the current member table; callers do not modify it.
+func (rt *Router) table() map[string]*node { return *rt.nodes.Load() }
 
 // Close stops the background prober.
 func (rt *Router) Close() {
@@ -305,12 +314,9 @@ func (rt *Router) ForwardTyped(ctx context.Context, id, contentType string, body
 	// attempt) instead of failing over: rerouting a pinned ID forfeits
 	// the ledger hit and has another replica classify the retransmit
 	// fresh — duplicated work and a second authority for the same ID.
-	stickyAddr := ""
-	if r, ok := rt.lookupRoute(id); ok && !r.reconciling {
-		stickyAddr = r.addr
-	}
+	stickyAddr := rt.stickyAddr(id)
 	var firstErr error
-	for _, n := range rt.candidatesFor(id) {
+	for _, n := range rt.candidatesFor(id, stickyAddr) {
 		if n.breaker.Allow() != nil {
 			continue // breaker-open: skip without an attempt
 		}
@@ -430,21 +436,18 @@ type stickyRoute struct {
 	reconciling bool
 }
 
-// candidatesFor returns the attempt order for id: sticky replica first
-// (if still usable and not in a reconciliation window), then healthy
-// ring successors, then degraded ones as a last resort.
-func (rt *Router) candidatesFor(id string) []*node {
-	ring := rt.ring.Load()
-	succ := ring.Successors(id)
-	sticky, hasSticky := rt.lookupRoute(id)
-	preferSticky := hasSticky && !sticky.reconciling
-
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
+// candidatesFor returns the attempt order for id: the sticky replica
+// first (stickyAddr, which the caller looked up once for the whole
+// forward; "" for none), then healthy ring successors, then degraded
+// ones as a last resort. It reads the ring and the member table as
+// published and takes no lock.
+func (rt *Router) candidatesFor(id, stickyAddr string) []*node {
+	succ := rt.ring.Load().Successors(id)
+	nodes := rt.table()
 	healthy := make([]*node, 0, len(succ))
 	degraded := make([]*node, 0, 2)
 	appendNode := func(addr string) {
-		n := rt.nodes[addr]
+		n := nodes[addr]
 		if n == nil {
 			return
 		}
@@ -455,14 +458,13 @@ func (rt *Router) candidatesFor(id string) []*node {
 			degraded = append(degraded, n)
 		}
 	}
-	if preferSticky {
-		appendNode(sticky.addr)
+	if stickyAddr != "" {
+		appendNode(stickyAddr)
 	}
 	for _, addr := range succ {
-		if preferSticky && addr == sticky.addr {
-			continue
+		if addr != stickyAddr {
+			appendNode(addr)
 		}
-		appendNode(addr)
 	}
 	return append(healthy, degraded...)
 }
@@ -481,6 +483,16 @@ func (rt *Router) recordRoute(id, addr string) {
 		}
 	}
 	rt.routes[id] = stickyRoute{addr: addr}
+}
+
+// stickyAddr returns the replica id is pinned to, or "" when it has no
+// pin or the pin is in a reconciliation window — the one sticky lookup a
+// forward makes.
+func (rt *Router) stickyAddr(id string) string {
+	if r, ok := rt.lookupRoute(id); ok && !r.reconciling {
+		return r.addr
+	}
+	return ""
 }
 
 func (rt *Router) lookupRoute(id string) (stickyRoute, bool) {

@@ -229,6 +229,34 @@ func TestRouterForwardStickyDedup(t *testing.T) {
 	}
 }
 
+// TestForwardTakesNoRouterMutex: the data path reads the ring and the
+// member table as published. A forward — first transmit and sticky
+// retransmit — completes while the router-wide mutex is held, as it is
+// for the length of a probe's bookkeeping, a reload fan-out or a
+// membership change.
+func TestForwardTakesNoRouterMutex(t *testing.T) {
+	replicas := []*fakeReplica{newFakeReplica(t), newFakeReplica(t)}
+	rt := newTestRouter(t, replicas, nil)
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	done := make(chan error, 1)
+	go func() {
+		_, err := rt.Forward(context.Background(), "req-locked", []byte("batch"), 0)
+		if err == nil {
+			_, err = rt.Forward(context.Background(), "req-locked", []byte("batch"), 0)
+		}
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Forward blocked behind rt.mu")
+	}
+}
+
 func TestRouterFailoverOnError(t *testing.T) {
 	replicas := []*fakeReplica{newFakeReplica(t), newFakeReplica(t), newFakeReplica(t)}
 	rt := newTestRouter(t, replicas, nil)
@@ -309,7 +337,7 @@ func TestRouterBreakerSkipsOpenNode(t *testing.T) {
 		}
 	}
 	rt.mu.Lock()
-	br := rt.nodes[owner].breaker.State()
+	br := rt.table()[owner].breaker.State()
 	rt.mu.Unlock()
 	if br != retry.BreakerOpen {
 		t.Fatalf("owner breaker = %v, want open", br)
@@ -329,7 +357,7 @@ func TestRouterBreakerSkipsOpenNode(t *testing.T) {
 	// once the prober has seen it answer.
 	rt.ProbeAll(context.Background())
 	rt.mu.Lock()
-	br = rt.nodes[owner].breaker.State()
+	br = rt.table()[owner].breaker.State()
 	rt.mu.Unlock()
 	if br != retry.BreakerClosed {
 		t.Fatalf("owner breaker after successful probe = %v, want closed", br)
@@ -380,7 +408,7 @@ func TestRouterNoReplica(t *testing.T) {
 	replicas := []*fakeReplica{newFakeReplica(t)}
 	rt := newTestRouter(t, replicas, nil)
 	rt.mu.Lock()
-	for _, n := range rt.nodes {
+	for _, n := range rt.table() {
 		n.state.Store(int32(NodeEjected))
 	}
 	rt.rebuildRingLocked()
@@ -422,7 +450,7 @@ func TestRouterGenerationConsistentReload(t *testing.T) {
 		t.Fatalf("advertisement %d not rolled back from target %d", st.Generation, st.TargetGeneration)
 	}
 	rt.mu.Lock()
-	lagState := rt.nodes[lag.addr()].State()
+	lagState := rt.table()[lag.addr()].State()
 	rt.mu.Unlock()
 	if lagState != NodeDegraded {
 		t.Fatalf("lagging node state = %v, want degraded", lagState)
@@ -447,7 +475,7 @@ func TestRouterProbeEjectsAndReadmits(t *testing.T) {
 	rt.ProbeAll(context.Background())
 	rt.ProbeAll(context.Background())
 	rt.mu.Lock()
-	state := rt.nodes[dead.addr()].State()
+	state := rt.table()[dead.addr()].State()
 	rt.mu.Unlock()
 	if state != NodeEjected {
 		t.Fatalf("dead node state = %v, want ejected", state)
@@ -461,7 +489,7 @@ func TestRouterProbeEjectsAndReadmits(t *testing.T) {
 	rt.ProbeAll(context.Background())
 	rt.ProbeAll(context.Background())
 	rt.mu.Lock()
-	state = rt.nodes[dead.addr()].State()
+	state = rt.table()[dead.addr()].State()
 	rt.mu.Unlock()
 	if state != NodeHealthy {
 		t.Fatalf("recovered node state = %v, want healthy", state)
@@ -504,7 +532,7 @@ func TestRouterJoinLeaveDrain(t *testing.T) {
 	// Wait for the forward to be in flight on the hanging replica.
 	for {
 		rt.mu.Lock()
-		inflight := rt.nodes[replicas[0].addr()].inflight.Load()
+		inflight := rt.table()[replicas[0].addr()].inflight.Load()
 		rt.mu.Unlock()
 		if inflight > 0 {
 			break
@@ -714,7 +742,7 @@ func TestStickyRetryBacksOffThroughPolicy(t *testing.T) {
 		t.Fatalf("the pin got %d attempts around %d Policy.Sleep waits, want 3 around 2: retries end when the third failure opens the breaker", attempts, sleeps.Load())
 	}
 	rt.mu.Lock()
-	br := rt.nodes[pin.addr].breaker
+	br := rt.table()[pin.addr].breaker
 	rt.mu.Unlock()
 	if br.State() != retry.BreakerOpen || br.Trips() != 1 {
 		t.Fatalf("pin's breaker is %v after %d trips, want open after 1", br.State(), br.Trips())

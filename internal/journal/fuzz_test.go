@@ -16,18 +16,43 @@ func segRecord(seq uint64, kind byte, data []byte) []byte {
 	return AppendFrame(nil, kind, append(binary.LittleEndian.AppendUint64(nil, seq), data...))
 }
 
+// fuzzSegmentBytes is what FuzzRecovery's journals preallocate a
+// segment to: room for everything one input appends to a shard, small
+// enough to read back thousands of times a second.
+const fuzzSegmentBytes = 16 << 10
+
+// padSegments appends zeros to every segment of shard si up to
+// fuzzSegmentBytes: what a process that died before sealing them leaves
+// of their preallocation, whatever came before the zeros.
+func padSegments(t *testing.T, dir string, si int) {
+	t.Helper()
+	paths, _ := filepath.Glob(filepath.Join(dir, shardDirName(si), "wal-*.seg"))
+	for _, path := range paths {
+		if fi, err := os.Stat(path); err != nil || fi.Size() >= fuzzSegmentBytes {
+			continue // the fuzzer's own bytes, longer than a segment
+		}
+		if err := os.Truncate(path, fuzzSegmentBytes); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // FuzzRecovery drives recovery of the one on-disk format from three
 // sides. Records are appended over an arbitrary shard count and key set
 // with the in-memory list of what was appended as the oracle; the log is
 // compacted at arbitrary points of that list, each compaction ending
 // cleanly or at one of its crash points; then a subset of shards has its
-// tail torn, and one shard's newest segment is replaced by arbitrary
-// bytes — the on-disk states an adversarial crash (torn write, bit rot,
-// truncation) could leave behind. For any input:
+// tail torn, one shard's newest segment is replaced by arbitrary
+// bytes, and a subset — torn or not — gets the zeros of a preallocation
+// nobody trimmed behind every one of its segments, the newest and the
+// older ones: the on-disk states an adversarial crash (torn write, bit
+// rot, truncation, death before a seal) could leave behind. For any
+// input:
 //
 //  1. recovery never panics, never fails on corrupt-but-readable
 //     segments, and never reports more discarded bytes than the damaged
-//     files hold;
+//     files held before any padding — zeros are no damage, so a padded
+//     and otherwise undamaged shard recovers whole and reports none;
 //  2. without compaction, every shard that was neither torn nor
 //     overwritten recovers all of its records, a torn shard loses only a
 //     suffix of its own, and the survivors come back in append order
@@ -53,25 +78,34 @@ func FuzzRecovery(f *testing.F) {
 	flipped[9] ^= 0xff // corrupt the first payload byte under the CRC
 	short := append([]byte(nil), valid...)
 	short[0] = 0xff // length field pointing past the end
-	f.Add(uint8(3), uint8(24), uint8(0), uint8(9), false, []byte{}, uint8(0), uint8(0), uint8(0))
-	f.Add(uint8(4), uint8(40), uint8(0b0101), uint8(17), false, []byte{}, uint8(0), uint8(0), uint8(0))
-	f.Add(uint8(1), uint8(10), uint8(1), uint8(3), false, []byte{}, uint8(0), uint8(0), uint8(0))
-	f.Add(uint8(6), uint8(63), uint8(0xff), uint8(60), true, valid, uint8(0), uint8(0), uint8(0))
-	f.Add(uint8(1), uint8(5), uint8(0), uint8(0), true, valid[:len(valid)-3], uint8(0), uint8(0), uint8(0)) // torn mid-frame
-	f.Add(uint8(2), uint8(9), uint8(0), uint8(0), true, valid[:frameHeaderSize-1], uint8(0), uint8(0), uint8(0))
-	f.Add(uint8(2), uint8(30), uint8(2), uint8(5), true, flipped, uint8(0), uint8(0), uint8(0))
-	f.Add(uint8(3), uint8(0), uint8(0), uint8(0), true, short, uint8(0), uint8(0), uint8(0))
-	f.Add(uint8(1), uint8(7), uint8(0), uint8(0), true, AppendFrame(nil, 1, []byte("no-seq")), uint8(0), uint8(0), uint8(0)) // CRC-clean, too short for a prefix
+	f.Add(uint8(3), uint8(24), uint8(0), uint8(9), false, []byte{}, uint8(0), uint8(0), uint8(0), uint8(0))
+	f.Add(uint8(4), uint8(40), uint8(0b0101), uint8(17), false, []byte{}, uint8(0), uint8(0), uint8(0), uint8(0))
+	f.Add(uint8(1), uint8(10), uint8(1), uint8(3), false, []byte{}, uint8(0), uint8(0), uint8(0), uint8(0))
+	f.Add(uint8(6), uint8(63), uint8(0xff), uint8(60), true, valid, uint8(0), uint8(0), uint8(0), uint8(0))
+	f.Add(uint8(1), uint8(5), uint8(0), uint8(0), true, valid[:len(valid)-3], uint8(0), uint8(0), uint8(0), uint8(0)) // torn mid-frame
+	f.Add(uint8(2), uint8(9), uint8(0), uint8(0), true, valid[:frameHeaderSize-1], uint8(0), uint8(0), uint8(0), uint8(0))
+	f.Add(uint8(2), uint8(30), uint8(2), uint8(5), true, flipped, uint8(0), uint8(0), uint8(0), uint8(0))
+	f.Add(uint8(3), uint8(0), uint8(0), uint8(0), true, short, uint8(0), uint8(0), uint8(0), uint8(0))
+	f.Add(uint8(1), uint8(7), uint8(0), uint8(0), true, AppendFrame(nil, 1, []byte("no-seq")), uint8(0), uint8(0), uint8(0), uint8(0)) // CRC-clean, too short for a prefix
 	// Compactions every few appends, the crash point rotating through
 	// clean / mid-emit / before any delete / after some shards' deletes.
-	f.Add(uint8(3), uint8(40), uint8(0), uint8(7), false, []byte{}, uint8(5), uint8(6), uint8(0))
-	f.Add(uint8(2), uint8(63), uint8(0), uint8(23), false, []byte{}, uint8(0), uint8(9), uint8(0b0101))
-	f.Add(uint8(1), uint8(30), uint8(0), uint8(2), false, []byte{}, uint8(3), uint8(4), uint8(2))
-	f.Add(uint8(4), uint8(50), uint8(0), uint8(11), false, []byte{}, uint8(7), uint8(3), uint8(0b1011))
-	f.Add(uint8(3), uint8(48), uint8(0b011), uint8(5), true, valid, uint8(4), uint8(8), uint8(1))
+	f.Add(uint8(3), uint8(40), uint8(0), uint8(7), false, []byte{}, uint8(5), uint8(6), uint8(0), uint8(0))
+	f.Add(uint8(2), uint8(63), uint8(0), uint8(23), false, []byte{}, uint8(0), uint8(9), uint8(0b0101), uint8(0))
+	f.Add(uint8(1), uint8(30), uint8(0), uint8(2), false, []byte{}, uint8(3), uint8(4), uint8(2), uint8(0))
+	f.Add(uint8(4), uint8(50), uint8(0), uint8(11), false, []byte{}, uint8(7), uint8(3), uint8(0b1011), uint8(0))
+	f.Add(uint8(3), uint8(48), uint8(0b011), uint8(5), true, valid, uint8(4), uint8(8), uint8(1), uint8(0))
+	// Preallocation nobody trimmed: behind whole frames on every shard,
+	// behind a frame torn inside the reserved region, and behind older
+	// segments as well as the newest (the reopen after a crashed
+	// compaction leaves some), with and without a tear elsewhere.
+	f.Add(uint8(3), uint8(24), uint8(0), uint8(9), false, []byte{}, uint8(0), uint8(0), uint8(0), uint8(0xff))
+	f.Add(uint8(2), uint8(30), uint8(0b01), uint8(12), false, []byte{}, uint8(0), uint8(0), uint8(0), uint8(0b01))
+	f.Add(uint8(4), uint8(50), uint8(0), uint8(11), false, []byte{}, uint8(7), uint8(3), uint8(0b1011), uint8(0xff))
+	f.Add(uint8(3), uint8(40), uint8(0b100), uint8(7), false, []byte{}, uint8(5), uint8(6), uint8(1), uint8(0b011))
+	f.Add(uint8(2), uint8(20), uint8(0), uint8(1), true, valid, uint8(0), uint8(0), uint8(0), uint8(0b11))
 
 	errAbort := errors.New("killed mid-emit")
-	f.Fuzz(func(t *testing.T, shardsRaw, countRaw, tornMask, tearRaw uint8, overwrite bool, junk []byte, keysRaw, everyRaw, crashRaw uint8) {
+	f.Fuzz(func(t *testing.T, shardsRaw, countRaw, tornMask, tearRaw uint8, overwrite bool, junk []byte, keysRaw, everyRaw, crashRaw, padMask uint8) {
 		if len(junk) > 1<<20 {
 			t.Skip("bounded corpus: oversized input")
 		}
@@ -91,11 +125,18 @@ func FuzzRecovery(f *testing.F) {
 		}
 		dir := t.TempDir()
 		open := func() *Sharded {
-			s, _, err := OpenSharded(Options{Dir: dir}, n)
+			s, _, err := OpenSharded(Options{Dir: dir, SegmentBytes: fuzzSegmentBytes}, n)
 			if err != nil {
 				t.Fatalf("recovery failed: %v", err)
 			}
 			return s
+		}
+		pad := func() {
+			for si := 0; si < n; si++ {
+				if padMask&(1<<uint(si)) != 0 {
+					padSegments(t, dir, si)
+				}
+			}
 		}
 		s := open()
 		perShard := make([][]int, n)
@@ -166,6 +207,7 @@ func FuzzRecovery(f *testing.F) {
 					}
 				}
 			}
+			pad() // the killed process sealed nothing
 			s = open()
 		}
 		if err := s.Close(); err != nil {
@@ -195,8 +237,9 @@ func FuzzRecovery(f *testing.F) {
 			delete(torn, junked)
 			damagedBytes += int64(len(junk))
 		}
+		pad()
 
-		s2, rec, err := OpenSharded(Options{Dir: dir}, n)
+		s2, rec, err := OpenSharded(Options{Dir: dir, SegmentBytes: fuzzSegmentBytes}, n)
 		if err != nil {
 			t.Fatalf("recovery failed on corrupt-but-readable input: %v", err)
 		}
@@ -267,7 +310,7 @@ func FuzzRecovery(f *testing.F) {
 
 		// Round trip: what recovery acknowledged must recover identically.
 		dir2 := t.TempDir()
-		s3, _, err := OpenSharded(Options{Dir: dir2}, n)
+		s3, _, err := OpenSharded(Options{Dir: dir2, SegmentBytes: fuzzSegmentBytes}, n)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -279,7 +322,7 @@ func FuzzRecovery(f *testing.F) {
 		if err := s3.Close(); err != nil {
 			t.Fatal(err)
 		}
-		s4, rec2, err := OpenSharded(Options{Dir: dir2}, n)
+		s4, rec2, err := OpenSharded(Options{Dir: dir2, SegmentBytes: fuzzSegmentBytes}, n)
 		if err != nil {
 			t.Fatalf("re-recovery failed: %v", err)
 		}

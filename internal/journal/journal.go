@@ -17,21 +17,27 @@
 //
 // and nothing else: the log is the state. A single-shard journal is
 // N = 1 of the same layout. Each shard is an independent WAL with its
-// own group-commit sync loop; a key picks the shard, a global sequence
-// number in every record restores the append order at recovery
-// (sharded.go). Recovery replays every segment of every shard, stopping
-// a shard at its first torn or corrupt frame — the standard WAL
-// contract under torn writes — and merges the records by sequence. It
-// never appends to a pre-existing segment, and cuts the newest one's
-// torn tail off at open, so a tear is never followed by valid frames.
+// own group commit; a key picks the shard, a global sequence number in
+// every record restores the append order at recovery (sharded.go). A
+// segment is created at its full size (SegmentBytes, zeros past the
+// last frame) where the platform can reserve it, so that an append and
+// its fsync change no file size, and cut down to its frames when it is
+// sealed. Recovery replays every segment of every shard, stopping a
+// shard at its first torn or corrupt frame — the standard WAL contract
+// under torn writes; a tail of zeros is the end of an unsealed segment,
+// not a tear — and merges the records by sequence. It never appends to
+// a pre-existing segment, and cuts the newest one's tail off at open,
+// so a tear is never followed by valid frames.
 // Compaction (Sharded.Compact) keeps the log bounded by rewriting the
 // entries still live as ordinary records into fresh segments and
 // deleting the segments they supersede; recovery does not know it ran.
 //
 // Durability: AppendFunc is group-committed. Writes land in the shard's
-// segment under one lock; the appender then parks until the shard's
-// sync loop has fsynced past its record, so N concurrent appenders
-// share one fsync instead of paying N. AppendAsyncFunc skips the wait
+// segment under one lock; the appender then fsyncs the segment itself
+// unless an fsync is already in flight, in which case it waits for that
+// one and is covered by it or runs the next — so N concurrent appenders
+// share one fsync instead of paying N, and a lone one pays no hand-off
+// to another goroutine. AppendAsyncFunc skips the wait
 // for records the caller can re-derive (the serving layer's verdict
 // records, which deterministic re-classification regenerates).
 package journal
@@ -74,7 +80,7 @@ type Options struct {
 	// Dir holds the shard directories; it is created if absent.
 	Dir string
 	// SegmentBytes rotates a shard's active segment once it exceeds this
-	// size (default 8 MiB).
+	// size (default 8 MiB), and is what a new segment is preallocated to.
 	SegmentBytes int64
 	// OpenFile creates segment files for writing; nil selects
 	// os.Create. Fault-injection tests substitute a crashable file here.
@@ -110,7 +116,8 @@ type Recovered struct {
 	Records []Record
 	// TornTail counts bytes discarded at the end of shards' newest
 	// segments because they formed an incomplete or CRC-failing frame —
-	// the expected signature of a crash between write and fsync.
+	// the expected signature of a crash between write and fsync. The
+	// zeros of a preallocated tail are not counted.
 	TornTail int64
 	// Segments is how many segment files were replayed.
 	Segments int

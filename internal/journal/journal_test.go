@@ -620,3 +620,181 @@ func TestDoubleClose(t *testing.T) {
 		t.Fatal("compaction after Close succeeded")
 	}
 }
+
+// segmentSizes returns the size of every segment file under dir, by path.
+func segmentSizes(t *testing.T, dir string) map[string]int64 {
+	t.Helper()
+	paths, err := filepath.Glob(filepath.Join(dir, "shard-*", "wal-*.seg"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sizes := make(map[string]int64, len(paths))
+	for _, path := range paths {
+		fi, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sizes[path] = fi.Size()
+	}
+	return sizes
+}
+
+// TestPreallocatedSegments: on real files a segment holds its reserved
+// size while it is the active one and exactly its frames once sealed,
+// by rotation or by Close; a process that dies without sealing leaves
+// the reservation behind as zeros, which recovery reads as the end of
+// the segment — no torn bytes, every record back, the replay debt
+// counted in frames and not in file sizes — and cuts off; and zeros
+// behind an older segment hide nothing that follows it.
+func TestPreallocatedSegments(t *testing.T) {
+	const segBytes = 1 << 10
+	dir := t.TempDir()
+	opts := Options{Dir: dir, SegmentBytes: segBytes}
+	s, _, err := OpenSharded(opts, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var frames int64
+	for i := 0; i < 30; i++ { // 113-byte frames: three rotations and a part-filled segment
+		if err := appendRec(s, "k", 1, bytes.Repeat([]byte{byte('a' + i)}, 96)); err != nil {
+			t.Fatal(err)
+		}
+		frames += frameHeaderSize + 1 + seqPrefixSize + 96
+	}
+	if st := s.Stats(); st.Rotations < 2 {
+		t.Fatalf("%d rotations; the test is vacuous", st.Rotations)
+	}
+	active := filepath.Join(dir, shardDirName(0), segmentName(s.shards[0].segIndex))
+	var sealed int64
+	for path, size := range segmentSizes(t, dir) {
+		switch {
+		case path != active:
+			sealed += size
+			if size > segBytes || size%113 != 0 {
+				t.Fatalf("sealed segment %s is %d bytes: not cut down to its frames", path, size)
+			}
+		case size != segBytes && size != frames-sealed:
+			// Either reserved in full, or (no fallocate here) grown by appends.
+			t.Fatalf("active segment is %d bytes, want the %d reserved", size, segBytes)
+		}
+	}
+	preallocated := segmentSizes(t, dir)[active] == segBytes
+
+	// Die without sealing; an older segment gets its reservation back too.
+	if err := os.Truncate(filepath.Join(dir, shardDirName(0), segmentName(1)), segBytes); err != nil {
+		t.Fatal(err)
+	}
+	s2, rec, err := OpenSharded(opts, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rec.Records) != 30 || rec.TornTail != 0 {
+		t.Fatalf("recovered %d records and %d torn bytes over zero tails, want 30 and 0", len(rec.Records), rec.TornTail)
+	}
+	if lb := s2.LiveBytes(); lb != frames {
+		t.Fatalf("LiveBytes = %d after reopen, want the %d bytes of frames replayed", lb, frames)
+	}
+	if size := segmentSizes(t, dir)[active]; preallocated && size >= segBytes {
+		t.Fatalf("recovery left the dead process's newest segment at %d bytes", size)
+	}
+	s.Close() // the dead process's handle; its trim finds the size recovery left
+
+	if err := appendRec(s2, "k", 1, []byte("after")); err != nil {
+		t.Fatal(err)
+	}
+	if err := s2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var onDisk int64
+	for path, size := range segmentSizes(t, dir) {
+		if path != filepath.Join(dir, shardDirName(0), segmentName(1)) {
+			onDisk += size
+		}
+	}
+	if want := frames - 9*113 + frameHeaderSize + 1 + seqPrefixSize + 5; onDisk != want {
+		t.Fatalf("segments hold %d bytes after Close, want the %d bytes of their frames", onDisk, want)
+	}
+	_, rec = reopen(t, dir, 1)
+	if len(rec.Records) != 31 || string(rec.Records[30].Data) != "after" || rec.TornTail != 0 {
+		t.Fatalf("final reopen: %d records, %d torn bytes", len(rec.Records), rec.TornTail)
+	}
+}
+
+// gatedSyncFile holds its first Sync until released and then fails it;
+// later Syncs succeed. It has no descriptor, so the journal syncs it
+// through this method.
+type gatedSyncFile struct {
+	nopFile
+	syncs   atomic.Int32
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (g *gatedSyncFile) Sync() error {
+	if g.syncs.Add(1) > 1 {
+		return nil
+	}
+	close(g.entered)
+	<-g.release
+	return fmt.Errorf("injected fsync failure")
+}
+
+// TestFailedFsyncReachesEveryFollower: the leader's failed fsync is the
+// error of every appender whose record it tried to cover — the leader
+// and the followers that waited on it alike — none of them runs a
+// second fsync on its own behalf, and none is acknowledged by the
+// successful fsync a later appender leads. An appender whose record was
+// written after the failing fsync took its target is not covered by it
+// and is acknowledged by its own.
+func TestFailedFsyncReachesEveryFollower(t *testing.T) {
+	g := &gatedSyncFile{entered: make(chan struct{}), release: make(chan struct{})}
+	s, _, err := OpenSharded(Options{Dir: t.TempDir(), OpenFile: func(string) (File, error) { return g, nil }}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	w := s.shards[0]
+	const covered = 6
+	var seqs []uint64
+	for i := 0; i < covered; i++ {
+		_, seq, err := s.write("k", 1, func(dst []byte) []byte { return append(dst, 'x') })
+		if err != nil {
+			t.Fatal(err)
+		}
+		seqs = append(seqs, seq)
+	}
+	errs := make(chan error, covered)
+	for _, seq := range seqs {
+		go func() { errs <- w.waitDurable(seq) }()
+	}
+	<-g.entered // one of them leads; the rest wait on it or are about to
+	late := make(chan error, 1)
+	go func() { late <- appendRec(s, "k", 1, []byte("late")) }()
+	for s.Stats().Appends < covered+1 {
+		time.Sleep(time.Millisecond)
+	}
+	close(g.release)
+	for i := 0; i < covered; i++ {
+		if err := <-errs; err == nil {
+			t.Fatal("a record the failed fsync tried to cover was acknowledged")
+		}
+	}
+	if err := <-late; err != nil {
+		t.Fatalf("the record written after the failed fsync took its target = %v, want its own fsync's ack", err)
+	}
+	if n := g.syncs.Load(); n != 2 {
+		t.Fatalf("%d fsyncs, want 2: the failed one and the late appender's", n)
+	}
+	// The later fsync succeeded past them; they stay failed.
+	for _, seq := range seqs {
+		if err := w.waitDurable(seq); err == nil {
+			t.Fatalf("record %d acknowledged by a later fsync after its own failed", seq)
+		}
+	}
+	if n := g.syncs.Load(); n != 2 {
+		t.Fatalf("%d fsyncs after re-waiting, want still 2: a failed fsync is not retried for its waiters", n)
+	}
+	if bs := s.SyncBatches(); bs.Count != 1 || bs.Sum != covered+1 {
+		t.Fatalf("sync batch histogram count=%d sum=%d, want one fsync retiring all %d records", bs.Count, bs.Sum, covered+1)
+	}
+}

@@ -4,7 +4,7 @@
 // hardware") that one pipeline is the ceiling. Sharding splits the
 // commit path by key — the ledger routes each event ID to a shard with
 // the same FNV affinity the engine uses for its workers — so N
-// group-commit sync loops run concurrently and the commit rate scales
+// group commits run concurrently and the commit rate scales
 // with spindles/flash queues instead of serializing on one file.
 //
 // Global ordering is preserved by a sequence number, not by file order:
@@ -51,7 +51,7 @@ func ShardIndex(key string, n int) int {
 }
 
 // Sharded is a write-ahead log striped over N shards, each with its own
-// group-commit sync loop. All methods are safe for concurrent use.
+// group commit. All methods are safe for concurrent use.
 // Appends are key-addressed: the key picks the shard, so records that
 // must replay in order relative to each other (the ledger's accept and
 // result for one event ID) share a key and therefore a shard.
@@ -68,8 +68,8 @@ type Sharded struct {
 }
 
 // OpenSharded recovers whatever a previous process left in opts.Dir and
-// opens the journal with max(shards, shard directories on disk) shards,
-// every shard's sync loop running. Recovery is one path: every segment
+// opens the journal with max(shards, shard directories on disk) shards.
+// Recovery is one path: every segment
 // present in every shard is replayed and the records are merged by
 // sequence. A directory holding segment or snapshot files at its root
 // was not written by this layout and is refused rather than half-read.
@@ -131,11 +131,11 @@ func openShard(opts Options, rec *Recovered) (*wal, []seqRecord, error) {
 	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
 		return nil, nil, fmt.Errorf("journal: %w", err)
 	}
-	recs, lastSeg, diskBytes, err := replaySegments(opts.Dir, rec)
+	recs, lastSeg, frameBytes, err := replaySegments(opts.Dir, rec)
 	if err != nil {
 		return nil, nil, err
 	}
-	w, err := newWAL(opts, lastSeg, diskBytes)
+	w, err := newWAL(opts, lastSeg, frameBytes)
 	return w, recs, err
 }
 
@@ -162,8 +162,8 @@ func (s *Sharded) write(key string, kind byte, build func(dst []byte) []byte) (*
 }
 
 // AppendFunc writes a record to key's shard and returns once it is
-// durable — parked on the shard's acknowledgment queue and acked in
-// batch by its sync loop's next fsync. build renders the payload
+// durable — by its own fsync, or by the one that was in flight when it
+// asked (wal.waitDurable). build renders the payload
 // directly into the shard's frame buffer (zero steady-state
 // allocations), runs under the shard's write lock and must not call
 // back into the journal.
@@ -251,7 +251,7 @@ func (s *Sharded) Compact(emit func(put func(key string, kind byte, build func(d
 			return 0, err
 		}
 		fresh[i] = w.segIndex
-		w.liveBytes = 0
+		w.liveBytes.Store(0)
 	}
 	err := emit(func(key string, kind byte, build func(dst []byte) []byte) error {
 		// No rotation: a shard's fresh segment takes its whole share of the
@@ -263,10 +263,7 @@ func (s *Sharded) Compact(emit func(put func(key string, kind byte, build func(d
 		}
 		return err
 	})
-	var rewritten int64
-	for _, w := range s.shards {
-		rewritten += w.liveBytes
-	}
+	rewritten := s.LiveBytes()
 	unlock()
 
 	if err == nil {
@@ -300,17 +297,16 @@ func removeBelow(dir string, limit uint64) {
 
 // LiveBytes returns the bytes in the live log: what the last compaction
 // rewrote plus everything appended since, summed across shards and
-// accumulated across segment rotations (and seeded from the on-disk
-// segments at open) — the replay debt a crash right now would pay. A
+// accumulated across segment rotations (and seeded from the frames
+// replayed at open) — the replay debt a crash right now would pay. A
 // compaction trigger compares it, less the rewrite Compact reported,
 // with its threshold. It is not capped by SegmentBytes, so a threshold
-// larger than one segment is still reachable.
+// larger than one segment is still reachable. It takes no lock: the
+// ledger reads it on every reply.
 func (s *Sharded) LiveBytes() int64 {
 	var total int64
 	for _, w := range s.shards {
-		w.mu.Lock()
-		total += w.liveBytes
-		w.mu.Unlock()
+		total += w.liveBytes.Load()
 	}
 	return total
 }
@@ -356,8 +352,7 @@ func (s *Sharded) SyncBatches() BatchStats {
 	return agg
 }
 
-// Close stops every shard's sync loop, syncs and closes every shard.
-// Idempotent.
+// Close syncs and closes every shard. Idempotent.
 func (s *Sharded) Close() error {
 	var first error
 	for _, w := range s.shards {

@@ -1,6 +1,7 @@
 package journal
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -14,18 +15,22 @@ import (
 var errClosed = errors.New("journal: closed")
 
 // wal is one shard: a directory of numbered segment files, a write
-// path that appends frames to the newest one, and a sync loop that
-// group-commits them. All methods are safe for concurrent use.
+// path that appends frames to the newest one, and a leader commit that
+// fsyncs them in groups. All methods are safe for concurrent use.
 type wal struct {
 	opts Options // Dir is the shard's own directory
 
-	mu        sync.Mutex // guards the write path and segment rotation
-	seg       File       // guarded by mu
-	segIndex  uint64     // guarded by mu
-	segBytes  int64      // guarded by mu
-	liveBytes int64      // guarded by mu; bytes appended since the last compaction sealed the log, its rewrite included, across rotations
-	frameBuf  []byte     // guarded by mu; reusable frame scratch, so steady-state appends allocate nothing
-	closed    bool       // guarded by mu
+	mu       sync.Mutex // guards the write path and segment rotation
+	seg      File       // guarded by mu
+	segIndex uint64     // guarded by mu
+	segBytes int64      // guarded by mu
+	frameBuf []byte     // guarded by mu; reusable frame scratch, so steady-state appends allocate nothing
+	closed   bool       // guarded by mu
+
+	// liveBytes is the bytes appended since the last compaction sealed the
+	// log, its rewrite included, across rotations. Written only under mu;
+	// the compaction trigger reads it on every reply without the lock.
+	liveBytes atomic.Int64
 
 	// appendSeq counts records whose Write into the segment has returned
 	// (not necessarily durable). It is the one high-water mark of the
@@ -37,24 +42,24 @@ type wal struct {
 	// syncMu serializes the fsync itself and, together with mu, segment
 	// rotation — so while it is held syncSeg is the segment every record
 	// counted by appendSeq and not yet durable was written to. Appenders
-	// never take it: they keep writing while an fsync is in flight, and
-	// that in-flight window is where commit groups form.
-	// Lock order: mu → syncMu → ackMu.
+	// never take it to write: they keep writing while an fsync is in
+	// flight, and that in-flight window is where commit groups form — the
+	// durable appender that finds syncMu free is the leader and fsyncs on
+	// its own goroutine, the ones that find it held wait on it and are
+	// covered by the leader's fsync or lead the next one.
+	// Lock order: mu → syncMu.
 	syncMu  sync.Mutex
 	syncSeg File // guarded by syncMu; always the same file as seg
 
-	// The group-commit acknowledgment queue: durable appenders write
-	// their record and park on ackCond until the sync loop's next
-	// completed fsync covers their sequence number, so one fsync acks a
-	// whole batch of accepts. ackMu is taken only around condvar state,
-	// never across I/O.
-	ackMu     sync.Mutex
-	ackCond   *sync.Cond    // broadcast under ackMu whenever syncedSeq advances or the loop stops/fails
-	wakeCond  *sync.Cond    // signaled under ackMu when an appender is waiting on durability
-	loopStop  bool          // guarded by ackMu
-	loopErr   error         // guarded by ackMu; last sync-loop fsync error
-	loopErrHi uint64        // guarded by ackMu; appendSeq the failed fsync attempted to cover
-	loopDone  chan struct{} // closed by the sync loop on exit
+	// A failed fsync is its waiters' error and is never retried on their
+	// behalf: after one, the kernel may report the next fsync clean with
+	// the pages gone. failedHi is the highest appendSeq a failed fsync
+	// tried to cover (it only grows, under syncMu); a waiter at or below
+	// it that has not been acknowledged yet gets failedErr, whatever a
+	// later fsync reports — also the rare one whose record an earlier
+	// fsync had made durable, which errs on the safe side: it retransmits.
+	failedHi  atomic.Uint64
+	failedErr error // guarded by syncMu
 
 	appends   atomic.Uint64
 	syncs     atomic.Uint64
@@ -73,29 +78,37 @@ func segmentName(index uint64) string { return fmt.Sprintf("wal-%08d.seg", index
 
 // newWAL opens a shard appending to segment lastSeg+1 — never to a
 // segment a previous process wrote — with liveBytes seeding the
-// compaction-debt counter, and starts its sync loop. Recovery of the
-// older segments is the caller's job (OpenSharded).
+// compaction-debt counter. Recovery of the older segments is the
+// caller's job (OpenSharded).
 func newWAL(opts Options, lastSeg uint64, liveBytes int64) (*wal, error) {
-	w := &wal{opts: opts, segIndex: lastSeg + 1, liveBytes: liveBytes, loopDone: make(chan struct{})}
-	w.ackCond = sync.NewCond(&w.ackMu)
-	w.wakeCond = sync.NewCond(&w.ackMu)
+	w := &wal{opts: opts, segIndex: lastSeg + 1}
+	w.liveBytes.Store(liveBytes)
 	if err := w.openSegmentLocked(); err != nil {
 		return nil, err
 	}
-	go w.syncLoop()
 	return w, nil
 }
 
-// openSegmentLocked creates the segment file for w.segIndex and makes
-// it the write and fsync target. Callers hold mu and syncMu, or have
-// exclusive access.
+// openSegmentLocked creates the segment file for w.segIndex, reserves
+// its full size so that the appends and fsyncs to come change no file
+// size (preallocate), and makes it the write and fsync target. Callers
+// hold mu and syncMu, or have exclusive access.
 func (w *wal) openSegmentLocked() error {
 	f, err := w.opts.openFile(filepath.Join(w.opts.Dir, segmentName(w.segIndex)))
 	if err != nil {
 		return fmt.Errorf("journal: open segment %d: %w", w.segIndex, err)
 	}
+	preallocate(f, w.opts.segmentBytes())
 	w.seg, w.syncSeg, w.segBytes = f, f, 0
 	return nil
+}
+
+// sealLocked closes the active segment, whose records the caller has
+// made durable, cut down to the bytes written. Callers hold mu and
+// syncMu.
+func (w *wal) sealLocked() error {
+	trim(w.seg, w.segBytes)
+	return w.seg.Close()
 }
 
 // writeFunc appends one frame to the active segment (rotating first if
@@ -147,7 +160,7 @@ func (w *wal) appendLocked(frame []byte) (uint64, error) {
 		return 0, fmt.Errorf("journal: append: %w", err)
 	}
 	w.segBytes += int64(len(frame))
-	w.liveBytes += int64(len(frame))
+	w.liveBytes.Add(int64(len(frame)))
 	w.appends.Add(1)
 	w.bytes.Add(uint64(len(frame)))
 	// Publishing the record is this one store, after its Write returned:
@@ -161,23 +174,20 @@ func (w *wal) appendLocked(frame []byte) (uint64, error) {
 func (w *wal) rotateLocked() error {
 	w.syncMu.Lock()
 	defer w.syncMu.Unlock()
-	if err := w.seg.Sync(); err != nil {
-		return fmt.Errorf("journal: rotate sync: %w", err)
+	if err := w.syncLocked(); err != nil {
+		return err
 	}
-	w.syncs.Add(1)
-	if err := w.seg.Close(); err != nil {
+	if err := w.sealLocked(); err != nil {
 		return fmt.Errorf("journal: rotate close: %w", err)
 	}
-	w.advanceSynced(w.appendSeq.Load())
 	w.segIndex++
 	w.rotations.Add(1)
 	return w.openSegmentLocked()
 }
 
-// advanceSynced publishes hi as the durable high-water mark, records
-// the group-commit batch size it retired, and wakes every ack-queue
-// waiter whose record it covers. Callers hold syncMu (the only place
-// syncedSeq advances), so the load-compare-store is race-free.
+// advanceSynced publishes hi as the durable high-water mark and records
+// the group-commit batch size it retired. Callers hold syncMu (the only
+// place syncedSeq advances), so the load-compare-store is race-free.
 func (w *wal) advanceSynced(hi uint64) {
 	prev := w.syncedSeq.Load()
 	if hi <= prev {
@@ -192,9 +202,6 @@ func (w *wal) advanceSynced(hi uint64) {
 	w.batchCounts[i].Add(1)
 	w.batchSum.Add(n)
 	w.batchN.Add(1)
-	w.ackMu.Lock()
-	w.ackCond.Broadcast()
-	w.ackMu.Unlock()
 }
 
 // addSyncBatches folds this shard's acked-per-fsync histogram into s.
@@ -206,8 +213,8 @@ func (w *wal) addSyncBatches(s *BatchStats) {
 	s.Count += w.batchN.Load()
 }
 
-// syncLag returns how many appended records are not yet durable — the
-// depth of the acknowledgment queue.
+// syncLag returns how many appended records are not yet durable: what
+// the next fsync would retire.
 func (w *wal) syncLag() uint64 {
 	// Load the durable mark first: appendSeq only grows, so racing the
 	// two loads this way can only over-report lag, never underflow.
@@ -219,89 +226,50 @@ func (w *wal) syncLag() uint64 {
 	return appended - synced
 }
 
-// syncLoop is the group-commit worker: wait until at least one appender
-// parks on the ack queue, fsync once to the current append high-water
-// mark, broadcast, repeat. An fsync failure is delivered to exactly the
-// waiters it attempted to cover (their sequence numbers are <= the
-// captured high-water mark); the loop then parks until new appends
-// arrive rather than hot-retrying a failing device. Terminates when
-// close sets loopStop; loopDone is closed on exit so close can join.
-func (w *wal) syncLoop() {
-	defer close(w.loopDone)
-	var failedHi uint64
-	for {
-		w.ackMu.Lock()
-		for !w.loopStop {
-			appended := w.appendSeq.Load()
-			if appended > w.syncedSeq.Load() && appended > failedHi {
-				break
-			}
-			w.wakeCond.Wait()
-		}
-		stop := w.loopStop
-		w.ackMu.Unlock()
-		if stop {
-			return
-		}
-		hi := w.appendSeq.Load()
-		if err := w.syncTo(hi); err != nil {
-			failedHi = hi
-			w.ackMu.Lock()
-			w.loopErr = err
-			w.loopErrHi = hi
-			w.ackCond.Broadcast()
-			w.ackMu.Unlock()
-			continue
-		}
-		failedHi = 0
-	}
-}
-
-// waitDurable blocks until record seq is durable: it wakes the sync
-// loop, parks on the acknowledgment queue and is acked in batch by the
-// loop's next completed fsync.
+// waitDurable blocks until record seq is durable. It is the leader
+// commit: the waiter that finds no fsync in flight runs one on its own
+// goroutine, covering every record appended so far; the ones that find
+// one in flight wait on syncMu for it and return if it covered them. No
+// goroutine of the journal's own stands between an append and its ack.
+// An fsync failure goes to every waiter it tried to cover.
 func (w *wal) waitDurable(seq uint64) error {
-	if w.syncedSeq.Load() >= seq {
-		return nil // someone else's group commit already covered us
-	}
-	w.ackMu.Lock()
-	w.wakeCond.Signal()
-	for w.syncedSeq.Load() < seq {
-		if w.loopErr != nil && w.loopErrHi >= seq {
-			err := w.loopErr
-			w.ackMu.Unlock()
-			return err
-		}
-		if w.loopStop {
-			// The loop is shutting down with our record still queued;
-			// settle it ourselves (close's final sync usually already has).
-			w.ackMu.Unlock()
-			return w.syncTo(seq)
-		}
-		w.ackCond.Wait()
-	}
-	w.ackMu.Unlock()
-	return nil
-}
-
-// syncTo blocks until record seq is durable, fsyncing if needed. seq
-// must be a value appendSeq has held: the fsync covers whatever
-// appendSeq reads once syncMu is taken, which can only be later — the
-// sync path never targets a record it has not seen published.
-func (w *wal) syncTo(seq uint64) error {
-	if w.syncedSeq.Load() >= seq {
+	if seq > w.failedHi.Load() && w.syncedSeq.Load() >= seq {
 		return nil // someone else's group commit already covered us
 	}
 	w.syncMu.Lock()
 	defer w.syncMu.Unlock()
+	if seq <= w.failedHi.Load() {
+		return w.failedErr
+	}
 	if w.syncedSeq.Load() >= seq {
 		return nil // the previous holder's fsync covered our record
 	}
-	// Rotation needs syncMu, so every record counted here and not yet
-	// durable finished its Write into syncSeg before this load.
+	return w.syncLocked()
+}
+
+// syncTo is waitDurable for a caller that asks for a sync in its own
+// right (Sync, and through it Compact), not for the ack of one append:
+// an earlier failure is no answer to it, so it fsyncs again.
+func (w *wal) syncTo(seq uint64) error {
+	w.syncMu.Lock()
+	defer w.syncMu.Unlock()
+	if w.syncedSeq.Load() >= seq {
+		return nil
+	}
+	return w.syncLocked()
+}
+
+// syncLocked fsyncs the active segment and publishes as durable what
+// appendSeq read before it: rotation needs syncMu, so every record
+// counted by that load and not yet durable finished its Write into
+// syncSeg, and the sync path never targets a record it has not seen
+// published. Callers hold syncMu.
+func (w *wal) syncLocked() error {
 	hi := w.appendSeq.Load()
 	if err := datasync(w.syncSeg); err != nil {
-		return fmt.Errorf("journal: sync: %w", err)
+		w.failedErr = fmt.Errorf("journal: sync: %w", err)
+		w.failedHi.Store(hi)
+		return w.failedErr
 	}
 	w.syncs.Add(1)
 	w.advanceSynced(hi)
@@ -318,31 +286,19 @@ func (w *wal) stats() Stats {
 	}
 }
 
-// close stops the sync loop, syncs and closes the active segment.
-// Idempotent.
+// close syncs, trims and closes the active segment. Idempotent. A
+// waiter that arrives later finds its record published as durable and
+// never touches the closed file.
 func (w *wal) close() error {
 	w.closeOnce.Do(func() {
-		w.ackMu.Lock()
-		w.loopStop = true
-		w.wakeCond.Signal()
-		w.ackCond.Broadcast() // parked appenders fall back to syncing themselves
-		w.ackMu.Unlock()
-		<-w.loopDone
 		w.mu.Lock()
 		defer w.mu.Unlock()
 		w.closed = true
 		w.syncMu.Lock()
 		defer w.syncMu.Unlock()
-		if err := w.seg.Sync(); err != nil {
+		w.closeErr = w.syncLocked()
+		if err := w.sealLocked(); err != nil && w.closeErr == nil {
 			w.closeErr = err
-		}
-		if err := w.seg.Close(); err != nil && w.closeErr == nil {
-			w.closeErr = err
-		}
-		if w.closeErr == nil {
-			// Publish the final sync so late waiters settle without
-			// touching the now-closed segment.
-			w.advanceSynced(w.appendSeq.Load())
 		}
 	})
 	return w.closeErr
@@ -361,18 +317,21 @@ type seqRecord struct {
 
 // replaySegments reads the segment files in dir in order, stopping
 // after a torn frame that is not the newest segment's crash tail
-// (everything after a mid-history tear is unreadable). The newest
-// segment's torn tail was never acknowledged and is cut off the file:
-// this process appends to the next segment, and a tear left in place
-// would read as mid-history damage at the following open and hide
-// everything acknowledged from here on. A CRC-clean record too short
-// to carry a sequence prefix cannot have been written by this package
-// and counts as torn. It also returns the highest segment index on disk
-// (0 if none) and the summed size of every segment file — the seed for
-// liveBytes, so a process restarting on top of a long un-compacted
-// history reaches its compaction threshold immediately, not after
-// another threshold's worth of fresh appends.
-func replaySegments(dir string, rec *Recovered) (recs []seqRecord, lastSeg uint64, diskBytes int64, err error) {
+// (everything after a mid-history tear is unreadable). A tail of zero
+// bytes is no tear: it is the reserved space of a segment whose process
+// died before sealing it (preallocate), and the clean end of that
+// segment wherever it sits in the history. The newest segment's tail,
+// zeros or a tear that was never acknowledged, is cut off the file: this
+// process appends to the next segment, and a tear left in place would
+// read as mid-history damage at the following open and hide everything
+// acknowledged from here on. A CRC-clean record too short to carry a
+// sequence prefix cannot have been written by this package and counts as
+// torn. It also returns the highest segment index on disk (0 if none)
+// and the bytes of every frame replayed — the seed for liveBytes, so a
+// process restarting on top of a long un-compacted history reaches its
+// compaction threshold immediately, not after another threshold's worth
+// of fresh appends.
+func replaySegments(dir string, rec *Recovered) (recs []seqRecord, lastSeg uint64, frameBytes int64, err error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, 0, 0, fmt.Errorf("journal: %w", err)
@@ -380,12 +339,8 @@ func replaySegments(dir string, rec *Recovered) (recs []seqRecord, lastSeg uint6
 	var segIdx []uint64
 	for _, e := range entries {
 		var idx uint64
-		if n, _ := fmt.Sscanf(e.Name(), "wal-%08d.seg", &idx); n != 1 {
-			continue
-		}
-		segIdx = append(segIdx, idx)
-		if info, err := e.Info(); err == nil {
-			diskBytes += info.Size()
+		if n, _ := fmt.Sscanf(e.Name(), "wal-%08d.seg", &idx); n == 1 {
+			segIdx = append(segIdx, idx)
 		}
 	}
 	sort.Slice(segIdx, func(a, b int) bool { return segIdx[a] < segIdx[b] })
@@ -411,15 +366,17 @@ func replaySegments(dir string, rec *Recovered) (recs []seqRecord, lastSeg uint6
 			})
 			data = data[size:]
 		}
-		if len(data) > 0 {
-			rec.TornTail += int64(len(data))
-			if idx != lastSeg {
-				break
-			}
+		frameBytes += fileSize - int64(len(data))
+		torn := int64(len(bytes.TrimRight(data, "\x00")))
+		rec.TornTail += torn
+		if torn > 0 && idx != lastSeg {
+			break
+		}
+		if len(data) > 0 && idx == lastSeg {
 			if err := os.Truncate(path, fileSize-int64(len(data))); err != nil {
 				return nil, 0, 0, fmt.Errorf("journal: cut torn tail: %w", err)
 			}
 		}
 	}
-	return recs, lastSeg, diskBytes, nil
+	return recs, lastSeg, frameBytes, nil
 }

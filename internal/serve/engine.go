@@ -103,14 +103,30 @@ type ruleGen struct {
 // arrays. One frame per (batch, shard) replaces one heap-allocated job
 // and one channel send per event; frames recycle through framePool.
 type shardBatch struct {
-	events   []dataset.DownloadEvent
-	results  []VerdictRecord
+	batch    *Batch
 	idx      []int32
 	ctx      context.Context
 	enqueued time.Time
-	done     *sync.WaitGroup
-	shed     *atomic.Int64
 }
+
+// Batch is an admitted batch between Submit and Wait: its frames are
+// with the workers, or already classified.
+type Batch struct {
+	e       *Engine
+	events  []dataset.DownloadEvent
+	results []VerdictRecord
+	done    sync.WaitGroup // one count per event not yet classified or shed
+	shed    atomic.Int64
+}
+
+// inlineFrameEvents is the largest frame the admitting goroutine
+// classifies itself when the shard is free. Handing a frame to its
+// worker costs a channel send and two wake-ups — microseconds, several
+// fresh events' worth — and buys parallelism only across frames that
+// outlast it (BenchmarkClassifyBatch, DESIGN.md §11). A 64-event request
+// over four shards makes 16-event frames and never leaves its
+// goroutine; a 1,024-event one makes 256-event frames for the workers.
+const inlineFrameEvents = 32
 
 var framePool = sync.Pool{New: func() any { return new(shardBatch) }}
 
@@ -143,8 +159,10 @@ type memoVal struct {
 // doorkeeper. A power of two: the doorkeeper is indexed by mask.
 const memoMaxEntries = 1 << 16
 
-// workerState is the per-worker (hence single-goroutine) memo: repeat
-// downloads of a file skip extraction and matching entirely. The map is
+// workerState is the per-shard memo: repeat downloads of a file skip
+// extraction and matching entirely. mu is held by whoever classifies a
+// frame of the shard — its worker, or the admitting goroutine of a
+// small frame — so the state has one user at a time. The map is
 // keyed by the key's hash and an entry is verified against the event's
 // strings, so two keys colliding on 64 bits cost each other a miss,
 // never a wrong verdict. door is the doorkeeper: direct-mapped, one key
@@ -153,6 +171,7 @@ const memoMaxEntries = 1 << 16
 // both to one rule-set generation; a hot reload invalidates everything
 // on the next sub-batch.
 type workerState struct {
+	mu   sync.Mutex
 	memo map[uint64]memoVal
 	door []uint64
 	gen  uint64
@@ -190,6 +209,7 @@ type Engine struct {
 	ex        *features.Extractor
 	metrics   *Metrics
 	shards    []chan *shardBatch
+	states    []*workerState // one per shard, locked per frame
 	capacity  int64
 	inflight  atomic.Int64
 	closed    atomic.Bool
@@ -236,12 +256,14 @@ func NewEngine(ex *features.Extractor, clf *classify.Classifier, cfg EngineConfi
 	m.Generation.Store(1)
 	n := cfg.shardsOrDefault()
 	e.shards = make([]chan *shardBatch, n)
+	e.states = make([]*workerState, n)
 	for i := range e.shards {
 		// Each shard can hold the whole admitted window, so a reserved
 		// frame's enqueue never blocks and drain cannot deadlock.
 		e.shards[i] = make(chan *shardBatch, cfg.queueOrDefault())
+		e.states[i] = newWorkerState()
 		e.wg.Add(1)
-		go e.worker(e.shards[i])
+		go e.worker(e.shards[i], e.states[i])
 	}
 	return e, nil
 }
@@ -339,15 +361,30 @@ func shardOf(h dataset.FileHash, n int) int {
 }
 
 // ClassifyBatch admits a batch of events, classifies each on its shard,
-// and returns one VerdictRecord per event in input order. The whole
-// batch is admitted or rejected atomically: on ErrOverloaded nothing
-// was enqueued and the caller should shed, defer or retry.
+// and returns one VerdictRecord per event in input order: Submit, then
+// Wait. The whole batch is admitted or rejected atomically: on
+// ErrOverloaded nothing was enqueued and the caller should shed, defer
+// or retry.
 //
 // ctx's deadline propagates into the shard queues: a batch whose
 // deadline is already past is shed at admission, and events still
 // queued when it expires are shed by the workers (ErrDeadlineExceeded,
 // partial results) rather than classified into the void.
 func (e *Engine) ClassifyBatch(ctx context.Context, events []dataset.DownloadEvent) ([]VerdictRecord, error) {
+	b, err := e.Submit(ctx, events)
+	if err != nil {
+		return nil, err
+	}
+	return b.Wait()
+}
+
+// Submit is the admission half of ClassifyBatch. When it returns, every
+// frame of at most inlineFrameEvents events whose shard was free has
+// been classified on the calling goroutine and every other frame is
+// with its shard's worker: what the caller does before Wait (the
+// journaled handler makes its accept record durable) overlaps with the
+// workers. An empty batch is a nil Batch, whose Wait returns nothing.
+func (e *Engine) Submit(ctx context.Context, events []dataset.DownloadEvent) (*Batch, error) {
 	if len(events) == 0 {
 		return nil, nil
 	}
@@ -376,49 +413,70 @@ func (e *Engine) ClassifyBatch(ctx context.Context, events []dataset.DownloadEve
 		return nil, ErrDraining
 	}
 	e.metrics.EventsIn.Add(uint64(n))
-	results := make([]VerdictRecord, len(events))
-	var done sync.WaitGroup
-	var shed atomic.Int64
-	done.Add(len(events))
+	b := &Batch{e: e, events: events, results: make([]VerdictRecord, len(events))}
+	b.done.Add(len(events))
 	now := time.Now()
 	ns := len(e.shards)
-	// Group the batch by shard: one pooled frame and one channel send
-	// per shard touched, instead of one allocation and send per event.
+	// Group the batch by shard: one pooled frame per shard touched,
+	// instead of one allocation and send per event.
 	frames := make([]*shardBatch, ns)
 	for i := range events {
 		s := shardOf(events[i].File, ns)
 		f := frames[s]
 		if f == nil {
 			f = framePool.Get().(*shardBatch)
-			f.events, f.results = events, results
-			f.ctx, f.enqueued = ctx, now
-			f.done, f.shed = &done, &shed
+			f.batch, f.ctx, f.enqueued = b, ctx, now
 			frames[s] = f
 		}
 		f.idx = append(f.idx, int32(i))
 	}
+	// Long frames first: their workers run while this goroutine
+	// classifies the short ones.
 	for s, f := range frames {
-		if f != nil {
+		if f != nil && len(f.idx) > inlineFrameEvents {
 			e.shards[s] <- f
+			frames[s] = nil
 		}
 	}
-	done.Wait()
-	if shed.Load() > 0 {
-		return results, ErrDeadlineExceeded
+	for s, f := range frames {
+		if f == nil {
+			continue
+		}
+		if ws := e.states[s]; ws.mu.TryLock() {
+			e.processFrame(f, ws)
+			ws.mu.Unlock()
+		} else {
+			e.shards[s] <- f // the shard is busy: queue behind it, as ever
+		}
 	}
-	if t := e.tap.Load(); t != nil {
-		(*t)(events, results)
-	}
-	return results, nil
+	return b, nil
 }
 
-// worker drains one shard until Close. The memo state is owned by this
-// goroutine alone — shard affinity is what makes it race-free.
-func (e *Engine) worker(ch chan *shardBatch) {
+// Wait blocks until every event of the batch is classified or shed and
+// returns the verdicts in input order.
+func (b *Batch) Wait() ([]VerdictRecord, error) {
+	if b == nil {
+		return nil, nil
+	}
+	b.done.Wait()
+	if b.shed.Load() > 0 {
+		return b.results, ErrDeadlineExceeded
+	}
+	if t := b.e.tap.Load(); t != nil {
+		(*t)(b.events, b.results)
+	}
+	return b.results, nil
+}
+
+// worker drains one shard until Close, taking the shard's lock per
+// frame: between frames an admitting goroutine may classify a short one
+// under it (Submit).
+func (e *Engine) worker(ch chan *shardBatch, ws *workerState) {
 	defer e.wg.Done()
-	ws := newWorkerState()
 	for f := range ch {
+		ws.mu.Lock()
 		e.processFrame(f, ws)
+		ws.mu.Unlock()
 	}
 }
 
@@ -432,13 +490,14 @@ type frameTally struct {
 }
 
 // processFrame classifies one shard's slice of a batch under exactly
-// one rule-set generation. Expired work is shed: if the admitting
-// request's deadline passed while the frame sat in the queue, the
-// worker spends no extraction or classification effort on it. Stage
+// one rule-set generation; callers hold ws.mu. Expired work is shed: if
+// the admitting request's deadline passed while the frame sat in the
+// queue, no extraction or classification effort is spent on it. Stage
 // latency is sampled — the first memo-missing event of each frame is
 // timed individually — so the histograms keep per-event semantics
 // without three clock reads per event.
 func (e *Engine) processFrame(f *shardBatch, ws *workerState) {
+	events, results := f.batch.events, f.batch.results
 	var tally frameTally
 	var extractDur, classifyDur time.Duration
 	timed := false
@@ -447,8 +506,8 @@ func (e *Engine) processFrame(f *shardBatch, ws *workerState) {
 	if f.ctx != nil && f.ctx.Err() != nil {
 		errStr := "shed: " + f.ctx.Err().Error()
 		for _, i := range f.idx {
-			f.results[i] = VerdictRecord{
-				Type: "verdict", File: string(f.events[i].File), Error: errStr,
+			results[i] = VerdictRecord{
+				Type: "verdict", File: string(events[i].File), Error: errStr,
 			}
 		}
 		tally.shed = len(f.idx)
@@ -460,8 +519,8 @@ func (e *Engine) processFrame(f *shardBatch, ws *workerState) {
 			ws.reset(rg.gen)
 		}
 		for _, i := range f.idx {
-			ev := &f.events[i]
-			rec := &f.results[i]
+			ev := &events[i]
+			rec := &results[i]
 			rec.Type = "verdict"
 			rec.File = string(ev.File)
 			rec.Generation = rg.gen
@@ -549,17 +608,17 @@ func (e *Engine) processFrame(f *shardBatch, ws *workerState) {
 		}
 	}
 	n := len(f.idx)
+	b := f.batch
 	if tally.shed > 0 {
 		m.ShedExpired.Add(uint64(tally.shed))
-		f.shed.Add(int64(tally.shed))
+		b.shed.Add(int64(tally.shed))
 	}
-	done := f.done
 	// Scrub and recycle the frame before signaling: after done.Add the
 	// batch (and its arrays) may be long gone.
-	f.events, f.results, f.ctx, f.done, f.shed = nil, nil, nil, nil, nil
+	f.batch, f.ctx = nil, nil
 	f.idx = f.idx[:0]
 	framePool.Put(f)
-	done.Add(-n)
+	b.done.Add(-n)
 	e.decInflight(int64(n))
 }
 

@@ -134,3 +134,62 @@ func BenchmarkProcessFrame(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkClassifyBatch sends batches of fresh keys through a 4-shard
+// engine, one caller, the way the handler does: admission, framing,
+// classification, the verdict slice. At 16 and 64 events the frames (4
+// and 16 events) are classified by the caller; at 256 and 1,024 (64 and
+// 256) by the workers. The /workers variants hold the two small sizes
+// to the worker path too — every shard's lock is taken across Submit —
+// so the pair at each size is what inlineFrameEvents decides between:
+// the hand-off to a worker and back costs a fixed few microseconds per
+// frame, which a 4-event frame never earns back and a 64-event frame
+// does as soon as there is a second core to run it on. ns/event and
+// allocs/batch are reported beside ns/op.
+func BenchmarkClassifyBatch(b *testing.B) {
+	for _, n := range []int{16, 64, 256, 1024} {
+		for _, forced := range []bool{false, true} {
+			name := fmt.Sprint(n)
+			if forced {
+				if n/4 > inlineFrameEvents {
+					continue // already the workers' frames
+				}
+				name += "/workers"
+			}
+			b.Run(name, func(b *testing.B) {
+				bt := newBenchTraffic(b)
+				engine := newTestEngine(b, bt.f, EngineConfig{Shards: 4, QueueSize: 8192})
+				ctx := context.Background()
+				pool := make([][]dataset.DownloadEvent, (1<<15)/n)
+				for i := range pool {
+					pool[i] = bt.frame(b, n, 0, false)
+				}
+				var ms0, ms1 runtime.MemStats
+				runtime.ReadMemStats(&ms0)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					events := pool[i%len(pool)]
+					if !forced {
+						if _, err := engine.ClassifyBatch(ctx, events); err != nil {
+							b.Fatal(err)
+						}
+						continue
+					}
+					unlock := lockShards(engine)
+					pending, err := engine.Submit(ctx, events)
+					unlock()
+					if err == nil {
+						_, err = pending.Wait()
+					}
+					if err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.StopTimer()
+				runtime.ReadMemStats(&ms1)
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/event")
+				b.ReportMetric(float64(ms1.Mallocs-ms0.Mallocs)/float64(b.N), "allocs/batch")
+			})
+		}
+	}
+}

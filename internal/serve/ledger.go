@@ -86,7 +86,7 @@ type LedgerOptions struct {
 	// required.
 	Journal journal.Options
 	// Shards stripes the journal over this many independent WALs, each
-	// with its own group-commit sync loop, so accept fsyncs overlap
+	// with its own group commit, so accept fsyncs overlap
 	// across cores (journal.OpenSharded). Request IDs pick the shard by
 	// FNV affinity; recovery merges all shards by global sequence.
 	// Values <= 1 mean one shard of the same layout; the shard
@@ -530,7 +530,7 @@ func (l *Ledger) Compact() error {
 func (l *Ledger) Stats() journal.Stats { return l.j.Stats() }
 
 // JournalMetrics snapshots everything /metrics exposes about the commit
-// path: aggregate counters, per-shard counters and ack-queue lag, and
+// path: aggregate counters, per-shard counters and commit lag, and
 // the group-commit batch-size histogram.
 func (l *Ledger) JournalMetrics() JournalMetrics {
 	return JournalMetrics{

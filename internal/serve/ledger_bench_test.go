@@ -187,3 +187,57 @@ func BenchmarkLookup(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkAcceptWire times the durable accept of a 64-event batch —
+// what stands between a journaled request and its reply besides
+// classification — on the repo benchmark's two journal shards, one
+// caller, every ID new. AcceptWire is one call, so the two halves are
+// measured on twin records: append-ns is the same record through the
+// journal's async append (ledger install aside: render, frame, write),
+// timed on its own run of b.N records, and wait-ns is what AcceptWire
+// takes beyond that — the fsync its caller leads and the bookkeeping
+// around it. fsyncs/op stays at 1 with a single caller.
+func BenchmarkAcceptWire(b *testing.B) {
+	f := sharedFixture(b)
+	events := f.replay[:64]
+	raw, err := marshalEvents(events)
+	if err != nil {
+		b.Fatal(err)
+	}
+	body := string(raw)
+	l, _, err := OpenLedger(LedgerOptions{
+		Journal: journal.Options{Dir: b.TempDir()}, Shards: benchLedgerShards,
+		MaxResults: benchRetention, CompactBytes: -1,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer l.Close()
+	ids := make([]string, 2*b.N)
+	for i := range ids {
+		ids[i] = benchID(i)
+	}
+	b.SetBytes(int64(len(body)))
+	b.ResetTimer()
+	start := time.Now()
+	for _, id := range ids[:b.N] {
+		if err := l.j.AppendAsyncFunc(id, recAccept, func(dst []byte) []byte { return appendPayload(dst, id, body) }); err != nil {
+			b.Fatal(err)
+		}
+	}
+	appendNS := time.Since(start)
+	if err := l.j.Sync(); err != nil { // the accepts below pay for their own bytes only
+		b.Fatal(err)
+	}
+	syncs := l.Stats().Syncs
+	b.ResetTimer()
+	for _, id := range ids[b.N:] {
+		if err := l.AcceptWire(id, events, body); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(appendNS.Nanoseconds())/float64(b.N), "append-ns")
+	b.ReportMetric(float64((b.Elapsed()-appendNS).Nanoseconds())/float64(b.N), "wait-ns")
+	b.ReportMetric(float64(l.Stats().Syncs-syncs)/float64(b.N), "fsyncs/op")
+}

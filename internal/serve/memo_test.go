@@ -185,21 +185,17 @@ func TestMemoHitAccounting(t *testing.T) {
 // receives them, against a worker state the test owns. It returns the
 // verdicts and how many events were shed.
 func runFrame(e *Engine, ws *workerState, ctx context.Context, events []dataset.DownloadEvent) ([]VerdictRecord, int64) {
-	results := make([]VerdictRecord, len(events))
-	var done sync.WaitGroup
-	var shed atomic.Int64
-	done.Add(len(events))
+	b := &Batch{e: e, events: events, results: make([]VerdictRecord, len(events))}
+	b.done.Add(len(events))
 	e.inflight.Add(int64(len(events)))
 	frame := framePool.Get().(*shardBatch)
-	frame.events, frame.results = events, results
-	frame.ctx, frame.enqueued = ctx, time.Now()
-	frame.done, frame.shed = &done, &shed
+	frame.batch, frame.ctx, frame.enqueued = b, ctx, time.Now()
 	for i := range events {
 		frame.idx = append(frame.idx, int32(i))
 	}
 	e.processFrame(frame, ws)
-	done.Wait()
-	return results, shed.Load()
+	b.done.Wait()
+	return b.results, b.shed.Load()
 }
 
 // wireEvents round-trips events through a request body, so that — as in

@@ -117,12 +117,15 @@ type Metrics struct {
 	// classifying, per frame a worker serves; and, per request the
 	// handler decodes and answers, reading and parsing the body (Decode)
 	// and rendering the reply from the verdicts — for a journaled batch
-	// through the ledger, which records what it renders (Encode).
+	// through the ledger, which records what it renders (Encode) — and,
+	// per journaled request, making its accept record durable: the
+	// append and the fsync it led or waited for (Commit).
 	QueueWait Histogram
 	Extract   Histogram
 	Classify  Histogram
 	Decode    Histogram
 	Encode    Histogram
+	Commit    Histogram
 
 	verdicts [4]atomic.Uint64
 }
@@ -137,7 +140,7 @@ func (m *Metrics) VerdictCount(v classify.Verdict) uint64 {
 
 // JournalMetrics is the commit-path snapshot /metrics renders when a
 // ledger is attached: aggregate journal counters, per-shard counters
-// and acknowledgment-queue lag, and the group-commit batch-size
+// and commit lag, and the group-commit batch-size
 // histogram (records acked per fsync).
 type JournalMetrics struct {
 	Stats     journal.Stats
@@ -178,9 +181,9 @@ func (m *Metrics) WriteTo(w io.Writer, queueDepth int, degraded bool, jm *Journa
 		fmt.Fprintf(w, "longtail_journal_compactions_total %d\n", js.Compactions)
 		fmt.Fprintf(w, "longtail_journal_compact_errors_total %d\n", jm.CompactErrors)
 		fmt.Fprintf(w, "longtail_journal_bytes_total %d\n", js.Bytes)
-		// Per-shard fsync counts and ack-queue lag: uneven syncs mean a
+		// Per-shard fsync counts and commit lag: uneven syncs mean a
 		// skewed key distribution; sustained lag on one shard means its
-		// device (or its sync loop) is the straggler.
+		// device is the straggler.
 		for i, st := range jm.Shards {
 			fmt.Fprintf(w, "longtail_journal_shard_syncs_total{shard=\"%d\"} %d\n", i, st.Syncs)
 		}
@@ -188,8 +191,8 @@ func (m *Metrics) WriteTo(w io.Writer, queueDepth int, degraded bool, jm *Journa
 			fmt.Fprintf(w, "longtail_journal_shard_lag{shard=\"%d\"} %d\n", i, lag)
 		}
 		// Group-commit batch size: how many appended records each fsync
-		// retired. Mass pinned in the "1" bucket means the ack queue is
-		// degenerating to per-record fsyncs.
+		// retired. Mass pinned in the "1" bucket means appenders are
+		// paying per-record fsyncs.
 		cum := uint64(0)
 		for i, c := range jm.SyncBatch.Buckets {
 			cum += c
@@ -207,6 +210,7 @@ func (m *Metrics) WriteTo(w io.Writer, queueDepth int, degraded bool, jm *Journa
 	m.Classify.write(w, "longtail_stage_latency_seconds", "classify")
 	m.Decode.write(w, "longtail_stage_latency_seconds", "decode")
 	m.Encode.write(w, "longtail_stage_latency_seconds", "encode")
+	m.Commit.write(w, "longtail_stage_latency_seconds", "commit")
 	writeRuntime(w)
 }
 

@@ -456,9 +456,9 @@ func ParseTimeout(header string) (time.Duration, error) {
 }
 
 // handleClassify runs one batch through the stages dedup → decode →
-// admit → accept ∥ classify → record → respond. A stage returns a
-// response when it has answered the request, an error when it has
-// failed it, and neither to pass the call on.
+// admit → submit → accept → record → respond, on one goroutine. A stage
+// returns a response when it has answered the request, an error when it
+// has failed it, and neither to pass the call on.
 func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 	c := &classifyCall{id: r.Header.Get(RequestIDHeader), binary: binaryRequest(r)}
 	c.journaled = s.ledger != nil && c.id != ""
@@ -483,24 +483,31 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 		resp, err = s.admitStage(c)
 	}
 	if resp == nil && err == nil {
-		// Durable accept overlaps with classification: the fsync hides
-		// behind the extract/classify work and the response is held
-		// until both finish. The client's deadline rides into the shard
-		// queues so expired work can be shed there.
+		// The batch goes to the engine, then its accept record to the
+		// journal, both on this goroutine. Frames handed to the workers
+		// classify while the accept is written and fsynced, so a large
+		// batch's fsync hides behind its classification; a small batch
+		// was classified inside Submit and pays for one append and the
+		// fsync it leads or joins, with no hand-off in between. The
+		// response is held until the accept is durable. The client's
+		// deadline rides into the shard queues so expired work is shed.
 		ctx := r.Context()
 		if timeout > 0 {
 			var cancel context.CancelFunc
 			ctx, cancel = context.WithTimeout(ctx, timeout)
 			defer cancel()
 		}
-		accepted := make(chan error, 1)
+		batch, cerr := s.engine.Submit(ctx, c.events)
 		if c.journaled {
-			go func() { accepted <- s.ledger.AcceptWire(c.id, c.events, c.wire) }()
-		} else {
-			accepted <- nil
+			start := time.Now()
+			err = s.ledger.AcceptWire(c.id, c.events, c.wire)
+			s.engine.Metrics().Commit.Observe(time.Since(start))
 		}
-		verdicts, cerr := s.engine.ClassifyBatch(ctx, c.events)
-		switch err = <-accepted; {
+		var verdicts []VerdictRecord
+		if cerr == nil {
+			verdicts, cerr = batch.Wait()
+		}
+		switch {
 		case err != nil: // not durable: fail the request whatever classification said
 		case cerr != nil:
 			resp, err = s.shedStage(c, cerr)
