@@ -13,13 +13,13 @@
 # on; e2e-record appends one run of it to the committed trajectory,
 # PERF_history.jsonl) and `make bench-layers` (seconds-long
 # microbenchmarks beside the code); `make bench` is the paper's
-# reproduction run and `make bench-gate` the multi-core journal fence.
+# reproduction run.
 
 GO ?= go
 LONGTAILVET ?= bin/longtailvet
 
 .PHONY: verify verify-fast build vet test fmtcheck lint lint-report \
-	longtailvet staticcheck govulncheck bench bench-gate \
+	longtailvet staticcheck govulncheck bench \
 	chaos-serve chaos-cluster chaos-lifecycle chaos-churn fuzz-smoke \
 	e2e-bench e2e-compare e2e-record bench-layers bench-layers-smoke loc
 
@@ -44,10 +44,9 @@ fmtcheck:
 	fi
 
 # The project's own static-analysis suite (internal/lint, DESIGN.md
-# §10): nine analyzers enforcing the determinism, locking, lock-order,
-# goroutine-lifecycle, context-flow, metric-naming, journal-ordering,
-# retry-policy and error-wrapping invariants — lock-order, goroutine-
-# lifecycle, context-flow and metric-naming interprocedural, fed by
+# §10): seven analyzers enforcing the determinism, locking, lock-order,
+# metric-naming, journal-ordering, retry-policy and error-wrapping
+# invariants — lock-order and metric-naming interprocedural, fed by
 # facts the loader computes for the whole module. One sweep loads every
 # package once, _test.go files included; exit status 2 on findings
 # fails the target.
@@ -209,29 +208,25 @@ bench-layers-smoke:
 	$(MAKE) bench-layers BENCHFLAGS=-benchtime=1x
 
 # The paper's reproduction run: one benchmark per table and figure plus
-# the ablations, and the three in-process serve benches the multi-core
-# fence and the shadow-tax figure read.
+# the ablations, and the two in-process serve benches the shadow-tax
+# figure reads.
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem .
-
-# Multi-core regression fence (TestJournaledFence, bench_test.go): the
-# journaled serve path (per-core sharded WAL, group-commit ack queue)
-# must keep at least 65% of the unjournaled path's events/sec. The test
-# runs both benchmarks itself and prints both rates and the ratio; below
-# 4 CPUs it says so and skips — with no parallelism the overlapping
-# fsyncs measure as pure overhead. `go test ./...` never runs it: only
-# -fence does.
-bench-gate:
-	$(GO) test -run '^TestJournaledFence$$' -count=1 -v -fence .
 
 # Non-test lines of Go per package directory and tree-wide, the way the
 # simplicity issues count them: every *.go that is not a *_test.go,
 # lint testdata included, bench/ (the benchmark's own program) left
-# out. CHANGES.md quotes this output, not a hand tally.
+# out; then the two other totals ROADMAP item 5 sets targets for — the
+# lint subtotal (internal/lint* and cmd/longtailvet* of the lines
+# above) and the *_test.go lines outside bench/. CHANGES.md quotes this
+# output, not a hand tally.
 loc:
-	@total=0; \
+	@total=0; lint=0; \
 	for d in $$(find . -path ./bench -prune -o -name '*.go' -not -name '*_test.go' -print | xargs -n1 dirname | sort -u); do \
 		n=$$(find $$d -maxdepth 1 -name '*.go' -not -name '*_test.go' | xargs cat | wc -l); \
 		printf '%7d  %s\n' $$n $${d#./}; total=$$((total+n)); \
+		case $$d in ./internal/lint*|./cmd/longtailvet*) lint=$$((lint+n));; esac; \
 	done; \
-	printf '%7d  total outside bench/\n' $$total
+	printf '%7d  total outside bench/\n' $$total; \
+	printf '%7d  of them lint (internal/lint*, cmd/longtailvet*)\n' $$lint; \
+	printf '%7d  *_test.go outside bench/\n' $$(find . -path ./bench -prune -o -name '*_test.go' -print | xargs cat | wc -l)

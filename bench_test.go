@@ -3,8 +3,7 @@
 // studies DESIGN.md calls out. Custom b.ReportMetric values surface the
 // headline numbers (TP/FP rates, rule counts, coverage shares) next to
 // the timing, so `go test -bench=. -benchmem` doubles as the
-// reproduction run. The three in-process serve benchmarks at the end
-// are the two sides of the multi-core fence (TestJournaledFence) and
+// reproduction run. The two in-process serve benchmarks at the end are
 // the shadow-tax pair; performance is otherwise measured by `go run
 // ./bench` and `make bench-layers` (DESIGN.md §11).
 //
@@ -14,7 +13,6 @@ package repro
 
 import (
 	"context"
-	"flag"
 	"fmt"
 	"io"
 	"net/http/httptest"
@@ -30,7 +28,6 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/experiments"
 	"repro/internal/features"
-	"repro/internal/journal"
 	"repro/internal/lifecycle"
 	"repro/internal/part"
 	"repro/internal/serve"
@@ -442,13 +439,7 @@ func BenchmarkPARTTraining(b *testing.B) {
 
 // serveBenchStreams is the client concurrency both serve benchmarks
 // drive: throughput is a capacity metric, and a daemon serves multiple
-// uplinks (loadgen's worker pool is the reference client). For the
-// journaled variant the concurrency is load-bearing: one synchronous
-// stream serializes every group-committed fsync behind its own batch's
-// classification, measuring commit latency instead of throughput,
-// while concurrent streams overlap one stream's fsync wait with
-// another's classification and share fsyncs through the journal's
-// group commit.
+// uplinks (loadgen's worker pool is the reference client).
 const serveBenchStreams = 4
 
 // driveServeBench replays month-2 batches through serveBenchStreams
@@ -483,14 +474,14 @@ func driveServeBench(b *testing.B, url string, replay []dataset.DownloadEvent, b
 	return int(sent.Load())
 }
 
-// serveBench is the set-up and the measured section the three serve
-// benchmarks share: an in-process longtaild over the shared world (the
-// sharded engine with tap installed, the HTTP server with opts) driven
-// by loadgen-style clients replaying month-2 events in batches. The
+// serveBench is the set-up and the measured section the two serve
+// benchmarks share: an in-process stateless longtaild over the shared
+// world (the sharded engine with tap installed behind the HTTP server)
+// driven by loadgen-style clients replaying month-2 events in batches. The
 // custom metric is sustained verdicts per second through the full wire
 // path (line-JSON encode, HTTP, queue, extract, classify, line-JSON
 // decode).
-func serveBench(b *testing.B, tap serve.BatchTap, opts ...serve.ServerOption) {
+func serveBench(b *testing.B, tap serve.BatchTap) {
 	w := sharedWorld(b)
 	engine, err := serve.NewEngine(w.Extractor, w.Rules, serve.EngineConfig{
 		Shards: runtime.GOMAXPROCS(0), QueueSize: 8192,
@@ -500,7 +491,7 @@ func serveBench(b *testing.B, tap serve.BatchTap, opts ...serve.ServerOption) {
 	}
 	defer engine.Close()
 	engine.SetBatchTap(tap)
-	srv, err := serve.NewServer(engine, classify.Reject, opts...)
+	srv, err := serve.NewServer(engine, classify.Reject)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -522,70 +513,6 @@ func serveBench(b *testing.B, tap serve.BatchTap, opts ...serve.ServerOption) {
 // BenchmarkServeThroughput measures the online serving subsystem end to
 // end, stateless: no journal, no tap.
 func BenchmarkServeThroughput(b *testing.B) { serveBench(b, nil) }
-
-// BenchmarkServeThroughputJournaled is BenchmarkServeThroughput with
-// the write-ahead journal enabled, striped over one shard per core:
-// every batch pays a group-committed fsync for its accept record
-// (overlapped with classification and with the other shards' fsyncs)
-// plus an async result record. The events/sec metric against the
-// unjournaled benchmark is the durability tax; the acceptance bar is
-// >= 80% of it on a multi-core runner (TestJournaledFence gates the
-// ratio at fenceMinRatio; a single-core host serializes the shards and
-// measures the overlap as overhead).
-func BenchmarkServeThroughputJournaled(b *testing.B) {
-	ledger, _, err := serve.OpenLedger(serve.LedgerOptions{
-		Journal: journal.Options{Dir: b.TempDir()},
-		Shards:  runtime.GOMAXPROCS(0),
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer ledger.Close()
-	serveBench(b, nil, serve.WithLedger(ledger))
-	js := ledger.Stats()
-	b.ReportMetric(float64(js.Syncs), "fsyncs")
-	b.ReportMetric(float64(js.Compactions), "compactions")
-}
-
-// The multi-core fence (`make bench-gate`): the journaled serve path
-// must keep fenceMinRatio of the unjournaled path's events/sec. Below
-// fenceMinCPUs the shards' fsyncs cannot overlap and the ratio measures
-// pure overhead, so the fence does not bind there.
-const (
-	fenceMinRatio = 0.65
-	fenceMinCPUs  = 4
-)
-
-var fence = flag.Bool("fence", false, "run TestJournaledFence (make bench-gate)")
-
-// benchEventsPerSec runs one serve benchmark to completion and returns
-// its events/sec; a benchmark that failed has none, and that fails t.
-func benchEventsPerSec(t *testing.T, name string, bench func(*testing.B)) float64 {
-	t.Helper()
-	r := testing.Benchmark(bench)
-	rate, ok := r.Extra["events/sec"]
-	if !ok || rate <= 0 {
-		t.Fatalf("%s reported no events/sec (N=%d)", name, r.N)
-	}
-	t.Logf("%s: %.0f events/sec over %d batches", name, rate, r.N)
-	return rate
-}
-
-func TestJournaledFence(t *testing.T) {
-	if !*fence {
-		t.Skip("runs two one-second benchmarks; `make bench-gate` selects it with -fence")
-	}
-	if n := runtime.NumCPU(); n < fenceMinCPUs {
-		t.Skipf("%d CPUs < %d: without parallel fsync pipelines the ratio is meaningless", n, fenceMinCPUs)
-	}
-	plain := benchEventsPerSec(t, "BenchmarkServeThroughput", BenchmarkServeThroughput)
-	journaled := benchEventsPerSec(t, "BenchmarkServeThroughputJournaled", BenchmarkServeThroughputJournaled)
-	ratio := journaled / plain
-	t.Logf("journaled/unjournaled events/sec = %.3f (fence %.2f)", ratio, fenceMinRatio)
-	if ratio < fenceMinRatio {
-		t.Fatalf("journaled serve path kept %.3f of the unjournaled events/sec, want >= %.2f", ratio, fenceMinRatio)
-	}
-}
 
 // BenchmarkServeThroughputShadow is BenchmarkServeThroughput with the
 // lifecycle shadow evaluator tapped into the engine and a challenger

@@ -145,7 +145,8 @@ func run() error {
 	// unauthenticated and hold goroutines for seconds, so they get their
 	// own (typically loopback-only) listener, opted in per run.
 	if *pprofAddr != "" {
-		//lint:allow goroutinelife the pprof listener is daemon-lifetime by design: it serves debug endpoints until the process exits and needs no shutdown handshake
+		// Daemon-lifetime by design: the listener serves debug endpoints
+		// until the process exits and needs no shutdown handshake.
 		go func() {
 			// net/http/pprof registers on http.DefaultServeMux.
 			log.Printf("longtaild: pprof on http://%s/debug/pprof/", *pprofAddr)

@@ -1,8 +1,8 @@
 // Command longtailvet runs the repo's project-specific static-analysis
-// suite (internal/lint): nine analyzers that mechanically enforce the
-// determinism, locking, lock-order, goroutine-lifetime, context-flow,
-// metric-naming, journal-ordering, retry-policy and error-wrapping
-// invariants the reproduction's correctness rests on.
+// suite (internal/lint): seven analyzers that mechanically enforce the
+// determinism, locking, lock-order, metric-naming, journal-ordering,
+// retry-policy and error-wrapping invariants the reproduction's
+// correctness rests on.
 //
 //	longtailvet [-json] ./...
 //

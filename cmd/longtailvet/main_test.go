@@ -27,9 +27,9 @@ func buildBinary(t *testing.T) string {
 // expectedFindings is the exact diagnostic set the badmod fixture
 // module must produce, as (file-position regexp, message regexp)
 // pairs. The serve findings are the interprocedural seeds: the
-// lock-order cycle and the dropped context only surface when the lock
-// package's facts reach serve's analysis. (Facts-positioned findings
-// carry no column, so those regexps only pin file and line.)
+// lock-order cycle only surfaces when the lock package's facts reach
+// serve's analysis. (Facts-positioned findings carry no column, so
+// those regexps only pin file and line.)
 var expectedFindings = []struct{ pos, msg string }{
 	{`app/app\.go:\d+:\d+`, `error formatted with %v loses the error chain`},
 	{`app/app\.go:\d+:\d+`, `comparing an error to sentinel ErrBusy with ==`},
@@ -38,9 +38,6 @@ var expectedFindings = []struct{ pos, msg string }{
 	{`synth/gen\.go:\d+:\d+`, `global math/rand\.Intn uses shared process state`},
 	{`serve/serve\.go:\d+`, `lock order cycle: serve\.mu -> lock\.mu -> serve\.mu`},
 	{`serve/serve\.go:\d+`, `lock order cycle: lock\.mu -> serve\.mu -> lock\.mu`},
-	{`serve/serve\.go:\d+:\d+`, `goroutine runs a for \{\} loop with no exit`},
-	{`serve/serve\.go:\d+:\d+`, `context\.Background\(\) in Handler severs the caller's deadline`},
-	{`serve/serve\.go:\d+:\d+`, `call drops the request context: lock\.Refresh roots a fresh context`},
 	{`serve/serve\.go:\d+`, `metric longtail_Served_Total is not snake_case`},
 }
 

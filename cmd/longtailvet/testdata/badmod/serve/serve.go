@@ -1,12 +1,10 @@
 // Package serve seeds one bug per interprocedural analyzer class: a
 // cross-package lock-order cycle (both directions visible only through
-// the lock package's facts), a leaked goroutine, a dropped request
-// context, and a misspelled metric. The longtailvet integration test
-// asserts each is caught by the built binary.
+// the lock package's facts) and a misspelled metric. The longtailvet
+// integration test asserts each is caught by the built binary.
 package serve
 
 import (
-	"context"
 	"fmt"
 	"net/http"
 	"sync"
@@ -32,25 +30,8 @@ func Flow2() {
 	})
 }
 
-// Spawn leaks a goroutine: an unexitable loop with no signal.
-func Spawn() {
-	go func() {
-		n := 0
-		for {
-			n++
-		}
-	}()
-}
-
-// Handler severs and then drops the request's context, and emits a
-// camel-case metric.
+// Handler emits a camel-case metric.
 func Handler(w http.ResponseWriter, r *http.Request) {
-	ctx := context.Background()
-	_ = ctx
-	if err := lock.Refresh(); err != nil {
-		http.Error(w, err.Error(), http.StatusBadGateway)
-		return
-	}
 	fmt.Fprintf(w, "longtail_Served_Total %d\n", 1)
 	//lint:allow metricdrift legacy dashboard still scrapes the old name
 	fmt.Fprintf(w, "longtail_Legacy_Rows %d\n", 1)

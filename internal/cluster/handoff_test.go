@@ -4,6 +4,9 @@ import (
 	"context"
 	"fmt"
 	"testing"
+	"time"
+
+	"repro/internal/leaktest"
 )
 
 // serveBatches forwards n distinct IDs through the router and returns
@@ -146,6 +149,20 @@ func TestLeavePartialHandoffKeepsSource(t *testing.T) {
 		t.Fatalf("retried Leave: %v", err)
 	}
 	retransmitAll(t, rt, replicas, bodies)
+
+	// A stalled import target and a caller with 50 ms to spare: the Leave
+	// fails when they are up, and the target's handler sees the push go.
+	hang := make(chan struct{})
+	defer close(hang)
+	replicas[2].set(func(f *fakeReplica) { f.hang = hang })
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	leaktest.Within(t, 2*time.Second, "a Leave whose caller gave it 50 ms", func() {
+		if err := rt.Leave(ctx, replicas[1].addr()); err == nil {
+			t.Error("Leave succeeded with its import target stalled")
+		}
+	})
+	leaktest.Until(t, 2*time.Second, "the stalled target saw the push end", func() bool { return replicas[2].abandoned.Load() > 0 })
 }
 
 // TestEjectFlipsStickyRoutes is the sticky-cache staleness regression:

@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"repro/internal/journal"
+	"repro/internal/leaktest"
 	"repro/internal/retry"
 	"repro/internal/serve"
 )
@@ -39,6 +40,7 @@ type fakeReplica struct {
 	ledger         map[string]string
 	classified     int
 	hang           chan struct{}
+	abandoned      atomic.Int64 // hung handlers that saw their request's context end
 	// failImport rejects that many handoff import chunks with a 500,
 	// simulating an importer that cannot journal.
 	failImport int
@@ -66,8 +68,11 @@ func (f *fakeReplica) handle(w http.ResponseWriter, r *http.Request) {
 	f.mu.Unlock()
 	switch r.URL.Path {
 	case "/classify":
-		if hang != nil {
-			<-hang
+		// net/http watches for the client going away only once the body
+		// has been read, as a real replica's decode stage does.
+		io.Copy(io.Discard, r.Body)
+		if f.parked(r, hang) {
+			return
 		}
 		f.mu.Lock()
 		defer f.mu.Unlock()
@@ -128,6 +133,9 @@ func (f *fakeReplica) handle(w http.ResponseWriter, r *http.Request) {
 			http.Error(w, "damaged chunk", http.StatusInternalServerError)
 			return
 		}
+		if f.parked(r, hang) {
+			return
+		}
 		f.mu.Lock()
 		defer f.mu.Unlock()
 		if f.failImport > 0 {
@@ -161,6 +169,21 @@ func (f *fakeReplica) handle(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
+// parked holds a hung replica's handler until the test closes hang or
+// the request's context ends, which it counts and reports.
+func (f *fakeReplica) parked(r *http.Request, hang chan struct{}) bool {
+	if hang == nil {
+		return false
+	}
+	select {
+	case <-hang:
+		return false
+	case <-r.Context().Done():
+		f.abandoned.Add(1)
+		return true
+	}
+}
+
 func (f *fakeReplica) set(fn func(*fakeReplica)) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -181,6 +204,7 @@ var fastPolicy = retry.Policy{
 
 func newTestRouter(t *testing.T, replicas []*fakeReplica, mutate func(*Options)) *Router {
 	t.Helper()
+	leaktest.Check(t) // a router's goroutines end with its Close
 	addrs := make([]string, len(replicas))
 	for i, f := range replicas {
 		addrs[i] = f.addr()
@@ -198,13 +222,14 @@ func newTestRouter(t *testing.T, replicas []*fakeReplica, mutate func(*Options))
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(rt.Close)
+	t.Cleanup(func() { leaktest.Within(t, 5*time.Second, "Router.Close", rt.Close) })
 	return rt
 }
 
 func TestRouterForwardStickyDedup(t *testing.T) {
 	replicas := []*fakeReplica{newFakeReplica(t), newFakeReplica(t), newFakeReplica(t)}
-	rt := newTestRouter(t, replicas, nil)
+	// The prober runs in this one; Close has to stop it and wait for it.
+	rt := newTestRouter(t, replicas, func(o *Options) { o.ProbeInterval = time.Millisecond })
 
 	ctx := context.Background()
 	first, err := rt.Forward(ctx, "req-000001", []byte("batch"), 0)
@@ -239,22 +264,13 @@ func TestForwardTakesNoRouterMutex(t *testing.T) {
 	rt := newTestRouter(t, replicas, nil)
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	done := make(chan error, 1)
-	go func() {
-		_, err := rt.Forward(context.Background(), "req-locked", []byte("batch"), 0)
-		if err == nil {
-			_, err = rt.Forward(context.Background(), "req-locked", []byte("batch"), 0)
+	leaktest.Within(t, 5*time.Second, "Forward, which must not wait for rt.mu,", func() {
+		for range 2 {
+			if _, err := rt.Forward(context.Background(), "req-locked", []byte("batch"), 0); err != nil {
+				t.Error(err)
+			}
 		}
-		done <- err
-	}()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("Forward blocked behind rt.mu")
-	}
+	})
 }
 
 func TestRouterFailoverOnError(t *testing.T) {
@@ -374,7 +390,10 @@ func TestRouterBreakerSkipsOpenNode(t *testing.T) {
 // TestRouterNeverRacesAStalledOwner: a replica that is slow, not
 // failed, keeps the request to itself. A second replica is asked only
 // after the first attempt has failed — two replicas classifying and
-// journaling one ID would be two authorities for it.
+// journaling one ID would be two authorities for it. What ends the wait
+// is the caller's context, whatever deadline a header states, and the
+// owner's handler sees the request go — each within seconds, so a hop
+// that drops the context fails this test, not the package's timeout.
 func TestRouterNeverRacesAStalledOwner(t *testing.T) {
 	replicas := []*fakeReplica{newFakeReplica(t), newFakeReplica(t)}
 	hang := make(chan struct{})
@@ -383,19 +402,27 @@ func TestRouterNeverRacesAStalledOwner(t *testing.T) {
 	rt := newTestRouter(t, replicas, nil)
 	id := "req-stalled"
 	owner := rt.ring.Load().Owner(id)
-	var other *fakeReplica
+	var stalled, other *fakeReplica
 	for _, f := range replicas {
 		if f.addr() == owner {
 			f.set(func(f *fakeReplica) { f.hang = hang })
+			stalled = f
 		} else {
 			other = f
 		}
 	}
+	// The client states a minute in its header; its context has 50 ms.
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
-	if _, err := rt.Forward(ctx, id, []byte("batch"), 0); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("Forward = %v, want the caller's deadline", err)
+	req := httptest.NewRequest(http.MethodPost, "/classify", strings.NewReader("batch")).WithContext(ctx)
+	req.Header.Set(serve.RequestIDHeader, id)
+	req.Header.Set(serve.TimeoutHeader, "60000")
+	rr := httptest.NewRecorder()
+	leaktest.Within(t, 5*time.Second, "the forward, which runs on its caller's context and so for 50 ms,", func() { rt.Handler().ServeHTTP(rr, req) })
+	if rr.Code != http.StatusServiceUnavailable || !strings.Contains(rr.Body.String(), context.DeadlineExceeded.Error()) {
+		t.Fatalf("forward = %d %q, want 503 for the caller's deadline", rr.Code, rr.Body)
 	}
+	leaktest.Until(t, 5*time.Second, "the stalled owner's handler saw the request end", func() bool { return stalled.abandoned.Load() > 0 })
 	if n := other.classifiedCount(); n != 0 {
 		t.Fatalf("the successor classified %d batches while the owner was still working", n)
 	}
@@ -464,6 +491,13 @@ func TestRouterGenerationConsistentReload(t *testing.T) {
 	if st.Status != "ok" || st.Generation != st.TargetGeneration {
 		t.Fatalf("status after reconciliation = %+v, want ok at target", st)
 	}
+
+	// A caller that has given up reloads nobody.
+	dead, cancel := context.WithCancel(context.Background())
+	cancel()
+	if gen, err := rt.Reload(dead, []byte(`{"rules":[]}`)); err == nil {
+		t.Fatalf("reload on a cancelled context reached generation %d", gen)
+	}
 }
 
 func TestRouterProbeEjectsAndReadmits(t *testing.T) {
@@ -529,16 +563,9 @@ func TestRouterJoinLeaveDrain(t *testing.T) {
 		_, err := rt.Forward(context.Background(), id, []byte("b"), 0)
 		fwdDone <- err
 	}()
-	// Wait for the forward to be in flight on the hanging replica.
-	for {
-		rt.mu.Lock()
-		inflight := rt.table()[replicas[0].addr()].inflight.Load()
-		rt.mu.Unlock()
-		if inflight > 0 {
-			break
-		}
-		time.Sleep(time.Millisecond)
-	}
+	leaktest.Until(t, 5*time.Second, "the forward is in flight on the hanging replica", func() bool {
+		return rt.table()[replicas[0].addr()].inflight.Load() > 0
+	})
 
 	leaveDone := make(chan error, 1)
 	go func() { leaveDone <- rt.Leave(context.Background(), replicas[0].addr()) }()

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/faults"
+	"repro/internal/leaktest"
 )
 
 // reopen recovers dir with the given shard count (closing nothing, so it
@@ -770,9 +771,7 @@ func TestFailedFsyncReachesEveryFollower(t *testing.T) {
 	<-g.entered // one of them leads; the rest wait on it or are about to
 	late := make(chan error, 1)
 	go func() { late <- appendRec(s, "k", 1, []byte("late")) }()
-	for s.Stats().Appends < covered+1 {
-		time.Sleep(time.Millisecond)
-	}
+	leaktest.Until(t, 5*time.Second, "the late append is written", func() bool { return s.Stats().Appends > covered })
 	close(g.release)
 	for i := 0; i < covered; i++ {
 		if err := <-errs; err == nil {

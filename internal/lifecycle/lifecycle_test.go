@@ -15,6 +15,7 @@ import (
 	"repro/internal/features"
 	"repro/internal/journal"
 	"repro/internal/labeling"
+	"repro/internal/leaktest"
 	"repro/internal/part"
 	"repro/internal/serve"
 	"repro/internal/synth"
@@ -185,11 +186,12 @@ func badChallenger(t *testing.T, f *fixture) *classify.Classifier {
 
 func newEval(t *testing.T, f *fixture, truth TruthFunc) *Evaluator {
 	t.Helper()
+	leaktest.Check(t) // the worker is gone once Close has returned
 	e, err := NewEvaluator(f.ex, truth)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(e.Close)
+	t.Cleanup(func() { leaktest.Within(t, 5*time.Second, "Evaluator.Close", e.Close) })
 	return e
 }
 
@@ -245,6 +247,27 @@ func TestEvaluatorIdenticalChallengerAgrees(t *testing.T) {
 		if !strings.Contains(body, want) {
 			t.Fatalf("metrics missing %q:\n%s", want, body)
 		}
+	}
+}
+
+// TestFlushWaitsForTheBatchesBeforeIt: Flush is the barrier gates and
+// tests synchronize on; a batch tapped before it is scored when it returns.
+func TestFlushWaitsForTheBatchesBeforeIt(t *testing.T) {
+	f := sharedFixture(t)
+	scoring, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	e := newEval(t, f, func(dataset.FileHash) (bool, bool) {
+		once.Do(func() { close(scoring); <-release })
+		return false, false
+	})
+	e.Tap()(f.replay[:1], champVerdicts(t, f, f.replay[:1]))
+	<-scoring
+	time.AfterFunc(50*time.Millisecond, func() { close(release) })
+	e.Flush()
+	select {
+	case <-release:
+	default:
+		t.Fatal("Flush returned while a batch tapped before it was still being scored")
 	}
 }
 
@@ -368,14 +391,16 @@ func journalOpts(t *testing.T) journal.Options {
 type fakePromoter struct {
 	mu    sync.Mutex
 	calls int
+	ctx   context.Context // the last call's
 	rules []byte
 	err   error
 }
 
-func (p *fakePromoter) Promote(_ context.Context, rulesJSON []byte) (uint64, error) {
+func (p *fakePromoter) Promote(ctx context.Context, rulesJSON []byte) (uint64, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.calls++
+	p.ctx = ctx
 	p.rules = append([]byte(nil), rulesJSON...)
 	if p.err != nil {
 		return 0, p.err
@@ -429,7 +454,8 @@ func TestManagerPromotesWithinBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	feedAll(t, f, e)
-	st, err := m.Tick(context.Background())
+	type tickKey struct{}
+	st, err := m.Tick(context.WithValue(context.Background(), tickKey{}, "tick"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -438,6 +464,9 @@ func TestManagerPromotesWithinBudget(t *testing.T) {
 	}
 	if p.calls != 1 {
 		t.Fatalf("promoter called %d times, want 1", p.calls)
+	}
+	if p.ctx.Value(tickKey{}) != "tick" {
+		t.Fatal("the promotion did not run on Tick's context: its caller's deadline and cancellation stop at the manager")
 	}
 	// The promoted payload must round-trip through the reload loader.
 	clf, err := serve.LoadRules(strings.NewReader(string(p.rules)), classify.Reject)

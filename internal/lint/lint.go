@@ -17,18 +17,18 @@
 //	              construction outside the retry/serve layers
 //	errwrap      — errors wrap with %w and compare with errors.Is
 //
-// Four analyzers are interprocedural, built on lintkit's cross-package
+// Two analyzers are interprocedural, built on lintkit's cross-package
 // facts (per-package summaries the loader computes for the whole
 // module — see lintkit/facts.go):
 //
 //	lockorder    — the global mutex-acquisition graph is acyclic; no
 //	              double locks
-//	goroutinelife — every go statement has a provable termination path
-//	              (WaitGroup.Done, channel signal, or context)
-//	ctxflow      — request paths propagate the caller's context; no
-//	              context.Background/TODO or deadline-dropping callees
 //	metricdrift  — longtail_* metric names are snake_case, uniquely
 //	              spelled tree-wide, and documented
+//
+// Goroutine lifetimes and context propagation are held by plain tests
+// (internal/leaktest and the cancellation tests in serve, cluster and
+// lifecycle); DESIGN.md §10 has the trial that decided so.
 //
 // Copies of lock- and atomic-bearing values are left to `go vet`'s
 // copylocks, which tier-1 runs; testdata/src/copylocks pins that.
@@ -52,8 +52,6 @@ func Suite() []*lintkit.Analyzer {
 		Determinism,
 		Lockguard,
 		Lockorder,
-		Goroutinelife,
-		Ctxflow,
 		Metricdrift,
 		JournalOrder,
 		RetryPolicy,

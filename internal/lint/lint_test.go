@@ -62,26 +62,6 @@ func TestLockorderClean(t *testing.T) {
 	lintkittest.Run(t, "testdata/src/lockorder/clean", Lockorder)
 }
 
-// TestGoroutinelife pins the leaked-goroutine class: unexitable loops
-// in literals and named spawns, and signal-free fire-and-forget.
-func TestGoroutinelife(t *testing.T) {
-	lintkittest.Run(t, "testdata/src/goroutinelife/app", Goroutinelife)
-}
-
-func TestGoroutinelifeClean(t *testing.T) {
-	lintkittest.Run(t, "testdata/src/goroutinelife/clean", Goroutinelife)
-}
-
-// TestCtxflow pins the dropped-context class: rooting on a request
-// path, and calling a (facts-resolved) callee that severs the deadline.
-func TestCtxflow(t *testing.T) {
-	lintkittest.Run(t, "testdata/src/ctxflow/serve", Ctxflow)
-}
-
-func TestCtxflowClean(t *testing.T) {
-	lintkittest.Run(t, "testdata/src/ctxflow/cluster", Ctxflow)
-}
-
 // withMetricDocs points metricdrift at the fixture's own documentation
 // file for the duration of one test.
 func withMetricDocs(t *testing.T, path string) {

@@ -11,28 +11,31 @@ import (
 )
 
 // The per-package summarizer behind facts.go: one lexical walk over
-// every function body producing the FuncFacts (lock events, call graph,
-// termination signals, context rooting) and the package's metric
-// literals. The lock model is deliberately lexical, mirroring how the
-// repo's code is written: Lock()/RLock() adds the mutex to the held
-// set, a non-deferred Unlock() removes it, and `defer mu.Unlock()`
-// keeps it held to the end of the body. That asymmetry matters: a
-// function that locks, unlocks, and then calls into another lock's
-// scope must NOT produce an ordering edge, or correct lock/unlock/call
-// sequences would read as deadlocks. One flow refinement tempers the
-// lexical rule: a `return` reverts deferred-release locks acquired
-// inside the innermost block containing it, so the common early-return
-// guard (`if err != nil { mu.Lock(); defer mu.Unlock(); ...; return }`)
-// does not leave the lock "held" over the rest of the body. Locks
-// acquired in an outer block stay held — the fall-through path past a
-// nested `if { return }` genuinely still holds them.
+// every function body producing the FuncFacts (lock events and the call
+// graph under them) and the package's metric literals. The lock model
+// is deliberately lexical, mirroring how the repo's code is written:
+// Lock()/RLock() adds the mutex to the held set, a non-deferred
+// Unlock() removes it, and `defer mu.Unlock()` keeps it held to the end
+// of the body. That asymmetry matters: a function that locks, unlocks,
+// and then calls into another lock's scope must NOT produce an ordering
+// edge, or correct lock/unlock/call sequences would read as deadlocks.
+// Two flow refinements temper the lexical rule, both at a `return`. It
+// reverts deferred-release locks acquired inside the innermost block
+// containing it, so the common early-return guard (`if err != nil {
+// mu.Lock(); defer mu.Unlock(); ...; return }`) does not leave the lock
+// "held" over the rest of the body; locks acquired in an outer block
+// stay held — the fall-through path past a nested `if { return }`
+// genuinely still holds them. And for the same reason it gives back the
+// outer locks its own block released on the way out (`if done {
+// mu.Unlock(); return }`): the code after the block is reached only by
+// the path that never unlocked.
 
-// CanonFuncName returns the canonical facts key for a function object:
+// canonFuncName returns the canonical facts key for a function object:
 // "pkg/path.Func", or "pkg/path.Type.Method" for methods (pointer and
 // value receivers collapse). Interface methods and unattributable
 // functions return "" — dispatch through an interface is dropped, not
 // widened, so every edge in the facts graph is a real static call.
-func CanonFuncName(fn *types.Func) string {
+func canonFuncName(fn *types.Func) string {
 	if fn == nil || fn.Pkg() == nil {
 		return ""
 	}
@@ -102,18 +105,6 @@ func SummarizePackage(path string, fset *token.FileSet, files []*ast.File, info 
 	return s.pf
 }
 
-// SummarizeFuncLit summarizes one function literal in isolation — the
-// on-the-fly path analyzers use for `go func() {...}()` bodies, where
-// the literal is at hand and only its callees need facts lookup.
-func SummarizeFuncLit(pkgPath string, fset *token.FileSet, info *types.Info, lit *ast.FuncLit) *FuncFact {
-	s := &summarizer{
-		pf:   &PackageFacts{Path: pkgPath, Funcs: make(map[string]*FuncFact)},
-		fset: fset,
-		info: info,
-	}
-	return s.summarizeFunc(pkgPath+".<golit>", lit.Type, lit.Body)
-}
-
 // collectMetrics records every longtail_* name in the file's string
 // literals. The bare prefix "longtail_" (a HasPrefix filter, not a
 // metric) is ignored.
@@ -150,7 +141,7 @@ type summarizer struct {
 // declName derives the canonical key for a declared function.
 func (s *summarizer) declName(fd *ast.FuncDecl) string {
 	if fn, ok := s.info.Defs[fd.Name].(*types.Func); ok {
-		if n := CanonFuncName(fn); n != "" {
+		if n := canonFuncName(fn); n != "" {
 			return n
 		}
 	}
@@ -160,15 +151,17 @@ func (s *summarizer) declName(fd *ast.FuncDecl) string {
 // heldLock is one held-set entry: the type-level identity plus the
 // syntactic receiver path ("l.mu") that distinguishes instances for
 // double-lock detection, and whether it is a shared (RLock) hold.
-// lockPos and deferRelease drive the early-return refinement: a
-// `return` drops entries scheduled for deferred release that were
-// acquired inside the return's innermost enclosing block.
+// lockPos, deferRelease and unlockPos drive the early-return
+// refinement: a `return` drops entries scheduled for deferred release
+// that were acquired inside the return's innermost enclosing block, and
+// restores entries acquired outside it that were released inside it.
 type heldLock struct {
 	id           string
 	path         string
 	rlock        bool
 	lockPos      token.Pos
 	deferRelease bool
+	unlockPos    token.Pos // set once released; see funcState.released
 }
 
 // funcState walks one function body.
@@ -177,6 +170,8 @@ type funcState struct {
 	ff     *FuncFact
 	params []*types.Var
 	held   []heldLock
+	// released are the entries explicit Unlocks took out of held.
+	released []heldLock
 
 	calls    map[string]bool
 	acquires map[string]bool
@@ -186,11 +181,8 @@ type funcState struct {
 	name     string
 	spawned  map[*ast.CallExpr]bool
 	deferred map[*ast.CallExpr]bool
-	// nilGuards are the body ranges of `if ctx == nil { ... }` blocks,
-	// inside which rooting a fresh context is the sanctioned fallback.
-	nilGuards [][2]token.Pos
 	// returnBlock maps each return statement to the start of its
-	// innermost enclosing block, for the deferred-release refinement.
+	// innermost enclosing block, for the two refinements at a return.
 	returnBlock map[*ast.ReturnStmt]token.Pos
 }
 
@@ -210,10 +202,6 @@ func (s *summarizer) summarizeFunc(name string, ft *ast.FuncType, body *ast.Bloc
 	}
 	if ft != nil && ft.Params != nil {
 		for _, field := range ft.Params.List {
-			t := s.info.TypeOf(field.Type)
-			if isContextType(t) || isHTTPRequestPtr(t) {
-				ff.CtxParam = true
-			}
 			n := len(field.Names)
 			if n == 0 {
 				n = 1 // unnamed parameter still occupies a slot
@@ -227,30 +215,11 @@ func (s *summarizer) summarizeFunc(name string, ft *ast.FuncType, body *ast.Bloc
 			}
 		}
 	}
-	fs.collectNilGuards(body)
 	fs.mapReturnBlocks(body, body.Pos())
 	ast.Inspect(body, fs.visit)
 	fs.finish()
 	s.pf.Funcs[name] = ff
 	return ff
-}
-
-// collectNilGuards records `if ctx == nil {}` body spans.
-func (fs *funcState) collectNilGuards(body *ast.BlockStmt) {
-	ast.Inspect(body, func(n ast.Node) bool {
-		ifs, ok := n.(*ast.IfStmt)
-		if !ok {
-			return true
-		}
-		if cond, ok := ifs.Cond.(*ast.BinaryExpr); ok && cond.Op == token.EQL {
-			for _, pair := range [][2]ast.Expr{{cond.X, cond.Y}, {cond.Y, cond.X}} {
-				if isNilExpr(pair[1]) && isContextType(fs.s.info.TypeOf(pair[0])) {
-					fs.nilGuards = append(fs.nilGuards, [2]token.Pos{ifs.Body.Pos(), ifs.Body.End()})
-				}
-			}
-		}
-		return true
-	})
 }
 
 // mapReturnBlocks records, for every return statement, the position of
@@ -283,20 +252,6 @@ func (fs *funcState) mapReturnBlocks(n ast.Node, cur token.Pos) {
 		return
 	}
 	walkChildren(n, func(c ast.Node) { fs.mapReturnBlocks(c, cur) })
-}
-
-func isNilExpr(e ast.Expr) bool {
-	id, ok := ast.Unparen(e).(*ast.Ident)
-	return ok && id.Name == "nil"
-}
-
-func (fs *funcState) inNilGuard(pos token.Pos) bool {
-	for _, r := range fs.nilGuards {
-		if pos >= r[0] && pos <= r[1] {
-			return true
-		}
-	}
-	return false
 }
 
 func (fs *funcState) litName(lit *ast.FuncLit) string {
@@ -332,38 +287,19 @@ func (fs *funcState) visit(n ast.Node) bool {
 				}
 			}
 			fs.held = kept
+			rest := fs.released[:0]
+			for _, r := range fs.released {
+				if r.unlockPos >= blockPos && r.lockPos < blockPos {
+					fs.held = append(fs.held, r)
+				} else {
+					rest = append(rest, r)
+				}
+			}
+			fs.released = rest
 		}
 		return true
 	case *ast.DeferStmt:
 		fs.deferred[n.Call] = true
-		return true
-	case *ast.SendStmt:
-		fs.ff.Signals = true
-		return true
-	case *ast.UnaryExpr:
-		if n.Op == token.ARROW {
-			fs.ff.Signals = true
-		}
-		return true
-	case *ast.SelectStmt:
-		fs.ff.Signals = true
-		return true
-	case *ast.RangeStmt:
-		if t := fs.s.info.TypeOf(n.X); t != nil {
-			if _, ok := t.Underlying().(*types.Chan); ok {
-				fs.ff.Signals = true
-			}
-		}
-		return true
-	case *ast.ForStmt:
-		if n.Cond == nil && !fs.ff.LoopNoExit {
-			if !loopHasExit(n.Body) && !hasSignal(fs.s.info, n.Body) {
-				pos := fs.s.fset.Position(n.Pos())
-				fs.ff.LoopNoExit = true
-				fs.ff.LoopFile = pos.Filename
-				fs.ff.LoopLine = pos.Line
-			}
-		}
 		return true
 	case *ast.CallExpr:
 		fs.handleCall(n)
@@ -381,14 +317,6 @@ func (fs *funcState) handleCall(call *ast.CallExpr) {
 	deferred := fs.deferred[call]
 	spawned := fs.spawned[call]
 	fun := ast.Unparen(call.Fun)
-
-	// Builtin close(ch) completes a channel handshake.
-	if id, ok := fun.(*ast.Ident); ok && id.Name == "close" {
-		if _, isBuiltin := info.Uses[id].(*types.Builtin); isBuiltin {
-			fs.ff.Signals = true
-			return
-		}
-	}
 
 	sel, isSel := fun.(*ast.SelectorExpr)
 	var callee *types.Func
@@ -417,29 +345,7 @@ func (fs *funcState) handleCall(call *ast.CallExpr) {
 		return
 	}
 
-	// Context rooting and context use.
-	if callee != nil && callee.Pkg() != nil && callee.Pkg().Path() == "context" &&
-		(callee.Name() == "Background" || callee.Name() == "TODO") {
-		if !fs.ff.RootsCtx && !fs.inNilGuard(call.Pos()) {
-			pos := fs.s.fset.Position(call.Pos())
-			fs.ff.RootsCtx = true
-			fs.ff.RootsFile = pos.Filename
-			fs.ff.RootsLine = pos.Line
-		}
-	}
-	if callee != nil && callee.Pkg() != nil && callee.Pkg().Path() == "sync" && callee.Name() == "Done" {
-		fs.ff.Signals = true // WaitGroup.Done: completion handshake
-	}
-	if isSel && isContextType(info.TypeOf(sel.X)) {
-		fs.ff.Signals = true // ctx.Done()/Err()/Deadline()/Value()
-	}
-	for _, arg := range call.Args {
-		if isContextType(info.TypeOf(arg)) {
-			fs.ff.Signals = true // context handed downstream
-		}
-	}
-
-	name := CanonFuncName(callee)
+	name := canonFuncName(callee)
 	if name != "" {
 		if !spawned {
 			fs.calls[name] = true
@@ -499,15 +405,21 @@ func (fs *funcState) mutexOp(sel *ast.SelectorExpr, call *ast.CallExpr, deferred
 			}
 			return
 		}
+		release := func(i int) {
+			h := fs.held[i]
+			h.unlockPos = call.Pos()
+			fs.released = append(fs.released, h)
+			fs.held = append(fs.held[:i], fs.held[i+1:]...)
+		}
 		for i := len(fs.held) - 1; i >= 0; i-- {
 			if fs.held[i].path == path {
-				fs.held = append(fs.held[:i], fs.held[i+1:]...)
+				release(i)
 				return
 			}
 		}
 		for i := len(fs.held) - 1; i >= 0; i-- {
 			if fs.held[i].id == id {
-				fs.held = append(fs.held[:i], fs.held[i+1:]...)
+				release(i)
 				return
 			}
 		}
@@ -598,77 +510,6 @@ func isSyncMutex(named *types.Named) bool {
 		(obj.Name() == "Mutex" || obj.Name() == "RWMutex")
 }
 
-// isContextType reports whether t is context.Context.
-func isContextType(t types.Type) bool {
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj.Pkg() != nil && obj.Pkg().Path() == "context" && obj.Name() == "Context"
-}
-
-// isHTTPRequestPtr reports whether t is *net/http.Request — carrying a
-// request is carrying its context.
-func isHTTPRequestPtr(t types.Type) bool {
-	ptr, ok := t.(*types.Pointer)
-	if !ok {
-		return false
-	}
-	named, ok := ptr.Elem().(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj.Pkg() != nil && obj.Pkg().Path() == "net/http" && obj.Name() == "Request"
-}
-
-// loopHasExit reports whether a `for {}` body contains a reachable way
-// out: a return, a break binding to this loop, a goto, or a
-// non-returning call (panic, os.Exit, log.Fatal*, testing Fatal*).
-func loopHasExit(body *ast.BlockStmt) bool {
-	exit := false
-	var scan func(n ast.Node, nested bool)
-	scan = func(n ast.Node, nested bool) {
-		if n == nil || exit {
-			return
-		}
-		switch n := n.(type) {
-		case *ast.ReturnStmt:
-			exit = true
-		case *ast.BranchStmt:
-			switch n.Tok {
-			case token.GOTO:
-				exit = true
-			case token.BREAK:
-				// Unlabeled break binds to the nearest enclosing
-				// breakable; labeled break is assumed to target this
-				// loop or further out.
-				if !nested || n.Label != nil {
-					exit = true
-				}
-			}
-		case *ast.CallExpr:
-			if isNoReturnCall(n) {
-				exit = true
-			}
-			for _, a := range n.Args {
-				scan(a, nested)
-			}
-		case *ast.FuncLit:
-			// A nested function's returns don't exit this loop.
-		case *ast.ForStmt, *ast.RangeStmt:
-			walkChildren(n, func(c ast.Node) { scan(c, true) })
-		case *ast.SelectStmt, *ast.SwitchStmt, *ast.TypeSwitchStmt:
-			walkChildren(n, func(c ast.Node) { scan(c, true) })
-		default:
-			walkChildren(n, func(c ast.Node) { scan(c, nested) })
-		}
-	}
-	scan(body, false)
-	return exit
-}
-
 // walkChildren applies fn to each direct child of n.
 func walkChildren(n ast.Node, fn func(ast.Node)) {
 	first := true
@@ -682,66 +523,4 @@ func walkChildren(n ast.Node, fn func(ast.Node)) {
 		}
 		return false
 	})
-}
-
-// isNoReturnCall recognizes calls that never return control.
-func isNoReturnCall(call *ast.CallExpr) bool {
-	var name string
-	switch f := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		name = f.Name
-	case *ast.SelectorExpr:
-		name = f.Sel.Name
-	default:
-		return false
-	}
-	return name == "panic" || name == "Exit" || name == "Goexit" || strings.HasPrefix(name, "Fatal")
-}
-
-// hasSignal reports whether any termination/pacing signal appears under
-// n: a channel operation, select, range over a channel, close, a
-// WaitGroup.Done, or any context use.
-func hasSignal(info *types.Info, n ast.Node) bool {
-	found := false
-	ast.Inspect(n, func(c ast.Node) bool {
-		if found {
-			return false
-		}
-		switch c := c.(type) {
-		case *ast.SendStmt, *ast.SelectStmt:
-			found = true
-		case *ast.UnaryExpr:
-			if c.Op == token.ARROW {
-				found = true
-			}
-		case *ast.RangeStmt:
-			if t := info.TypeOf(c.X); t != nil {
-				if _, ok := t.Underlying().(*types.Chan); ok {
-					found = true
-				}
-			}
-		case *ast.CallExpr:
-			if id, ok := ast.Unparen(c.Fun).(*ast.Ident); ok && id.Name == "close" {
-				if _, isBuiltin := info.Uses[id].(*types.Builtin); isBuiltin {
-					found = true
-				}
-			}
-			if sel, ok := ast.Unparen(c.Fun).(*ast.SelectorExpr); ok {
-				if isContextType(info.TypeOf(sel.X)) {
-					found = true
-				}
-				if fn, ok := info.Uses[sel.Sel].(*types.Func); ok && fn.Pkg() != nil &&
-					fn.Pkg().Path() == "sync" && fn.Name() == "Done" {
-					found = true
-				}
-			}
-			for _, a := range c.Args {
-				if isContextType(info.TypeOf(a)) {
-					found = true
-				}
-			}
-		}
-		return !found
-	})
-	return found
 }

@@ -6,11 +6,11 @@ import "strings"
 // its typed syntax into a PackageFacts value: a lightweight call graph
 // (static calls and method sets; interface dispatch is dropped rather
 // than widened, so every recorded edge is real), the mutex events each
-// function performs, goroutine-termination signals, context rooting,
-// and the `longtail_*` metric literals the package emits. The loader
-// computes them for every in-module package before analysis begins, so
-// the one in-memory FactSet answers interprocedural questions ("what
-// locks does this callee take, transitively?") for the whole module.
+// function performs, and the `longtail_*` metric literals the package
+// emits. The loader computes them for every in-module package before
+// analysis begins, so the one in-memory FactSet answers interprocedural
+// questions ("what locks does this callee take, transitively?") for the
+// whole module.
 
 // LockEdge is one ordered pair in the global mutex-acquisition graph:
 // the lock To was (or would be) acquired while From was held, at
@@ -74,24 +74,6 @@ type FuncFact struct {
 	InvokesParamUnder []ParamInvoke
 	// ClosureArgs are function literals handed to static callees.
 	ClosureArgs []ClosureArg
-	// Signals reports a termination/completion signal in the body: a
-	// channel operation or select, a WaitGroup.Done, or any use of a
-	// context (Done/Err or passing one to a call).
-	Signals bool
-	// LoopNoExit reports a `for {}` loop with no reachable exit (return,
-	// break, panic/fatal) and no signal inside — a goroutine running it
-	// can never terminate. LoopFile/LoopLine locate the loop.
-	LoopNoExit bool
-	LoopFile   string
-	LoopLine   int
-	// RootsCtx reports a context.Background()/TODO() call outside an
-	// `if ctx == nil` guard; CtxParam reports a context.Context or
-	// *http.Request parameter. A RootsCtx function without a CtxParam
-	// severs any caller's deadline.
-	RootsCtx  bool
-	RootsFile string
-	RootsLine int
-	CtxParam  bool
 }
 
 // MetricUse is one `longtail_*` metric name occurrence in non-test code.

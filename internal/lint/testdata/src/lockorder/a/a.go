@@ -28,6 +28,18 @@ func Two() {
 	})
 }
 
+// EarlyOut is the ledger's accept shape: the guard's Unlock belongs to
+// the path that returns, so the call below it still runs under muA.
+func EarlyOut(done bool) {
+	muA.Lock()
+	if done {
+		muA.Unlock()
+		return
+	}
+	b.Do() // want `lock order cycle`
+	muA.Unlock()
+}
+
 // Counter carries its own lock.
 type Counter struct {
 	mu sync.Mutex

@@ -36,6 +36,19 @@ func UnlockThen() {
 	b.Do()
 }
 
+// GuardThenRelock releases on both paths; the guard's return hands mu
+// back only to the code between the guard and the second Unlock.
+func GuardThenRelock(skip bool) {
+	mu.Lock()
+	if skip {
+		mu.Unlock()
+		return
+	}
+	mu.Unlock()
+	mu.Lock()
+	mu.Unlock()
+}
+
 // PlainClosure hands b a closure that takes no locks.
 func PlainClosure() {
 	done := false

@@ -614,12 +614,14 @@ func (e *Engine) processFrame(f *shardBatch, ws *workerState) {
 		b.shed.Add(int64(tally.shed))
 	}
 	// Scrub and recycle the frame before signaling: after done.Add the
-	// batch (and its arrays) may be long gone.
+	// batch (and its arrays) may be long gone. The admission slots go
+	// first, so that QueueDepth is exact once Wait has returned, as the
+	// tallies are.
 	f.batch, f.ctx = nil, nil
 	f.idx = f.idx[:0]
 	framePool.Put(f)
-	b.done.Add(-n)
 	e.decInflight(int64(n))
+	b.done.Add(-n)
 }
 
 // decInflight releases n admission slots and wakes a draining Close

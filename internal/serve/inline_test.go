@@ -61,13 +61,16 @@ func TestInlineFramesDifferential(t *testing.T) {
 			}
 		}
 
+		// A worker that signalled the previous batch done may still hold its
+		// shard's lock and beat this Submit's TryLock: wait it out.
+		lockShards(inline)()
 		pending, err := inline.Submit(ctx, batch)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if n <= inlineFrameEvents {
-			// No frame can be longer than the batch, and nothing else uses
-			// this engine: every frame ran before Submit returned.
+			// No frame can be longer than the batch and every shard is
+			// free: every frame ran before Submit returned.
 			sawInline = true
 			if d := inline.QueueDepth(); d != 0 {
 				t.Fatalf("batch %d (%d events): %d events still queued after Submit; short frames did not run on the caller", b, n, d)

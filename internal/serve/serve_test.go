@@ -19,6 +19,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/features"
 	"repro/internal/labeling"
+	"repro/internal/leaktest"
 	"repro/internal/synth"
 )
 
@@ -225,6 +226,7 @@ func TestEngineBackpressure(t *testing.T) {
 // TestEngineDrain: admission stops immediately at Close, but every
 // admitted event still receives a verdict.
 func TestEngineDrain(t *testing.T) {
+	leaktest.Check(t) // Close returns once the workers have exited
 	f := sharedFixture(t)
 	engine, err := NewEngine(f.ex, f.clf, EngineConfig{Shards: 2, QueueSize: 256}, &Metrics{})
 	if err != nil {
@@ -241,7 +243,7 @@ func TestEngineDrain(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	engine.Close()
+	leaktest.Within(t, 5*time.Second, "Engine.Close", engine.Close)
 	for g := 0; g < 4; g++ {
 		if errs[g] != nil {
 			t.Fatalf("pre-drain batch %d: %v", g, errs[g])

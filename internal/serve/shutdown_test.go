@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/classify"
 	"repro/internal/journal"
+	"repro/internal/leaktest"
 )
 
 // TestShutdownInFlightClassify: requests racing a shutdown either
@@ -150,6 +151,7 @@ func TestDrainWithNonEmptyJournal(t *testing.T) {
 // are all idempotent; a supervisor that Closes twice (signal + defer)
 // must not hang or panic.
 func TestDoubleCloseServer(t *testing.T) {
+	leaktest.Check(t) // the deferred worker, the engine's workers and whatever a ledger starts
 	f := sharedFixture(t)
 	l, _, err := OpenLedger(LedgerOptions{Journal: journal.Options{Dir: t.TempDir()}})
 	if err != nil {
@@ -160,7 +162,7 @@ func TestDoubleCloseServer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv.Close()
+	leaktest.Within(t, 5*time.Second, "Server.Close", srv.Close)
 	srv.Close()
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
@@ -261,6 +263,23 @@ func TestDeadlineShedOverHTTP(t *testing.T) {
 	jsrv.Handler().ServeHTTP(rr, req)
 	if rr.Code != http.StatusAccepted {
 		t.Fatalf("expired journaled classify = %d, want 202", rr.Code)
+	}
+
+	// A client that hangs up while its frames are queued: the request's
+	// context is the frames', so the workers shed them.
+	leaktest.Until(t, 5*time.Second, "the deferred batch above has left the queue", func() bool { _, done := l.Lookup("late-1"); return done })
+	unlock := lockShards(engine) // every frame queues behind its shard's lock
+	ctx, cancel = context.WithCancel(context.Background())
+	req = httptest.NewRequest(http.MethodPost, "/classify", bytes.NewReader(body)).WithContext(ctx)
+	req.Header.Set(RequestIDHeader, "hung-up-1")
+	go jsrv.Handler().ServeHTTP(httptest.NewRecorder(), req)
+	leaktest.Until(t, 5*time.Second, "the batch is queued", func() bool { return engine.QueueDepth() == 3 })
+	shed := engine.Metrics().ShedExpired.Load()
+	cancel()
+	unlock()
+	leaktest.Until(t, 5*time.Second, "the queued frames are served or shed", func() bool { return engine.QueueDepth() == 0 })
+	if got := engine.Metrics().ShedExpired.Load() - shed; got != 3 {
+		t.Fatalf("%d of the 3 events a hung-up client left queued were shed; the frames do not carry the request's context", got)
 	}
 }
 
