@@ -91,14 +91,17 @@ govulncheck:
 # (one fuzzer over the one on-disk format), the //lint:allow directive
 # parser, and the compiled feature context's table (its seeds include a
 # 70,000-byte key, and minimizing inputs that size for the default
-# minute each would be the whole smoke, hence -fuzzminimizetime). Six
-# at 20s and the fast path's four at 15s: three minutes in all.
+# minute each would be the whole smoke, hence -fuzzminimizetime), and
+# the router's link to its replicas against arbitrary reply bytes, with
+# http.Transport as its oracle. Six at 20s, the fast path's four and the
+# link at 15s: a little over three minutes in all.
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzUnmarshalEventLine -fuzztime=20s -run '^$$' ./internal/export/
 	$(GO) test -fuzz=FuzzParseEventLineRaw -fuzztime=15s -run '^$$' ./internal/export/
 	$(GO) test -fuzz=FuzzJSONStringEncoders -fuzztime=15s -run '^$$' ./internal/export/
 	$(GO) test -fuzz=FuzzStampCodec -fuzztime=15s -run '^$$' ./internal/export/
 	$(GO) test -fuzz=FuzzParseVerdictLineRaw -fuzztime=15s -run '^$$' ./internal/serve/
+	$(GO) test -fuzz=FuzzLinkResponse -fuzztime=15s -run '^$$' ./internal/serve/
 	$(GO) test -fuzz=FuzzRecovery -fuzztime=20s -run '^$$' ./internal/journal/
 	$(GO) test -fuzz=FuzzParseAllowDirective -fuzztime=20s -run '^$$' ./internal/lint/lintkit/
 	$(GO) test -fuzz='^FuzzBinaryEvents$$' -fuzztime=20s -run '^$$' ./internal/serve/
@@ -198,11 +201,14 @@ e2e-record:
 # accept record made durable, append and wait apart; and the journal's
 # raw append on real files, durable and async, one and two shards, at
 # the accept record's and the result record's size, into preallocated
-# segments and into growing ones (fsyncs/op beside ns/op). Seconds per
-# run: the first thing to look at before a 30-second real-process pair
+# segments and into growing ones (fsyncs/op beside ns/op) — and the
+# router hop: one 64-event batch through Router.Forward to a null
+# replica over loopback, on the link and on net/http's transport
+# (dials/op beside ns/op), and the ring pick. Seconds per run: the
+# first thing to look at before a 30-second real-process pair
 # (e2e-compare).
 bench-layers:
-	$(GO) test -run '^$$' -bench . -benchmem $(BENCHFLAGS) ./internal/serve ./internal/journal ./internal/export ./internal/features ./internal/classify
+	$(GO) test -run '^$$' -bench . -benchmem $(BENCHFLAGS) ./internal/serve ./internal/journal ./internal/cluster ./internal/export ./internal/features ./internal/classify
 
 bench-layers-smoke:
 	$(MAKE) bench-layers BENCHFLAGS=-benchtime=1x

@@ -11,6 +11,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"syscall"
 	"testing"
@@ -265,6 +266,27 @@ func TestRouterOverDaemons(t *testing.T) {
 	}
 	if t.Failed() {
 		t.Logf("loadgen output:\n%s", out)
+	}
+
+	// The forward histogram times every exchange with a node, answered or
+	// failed — the dead daemon's refused retransmits included.
+	metrics, err := router.client.Metrics(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range daemons {
+		series := func(name string) int {
+			m := regexp.MustCompile(name + `\{node="` + regexp.QuoteMeta(d.addr) + `"\} (\d+)\n`).FindStringSubmatch(metrics)
+			if m == nil {
+				t.Fatalf("router /metrics has no %s for %s", name, d.addr)
+			}
+			n, _ := strconv.Atoi(m[1]) // matched as digits
+			return n
+		}
+		timed, served, failed := series("longtail_router_forward_latency_seconds_count"), series("longtail_node_served_total"), series("longtail_node_failed_total")
+		if timed == 0 || timed != served+failed {
+			t.Errorf("%s: %d exchanges timed, %d served + %d failed", d.addr, timed, served, failed)
+		}
 	}
 
 	if err := router.cmd.Process.Signal(syscall.SIGTERM); err != nil {

@@ -100,7 +100,7 @@ type Cluster struct {
 	opts  Options
 	inj   *faults.Injector
 	ctx   context.Context
-	base  *http.Transport
+	base  *serve.Link
 	plain *http.Client // no injected faults, for Direct
 	front *httptest.Server
 	first [][]byte // first response body per batch, nil until answered
@@ -154,12 +154,10 @@ func Boot(opts Options) (*Cluster, error) {
 		}
 	}
 
-	c.base = &http.Transport{DialContext: func(ctx context.Context, network, addr string) (net.Conn, error) {
+	c.base = &serve.Link{Dial: func(ctx context.Context, network, addr string) (net.Conn, error) {
 		return new(net.Dialer).DialContext(ctx, network, c.resolve(addr))
 	}}
-	//lint:allow retrypolicy the kit wires the name-resolving (and fault-injecting) transport directly; serve.Client and the router supply the retry, breaker and failover layers above it
-	newClient := func(rt http.RoundTripper) *http.Client { return &http.Client{Transport: rt} }
-	c.plain = newClient(c.base)
+	c.plain = c.base.Client()
 	linked := c.plain
 	if c.inj != nil {
 		link, err := faults.NewTransport(c.inj, c.base)
@@ -167,7 +165,8 @@ func Boot(opts Options) (*Cluster, error) {
 			c.Close()
 			return nil, err
 		}
-		c.Link, linked = link, newClient(link)
+		//lint:allow retrypolicy the kit wires the fault-injecting transport directly; serve.Client and the router supply the retry, breaker and failover layers above it
+		c.Link, linked = link, &http.Client{Transport: link}
 	}
 	if !opts.Router {
 		c.Client = &serve.Client{BaseURL: "http://" + c.Nodes[0].Name, HTTPClient: linked}

@@ -6,8 +6,8 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"strconv"
 
-	"repro/internal/retry"
 	"repro/internal/serve"
 )
 
@@ -54,6 +54,12 @@ func readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
 }
 
 func (rt *Router) handleClassify(w http.ResponseWriter, r *http.Request) {
+	// The header first, as the node reads it: refused before the body is read.
+	timeout, err := serve.ParseTimeout(r.Header.Get(serve.TimeoutHeader))
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
+	}
 	body, ok := readBody(w, r)
 	if !ok {
 		return
@@ -63,11 +69,6 @@ func (rt *Router) handleClassify(w http.ResponseWriter, r *http.Request) {
 		id = rt.NextRequestID()
 	}
 	ctx := r.Context()
-	timeout, err := serve.ParseTimeout(r.Header.Get(serve.TimeoutHeader))
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
 	if timeout > 0 {
 		// Propagate the client's deadline: the router gives up when the
 		// client would, and forwards the same budget to the replica so it
@@ -85,6 +86,7 @@ func (rt *Router) handleClassify(w http.ResponseWriter, r *http.Request) {
 	if replyType != "" {
 		w.Header().Set("Content-Type", replyType)
 	}
+	w.Header().Set("Content-Length", strconv.Itoa(len(data))) // as the node declares it: one buffer at the reader, no chunking
 	w.Write(data)
 }
 
@@ -92,11 +94,12 @@ func (rt *Router) handleClassify(w http.ResponseWriter, r *http.Request) {
 // clients already retry against: 503 (retryable) for availability
 // problems, the replica's own refusal for permanent ones.
 func writeForwardError(w http.ResponseWriter, err error) {
+	var refused *serve.StatusError
 	switch {
+	case errors.As(err, &refused): // a 413 says "split the batch", a 400 "fix the bytes"
+		http.Error(w, err.Error(), refused.Code)
 	case errors.Is(err, ErrNoReplica), errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
 		http.Error(w, err.Error(), http.StatusServiceUnavailable)
-	case retry.IsPermanent(err):
-		http.Error(w, err.Error(), http.StatusBadRequest)
 	default:
 		http.Error(w, err.Error(), http.StatusBadGateway)
 	}
@@ -237,5 +240,8 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		}
 		fmt.Fprintf(w, "longtail_breaker_trips_total{node=%q} %d\n", n.Addr, n.BreakerTrips)
 		fmt.Fprintf(w, "longtail_handoff_pending{node=%q} %d\n", n.Addr, n.HandoffPending)
+	}
+	for _, n := range rt.nodeList() {
+		n.forwardLatency.Write(w, "longtail_router_forward_latency_seconds", fmt.Sprintf("node=%q", n.addr))
 	}
 }

@@ -57,10 +57,11 @@ type node struct {
 	probeFails atomic.Int32  // consecutive failed health probes
 	inflight   atomic.Int64  // forwards in flight (drained on Leave)
 
-	served   atomic.Uint64 // successful forwards answered by this node
-	failed   atomic.Uint64 // forward attempts that errored on this node
-	probeOK  atomic.Uint64
-	probeErr atomic.Uint64
+	served         atomic.Uint64 // successful forwards answered by this node
+	failed         atomic.Uint64 // forward attempts that errored on this node
+	probeOK        atomic.Uint64
+	probeErr       atomic.Uint64
+	forwardLatency serve.Histogram // every exchange, answered or failed
 
 	// handoffPending counts migrating ranges this node still owes (or is
 	// owed): non-zero after a partial drain or while an ejected node's
@@ -89,8 +90,8 @@ type Options struct {
 	// initial ring.
 	Replicas []string
 	// HTTPClient is the shared transport for all replica links — the
-	// decoration point for internal/faults.Transport. nil selects
-	// http.DefaultClient.
+	// decoration point for internal/faults.Transport. nil selects a
+	// serve.Link of the router's own; Close closes its idle connections.
 	HTTPClient *http.Client
 	// Retry is the per-replica client policy (used for deferred-result
 	// polling and reload fan-out, not for /classify attempts — cross-node
@@ -128,6 +129,9 @@ func (o Options) withDefaults() Options {
 	}
 	if o.EjectAfter == 0 {
 		o.EjectAfter = 3
+	}
+	if o.HTTPClient == nil {
+		o.HTTPClient = new(serve.Link).Client()
 	}
 	return o
 }
@@ -275,12 +279,13 @@ func (rt *Router) newNode(addr string) (*node, error) {
 // table returns the current member table; callers do not modify it.
 func (rt *Router) table() map[string]*node { return *rt.nodes.Load() }
 
-// Close stops the background prober.
+// Close stops the background prober and closes idle replica connections.
 func (rt *Router) Close() {
 	if rt.probeStop != nil {
 		rt.probeStop()
 		<-rt.probeDone
 	}
+	rt.opts.HTTPClient.CloseIdleConnections()
 }
 
 // NextRequestID mints a request ID for a client that sent none, unique
@@ -401,7 +406,9 @@ func (rt *Router) attempt(ctx context.Context, n *node, id, contentType string, 
 // exchange sends the batch to n once and resolves the breaker slot the
 // caller holds, or the single-probe half-open admission would wedge.
 func (rt *Router) exchange(ctx context.Context, n *node, id, contentType string, body []byte, timeout time.Duration) (data []byte, replyType string, err error) {
+	start := time.Now()
 	data, replyType, err = n.client.ClassifyRaw(ctx, id, contentType, body, timeout)
+	n.forwardLatency.Observe(time.Since(start))
 	if err == nil {
 		n.served.Add(1)
 	} else if !retry.IsPermanent(err) {

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"sort"
@@ -40,6 +41,7 @@ type fakeReplica struct {
 	ledger         map[string]string
 	classified     int
 	hang           chan struct{}
+	parkedTotal    atomic.Int64 // handlers that found the replica hung
 	abandoned      atomic.Int64 // hung handlers that saw their request's context end
 	// failImport rejects that many handoff import chunks with a 500,
 	// simulating an importer that cannot journal.
@@ -56,6 +58,25 @@ func newFakeReplica(t *testing.T) *fakeReplica {
 }
 
 func (f *fakeReplica) addr() string { return f.srv.Listener.Addr().String() }
+
+// restart closes the replica's listener and every connection into it,
+// then serves the same state on the same address: what a restarted
+// longtaild is to the connections the router kept.
+func (f *fakeReplica) restart(t *testing.T) {
+	t.Helper()
+	addr := f.addr()
+	f.srv.Close()
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewUnstartedServer(http.HandlerFunc(f.handle))
+	srv.Listener.Close()
+	srv.Listener = ln
+	f.srv = srv
+	srv.Start()
+	t.Cleanup(srv.Close)
+}
 
 func (f *fakeReplica) handle(w http.ResponseWriter, r *http.Request) {
 	f.mu.Lock()
@@ -175,6 +196,7 @@ func (f *fakeReplica) parked(r *http.Request, hang chan struct{}) bool {
 	if hang == nil {
 		return false
 	}
+	f.parkedTotal.Add(1)
 	select {
 	case <-hang:
 		return false

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/classify"
+	"repro/internal/dataset"
 	"repro/internal/export"
 	"repro/internal/features"
 	"repro/internal/journal"
@@ -47,12 +48,11 @@ func (rr *replyRecorder) RoundTrip(r *http.Request) (*http.Response, error) {
 	return resp, nil
 }
 
-// TestRouterCarriesBinaryWire: a binary-format batch sent through the
-// router's HTTP surface to real serve.Servers comes back as binary
-// verdicts serve.Client decodes — on the first transmit, which is made
-// to fail over, and on the sticky retransmit, which the pinned
-// replica's ledger answers with the same bytes.
-func TestRouterCarriesBinaryWire(t *testing.T) {
+// matchAllWorld is a small corpus's extractor and events, and a rule set
+// of one rule every event matches, so the expected verdict is known
+// without an offline pass.
+func matchAllWorld(t *testing.T) (*features.Extractor, *classify.Classifier, []dataset.DownloadEvent) {
+	t.Helper()
 	res, err := synth.Generate(synth.DefaultConfig(7, 0.004))
 	if err != nil {
 		t.Fatal(err)
@@ -62,8 +62,6 @@ func TestRouterCarriesBinaryWire(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// One rule every event matches, so the expected verdict is known
-	// without an offline pass.
 	clf, err := classify.NewFromRules([]part.Rule{{
 		Conditions: []part.Condition{{
 			AttrIndex: features.NumNominal, AttrName: features.AttributeNames[features.NumNominal],
@@ -74,6 +72,50 @@ func TestRouterCarriesBinaryWire(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return ex, clf, res.Store.Events()
+}
+
+// realNode is a serve.Server without a ledger over matchAllWorld, where
+// newTestRouter expects a replica, and the world's events.
+func realNode(t *testing.T, cfg serve.EngineConfig) (*fakeReplica, []dataset.DownloadEvent) {
+	t.Helper()
+	ex, clf, events := matchAllWorld(t)
+	engine, err := serve.NewEngine(ex, clf, cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(engine.Close)
+	srv, err := serve.NewServer(engine, classify.Reject)
+	if err != nil {
+		t.Fatal(err)
+	}
+	node := &fakeReplica{srv: httptest.NewServer(srv.Handler())}
+	t.Cleanup(node.srv.Close)
+	return node, events
+}
+
+// eventLines is events as a line-JSON /classify body.
+func eventLines(t *testing.T, events []dataset.DownloadEvent) []byte {
+	t.Helper()
+	var body []byte
+	for i := range events {
+		line, err := export.AppendEventLine(body, &events[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		body = append(line, '\n')
+	}
+	return body
+}
+
+// TestRouterCarriesBinaryWire: a binary-format batch sent through the
+// router's HTTP surface to real serve.Servers comes back as binary
+// verdicts serve.Client decodes — on the first transmit, which is made
+// to fail over, and on the sticky retransmit, which the pinned
+// replica's ledger answers with the same bytes.
+func TestRouterCarriesBinaryWire(t *testing.T) {
+	ex, clf, events := matchAllWorld(t)
+	events = events[:16]
 	// failNext makes the next /classify to reach any replica a 500: the
 	// ring owner's attempt fails and the batch lands on its successor.
 	var failNext atomic.Int32
@@ -114,12 +156,11 @@ func TestRouterCarriesBinaryWire(t *testing.T) {
 	front := httptest.NewServer(rt.Handler())
 	t.Cleanup(front.Close)
 
-	rec := &replyRecorder{wrapped: http.DefaultTransport}
+	rec := &replyRecorder{wrapped: new(serve.Link)}
 	client := &serve.Client{
 		BaseURL: front.URL, Binary: true,
 		HTTPClient: &http.Client{Transport: rec},
 	}
-	events := res.Store.Events()[:16]
 	failNext.Store(1)
 	for pass := 0; pass < 2; pass++ {
 		verdicts, err := client.ClassifyWithID(context.Background(), "bin-000001", events)
@@ -153,51 +194,15 @@ func TestRouterCarriesBinaryWire(t *testing.T) {
 
 // TestTimeoutHeaderReadOneWay: a node and the router in front of it
 // read X-Timeout-Ms by the same rule (serve.ParseTimeout), so a client
-// hears the same status for the same header whichever it talks to.
+// hears the same status for the same header whichever it talks to — and
+// both read it first: a request refused for its header has not cost a
+// body read.
 func TestTimeoutHeaderReadOneWay(t *testing.T) {
-	res, err := synth.Generate(synth.DefaultConfig(7, 0.004))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res.Store.Freeze()
-	ex, err := features.NewExtractor(res.Store, res.Oracle)
-	if err != nil {
-		t.Fatal(err)
-	}
-	clf, err := classify.NewFromRules([]part.Rule{{
-		Conditions: []part.Condition{{
-			AttrIndex: features.NumNominal, AttrName: features.AttributeNames[features.NumNominal],
-			Op: part.OpLE, Threshold: 1e12,
-		}},
-		Class: classify.ClassMalicious, ClassName: "malicious",
-	}}, classify.Reject)
-	if err != nil {
-		t.Fatal(err)
-	}
-	engine, err := serve.NewEngine(ex, clf, serve.EngineConfig{}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(engine.Close)
-	srv, err := serve.NewServer(engine, classify.Reject)
-	if err != nil {
-		t.Fatal(err)
-	}
-	node := httptest.NewServer(srv.Handler())
-	t.Cleanup(node.Close)
-	rt, err := NewRouter(Options{Replicas: []string{node.Listener.Addr().String()}, Retry: fastPolicy})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(rt.Close)
+	node, events := realNode(t, serve.EngineConfig{})
+	rt := newTestRouter(t, []*fakeReplica{node}, nil)
 	front := httptest.NewServer(rt.Handler())
 	t.Cleanup(front.Close)
-
-	var body []byte
-	if body, err = export.AppendEventLine(body, &res.Store.Events()[0]); err != nil {
-		t.Fatal(err)
-	}
-	body = append(body, '\n')
+	body := eventLines(t, events[:1])
 	status := func(base, header string) int {
 		req, err := http.NewRequest(http.MethodPost, base+"/classify", bytes.NewReader(body))
 		if err != nil {
@@ -206,7 +211,7 @@ func TestTimeoutHeaderReadOneWay(t *testing.T) {
 		if header != "" {
 			req.Header.Set(serve.TimeoutHeader, header)
 		}
-		resp, err := http.DefaultClient.Do(req)
+		resp, err := front.Client().Do(req)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -224,10 +229,47 @@ func TestTimeoutHeaderReadOneWay(t *testing.T) {
 		{"abc", http.StatusBadRequest},
 		{"9999999999999999999", http.StatusBadRequest},
 	} {
-		direct, routed := status(node.URL, row.header), status(front.URL, row.header)
+		direct, routed := status(node.srv.URL, row.header), status(front.URL, row.header)
 		if direct != row.want || routed != row.want {
 			t.Errorf("%s: %q = %d from the node, %d through the router, want %d from both",
 				serve.TimeoutHeader, row.header, direct, routed, row.want)
 		}
+	}
+	req := httptest.NewRequest(http.MethodPost, "/classify", readFails{t})
+	req.Header.Set(serve.TimeoutHeader, "abc")
+	rr := httptest.NewRecorder()
+	rt.Handler().ServeHTTP(rr, req)
+	if rr.Code != http.StatusBadRequest {
+		t.Errorf("an unreadable header over an unread body = %d from the router, want 400", rr.Code)
+	}
+}
+
+// readFails is a request body nobody may read.
+type readFails struct{ t *testing.T }
+
+func (r readFails) Read([]byte) (int, error) {
+	r.t.Error("the body was read before the deadline header was refused")
+	return 0, io.EOF
+}
+
+// TestRouterRelaysTheReplicasRefusal: a node's 413 for a batch larger
+// than its ingest queue ("split the batch") reaches the client as a
+// 413, not rewritten to the 400 that says "fix the bytes".
+func TestRouterRelaysTheReplicasRefusal(t *testing.T) {
+	node, events := realNode(t, serve.EngineConfig{QueueSize: 4})
+	rt := newTestRouter(t, []*fakeReplica{node}, nil)
+	post := func(body []byte) int {
+		rr := httptest.NewRecorder()
+		rt.Handler().ServeHTTP(rr, httptest.NewRequest(http.MethodPost, "/classify", bytes.NewReader(body)))
+		return rr.Code
+	}
+	if code := post(eventLines(t, events[:64])); code != http.StatusRequestEntityTooLarge {
+		t.Errorf("64 events into a 4-event queue = %d through the router, want the node's 413", code)
+	}
+	if code := post([]byte("not an event\n")); code != http.StatusBadRequest {
+		t.Errorf("an unparseable body = %d through the router, want the node's 400", code)
+	}
+	if code := post(eventLines(t, events[:2])); code != http.StatusOK {
+		t.Errorf("2 events = %d through the router, want 200", code)
 	}
 }

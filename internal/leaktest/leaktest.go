@@ -1,12 +1,17 @@
 // Package leaktest is what the tests of goroutine-owning types wait
-// with: a check that a Close left none of its goroutines behind, and
-// two waits that fail the test by name after a deadline, so that a hang
-// is one test's failure in seconds and not the package's timeout.
+// with: a check that a Close left none of its goroutines behind, two
+// waits that fail the test by name after a deadline, so that a hang is
+// one test's failure in seconds and not the package's timeout, and a
+// dialer that counts the connections a Close left open.
 package leaktest
 
 import (
+	"context"
+	"net"
 	"runtime"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -69,4 +74,30 @@ func Until(t testing.TB, d time.Duration, what string, cond func() bool) {
 			t.Fatalf("%s: still not so after %v", what, d)
 		}
 	}
+}
+
+// Dials counts the TCP connections its Dial opened and the ones not yet
+// closed: what a test hands a connection-owning type as its dialer.
+type Dials struct{ Total, Open atomic.Int64 }
+
+// Dial dials like a zero net.Dialer and counts.
+func (d *Dials) Dial(ctx context.Context, network, addr string) (net.Conn, error) {
+	c, err := new(net.Dialer).DialContext(ctx, network, addr)
+	if err != nil {
+		return nil, err
+	}
+	d.Total.Add(1)
+	d.Open.Add(1)
+	return &countedConn{Conn: c, d: d}, nil
+}
+
+type countedConn struct {
+	net.Conn
+	d    *Dials
+	once sync.Once
+}
+
+func (c *countedConn) Close() error {
+	c.once.Do(func() { c.d.Open.Add(-1) })
+	return c.Conn.Close()
 }

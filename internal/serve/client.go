@@ -120,7 +120,14 @@ func (c *Client) do(ctx context.Context, method, path string, body []byte, heade
 		return nil, "", err
 	}
 	defer resp.Body.Close()
-	if data, err = io.ReadAll(resp.Body); err != nil {
+	if n := resp.ContentLength; n > 0 && n <= maxBodyBytes {
+		// One buffer of the declared size, as drainBody reads requests.
+		data = make([]byte, n)
+		_, err = io.ReadFull(resp.Body, data)
+	} else {
+		data, err = io.ReadAll(resp.Body)
+	}
+	if err != nil {
 		return nil, "", err
 	}
 	route, _, _ := strings.Cut(path, "?")
@@ -133,9 +140,16 @@ func (c *Client) do(ctx context.Context, method, path string, body []byte, heade
 	case code == http.StatusTooManyRequests || code >= 500:
 		err = fmt.Errorf("serve: %s: %s", route, resp.Status)
 	default:
-		err = retry.Permanent(fmt.Errorf("serve: %s: %s: %s", route, resp.Status, bytes.TrimSpace(data)))
+		err = retry.Permanent(&StatusError{code, fmt.Errorf("serve: %s: %s: %s", route, resp.Status, bytes.TrimSpace(data))})
 	}
 	return data, resp.Header.Get("Content-Type"), err
+}
+
+// StatusError is do's permanent error for a request the server refused
+// (a 4xx other than 429), so a forwarder can relay the status.
+type StatusError struct {
+	Code int
+	error
 }
 
 // timeoutHeader renders a per-request deadline for TimeoutHeader; "" —

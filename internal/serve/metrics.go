@@ -56,8 +56,9 @@ func (h *Histogram) Observe(d time.Duration) {
 // Count returns the number of observations.
 func (h *Histogram) Count() uint64 { return h.n.Load() }
 
-// write emits the histogram in cumulative-bucket exposition form.
-func (h *Histogram) write(w io.Writer, name, stage string) {
+// Write emits the histogram in cumulative-bucket exposition form under
+// name, every series carrying label, one rendered pair (`stage="decode"`).
+func (h *Histogram) Write(w io.Writer, name, label string) {
 	cum := uint64(0)
 	for i := range h.counts {
 		cum += h.counts[i].Load()
@@ -65,11 +66,11 @@ func (h *Histogram) write(w io.Writer, name, stage string) {
 		if i < len(latencyBounds) {
 			le = strconv.FormatFloat(latencyBounds[i], 'g', -1, 64)
 		}
-		fmt.Fprintf(w, "%s_bucket{stage=%q,le=%q} %d\n", name, stage, le, cum)
+		fmt.Fprintf(w, "%s_bucket{%s,le=%q} %d\n", name, label, le, cum)
 	}
-	fmt.Fprintf(w, "%s_sum{stage=%q} %g\n", name, stage,
+	fmt.Fprintf(w, "%s_sum{%s} %g\n", name, label,
 		float64(h.sumNS.Load())/float64(time.Second))
-	fmt.Fprintf(w, "%s_count{stage=%q} %d\n", name, stage, h.n.Load())
+	fmt.Fprintf(w, "%s_count{%s} %d\n", name, label, h.n.Load())
 }
 
 // Metrics is the serving subsystem's observable state: verdict
@@ -205,12 +206,12 @@ func (m *Metrics) WriteTo(w io.Writer, queueDepth int, degraded bool, jm *Journa
 		fmt.Fprintf(w, "longtail_journal_sync_batch_sum %d\n", jm.SyncBatch.Sum)
 		fmt.Fprintf(w, "longtail_journal_sync_batch_count %d\n", jm.SyncBatch.Count)
 	}
-	m.QueueWait.write(w, "longtail_stage_latency_seconds", "queue")
-	m.Extract.write(w, "longtail_stage_latency_seconds", "extract")
-	m.Classify.write(w, "longtail_stage_latency_seconds", "classify")
-	m.Decode.write(w, "longtail_stage_latency_seconds", "decode")
-	m.Encode.write(w, "longtail_stage_latency_seconds", "encode")
-	m.Commit.write(w, "longtail_stage_latency_seconds", "commit")
+	m.QueueWait.Write(w, "longtail_stage_latency_seconds", `stage="queue"`)
+	m.Extract.Write(w, "longtail_stage_latency_seconds", `stage="extract"`)
+	m.Classify.Write(w, "longtail_stage_latency_seconds", `stage="classify"`)
+	m.Decode.Write(w, "longtail_stage_latency_seconds", `stage="decode"`)
+	m.Encode.Write(w, "longtail_stage_latency_seconds", `stage="encode"`)
+	m.Commit.Write(w, "longtail_stage_latency_seconds", `stage="commit"`)
 	writeRuntime(w)
 }
 

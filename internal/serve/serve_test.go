@@ -440,7 +440,7 @@ func TestHistogram(t *testing.T) {
 		t.Fatalf("count = %d, want 3", h.Count())
 	}
 	var buf bytes.Buffer
-	h.write(&buf, "x", "s")
+	h.Write(&buf, "x", `stage="s"`)
 	out := buf.String()
 	if !strings.Contains(out, "x_bucket{stage=\"s\",le=\"+Inf\"} 3") {
 		t.Fatalf("cumulative +Inf bucket wrong:\n%s", out)

@@ -530,6 +530,7 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 	if resp.contentType != "" {
 		w.Header().Set("Content-Type", resp.contentType)
 	}
+	w.Header().Set("Content-Length", strconv.Itoa(len(resp.body))) // or net/http chunks any reply past 2 KB
 	if resp.status != 0 {
 		w.WriteHeader(resp.status)
 	}
