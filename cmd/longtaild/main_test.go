@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/dataset"
 	"repro/internal/experiments"
 	"repro/internal/export"
 	"repro/internal/journal"
@@ -222,19 +223,152 @@ func TestDaemonKillRestartTerm(t *testing.T) {
 	}
 	// Both lives preallocated their segments; the killed one's were cut
 	// at recovery and the graceful exit sealed its own, so no file is
-	// larger than the frames it holds.
+	// larger than the frames it holds: recovery replays every byte.
 	segments, err := filepath.Glob(filepath.Join(journalDir, "shard-*", "wal-*.seg"))
 	if err != nil || len(segments) < 2 {
 		t.Fatalf("journal segments under %s: %v, %v", journalDir, segments, err)
 	}
+	var size int64
 	for _, path := range segments {
-		data, err := os.ReadFile(path)
+		fi, err := os.Stat(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, tail := journal.DecodeFrames(data); tail != 0 {
-			t.Errorf("%s: %d of %d bytes are not frames after a graceful exit", path, tail, len(data))
+		size += fi.Size()
+	}
+	j, rec, err := journal.OpenSharded(journal.Options{Dir: journalDir}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	if j.LiveBytes() != size || rec.TornTail != 0 {
+		t.Errorf("%d bytes of segments after a graceful exit: %d replayed as frames, %d torn", size, j.LiveBytes(), rec.TornTail)
+	}
+}
+
+// batchOf renders events as a /classify body, with the reply the offline
+// classifier says a daemon must serve for it.
+func batchOf(t *testing.T, w *experiments.ServingWorld, events []dataset.DownloadEvent) (request, reply []byte) {
+	t.Helper()
+	for i := range events {
+		var err error
+		if request, err = export.AppendEventLine(request, &events[i]); err != nil {
+			t.Fatal(err)
 		}
+		request = append(request, '\n')
+		rec, err := w.Offline(w.Rules, &events[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		line, err := json.Marshal(&rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reply = append(append(reply, line...), '\n')
+	}
+	return request, reply
+}
+
+// mustServe sends request under id and fails unless d answers with want.
+func mustServe(t *testing.T, d *daemon, id string, request, want []byte) []byte {
+	t.Helper()
+	got, _, err := d.client.ClassifyRaw(context.Background(), id, "", request, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("%s: served verdicts differ from the offline classifier's\nserved:  %s\noffline: %s", id, got, want)
+	}
+	return got
+}
+
+// TestDaemonIgnoresPoolContents: a recycled segment's earlier life is
+// never read back as records. Before the daemon first boots, each shard
+// of its journal gets a pool file holding a whole journal that
+// serve.OpenLedger wrote for "poison" IDs, every one answered with a
+// reply no classifier gives, so the daemon's first segments are those
+// files. The IDs it serves all route to shard 0, which leaves shard 1's
+// recycled segment holding the poison frames alone when the daemon is
+// killed. After the restart the served IDs are dedup hits with their
+// first bytes, and the poison IDs are classified afresh: under an
+// unsalted CRC the poison frames would be valid records of their new
+// segment, and the poison reply the ledger's answer.
+func TestDaemonIgnoresPoolContents(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and boots the longtaild binary twice")
+	}
+	bin := buildDaemon(t)
+	w, err := experiments.BootServingWorld(synth.DefaultConfig(testSeed, testScale), testTau)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const poisoned, served, batchSize = 8, 3, 4
+	poisonID := func(i int) string { return fmt.Sprintf("poison-%d", i) }
+	poisonEvents := func(i int) []dataset.DownloadEvent { return w.Replay[i*batchSize : (i+1)*batchSize] }
+
+	poisonDir := t.TempDir()
+	l, _, err := serve.OpenLedger(serve.LedgerOptions{Journal: journal.Options{Dir: poisonDir}, Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	perShard := make([]int, 2)
+	for i := 0; i < poisoned; i++ {
+		body, _ := batchOf(t, w, poisonEvents(i))
+		if err := l.AcceptWire(poisonID(i), poisonEvents(i), string(body)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := l.Result(poisonID(i), []serve.VerdictRecord{{Type: "verdict", File: "poison", Verdict: "poison"}}); err != nil {
+			t.Fatal(err)
+		}
+		perShard[journal.ShardIndex(poisonID(i), 2)]++
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if perShard[0] == 0 || perShard[1] == 0 {
+		t.Fatalf("poison IDs per shard %v: every shard needs some", perShard)
+	}
+	journalDir := t.TempDir()
+	for si := 0; si < 2; si++ {
+		shard := fmt.Sprintf("shard-%03d", si)
+		if err := os.Mkdir(filepath.Join(journalDir, shard), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Rename(filepath.Join(poisonDir, shard, "wal-00000001.seg"), filepath.Join(journalDir, shard, "free-00000001.seg")); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	d := startTestWorld(t, bin, journalDir)
+	if pool, _ := filepath.Glob(filepath.Join(journalDir, "shard-*", "free-*.seg")); len(pool) != 0 {
+		t.Fatalf("pool files %v left after boot: the daemon did not start on them", pool)
+	}
+	var ids []string
+	var requests, replies [][]byte
+	for b := poisoned; len(ids) < served; b++ {
+		id := fmt.Sprintf("batch-%d", b)
+		if journal.ShardIndex(id, 2) != 0 {
+			continue
+		}
+		request, want := batchOf(t, w, w.Replay[b*batchSize:(b+1)*batchSize])
+		ids, requests = append(ids, id), append(requests, request)
+		replies = append(replies, mustServe(t, d, id, request, want))
+	}
+	if err := d.cmd.Process.Signal(syscall.SIGKILL); err != nil {
+		t.Fatal(err)
+	}
+	d.wait(t, testDrain)
+
+	d = startTestWorld(t, bin, journalDir)
+	for i, id := range ids {
+		mustServe(t, d, id, requests[i], replies[i])
+	}
+	for i := 0; i < poisoned; i++ {
+		request, want := batchOf(t, w, poisonEvents(i))
+		mustServe(t, d, poisonID(i), request, want)
+	}
+	if n := d.metric(t, `longtail_requests_total{result="dedup"}`); n != served {
+		t.Fatalf("%d dedup hits, want the %d retransmits of served IDs and none for a poison ID", n, served)
 	}
 }
 

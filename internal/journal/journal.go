@@ -11,12 +11,14 @@
 //
 // There is one journal type, Sharded, and one on-disk layout:
 //
-//	shard-000/wal-00000001.seg   frame := [u32 len][u32 CRC-32C][kind][u64 seq][data]
-//	shard-000/wal-00000002.seg            (little endian; CRC over kind+seq+data)
+//	shard-000/wal-00000002.seg   frame := [u32 len][u32 CRC-32C][kind][u64 seq][data]
+//	shard-000/wal-00000003.seg            (little endian; CRC over kind+seq+data,
+//	shard-000/free-00000001.seg            salted with the segment's index)
 //	shard-001/wal-00000001.seg   one directory of numbered segments per shard
 //
-// and nothing else: the log is the state. A single-shard journal is
-// N = 1 of the same layout. Each shard is an independent WAL with its
+// and nothing else: the log is the state (free-*.seg files, the shard's
+// pool of retired segments, hold none). A single-shard journal is N = 1
+// of the same layout. Each shard is an independent WAL with its
 // own group commit; a key picks the shard, a global sequence number in
 // every record restores the append order at recovery (sharded.go). A
 // segment is created at its full size (SegmentBytes, zeros past the
@@ -30,7 +32,9 @@
 // so a tear is never followed by valid frames.
 // Compaction (Sharded.Compact) keeps the log bounded by rewriting the
 // entries still live as ordinary records into fresh segments and
-// deleting the segments they supersede; recovery does not know it ran.
+// retiring the segments they supersede into the pool, whose files later
+// rotations overwrite: their blocks are written, so fsyncs flush data
+// alone, and their old frames fail the CRC under the new index.
 //
 // Durability: AppendFunc is group-committed. Writes land in the shard's
 // segment under one lock; the appender then fsyncs the segment itself
@@ -47,6 +51,7 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"runtime"
 )
 
 // frameHeaderSize is the fixed per-record overhead: payload length and
@@ -82,8 +87,8 @@ type Options struct {
 	// SegmentBytes rotates a shard's active segment once it exceeds this
 	// size (default 8 MiB), and is what a new segment is preallocated to.
 	SegmentBytes int64
-	// OpenFile creates segment files for writing; nil selects
-	// os.Create. Fault-injection tests substitute a crashable file here.
+	// OpenFile creates segment files for writing; nil selects os.Create
+	// and recycling. Fault-injection tests substitute a crashable file here.
 	OpenFile func(path string) (File, error)
 }
 
@@ -101,6 +106,11 @@ func (o Options) openFile(path string) (File, error) {
 	return os.Create(path)
 }
 
+// recycles reports whether retired segments are reused: for files the
+// journal opens itself where it reserves them (sync_linux.go); under a
+// substituted OpenFile (faults.CrashFS) segments are created and deleted.
+func (o Options) recycles() bool { return o.OpenFile == nil && runtime.GOOS == "linux" }
+
 // Record is one journaled entry: a caller-defined kind tag and opaque
 // payload bytes.
 type Record struct {
@@ -116,8 +126,9 @@ type Recovered struct {
 	Records []Record
 	// TornTail counts bytes discarded at the end of shards' newest
 	// segments because they formed an incomplete or CRC-failing frame —
-	// the expected signature of a crash between write and fsync. The
-	// zeros of a preallocated tail are not counted.
+	// the expected signature of a crash between write and fsync. A
+	// recycled segment's old contents behind its last frame are among
+	// those bytes; the zeros of a preallocated tail are not counted.
 	TornTail int64
 	// Segments is how many segment files were replayed.
 	Segments int
@@ -128,6 +139,7 @@ type Stats struct {
 	Appends     uint64
 	Syncs       uint64
 	Rotations   uint64
+	Recycled    uint64 // rotations that took a pool file
 	Compactions uint64
 	Bytes       uint64
 }
@@ -164,21 +176,24 @@ func AppendFrame(dst []byte, kind byte, payload []byte) []byte {
 	off := len(dst)
 	dst = append(dst, 0, 0, 0, 0, 0, 0, 0, 0, kind)
 	dst = append(dst, payload...)
-	sealFrame(dst[off:])
+	sealFrame(dst[off:], 0)
 	return dst
 }
 
 // sealFrame fills in the length and CRC of a frame whose header bytes
-// are reserved and whose kind+data are already in place.
-func sealFrame(frame []byte) {
+// are reserved and whose kind+data are already in place. The CRC-32C is
+// seeded with salt, a segment's index (0, the plain CRC, for
+// AppendFrame): CRC is affine in its seed, so no two salts agree on any
+// bytes.
+func sealFrame(frame []byte, salt uint64) {
 	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(frame)-frameHeaderSize))
-	binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(frame[frameHeaderSize:], castagnoli))
+	binary.LittleEndian.PutUint32(frame[4:8], crc32.Update(uint32(salt), castagnoli, frame[frameHeaderSize:]))
 }
 
 // nextFrame parses the frame at the start of data, returning its
 // kind+data payload (aliasing data) and total size; ok is false when
-// the bytes do not form a complete, CRC-clean frame.
-func nextFrame(data []byte) (payload []byte, size int, ok bool) {
+// the bytes do not form a complete frame whose CRC checks under salt.
+func nextFrame(data []byte, salt uint64) (payload []byte, size int, ok bool) {
 	if len(data) < frameHeaderSize {
 		return nil, 0, false
 	}
@@ -188,7 +203,7 @@ func nextFrame(data []byte) (payload []byte, size int, ok bool) {
 	}
 	size = frameHeaderSize + int(n)
 	payload = data[frameHeaderSize:size]
-	if crc32.Checksum(payload, castagnoli) != binary.LittleEndian.Uint32(data[4:8]) {
+	if crc32.Update(uint32(salt), castagnoli, payload) != binary.LittleEndian.Uint32(data[4:8]) {
 		return nil, 0, false
 	}
 	return payload, size, true
@@ -201,7 +216,7 @@ func nextFrame(data []byte) (payload []byte, size int, ok bool) {
 // truncation or corruption, e.g. a damaged handoff chunk.
 func DecodeFrames(data []byte) (recs []Record, tail int64) {
 	for len(data) > 0 {
-		payload, size, ok := nextFrame(data)
+		payload, size, ok := nextFrame(data, 0)
 		if !ok {
 			return recs, int64(len(data))
 		}

@@ -536,19 +536,17 @@ func TestCompactEmitsUnderWriteLocks(t *testing.T) {
 }
 
 // onlySegments fails the test unless dir holds shard directories of
-// wal-*.seg files and nothing else.
+// segments and pool files, each exactly named, and nothing else.
 func onlySegments(t *testing.T, dir string) {
 	t.Helper()
 	err := filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
 		if err != nil || path == dir {
 			return err
 		}
-		var idx uint64
-		pattern := "wal-%08d.seg"
-		if d.IsDir() {
-			pattern = "shard-%03d"
-		}
-		if n, _ := fmt.Sscanf(d.Name(), pattern, &idx); n != 1 {
+		_, seg := matchName(d.Name(), segmentFormat)
+		_, free := matchName(d.Name(), poolFormat)
+		_, shard := matchName(d.Name(), shardDirFormat)
+		if d.IsDir() && !shard || !d.IsDir() && !seg && !free {
 			t.Errorf("journal directory holds %s", path)
 		}
 		return nil

@@ -28,11 +28,14 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync/atomic"
 )
 
-func shardDirName(i int) string { return fmt.Sprintf("shard-%03d", i) }
+const shardDirFormat = "shard-%03d"
+
+func shardDirName(i int) string { return fmt.Sprintf(shardDirFormat, i) }
 
 // ShardIndex routes a key to one of n shards with FNV-1a — the same
 // affinity the serving layer's engine uses to pin an event ID to a
@@ -86,12 +89,11 @@ func OpenSharded(opts Options, shards int) (*Sharded, *Recovered, error) {
 	}
 	n := max(shards, 1)
 	for _, e := range entries {
-		var idx uint64
-		if c, _ := fmt.Sscanf(e.Name(), "shard-%03d", &idx); c == 1 && e.IsDir() {
+		if idx, ok := matchName(e.Name(), shardDirFormat); ok && e.IsDir() {
 			n = max(n, int(idx)+1)
 		}
-		for _, pattern := range []string{"wal-%08d.seg", "state-%08d.snap", "sharded-%08d.snap"} {
-			if c, _ := fmt.Sscanf(e.Name(), pattern, &idx); c == 1 {
+		for _, format := range []string{segmentFormat, "state-%08d.snap", "sharded-%08d.snap"} {
+			if _, ok := matchName(e.Name(), format); ok {
 				return nil, nil, fmt.Errorf("journal: %s holds root-level file %s; only %s/%s is read",
 					opts.Dir, e.Name(), shardDirName(0), segmentName(1))
 			}
@@ -125,17 +127,31 @@ func OpenSharded(opts Options, shards int) (*Sharded, *Recovered, error) {
 	return s, rec, nil
 }
 
-// openShard replays one shard directory (creating it if absent) and
-// opens its WAL on a fresh segment.
+// openShard replays one shard directory (creating it if absent), adopts
+// its pool and opens its WAL on a fresh segment numbered past every
+// segment and pool file: no index is used twice.
 func openShard(opts Options, rec *Recovered) (*wal, []seqRecord, error) {
 	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
 		return nil, nil, fmt.Errorf("journal: %w", err)
 	}
-	recs, lastSeg, frameBytes, err := replaySegments(opts.Dir, rec)
+	entries, err := os.ReadDir(opts.Dir)
+	if err != nil {
+		return nil, nil, fmt.Errorf("journal: %w", err)
+	}
+	var segs, pool []uint64
+	var last uint64
+	for _, e := range entries {
+		if idx, ok := matchName(e.Name(), segmentFormat); ok {
+			segs, last = append(segs, idx), max(last, idx)
+		} else if idx, ok := matchName(e.Name(), poolFormat); ok {
+			pool, last = append(pool, idx), max(last, idx)
+		}
+	}
+	recs, frameBytes, err := replaySegments(opts.Dir, segs, rec)
 	if err != nil {
 		return nil, nil, err
 	}
-	w, err := newWAL(opts, lastSeg, frameBytes)
+	w, err := newWAL(opts, last, frameBytes, pool)
 	return w, recs, err
 }
 
@@ -210,7 +226,7 @@ func (s *Sharded) Sync() error {
 // entry in the caller's state before they append it. emit must not
 // call any other method of this journal. The locks are released, the
 // rewritten records are fsynced and only then are the sealed segments
-// deleted.
+// retired (retireBelow).
 //
 // A crash at any point leaves a log that replays to the same state:
 // before the fsync completes the sealed segments are all there and the
@@ -273,25 +289,44 @@ func (s *Sharded) Compact(emit func(put func(key string, kind byte, build func(d
 		return 0, fmt.Errorf("journal: compact: %w", err)
 	}
 	s.compactions.Add(1)
-	// Best-effort: a sealed segment that survives (crash, failed remove)
-	// is replayed under the rewrite and deleted by the next compaction.
+	// Best-effort: a sealed segment that survives (crash, failed rename)
+	// is replayed under the rewrite and retired by the next compaction.
 	for i, w := range s.shards {
-		removeBelow(w.opts.Dir, fresh[i])
+		w.retireBelow(fresh[i])
 	}
 	return rewritten, nil
 }
 
-// removeBelow deletes dir's segments with an index below limit.
-func removeBelow(dir string, limit uint64) {
-	entries, err := os.ReadDir(dir)
+// retireBelow renames the shard's segments below limit into the pool
+// (deletes them if the journal does not recycle), then deletes all but
+// the newest as many pool files as it retired. A lost rename leaves a
+// superseded segment to replay; recycle fsyncs the directory.
+func (w *wal) retireBelow(limit uint64) {
+	entries, err := os.ReadDir(w.opts.Dir)
 	if err != nil {
 		return
 	}
+	var retired []uint64
 	for _, e := range entries {
-		var idx uint64
-		if n, _ := fmt.Sscanf(e.Name(), "wal-%08d.seg", &idx); n == 1 && idx < limit {
-			os.Remove(filepath.Join(dir, e.Name()))
+		idx, ok := matchName(e.Name(), segmentFormat)
+		if !ok || idx >= limit {
+			continue
 		}
+		path := filepath.Join(w.opts.Dir, e.Name())
+		if w.opts.recycles() && os.Rename(path, w.poolPath(idx)) == nil {
+			retired = append(retired, idx)
+		} else {
+			os.Remove(path)
+		}
+	}
+	w.mu.Lock()
+	w.pool = append(w.pool, retired...)
+	slices.Sort(w.pool)
+	excess := slices.Clone(w.pool[:len(w.pool)-len(retired)])
+	w.pool = w.pool[len(excess):]
+	w.mu.Unlock()
+	for _, idx := range excess {
+		os.Remove(w.poolPath(idx))
 	}
 }
 
@@ -318,6 +353,7 @@ func (s *Sharded) Stats() Stats {
 		agg.Appends += st.Appends
 		agg.Syncs += st.Syncs
 		agg.Rotations += st.Rotations
+		agg.Recycled += st.Recycled
 		agg.Bytes += st.Bytes
 	}
 	return agg

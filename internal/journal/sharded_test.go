@@ -70,8 +70,7 @@ func newestSegment(t *testing.T, dir string, si int) string {
 	}
 	var newest string
 	for _, e := range entries {
-		var idx uint64
-		if cnt, _ := fmt.Sscanf(e.Name(), "wal-%08d.seg", &idx); cnt == 1 {
+		if _, ok := matchName(e.Name(), segmentFormat); ok {
 			newest = filepath.Join(sdir, e.Name())
 		}
 	}

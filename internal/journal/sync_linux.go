@@ -26,10 +26,10 @@ func datasync(f File) error {
 	}
 }
 
-// preallocate reserves size bytes for a new segment, so the file has
-// its final size before the first record: an append into reserved space
-// changes no size, and the fdatasync after it has no inode update to
-// commit beside the data (DESIGN.md §15 has the measurement). The
+// preallocate reserves what a segment lacks of size bytes, so the file
+// has its final size before the first record: an append into reserved
+// space changes no size, and the fdatasync after it has no inode update
+// to commit beside the data (DESIGN.md §15 has the measurement). The
 // reserved space reads as zeros, which recovery takes for the end of the
 // segment. Best-effort: without a descriptor, or where the filesystem
 // refuses, the segment grows as it is appended to, as it always did.
@@ -40,12 +40,17 @@ func preallocate(f File, size int64) {
 	}
 }
 
-// trim cuts a segment being sealed down to the size bytes written to
-// it. Best-effort as well: reserved space left behind costs disk, not
-// correctness.
-func trim(f File, size int64) {
-	if ff, ok := f.(fder); ok {
-		for syscall.Ftruncate(int(ff.Fd()), size) == syscall.EINTR {
+// trim cuts a segment being sealed down to the size bytes written to it,
+// before the fsync that seals it. Not best-effort: a recycled segment's
+// old bytes left behind a sealed one would end its shard's replay there.
+func trim(f File, size int64) error {
+	ff, ok := f.(fder)
+	if !ok {
+		return nil
+	}
+	for {
+		if err := syscall.Ftruncate(int(ff.Fd()), size); err != syscall.EINTR {
+			return err
 		}
 	}
 }

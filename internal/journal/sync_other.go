@@ -9,4 +9,4 @@ func datasync(f File) error { return f.Sync() }
 // preallocate and trim do nothing where there is no fallocate: segments
 // grow as they are appended to.
 func preallocate(File, int64) {}
-func trim(File, int64)        {}
+func trim(File, int64) error  { return nil }

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -21,11 +20,12 @@ type wal struct {
 	opts Options // Dir is the shard's own directory
 
 	mu       sync.Mutex // guards the write path and segment rotation
-	seg      File       // guarded by mu
+	seg      File       // guarded by mu; nil after a rotation whose open failed, until one succeeds
 	segIndex uint64     // guarded by mu
 	segBytes int64      // guarded by mu
 	frameBuf []byte     // guarded by mu; reusable frame scratch, so steady-state appends allocate nothing
 	closed   bool       // guarded by mu
+	pool     []uint64   // guarded by mu; the free-*.seg indexes, ascending: rotation takes the last
 
 	// liveBytes is the bytes appended since the last compaction sealed the
 	// log, its rewrite included, across rotations. Written only under mu;
@@ -64,6 +64,7 @@ type wal struct {
 	appends   atomic.Uint64
 	syncs     atomic.Uint64
 	rotations atomic.Uint64
+	recycled  atomic.Uint64
 	bytes     atomic.Uint64
 
 	batchCounts [syncBatchBuckets]atomic.Uint64
@@ -74,14 +75,31 @@ type wal struct {
 	closeErr  error
 }
 
-func segmentName(index uint64) string { return fmt.Sprintf("wal-%08d.seg", index) }
+// Segment and pool file names; matchName parses them back.
+const segmentFormat, poolFormat = "wal-%08d.seg", "free-%08d.seg"
+
+func segmentName(index uint64) string { return fmt.Sprintf(segmentFormat, index) }
+
+func (w *wal) poolPath(index uint64) string {
+	return filepath.Join(w.opts.Dir, fmt.Sprintf(poolFormat, index))
+}
+
+// matchName returns the index in name if name is exactly format
+// rendered with it: wal-00000003.seg.bak is no segment.
+func matchName(name, format string) (uint64, bool) {
+	var idx uint64
+	if n, _ := fmt.Sscanf(name, format, &idx); n != 1 || fmt.Sprintf(format, idx) != name {
+		return 0, false
+	}
+	return idx, true
+}
 
 // newWAL opens a shard appending to segment lastSeg+1 — never to a
 // segment a previous process wrote — with liveBytes seeding the
-// compaction-debt counter. Recovery of the older segments is the
-// caller's job (OpenSharded).
-func newWAL(opts Options, lastSeg uint64, liveBytes int64) (*wal, error) {
-	w := &wal{opts: opts, segIndex: lastSeg + 1}
+// compaction-debt counter and pool the shard's. Recovery of the older
+// segments is the caller's job (OpenSharded).
+func newWAL(opts Options, lastSeg uint64, liveBytes int64, pool []uint64) (*wal, error) {
+	w := &wal{opts: opts, segIndex: lastSeg + 1, pool: pool}
 	w.liveBytes.Store(liveBytes)
 	if err := w.openSegmentLocked(); err != nil {
 		return nil, err
@@ -89,12 +107,19 @@ func newWAL(opts Options, lastSeg uint64, liveBytes int64) (*wal, error) {
 	return w, nil
 }
 
-// openSegmentLocked creates the segment file for w.segIndex, reserves
-// its full size so that the appends and fsyncs to come change no file
-// size (preallocate), and makes it the write and fsync target. Callers
-// hold mu and syncMu, or have exclusive access.
+// openSegmentLocked opens the segment file for w.segIndex — the newest
+// pool file renamed to it, or a new file — reserves what it lacks of its
+// full size so that the appends and fsyncs to come change no file size
+// (preallocate), and makes it the write and fsync target. Callers hold
+// mu and syncMu, or have exclusive access.
 func (w *wal) openSegmentLocked() error {
-	f, err := w.opts.openFile(filepath.Join(w.opts.Dir, segmentName(w.segIndex)))
+	open := w.opts.openFile
+	if n := len(w.pool); n > 0 && w.opts.recycles() {
+		free := w.poolPath(w.pool[n-1])
+		w.pool = w.pool[:n-1]
+		open = func(path string) (File, error) { return recycle(free, path) }
+	}
+	f, err := open(filepath.Join(w.opts.Dir, segmentName(w.segIndex)))
 	if err != nil {
 		return fmt.Errorf("journal: open segment %d: %w", w.segIndex, err)
 	}
@@ -103,16 +128,45 @@ func (w *wal) openSegmentLocked() error {
 	return nil
 }
 
-// sealLocked closes the active segment, whose records the caller has
-// made durable, cut down to the bytes written. Callers hold mu and
-// syncMu.
+// recycle renames the pool file free to the segment path, fsyncs the
+// directory and opens the file to overwrite it from its first byte. An
+// fdatasync into written blocks commits no metadata, so without the
+// directory's fsync a power loss could leave acknowledged records under
+// the pool name, where recovery never looks.
+func recycle(free, path string) (*os.File, error) {
+	if err := os.Rename(free, path); err != nil {
+		return nil, err
+	}
+	d, err := os.Open(filepath.Dir(path))
+	if err == nil {
+		err = d.Sync()
+		d.Close()
+	}
+	if err != nil {
+		return nil, err
+	}
+	return os.OpenFile(path, os.O_WRONLY, 0)
+}
+
+// sealLocked cuts the active segment to the bytes written, fsyncs and
+// closes it (it stays active if the cut or the fsync fails); w.segIndex
+// then names the next segment. Callers hold mu and syncMu.
 func (w *wal) sealLocked() error {
-	trim(w.seg, w.segBytes)
-	return w.seg.Close()
+	if err := trim(w.seg, w.segBytes); err != nil {
+		return fmt.Errorf("journal: seal segment %d: %w", w.segIndex, err)
+	}
+	if err := w.syncLocked(); err != nil {
+		return err
+	}
+	err := w.seg.Close()
+	w.seg, w.syncSeg = nil, nil
+	w.segIndex++
+	return err
 }
 
 // writeFunc appends one frame to the active segment (rotating first if
-// the segment is full) and returns the record's position in the shard.
+// the segment is full, or opening one if the last rotation could not)
+// and returns the record's position in the shard.
 func (w *wal) writeFunc(kind byte, build func(dst []byte) []byte) (uint64, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -120,7 +174,7 @@ func (w *wal) writeFunc(kind byte, build func(dst []byte) []byte) (uint64, error
 	if err != nil {
 		return 0, err
 	}
-	if w.segBytes > 0 && w.segBytes+int64(len(frame)) > w.opts.segmentBytes() {
+	if w.seg == nil || w.segBytes > 0 && w.segBytes+int64(len(frame)) > w.opts.segmentBytes() {
 		if err := w.rotateLocked(); err != nil {
 			return 0, err
 		}
@@ -128,7 +182,7 @@ func (w *wal) writeFunc(kind byte, build func(dst []byte) []byte) (uint64, error
 	return w.appendLocked(frame)
 }
 
-// renderLocked builds one sealed frame in the shard's reusable frame
+// renderLocked builds one unsealed frame in the shard's reusable frame
 // buffer, valid until the next call; callers hold w.mu. The payload is
 // rendered by the caller directly into that buffer: build appends the
 // payload bytes to dst and returns the extended slice. One copy total —
@@ -148,14 +202,14 @@ func (w *wal) renderLocked(kind byte, build func(dst []byte) []byte) ([]byte, er
 	if n := len(frame) - frameHeaderSize; n > maxFrameSize {
 		return nil, fmt.Errorf("journal: record of %d bytes exceeds frame limit %d", n, maxFrameSize)
 	}
-	sealFrame(frame)
 	return frame, nil
 }
 
-// appendLocked writes a rendered frame to the active segment, whatever
-// its size, and returns the record's position in the shard. Callers
-// hold w.mu.
+// appendLocked seals a rendered frame for the active segment — known
+// only after the rotation decision — and writes it there, whatever its
+// size, returning the record's position in the shard. Callers hold w.mu.
 func (w *wal) appendLocked(frame []byte) (uint64, error) {
+	sealFrame(frame, w.segIndex)
 	if _, err := w.seg.Write(frame); err != nil {
 		return 0, fmt.Errorf("journal: append: %w", err)
 	}
@@ -170,19 +224,26 @@ func (w *wal) appendLocked(frame []byte) (uint64, error) {
 }
 
 // rotateLocked seals the active segment (fsync + close, so everything
-// in it is durable) and opens the next one. Callers hold w.mu.
+// in it is durable) and opens the next one. After a rotation whose open
+// failed there is no active segment, and the open is what it retries.
+// Callers hold w.mu.
 func (w *wal) rotateLocked() error {
 	w.syncMu.Lock()
 	defer w.syncMu.Unlock()
-	if err := w.syncLocked(); err != nil {
+	if w.seg != nil {
+		if err := w.sealLocked(); err != nil {
+			return err
+		}
+		w.rotations.Add(1)
+	}
+	pooled := len(w.pool)
+	if err := w.openSegmentLocked(); err != nil {
 		return err
 	}
-	if err := w.sealLocked(); err != nil {
-		return fmt.Errorf("journal: rotate close: %w", err)
+	if len(w.pool) < pooled {
+		w.recycled.Add(1)
 	}
-	w.segIndex++
-	w.rotations.Add(1)
-	return w.openSegmentLocked()
+	return nil
 }
 
 // advanceSynced publishes hi as the durable high-water mark and records
@@ -282,11 +343,12 @@ func (w *wal) stats() Stats {
 		Appends:   w.appends.Load(),
 		Syncs:     w.syncs.Load(),
 		Rotations: w.rotations.Load(),
+		Recycled:  w.recycled.Load(),
 		Bytes:     w.bytes.Load(),
 	}
 }
 
-// close syncs, trims and closes the active segment. Idempotent. A
+// close trims, syncs and closes the active segment. Idempotent. A
 // waiter that arrives later finds its record published as durable and
 // never touches the closed file.
 func (w *wal) close() error {
@@ -296,9 +358,11 @@ func (w *wal) close() error {
 		w.closed = true
 		w.syncMu.Lock()
 		defer w.syncMu.Unlock()
-		w.closeErr = w.syncLocked()
-		if err := w.sealLocked(); err != nil && w.closeErr == nil {
-			w.closeErr = err
+		if w.seg == nil {
+			return
+		}
+		if w.closeErr = w.sealLocked(); w.seg != nil {
+			w.seg.Close() // the cut or the fsync failed; the file goes all the same
 		}
 	})
 	return w.closeErr
@@ -315,35 +379,29 @@ type seqRecord struct {
 	rec Record
 }
 
-// replaySegments reads the segment files in dir in order, stopping
-// after a torn frame that is not the newest segment's crash tail
-// (everything after a mid-history tear is unreadable). A tail of zero
-// bytes is no tear: it is the reserved space of a segment whose process
-// died before sealing it (preallocate), and the clean end of that
-// segment wherever it sits in the history. The newest segment's tail,
-// zeros or a tear that was never acknowledged, is cut off the file: this
-// process appends to the next segment, and a tear left in place would
-// read as mid-history damage at the following open and hide everything
-// acknowledged from here on. A CRC-clean record too short to carry a
-// sequence prefix cannot have been written by this package and counts as
-// torn. It also returns the highest segment index on disk (0 if none)
-// and the bytes of every frame replayed — the seed for liveBytes, so a
-// process restarting on top of a long un-compacted history reaches its
-// compaction threshold immediately, not after another threshold's worth
-// of fresh appends.
-func replaySegments(dir string, rec *Recovered) (recs []seqRecord, lastSeg uint64, frameBytes int64, err error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, 0, 0, fmt.Errorf("journal: %w", err)
-	}
-	var segIdx []uint64
-	for _, e := range entries {
-		var idx uint64
-		if n, _ := fmt.Sscanf(e.Name(), "wal-%08d.seg", &idx); n == 1 {
-			segIdx = append(segIdx, idx)
-		}
-	}
-	sort.Slice(segIdx, func(a, b int) bool { return segIdx[a] < segIdx[b] })
+// errUnsalted refuses a segment whose frames check only under the plain
+// CRC, which replaying as torn would read as empty.
+var errUnsalted = errors.New("written before segment-salted CRCs; this version does not read it")
+
+// replaySegments reads dir's segments segIdx (ascending) in order,
+// stopping after a torn frame that is not the newest segment's crash
+// tail (everything after a mid-history tear is unreadable). A frame's
+// CRC is checked under its segment's index, so a recycled segment's old
+// frames end it like a tear. A tail of zero bytes is no tear: it is the
+// reserved space of a segment whose process died before sealing it
+// (preallocate), and the clean end of that segment wherever it sits in
+// the history. The newest segment's tail, zeros or a tear that was
+// never acknowledged, is cut off the file: this process appends to the
+// next segment, and a tear left in place would read as mid-history
+// damage at the following open and hide everything acknowledged from
+// here on. A CRC-clean record too short to carry a sequence prefix
+// cannot have been written by this package and counts as torn. It also
+// returns the bytes of every frame replayed — the seed for liveBytes,
+// so a process restarting on top of a long un-compacted history reaches
+// its compaction threshold immediately, not after another threshold's
+// worth of fresh appends.
+func replaySegments(dir string, segIdx []uint64, rec *Recovered) (recs []seqRecord, frameBytes int64, err error) {
+	var lastSeg uint64
 	if len(segIdx) > 0 {
 		lastSeg = segIdx[len(segIdx)-1]
 	}
@@ -351,13 +409,19 @@ func replaySegments(dir string, rec *Recovered) (recs []seqRecord, lastSeg uint6
 		path := filepath.Join(dir, segmentName(idx))
 		data, err := os.ReadFile(path)
 		if err != nil {
-			return nil, 0, 0, fmt.Errorf("journal: read segment: %w", err)
+			return nil, 0, fmt.Errorf("journal: read segment: %w", err)
 		}
 		rec.Segments++
 		fileSize := int64(len(data))
 		for len(data) > 0 {
-			payload, size, ok := nextFrame(data)
-			if !ok || len(payload) < 1+seqPrefixSize {
+			payload, size, ok := nextFrame(data, idx)
+			if !ok {
+				if _, _, unsalted := nextFrame(data, 0); unsalted {
+					return nil, 0, fmt.Errorf("journal: segment %s: %w", path, errUnsalted)
+				}
+				break
+			}
+			if len(payload) < 1+seqPrefixSize {
 				break
 			}
 			recs = append(recs, seqRecord{
@@ -374,9 +438,9 @@ func replaySegments(dir string, rec *Recovered) (recs []seqRecord, lastSeg uint6
 		}
 		if len(data) > 0 && idx == lastSeg {
 			if err := os.Truncate(path, fileSize-int64(len(data))); err != nil {
-				return nil, 0, 0, fmt.Errorf("journal: cut torn tail: %w", err)
+				return nil, 0, fmt.Errorf("journal: cut torn tail: %w", err)
 			}
 		}
 	}
-	return recs, lastSeg, frameBytes, nil
+	return recs, frameBytes, nil
 }

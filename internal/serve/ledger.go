@@ -93,7 +93,7 @@ type LedgerOptions struct {
 	// directories already on disk can only raise the count.
 	Shards int
 	// CompactBytes compacts the journal (the live entries rewritten into
-	// fresh segments, the older segments deleted) whenever the bytes
+	// fresh segments, the older segments retired) whenever the bytes
 	// journaled since the last compaction — cumulative across segment
 	// rotations, not the size of any one segment — exceed this threshold.
 	// Default 32 MiB; negative disables.
@@ -116,7 +116,8 @@ type LedgerRecovery struct {
 	// Results is how many completed batches were recovered.
 	Results int
 	// TornTail is the number of bytes of unacknowledged torn tail the
-	// journal discarded (nonzero after a kill -9 mid-write).
+	// journal discarded (nonzero after a kill -9 mid-write, or behind the
+	// last record of a recycled segment: journal.Recovered.TornTail).
 	TornTail int64
 }
 

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"regexp"
 	"slices"
 	"strings"
 	"sync"
@@ -429,9 +430,10 @@ func TestLedgerCompactionFailureDoesNotFailResult(t *testing.T) {
 
 // TestLedgerCompactionIsTheLog: a ledger filled, compacted and reopened
 // comes back from ordinary records — Lookup bodies byte-identical, the
-// same pending set, nothing in the journal directory but segments — and
-// in completion order: the further results evict the oldest-completed
-// IDs first. (A snapshot restored in sorted-ID order evicted w first.)
+// same pending set, nothing in the journal directory but segments and
+// the pool of retired ones — and in completion order: the further
+// results evict the oldest-completed IDs first. (A snapshot restored in
+// sorted-ID order evicted w first.)
 func TestLedgerCompactionIsTheLog(t *testing.T) {
 	f := sharedFixture(t)
 	dir := t.TempDir()
@@ -467,7 +469,7 @@ func TestLedgerCompactionIsTheLog(t *testing.T) {
 		t.Fatal(err)
 	}
 	err = filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
-		if err == nil && !d.IsDir() && !(strings.HasPrefix(d.Name(), "wal-") && strings.HasSuffix(d.Name(), ".seg")) {
+		if err == nil && !d.IsDir() && !journalFileRE.MatchString(d.Name()) {
 			t.Errorf("journal directory holds %s after compaction", path)
 		}
 		return err
@@ -502,6 +504,49 @@ func TestLedgerCompactionIsTheLog(t *testing.T) {
 				t.Fatalf("result %d after the restart evicted %s ahead of %s: completion order lost", i+1, id, evicted)
 			}
 		}
+	}
+}
+
+// journalFileRE is every file name a journal directory may hold: its
+// segments and the pool of retired ones compaction keeps for reuse.
+var journalFileRE = regexp.MustCompile(`^(wal|free)-[0-9]{8}\.seg$`)
+
+// TestLedgerRecyclesRotations: once compaction has retired segments, a
+// ledger's rotations take them from the pool — at least 90% of the
+// rotations past its second compaction — so its appends overwrite
+// written blocks instead of reserving new ones.
+func TestLedgerRecyclesRotations(t *testing.T) {
+	f := sharedFixture(t)
+	l, _, err := OpenLedger(LedgerOptions{
+		Journal:      journal.Options{Dir: t.TempDir(), SegmentBytes: 16 << 10},
+		Shards:       2,
+		CompactBytes: 128 << 10,
+		MaxResults:   64,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	var base journal.Stats
+	for i := 0; l.Stats().Compactions < 6; i++ {
+		if i == 20000 {
+			t.Fatalf("%d compactions after %d requests", l.Stats().Compactions, i)
+		}
+		id := fmt.Sprintf("req-%05d", i)
+		if err := acceptEvents(l, id, f.replay[i%64:i%64+4]); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := l.Result(id, []VerdictRecord{{Type: "verdict", File: id, Verdict: "benign"}}); err != nil {
+			t.Fatal(err)
+		}
+		if st := l.Stats(); base.Compactions < 2 {
+			base = st
+		}
+	}
+	st := l.Stats()
+	rotations, recycled := st.Rotations-base.Rotations, st.Recycled-base.Recycled
+	if rotations < 20 || 10*recycled < 9*rotations {
+		t.Fatalf("%d of %d rotations after the second compaction took a pool file, want at least 90%% of at least 20", recycled, rotations)
 	}
 }
 

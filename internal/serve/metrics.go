@@ -179,6 +179,7 @@ func (m *Metrics) WriteTo(w io.Writer, queueDepth int, degraded bool, jm *Journa
 		fmt.Fprintf(w, "longtail_journal_appends_total %d\n", js.Appends)
 		fmt.Fprintf(w, "longtail_journal_syncs_total %d\n", js.Syncs)
 		fmt.Fprintf(w, "longtail_journal_rotations_total %d\n", js.Rotations)
+		fmt.Fprintf(w, "longtail_journal_recycled_total %d\n", js.Recycled)
 		fmt.Fprintf(w, "longtail_journal_compactions_total %d\n", js.Compactions)
 		fmt.Fprintf(w, "longtail_journal_compact_errors_total %d\n", jm.CompactErrors)
 		fmt.Fprintf(w, "longtail_journal_bytes_total %d\n", js.Bytes)
