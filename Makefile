@@ -224,8 +224,9 @@ bench:
 # lint testdata included, bench/ (the benchmark's own program) left
 # out; then the two other totals ROADMAP item 5 sets targets for — the
 # lint subtotal (internal/lint* and cmd/longtailvet* of the lines
-# above) and the *_test.go lines outside bench/. CHANGES.md quotes this
-# output, not a hand tally.
+# above) and the *_test.go lines outside bench/ — and the number of
+# main packages under cmd/. CHANGES.md quotes this output, not a hand
+# tally.
 loc:
 	@total=0; lint=0; \
 	for d in $$(find . -path ./bench -prune -o -name '*.go' -not -name '*_test.go' -print | xargs -n1 dirname | sort -u); do \
@@ -235,4 +236,5 @@ loc:
 	done; \
 	printf '%7d  total outside bench/\n' $$total; \
 	printf '%7d  of them lint (internal/lint*, cmd/longtailvet*)\n' $$lint; \
-	printf '%7d  *_test.go outside bench/\n' $$(find . -path ./bench -prune -o -name '*_test.go' -print | xargs cat | wc -l)
+	printf '%7d  *_test.go outside bench/\n' $$(find . -path ./bench -prune -o -name '*_test.go' -print | xargs cat | wc -l) && \
+	printf '%7d  main packages under cmd/\n' $$($(GO) list -f '{{.Name}}' ./cmd/... | grep -cx main)

@@ -439,7 +439,7 @@ func BenchmarkPARTTraining(b *testing.B) {
 
 // serveBenchStreams is the client concurrency both serve benchmarks
 // drive: throughput is a capacity metric, and a daemon serves multiple
-// uplinks (loadgen's worker pool is the reference client).
+// uplinks (bench/'s generator is the reference client).
 const serveBenchStreams = 4
 
 // driveServeBench replays month-2 batches through serveBenchStreams
@@ -477,7 +477,7 @@ func driveServeBench(b *testing.B, url string, replay []dataset.DownloadEvent, b
 // serveBench is the set-up and the measured section the two serve
 // benchmarks share: an in-process stateless longtaild over the shared
 // world (the sharded engine with tap installed behind the HTTP server)
-// driven by loadgen-style clients replaying month-2 events in batches. The
+// driven by clients replaying month-2 events in batches. The
 // custom metric is sustained verdicts per second through the full wire
 // path (line-JSON encode, HTTP, queue, extract, classify, line-JSON
 // decode).

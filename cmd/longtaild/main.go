@@ -34,8 +34,8 @@
 // With no -dataset the daemon generates and labels the synthetic corpus
 // in-process (same seed/scale as the rest of the harness); with no
 // -rules it trains on the first month, so a bare `longtaild` is a fully
-// working deployment. A rules.json written by `rulemine -json -o` loads
-// directly via -rules.
+// working deployment. A rules.json written by `longtail rulemine -json
+// -o` loads directly via -rules.
 package main
 
 import (
@@ -126,8 +126,8 @@ func loadContext(datasetPath, rulesPath string, seed int64, scale, tau float64, 
 
 func run() error {
 	addr := flag.String("addr", ":8787", "listen address")
-	datasetPath := flag.String("dataset", "", "labeled dataset (gendata line-JSON; default: generate in-process)")
-	rulesPath := flag.String("rules", "", "rule set JSON (rulemine -json -o; default: train on first month)")
+	datasetPath := flag.String("dataset", "", "labeled dataset (longtail gendata line-JSON; default: generate in-process)")
+	rulesPath := flag.String("rules", "", "rule set JSON (longtail rulemine -json -o; default: train on first month)")
 	seed := flag.Int64("seed", 42, "generation seed when no -dataset")
 	scale := flag.Float64("scale", 0.02, "generation scale when no -dataset")
 	tau := flag.Float64("tau", 0.001, "rule-selection error threshold when no -rules")

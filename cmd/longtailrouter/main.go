@@ -6,9 +6,9 @@
 //
 // POST /classify, POST /admin/reload, GET /healthz and GET /metrics
 // answer as a single replica's do, so clients built against longtaild
-// (cmd/loadgen, serve.Client) point at a router unchanged; there is no
-// GET /result, because the forward resolves a replica's 202 before the
-// client hears anything. GET /admin/lifecycle aggregates the replicas'.
+// (serve.Client, bench/'s generator) point at a router unchanged; there
+// is no GET /result, because the forward resolves a replica's 202
+// before the client hears anything. GET /admin/lifecycle aggregates the replicas'.
 // Router-only endpoints: POST /admin/join?addr=H:P and
 // POST /admin/leave?addr=H:P for membership changes (a leaving replica
 // hands off its ledger and drains in-flight batches before it is

@@ -23,8 +23,8 @@ import (
 	"repro/internal/synth"
 )
 
-// The world the daemons under test boot, loadgen replays and the test
-// checks both against.
+// The world the daemons under test boot and the test checks them
+// against.
 const (
 	testSeed  = 42
 	testScale = 0.002
@@ -120,6 +120,18 @@ func start(t *testing.T, bin, addr string, args ...string) *proc {
 	}
 }
 
+// sample returns the value of one series, name and labels as exposed,
+// in a /metrics body.
+func sample(t *testing.T, metrics, series string) int {
+	t.Helper()
+	m := regexp.MustCompile(`(?m)^` + regexp.QuoteMeta(series) + ` (\d+)$`).FindStringSubmatch(metrics)
+	if m == nil {
+		t.Fatalf("/metrics has no %s", series)
+	}
+	n, _ := strconv.Atoi(m[1]) // matched as digits
+	return n
+}
+
 // wait returns the process's exit error, or fails if it is still
 // running after limit.
 func (p *proc) wait(t *testing.T, limit time.Duration) error {
@@ -133,19 +145,20 @@ func (p *proc) wait(t *testing.T, limit time.Duration) error {
 	}
 }
 
-// TestRouterOverDaemons drives the three built binaries as a cluster:
+// TestRouterOverDaemons drives the two built binaries as a cluster:
 // ID-carrying batches through the router to two journaled daemons
 // (checked against the offline classifier), one daemon dead by SIGKILL
-// and every ID retransmitted for the same bytes, a loadgen -router
-// replay with its offline cross-check and cluster report, and a clean
-// router exit on SIGTERM.
+// and every ID retransmitted for the same bytes, a month's replay with
+// a hot reload halfway, checked against the offline classifier and the
+// router's /healthz and counters around it, and a clean router exit on
+// SIGTERM.
 func TestRouterOverDaemons(t *testing.T) {
 	if testing.Short() {
-		t.Skip("builds longtaild, longtailrouter and loadgen and boots four processes")
+		t.Skip("builds longtaild and longtailrouter and boots three processes")
 	}
 	bins := t.TempDir()
 	bin := func(name string) string { return filepath.Join(bins, name) }
-	for _, name := range []string{"longtaild", "longtailrouter", "loadgen"} {
+	for _, name := range []string{"longtaild", "longtailrouter"} {
 		if out, err := exec.Command("go", "build", "-o", bin(name), "../"+name).CombinedOutput(); err != nil {
 			t.Fatalf("go build %s: %v\n%s", name, err, out)
 		}
@@ -224,48 +237,84 @@ func TestRouterOverDaemons(t *testing.T) {
 		}
 	}
 
-	// loadgen hot-reloads mid-replay, which the router refuses (409)
-	// while a member in rotation cannot confirm: wait for the prober to
-	// eject the dead daemon.
-	for deadline := time.Now().Add(time.Minute); ; time.Sleep(100 * time.Millisecond) {
+	// nodes reads the router's /healthz, each node as "state generation".
+	nodes := func() (map[string]any, map[string]string) {
+		t.Helper()
 		h, err := router.client.Health(ctx)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ejected := false
-		nodes, _ := h["nodes"].([]any)
-		for _, n := range nodes {
+		states := map[string]string{}
+		list, _ := h["nodes"].([]any)
+		for _, n := range list {
 			m, _ := n.(map[string]any)
-			ejected = ejected || m["addr"] == victim.addr && m["state"] == "ejected"
+			states[fmt.Sprint(m["addr"])] = fmt.Sprint(m["state"], " ", m["generation"])
 		}
-		if ejected {
+		return h, states
+	}
+	// The replay below hot-reloads halfway, which the router refuses (409)
+	// while a member in rotation cannot confirm: wait for the prober to
+	// eject the dead daemon.
+	for deadline := time.Now().Add(time.Minute); ; time.Sleep(100 * time.Millisecond) {
+		h, states := nodes()
+		if states[victim.addr] == "ejected 1" {
 			break
 		}
 		if time.Now().After(deadline) {
 			t.Fatalf("router has not ejected %s a minute after its death: %v", victim.addr, h)
 		}
 	}
-	out, err := exec.Command(bin("loadgen"), append(world,
-		"-addr", "http://"+router.addr, "-router", "-noverify=false")...).CombinedOutput()
-	if err != nil {
-		t.Fatalf("loadgen -router: %v\n%s", err, out)
-	}
-	for _, want := range []string{
-		`router before replay: status ok, generation 1 \(target 0\)`,
-		`router after replay: status ok, generation 2 \(target 2\)`,
-		`node ` + regexp.QuoteMeta(victim.addr) + ` +ejected +generation 1`,
-		`node ` + regexp.QuoteMeta(daemons[1].addr) + ` +healthy +generation 2`,
-		`all \d+ streamed verdicts identical to offline classification`,
-		`longtail_router_forwarded_total +\+[1-9]`,
-		`longtail_router_reloads_total +\+1\n`,
-		`longtail_router_no_replica_total +\+0\n`,
-	} {
-		if !regexp.MustCompile(want).Match(out) {
-			t.Errorf("loadgen -router output has no match for %q", want)
+	health := func(when string, gen, target float64, want map[string]string) {
+		t.Helper()
+		h, states := nodes()
+		if h["status"] != "ok" || h["generation"] != gen || h["targetGeneration"] != target || fmt.Sprint(states) != fmt.Sprint(want) {
+			t.Errorf("%s: /healthz %v, want status ok, generation %v, target %v, nodes %v", when, h, gen, target, want)
 		}
 	}
-	if t.Failed() {
-		t.Logf("loadgen output:\n%s", out)
+	// counters reads the router's forwards, reloads and no-replica refusals.
+	counters := func() [3]int {
+		metrics, err := router.client.Metrics(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return [3]int{sample(t, metrics, "longtail_router_forwarded_total"), sample(t, metrics, "longtail_router_reloads_total"), sample(t, metrics, "longtail_router_no_replica_total")}
+	}
+
+	// A replay of the whole month in 64-event batches through the router,
+	// the same rules reloaded halfway: every verdict is the offline one,
+	// and only the reported generation moves.
+	health("before replay", 1, 0, map[string]string{victim.addr: "ejected 1", daemons[1].addr: "healthy 1"})
+	before := counters()
+	var rules bytes.Buffer
+	if err := serve.ExportRules(&rules, w.Rules); err != nil {
+		t.Fatal(err)
+	}
+	const replayBatch = 64
+	reloadAt := len(w.Replay) / 2 / replayBatch * replayBatch
+	for lo := 0; lo < len(w.Replay); lo += replayBatch {
+		if lo == reloadAt {
+			if gen, err := router.client.Reload(ctx, rules.Bytes()); err != nil || gen != 2 {
+				t.Fatalf("mid-replay reload: generation %d, %v; want 2", gen, err)
+			}
+		}
+		batch := w.Replay[lo:min(lo+replayBatch, len(w.Replay))]
+		verdicts, err := router.client.Classify(ctx, batch)
+		if err != nil {
+			t.Fatalf("replay at event %d: %v", lo, err)
+		}
+		for i := range verdicts {
+			offline, err := w.Offline(w.Rules, &batch[i])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := verdicts[i].Key(), offline.Key(); got != want {
+				t.Fatalf("replayed event %d: verdict %q, offline %q", lo+i, got, want)
+			}
+		}
+	}
+	health("after replay", 2, 2, map[string]string{victim.addr: "ejected 1", daemons[1].addr: "healthy 2"})
+	if after := counters(); after[0] <= before[0] || after[1] != before[1]+1 || after[2] != before[2] {
+		t.Errorf("forwarded, reloads, no-replica went %v -> %v over the replay; want more, one more, as many", before, after)
 	}
 
 	// The forward histogram times every exchange with a node, answered or
@@ -275,14 +324,7 @@ func TestRouterOverDaemons(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, d := range daemons {
-		series := func(name string) int {
-			m := regexp.MustCompile(name + `\{node="` + regexp.QuoteMeta(d.addr) + `"\} (\d+)\n`).FindStringSubmatch(metrics)
-			if m == nil {
-				t.Fatalf("router /metrics has no %s for %s", name, d.addr)
-			}
-			n, _ := strconv.Atoi(m[1]) // matched as digits
-			return n
-		}
+		series := func(name string) int { return sample(t, metrics, name+`{node="`+d.addr+`"}`) }
 		timed, served, failed := series("longtail_router_forward_latency_seconds_count"), series("longtail_node_served_total"), series("longtail_node_failed_total")
 		if timed == 0 || timed != served+failed {
 			t.Errorf("%s: %d exchanges timed, %d served + %d failed", d.addr, timed, served, failed)

@@ -56,7 +56,7 @@ func run() error {
 	fmt.Printf("trained on %s: %d rules selected\n", months[0], len(clf.Rules))
 
 	// 2. Export for analyst review (here: an in-memory buffer; on disk
-	// this is `rulemine -json -o rules.json`).
+	// this is `longtail rulemine -json -o rules.json`).
 	var ruleFile bytes.Buffer
 	if err := serve.ExportRules(&ruleFile, clf); err != nil {
 		return err

@@ -53,16 +53,15 @@ func BenchmarkClassifyOne(b *testing.B) {
 		}
 		insts = append(insts, features.Instance{Vector: vec, File: events[i].File})
 	}
-	linear := &classify.Classifier{Rules: clf.Rules, Policy: classify.Reject}
 	for _, tc := range []struct {
-		name string
-		clf  *classify.Classifier
-	}{{"indexed", clf}, {"linear", linear}} {
+		name        string
+		classifyOne func(*features.Instance) (classify.Verdict, []int)
+	}{{"indexed", clf.ClassifyOne}, {"linear", clf.ClassifyOneLinear}} {
 		b.Run(tc.name, func(b *testing.B) {
 			matched := 0
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if v, _ := tc.clf.ClassifyOne(&insts[i%len(insts)]); v != classify.VerdictNone {
+				if v, _ := tc.classifyOne(&insts[i%len(insts)]); v != classify.VerdictNone {
 					matched++
 				}
 			}

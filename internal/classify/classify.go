@@ -115,10 +115,8 @@ type Classifier struct {
 	Tau    float64
 	Policy ConflictPolicy
 
-	// index is the compiled pivot index Train/NewFromRules build over
-	// Rules (see ruleindex.go). A zero-value Classifier without one
-	// falls back to the linear reference scan, so hand-built classifiers
-	// in tests keep working.
+	// index is the compiled pivot index every constructor (Train,
+	// NewFromRules, Retrain) builds over Rules (see ruleindex.go).
 	index *ruleIndex
 }
 
@@ -229,35 +227,9 @@ func (c *Classifier) RuleComposition() (benign, malicious int) {
 }
 
 // matchedRules returns indexes of selected rules matching any of the
-// file's instances, through the compiled index when one was built.
+// file's instances, through the compiled index.
 func (c *Classifier) matchedRules(insts []features.Instance) []int {
-	if c.index != nil {
-		return c.index.match(insts)
-	}
-	return c.matchedRulesLinear(insts)
-}
-
-// matchedRulesLinear is the reference matcher: a linear scan of every
-// rule against every instance via the part.Instance conversion. It
-// defines the semantics the compiled index must reproduce exactly (the
-// differential fuzz test holds the two equal) and stays the fallback
-// for classifiers built without an index. Each instance is converted
-// once per call, not once per (rule, instance) pair.
-func (c *Classifier) matchedRulesLinear(insts []features.Instance) []int {
-	pis := make([]part.Instance, len(insts))
-	for i := range insts {
-		pis[i] = toPartInstance(&insts[i])
-	}
-	var out []int
-	for ri := range c.Rules {
-		for ii := range pis {
-			if c.Rules[ri].Matches(&pis[ii]) {
-				out = append(out, ri)
-				break
-			}
-		}
-	}
-	return out
+	return c.index.match(insts)
 }
 
 // ClassifyFile classifies one file given all its event instances.
@@ -271,13 +243,7 @@ func (c *Classifier) ClassifyFile(insts []features.Instance) (Verdict, []int) {
 // — the serving layer's per-event hot path. Equivalent to ClassifyFile
 // on a one-element slice, without materializing the slice.
 func (c *Classifier) ClassifyOne(in *features.Instance) (Verdict, []int) {
-	var matched []int
-	if c.index != nil {
-		matched = c.index.matchOne(in)
-	} else {
-		matched = c.matchedRulesLinear([]features.Instance{*in})
-	}
-	return c.verdictOf(matched)
+	return c.verdictOf(c.index.matchOne(in))
 }
 
 // verdictOf applies the conflict policy to a matched-rule set.

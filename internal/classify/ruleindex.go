@@ -31,8 +31,8 @@ import (
 //
 // Matches are collected into a pooled bitset and emitted in ascending
 // rule order, so the result is the same index set in the same order as
-// the reference linear scan (matchedRulesLinear); the differential fuzz
-// test in ruleindex_test.go holds the two paths equal.
+// the reference linear scan (matchedRulesLinear, in export_test.go); the
+// differential fuzz test in ruleindex_test.go holds the two equal.
 type ruleIndex struct {
 	eq map[eqKey][]pivotRule
 	// eqAttrs lists the attribute slots that own an equality pivot,

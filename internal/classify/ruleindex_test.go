@@ -177,14 +177,14 @@ func FuzzRuleIndexEquivalence(f *testing.F) {
 		linear := &Classifier{Rules: clean, Policy: Reject}
 
 		gotV, gotM := indexed.ClassifyFile(insts)
-		wantV, wantM := linear.ClassifyFile(insts)
+		wantV, wantM := linear.verdictOf(linear.matchedRulesLinear(insts))
 		if !sameInts(restrict(gotM, local), wantM) || (len(clean) == len(rules) && gotV != wantV) {
 			t.Fatalf("group mismatch: index (%v, %v) vs linear (%v, %v)\nrules: %+v\ninsts: %+v",
 				gotV, gotM, wantV, wantM, rules, insts)
 		}
 		for i := range insts {
 			gotV, gotM := indexed.ClassifyOne(&insts[i])
-			wantV, wantM := linear.ClassifyFile(insts[i : i+1])
+			wantV, wantM := linear.verdictOf(linear.matchedRulesLinear(insts[i : i+1]))
 			if !sameInts(restrict(gotM, local), wantM) || (len(clean) == len(rules) && gotV != wantV) {
 				t.Fatalf("instance %d mismatch: index (%v, %v) vs linear (%v, %v)\nrules: %+v\ninst: %+v",
 					i, gotV, gotM, wantV, wantM, rules, insts[i])
@@ -225,7 +225,6 @@ func TestRuleIndexPivotShapes(t *testing.T) {
 		{Class: ClassBenign, ClassName: "benign"},
 	}
 	indexed := &Classifier{Rules: rules, Policy: Reject, index: buildIndex(rules)}
-	linear := &Classifier{Rules: rules, Policy: Reject}
 
 	var insts []features.Instance
 	for _, signer := range []string{"EvilCorp", "AcmeCo", "(none)", ""} {
@@ -240,13 +239,13 @@ func TestRuleIndexPivotShapes(t *testing.T) {
 	}
 	for i := range insts {
 		got := indexed.matchedRules(insts[i : i+1])
-		want := linear.matchedRulesLinear(insts[i : i+1])
+		want := indexed.matchedRulesLinear(insts[i : i+1])
 		if !sameInts(got, want) {
 			t.Fatalf("inst %d (%+v): index matched %v, linear %v", i, insts[i].Vector, got, want)
 		}
 	}
 	// The whole group at once, and the empty group.
-	if got, want := indexed.matchedRules(insts), linear.matchedRulesLinear(insts); !sameInts(got, want) {
+	if got, want := indexed.matchedRules(insts), indexed.matchedRulesLinear(insts); !sameInts(got, want) {
 		t.Fatalf("group: index matched %v, linear %v", got, want)
 	}
 	if got := indexed.matchedRules(nil); got != nil {
@@ -273,7 +272,6 @@ func TestRuleIndexConcurrentMatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	linear := &Classifier{Rules: rules, Policy: Reject}
 	done := make(chan error, 8)
 	for g := 0; g < 8; g++ {
 		go func(g int) {
@@ -282,7 +280,7 @@ func TestRuleIndexConcurrentMatch(t *testing.T) {
 					FileSigner: fmt.Sprintf("signer-%d", (g+k)%9),
 				}, File: "f"}
 				_, got := clf.ClassifyOne(&in)
-				_, want := linear.ClassifyFile([]features.Instance{in})
+				_, want := clf.ClassifyOneLinear(&in)
 				if !sameInts(got, want) {
 					done <- fmt.Errorf("goroutine %d: index %v, linear %v", g, got, want)
 					return

@@ -13,7 +13,7 @@ import (
 
 // Handler returns the router's HTTP surface: seven routes. /classify,
 // /admin/reload, /healthz and /metrics answer as a single replica's do,
-// so serve.Client and cmd/loadgen point at a router unchanged;
+// so serve.Client and bench/'s generator point at a router unchanged;
 // /admin/lifecycle aggregates the replicas'; /admin/join and
 // /admin/leave are router-only. There is no /result: a replica's 202 is
 // resolved by the forward (serve.Client.ClassifyRaw polls the replica

@@ -15,7 +15,7 @@ import (
 // in, and the one place a labeled store becomes one: the feature
 // extractor, the rule set trained on the first month, the second month
 // as replay traffic, and the offline verdict every served verdict must
-// match. The daemon, the load generator, the serve benchmarks and the
+// match. The daemon, the binaries' tests, the serve benchmarks and the
 // chaos harnesses all build it from (seed, scale, tau), which is what
 // makes their verdicts comparable byte for byte.
 type ServingWorld struct {
@@ -66,7 +66,7 @@ func (w *ServingWorld) TrainFirstMonth(tau float64) error {
 
 // LoadOrTrainRules sets w.Rules from the rule-set file at path, or,
 // when path is empty, by TrainFirstMonth(tau) — the choice -rules gives
-// the daemon and the load generator.
+// the daemon.
 func (w *ServingWorld) LoadOrTrainRules(path string, tau float64) (err error) {
 	if path == "" {
 		return w.TrainFirstMonth(tau)

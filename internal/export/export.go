@@ -72,7 +72,7 @@ type urlLine struct {
 
 // MarshalEventLine renders a single DownloadEvent as one "event" record
 // line (no trailing newline). This is the same bytes the full stream
-// uses for its event records, so a dataset file produced by gendata and
+// uses for its event records, so a dataset file from `longtail gendata` and
 // the body of a live request to the serving layer's /classify endpoint
 // share one wire format.
 func MarshalEventLine(e *dataset.DownloadEvent) ([]byte, error) {

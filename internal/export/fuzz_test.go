@@ -44,7 +44,7 @@ func FuzzReadStore(f *testing.F) {
 // point), because journal recovery and retransmit dedup compare
 // re-marshaled records byte-for-byte.
 func FuzzUnmarshalEventLine(f *testing.F) {
-	// Seed with real generated traffic: the exact bytes a loadgen replay
+	// Seed with real generated traffic: the exact bytes a replay
 	// or a journaled accept record carries.
 	cfg := synth.DefaultConfig(7, 0.001)
 	cfg.Months = 1

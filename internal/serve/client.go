@@ -20,12 +20,12 @@ import (
 )
 
 // Client is the request side of the serving wire protocol, used by
-// cmd/loadgen and the throughput benchmark. The uplink retries with
-// exponential backoff and full jitter: transport errors, 5xx and 429
-// (backpressure) are retryable; 4xx are permanent. HTTPClient's
-// Transport is the decoration point for internal/faults injectors —
-// wrap it with a faulty RoundTripper and the retry machinery absorbs
-// the injected failures exactly as the PR 1 uplink does.
+// the router, the chaos harness and the throughput benchmark. The
+// uplink retries with exponential backoff and full jitter: transport
+// errors, 5xx and 429 (backpressure) are retryable; 4xx are permanent.
+// HTTPClient's Transport is the decoration point for internal/faults
+// injectors — wrap it with a faulty RoundTripper and the retry
+// machinery absorbs the injected failures.
 //
 // Every /classify batch carries a stable X-Request-Id, held constant
 // across retries of that batch, so a server with a verdict ledger
@@ -41,7 +41,7 @@ type Client struct {
 	// package defaults (5 attempts, 50ms initial backoff).
 	Retry retry.Policy
 	// RequestIDPrefix namespaces generated request IDs (e.g. one prefix
-	// per loadgen worker) so independent clients never collide in the
+	// per client process) so independent clients never collide in the
 	// server's dedup ledger. Default "req".
 	RequestIDPrefix string
 	// Timeout, when set, is sent as the per-request deadline header so
@@ -54,11 +54,6 @@ type Client struct {
 	Binary bool
 
 	seq atomic.Uint64
-
-	// Deferred counts 202 journal-and-defer responses this client
-	// resolved by polling GET /result; Deduped counts batches whose
-	// verdicts came from the server's ledger (header-signaled).
-	Deferred atomic.Uint64
 }
 
 func (c *Client) httpClient() *http.Client {
@@ -240,7 +235,6 @@ func (c *Client) classify(ctx context.Context, id string, body []byte, n int) ([
 		return nil, err
 	}
 	if deferred {
-		c.Deferred.Add(1)
 		data, err = c.pollResult(ctx, id, c.Binary)
 		if err != nil {
 			return nil, err
@@ -304,7 +298,6 @@ func (c *Client) ClassifyRaw(ctx context.Context, id, contentType string, body [
 	case !errors.Is(err, errDeferred):
 		return nil, "", err
 	}
-	c.Deferred.Add(1)
 	binary := isBinaryEvents(contentType)
 	replyType = ""
 	if binary {
@@ -314,8 +307,8 @@ func (c *Client) ClassifyRaw(ctx context.Context, id, contentType string, body [
 	return data, replyType, err
 }
 
-// Reload posts a rulemine-format JSON rule set to /admin/reload and
-// returns the new rule-set generation.
+// Reload posts a rule set as `longtail rulemine -json` writes it to
+// /admin/reload and returns the new rule-set generation.
 func (c *Client) Reload(ctx context.Context, rulesJSON []byte) (uint64, error) {
 	data, _, err := c.post(ctx, "/admin/reload", rulesJSON, "", "")
 	if err != nil {

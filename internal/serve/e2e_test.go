@@ -18,7 +18,7 @@ import (
 )
 
 // TestEndToEndReplay is the acceptance loop in-process: replay a full
-// synthetic month through the HTTP surface the way cmd/loadgen does,
+// synthetic month through the HTTP surface the way bench/ replays it,
 // hot-reload the rule set mid-replay, and require (a) every streamed
 // verdict byte-identical to offline classification, (b) verdicts served
 // under both generations, and (c) every key /metrics counter non-zero.

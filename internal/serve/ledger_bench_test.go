@@ -22,7 +22,7 @@ const benchLedgerShards = 2
 // fillBenchLedger opens a ledger in dir and completes benchRetention
 // batches of batch events each — the engine's real verdicts for replay
 // events, so the reply bodies have the size and shape a node retains —
-// under IDs shaped like loadgen's. Compaction is left to the caller.
+// under IDs shaped like serve.Client's. Compaction is left to the caller.
 func fillBenchLedger(b *testing.B, dir string, batch int) *Ledger {
 	b.Helper()
 	f := sharedFixture(b)

@@ -17,7 +17,8 @@
 //
 // Everything on the classification path is deterministic: a streamed
 // verdict is byte-identical to what offline classify.ClassifyFile
-// produces for the same event, which cmd/loadgen verifies end-to-end.
+// produces for the same event, which `go run ./bench` and
+// cmd/longtailrouter's TestRouterOverDaemons verify end to end.
 package serve
 
 import (
@@ -29,8 +30,9 @@ import (
 	"repro/internal/part"
 )
 
-// LoadRules reads a rulemine-format JSON rule set (the artifact an
-// analyst reviews and edits) and builds a deployable classifier from it.
+// LoadRules reads a JSON rule set as `longtail rulemine -json` writes
+// it (the artifact an analyst reviews and edits) and builds a
+// deployable classifier from it.
 // This is the single reload path shared by cmd/longtaild's -rules flag,
 // the /admin/reload endpoint and examples/operational.
 func LoadRules(r io.Reader, policy classify.ConflictPolicy) (*classify.Classifier, error) {
@@ -58,8 +60,8 @@ func LoadRulesFile(path string, policy classify.ConflictPolicy) (*classify.Class
 
 // ExportRules writes a classifier's selected rule set in the same JSON
 // format LoadRules reads, closing the train -> review -> deploy loop:
-// `rulemine -json -o rules.json` and ExportRules produce identical
-// artifacts.
+// `longtail rulemine -json -o rules.json` and ExportRules produce
+// identical artifacts.
 func ExportRules(w io.Writer, clf *classify.Classifier) error {
 	if clf == nil {
 		return fmt.Errorf("serve: export rules: nil classifier")

@@ -123,8 +123,8 @@ func newTestEngine(t testing.TB, f *fixture, cfg EngineConfig) *Engine {
 	return engine
 }
 
-// TestRulesRoundTrip covers the rulemine -json -o -> longtaild -rules
-// artifact loop: export the trained rule set to disk, load it back
+// TestRulesRoundTrip covers the `longtail rulemine -json -o` ->
+// `longtaild -rules` artifact loop: export the trained rule set to disk, load it back
 // through the serving rule loader, and require identical verdicts on
 // every replay event.
 func TestRulesRoundTrip(t *testing.T) {

@@ -44,9 +44,10 @@ const (
 //	                    answered from the verdict ledger.
 //	GET  /result        ?id=<request id>: verdicts of a deferred batch
 //	                    (200), 204 while still pending, 404 if unknown.
-//	POST /admin/reload  rulemine-format JSON rule set in; hot-swaps the
-//	                    served rules. A set that fails validation leaves
-//	                    the old generation serving (degraded mode).
+//	POST /admin/reload  rule set JSON (`longtail rulemine -json`) in;
+//	                    hot-swaps the served rules. A set that fails
+//	                    validation leaves the old generation serving
+//	                    (degraded mode).
 //	GET  /healthz       liveness + generation, queue depth, journal
 //	                    state; "degraded" after a refused reload.
 //	GET  /metrics       Prometheus-style text exposition.
