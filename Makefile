@@ -88,7 +88,9 @@ govulncheck:
 # and the verdict-line parser on the reply side) — the journal recovery
 # path that must survive torn tails on any shard subset, arbitrary
 # bytes in a segment and a compaction killed at any of its crash points
-# (one fuzzer over the one on-disk format), the //lint:allow directive
+# (one fuzzer over the one on-disk format), the ledger held to its
+# reference model through accepts, results, compactions, reopens,
+# crashes, failing appends and handoffs, the //lint:allow directive
 # parser, and the compiled feature context's table (its seeds include a
 # 70,000-byte key, and minimizing inputs that size for the default
 # minute each would be the whole smoke, hence -fuzzminimizetime), and
@@ -96,9 +98,8 @@ govulncheck:
 # http.Transport as its oracle, and the node's and router's front against
 # arbitrary request bytes, with http.Server as its oracle (every input is
 # a few loopback conversations, so minimizing each new one for the
-# default minute would stall it too). Seven at 20s,
-# the fast path's four and the link at 15s: about three and a half
-# minutes in all.
+# default minute would stall it too). Eight at 20s,
+# the fast path's four and the link at 15s: about four minutes in all.
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzUnmarshalEventLine -fuzztime=20s -run '^$$' ./internal/export/
 	$(GO) test -fuzz=FuzzParseEventLineRaw -fuzztime=15s -run '^$$' ./internal/export/
@@ -108,6 +109,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzLinkResponse -fuzztime=15s -run '^$$' ./internal/serve/
 	$(GO) test -fuzz=FuzzFrontRequest -fuzztime=20s -fuzzminimizetime=10x -run '^$$' ./internal/serve/
 	$(GO) test -fuzz=FuzzRecovery -fuzztime=20s -run '^$$' ./internal/journal/
+	$(GO) test -fuzz=FuzzLedger -fuzztime=20s -run '^$$' ./internal/serve/
 	$(GO) test -fuzz=FuzzParseAllowDirective -fuzztime=20s -run '^$$' ./internal/lint/lintkit/
 	$(GO) test -fuzz='^FuzzBinaryEvents$$' -fuzztime=20s -run '^$$' ./internal/serve/
 	$(GO) test -fuzz='^FuzzBinaryVerdicts$$' -fuzztime=20s -run '^$$' ./internal/serve/

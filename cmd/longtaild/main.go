@@ -201,7 +201,7 @@ func run() error {
 		if rec.TornTail > 0 {
 			log.Printf("longtaild: journal recovery discarded %d bytes of torn tail (unacknowledged writes from a crash, and a recycled segment's old contents behind its last record)", rec.TornTail)
 		}
-		replayed, err := serve.RecoverLedger(engine, ledger, rec)
+		replayed, err := serve.RecoverLedger(engine, ledger)
 		if err != nil {
 			return err
 		}

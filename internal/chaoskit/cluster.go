@@ -246,7 +246,7 @@ func (c *Cluster) start(i, shards int) (*serve.LedgerRecovery, int, error) {
 		ledger.Close()
 		return nil, 0, err
 	}
-	replayed, err := serve.RecoverLedger(engine, ledger, rec)
+	replayed, err := serve.RecoverLedger(engine, ledger)
 	if err != nil {
 		return fail(err)
 	}

@@ -106,7 +106,7 @@ func (c *Cluster) Restart(i int) (Recovery, int) {
 		c.Failf("restart replica %d: %w", i, err)
 		return Recovery{}, 0
 	}
-	return Recovery{RecoveredResults: rec.Results, RecoveredPending: len(rec.Pending), TornTailBytes: rec.TornTail}, replayed
+	return Recovery{RecoveredResults: rec.Results, RecoveredPending: rec.Pending, TornTailBytes: rec.TornTail}, replayed
 }
 
 // Partition cuts the link into replica i — forwards and health probes

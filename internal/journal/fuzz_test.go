@@ -52,6 +52,10 @@ type image struct {
 	data []byte
 }
 
+// recordFrameBytes is the size of the frame of every record
+// FuzzRecovery appends ("r-NNN").
+const recordFrameBytes = frameHeaderSize + 1 + seqPrefixSize + 5
+
 // fuzzSegmentBytes is what FuzzRecovery's journals preallocate a
 // segment to: room for everything one input appends to a shard, small
 // enough to read back thousands of times a second.
@@ -213,10 +217,11 @@ func FuzzRecovery(f *testing.F) {
 			return s
 		}
 		// tear crashes shard si's newest segment cut bytes before the end
-		// of its new life: the new bytes up to there, then whatever the
-		// file held before — a recycled file's old contents, nothing for a
-		// created one. It returns the bytes left, and false if the shard
-		// has no segment.
+		// of its new life: the new bytes up to there (kept[si]), then
+		// whatever the file held before — a recycled file's old contents,
+		// nothing for a created one. It returns the bytes left, and false
+		// if the shard has no segment.
+		kept := make(map[int]int64)
 		tear := func(si int, cut int64) (int64, bool) {
 			newest := newestSegment(t, dir, si)
 			if newest == "" {
@@ -231,6 +236,7 @@ func FuzzRecovery(f *testing.F) {
 				t.Fatal(err)
 			}
 			k := max(int64(len(data))-cut, 0)
+			kept[si] = k
 			var old []byte
 			for _, img := range images {
 				if os.SameFile(fi, img.fi) {
@@ -389,6 +395,11 @@ func FuzzRecovery(f *testing.F) {
 		if rec.TornTail < 0 || rec.TornTail > damagedBytes {
 			t.Fatalf("torn tail %d outside [0, %d]", rec.TornTail, damagedBytes)
 		}
+		for si := range torn {
+			if kept[si]%recordFrameBytes != 0 && rec.TornTail == 0 {
+				t.Fatalf("shard %d torn inside a frame, and no torn bytes reported", si)
+			}
+		}
 
 		// The appended records among the survivors, as global indices.
 		// Whatever else came back was decoded out of junk.
@@ -424,14 +435,20 @@ func FuzzRecovery(f *testing.F) {
 						}
 					}
 				default:
-					// A torn shard keeps a prefix of its own records.
-					tail := false
+					// A torn shard keeps a prefix of its own records: at
+					// least every one whose frame ended before the tear.
+					tail, prefix := false, 0
 					for _, id := range ids {
 						if !survived[id] {
 							tail = true
 						} else if tail {
 							t.Fatalf("torn shard %d lost record mid-stream, then recovered %d after it", si, id)
+						} else {
+							prefix++
 						}
+					}
+					if whole := min(len(ids), int(kept[si]/recordFrameBytes)); prefix < whole {
+						t.Fatalf("torn shard %d kept %d records, but %d ended before the tear", si, prefix, whole)
 					}
 				}
 			}

@@ -65,36 +65,6 @@ func crashFS(t *testing.T, cfg faults.Config) *faults.CrashFS {
 	return fs
 }
 
-// TestAppendRecoverRoundTrip: every acknowledged record survives a
-// reopen, in order, with kind and payload intact.
-func TestAppendRecoverRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	s, rec := reopen(t, dir, 1)
-	if len(rec.Records) != 0 {
-		t.Fatalf("fresh dir recovered %+v", rec)
-	}
-	for i := 0; i < 100; i++ {
-		if err := appendRec(s, "k", byte(1+i%3), []byte(fmt.Sprintf("rec-%03d", i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	_, rec2 := reopen(t, dir, 1)
-	if len(rec2.Records) != 100 {
-		t.Fatalf("recovered %d records, want 100", len(rec2.Records))
-	}
-	for i, r := range rec2.Records {
-		if r.Kind != byte(1+i%3) || string(r.Data) != fmt.Sprintf("rec-%03d", i) {
-			t.Fatalf("record %d = kind %d %q", i, r.Kind, r.Data)
-		}
-	}
-	if rec2.TornTail != 0 {
-		t.Fatalf("clean close recovered torn tail of %d bytes", rec2.TornTail)
-	}
-}
-
 // TestRootLevelFlatFilesRefused: a directory holding segment or
 // snapshot files at its root (the single-WAL layout and the compaction
 // snapshot this package once wrote) is refused with an error naming the
@@ -111,57 +81,6 @@ func TestRootLevelFlatFilesRefused(t *testing.T) {
 				t.Fatalf("OpenSharded(%d) over root-level %s = %v, want a refusal naming it", shards, name, err)
 			}
 		}
-	}
-}
-
-// TestRecoveryAfterCrashDiscardsOnlyUnsyncedTail: synced records
-// survive a kill -9 (with a torn tail of unsynced bytes on disk);
-// async-appended records after the last sync may be lost but never
-// corrupt recovery.
-func TestRecoveryAfterCrashDiscardsOnlyUnsyncedTail(t *testing.T) {
-	fs := crashFS(t, faults.Config{Seed: 5, TornWriteRate: 1})
-	dir := t.TempDir()
-	s, _, err := OpenSharded(Options{
-		Dir:      dir,
-		OpenFile: func(path string) (File, error) { return fs.Open(path) },
-	}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 40; i++ {
-		if err := appendRec(s, "k", 1, []byte(fmt.Sprintf("durable-%02d", i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Unsynced tail: lost or torn at crash, never acknowledged.
-	for i := 0; i < 20; i++ {
-		if err := appendAsync(s, "k", 2, []byte(fmt.Sprintf("volatile-%02d", i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := fs.Crash(); err != nil {
-		t.Fatal(err)
-	}
-	if st := fs.Stats(); st.TornKept == 0 {
-		t.Fatal("TornWriteRate 1 left no torn tail; the test is vacuous")
-	}
-	_, rec := reopen(t, dir, 1)
-	if len(rec.Records) < 40 {
-		t.Fatalf("recovered %d records, want >= 40 durable ones", len(rec.Records))
-	}
-	for i := 0; i < 40; i++ {
-		if string(rec.Records[i].Data) != fmt.Sprintf("durable-%02d", i) {
-			t.Fatalf("durable record %d = %q", i, rec.Records[i].Data)
-		}
-	}
-	// Any extra records are a valid prefix of the async tail.
-	for i, r := range rec.Records[40:] {
-		if string(r.Data) != fmt.Sprintf("volatile-%02d", i) {
-			t.Fatalf("async record %d = %q", i, r.Data)
-		}
-	}
-	if rec.TornTail == 0 {
-		t.Fatal("expected a torn tail after a crash with unsynced bytes")
 	}
 }
 
@@ -201,69 +120,6 @@ func TestPartialFsyncSurfacesError(t *testing.T) {
 	}
 	if len(rec.Records) < acked {
 		t.Fatalf("recovered %d records but %d were acknowledged durable", len(rec.Records), acked)
-	}
-}
-
-// TestSegmentRotation: records spanning many segments all recover.
-func TestSegmentRotation(t *testing.T) {
-	dir := t.TempDir()
-	s, _, err := OpenSharded(Options{Dir: dir, SegmentBytes: 256}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 64; i++ {
-		if err := appendRec(s, "k", 1, bytes.Repeat([]byte{byte(i)}, 32)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if st := s.Stats(); st.Rotations == 0 {
-		t.Fatal("no rotations at 256-byte segments; the test is vacuous")
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	_, rec := reopen(t, dir, 1)
-	if len(rec.Records) != 64 {
-		t.Fatalf("recovered %d records across segments, want 64", len(rec.Records))
-	}
-	if rec.Segments < 2 {
-		t.Fatalf("replayed %d segments, want >= 2", rec.Segments)
-	}
-}
-
-// TestCorruptMidFileStopsReplay: flipping a byte in the middle of a
-// segment truncates recovery at the corruption, never past it.
-func TestCorruptMidFileStopsReplay(t *testing.T) {
-	dir := t.TempDir()
-	s, _ := reopen(t, dir, 1)
-	for i := 0; i < 20; i++ {
-		if err := appendRec(s, "k", 1, []byte(fmt.Sprintf("rec-%02d", i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(dir, shardDirName(0), segmentName(1))
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data[len(data)/2] ^= 0xff
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	_, rec := reopen(t, dir, 1)
-	if len(rec.Records) >= 20 {
-		t.Fatal("recovery read past a corrupt frame")
-	}
-	for i, r := range rec.Records {
-		if string(r.Data) != fmt.Sprintf("rec-%02d", i) {
-			t.Fatalf("record %d = %q after corruption", i, r.Data)
-		}
-	}
-	if rec.TornTail == 0 {
-		t.Fatal("corruption not reported as torn bytes")
 	}
 }
 
@@ -553,50 +409,6 @@ func onlySegments(t *testing.T, dir string) {
 	})
 	if err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestTornTailCutAtOpen: records acknowledged after a crash must
-// survive the next restart too. The crash leaves a torn tail on the
-// newest segment; the reopened journal appends to the next segment, so
-// unless the tear is cut off at open the second restart finds it in the
-// middle of the shard's history and stops replaying before everything
-// acknowledged since.
-func TestTornTailCutAtOpen(t *testing.T) {
-	dir := t.TempDir()
-	s, _ := reopen(t, dir, 1)
-	for i := 0; i < 3; i++ {
-		if err := appendRec(s, "k", 1, []byte(fmt.Sprintf("first-%d", i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	truncateShardTail(t, dir, 0, 3)
-
-	s2, rec := reopen(t, dir, 1)
-	if len(rec.Records) != 2 || rec.TornTail == 0 {
-		t.Fatalf("after the tear: %d records, %d torn bytes; want 2 records and a torn tail", len(rec.Records), rec.TornTail)
-	}
-	for i := 0; i < 2; i++ {
-		if err := appendRec(s2, "k", 1, []byte(fmt.Sprintf("second-%d", i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := s2.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	_, rec = reopen(t, dir, 1)
-	want := []string{"first-0", "first-1", "second-0", "second-1"}
-	if len(rec.Records) != len(want) || rec.TornTail != 0 {
-		t.Fatalf("second restart recovered %d records and %d torn bytes, want %d and 0: records acknowledged after the first restart are gone", len(rec.Records), rec.TornTail, len(want))
-	}
-	for i, r := range rec.Records {
-		if string(r.Data) != want[i] {
-			t.Fatalf("record %d = %q, want %q", i, r.Data, want[i])
-		}
 	}
 }
 

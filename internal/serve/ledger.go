@@ -78,6 +78,9 @@ type Ledger struct {
 	// compactErrors counts triggered compactions that failed; the log
 	// they would have truncated is intact and the next Result retries.
 	compactErrors atomic.Uint64
+	// evicted counts results the MaxResults bound dropped, the replay at
+	// open included: each is an ID a retransmit would find unanswered.
+	evicted atomic.Uint64
 }
 
 // LedgerOptions configures OpenLedger.
@@ -109,10 +112,10 @@ type LedgerOptions struct {
 
 // LedgerRecovery reports what OpenLedger reconstructed from disk.
 type LedgerRecovery struct {
-	// Pending maps request IDs that were accepted but have no journaled
-	// result — the batches a restarted daemon must replay through the
-	// engine (RecoverLedger does exactly that).
-	Pending map[string][]dataset.DownloadEvent
+	// Pending is how many accepted batches have no journaled result —
+	// the batches a restarted daemon must replay through the engine
+	// (RecoverLedger does exactly that).
+	Pending int
 	// Results is how many completed batches were recovered.
 	Results int
 	// TornTail is the number of bytes of unacknowledged torn tail the
@@ -155,15 +158,7 @@ func OpenLedger(opts LedgerOptions) (*Ledger, *LedgerRecovery, error) {
 	for id, body := range l.results {
 		l.rewritten += int64(len(id) + len(body))
 	}
-	out := &LedgerRecovery{
-		Pending:  make(map[string][]dataset.DownloadEvent, len(l.pending)),
-		Results:  len(l.results),
-		TornTail: rec.TornTail,
-	}
-	for id, ev := range l.pending {
-		out.Pending[id] = ev
-	}
-	return l, out, nil
+	return l, &LedgerRecovery{Pending: len(l.pending), Results: len(l.results), TornTail: rec.TornTail}, nil
 }
 
 // entry is one ledger entry in record form, as the journal and a
@@ -326,6 +321,7 @@ func (l *Ledger) storeResultLocked(id string, body []byte) {
 		return
 	}
 	for len(l.order) > l.maxResults {
+		l.evicted.Add(1)
 		delete(l.results, l.order[0])
 		l.order[0] = "" // release the string so the sliced-off slot doesn't pin it
 		l.order = l.order[1:]
@@ -338,11 +334,14 @@ func (l *Ledger) storeResultLocked(id string, body []byte) {
 // `id\n` + body, rendered straight into the journal's frame buffer —
 // no re-marshaling, no allocation beyond the pending-map entry. body
 // and events must describe the same batch. It returns only after the
-// record is fsynced (group-committed with concurrent accepts); on
-// journal failure the in-memory pending mark is rolled back so a
-// retransmit can try again cleanly. Like every writer it installs in
-// memory before it appends, so a compaction that seals the record's
-// segment finds the entry in the state it rewrites.
+// record is fsynced (group-committed with concurrent accepts). On
+// journal failure it rolls back only what it installed — a mark an
+// earlier, durable accept of the ID set stays — so a retransmit can try
+// again cleanly; a call that found the ID pending re-asserts the mark
+// once its own record is durable, since a failed concurrent accept may
+// have rolled it back. Like every writer it installs in memory before it
+// appends, so a compaction that seals the record's segment finds the
+// entry in the state it rewrites.
 func (l *Ledger) AcceptWire(id string, events []dataset.DownloadEvent, body string) error {
 	if id == "" {
 		return fmt.Errorf("serve: ledger: empty request id")
@@ -352,13 +351,26 @@ func (l *Ledger) AcceptWire(id string, events []dataset.DownloadEvent, body stri
 		l.mu.Unlock()
 		return nil // already served; caller will hit Lookup
 	}
+	prev, wasPending := l.pending[id]
 	l.pending[id] = events
 	l.mu.Unlock()
 	err := l.j.AppendFunc(id, recAccept, func(dst []byte) []byte { return appendPayload(dst, id, body) })
+	if err == nil && !wasPending {
+		return nil
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if _, done := l.results[id]; !done {
+		switch {
+		case err == nil:
+			l.pending[id] = events
+		case wasPending:
+			l.pending[id] = prev
+		default:
+			delete(l.pending, id)
+		}
+	}
 	if err != nil {
-		l.mu.Lock()
-		delete(l.pending, id)
-		l.mu.Unlock()
 		return fmt.Errorf("serve: ledger accept %s: %w", id, err)
 	}
 	return nil
@@ -540,6 +552,7 @@ func (l *Ledger) JournalMetrics() JournalMetrics {
 		Lag:           l.j.ShardLag(),
 		SyncBatch:     l.j.SyncBatches(),
 		CompactErrors: l.compactErrors.Load(),
+		Evicted:       l.evicted.Load(),
 	}
 }
 
@@ -552,10 +565,7 @@ func (l *Ledger) Close() error { return l.j.Close() }
 // deterministic, so the replayed verdicts are byte-identical to the
 // ones the dead process would have served. Returns the number of
 // batches replayed.
-func RecoverLedger(engine *Engine, l *Ledger, rec *LedgerRecovery) (int, error) {
-	if rec == nil || len(rec.Pending) == 0 {
-		return 0, nil
-	}
+func RecoverLedger(engine *Engine, l *Ledger) (int, error) {
 	replayed := 0
 	for _, id := range l.PendingIDs() {
 		events := l.PendingEvents(id)

@@ -6,8 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"path/filepath"
-	"regexp"
 	"slices"
 	"strings"
 	"sync"
@@ -16,6 +14,7 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/export"
+	"repro/internal/faults"
 	"repro/internal/journal"
 )
 
@@ -40,220 +39,6 @@ func newTestLedger(t *testing.T, dir string) (*Ledger, *LedgerRecovery) {
 		t.Fatal(err)
 	}
 	return l, rec
-}
-
-// TestLedgerAcceptResultLookup: the basic exactly-once protocol —
-// accept, result, dedup lookup — against a live journal.
-func TestLedgerAcceptResultLookup(t *testing.T) {
-	f := sharedFixture(t)
-	l, rec := newTestLedger(t, t.TempDir())
-	defer l.Close()
-	if len(rec.Pending) != 0 || rec.Results != 0 {
-		t.Fatalf("fresh ledger recovered %+v", rec)
-	}
-	events := f.replay[:4]
-	if err := acceptEvents(l, "batch-1", events); err != nil {
-		t.Fatal(err)
-	}
-	if !l.IsPending("batch-1") {
-		t.Fatal("accepted batch not pending")
-	}
-	if _, ok := l.Lookup("batch-1"); ok {
-		t.Fatal("pending batch has a result")
-	}
-	verdicts := []VerdictRecord{{Type: "verdict", File: string(events[0].File), Verdict: "benign"}}
-	if _, err := l.Result("batch-1", verdicts); err != nil {
-		t.Fatal(err)
-	}
-	if l.IsPending("batch-1") {
-		t.Fatal("resulted batch still pending")
-	}
-	got, ok := l.LookupVerdicts("batch-1")
-	if !ok || len(got) != 1 || got[0].File != verdicts[0].File {
-		t.Fatalf("Lookup = %+v, %v", got, ok)
-	}
-	// First result wins: a racing duplicate must not overwrite.
-	if _, err := l.Result("batch-1", []VerdictRecord{{File: "other"}}); err != nil {
-		t.Fatal(err)
-	}
-	got, _ = l.LookupVerdicts("batch-1")
-	if got[0].File != verdicts[0].File {
-		t.Fatal("duplicate result overwrote the first")
-	}
-	// Accept of an already-resulted ID is a no-op, not a new pending.
-	if err := acceptEvents(l, "batch-1", events); err != nil {
-		t.Fatal(err)
-	}
-	if l.IsPending("batch-1") {
-		t.Fatal("re-accept of resulted batch went pending")
-	}
-}
-
-// TestLedgerRecoveryReplaysPending: a ledger reopened after an unclean
-// stop reconstructs completed results and replays pending batches
-// through the engine to byte-identical verdicts.
-func TestLedgerRecoveryReplaysPending(t *testing.T) {
-	f := sharedFixture(t)
-	dir := t.TempDir()
-	l, _ := newTestLedger(t, dir)
-	engine := newTestEngine(t, f, EngineConfig{})
-
-	done := f.replay[:3]
-	verdicts, err := engine.ClassifyBatch(context.Background(), done)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := acceptEvents(l, "done-1", done); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := l.Result("done-1", verdicts); err != nil {
-		t.Fatal(err)
-	}
-	pending := f.replay[3:8]
-	if err := acceptEvents(l, "pend-1", pending); err != nil {
-		t.Fatal(err)
-	}
-	// Simulate the crash window: results are async, so force them down
-	// before "dying" without Close-ing cleanly at the ledger layer.
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	l2, rec := newTestLedger(t, dir)
-	defer l2.Close()
-	if rec.Results != 1 {
-		t.Fatalf("recovered %d results, want 1", rec.Results)
-	}
-	if len(rec.Pending) != 1 || len(rec.Pending["pend-1"]) != 5 {
-		t.Fatalf("recovered pending %+v", rec.Pending)
-	}
-	got, ok := l2.LookupVerdicts("done-1")
-	if !ok || len(got) != len(verdicts) {
-		t.Fatalf("completed batch lost in recovery: %v %v", got, ok)
-	}
-	for i := range got {
-		if got[i].Key() != verdicts[i].Key() {
-			t.Fatalf("recovered verdict %d = %q, want %q", i, got[i].Key(), verdicts[i].Key())
-		}
-	}
-
-	n, err := RecoverLedger(engine, l2, rec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 1 {
-		t.Fatalf("replayed %d batches, want 1", n)
-	}
-	replayed, ok := l2.LookupVerdicts("pend-1")
-	if !ok || len(replayed) != 5 {
-		t.Fatalf("pending batch not resolved by recovery: %v %v", replayed, ok)
-	}
-	// Byte-identity: replayed verdicts match fresh offline classification.
-	for i := range pending {
-		want := offlineKey(t, f, f.clf, &pending[i])
-		if replayed[i].Key() != want {
-			t.Fatalf("replayed verdict %d = %q, offline %q", i, replayed[i].Key(), want)
-		}
-	}
-}
-
-// TestLedgerCompaction: compaction preserves the full dedup state and
-// recovery afterwards still sees every batch.
-func TestLedgerCompaction(t *testing.T) {
-	f := sharedFixture(t)
-	dir := t.TempDir()
-	l, _ := newTestLedger(t, dir)
-	for i := 0; i < 10; i++ {
-		id := fmt.Sprintf("b-%02d", i)
-		if err := acceptEvents(l, id, f.replay[i:i+1]); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := l.Result(id, []VerdictRecord{{Type: "verdict", File: string(f.replay[i].File)}}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := acceptEvents(l, "open-1", f.replay[10:12]); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	if st := l.Stats(); st.Compactions == 0 {
-		t.Fatal("Compact did not compact")
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	l2, rec := newTestLedger(t, dir)
-	defer l2.Close()
-	if rec.Results != 10 {
-		t.Fatalf("post-compaction recovery found %d results, want 10", rec.Results)
-	}
-	if len(rec.Pending) != 1 || len(rec.Pending["open-1"]) != 2 {
-		t.Fatalf("post-compaction pending %+v", rec.Pending)
-	}
-	for i := 0; i < 10; i++ {
-		if _, ok := l2.Lookup(fmt.Sprintf("b-%02d", i)); !ok {
-			t.Fatalf("batch b-%02d lost across compaction", i)
-		}
-	}
-}
-
-// TestLedgerResultRetention: the completed-result dedup cache is
-// bounded — oldest-completed batches are evicted past MaxResults, both
-// live and across recovery, and an evicted ID re-enters the accept path
-// instead of being answered from the ledger.
-func TestLedgerResultRetention(t *testing.T) {
-	f := sharedFixture(t)
-	dir := t.TempDir()
-	l, _, err := OpenLedger(LedgerOptions{Journal: journal.Options{Dir: dir}, MaxResults: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 10; i++ {
-		id := fmt.Sprintf("b-%02d", i)
-		if err := acceptEvents(l, id, f.replay[i:i+1]); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := l.Result(id, []VerdictRecord{{Type: "verdict", File: string(f.replay[i].File)}}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, completed := l.Counts(); completed != 4 {
-		t.Fatalf("retained %d results, want 4", completed)
-	}
-	if _, ok := l.Lookup("b-00"); ok {
-		t.Fatal("evicted result still served")
-	}
-	for i := 6; i < 10; i++ {
-		if _, ok := l.Lookup(fmt.Sprintf("b-%02d", i)); !ok {
-			t.Fatalf("recent result b-%02d evicted out of order", i)
-		}
-	}
-	// A retransmit of an evicted ID is re-accepted (and would be
-	// reclassified — deterministically, so the verdicts match).
-	if err := acceptEvents(l, "b-00", f.replay[0:1]); err != nil {
-		t.Fatal(err)
-	}
-	if !l.IsPending("b-00") {
-		t.Fatal("re-accept of an evicted ID did not go pending")
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Recovery replays through the same bound: the journaled history
-	// cannot resurrect more than MaxResults completed batches.
-	l2, rec, err := OpenLedger(LedgerOptions{Journal: journal.Options{Dir: dir}, MaxResults: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l2.Close()
-	if rec.Results > 4 {
-		t.Fatalf("recovery resurrected %d results past the bound of 4", rec.Results)
-	}
-	if len(rec.Pending) != 1 || len(rec.Pending["b-00"]) != 1 {
-		t.Fatalf("recovered pending %+v, want the re-accepted b-00", rec.Pending)
-	}
 }
 
 // TestLedgerCompactConcurrentAccept: compaction racing with live
@@ -317,16 +102,6 @@ func TestLedgerCompactConcurrentAccept(t *testing.T) {
 				t.Fatalf("batch %s vanished: accepted durably but lost across a concurrent compaction", id)
 			}
 		}
-	}
-}
-
-// TestLedgerEmptyID: an empty request ID is rejected, not journaled.
-func TestLedgerEmptyID(t *testing.T) {
-	f := sharedFixture(t)
-	l, _ := newTestLedger(t, t.TempDir())
-	defer l.Close()
-	if err := acceptEvents(l, "", f.replay[:1]); err == nil {
-		t.Fatal("empty request id accepted")
 	}
 }
 
@@ -428,89 +203,6 @@ func TestLedgerCompactionFailureDoesNotFailResult(t *testing.T) {
 	}
 }
 
-// TestLedgerCompactionIsTheLog: a ledger filled, compacted and reopened
-// comes back from ordinary records — Lookup bodies byte-identical, the
-// same pending set, nothing in the journal directory but segments and
-// the pool of retired ones — and in completion order: the further
-// results evict the oldest-completed IDs first. (A snapshot restored in
-// sorted-ID order evicted w first.)
-func TestLedgerCompactionIsTheLog(t *testing.T) {
-	f := sharedFixture(t)
-	dir := t.TempDir()
-	opts := LedgerOptions{Journal: journal.Options{Dir: dir}, Shards: 2, MaxResults: 4}
-	l, _, err := OpenLedger(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	completed := []string{"z-first", "y-second", "x-third", "w-fourth"}
-	bodies := make(map[string][]byte)
-	for i, id := range completed {
-		if err := acceptEvents(l, id, f.replay[i:i+2]); err != nil {
-			t.Fatal(err)
-		}
-		body, err := l.Result(id, []VerdictRecord{{Type: "verdict", File: id, Verdict: "quote\"<&>\u00e9"}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		bodies[id] = body
-	}
-	for i, id := range []string{"pend-b", "pend-a"} {
-		if err := acceptEvents(l, id, f.replay[10+i:13+i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	wantPending := l.PendingIDs()
-	for round := 0; round < 2; round++ { // the second compacts a log that is only a rewrite
-		if err := l.Compact(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	err = filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
-		if err == nil && !d.IsDir() && !journalFileRE.MatchString(d.Name()) {
-			t.Errorf("journal directory holds %s after compaction", path)
-		}
-		return err
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	l2, rec, err := OpenLedger(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l2.Close()
-	for id, want := range bodies {
-		if got, ok := l2.Lookup(id); !ok || !bytes.Equal(got, want) {
-			t.Fatalf("%s after compact + reopen = %q (%v), want %q", id, got, ok, want)
-		}
-	}
-	if got := l2.PendingIDs(); !slices.Equal(got, wantPending) || len(rec.Pending["pend-a"]) != 3 {
-		t.Fatalf("pending after compact + reopen = %v (%d events in pend-a), want %v", got, len(rec.Pending["pend-a"]), wantPending)
-	}
-	for i, evicted := range completed {
-		id := fmt.Sprintf("new-%d", i)
-		if _, err := l2.Result(id, []VerdictRecord{{Type: "verdict", File: id}}); err != nil {
-			t.Fatal(err)
-		}
-		if _, ok := l2.Lookup(evicted); ok {
-			t.Fatalf("result %d after the restart did not evict %s, the oldest completed", i+1, evicted)
-		}
-		for _, id := range completed[i+1:] {
-			if _, ok := l2.Lookup(id); !ok {
-				t.Fatalf("result %d after the restart evicted %s ahead of %s: completion order lost", i+1, id, evicted)
-			}
-		}
-	}
-}
-
-// journalFileRE is every file name a journal directory may hold: its
-// segments and the pool of retired ones compaction keeps for reuse.
-var journalFileRE = regexp.MustCompile(`^(wal|free)-[0-9]{8}\.seg$`)
-
 // TestLedgerRecyclesRotations: once compaction has retired segments, a
 // ledger's rotations take them from the pool — at least 90% of the
 // rotations past its second compaction — so its appends overwrite
@@ -572,9 +264,9 @@ func TestRecoverOversizedPendingBatch(t *testing.T) {
 	if _, err := engine.ClassifyBatch(context.Background(), events); !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("whole batch = %v, want ErrOverloaded; the test is vacuous", err)
 	}
-	l2, rec := newTestLedger(t, dir)
+	l2, _ := newTestLedger(t, dir)
 	defer l2.Close()
-	if n, err := RecoverLedger(engine, l2, rec); err != nil || n != 1 {
+	if n, err := RecoverLedger(engine, l2); err != nil || n != 1 {
 		t.Fatalf("RecoverLedger = %d, %v", n, err)
 	}
 	got, ok := l2.Lookup("big-1")
@@ -593,4 +285,274 @@ func TestRecoverOversizedPendingBatch(t *testing.T) {
 	if want := appendVerdictBody(nil, whole); !bytes.Equal(got, want) {
 		t.Fatalf("sliced recovery body differs from the unsliced answer:\n got %q\nwant %q", got, want)
 	}
+}
+
+// ledgerIDs is FuzzLedger's ID alphabet: small, so IDs repeat, and with
+// the empty ID AcceptWire must refuse.
+var ledgerIDs = []string{"", "a", "b", "c", "d", "e"}
+
+// ledgerSide is one ledger FuzzLedger drives, on a crashable journal
+// whose writes fail while fail is set, beside its reference.
+type ledgerSide struct {
+	dir  string
+	fs   *faults.CrashFS
+	fail atomic.Bool
+	l    *Ledger
+	m    *refLedger
+}
+
+// FuzzLedger holds two ledgers equal to the reference ledger
+// (refledger_test.go) after every step of an op stream. Each runs on a
+// faults.CrashFS journal of one to three shards and 512-byte segments,
+// compacting when told or also every 256 journaled bytes. The first
+// three input bytes pick MaxResults (1–8), the shard count and trigger,
+// and the crashes' torn fragments; then each op is two bytes, the op and
+// its argument, the op's top bit choosing the ledger:
+//
+//	0 AcceptWire(id, 1–4 events)  1 Result(id, one of two replies)
+//	2 Compact                     3 Close and OpenLedger
+//	4 CrashFS.Crash with torn fragments, OpenLedger, RecoverLedger
+//	5 fail the next append, as a full disk does
+//	6 ExportRange(pred) and SplitExport, checked against the reference,
+//	  into the other ledger: the first chunk with a byte flipped (refused,
+//	  nothing changes), every chunk in reverse order, every chunk again
+//
+// Every example test the reference replaced is a seed in
+// testdata/fuzz/FuzzLedger, named after it.
+func FuzzLedger(f *testing.F) {
+	fix := sharedFixture(f)
+	engine := newTestEngine(f, fix, EngineConfig{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 3 || len(data) > 3+2*48 {
+			t.Skip("three header bytes and at most 48 ops")
+		}
+		opts := LedgerOptions{MaxResults: 1 + int(data[0]%8), Shards: 1 + int(data[1]%3), CompactBytes: -1}
+		if data[1]&0x80 != 0 {
+			opts.CompactBytes = 256
+		}
+		sides, crashes := [2]*ledgerSide{{dir: t.TempDir()}, {dir: t.TempDir()}}, 0
+		open := func(s *ledgerSide) {
+			inj, err := faults.NewInjector(faults.Config{Seed: int64(data[2]) + int64(crashes), TornWriteRate: 1})
+			if err == nil {
+				s.fs, err = faults.NewCrashFS(inj)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.fail.Store(false)
+			o := opts
+			o.Journal = journal.Options{Dir: s.dir, SegmentBytes: 512, OpenFile: func(path string) (journal.File, error) {
+				file, err := s.fs.Open(path)
+				return &flakyFile{File: file, failWrites: &s.fail}, err
+			}}
+			if s.l, _, err = OpenLedger(o); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, s := range sides {
+			open(s)
+			s.m = (&refLedger{max: opts.MaxResults, shards: opts.Shards}).replay(nil)
+			defer func() { s.l.Close() }()
+		}
+		for i := 3; i+1 < len(data); i += 2 {
+			op, arg := data[i], data[i+1]
+			s, peer := sides[op>>7], sides[1-op>>7]
+			id := ledgerIDs[int(arg)%len(ledgerIDs)]
+			switch op & 7 {
+			case 0:
+				events := fix.replay[arg>>3 : arg>>3+1+arg>>6]
+				lines, err := appendEventLines(nil, events)
+				if err == nil {
+					err = s.l.AcceptWire(id, events, string(lines))
+				}
+				if ok := s.m.accept(id, string(lines)); ok != (err == nil) {
+					t.Fatalf("step %d: AcceptWire(%q) = %v, reference ok = %v", i, id, err, ok)
+				}
+			case 1:
+				if id == "" {
+					continue
+				}
+				verdicts := []VerdictRecord{{Type: "verdict", File: id, Verdict: [2]string{"benign", "malicious"}[arg>>7]}}
+				compactions := s.l.Stats().Compactions
+				body, err := s.l.Result(id, verdicts)
+				if want, ok := s.m.result(id, string(appendVerdictBody(nil, verdicts))); string(body) != want || ok != (err == nil) {
+					t.Fatalf("step %d: Result(%q) = %q, %v; reference %q, ok = %v", i, id, body, err, want, ok)
+				}
+				if s.l.Stats().Compactions > compactions {
+					s.m.compact()
+				}
+			case 2:
+				if err := s.l.Compact(); s.m.compact() != (err == nil) {
+					t.Fatalf("step %d: Compact = %v", i, err)
+				}
+			case 3:
+				if err := s.l.Close(); err != nil {
+					t.Fatal(err)
+				}
+				open(s)
+				s.m.reopen()
+			case 4:
+				if err := s.fs.Crash(); err != nil {
+					t.Fatal(err)
+				}
+				s.l.Close() // fails: the process it stands for is dead
+				crashes++
+				open(s)
+				if !s.m.crash(func(r *refLedger) bool { return diffLedger(s.l, r) == nil }) {
+					t.Fatalf("step %d: no state a crash may leave matches: %v", i, diffLedger(s.l, s.m))
+				}
+				pending := s.l.PendingIDs()
+				for _, id := range pending {
+					verdicts, err := engine.ClassifyBatch(context.Background(), s.l.PendingEvents(id))
+					if err != nil {
+						t.Fatal(err)
+					}
+					s.m.result(id, string(appendVerdictBody(nil, verdicts)))
+				}
+				compactions := s.l.Stats().Compactions
+				if n, err := RecoverLedger(engine, s.l); err != nil || n != len(pending) {
+					t.Fatalf("step %d: RecoverLedger = %d, %v; want %d", i, n, err, len(pending))
+				}
+				if s.l.Stats().Compactions > compactions { // at some point of the replay: one more puts it at the end
+					if err := s.l.Compact(); err != nil || !s.m.compact() {
+						t.Fatal(err)
+					}
+				}
+			case 5:
+				s.fail.Store(true)
+				s.m.failNext = true
+			case 6:
+				handoff(t, s, peer, arg)
+			}
+			if !s.m.failNext {
+				s.fail.Store(false)
+			}
+			for k, side := range sides {
+				if err := diffLedger(side.l, side.m); err != nil {
+					t.Fatalf("step %d (op %d on ledger %d), ledger %d: %v", i, op&7, op>>7, k, err)
+				}
+			}
+		}
+	})
+}
+
+// handoff exports from src the IDs arg's low bits name, checks the
+// chunks and a SplitExport of their stream against the reference, and
+// imports them into dst: damaged, in reverse order, and again.
+func handoff(t *testing.T, src, dst *ledgerSide, arg byte) {
+	keep := func(id string) bool { return arg>>(id[0]-'a')&1 != 0 }
+	chunks, err := src.l.ExportRange(keep, 64<<(arg>>6))
+	if _, nilErr := src.l.ExportRange(nil, 0); err != nil || nilErr == nil {
+		t.Fatalf("ExportRange = %v; with a nil predicate %v", err, nilErr)
+	}
+	var entries [][]refRecord
+	var stream []byte
+	for i, c := range chunks {
+		e := decodeChunk(t, c.Data)
+		if c.Seq != i || c.Entries == 0 || c.Entries != len(e) || !slices.Equal(c.IDs, ledgerIDsOf(e)) {
+			t.Fatalf("chunk %d: Seq %d, %d entries, IDs %q; holds %d", i, c.Seq, c.Entries, c.IDs, len(e))
+		}
+		entries, stream = append(entries, e), append(stream, c.Data...)
+	}
+	want := src.m.live(keep)
+	if got := slices.Concat(entries...); !slices.Equal(got, want) {
+		t.Fatalf("ExportRange = %v, reference %v", got, want)
+	}
+	odd := func(id string) string {
+		if id[0]&1 == 1 {
+			return "odd"
+		}
+		return ""
+	}
+	split, err := SplitExport(stream, odd)
+	var got []refRecord
+	for _, c := range split["odd"] {
+		e := decodeChunk(t, c.Data)
+		if c.Entries != len(e) || !slices.Equal(c.IDs, ledgerIDsOf(e)) {
+			t.Fatalf("SplitExport chunk %d: %d entries, IDs %q; holds %d", c.Seq, c.Entries, c.IDs, len(e))
+		}
+		got = append(got, e...)
+	}
+	if want = slices.DeleteFunc(want, func(e refRecord) bool { return odd(e.id) == "" }); err != nil || !slices.Equal(got, want) {
+		t.Fatalf("SplitExport = %v, %v; reference %v", got, err, want)
+	}
+	if len(stream) == 0 {
+		return
+	}
+	if _, err := SplitExport(stream[:len(stream)-1], odd); err == nil {
+		t.Fatal("SplitExport took a stream with a torn last frame")
+	}
+	bad := slices.Clone(chunks[0].Data)
+	bad[int(arg)%len(bad)] ^= 0xff
+	if _, err := dst.l.ImportChunk(bad); err == nil {
+		t.Fatal("ImportChunk took a chunk with a byte flipped")
+	}
+	if err := diffLedger(dst.l, dst.m); err != nil {
+		t.Fatalf("a refused chunk changed the ledger: %v", err)
+	}
+	for pass := 0; pass < 2; pass++ {
+		for k := range chunks {
+			if pass == 0 {
+				k = len(chunks) - 1 - k
+			}
+			st, err := dst.l.ImportChunk(chunks[k].Data)
+			if want, ok := dst.m.importChunk(entries[k]); ok != (err == nil) || ok && st != want {
+				t.Fatalf("ImportChunk = %+v, %v; reference %+v, ok = %v", st, err, want, ok)
+			}
+			if !dst.m.failNext {
+				dst.fail.Store(false)
+			}
+		}
+	}
+}
+
+// decodeChunk reads a handoff chunk's entries as reference records.
+func decodeChunk(t *testing.T, data []byte) []refRecord {
+	recs, tail := journal.DecodeFrames(data)
+	out := make([]refRecord, len(recs))
+	for i, r := range recs {
+		id, body, err := splitPayload(r.Data)
+		if err != nil || tail != 0 {
+			t.Fatalf("chunk entry %d: %v, %d trailing bytes", i, err, tail)
+		}
+		out[i] = refRecord{kind: r.Kind, id: id, body: string(body)}
+	}
+	return out
+}
+
+func ledgerIDsOf(entries []refRecord) []string {
+	ids := make([]string, len(entries))
+	for i, e := range entries {
+		ids[i] = e.id
+	}
+	return ids
+}
+
+// diffLedger reports the first way l's observable state differs from s
+// over the ID alphabet.
+func diffLedger(l *Ledger, s *refLedger) error {
+	if p, c := l.Counts(); p != len(s.pending) || c != len(s.results) {
+		return fmt.Errorf("Counts = %d pending, %d completed; reference %d, %d", p, c, len(s.pending), len(s.results))
+	}
+	if got, want := l.PendingIDs(), sortedIDs(s.pending, nil); !slices.Equal(got, want) {
+		return fmt.Errorf("PendingIDs = %q, reference %q", got, want)
+	}
+	if got, want := l.CompletedIDs(), sortedIDs(s.results, nil); !slices.Equal(got, want) {
+		return fmt.Errorf("CompletedIDs = %q, reference %q", got, want)
+	}
+	for _, id := range ledgerIDs {
+		body, ok := l.Lookup(id)
+		if want, held := s.results[id]; ok != held || string(body) != want {
+			return fmt.Errorf("Lookup(%q) = %q, %v; reference %q, %v", id, body, ok, want, held)
+		}
+		lines, pending := s.pending[id]
+		got, _ := appendEventLines(nil, l.PendingEvents(id))
+		if l.IsPending(id) != pending || string(got) != lines {
+			return fmt.Errorf("%q pending = %v with events %q; reference %v with %q", id, l.IsPending(id), got, pending, lines)
+		}
+	}
+	if got := l.JournalMetrics().Evicted; got != s.evicted {
+		return fmt.Errorf("evicted = %d, reference %d", got, s.evicted)
+	}
+	return nil
 }

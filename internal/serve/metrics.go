@@ -150,6 +150,8 @@ type JournalMetrics struct {
 	SyncBatch journal.BatchStats
 	// CompactErrors counts compactions the ledger triggered that failed.
 	CompactErrors uint64
+	// Evicted counts results the ledger's MaxResults bound dropped.
+	Evicted uint64
 }
 
 // WriteTo emits the metrics in Prometheus-style text exposition format.
@@ -182,6 +184,7 @@ func (m *Metrics) WriteTo(w io.Writer, queueDepth int, degraded bool, jm *Journa
 		fmt.Fprintf(w, "longtail_journal_recycled_total %d\n", js.Recycled)
 		fmt.Fprintf(w, "longtail_journal_compactions_total %d\n", js.Compactions)
 		fmt.Fprintf(w, "longtail_journal_compact_errors_total %d\n", jm.CompactErrors)
+		fmt.Fprintf(w, "longtail_ledger_evicted_total %d\n", jm.Evicted)
 		fmt.Fprintf(w, "longtail_journal_bytes_total %d\n", js.Bytes)
 		// Per-shard fsync counts and commit lag: uneven syncs mean a
 		// skewed key distribution; sustained lag on one shard means its

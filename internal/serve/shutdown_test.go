@@ -124,12 +124,12 @@ func TestDrainWithNonEmptyJournal(t *testing.T) {
 	}
 
 	// Next boot: recovery resolves the batch without the client.
-	l2, rec, err := OpenLedger(LedgerOptions{Journal: journal.Options{Dir: dir}})
+	l2, _, err := OpenLedger(LedgerOptions{Journal: journal.Options{Dir: dir}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer l2.Close()
-	n, err := RecoverLedger(engine, l2, rec)
+	n, err := RecoverLedger(engine, l2)
 	if err != nil {
 		t.Fatal(err)
 	}

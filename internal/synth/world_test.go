@@ -1,11 +1,11 @@
 package synth
 
 import (
+	"net/url"
 	"strings"
 	"testing"
 
 	"repro/internal/dataset"
-	"repro/internal/etld"
 	"repro/internal/stats"
 )
 
@@ -138,9 +138,9 @@ func TestDomainCatalogShape(t *testing.T) {
 			if d.Name == "" {
 				t.Fatalf("kind %d has unnamed domain", kind)
 			}
-			// Every generated domain must be a valid e2LD holder.
-			if _, err := etld.FromURL("http://" + d.Name + "/x"); err != nil {
-				t.Fatalf("domain %q not parseable: %v", d.Name, err)
+			// Every generated domain must parse as a URL's host.
+			if u, err := url.Parse("http://" + d.Name + "/x"); err != nil || u.Hostname() != d.Name {
+				t.Fatalf("domain %q does not parse as a host: %v", d.Name, err)
 			}
 		}
 	}
