@@ -21,11 +21,11 @@ LONGTAILVET ?= bin/longtailvet
 .PHONY: verify verify-fast build vet test fmtcheck lint lint-report \
 	longtailvet staticcheck govulncheck bench \
 	chaos-serve chaos-cluster chaos-lifecycle chaos-churn fuzz-smoke \
-	e2e-bench e2e-compare e2e-record bench-layers bench-layers-smoke loc
+	e2e-bench e2e-compare e2e-record bench-layers bench-layers-smoke loc daemon-deps
 
 verify: verify-fast fuzz-smoke
 
-verify-fast: build vet test fmtcheck lint bench-layers-smoke
+verify-fast: build vet test fmtcheck lint daemon-deps bench-layers-smoke
 
 build:
 	$(GO) build ./...
@@ -41,6 +41,15 @@ fmtcheck:
 	@out="$$(gofmt -l .)"; \
 	if [ -n "$$out" ]; then \
 		echo "gofmt -l reports unformatted files:"; echo "$$out"; exit 1; \
+	fi
+
+# Fault injection stays out of the daemons: the fault kit and the chaos
+# fixture are linked by tests only (the chaos scenarios are _test.go
+# files), so neither binary may depend on them.
+daemon-deps:
+	@out="$$($(GO) list -deps ./cmd/longtaild ./cmd/longtailrouter | grep -E '^repro/internal/(faults|chaoskit)$$')"; \
+	if [ -n "$$out" ]; then \
+		echo "the daemons depend on fault injection:"; echo "$$out"; exit 1; \
 	fi
 
 # The project's own static-analysis suite (internal/lint, DESIGN.md

@@ -16,12 +16,13 @@
 //	          [-seed N] [-scale F] [-tau F] [-shards N] [-queue N]
 //	          [-lifecycle] [-drain 10s] [-pprof localhost:6060]
 //
-// With -journal-dir the daemon keeps a write-ahead journal of accepted
-// /classify batches: every batch is fsynced before it is acknowledged,
+// With -journal-dir the daemon keeps a write-ahead journal of
+// /classify batches: every answer is fsynced before it is sent (a
+// direct reply's result record, a deferred batch's accept),
 // retransmits (same X-Request-Id) are answered from the journal without
-// reclassification, and on restart after a crash any
-// accepted-but-unanswered batches are replayed through the engine —
-// kill -9 mid-batch loses nothing and double-counts nothing.
+// reclassification, and on restart after a crash any deferred batches
+// still without a result are replayed through the engine — kill -9
+// mid-batch loses nothing and double-counts nothing.
 // -result-retention bounds how many completed batches the journal keeps
 // answering retransmits for (0: 65,536; negative: all of them).
 //
@@ -183,7 +184,7 @@ func run() error {
 	}
 
 	// Crash recovery: reopen the journal, replay any batches the previous
-	// process accepted but never answered, and only then start listening —
+	// process deferred but never answered, and only then start listening —
 	// a client retransmitting into the new process hits the recovered
 	// ledger, never a second classification.
 	var ledger *serve.Ledger

@@ -18,12 +18,14 @@ import (
 
 // Kill9 kills replica i the way the kernel would. Its engine stops
 // first, so the window batches [lo, lo+n) sent to it directly are
-// journal-accepted durably and never answered; then its filesystem
-// crashes (unsynced bytes vanish), the result record of batch lo lands
-// torn mid-flush on the shard that owns it and a second shard tears too
-// (independent sync loops caught mid-write, so recovery's merge must
-// discard both); the listener dies and nothing closes the ledger. It
-// returns how many shards were left with a torn tail.
+// refused (503) with nothing journaled: a batch answered directly has
+// no record before its result, and the client retransmits it. Then its
+// filesystem crashes (unsynced bytes vanish), the result record of
+// batch lo lands torn mid-flush on the shard that owns it and a second
+// shard tears too (independent sync loops caught mid-write, so
+// recovery's merge must discard both); the listener dies and nothing
+// closes the ledger. It returns how many shards were left with a torn
+// tail.
 func (c *Cluster) Kill9(i, lo, n int) (tornShards int) {
 	if c.err != nil {
 		return 0

@@ -4,13 +4,15 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"strings"
 
 	"repro/internal/lint/lintkit"
 )
 
 // JournalOrder enforces the serving layer's durability handshake: a
-// batch is journaled (Ledger.AcceptWire, or a raw journal AppendFunc)
-// BEFORE any response bytes for it leave the server. If a
+// batch is journaled (Ledger.AcceptWire for a deferred batch, the
+// ledger's durable Result for one answered directly, or a raw journal
+// AppendFunc) BEFORE any response bytes for it leave the server. If a
 // response could escape first, a crash between the two would leave the
 // client believing in a batch the ledger never heard of — exactly the
 // lost-update the write-ahead journal exists to prevent.
@@ -26,20 +28,15 @@ import (
 // paths don't call AcceptWire at all.
 //
 // Being per-function, the check only sees a handler whose body holds
-// both halves: /classify's staged handleClassify keeps the inline
-// path's AcceptWire call and the one response write in its own body
-// (the stages it calls return data), and the fixture pins that shape
-// with the two swapped.
-//
-// The journal's group-commit ack queue does not weaken the invariant,
-// and the analyzer needs no special case for it: AcceptWire still
-// appends to the batch's shard before returning, and the ack queue only
-// delays the response further (the handler blocks on the shard's next
-// fsync before writing bytes). The journal's own entry points
-// (AppendFunc/AppendAsyncFunc) count as journal calls too.
+// both halves: /classify's staged handleClassify keeps the direct
+// path's ledger result call and the one response write in its own body
+// (the stages it calls return data, the deferred rungs' AcceptWire
+// among them), and the fixture pins that shape with the two swapped.
+// A ledger's Result counts by name and receiver (a type named Ledger,
+// in any case), its unexported twin result included.
 var JournalOrder = &lintkit.Analyzer{
 	Name: "journalorder",
-	Doc:  "no response write may precede the batch's journal accept in the same function",
+	Doc:  "no response write may precede the batch's journal record in the same function",
 	Run:  runJournalOrder,
 }
 
@@ -88,7 +85,7 @@ func checkJournalOrder(pass *lintkit.Pass, fd *ast.FuncDecl) {
 				return true
 			}
 			name := sel.Sel.Name
-			if journalCallNames[name] {
+			if journalCallNames[name] || strings.EqualFold(name, "Result") && isLedger(pass, sel.X) {
 				if firstJournal == token.NoPos || n.Pos() < firstJournal {
 					firstJournal = n.Pos()
 				}
@@ -109,9 +106,20 @@ func checkJournalOrder(pass *lintkit.Pass, fd *ast.FuncDecl) {
 	}
 	for _, w := range writes {
 		if w.pos < firstJournal {
-			pass.Reportf(w.pos, "%s happens before the batch's journal accept in %s; a crash between them loses an acknowledged batch — journal first", w.what, fd.Name.Name)
+			pass.Reportf(w.pos, "%s happens before the batch's journal record in %s; a crash between them loses an acknowledged batch — journal first", w.what, fd.Name.Name)
 		}
 	}
+}
+
+// isLedger reports whether expr is a ledger: a value of, or pointer to,
+// a named type called Ledger in any case.
+func isLedger(pass *lintkit.Pass, expr ast.Expr) bool {
+	t := pass.TypeOf(expr)
+	if ptr, ok := t.(*types.Pointer); ok {
+		t = ptr.Elem()
+	}
+	named, ok := t.(*types.Named)
+	return ok && strings.EqualFold(named.Obj().Name(), "Ledger")
 }
 
 // isResponseWriter reports whether expr's type implements

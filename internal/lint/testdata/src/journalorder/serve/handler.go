@@ -14,6 +14,9 @@ type ledger struct{}
 
 func (l *ledger) AcceptWire(id string, body []byte) error { return nil }
 func (l *ledger) ImportChunk(data []byte) error           { return nil }
+func (l *ledger) Result(id string, v []VerdictRecord) ([]byte, error) {
+	return nil, nil
+}
 
 type wal struct{}
 
@@ -55,25 +58,45 @@ func handleStagedGood(w http.ResponseWriter, l *ledger, id string, body []byte) 
 // written out and only then is the accept issued.
 func handleStagedBad(w http.ResponseWriter, l *ledger, id string, body []byte) {
 	resp := classify(body)
-	w.WriteHeader(resp.status) // want `http response WriteHeader happens before the batch's journal accept`
-	w.Write(resp.body)         // want `http response Write happens before the batch's journal accept`
+	w.WriteHeader(resp.status) // want `http response WriteHeader happens before the batch's journal record`
+	w.Write(resp.body)         // want `http response Write happens before the batch's journal record`
 	accepted := make(chan error, 1)
 	go func() { accepted <- l.AcceptWire(id, body) }()
 	<-accepted
 }
 
+// Good: the direct path — classified, its result journaled durably,
+// then the reply written: the result record is the batch's journal entry.
+func handleDirectGood(w http.ResponseWriter, l *ledger, id string, body []byte) {
+	resp := classify(body)
+	reply, err := l.Result(id, []VerdictRecord{{File: id}})
+	if err != nil {
+		resp = response{status: http.StatusInternalServerError}
+	}
+	w.WriteHeader(resp.status)
+	w.Write(reply)
+}
+
+// Bad: the direct path writing its reply before its Result is durable;
+// a crash between the two answers a batch the journal never held.
+func handleDirectBad(w http.ResponseWriter, l *ledger, id string, body []byte) {
+	resp := classify(body)
+	w.Write(resp.body) // want `http response Write happens before the batch's journal record`
+	l.Result(id, []VerdictRecord{{File: id}})
+}
+
 // Bad: the 200 escapes before the batch is durable; a crash between
 // the two acknowledges a batch the ledger never heard of.
 func handleBad(w http.ResponseWriter, l *ledger, id string, body []byte) {
-	w.WriteHeader(http.StatusOK) // want `http response WriteHeader happens before the batch's journal accept`
-	w.Write(body)                // want `http response Write happens before the batch's journal accept`
+	w.WriteHeader(http.StatusOK) // want `http response WriteHeader happens before the batch's journal record`
+	w.Write(body)                // want `http response Write happens before the batch's journal record`
 	l.AcceptWire(id, body)
 }
 
 // Bad: a verdict escaping on a channel before the journal accept is
 // the same lost-batch window in the worker-pool shape.
 func pipelineBad(out chan VerdictRecord, j *wal, id string, body []byte) {
-	out <- VerdictRecord{File: id} // want `verdict channel send happens before the batch's journal accept`
+	out <- VerdictRecord{File: id} // want `verdict channel send happens before the batch's journal record`
 	j.AppendAsyncFunc(id, 1, func(dst []byte) []byte { return append(dst, body...) })
 }
 
@@ -90,7 +113,7 @@ func handleImportGood(w http.ResponseWriter, l *ledger, chunk []byte) {
 // Bad: the import ack escapes before the chunk is journaled; the
 // source deletes its copy and a crash here loses the range entirely.
 func handleImportBad(w http.ResponseWriter, l *ledger, chunk []byte) {
-	w.WriteHeader(http.StatusOK) // want `http response WriteHeader happens before the batch's journal accept`
+	w.WriteHeader(http.StatusOK) // want `http response WriteHeader happens before the batch's journal record`
 	l.ImportChunk(chunk)
 }
 

@@ -381,9 +381,9 @@ func (e *Engine) ClassifyBatch(ctx context.Context, events []dataset.DownloadEve
 // Submit is the admission half of ClassifyBatch. When it returns, every
 // frame of at most inlineFrameEvents events whose shard was free has
 // been classified on the calling goroutine and every other frame is
-// with its shard's worker: what the caller does before Wait (the
-// journaled handler makes its accept record durable) overlaps with the
-// workers. An empty batch is a nil Batch, whose Wait returns nothing.
+// with its shard's worker: what the caller does before Wait overlaps
+// with the workers. An empty batch is a nil Batch, whose Wait returns
+// nothing.
 func (e *Engine) Submit(ctx context.Context, events []dataset.DownloadEvent) (*Batch, error) {
 	if len(events) == 0 {
 		return nil, nil

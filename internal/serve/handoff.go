@@ -160,6 +160,7 @@ func (l *Ledger) ImportChunk(data []byte) (HandoffImportStats, error) {
 		// seal it, rewrite a state without it and delete its only copy,
 		// and the Sync below would still acknowledge it.
 		l.mu.Lock()
+		l.awaitSettledLocked(e.id)
 		if l.holdsLocked(e) {
 			l.mu.Unlock()
 			st.Duplicates++

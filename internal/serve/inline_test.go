@@ -204,13 +204,15 @@ func TestInlineAndWorkerFramesShareAShard(t *testing.T) {
 	}
 }
 
-// TestJournaledBatchOverlapsItsFsync: a journaled batch whose frames go
-// to the workers is answered after the longer of its classification and
-// its accept record's fsync, not after their sum. Both are made to take
-// a fixed time — the fsync sleeps, the workers are held off their
-// shards — and a 256-event request (64-event frames, above the inline
-// bound) must come back in little more than that time.
-func TestJournaledBatchOverlapsItsFsync(t *testing.T) {
+// TestJournaledReplyWaitsForItsResult: a journaled batch answered
+// directly has one record, its result, written after classification,
+// and its reply leaves only once that record is fsynced. Classification
+// and the fsync are both made to take a fixed time — the workers are
+// held off their shards, the fsync sleeps — and a 256-event request
+// (64-event frames, on the workers) must take at least their sum, one
+// fsync of it: the accept record that used to overlap classification
+// is gone, and nothing is answered before its record is durable.
+func TestJournaledReplyWaitsForItsResult(t *testing.T) {
 	const each = 60 * time.Millisecond
 	f := sharedFixture(t)
 	engine := newTestEngine(t, f, EngineConfig{Shards: 4, QueueSize: 4096})
@@ -235,10 +237,11 @@ func TestJournaledBatchOverlapsItsFsync(t *testing.T) {
 		t.Fatal(err)
 	}
 	req := httptest.NewRequest(http.MethodPost, "/classify", bytes.NewReader(body))
-	req.Header.Set(RequestIDHeader, "overlap-1")
+	req.Header.Set(RequestIDHeader, "durable-1")
 	rec := httptest.NewRecorder()
 
 	unlock := lockShards(engine)
+	syncs := ledger.Stats().Syncs
 	start := time.Now()
 	time.AfterFunc(each, unlock)
 	srv.Handler().ServeHTTP(rec, req)
@@ -246,11 +249,11 @@ func TestJournaledBatchOverlapsItsFsync(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status %d: %s", rec.Code, rec.Body)
 	}
-	if took < each {
-		t.Fatalf("answered in %s, before the %s fsync could have finished", took, each)
+	if took < 2*each {
+		t.Fatalf("answered in %s, before classification (%s) and then the result's fsync (%s) could have finished", took, each, each)
 	}
-	if limit := each + each/2; took > limit {
-		t.Fatalf("answered in %s: classification (%s) and fsync (%s) ran one after the other, want them overlapped (< %s)", took, each, each, limit)
+	if st := ledger.Stats(); st.Syncs-syncs != 1 || st.Appends != 1 {
+		t.Fatalf("%d fsyncs and %d records for one direct request, want 1 and 1", st.Syncs-syncs, st.Appends)
 	}
 }
 

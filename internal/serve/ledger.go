@@ -27,20 +27,19 @@ const (
 )
 
 // Ledger is the exactly-once verdict ledger: a write-ahead journal of
-// accepted /classify batches keyed by client-supplied request IDs.
+// /classify batches keyed by client-supplied request IDs. What a reply
+// says is durable before the reply leaves (DESIGN.md §9):
 //
-// The protocol, per batch:
-//
-//  1. AcceptWire(id, events, body) — journaled durably (fsync, group-committed)
-//     BEFORE any response bytes leave the server. A batch the client
-//     was told about can therefore never vanish in a crash.
-//  2. Result(id, verdicts) — journaled asynchronously. Losing a result
-//     record in a crash is harmless: recovery finds the accept with no
-//     result and replays the batch through the (deterministic) engine,
-//     regenerating byte-identical verdicts.
-//  3. Retransmits of an already-resulted ID are answered from the
-//     ledger (Lookup) without reclassification, so a response lost on
-//     the wire never double-counts events in the FP/TP accounting.
+//  1. A batch answered directly is classified first, and Result(id,
+//     verdicts) returns once the reply's record is fsynced (group-
+//     committed). A crash before that leaves nothing: the client heard
+//     nothing and retransmits under the same ID.
+//  2. A batch answered 202 is journaled by AcceptWire, durably, first;
+//     its Result is appended asynchronously, because recovery replays
+//     the accept through the deterministic engine to the same bytes.
+//  3. Retransmits of a resulted ID are answered from the ledger
+//     (Lookup), never before its record is durable, so a response lost
+//     on the wire never double-counts events in the FP/TP accounting.
 type Ledger struct {
 	j *journal.Sharded
 
@@ -51,21 +50,20 @@ type Ledger struct {
 
 	mu      sync.Mutex
 	pending map[string][]dataset.DownloadEvent // guarded by mu
-	// results maps request ID -> the exact response body served for it;
-	// guarded by mu.
-	// (verdict lines, '\n'-terminated). Storing the batch as one opaque
-	// byte blob instead of parsed records keeps the dedup state nearly
-	// invisible to the garbage collector — a long-lived daemon holds one
-	// pointer per batch, not one per verdict field — and makes
-	// retransmit replies byte-identical by construction.
+	// results maps request ID -> the exact response body served for it
+	// (guarded by mu): one opaque blob per batch, nearly invisible to the
+	// GC, and retransmit replies byte-identical by construction.
 	results map[string][]byte
-	// order lists result IDs oldest-completed first (guarded by mu) — the eviction queue
-	// bounding results at maxResults entries, so a long-running daemon's
-	// dedup state (and every compaction's rewrite) stays O(retransmit
-	// window), not O(total request history). Compaction emits in this
-	// order, so it survives a restart.
+	// order lists result IDs oldest-completed first (guarded by mu): the
+	// eviction queue that keeps results, and every compaction's rewrite,
+	// O(retransmit window). Compaction emits in this order.
 	order      []string
 	maxResults int
+	// syncing holds the IDs whose result is installed but whose durable
+	// append has not returned (guarded by mu); settled is broadcast when
+	// one returns. Nothing is served from such a result (awaitSettledLocked).
+	syncing map[string]struct{}
+	settled sync.Cond
 	// rewritten is how many bytes of the live log the last compaction
 	// wrote (guarded by mu): the part of journal.LiveBytes no request
 	// appended, and the cost the compaction trigger scales with — see
@@ -136,9 +134,11 @@ func OpenLedger(opts LedgerOptions) (*Ledger, *LedgerRecovery, error) {
 		j:            j,
 		pending:      make(map[string][]dataset.DownloadEvent),
 		results:      make(map[string][]byte),
+		syncing:      make(map[string]struct{}),
 		compactBytes: opts.CompactBytes,
 		maxResults:   opts.MaxResults,
 	}
+	l.settled.L = &l.mu
 	if l.compactBytes == 0 {
 		l.compactBytes = 32 << 20
 	}
@@ -189,19 +189,6 @@ func splitPayload(data []byte) (id string, body []byte, err error) {
 		return "", nil, fmt.Errorf("record without id line")
 	}
 	return string(data[:idx]), data[idx+1:], nil
-}
-
-// appendEventLines renders events as '\n'-terminated line-JSON, the
-// body of an accept record.
-func appendEventLines(dst []byte, events []dataset.DownloadEvent) ([]byte, error) {
-	for i := range events {
-		var err error
-		if dst, err = export.AppendEventLine(dst, &events[i]); err != nil {
-			return nil, err
-		}
-		dst = append(dst, '\n')
-	}
-	return dst, nil
 }
 
 // decodeRecord splits a journal (or handoff) record into its entry. A
@@ -307,11 +294,9 @@ func sortedIDs[V any](m map[string]V, keep func(id string) bool) []string {
 }
 
 // storeResultLocked records the response body served for id and evicts
-// the oldest-completed batches once more than maxResults are retained.
-// Callers hold l.mu (or, during OpenLedger, have exclusive access).
-// Evicted IDs keep their journal records until the next compaction
-// leaves them out, but recovery replays through this same bound, so a
-// restart cannot resurrect an unbounded history either.
+// the oldest-completed batches beyond maxResults — in recovery replay
+// too, so a restart cannot resurrect an unbounded history. Callers hold
+// l.mu (or, during OpenLedger, have exclusive access).
 func (l *Ledger) storeResultLocked(id string, body []byte) {
 	if _, ok := l.results[id]; !ok {
 		l.order = append(l.order, id)
@@ -328,25 +313,19 @@ func (l *Ledger) storeResultLocked(id string, body []byte) {
 	}
 }
 
-// AcceptWire journals a batch durably under its request ID and marks it
-// pending. body is the batch's own wire bytes (the non-empty line-JSON
-// event lines of the request, '\n'-terminated), journaled verbatim as
-// `id\n` + body, rendered straight into the journal's frame buffer —
-// no re-marshaling, no allocation beyond the pending-map entry. body
-// and events must describe the same batch. It returns only after the
-// record is fsynced (group-committed with concurrent accepts). On
-// journal failure it rolls back only what it installed — a mark an
-// earlier, durable accept of the ID set stays — so a retransmit can try
-// again cleanly; a call that found the ID pending re-asserts the mark
-// once its own record is durable, since a failed concurrent accept may
-// have rolled it back. Like every writer it installs in memory before it
-// appends, so a compaction that seals the record's segment finds the
-// entry in the state it rewrites.
+// AcceptWire journals a batch the node answers later (202) under its
+// request ID, durably, and marks it pending. body is the events'
+// canonical line-JSON, '\n'-terminated, rendered straight into the
+// journal's frame buffer as `id\n` + body. A failure rolls back only
+// what this call installed (an earlier durable accept's mark stays); a
+// call that found the ID pending re-asserts the mark once its record is
+// durable. It installs before it appends, as every writer does (Compact).
 func (l *Ledger) AcceptWire(id string, events []dataset.DownloadEvent, body string) error {
 	if id == "" {
 		return fmt.Errorf("serve: ledger: empty request id")
 	}
 	l.mu.Lock()
+	l.awaitSettledLocked(id)
 	if _, done := l.results[id]; done {
 		l.mu.Unlock()
 		return nil // already served; caller will hit Lookup
@@ -376,44 +355,61 @@ func (l *Ledger) AcceptWire(id string, events []dataset.DownloadEvent, body stri
 	return nil
 }
 
-// Result journals the verdicts served for id (asynchronously — a lost
-// result record is re-derived by recovery) and resolves the pending
-// mark. The first result for an ID wins; a concurrent duplicate (e.g. a
-// retransmit raced through classification) is dropped, keeping the
-// accounting exactly-once. The returned body is the response to serve
-// for id — the winner's bytes, identical across retransmits. A
-// compaction this call triggers is housekeeping, not part of the
-// request: its failure is logged and counted, never returned.
+// Result journals the verdicts served for id, resolves the pending mark
+// and returns the body to serve for id; on error there is none. The
+// first result for an ID wins: a concurrent duplicate (a retransmit
+// raced through classification) gets the winner's bytes once they are
+// durable, keeping the accounting exactly-once. With no accept pending
+// the record is the batch's only one, so it is appended durably and a
+// failed append takes the result out again; a deferred batch's result
+// is appended asynchronously, as recovery re-derives it from the
+// accept. A compaction this call triggers is housekeeping, not part of
+// the request: its failure is logged and counted, never returned.
 func (l *Ledger) Result(id string, verdicts []VerdictRecord) ([]byte, error) {
-	// Rendered by the same append encoder verdictResponse uses, so the
-	// journaled body a dedup replay serves is byte-identical to what a
-	// stateless response would have been.
-	body := appendVerdictBody(make([]byte, 0, verdictBodySize(verdicts)), verdicts)
+	body, _, err := l.result(id, verdicts)
+	return body, err
+}
+
+// result is Result, also reporting whether these verdicts won, so that
+// the handler can answer from them instead of parsing the body back.
+func (l *Ledger) result(id string, verdicts []VerdictRecord) (body []byte, won bool, err error) {
+	// verdictResponse's encoder: a dedup replay is byte-identical to a
+	// stateless reply.
+	body = appendVerdictBody(make([]byte, 0, verdictBodySize(verdicts)), verdicts)
 	l.mu.Lock()
+	l.awaitSettledLocked(id)
 	if prev, done := l.results[id]; done {
 		l.mu.Unlock()
-		return prev, nil
+		return prev, false, nil
 	}
+	_, deferred := l.pending[id]
 	l.storeResultLocked(id, body)
 	delete(l.pending, id)
+	if !deferred {
+		l.syncing[id] = struct{}{}
+	}
 	rewritten := l.rewritten
 	l.mu.Unlock()
-	err := l.j.AppendAsyncFunc(id, recResult, func(dst []byte) []byte { return appendPayload(dst, id, body) })
-	if err != nil {
-		return body, fmt.Errorf("serve: ledger result %s: %w", id, err)
+	build := func(dst []byte) []byte { return appendPayload(dst, id, body) }
+	if deferred {
+		err = l.j.AppendAsyncFunc(id, recResult, build)
+	} else {
+		err = l.j.AppendFunc(id, recResult, build)
+		l.mu.Lock()
+		if delete(l.syncing, id); err != nil {
+			l.forgetLocked(entry{kind: recResult, id: id})
+		}
+		l.settled.Broadcast()
+		l.mu.Unlock()
 	}
-	// Compaction trigger: the log/state-ratio rule. A compaction's cost
-	// is one rewrite of the retained state — O(state) of encode, write
-	// and fsync — so firing it every fixed CompactBytes makes the
-	// amortized cost per request grow linearly with the retained dedup
-	// window. Requiring the bytes requests journaled since the last
-	// compaction (the live log minus its rewrite) to also outgrow a
-	// multiple of that rewrite bounds the amortized cost per journaled
-	// byte by a constant, at the price of a bounded extra replay debt.
-	// Comparing against the previous rewrite (not the live state) keeps
-	// the trigger live: the log grows without bound between compactions
-	// while the reference size stays fixed, so compaction always
-	// eventually fires even when state grows as fast as the log.
+	if err != nil {
+		return nil, false, fmt.Errorf("serve: ledger result %s: %w", id, err)
+	}
+	// Compaction trigger, the log/state-ratio rule: the bytes journaled
+	// since the last compaction must outgrow CompactBytes and a multiple
+	// of that compaction's rewrite, which bounds the amortized rewrite
+	// per journaled byte by a constant and, the reference being fixed
+	// between compactions, always fires eventually (DESIGN.md §9).
 	if threshold := l.compactBytes; threshold > 0 {
 		if p := compactRewriteFactor * rewritten; p > threshold {
 			threshold = p
@@ -425,23 +421,30 @@ func (l *Ledger) Result(id string, verdicts []VerdictRecord) ([]byte, error) {
 			}
 		}
 	}
-	return body, nil
+	return body, true, nil
 }
 
-// compactRewriteFactor is the log/state ratio that arms compaction: the
-// bytes journaled since the last compaction must exceed both
-// CompactBytes and this multiple of what that compaction rewrote. 5
-// keeps the amortized rewrite cost at ~20% of the bytes-proportional
-// journaling work while capping the recovery replay at 6x the state it
-// would load anyway. It is the cadence of the snapshot file's 4×: that
-// file JSON-escaped every reply, measured 1.21× the bytes of the same
-// replies as records, so 4 × snapshot ≈ 4.85 × rewrite.
+// awaitSettledLocked returns once no durable result append for id is in
+// flight, releasing l.mu while it waits. Results are installed before
+// their append (Compact), so whatever serves or skips on a held result
+// waits here for the sync that covers it, and finds it gone if that
+// append failed. Callers hold l.mu.
+func (l *Ledger) awaitSettledLocked(id string) {
+	for _, inFlight := l.syncing[id]; inFlight; _, inFlight = l.syncing[id] {
+		l.settled.Wait()
+	}
+}
+
+// compactRewriteFactor is the log/state ratio that arms compaction. 5
+// keeps the amortized rewrite at ~20% of the journaling work and caps
+// the recovery replay at 6x the state it loads anyway.
 const compactRewriteFactor = 5
 
 // Lookup returns the response body journaled for id, if the batch
-// completed.
+// completed and its record is durable.
 func (l *Ledger) Lookup(id string) ([]byte, bool) {
 	l.mu.Lock()
+	l.awaitSettledLocked(id)
 	defer l.mu.Unlock()
 	v, ok := l.results[id]
 	return v, ok
@@ -451,14 +454,8 @@ func (l *Ledger) Lookup(id string) ([]byte, bool) {
 // verdict records — the introspection/testing counterpart of Lookup.
 func (l *Ledger) LookupVerdicts(id string) ([]VerdictRecord, bool) {
 	body, ok := l.Lookup(id)
-	if !ok {
-		return nil, false
-	}
 	verdicts, err := parseVerdictBody(body)
-	if err != nil {
-		return nil, false
-	}
-	return verdicts, true
+	return verdicts, ok && err == nil
 }
 
 // IsPending reports whether id was accepted but has no result yet.
@@ -504,15 +501,12 @@ func (l *Ledger) Counts() (pending, completed int) {
 // Compact rewrites the journal down to the live entries — the retained
 // results in completion order, then the pending accepts — as the same
 // records requests write, and drops the segments they supersede
-// (journal.Compact). The state is captured with every journal shard's
-// write lock held and the older segments sealed; since AcceptWire,
-// Result and ImportChunk install an entry in memory before they append
-// its record, every record in a sealed segment is either in the capture
-// or about an ID the ledger has evicted, and a record appended after
-// the capture lands behind the rewrite and wins the replay — the
-// exactly-once contract holds across compaction. (Lock order is journal
-// → ledger; no writer appends while holding l.mu, so this cannot
-// deadlock.)
+// (journal.Compact). The state is captured with every shard's write lock
+// held and the older segments sealed. Every writer installs an entry in
+// memory before it appends its record, so a sealed record is in the
+// capture or about an evicted ID, and a record appended after it wins
+// the replay. (Lock order is journal → ledger; no writer appends while
+// holding l.mu, so this cannot deadlock.)
 func (l *Ledger) Compact() error {
 	ran := false // stays false when a compaction was already in flight
 	rewritten, err := l.j.Compact(func(put func(key string, kind byte, build func(dst []byte) []byte) error) error {

@@ -11,6 +11,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/dataset"
 	"repro/internal/export"
@@ -105,15 +106,24 @@ func TestLedgerCompactConcurrentAccept(t *testing.T) {
 	}
 }
 
-// flakyFile is a journal file whose writes fail while failWrites is set
-// and whose every fsync fails for as long as *epoch is still the value
-// it had when the file was opened (born). It is not an *os.File, so the
-// journal syncs it through Sync.
+// flakyFile is a journal file whose writes fail while failWrites is set,
+// whose every fsync fails for as long as *epoch is still the value it
+// had when the file was opened (born), and whose next fsync waits on a
+// hold stored in *hold. It is not an *os.File, so the journal syncs it
+// through Sync.
 type flakyFile struct {
 	journal.File
 	failWrites *atomic.Bool
 	epoch      *atomic.Int64
 	born       int64
+	hold       *atomic.Pointer[syncHold]
+}
+
+// syncHold stops one fsync: reached is closed once it waits, and it
+// returns the error sent on release, or goes ahead on nil.
+type syncHold struct {
+	reached chan struct{}
+	release chan error
 }
 
 func (f *flakyFile) Write(p []byte) (int, error) {
@@ -124,6 +134,13 @@ func (f *flakyFile) Write(p []byte) (int, error) {
 }
 
 func (f *flakyFile) Sync() error {
+	if h := f.hold; h == nil {
+	} else if h := h.Swap(nil); h != nil {
+		close(h.reached)
+		if err := <-h.release; err != nil {
+			return err
+		}
+	}
 	if f.epoch != nil && f.epoch.Load() == f.born {
 		return errors.New("injected fsync failure")
 	}
@@ -292,13 +309,22 @@ func TestRecoverOversizedPendingBatch(t *testing.T) {
 var ledgerIDs = []string{"", "a", "b", "c", "d", "e"}
 
 // ledgerSide is one ledger FuzzLedger drives, on a crashable journal
-// whose writes fail while fail is set, beside its reference.
+// whose writes fail while fail is set and whose next fsync waits on
+// hold, beside its reference.
 type ledgerSide struct {
 	dir  string
 	fs   *faults.CrashFS
 	fail atomic.Bool
+	hold atomic.Pointer[syncHold]
 	l    *Ledger
 	m    *refLedger
+}
+
+// ledgerReply is what a Lookup or Result running beside FuzzLedger's
+// steps returned.
+type ledgerReply struct {
+	body []byte
+	ok   bool
 }
 
 // FuzzLedger holds two ledgers equal to the reference ledger
@@ -316,6 +342,10 @@ type ledgerSide struct {
 //	6 ExportRange(pred) and SplitExport, checked against the reference,
 //	  into the other ledger: the first chunk with a byte flipped (refused,
 //	  nothing changes), every chunk in reverse order, every chunk again
+//	7 answer(id): Result with its fsync held. A Lookup and a competing
+//	  Result must not return while it is; with the argument's bit 6, op 6
+//	  hands off from the ledger meanwhile; then the fsync goes ahead, or,
+//	  with the top bit, op 4 crashes the ledger under it
 //
 // Every example test the reference replaced is a seed in
 // testdata/fuzz/FuzzLedger, named after it.
@@ -343,10 +373,52 @@ func FuzzLedger(f *testing.F) {
 			o := opts
 			o.Journal = journal.Options{Dir: s.dir, SegmentBytes: 512, OpenFile: func(path string) (journal.File, error) {
 				file, err := s.fs.Open(path)
-				return &flakyFile{File: file, failWrites: &s.fail}, err
+				return &flakyFile{File: file, failWrites: &s.fail, hold: &s.hold}, err
 			}}
 			if s.l, _, err = OpenLedger(o); err != nil {
 				t.Fatal(err)
+			}
+		}
+		// crash kills s -9, with settle releasing whatever fsync is held
+		// once the files are gone, and recovers it: every accept survives,
+		// unless the replay's MaxResults bound took it (an evicted reply's
+		// record before its re-accept completes it, and is evicted again).
+		crash := func(s *ledgerSide, step int, settle func()) {
+			accepted := s.l.PendingIDs()
+			if err := s.fs.Crash(); err != nil {
+				t.Fatal(err)
+			}
+			settle()
+			s.l.Close() // fails: the process it stands for is dead
+			crashes++
+			open(s)
+			if !s.m.crash(func(r *refLedger) bool { return diffLedger(s.l, r) == nil }) {
+				t.Fatalf("step %d: no state a crash may leave matches: %v", step, diffLedger(s.l, s.m))
+			}
+			pending := s.l.PendingIDs()
+			if s.l.JournalMetrics().Evicted != 0 {
+				accepted = nil
+			}
+			for _, id := range accepted {
+				if _, done := s.l.Lookup(id); !done && !slices.Contains(pending, id) {
+					t.Fatalf("step %d: accepted %q is gone after the crash", step, id)
+				}
+			}
+			for _, id := range pending {
+				verdicts, err := engine.ClassifyBatch(context.Background(), s.l.PendingEvents(id))
+				if err != nil {
+					t.Fatal(err)
+				}
+				s.m.result(id, string(appendVerdictBody(nil, verdicts)))
+			}
+			compactions := s.l.Stats().Compactions
+			if n, err := RecoverLedger(engine, s.l); err != nil || n != len(pending) {
+				t.Fatalf("step %d: RecoverLedger = %d, %v; want %d", step, n, err, len(pending))
+			}
+			if s.l.Stats().Compactions > compactions { // at some point of the replay: one more puts it at the end
+				if err := s.l.Compact(); err != nil || !s.m.compact() {
+					t.Fatal(err)
+				}
 			}
 		}
 		for _, s := range sides {
@@ -368,17 +440,40 @@ func FuzzLedger(f *testing.F) {
 				if ok := s.m.accept(id, string(lines)); ok != (err == nil) {
 					t.Fatalf("step %d: AcceptWire(%q) = %v, reference ok = %v", i, id, err, ok)
 				}
-			case 1:
+			case 1, 7:
 				if id == "" {
 					continue
 				}
 				verdicts := []VerdictRecord{{Type: "verdict", File: id, Verdict: [2]string{"benign", "malicious"}[arg>>7]}}
-				compactions := s.l.Stats().Compactions
-				body, err := s.l.Result(id, verdicts)
-				if want, ok := s.m.result(id, string(appendVerdictBody(nil, verdicts))); string(body) != want || ok != (err == nil) {
-					t.Fatalf("step %d: Result(%q) = %q, %v; reference %q, ok = %v", i, id, body, err, want, ok)
+				if op&7 == 7 {
+					verdicts[0].Verdict = "unknown"
 				}
-				if s.l.Stats().Compactions > compactions {
+				want := string(appendVerdictBody(nil, verdicts))
+				hold := &syncHold{reached: make(chan struct{}), release: make(chan error, 1)}
+				_, done := s.m.results[id]
+				if _, pending := s.m.pending[id]; op&7 == 7 && !done && !pending {
+					s.hold.Store(hold) // a direct answer: its first fsync is its record's, or a rotation's before it
+				}
+				compactions := s.l.Stats().Compactions
+				answered := make(chan ledgerReply, 1)
+				go func() {
+					body, err := s.l.Result(id, verdicts)
+					answered <- ledgerReply{body, err == nil}
+				}()
+				var r ledgerReply
+				select {
+				case r = <-answered: // no fsync to hold: the ID was done or pending, or the append failed
+					s.hold.Store(nil)
+					want, ok := s.m.result(id, want)
+					if r.ok != ok || ok && string(r.body) != want || !ok && r.body != nil {
+						t.Fatalf("step %d: Result(%q) = %q, %v; reference %q, %v", i, id, r.body, r.ok, want, ok)
+					}
+				case <-hold.reached:
+					r = answer(t, s, i, id, want, arg, peer, answered, hold.release, func() {
+						crash(s, i, func() { hold.release <- errors.New("killed") })
+					})
+				}
+				if r.ok && s.l.Stats().Compactions > compactions {
 					s.m.compact()
 				}
 			case 2:
@@ -392,32 +487,7 @@ func FuzzLedger(f *testing.F) {
 				open(s)
 				s.m.reopen()
 			case 4:
-				if err := s.fs.Crash(); err != nil {
-					t.Fatal(err)
-				}
-				s.l.Close() // fails: the process it stands for is dead
-				crashes++
-				open(s)
-				if !s.m.crash(func(r *refLedger) bool { return diffLedger(s.l, r) == nil }) {
-					t.Fatalf("step %d: no state a crash may leave matches: %v", i, diffLedger(s.l, s.m))
-				}
-				pending := s.l.PendingIDs()
-				for _, id := range pending {
-					verdicts, err := engine.ClassifyBatch(context.Background(), s.l.PendingEvents(id))
-					if err != nil {
-						t.Fatal(err)
-					}
-					s.m.result(id, string(appendVerdictBody(nil, verdicts)))
-				}
-				compactions := s.l.Stats().Compactions
-				if n, err := RecoverLedger(engine, s.l); err != nil || n != len(pending) {
-					t.Fatalf("step %d: RecoverLedger = %d, %v; want %d", i, n, err, len(pending))
-				}
-				if s.l.Stats().Compactions > compactions { // at some point of the replay: one more puts it at the end
-					if err := s.l.Compact(); err != nil || !s.m.compact() {
-						t.Fatal(err)
-					}
-				}
+				crash(s, i, func() {})
 			case 5:
 				s.fail.Store(true)
 				s.m.failNext = true
@@ -434,6 +504,68 @@ func FuzzLedger(f *testing.F) {
 			}
 		}
 	})
+}
+
+// answer checks a direct Result of id on s, reply body, while its fsync
+// is held: neither a Lookup nor a competing Result returns before the
+// record is durable; with arg's bit 6 the ledger hands off to peer
+// meanwhile, the reply in flight shipped with the rest. Then the fsync
+// goes ahead and all three return the reference's reply, or, with arg's
+// top bit, crash kills the ledger under it and s holds nothing of the
+// reply. It returns the Result's reply.
+func answer(t *testing.T, s *ledgerSide, step int, id, body string, arg byte, peer *ledgerSide, answered chan ledgerReply, release chan error, crash func()) ledgerReply {
+	kill := arg>>7 == 1
+	defer func() { // a failed check must not leave the fsync, and Close, waiting
+		select {
+		case release <- errors.New("test over"):
+		default:
+		}
+	}()
+	l, failing := s.l, s.m.failNext
+	s.m.answer(id, body)
+	looked, raced := make(chan ledgerReply, 1), make(chan ledgerReply, 1)
+	go func() {
+		body, ok := l.Lookup(id)
+		looked <- ledgerReply{body, ok}
+	}()
+	race := !kill && !failing // once the first failed, a competing Result would journal itself
+	if race {
+		go func() {
+			body, err := l.Result(id, []VerdictRecord{{Type: "verdict", File: id, Verdict: "benign"}})
+			raced <- ledgerReply{body, err == nil}
+		}()
+	}
+	select {
+	case r := <-looked:
+		t.Fatalf("step %d: Lookup(%q) = %q, %v before its record is durable", step, id, r.body, r.ok)
+	case r := <-raced:
+		t.Fatalf("step %d: a competing Result(%q) = %q, %v before the first one's record is durable", step, id, r.body, r.ok)
+	case <-time.After(2 * time.Millisecond):
+	}
+	if arg&0x40 != 0 {
+		handoff(t, s, peer, arg)
+	}
+	var ok bool
+	if kill {
+		crash()
+	} else {
+		release <- nil
+		ok = s.m.settle(id)
+	}
+	r := <-answered
+	if r.ok != ok || ok && string(r.body) != body {
+		t.Fatalf("step %d: Result(%q) = %q, %v; reference ok = %v", step, id, r.body, r.ok, ok)
+	}
+	if got := <-looked; got.ok != ok || string(got.body) != string(r.body) {
+		t.Fatalf("step %d: Lookup(%q) = %q, %v once the fsync returned; Result %q, %v", step, id, got.body, got.ok, r.body, r.ok)
+	}
+	if !race {
+		return r
+	}
+	if got := <-raced; got.ok != ok || string(got.body) != string(r.body) {
+		t.Fatalf("step %d: a competing Result(%q) = %q, %v; the first %q, %v", step, id, got.body, got.ok, r.body, r.ok)
+	}
+	return r
 }
 
 // handoff exports from src the IDs arg's low bits name, checks the

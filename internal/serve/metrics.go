@@ -117,10 +117,9 @@ type Metrics struct {
 	// Per-stage latency: time spent queued, extracting features, and
 	// classifying, per frame a worker serves; and, per request the
 	// handler decodes and answers, reading and parsing the body (Decode)
-	// and rendering the reply from the verdicts — for a journaled batch
-	// through the ledger, which records what it renders (Encode) — and,
-	// per journaled request, making its accept record durable: the
-	// append and the fsync it led or waited for (Commit).
+	// and rendering the reply (Encode) — and, per journaled request
+	// answered directly, making its result record durable: the render,
+	// the append and the fsync it led or waited for (Commit).
 	QueueWait Histogram
 	Extract   Histogram
 	Classify  Histogram

@@ -12,13 +12,15 @@ import (
 // keeps every synced record and, per shard, a prefix of the others.
 
 // refRecord is one journal record: body is a reply or event lines, shard
-// where the journal routes id, synced whether an fsync covered it.
+// where the journal routes id, synced whether an fsync covered it, held
+// whether it is a reply on its way to a client whose fsync has not
+// returned (a crash never keeps one: its tail is always the one torn).
 type refRecord struct {
-	kind   byte
-	id     string
-	body   string
-	shard  int
-	synced bool
+	kind         byte
+	id           string
+	body         string
+	shard        int
+	synced, held bool
 }
 
 // refLedger holds replies in completion order, pending event lines, the
@@ -105,14 +107,48 @@ func (m *refLedger) accept(id, lines string) bool {
 	return true
 }
 
-// result is Result: the reply, and whether its record was journaled.
+// result is Result: the reply, and whether its record was journaled. A
+// reply with no accept pending is its batch's only record: an answer,
+// settled at once.
 func (m *refLedger) result(id, body string) (string, bool) {
 	if prev, done := m.results[id]; done {
 		return prev, true
+	} else if _, deferred := m.pending[id]; !deferred {
+		m.answer(id, body)
+		return body, m.settle(id)
 	}
 	ok := m.appendRec(recResult, id, body)
 	m.install(refRecord{kind: recResult, id: id, body: body})
 	return body, ok
+}
+
+// answer is a direct Result up to the fsync its reply waits for: the
+// reply installed and its record, if the append took it, held.
+func (m *refLedger) answer(id, body string) {
+	if m.appendRec(recResult, id, body) {
+		m.log[len(m.log)-1].held = true
+	}
+	m.install(refRecord{kind: recResult, id: id, body: body})
+}
+
+// settle is that fsync returning: the held record and its shard become
+// durable; with none, the failed append leaves no result — what it
+// evicted stays evicted. It reports whether the result stands.
+func (m *refLedger) settle(id string) bool {
+	i := slices.IndexFunc(m.log, func(r refRecord) bool { return r.held })
+	if i < 0 {
+		m.forget(id)
+		return false
+	}
+	m.log[i].held = false
+	m.sync(m.log[i].shard)
+	return true
+}
+
+// forget takes out a result whose record was not journaled.
+func (m *refLedger) forget(id string) {
+	delete(m.results, id)
+	m.order = slices.DeleteFunc(m.order, func(o string) bool { return o == id })
 }
 
 // compact is Compact: the seal syncs all; a durable rewrite is the log.
@@ -140,8 +176,7 @@ func (m *refLedger) importChunk(entries []refRecord) (st HandoffImportStats, ok 
 		}
 		m.install(e)
 		if !m.appendRec(e.kind, e.id, e.body) {
-			delete(m.results, e.id)
-			m.order = slices.DeleteFunc(m.order, func(id string) bool { return id == e.id })
+			m.forget(e.id)
 			if delete(m.pending, e.id); wasPending {
 				m.pending[e.id] = prev
 			}
@@ -164,8 +199,10 @@ func (m *refLedger) reopen() {
 }
 
 // crash is a kill -9 and OpenLedger: it adopts the first log a crash may
-// leave whose replay matches, reporting whether one does.
+// leave whose replay matches, reporting whether one does. A held record
+// never survives.
 func (m *refLedger) crash(matches func(*refLedger) bool) bool {
+	m.log = slices.DeleteFunc(m.log, func(r refRecord) bool { return r.held })
 	limit, keep := make([]int, m.shards), make([]int, m.shards)
 	for _, r := range m.log {
 		if !r.synced {

@@ -309,33 +309,15 @@ func readEvents(r *http.Request, keepBody bool) ([]dataset.DownloadEvent, string
 	return events, string(body), nil
 }
 
-// readBinaryEvents decodes a binary-format /classify body. With
-// keepBody it also renders the batch's canonical line-JSON form — what
-// the ledger journals — so the journal, handoff chunks and recovery
-// speak exactly one format no matter what the wire spoke,
-// and a client may switch formats between a transmit and its
-// retransmit without splitting the dedup state.
-func readBinaryEvents(r *http.Request, keepBody bool) ([]dataset.DownloadEvent, string, error) {
+// readBinaryEvents decodes a binary-format /classify body. Its
+// canonical line-JSON form, what an accept record holds, is rendered
+// only if the batch is deferred (acceptDeferred).
+func readBinaryEvents(r *http.Request) ([]dataset.DownloadEvent, error) {
 	raw, err := readBody(r)
 	if err != nil {
-		return nil, "", err
+		return nil, err
 	}
-	events, err := decodeBinaryEvents(raw)
-	if err != nil {
-		return nil, "", err
-	}
-	if !keepBody {
-		return events, "", nil
-	}
-	body := make([]byte, 0, len(raw)*2)
-	for i := range events {
-		body, err = export.AppendEventLine(body, &events[i])
-		if err != nil {
-			return nil, "", err
-		}
-		body = append(body, '\n')
-	}
-	return events, string(body), nil
+	return decodeBinaryEvents(raw)
 }
 
 // binaryRequest reports whether the /classify request negotiated the
@@ -359,8 +341,9 @@ type classifyCall struct {
 	journaled bool // a ledger is attached and the request carries an ID
 	binary    bool // the request negotiated the binary wire format
 	events    []dataset.DownloadEvent
-	// wire is the batch's canonical line-JSON form, what the ledger
-	// journals; "" when the call is not journaled.
+	// wire is the batch's canonical line-JSON form, what an accept record
+	// holds: a journaled JSON request's normalized body, a binary one's
+	// rendering once acceptDeferred needs it; "" before that.
 	wire string
 }
 
@@ -424,11 +407,11 @@ func verdictResponse(verdicts []VerdictRecord, binary bool) *classifyResponse {
 	return &classifyResponse{body: appendVerdictBody(make([]byte, 0, verdictBodySize(verdicts)), verdicts)}
 }
 
-// ledgerResponse renders a response body the ledger already journaled —
-// a first response after Result, a dedup replay, a GET /result hit. The
-// stored body is canonical line-JSON; a binary-negotiated request gets
-// it re-encoded through the deterministic binary codec, so retransmit
-// replies stay byte-identical within each format.
+// ledgerResponse renders a response body the ledger journaled — a dedup
+// replay, a GET /result hit, a first response whose Result lost the
+// race. The stored body is canonical line-JSON; a binary-negotiated
+// request gets it re-encoded through the deterministic binary codec, so
+// retransmit replies stay byte-identical within each format.
 func ledgerResponse(body []byte, binary bool) (*classifyResponse, error) {
 	if !binary {
 		return &classifyResponse{body: body}, nil
@@ -457,7 +440,7 @@ func ParseTimeout(header string) (time.Duration, error) {
 }
 
 // handleClassify runs one batch through the stages dedup → decode →
-// admit → submit → accept → record → respond, on one goroutine. A stage
+// admit → classify → commit → respond, on one goroutine. A stage
 // returns a response when it has answered the request, an error when it
 // has failed it, and neither to pass the call on.
 func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
@@ -484,29 +467,24 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 		resp, err = s.admitStage(c)
 	}
 	if resp == nil && err == nil {
-		// The batch goes to the engine, then its accept record to the
-		// journal, both on this goroutine. Frames handed to the workers
-		// classify while the accept is written and fsynced, so a large
-		// batch's fsync hides behind its classification; a small batch
-		// was classified inside Submit and pays for one append and the
-		// fsync it leads or joins, with no hand-off in between. The
-		// response is held until the accept is durable. The client's
-		// deadline rides into the shard queues so expired work is shed.
+		// The client's deadline rides into the shard queues so expired
+		// work is shed.
 		ctx := r.Context()
 		if timeout > 0 {
 			var cancel context.CancelFunc
 			ctx, cancel = context.WithTimeout(ctx, timeout)
 			defer cancel()
 		}
-		batch, cerr := s.engine.Submit(ctx, c.events)
-		if c.journaled {
+		verdicts, cerr := s.engine.ClassifyBatch(ctx, c.events)
+		var stored []byte
+		var won bool
+		if cerr == nil && c.journaled {
+			// The commit: the verdicts' result record is the journal entry
+			// that answers a direct request, durable before any byte of the
+			// reply leaves (Ledger.Result).
 			start := time.Now()
-			err = s.ledger.AcceptWire(c.id, c.events, c.wire)
+			stored, won, err = s.ledger.result(c.id, verdicts)
 			s.engine.Metrics().Commit.Observe(time.Since(start))
-		}
-		var verdicts []VerdictRecord
-		if cerr == nil {
-			verdicts, cerr = batch.Wait()
 		}
 		switch {
 		case err != nil: // not durable: fail the request whatever classification said
@@ -514,7 +492,7 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 			resp, err = s.shedStage(c, cerr)
 		default:
 			start := time.Now()
-			resp, err = s.recordStage(c, verdicts)
+			resp, err = s.respondStage(c, verdicts, stored, won)
 			s.engine.Metrics().Encode.Observe(time.Since(start))
 		}
 	}
@@ -559,7 +537,7 @@ func (s *Server) dedupStage(c *classifyCall) (*classifyResponse, error) {
 }
 
 // decodeStage parses the request body in the format it negotiated,
-// keeping the canonical wire form when the batch will be journaled. A
+// keeping a JSON batch's normalized lines when it is journaled. A
 // batch the engine could never admit is refused here, before anything
 // is journaled: accepted, it would sit at the head of the deferred
 // queue forever and fail every later boot's recovery.
@@ -568,7 +546,7 @@ func (s *Server) decodeStage(w http.ResponseWriter, r *http.Request, c *classify
 	switch {
 	case err != nil:
 	case c.binary:
-		c.events, c.wire, err = readBinaryEvents(r, c.journaled)
+		c.events, err = readBinaryEvents(r)
 	default:
 		c.events, c.wire, err = readEvents(r, c.journaled)
 	}
@@ -592,13 +570,28 @@ func (s *Server) admitStage(c *classifyCall) (*classifyResponse, error) {
 	return s.deferBatch(c)
 }
 
+// acceptDeferred journals the accept record of a batch the node will answer
+// later — every deferred rung's, and only theirs: a batch answered
+// directly is journaled by its result. A binary batch's line-JSON is
+// rendered here, once.
+func (s *Server) acceptDeferred(c *classifyCall) error {
+	if c.binary && c.wire == "" {
+		lines, err := appendEventLines(make([]byte, 0, len(c.events)*2*minEventLine), c.events)
+		if err != nil {
+			return err
+		}
+		c.wire = string(lines)
+	}
+	return s.ledger.AcceptWire(c.id, c.events, c.wire)
+}
+
 // deferBatch journals the batch durably and hands it to the background
 // worker, answering 202. It answers nothing when the defer queue is
 // saturated: the accept record stays journaled, the caller moves on to
 // the next rung, and a retry of a shed batch is re-acknowledged as
 // pending and re-enqueued once there is room.
 func (s *Server) deferBatch(c *classifyCall) (*classifyResponse, error) {
-	if err := s.ledger.AcceptWire(c.id, c.events, c.wire); err != nil {
+	if err := s.acceptDeferred(c); err != nil {
 		return nil, err
 	}
 	if !s.enqueueDeferred(c.id) {
@@ -611,7 +604,7 @@ func (s *Server) deferBatch(c *classifyCall) (*classifyResponse, error) {
 // shedStage answers a batch the engine refused. A journaled batch is
 // deferred instead of shed: on overflow (the queue filled between the
 // admit check and the reservation) through rung 2 again, on an expired
-// deadline directly — it is already durable, so it finishes in the
+// deadline directly — its accept made durable here, it finishes in the
 // background and the client picks the verdicts up later. Everything
 // else is the engine's error, counted as rejected when it is overload.
 func (s *Server) shedStage(c *classifyCall, cerr error) (*classifyResponse, error) {
@@ -625,6 +618,9 @@ func (s *Server) shedStage(c *classifyCall, cerr error) (*classifyResponse, erro
 		}
 		m.RequestsRejected.Add(1)
 	case errors.Is(cerr, ErrDeadlineExceeded) && c.journaled:
+		if err := s.acceptDeferred(c); err != nil {
+			return nil, err
+		}
 		s.enqueueDeferred(c.id)
 		m.RequestsDeferred.Add(1)
 		return deferredResponse(c.id), nil
@@ -632,21 +628,18 @@ func (s *Server) shedStage(c *classifyCall, cerr error) (*classifyResponse, erro
 	return nil, cerr
 }
 
-// recordStage journals the verdicts of a journaled batch and renders
-// the response. Result returns the canonical response body for the ID
-// (the winner's bytes if a retransmit raced this request), which is
-// what goes on the wire — dedup replies are byte-identical.
-func (s *Server) recordStage(c *classifyCall, verdicts []VerdictRecord) (*classifyResponse, error) {
-	if !c.journaled {
-		s.engine.Metrics().RequestsAccepted.Add(1)
+// respondStage renders the reply to a classified batch. Verdicts that
+// are the answer — a stateless request's, or a journaled one's whose
+// Result won — are rendered as they are (the stored JSON body is their
+// rendering already; a binary reply only from verdicts the JSON round
+// trip keeps, jsonExact); otherwise the reply is the stored bytes, so
+// dedup replies are byte-identical.
+func (s *Server) respondStage(c *classifyCall, verdicts []VerdictRecord, stored []byte, won bool) (*classifyResponse, error) {
+	s.engine.Metrics().RequestsAccepted.Add(1)
+	if !c.journaled || won && c.binary && jsonExact(verdicts) {
 		return verdictResponse(verdicts, c.binary), nil
 	}
-	body, err := s.ledger.Result(c.id, verdicts)
-	if err != nil {
-		return nil, err
-	}
-	s.engine.Metrics().RequestsAccepted.Add(1)
-	return ledgerResponse(body, c.binary)
+	return ledgerResponse(stored, c.binary)
 }
 
 // enqueueDeferred hands id to the background worker (idempotent: the

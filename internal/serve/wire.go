@@ -6,8 +6,10 @@ import (
 	"fmt"
 	"strings"
 	"time"
+	"unicode/utf8"
 
 	"repro/internal/dataset"
+	"repro/internal/export"
 )
 
 // Compact binary wire format for /classify, negotiated via Content-Type
@@ -17,13 +19,15 @@ import (
 // the same records in length-prefixed little-endian frames, in the same
 // hand-rolled codec style as export/fastline.go and encode.go.
 //
-// The format is wire-only: a binary request is decoded and immediately
-// re-rendered to canonical line-JSON before it reaches the ledger, so
-// the journal, the handoff chunks and recovery all keep speaking
-// exactly one format, and a client can switch formats between
-// a transmit and its retransmit without splitting the dedup state. The
-// JSON path remains the reference implementation — wire_test.go holds
-// the two equal differentially, including under fuzz.
+// The format is wire-only: the journal, the handoff chunks and recovery
+// speak exactly one format, so a client can switch formats between a
+// transmit and its retransmit without splitting the dedup state. A
+// binary request is rendered to canonical line-JSON only when its batch
+// is deferred and its accept journaled (appendEventLines); a reply is
+// journaled as canonical line-JSON and a binary one rendered straight
+// from its verdicts. The JSON path remains the reference
+// implementation — wire_test.go holds the two equal differentially,
+// including under fuzz.
 //
 // Layout (everything little endian):
 //
@@ -211,6 +215,36 @@ func decodeBinaryEvents(s string) ([]dataset.DownloadEvent, error) {
 	return events, nil
 }
 
+// appendEventLines renders events as '\n'-terminated canonical
+// line-JSON, the body of an accept record. It does not fail on a batch
+// decodeBinaryEvents accepted (FuzzBinaryEvents), so a binary batch
+// refused at decode is the only one refused.
+func appendEventLines(dst []byte, events []dataset.DownloadEvent) ([]byte, error) {
+	for i := range events {
+		var err error
+		if dst, err = export.AppendEventLine(dst, &events[i]); err != nil {
+			return nil, err
+		}
+		dst = append(dst, '\n')
+	}
+	return dst, nil
+}
+
+// jsonExact reports whether verdicts come back unchanged from their
+// journaled line-JSON body: every string valid UTF-8, where the JSON
+// encoder would replace bytes. Only then is a binary reply rendered from
+// them the bytes a retransmit re-encodes from the ledger
+// (FuzzBinaryVerdicts); a binary request's event may carry any bytes.
+func jsonExact(verdicts []VerdictRecord) bool {
+	for i := range verdicts {
+		v := &verdicts[i]
+		if !utf8.ValidString(v.Type) || !utf8.ValidString(v.File) || !utf8.ValidString(v.Verdict) || !utf8.ValidString(v.Error) {
+			return false
+		}
+	}
+	return true
+}
+
 // appendBinaryVerdicts renders a verdict slice in the binary verdict
 // format — the binary counterpart of appendVerdictBody.
 func appendBinaryVerdicts(dst []byte, verdicts []VerdictRecord) []byte {
@@ -316,10 +350,10 @@ func decodeBinaryVerdicts(s string) ([]VerdictRecord, error) {
 
 // parseVerdictBody parses a line-JSON verdict body — a response off the
 // wire, or one the ledger journaled — back into verdict records. For
-// the ledger it is the bridge a binary-negotiated retransmit crosses:
-// one canonical JSON body is stored per ID and the binary reply is
-// re-encoded from it deterministically, so binary retransmits are
-// byte-identical just like JSON ones. The body converts to one string
+// the ledger it is the bridge a binary-negotiated retransmit crosses
+// (a first reply is rendered from its verdicts): one canonical JSON body
+// is stored per ID and the binary reply is re-encoded from it
+// deterministically, so binary retransmits are byte-identical too. The body converts to one string
 // and canonical lines (the exact shape appendVerdictLine emits) decode
 // by substring slicing; anything else falls back to encoding/json per
 // line.

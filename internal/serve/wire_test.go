@@ -342,6 +342,11 @@ func FuzzBinaryEvents(f *testing.F) {
 		if len(dec) != 1 {
 			t.Fatalf("decoded %d events, want 1", len(dec))
 		}
+		// What the decoder accepts renders as an accept record: a batch
+		// it took is never refused once deferred, after its 202.
+		if _, err := appendEventLines(nil, dec); err != nil {
+			t.Fatalf("decoded batch fails to render as accept lines: %v", err)
+		}
 		// Canonical re-encode is byte-identical.
 		if again := appendBinaryEvents(nil, dec); !bytes.Equal(again, enc) {
 			t.Fatal("binary re-encode diverged")
@@ -396,10 +401,8 @@ func FuzzBinaryEventsDecode(f *testing.F) {
 		if err != nil {
 			return
 		}
-		for i := range dec {
-			if _, err := export.AppendEventLine(nil, &dec[i]); err != nil {
-				t.Fatalf("accepted event %d fails the JSON codec: %v", i, err)
-			}
+		if _, err := appendEventLines(nil, dec); err != nil {
+			t.Fatalf("accepted batch fails the JSON codec: %v", err)
 		}
 		enc := appendBinaryEvents(nil, dec)
 		dec2, err := decodeBinaryEvents(string(enc))
@@ -414,7 +417,10 @@ func FuzzBinaryEventsDecode(f *testing.F) {
 
 // FuzzBinaryVerdicts holds the binary verdict codec equal to the
 // line-JSON reference (appendVerdictBody/parseVerdictBody — the bytes
-// the ledger journals) under arbitrary field values.
+// the ledger journals) under arbitrary field values. A first binary
+// reply is rendered from its verdicts and a retransmit from the
+// journaled body: the two routes give the same bytes whenever
+// respondStage takes the first (jsonExact).
 func FuzzBinaryVerdicts(f *testing.F) {
 	f.Add("verdict", "aa11", "malicious", uint64(3), int64(7), "", true)
 	f.Add("verdict", "", "none", uint64(0), int64(-1), "extract failed", false)
@@ -437,6 +443,15 @@ func FuzzBinaryVerdicts(f *testing.F) {
 		}
 		if again := appendBinaryVerdicts(nil, dec); !bytes.Equal(again, enc) {
 			t.Fatal("binary re-encode diverged")
+		}
+		if jsonExact(verdicts) {
+			stored, err := parseVerdictBody(appendVerdictBody(nil, verdicts))
+			if err != nil {
+				t.Fatalf("journaled body refused: %v", err)
+			}
+			if retransmit := appendBinaryVerdicts(nil, stored); !bytes.Equal(retransmit, enc) {
+				t.Fatalf("a first reply and its retransmit differ:\n first %q\nretransmit %q", enc, retransmit)
+			}
 		}
 		// Differential against the journaled JSON body, where the strings
 		// are JSON-representable. int64 rules beyond the fast parser's
