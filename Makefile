@@ -6,7 +6,7 @@
 # edit-compile loops; it also runs every layer benchmark for one
 # iteration, so one that stops compiling or panics fails the gate. The
 # chaos scenarios are go tests (TestRunChaos*, TestChaos*), so `test`
-# runs each exactly once and leaves the two reports CI archives; the
+# runs each exactly once and leaves the report CI archives; the
 # `chaos-*` targets re-run one scenario verbosely and are part of no
 # other target. Performance has two instruments: `go run ./bench`
 # (e2e-bench, e2e-compare — real daemons, the numbers a PR is accepted
@@ -20,7 +20,7 @@ LONGTAILVET ?= bin/longtailvet
 
 .PHONY: verify verify-fast build vet test fmtcheck lint lint-report \
 	longtailvet staticcheck govulncheck bench \
-	chaos-serve chaos-cluster chaos-lifecycle chaos-churn fuzz-smoke \
+	chaos-serve chaos-cluster chaos-lifecycle fuzz-smoke \
 	e2e-bench e2e-compare e2e-record bench-layers bench-layers-smoke loc daemon-deps
 
 verify: verify-fast fuzz-smoke
@@ -34,8 +34,7 @@ vet:
 	$(GO) vet ./...
 
 test:
-	CHURN_REPORT=$(CURDIR)/CHURN_report.json LIFECYCLE_REPORT=$(CURDIR)/LIFECYCLE_shadow.json \
-		$(GO) test -race ./...
+	LIFECYCLE_REPORT=$(CURDIR)/LIFECYCLE_shadow.json $(GO) test -race ./...
 
 fmtcheck:
 	@out="$$(gofmt -l .)"; \
@@ -99,7 +98,11 @@ govulncheck:
 # bytes in a segment and a compaction killed at any of its crash points
 # (one fuzzer over the one on-disk format), the ledger held to its
 # reference model through accepts, results, compactions, reopens,
-# crashes, failing appends and handoffs, the //lint:allow directive
+# crashes, failing appends and handoffs, the routed cluster held to its
+# reference model through sends, kill -9s, restarts, leaves, joins,
+# partitions and probes under link faults (every input boots three
+# replicas and a router and is dozens of loopback conversations, hence
+# -fuzzminimizetime), the //lint:allow directive
 # parser, and the compiled feature context's table (its seeds include a
 # 70,000-byte key, and minimizing inputs that size for the default
 # minute each would be the whole smoke, hence -fuzzminimizetime), and
@@ -107,8 +110,9 @@ govulncheck:
 # http.Transport as its oracle, and the node's and router's front against
 # arbitrary request bytes, with http.Server as its oracle (every input is
 # a few loopback conversations, so minimizing each new one for the
-# default minute would stall it too). Eight at 20s,
-# the fast path's four and the link at 15s: about four minutes in all.
+# default minute would stall it too). Nine at 20s,
+# the fast path's four and the link at 15s: about four and a half
+# minutes in all.
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzUnmarshalEventLine -fuzztime=20s -run '^$$' ./internal/export/
 	$(GO) test -fuzz=FuzzParseEventLineRaw -fuzztime=15s -run '^$$' ./internal/export/
@@ -119,6 +123,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzFrontRequest -fuzztime=20s -fuzzminimizetime=10x -run '^$$' ./internal/serve/
 	$(GO) test -fuzz=FuzzRecovery -fuzztime=20s -run '^$$' ./internal/journal/
 	$(GO) test -fuzz=FuzzLedger -fuzztime=20s -run '^$$' ./internal/serve/
+	$(GO) test -fuzz=FuzzCluster -fuzztime=20s -fuzzminimizetime=10x -run '^$$' ./internal/serve/
 	$(GO) test -fuzz=FuzzParseAllowDirective -fuzztime=20s -run '^$$' ./internal/lint/lintkit/
 	$(GO) test -fuzz='^FuzzBinaryEvents$$' -fuzztime=20s -run '^$$' ./internal/serve/
 	$(GO) test -fuzz='^FuzzBinaryVerdicts$$' -fuzztime=20s -run '^$$' ./internal/serve/
@@ -150,19 +155,6 @@ chaos-cluster:
 chaos-lifecycle:
 	LIFECYCLE_REPORT=$(CURDIR)/LIFECYCLE_shadow.json \
 		$(GO) test -race -run TestChaosLifecycle -count=1 -v ./internal/experiments/
-
-# Membership-churn chaos harness under the race detector: a 3-replica
-# journaled cluster under >= 10% link faults driven through the ledger
-# handoff lifecycle — a planned leave draining its dedup history to the
-# new ring owners, a kill -9 mid-handoff (import target partitioned,
-# torn journal tail at the crash), and a restart whose probation
-# readmit reconciles the trapped ranges — closed by a retransmit storm
-# of every served ID asserting zero re-classifications, zero lost
-# batches, byte-identical bodies. The churn report lands in
-# CHURN_report.json for CI to archive.
-chaos-churn:
-	CHURN_REPORT=$(CURDIR)/CHURN_report.json \
-		$(GO) test -race -run TestChaosChurn -count=1 -v ./internal/experiments/
 
 # The repo benchmark (BENCHMARK.json, bench/README.md): real daemons
 # over real sockets, all four workloads, every end-to-end and per-layer

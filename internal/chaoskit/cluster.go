@@ -4,7 +4,8 @@
 // fault steps as plain methods on it (steps.go), and the exactly-once
 // checkers that fill a harness's divergence counters (audit.go). A
 // scenario is a straight-line function over these calls; see
-// internal/experiments/*chaos.go and DESIGN.md "Chaos kit".
+// internal/experiments/*chaos_test.go, FuzzCluster in internal/serve
+// and DESIGN.md "Chaos kit".
 //
 // The package must not import internal/experiments: the world a
 // cluster serves (extractor, rule set, replay events, offline
@@ -154,7 +155,11 @@ func Boot(opts Options) (*Cluster, error) {
 	}
 
 	c.base = &serve.Link{Dial: func(ctx context.Context, network, addr string) (net.Conn, error) {
-		return new(net.Dialer).DialContext(ctx, network, c.resolve(addr))
+		live, err := c.resolve(addr)
+		if err != nil {
+			return nil, err
+		}
+		return new(net.Dialer).DialContext(ctx, network, live)
 	}}
 	c.plain = c.base.Client()
 	linked := c.plain
@@ -201,18 +206,29 @@ func Boot(opts Options) (*Cluster, error) {
 }
 
 // resolve maps "replica-i:80" to the replica's live listener; any other
-// address (the router's front) passes through.
-func (c *Cluster) resolve(addr string) string {
+// address (the router's front) passes through. A replica that is down
+// has none: the port it listened on may be another process's by now.
+func (c *Cluster) resolve(addr string) (string, error) {
 	host, _, err := net.SplitHostPort(addr)
 	if err != nil {
-		return addr
+		return addr, nil
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if live, ok := c.addrs[host]; ok {
-		return live
+	if live, ok := c.addrs[host]; ok && live == "" {
+		return "", fmt.Errorf("chaoskit: %s is down", host)
+	} else if ok {
+		return live, nil
 	}
-	return addr
+	return addr, nil
+}
+
+// down marks n stopped, its name resolving to no listener.
+func (c *Cluster) down(n *Node) {
+	n.stopped = true
+	c.mu.Lock()
+	c.addrs[n.Name] = ""
+	c.mu.Unlock()
 }
 
 // start boots replica i over whatever its journal directory holds and
@@ -279,7 +295,7 @@ func (c *Cluster) Stop(i int) {
 	if n.stopped {
 		return
 	}
-	n.stopped = true
+	c.down(n)
 	n.hsrv.Close()
 	n.srv.Close()
 	n.Engine.Close()

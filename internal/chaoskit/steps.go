@@ -53,9 +53,9 @@ func (c *Cluster) Kill9(i, lo, n int) (tornShards int) {
 		}
 		tornShards++
 	}
+	c.down(v)
 	v.hsrv.Close()
-	v.srv.Close()
-	v.stopped = true // no Ledger.Close: kill -9 leaves no chance to flush
+	v.srv.Close() // no Ledger.Close: kill -9 leaves no chance to flush
 	return tornShards
 }
 

@@ -114,7 +114,8 @@ type Options struct {
 }
 
 // maxServedRoutes bounds the sticky request-ID route cache (FIFO
-// eviction): the retention window of one node's ledger.
+// eviction): one bound for the whole router, whatever the replica count,
+// equal to one node ledger's default retention.
 const maxServedRoutes = 65536
 
 func (o Options) withDefaults() Options {
@@ -444,10 +445,10 @@ type stickyRoute struct {
 }
 
 // candidatesFor returns the attempt order for id: the sticky replica
-// first (stickyAddr, which the caller looked up once for the whole
-// forward; "" for none), then healthy ring successors, then degraded
-// ones as a last resort. It reads the ring and the member table as
-// published and takes no lock.
+// first while it is in rotation, on probation too (stickyAddr, which the
+// caller looked up once for the whole forward; "" for none), then
+// healthy ring successors, then degraded ones as a last resort. It reads
+// the ring and the member table as published and takes no lock.
 func (rt *Router) candidatesFor(id, stickyAddr string) []*node {
 	succ := rt.ring.Load().Successors(id)
 	nodes := rt.table()
@@ -465,8 +466,8 @@ func (rt *Router) candidatesFor(id, stickyAddr string) []*node {
 			degraded = append(degraded, n)
 		}
 	}
-	if stickyAddr != "" {
-		appendNode(stickyAddr)
+	if n := nodes[stickyAddr]; n != nil && n.inRotation() {
+		healthy = append(healthy, n)
 	}
 	for _, addr := range succ {
 		if addr != stickyAddr {

@@ -295,51 +295,6 @@ func TestForwardTakesNoRouterMutex(t *testing.T) {
 	})
 }
 
-func TestRouterFailoverOnError(t *testing.T) {
-	replicas := []*fakeReplica{newFakeReplica(t), newFakeReplica(t), newFakeReplica(t)}
-	rt := newTestRouter(t, replicas, nil)
-
-	// Find the owner of this key and make it fail once.
-	id := "req-failover"
-	owner := rt.ring.Load().Owner(id)
-	for _, f := range replicas {
-		if f.addr() == owner {
-			f.set(func(f *fakeReplica) { f.failClassify = 5 })
-		}
-	}
-	data, err := rt.Forward(context.Background(), id, []byte("batch"), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(string(data), owner) {
-		t.Fatalf("verdict %q came from the failing owner", data)
-	}
-	if got := rt.Metrics().Failover.Load(); got == 0 {
-		t.Error("failover counter did not move")
-	}
-
-	// The sticky route now pins the ID to the successor that answered:
-	// even with the owner healthy again, a retransmit hits the ledger.
-	before := 0
-	for _, f := range replicas {
-		before += f.classifiedCount()
-	}
-	again, err := rt.Forward(context.Background(), id, []byte("batch"), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(again) != string(data) {
-		t.Fatalf("post-failover retransmit diverged: %q vs %q", again, data)
-	}
-	after := 0
-	for _, f := range replicas {
-		after += f.classifiedCount()
-	}
-	if after != before {
-		t.Fatalf("retransmit re-classified (%d -> %d)", before, after)
-	}
-}
-
 func TestRouterBreakerSkipsOpenNode(t *testing.T) {
 	replicas := []*fakeReplica{newFakeReplica(t), newFakeReplica(t)}
 	rt := newTestRouter(t, replicas, func(o *Options) {
@@ -519,39 +474,6 @@ func TestRouterGenerationConsistentReload(t *testing.T) {
 	cancel()
 	if gen, err := rt.Reload(dead, []byte(`{"rules":[]}`)); err == nil {
 		t.Fatalf("reload on a cancelled context reached generation %d", gen)
-	}
-}
-
-func TestRouterProbeEjectsAndReadmits(t *testing.T) {
-	replicas := []*fakeReplica{newFakeReplica(t), newFakeReplica(t)}
-	rt := newTestRouter(t, replicas, func(o *Options) { o.EjectAfter = 2 })
-
-	dead := replicas[0]
-	dead.set(func(f *fakeReplica) { f.down = true })
-	rt.ProbeAll(context.Background())
-	rt.ProbeAll(context.Background())
-	rt.mu.Lock()
-	state := rt.table()[dead.addr()].State()
-	rt.mu.Unlock()
-	if state != NodeEjected {
-		t.Fatalf("dead node state = %v, want ejected", state)
-	}
-	if got := rt.ring.Load().Len(); got != 1 {
-		t.Fatalf("ring has %d members after ejection, want 1", got)
-	}
-
-	// Recovery: one good probe re-admits on probation, the next promotes.
-	dead.set(func(f *fakeReplica) { f.down = false })
-	rt.ProbeAll(context.Background())
-	rt.ProbeAll(context.Background())
-	rt.mu.Lock()
-	state = rt.table()[dead.addr()].State()
-	rt.mu.Unlock()
-	if state != NodeHealthy {
-		t.Fatalf("recovered node state = %v, want healthy", state)
-	}
-	if got := rt.ring.Load().Len(); got != 2 {
-		t.Fatalf("ring has %d members after re-admission, want 2", got)
 	}
 }
 

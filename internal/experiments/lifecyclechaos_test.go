@@ -2,8 +2,10 @@ package experiments
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -467,4 +469,23 @@ func TestChaosLifecycle(t *testing.T) {
 	if fi, err := os.Stat(reportPath); err != nil || fi.Size() == 0 {
 		t.Errorf("shadow report artifact missing or empty at %s (err %v)", reportPath, err)
 	}
+}
+
+// writeReportArtifact writes doc as indented JSON to the path the
+// environment variable names — the file CI archives — or, when it is
+// unset, into a test temp dir, and returns the path.
+func writeReportArtifact(t *testing.T, envVar string, doc any) string {
+	t.Helper()
+	path := os.Getenv(envVar)
+	if path == "" {
+		path = filepath.Join(t.TempDir(), "report.json")
+	}
+	data, err := json.MarshalIndent(doc, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
+		t.Fatalf("write report artifact: %v", err)
+	}
+	return path
 }

@@ -225,16 +225,21 @@ func decodeRecord(r journal.Record) (entry, error) {
 // installLocked applies one replayed or imported record to the
 // in-memory state, last write wins: replay follows the log, where a
 // second result for an ID is the reclassification of a batch evicted and
-// accepted again, and is the one the dead process held. An accept of a
-// completed batch changes nothing. Callers hold l.mu (or, during
-// OpenLedger, have exclusive access).
+// accepted again, and is the one the dead process held. An accept after
+// its ID's result can only follow that result's eviction, so it reopens
+// the batch as pending; an import never installs what the ledger holds
+// (holdsLocked). Callers hold l.mu (or, during OpenLedger, have
+// exclusive access).
 func (l *Ledger) installLocked(e entry) {
 	if e.kind == recResult {
 		l.storeResultLocked(e.id, e.body)
 		delete(l.pending, e.id)
-	} else if _, done := l.results[e.id]; !done {
-		l.pending[e.id] = e.events
+		return
 	}
+	if _, done := l.results[e.id]; done {
+		l.forgetLocked(entry{kind: recResult, id: e.id})
+	}
+	l.pending[e.id] = e.events
 }
 
 // holdsLocked reports whether the ledger already holds what e would

@@ -45,11 +45,11 @@ func (m *refLedger) replay(log []refRecord) *refLedger {
 }
 
 // install applies one record, last write wins: replay's fold, and import's.
+// An accept reopens its ID: in the log it follows only an evicted result.
 func (m *refLedger) install(r refRecord) {
 	if r.kind == recAccept {
-		if _, done := m.results[r.id]; !done {
-			m.pending[r.id] = r.body
-		}
+		m.forget(r.id)
+		m.pending[r.id] = r.body
 		return
 	}
 	if _, held := m.results[r.id]; !held {
