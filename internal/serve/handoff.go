@@ -168,11 +168,13 @@ func (l *Ledger) ImportChunk(data []byte) (HandoffImportStats, error) {
 		}
 		accepted, wasPending := l.pending[e.id] // what an imported result resolves
 		l.installLocked(e)
+		l.syncing[e.id] = struct{}{}
 		l.mu.Unlock()
-		if err := l.j.AppendAsyncFunc(e.id, e.kind, func(dst []byte) []byte { return append(dst, r.Data...) }); err != nil {
+		err = l.j.AppendAsyncFunc(e.id, e.kind, func(dst []byte) []byte { return append(dst, r.Data...) })
+		l.mu.Lock()
+		if l.settleLocked(e.id); err != nil {
 			// Not journaled, so not held: a retry of the chunk must find
 			// the entry missing and append it, not skip it as a duplicate.
-			l.mu.Lock()
 			l.forgetLocked(e)
 			if wasPending {
 				l.pending[e.id] = accepted
@@ -180,6 +182,7 @@ func (l *Ledger) ImportChunk(data []byte) (HandoffImportStats, error) {
 			l.mu.Unlock()
 			return st, fmt.Errorf("serve: handoff import %s: %w", e.id, err)
 		}
+		l.mu.Unlock()
 		if e.kind == recResult {
 			st.Imported++
 		} else {

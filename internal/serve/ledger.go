@@ -59,9 +59,11 @@ type Ledger struct {
 	// O(retransmit window). Compaction emits in this order.
 	order      []string
 	maxResults int
-	// syncing holds the IDs whose result is installed but whose durable
-	// append has not returned (guarded by mu); settled is broadcast when
-	// one returns. Nothing is served from such a result (awaitSettledLocked).
+	// syncing holds the IDs whose entry is installed but whose append has
+	// not returned (guarded by mu); settled is broadcast when one returns.
+	// Every writer waits for its ID's mark to clear before it installs
+	// (awaitSettledLocked), so the log orders an ID's records as they were
+	// installed, and nothing is served from a result still on its way.
 	syncing map[string]struct{}
 	settled sync.Cond
 	// rewritten is how many bytes of the live log the last compaction
@@ -223,13 +225,13 @@ func decodeRecord(r journal.Record) (entry, error) {
 }
 
 // installLocked applies one replayed or imported record to the
-// in-memory state, last write wins: replay follows the log, where a
-// second result for an ID is the reclassification of a batch evicted and
-// accepted again, and is the one the dead process held. An accept after
-// its ID's result can only follow that result's eviction, so it reopens
-// the batch as pending; an import never installs what the ledger holds
-// (holdsLocked). Callers hold l.mu (or, during OpenLedger, have
-// exclusive access).
+// in-memory state, last write wins: replay follows the log, which orders
+// an ID's records as they were installed (syncing). A second result for
+// an ID is the reclassification of a batch evicted and accepted again,
+// and is the one the dead process held; an accept after its ID's result
+// can only follow that result's eviction, so it reopens the batch as
+// pending. An import never installs what the ledger holds (holdsLocked).
+// Callers hold l.mu (or, during OpenLedger, have exclusive access).
 func (l *Ledger) installLocked(e entry) {
 	if e.kind == recResult {
 		l.storeResultLocked(e.id, e.body)
@@ -322,9 +324,8 @@ func (l *Ledger) storeResultLocked(id string, body []byte) {
 // request ID, durably, and marks it pending. body is the events'
 // canonical line-JSON, '\n'-terminated, rendered straight into the
 // journal's frame buffer as `id\n` + body. A failure rolls back only
-// what this call installed (an earlier durable accept's mark stays); a
-// call that found the ID pending re-asserts the mark once its record is
-// durable. It installs before it appends, as every writer does (Compact).
+// what this call installed (an earlier durable accept's mark stays). It
+// installs before it appends, as every writer does (Compact).
 func (l *Ledger) AcceptWire(id string, events []dataset.DownloadEvent, body string) error {
 	if id == "" {
 		return fmt.Errorf("serve: ledger: empty request id")
@@ -337,27 +338,20 @@ func (l *Ledger) AcceptWire(id string, events []dataset.DownloadEvent, body stri
 	}
 	prev, wasPending := l.pending[id]
 	l.pending[id] = events
+	l.syncing[id] = struct{}{}
 	l.mu.Unlock()
 	err := l.j.AppendFunc(id, recAccept, func(dst []byte) []byte { return appendPayload(dst, id, body) })
-	if err == nil && !wasPending {
-		return nil
-	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if _, done := l.results[id]; !done {
-		switch {
-		case err == nil:
-			l.pending[id] = events
-		case wasPending:
-			l.pending[id] = prev
-		default:
-			delete(l.pending, id)
-		}
+	if l.settleLocked(id); err == nil {
+		return nil
 	}
-	if err != nil {
-		return fmt.Errorf("serve: ledger accept %s: %w", id, err)
+	if wasPending {
+		l.pending[id] = prev
+	} else {
+		delete(l.pending, id)
 	}
-	return nil
+	return fmt.Errorf("serve: ledger accept %s: %w", id, err)
 }
 
 // Result journals the verdicts served for id, resolves the pending mark
@@ -390,9 +384,7 @@ func (l *Ledger) result(id string, verdicts []VerdictRecord) (body []byte, won b
 	_, deferred := l.pending[id]
 	l.storeResultLocked(id, body)
 	delete(l.pending, id)
-	if !deferred {
-		l.syncing[id] = struct{}{}
-	}
+	l.syncing[id] = struct{}{}
 	rewritten := l.rewritten
 	l.mu.Unlock()
 	build := func(dst []byte) []byte { return appendPayload(dst, id, body) }
@@ -400,13 +392,12 @@ func (l *Ledger) result(id string, verdicts []VerdictRecord) (body []byte, won b
 		err = l.j.AppendAsyncFunc(id, recResult, build)
 	} else {
 		err = l.j.AppendFunc(id, recResult, build)
-		l.mu.Lock()
-		if delete(l.syncing, id); err != nil {
-			l.forgetLocked(entry{kind: recResult, id: id})
-		}
-		l.settled.Broadcast()
-		l.mu.Unlock()
 	}
+	l.mu.Lock()
+	if l.settleLocked(id); err != nil && !deferred {
+		l.forgetLocked(entry{kind: recResult, id: id})
+	}
+	l.mu.Unlock()
 	if err != nil {
 		return nil, false, fmt.Errorf("serve: ledger result %s: %w", id, err)
 	}
@@ -429,15 +420,22 @@ func (l *Ledger) result(id string, verdicts []VerdictRecord) (body []byte, won b
 	return body, true, nil
 }
 
-// awaitSettledLocked returns once no durable result append for id is in
-// flight, releasing l.mu while it waits. Results are installed before
-// their append (Compact), so whatever serves or skips on a held result
-// waits here for the sync that covers it, and finds it gone if that
-// append failed. Callers hold l.mu.
+// awaitSettledLocked returns once no append for id is in flight,
+// releasing l.mu while it waits. Entries are installed before their
+// append (Compact), so whatever serves or skips on a held result waits
+// here for the sync that covers it, and finds it gone if that append
+// failed. Callers hold l.mu.
 func (l *Ledger) awaitSettledLocked(id string) {
 	for _, inFlight := l.syncing[id]; inFlight; _, inFlight = l.syncing[id] {
 		l.settled.Wait()
 	}
+}
+
+// settleLocked clears the mark a writer set on id for its append and
+// wakes whoever waits on it. Callers hold l.mu.
+func (l *Ledger) settleLocked(id string) {
+	delete(l.syncing, id)
+	l.settled.Broadcast()
 }
 
 // compactRewriteFactor is the log/state ratio that arms compaction. 5

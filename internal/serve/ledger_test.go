@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -301,6 +302,72 @@ func TestRecoverOversizedPendingBatch(t *testing.T) {
 	}
 	if want := appendVerdictBody(nil, whole); !bytes.Equal(got, want) {
 		t.Fatalf("sliced recovery body differs from the unsliced answer:\n got %q\nwant %q", got, want)
+	}
+}
+
+// TestLedgerResultRacingAnAccept: a Result that finds its ID pending
+// while an accept of it is still on its way to the journal — a
+// retransmit's AcceptWire as the deferred worker answers, or an imported
+// accept as a request answers — must not reach the log first. Replay
+// takes an accept behind its ID's result for a re-accept after an
+// eviction, so it would reopen the answered batch. After a reopen every
+// ID is still answered with its bytes.
+func TestLedgerResultRacingAnAccept(t *testing.T) {
+	f := sharedFixture(t)
+	dir := t.TempDir()
+	l, _ := newTestLedger(t, dir)
+	body, err := export.AppendEventLine(nil, &f.replay[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	body = append(body, '\n')
+	const pairs = 400
+	var wg sync.WaitGroup
+	for i := 0; i < pairs; i++ {
+		id := fmt.Sprintf("r%03d", i)
+		retransmit := i%2 == 0
+		if retransmit {
+			if err := l.AcceptWire(id, f.replay[:1], string(body)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			var err error
+			if retransmit {
+				err = l.AcceptWire(id, f.replay[:1], string(body))
+			} else {
+				_, err = l.ImportChunk(journal.AppendFrame(nil, recAccept, appendPayload(nil, id, body)))
+			}
+			if err != nil {
+				t.Error(err)
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			for !l.IsPending(id) {
+				runtime.Gosched()
+			}
+			if _, err := l.Result(id, []VerdictRecord{{Type: "verdict", File: id}}); err != nil {
+				t.Error(err)
+			}
+		}()
+		if i%8 == 7 {
+			wg.Wait()
+		}
+	}
+	wg.Wait()
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	l2, _ := newTestLedger(t, dir)
+	defer l2.Close()
+	for i := 0; i < pairs; i++ {
+		id := fmt.Sprintf("r%03d", i)
+		if got, ok := l2.LookupVerdicts(id); !ok || len(got) != 1 || got[0].File != id {
+			t.Fatalf("%s after the reopen = %v, %v; want its answer (pending: %v)", id, got, ok, l2.IsPending(id))
+		}
 	}
 }
 

@@ -45,7 +45,8 @@ func (m *refLedger) replay(log []refRecord) *refLedger {
 }
 
 // install applies one record, last write wins: replay's fold, and import's.
-// An accept reopens its ID: in the log it follows only an evicted result.
+// An accept reopens its ID: the ledger appends one ID's records in install
+// order, so in the log an accept follows only an evicted result.
 func (m *refLedger) install(r refRecord) {
 	if r.kind == recAccept {
 		m.forget(r.id)
