@@ -21,11 +21,12 @@ LONGTAILVET ?= bin/longtailvet
 .PHONY: verify verify-fast build vet test fmtcheck lint lint-report \
 	longtailvet staticcheck govulncheck bench \
 	chaos-serve chaos-cluster chaos-lifecycle fuzz-smoke \
-	e2e-bench e2e-compare e2e-record bench-layers bench-layers-smoke loc daemon-deps
+	e2e-bench e2e-compare e2e-record bench-layers bench-layers-smoke loc daemon-deps \
+	metrics-format
 
 verify: verify-fast fuzz-smoke
 
-verify-fast: build vet test fmtcheck lint daemon-deps bench-layers-smoke
+verify-fast: build vet test fmtcheck lint daemon-deps metrics-format bench-layers-smoke
 
 build:
 	$(GO) build ./...
@@ -49,6 +50,17 @@ daemon-deps:
 	@out="$$($(GO) list -deps ./cmd/longtaild ./cmd/longtailrouter | grep -E '^repro/internal/(faults|chaoskit)$$')"; \
 	if [ -n "$$out" ]; then \
 		echo "the daemons depend on fault injection:"; echo "$$out"; exit 1; \
+	fi
+
+# One writer of the exposition format: internal/obs renders every
+# /metrics line from the series declared on a registry, so a format
+# string that starts with a longtail_ name and holds a % verb anywhere
+# else (test files, testdata fixtures and bench/ aside) is a second
+# writer.
+metrics-format:
+	@out="$$(grep -rnE --include='*.go' --exclude='*_test.go' '["`]longtail_[^"`]*%[-+# 0-9.]*[a-zA-Z]' . | grep -vE '^\./(internal/obs|bench)/|/testdata/')"; \
+	if [ -n "$$out" ]; then \
+		echo "exposition lines formatted outside internal/obs:"; printf '%s\n' "$$out"; exit 1; \
 	fi
 
 # The project's own static-analysis suite (internal/lint, DESIGN.md
@@ -233,11 +245,11 @@ bench:
 # Non-test lines of Go per package directory and tree-wide, the way the
 # simplicity issues count them: every *.go that is not a *_test.go,
 # lint testdata included, bench/ (the benchmark's own program) left
-# out; then the two other totals ROADMAP item 5 sets targets for — the
-# lint subtotal (internal/lint* and cmd/longtailvet* of the lines
-# above) and the *_test.go lines outside bench/ — and the number of
-# main packages under cmd/. CHANGES.md quotes this output, not a hand
-# tally.
+# out; then the two other totals ROADMAP items 6, 12 and 13 set
+# targets for — the lint subtotal (internal/lint* and cmd/longtailvet*
+# of the lines above) and the *_test.go lines outside bench/ — and the
+# number of main packages under cmd/. CHANGES.md quotes this output,
+# not a hand tally.
 loc:
 	@total=0; lint=0; \
 	for d in $$(find . -path ./bench -prune -o -name '*.go' -not -name '*_test.go' -print | xargs -n1 dirname | sort -u); do \

@@ -171,7 +171,6 @@ func run() error {
 	// batch off the hot path; the evaluator's scoreboard joins /metrics
 	// and the manager gates self-promotion through the node's own
 	// zero-downtime reload endpoint.
-	var srvOpts []serve.ServerOption
 	var eval *lifecycle.Evaluator
 	if *lifecycleOn {
 		eval, err = lifecycle.NewEvaluator(ex, truth)
@@ -180,13 +179,13 @@ func run() error {
 		}
 		defer eval.Close()
 		engine.SetBatchTap(eval.Tap())
-		srvOpts = append(srvOpts, serve.WithMetricsAppender(eval.WriteMetrics))
 	}
 
 	// Crash recovery: reopen the journal, replay any batches the previous
 	// process deferred but never answered, and only then start listening —
 	// a client retransmitting into the new process hits the recovered
 	// ledger, never a second classification.
+	var srvOpts []serve.ServerOption
 	var ledger *serve.Ledger
 	if *journalDir != "" {
 		var rec *serve.LedgerRecovery
@@ -224,6 +223,7 @@ func run() error {
 
 	handler := srv.Handler()
 	if *lifecycleOn {
+		eval.Register(srv.Registry())
 		mgr, err := lifecycle.NewManager(lifecycle.Config{}, lifecycle.ReloadPromoter{
 			Client: &serve.Client{BaseURL: loopbackURL(*addr)},
 		}, eval)
@@ -241,6 +241,7 @@ func run() error {
 		return err
 	}
 	front := &serve.Front{Handler: handler}
+	srv.ServedBy(front)
 	errCh := make(chan error, 1)
 	go func() {
 		log.Printf("longtaild: serving on %s (%d rules, generation %d, %d shards, queue %d)",

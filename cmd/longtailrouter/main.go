@@ -109,6 +109,7 @@ func run() error {
 		return err
 	}
 	front := &serve.Front{Handler: rt.Handler()}
+	rt.ServedBy(front)
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	errCh := make(chan error, 1)

@@ -49,8 +49,6 @@ type Options struct {
 	// Shards and CompactBytes configure every replica's ledger.
 	Shards       int
 	CompactBytes int64
-	// ServerOptions, when set, decorates replica i's server.
-	ServerOptions func(i int) []serve.ServerOption
 
 	// Events is the replay, cut into batches of Batch events (default
 	// 32); batch b travels under the request ID "<IDPrefix>-<b>" on every
@@ -72,8 +70,8 @@ type Node struct {
 	Dir    string
 	Engine *serve.Engine
 	Ledger *serve.Ledger
+	Server *serve.Server
 
-	srv     *serve.Server
 	hsrv    *serve.Front
 	fs      *faults.CrashFS
 	stopped bool
@@ -200,6 +198,7 @@ func Boot(opts Options) (*Cluster, error) {
 		return nil, err
 	}
 	c.front = &serve.Front{Handler: rt.Handler()}
+	rt.ServedBy(c.front)
 	go c.front.Serve(ln)
 	c.Client = &serve.Client{BaseURL: "http://" + ln.Addr().String(), HTTPClient: c.plain}
 	return c, nil
@@ -266,11 +265,7 @@ func (c *Cluster) start(i, shards int) (*serve.LedgerRecovery, int, error) {
 	if err != nil {
 		return fail(err)
 	}
-	srvOpts := []serve.ServerOption{serve.WithLedger(ledger)}
-	if c.opts.ServerOptions != nil {
-		srvOpts = append(srvOpts, c.opts.ServerOptions(i)...)
-	}
-	srv, err := serve.NewServer(engine, classify.Reject, srvOpts...)
+	srv, err := serve.NewServer(engine, classify.Reject, serve.WithLedger(ledger))
 	if err != nil {
 		return fail(err)
 	}
@@ -279,8 +274,9 @@ func (c *Cluster) start(i, shards int) (*serve.LedgerRecovery, int, error) {
 		srv.Close()
 		return fail(err)
 	}
-	n.Engine, n.Ledger, n.srv, n.stopped = engine, ledger, srv, false
+	n.Engine, n.Ledger, n.Server, n.stopped = engine, ledger, srv, false
 	n.hsrv = &serve.Front{Handler: srv.Handler()}
+	srv.ServedBy(n.hsrv)
 	go n.hsrv.Serve(ln)
 	c.mu.Lock()
 	c.addrs[n.Name] = ln.Addr().String()
@@ -297,7 +293,7 @@ func (c *Cluster) Stop(i int) {
 	}
 	c.down(n)
 	n.hsrv.Close()
-	n.srv.Close()
+	n.Server.Close()
 	n.Engine.Close()
 	n.Ledger.Close()
 }

@@ -55,7 +55,7 @@ func (c *Cluster) Kill9(i, lo, n int) (tornShards int) {
 	}
 	c.down(v)
 	v.hsrv.Close()
-	v.srv.Close() // no Ledger.Close: kill -9 leaves no chance to flush
+	v.Server.Close() // no Ledger.Close: kill -9 leaves no chance to flush
 	return tornShards
 }
 

@@ -4,9 +4,9 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"net/http"
 
+	"repro/internal/obs"
 	"repro/internal/serve"
 )
 
@@ -25,7 +25,7 @@ func (rt *Router) Handler() http.Handler {
 	mux.HandleFunc("/admin/lifecycle", rt.handleLifecycle)
 	mux.HandleFunc("/admin/leave", postOnly(rt.handleLeave))
 	mux.HandleFunc("/healthz", rt.handleHealthz)
-	mux.HandleFunc("/metrics", rt.handleMetrics)
+	mux.Handle("/metrics", &rt.reg)
 	return mux
 }
 
@@ -192,55 +192,46 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	json.NewEncoder(w).Encode(st)
 }
 
-func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	st := rt.Status()
+// register declares the router's series on rt.reg, in exposition order.
+func (rt *Router) register() {
 	m := &rt.metrics
-	fmt.Fprintf(w, "longtail_router_requests_total %d\n", m.Requests.Load())
-	fmt.Fprintf(w, "longtail_router_forwarded_total %d\n", m.Forwarded.Load())
-	fmt.Fprintf(w, "longtail_failover_total %d\n", m.Failover.Load())
-	fmt.Fprintf(w, "longtail_router_no_replica_total %d\n", m.NoReplica.Load())
-	fmt.Fprintf(w, "longtail_router_reloads_total %d\n", m.Reloads.Load())
-	fmt.Fprintf(w, "longtail_router_reload_failures_total %d\n", m.ReloadErr.Load())
-	fmt.Fprintf(w, "longtail_router_generation %d\n", st.Generation)
-	fmt.Fprintf(w, "longtail_router_target_generation %d\n", st.TargetGeneration)
-	degraded := 0
-	if st.Status != "ok" {
-		degraded = 1
-	}
-	fmt.Fprintf(w, "longtail_router_degraded %d\n", degraded)
-	fmt.Fprintf(w, "longtail_handoff_chunks_total %d\n", m.HandoffChunks.Load())
-	fmt.Fprintf(w, "longtail_handoff_entries_total %d\n", m.HandoffEntries.Load())
-	fmt.Fprintf(w, "longtail_handoff_replayed_total %d\n", m.HandoffReplayed.Load())
-	fmt.Fprintf(w, "longtail_handoff_failures_total %d\n", m.HandoffFails.Load())
-	for _, n := range st.Nodes {
-		// Every state is exported as a 0/1 gauge per node so dashboards
-		// can plot transitions without discovering label values.
-		for _, s := range nodeStateNames {
-			v := 0
-			if n.State == s {
-				v = 1
+	rt.reg.Family(func(s *obs.Scrape) {
+		st := rt.Status()
+		s.Uint("longtail_router_requests_total", "", m.Requests.Load())
+		s.Uint("longtail_router_forwarded_total", "", m.Forwarded.Load())
+		s.Uint("longtail_failover_total", "", m.Failover.Load())
+		s.Uint("longtail_router_no_replica_total", "", m.NoReplica.Load())
+		s.Uint("longtail_router_reloads_total", "", m.Reloads.Load())
+		s.Uint("longtail_router_reload_failures_total", "", m.ReloadErr.Load())
+		s.Uint("longtail_router_generation", "", st.Generation)
+		s.Uint("longtail_router_target_generation", "", st.TargetGeneration)
+		s.Uint("longtail_router_degraded", "", obs.Bool(st.Status != "ok"))
+		s.Uint("longtail_handoff_chunks_total", "", m.HandoffChunks.Load())
+		s.Uint("longtail_handoff_entries_total", "", m.HandoffEntries.Load())
+		s.Uint("longtail_handoff_replayed_total", "", m.HandoffReplayed.Load())
+		s.Uint("longtail_handoff_failures_total", "", m.HandoffFails.Load())
+		for _, n := range st.Nodes {
+			node := obs.Label("node", n.Addr)
+			// Every state is a 0/1 gauge per node, so dashboards plot
+			// transitions without discovering label values.
+			for _, state := range nodeStateNames {
+				s.Uint("longtail_node_state", node+","+obs.Label("state", state), obs.Bool(n.State == state))
 			}
-			fmt.Fprintf(w, "longtail_node_state{node=%q,state=%q} %d\n", n.Addr, s, v)
-		}
-		fmt.Fprintf(w, "longtail_node_generation{node=%q} %d\n", n.Addr, n.Generation)
-		fmt.Fprintf(w, "longtail_node_served_total{node=%q} %d\n", n.Addr, n.Served)
-		fmt.Fprintf(w, "longtail_node_failed_total{node=%q} %d\n", n.Addr, n.Failed)
-		fmt.Fprintf(w, "longtail_node_inflight{node=%q} %d\n", n.Addr, n.Inflight)
-		fmt.Fprintf(w, "longtail_probe_total{node=%q,outcome=\"ok\"} %d\n", n.Addr, n.ProbeOK)
-		fmt.Fprintf(w, "longtail_probe_total{node=%q,outcome=\"error\"} %d\n", n.Addr, n.ProbeErr)
-		for _, s := range []string{"closed", "open", "half-open"} {
-			v := 0
-			if n.Breaker == s {
-				v = 1
+			s.Uint("longtail_node_generation", node, n.Generation)
+			s.Uint("longtail_node_served_total", node, n.Served)
+			s.Uint("longtail_node_failed_total", node, n.Failed)
+			s.Uint("longtail_node_inflight", node, uint64(n.Inflight))
+			s.Uint("longtail_probe_total", node+`,outcome="ok"`, n.ProbeOK)
+			s.Uint("longtail_probe_total", node+`,outcome="error"`, n.ProbeErr)
+			for _, state := range []string{"closed", "open", "half-open"} {
+				s.Uint("longtail_breaker_state", node+","+obs.Label("state", state), obs.Bool(n.Breaker == state))
 			}
-			fmt.Fprintf(w, "longtail_breaker_state{node=%q,state=%q} %d\n", n.Addr, s, v)
+			s.Uint("longtail_breaker_trips_total", node, uint64(n.BreakerTrips))
+			s.Uint("longtail_handoff_pending", node, uint64(n.HandoffPending))
 		}
-		fmt.Fprintf(w, "longtail_breaker_trips_total{node=%q} %d\n", n.Addr, n.BreakerTrips)
-		fmt.Fprintf(w, "longtail_handoff_pending{node=%q} %d\n", n.Addr, n.HandoffPending)
-	}
-	for _, n := range rt.nodeList() {
-		n.forwardLatency.Write(w, "longtail_router_forward_latency_seconds", fmt.Sprintf("node=%q", n.addr))
-	}
-	serve.WriteFrontMetrics(r.Context(), w)
+		for _, n := range rt.nodeList() {
+			s.Histogram("longtail_router_forward_latency_seconds", obs.Label("node", n.addr), &n.forwardLatency)
+		}
+	})
+	serve.RegisterFront(&rt.reg, &rt.front)
 }

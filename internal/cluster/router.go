@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/retry"
 	"repro/internal/serve"
 )
@@ -61,7 +62,7 @@ type node struct {
 	failed         atomic.Uint64 // forward attempts that errored on this node
 	probeOK        atomic.Uint64
 	probeErr       atomic.Uint64
-	forwardLatency serve.Histogram // every exchange, answered or failed
+	forwardLatency obs.Histogram // every exchange, answered or failed
 
 	// handoffPending counts migrating ranges this node still owes (or is
 	// owed): non-zero after a partial drain or while an ejected node's
@@ -93,9 +94,10 @@ type Options struct {
 	// decoration point for internal/faults.Transport. nil selects a
 	// serve.Link of the router's own; Close closes its idle connections.
 	HTTPClient *http.Client
-	// Retry is the per-replica client policy (used for deferred-result
-	// polling and reload fan-out, not for /classify attempts — cross-node
-	// failover replaces in-place retries on the forward path).
+	// Retry is the per-replica client policy: deferred-result polling,
+	// reload fan-out, and a /classify attempt on an ID's pinned replica,
+	// which retries in place under it (see attempt); an unpinned attempt
+	// fails over to the next replica instead.
 	Retry retry.Policy
 	// BreakerThreshold and BreakerReset configure each node's circuit
 	// breaker (defaults 3 consecutive failures, 2s reset).
@@ -165,6 +167,9 @@ type Metrics struct {
 type Router struct {
 	opts    Options
 	metrics Metrics
+	// reg is what GET /metrics renders; front serves Handler (ServedBy).
+	reg   obs.Registry
+	front atomic.Pointer[serve.Front]
 
 	// ring is the current consistent-hash ring (copy-on-write; nil never
 	// stored). Readers never lock.
@@ -230,6 +235,7 @@ func NewRouter(opts Options) (*Router, error) {
 		idPrefix: fmt.Sprintf("router-%x", nonce),
 	}
 	rt.drainCond = sync.NewCond(&rt.drainMu)
+	rt.register()
 	nodes := make(map[string]*node, len(o.Replicas))
 	for _, addr := range o.Replicas {
 		n, err := rt.newNode(addr)
@@ -298,6 +304,9 @@ func (rt *Router) NextRequestID() string {
 
 // Metrics exposes the router counter set.
 func (rt *Router) Metrics() *Metrics { return &rt.metrics }
+
+// ServedBy names the Front serving Handler, for /metrics to report.
+func (rt *Router) ServedBy(f *serve.Front) { rt.front.Store(f) }
 
 // ForwardTyped routes one pre-marshaled /classify body to the replica
 // owning id, failing over along ring successors on error, one attempt

@@ -18,7 +18,6 @@ import (
 	"repro/internal/labeling"
 	"repro/internal/lifecycle"
 	"repro/internal/part"
-	"repro/internal/serve"
 )
 
 // The promotion gate of the chaos-lifecycle scenario: the challenger's
@@ -204,9 +203,6 @@ func RunChaosLifecycle(seed int64, dir string) (*ChaosLifecycleReport, error) {
 	c, err := bootChaosKit("chaos-lifecycle", w, chaoskit.Options{
 		Dir: dir, Replicas: chaosReplicas, Router: true,
 		Shards: chaosNodeShards, CompactBytes: chaosCompactBytes,
-		ServerOptions: func(i int) []serve.ServerOption {
-			return []serve.ServerOption{serve.WithMetricsAppender(evals[i].WriteMetrics)}
-		},
 		Batch: chaosBatch, MinBatches: 8, IDPrefix: "lc",
 	})
 	if err != nil {
@@ -215,6 +211,7 @@ func RunChaosLifecycle(seed int64, dir string) (*ChaosLifecycleReport, error) {
 	defer c.Close()
 	for i, n := range c.Nodes {
 		n.Engine.SetBatchTap(evals[i].Tap())
+		evals[i].Register(n.Server.Registry())
 	}
 	nBatches := c.Batches()
 	rep := &ChaosLifecycleReport{Replicas: chaosReplicas, Batches: nBatches, Events: len(replay),

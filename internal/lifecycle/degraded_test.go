@@ -27,10 +27,11 @@ func TestPromotionClearsDegraded(t *testing.T) {
 	e := newEval(t, f, storeTruth(f))
 	engine.SetBatchTap(e.Tap())
 
-	srv, err := serve.NewServer(engine, classify.Reject, serve.WithMetricsAppender(e.WriteMetrics))
+	srv, err := serve.NewServer(engine, classify.Reject)
 	if err != nil {
 		t.Fatal(err)
 	}
+	e.Register(srv.Registry())
 	t.Cleanup(srv.Close)
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)

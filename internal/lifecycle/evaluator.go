@@ -24,16 +24,18 @@
 package lifecycle
 
 import (
+	"cmp"
 	"fmt"
-	"io"
-	"sort"
+	"slices"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/classify"
 	"repro/internal/dataset"
 	"repro/internal/features"
+	"repro/internal/obs"
 	"repro/internal/serve"
 )
 
@@ -375,45 +377,37 @@ func (e *Evaluator) ruleLocked(k ruleKey) *ruleCounts {
 	return c
 }
 
-// WriteMetrics appends the lifecycle exposition block: shadow-run
-// aggregates plus the per-rule hit/FP counters for every generation
-// observed — the rule-level efficacy-decay surface. Registered on the
-// serving mux via serve.WithMetricsAppender.
-func (e *Evaluator) WriteMetrics(w io.Writer) {
-	s := e.Snapshot()
-	fmt.Fprintf(w, "longtail_shadow_samples_total %d\n", s.Samples)
-	fmt.Fprintf(w, "longtail_shadow_agree_total %d\n", s.Agree)
-	fmt.Fprintf(w, "longtail_shadow_disagree_total %d\n", s.Disagree)
-	fmt.Fprintf(w, "longtail_shadow_dropped_total %d\n", s.Dropped)
-	fmt.Fprintf(w, "longtail_shadow_extract_errors_total %d\n", s.ExtractErrors)
-	fmt.Fprintf(w, "longtail_shadow_truth_total{label=\"benign\"} %d\n", s.KnownBenign)
-	fmt.Fprintf(w, "longtail_shadow_truth_total{label=\"malicious\"} %d\n", s.KnownMalicious)
-	fmt.Fprintf(w, "longtail_shadow_fp_total{role=\"champion\"} %d\n", s.ChampionFP)
-	fmt.Fprintf(w, "longtail_shadow_fp_total{role=\"challenger\"} %d\n", s.ChallengerFP)
-	fmt.Fprintf(w, "longtail_shadow_detected_total{role=\"champion\"} %d\n", s.ChampionDetected)
-	fmt.Fprintf(w, "longtail_shadow_detected_total{role=\"challenger\"} %d\n", s.ChallengerDetected)
-
-	e.mu.Lock()
-	keys := make([]ruleKey, 0, len(e.rules))
-	for k := range e.rules {
-		keys = append(keys, k)
-	}
-	counts := make([]ruleCounts, len(keys))
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].role != keys[j].role {
-			return keys[i].role < keys[j].role
+// Register declares the lifecycle's series on a node's registry:
+// shadow-run aggregates plus the per-rule hit/FP counters for every
+// generation observed, sorted by role, generation and rule — the
+// rule-level efficacy-decay surface.
+func (e *Evaluator) Register(reg *obs.Registry) {
+	reg.Family(func(s *obs.Scrape) {
+		st := e.Snapshot()
+		s.Uint("longtail_shadow_samples_total", "", st.Samples)
+		s.Uint("longtail_shadow_agree_total", "", st.Agree)
+		s.Uint("longtail_shadow_disagree_total", "", st.Disagree)
+		s.Uint("longtail_shadow_dropped_total", "", st.Dropped)
+		s.Uint("longtail_shadow_extract_errors_total", "", st.ExtractErrors)
+		s.Uint("longtail_shadow_truth_total", `label="benign"`, st.KnownBenign)
+		s.Uint("longtail_shadow_truth_total", `label="malicious"`, st.KnownMalicious)
+		s.Uint("longtail_shadow_fp_total", `role="champion"`, st.ChampionFP)
+		s.Uint("longtail_shadow_fp_total", `role="challenger"`, st.ChallengerFP)
+		s.Uint("longtail_shadow_detected_total", `role="champion"`, st.ChampionDetected)
+		s.Uint("longtail_shadow_detected_total", `role="challenger"`, st.ChallengerDetected)
+		e.mu.Lock()
+		defer e.mu.Unlock()
+		keys := make([]ruleKey, 0, len(e.rules))
+		for k := range e.rules {
+			keys = append(keys, k)
 		}
-		if keys[i].gen != keys[j].gen {
-			return keys[i].gen < keys[j].gen
+		slices.SortFunc(keys, func(a, b ruleKey) int {
+			return cmp.Or(strings.Compare(a.role, b.role), strings.Compare(a.gen, b.gen), cmp.Compare(a.rule, b.rule))
+		})
+		for _, k := range keys {
+			labels := obs.Label("role", k.role) + "," + obs.Label("gen", k.gen) + "," + obs.Label("rule", strconv.Itoa(k.rule))
+			s.Uint("longtail_rule_hits_total", labels, e.rules[k].hits)
+			s.Uint("longtail_rule_fp_total", labels, e.rules[k].fps)
 		}
-		return keys[i].rule < keys[j].rule
 	})
-	for i, k := range keys {
-		counts[i] = *e.rules[k]
-	}
-	e.mu.Unlock()
-	for i, k := range keys {
-		fmt.Fprintf(w, "longtail_rule_hits_total{role=%q,gen=%q,rule=\"%d\"} %d\n", k.role, k.gen, k.rule, counts[i].hits)
-		fmt.Fprintf(w, "longtail_rule_fp_total{role=%q,gen=%q,rule=\"%d\"} %d\n", k.role, k.gen, k.rule, counts[i].fps)
-	}
 }

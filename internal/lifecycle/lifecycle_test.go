@@ -16,6 +16,7 @@ import (
 	"repro/internal/journal"
 	"repro/internal/labeling"
 	"repro/internal/leaktest"
+	"repro/internal/obs"
 	"repro/internal/part"
 	"repro/internal/serve"
 	"repro/internal/synth"
@@ -236,8 +237,10 @@ func TestEvaluatorIdenticalChallengerAgrees(t *testing.T) {
 		t.Fatal("no known-benign truth harvested from the store")
 	}
 
+	var reg obs.Registry
+	e.Register(&reg)
 	var sb strings.Builder
-	e.WriteMetrics(&sb)
+	reg.WriteTo(&sb)
 	body := sb.String()
 	for _, want := range []string{
 		"longtail_shadow_samples_total",

@@ -11,8 +11,9 @@
 //	              iteration feeding output inside the deterministic core
 //	lockguard    — fields annotated `// guarded by <mu>` are only
 //	              accessed with the lock held
-//	journalorder — no response bytes leave before the batch's journal
-//	              accept on the same path
+//	journalorder — no response bytes leave before the batch is durable
+//	              on the same path: a deferred batch's accept, a direct
+//	              one's Result
 //	retrypolicy  — no hand-rolled sleep-retry loops or raw http.Client
 //	              construction outside the retry/serve layers
 //	errwrap      — errors wrap with %w and compare with errors.Is

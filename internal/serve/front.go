@@ -5,7 +5,6 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"fmt"
 	"io"
 	"log"
 	"net"
@@ -18,6 +17,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // Front serves a Handler over HTTP/1.1 as http.Server does, with one
@@ -36,7 +37,7 @@ type Front struct {
 	Handler http.Handler
 
 	once     sync.Once
-	ctx      context.Context // every request's: carries the Front, ends on Close
+	ctx      context.Context // every request's: ends on Close
 	cancel   context.CancelFunc
 	fallback http.Server
 	handoff  frontListener
@@ -55,23 +56,23 @@ type Front struct {
 // a shorter one is read through: net/http's rule and threshold.
 const frontBufSize, maxPostHandlerReadBytes = 16 << 10, 256 << 10
 
-type frontKey struct{}
-
-// WriteFrontMetrics writes the counters of the Front serving ctx's
-// request, zeros under any other server, for node and router /metrics.
-func WriteFrontMetrics(ctx context.Context, w io.Writer) {
-	var fallbacks, failed uint64
-	if f, ok := ctx.Value(frontKey{}).(*Front); ok {
-		fallbacks, failed = f.fallbacks.Load(), f.replyFailed.Load()
-	}
-	fmt.Fprintf(w, "longtail_http_fallback_total %d\n", fallbacks)
-	fmt.Fprintf(w, "longtail_http_reply_failed_total %d\n", failed)
+// RegisterFront declares, on a node's or a router's registry, the
+// counters of the Front in front, the one that serves its handler. They
+// read 0 while front holds none, as under an httptest server.
+func RegisterFront(reg *obs.Registry, front *atomic.Pointer[Front]) {
+	reg.Family(func(s *obs.Scrape) {
+		var fallbacks, failed uint64
+		if f := front.Load(); f != nil {
+			fallbacks, failed = f.fallbacks.Load(), f.replyFailed.Load()
+		}
+		s.Uint("longtail_http_fallback_total", "", fallbacks)
+		s.Uint("longtail_http_reply_failed_total", "", failed)
+	})
 }
 
 func (f *Front) init() {
 	f.once.Do(func() {
-		ctx, cancel := context.WithCancel(context.Background())
-		f.ctx, f.cancel = context.WithValue(ctx, frontKey{}, f), cancel
+		f.ctx, f.cancel = context.WithCancel(context.Background())
 		f.fallback.Handler = f.Handler
 		f.fallback.BaseContext = func(net.Listener) context.Context { return f.ctx }
 		f.handoff = frontListener{ch: make(chan net.Conn), done: make(chan struct{})}

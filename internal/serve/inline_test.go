@@ -105,8 +105,8 @@ func TestInlineFramesDifferential(t *testing.T) {
 			t.Fatalf("batch %d: memo hits %d vs %d, events in %d vs %d", b, mi.MemoHits.Load(), mw.MemoHits.Load(), mi.EventsIn.Load(), mw.EventsIn.Load())
 		}
 		for v := classify.VerdictNone; v <= classify.VerdictRejected; v++ {
-			if mi.VerdictCount(v) != mw.VerdictCount(v) {
-				t.Fatalf("batch %d: %s verdicts %d inline, %d on workers", b, v, mi.VerdictCount(v), mw.VerdictCount(v))
+			if mi.verdicts[v].Load() != mw.verdicts[v].Load() {
+				t.Fatalf("batch %d: %s verdicts %d inline, %d on workers", b, v, mi.verdicts[v].Load(), mw.verdicts[v].Load())
 			}
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"log"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -13,6 +14,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/export"
 	"repro/internal/journal"
+	"repro/internal/obs"
 )
 
 // Journal record kinds used by the ledger. An accept record carries a
@@ -539,18 +541,31 @@ func (l *Ledger) Compact() error {
 // shards.
 func (l *Ledger) Stats() journal.Stats { return l.j.Stats() }
 
-// JournalMetrics snapshots everything /metrics exposes about the commit
-// path: aggregate counters, per-shard counters and commit lag, and
-// the group-commit batch-size histogram.
-func (l *Ledger) JournalMetrics() JournalMetrics {
-	return JournalMetrics{
-		Stats:         l.j.Stats(),
-		Shards:        l.j.ShardStats(),
-		Lag:           l.j.ShardLag(),
-		SyncBatch:     l.j.SyncBatches(),
-		CompactErrors: l.compactErrors.Load(),
-		Evicted:       l.evicted.Load(),
+// emitMetrics adds the commit path's series to a node's scrape:
+// aggregate journal counters, per-shard fsyncs and commit lag, and the
+// group-commit batch-size histogram.
+func (l *Ledger) emitMetrics(s *obs.Scrape) {
+	js := l.j.Stats()
+	s.Uint("longtail_journal_appends_total", "", js.Appends)
+	s.Uint("longtail_journal_syncs_total", "", js.Syncs)
+	s.Uint("longtail_journal_rotations_total", "", js.Rotations)
+	s.Uint("longtail_journal_recycled_total", "", js.Recycled)
+	s.Uint("longtail_journal_compactions_total", "", js.Compactions)
+	s.Uint("longtail_journal_compact_errors_total", "", l.compactErrors.Load())
+	s.Uint("longtail_ledger_evicted_total", "", l.evicted.Load())
+	s.Uint("longtail_journal_bytes_total", "", js.Bytes)
+	// Uneven syncs mean a skewed key distribution; sustained lag on one
+	// shard means its device is the straggler.
+	for i, st := range l.j.ShardStats() {
+		s.Uint("longtail_journal_shard_syncs_total", obs.Label("shard", strconv.Itoa(i)), st.Syncs)
 	}
+	for i, lag := range l.j.ShardLag() {
+		s.Uint("longtail_journal_shard_lag", obs.Label("shard", strconv.Itoa(i)), lag)
+	}
+	// How many appended records each fsync retired: mass pinned in the
+	// "1" bucket means appenders are paying per-record fsyncs.
+	b := l.j.SyncBatches()
+	s.Buckets("longtail_journal_sync_batch", "", journal.SyncBatchBounds, b.Buckets[:], b.Sum, b.Count)
 }
 
 // Close syncs and closes the journal. Idempotent.

@@ -18,6 +18,7 @@ import (
 	"repro/internal/export"
 	"repro/internal/faults"
 	"repro/internal/journal"
+	"repro/internal/obs"
 )
 
 // acceptEvents accepts a batch the way the handler does: through
@@ -190,9 +191,8 @@ func TestLedgerCompactionFailureDoesNotFailResult(t *testing.T) {
 			t.Fatalf("Result returned %q, ledger holds %q (%v)", body, got, ok)
 		}
 	}
-	jm := l.JournalMetrics()
-	if jm.CompactErrors != results || jm.Stats.Compactions != 0 {
-		t.Fatalf("CompactErrors = %d, Compactions = %d; want %d failures and no success", jm.CompactErrors, jm.Stats.Compactions, results)
+	if failed, done := l.compactErrors.Load(), l.Stats().Compactions; failed != results || done != 0 {
+		t.Fatalf("compactErrors = %d, Compactions = %d; want %d failures and no success", failed, done, results)
 	}
 	// No rewrite reached the disk, so the reference the trigger scales by
 	// must not have moved.
@@ -200,11 +200,13 @@ func TestLedgerCompactionFailureDoesNotFailResult(t *testing.T) {
 	rewritten := l.rewritten
 	l.mu.Unlock()
 	if rewritten != 0 {
-		t.Fatalf("rewritten = %d after %d failed compactions and no successful one, want 0", rewritten, jm.CompactErrors)
+		t.Fatalf("rewritten = %d after %d failed compactions and no successful one, want 0", rewritten, results)
 	}
+	var reg obs.Registry
+	reg.Family(l.emitMetrics)
 	var out strings.Builder
-	(&Metrics{}).WriteTo(&out, 0, false, &jm)
-	if !strings.Contains(out.String(), fmt.Sprintf("longtail_journal_compact_errors_total %d\n", jm.CompactErrors)) {
+	reg.WriteTo(&out)
+	if !strings.Contains(out.String(), fmt.Sprintf("longtail_journal_compact_errors_total %d\n", results)) {
 		t.Fatalf("/metrics does not expose the failures:\n%s", out.String())
 	}
 	epoch.Add(1)
@@ -745,7 +747,7 @@ func diffLedger(l *Ledger, s *refLedger) error {
 			return fmt.Errorf("%q pending = %v with events %q; reference %v with %q", id, l.IsPending(id), got, pending, lines)
 		}
 	}
-	if got := l.JournalMetrics().Evicted; got != s.evicted {
+	if got := l.evicted.Load(); got != s.evicted {
 		return fmt.Errorf("evicted = %d, reference %d", got, s.evicted)
 	}
 	return nil

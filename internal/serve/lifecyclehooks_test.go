@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"io"
 	"net/http/httptest"
 	"sort"
 	"strings"
@@ -12,6 +11,7 @@ import (
 	"repro/internal/classify"
 	"repro/internal/dataset"
 	"repro/internal/journal"
+	"repro/internal/obs"
 )
 
 // TestBatchTapObservesBatches covers the lifecycle's shadow-feed tap:
@@ -88,18 +88,18 @@ func TestBatchTapSkipsShedBatches(t *testing.T) {
 	}
 }
 
-// TestMetricsAppender: registered appenders extend /metrics after the
-// engine's own exposition block.
-func TestMetricsAppender(t *testing.T) {
+// TestRegistryExtendsMetrics: a series declared on the server's
+// registry after NewServer (as the lifecycle evaluator's are) is on
+// /metrics after the node's own.
+func TestRegistryExtendsMetrics(t *testing.T) {
 	f := sharedFixture(t)
 	engine := newTestEngine(t, f, EngineConfig{})
-	srv, err := NewServer(engine, classify.Reject, WithMetricsAppender(func(w io.Writer) {
-		io.WriteString(w, "longtail_lifecycle_test 42\n")
-	}))
+	srv, err := NewServer(engine, classify.Reject)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(srv.Close)
+	srv.Registry().Family(func(s *obs.Scrape) { s.Uint("longtail_lifecycle_test", "", 42) })
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 
@@ -111,10 +111,10 @@ func TestMetricsAppender(t *testing.T) {
 		t.Fatalf("engine exposition block missing:\n%s", body)
 	}
 	if !strings.Contains(body, "longtail_lifecycle_test 42") {
-		t.Fatalf("appender output missing:\n%s", body)
+		t.Fatalf("declared series missing:\n%s", body)
 	}
 	if strings.Index(body, "longtail_lifecycle_test") < strings.Index(body, "longtail_events_total") {
-		t.Fatal("appender output precedes the engine block")
+		t.Fatal("declared series precedes the engine block")
 	}
 }
 

@@ -429,23 +429,3 @@ func TestOversizedBatchRefused(t *testing.T) {
 		t.Fatalf("refused batch was deferred (%d) or classified (%d events)", m.RequestsDeferred.Load(), m.EventsIn.Load())
 	}
 }
-
-// TestHistogram checks bucket routing and the exposition invariants.
-func TestHistogram(t *testing.T) {
-	var h Histogram
-	h.Observe(5 * time.Microsecond)
-	h.Observe(300 * time.Microsecond)
-	h.Observe(2 * time.Second) // lands in +Inf
-	if h.Count() != 3 {
-		t.Fatalf("count = %d, want 3", h.Count())
-	}
-	var buf bytes.Buffer
-	h.Write(&buf, "x", `stage="s"`)
-	out := buf.String()
-	if !strings.Contains(out, "x_bucket{stage=\"s\",le=\"+Inf\"} 3") {
-		t.Fatalf("cumulative +Inf bucket wrong:\n%s", out)
-	}
-	if !strings.Contains(out, "x_count{stage=\"s\"} 3") {
-		t.Fatalf("count line wrong:\n%s", out)
-	}
-}

@@ -13,12 +13,14 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/classify"
 	"repro/internal/dataset"
 	"repro/internal/export"
 	"repro/internal/journal"
+	"repro/internal/obs"
 	"repro/internal/retry"
 )
 
@@ -68,9 +70,9 @@ type Server struct {
 	deferStop context.CancelFunc
 	deferDone chan struct{}
 
-	// metricsAppenders extend GET /metrics with additional exposition
-	// blocks (e.g. the lifecycle's per-rule efficacy counters).
-	metricsAppenders []func(io.Writer)
+	// reg is what GET /metrics renders; front serves Handler (ServedBy).
+	reg   obs.Registry
+	front atomic.Pointer[Front]
 }
 
 const defaultDeferHighWater = 0.75
@@ -84,18 +86,6 @@ func WithLedger(l *Ledger) ServerOption {
 	return func(s *Server) { s.ledger = l }
 }
 
-// WithMetricsAppender registers a function that appends extra
-// Prometheus-style exposition lines to GET /metrics after the engine's
-// own block. Appenders run in registration order on the request path,
-// so they must be fast and internally synchronized.
-func WithMetricsAppender(f func(io.Writer)) ServerOption {
-	return func(s *Server) {
-		if f != nil {
-			s.metricsAppenders = append(s.metricsAppenders, f)
-		}
-	}
-}
-
 // NewServer wraps an engine; reloaded rule sets use the given conflict
 // policy (the paper's choice is classify.Reject).
 func NewServer(engine *Engine, policy classify.ConflictPolicy, opts ...ServerOption) (*Server, error) {
@@ -106,6 +96,7 @@ func NewServer(engine *Engine, policy classify.ConflictPolicy, opts ...ServerOpt
 	for _, opt := range opts {
 		opt(s)
 	}
+	s.register()
 	if s.ledger != nil {
 		s.deferCh = make(chan string, 256)
 		s.deferCtx, s.deferStop = context.WithCancel(context.Background())
@@ -114,6 +105,13 @@ func NewServer(engine *Engine, policy classify.ConflictPolicy, opts ...ServerOpt
 	}
 	return s, nil
 }
+
+// Registry returns what GET /metrics renders, for a component beside
+// the server (the lifecycle evaluator) to declare its series on.
+func (s *Server) Registry() *obs.Registry { return &s.reg }
+
+// ServedBy names the Front serving Handler, for /metrics to report.
+func (s *Server) ServedBy(f *Front) { s.front.Store(f) }
 
 // Close stops the background deferred-batch worker. Idempotent; safe to
 // call on a stateless server. Pending journal entries stay on disk for
@@ -135,7 +133,7 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/admin/handoff/export", s.handleHandoffExport)
 	mux.HandleFunc("/admin/handoff/import", s.handleHandoffImport)
 	mux.HandleFunc("/healthz", s.handleHealthz)
-	mux.HandleFunc("/metrics", s.handleMetrics)
+	mux.Handle("/metrics", &s.reg)
 	return mux
 }
 
@@ -841,18 +839,4 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	}
 	resp["status"] = status
 	json.NewEncoder(w).Encode(resp)
-}
-
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	var jm *JournalMetrics
-	if s.ledger != nil {
-		snap := s.ledger.JournalMetrics()
-		jm = &snap
-	}
-	s.engine.Metrics().WriteTo(w, s.engine.QueueDepth(), s.engine.DegradedReason() != "", jm)
-	WriteFrontMetrics(r.Context(), w)
-	for _, f := range s.metricsAppenders {
-		f(w)
-	}
 }
