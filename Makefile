@@ -231,7 +231,7 @@ e2e-record:
 # first thing to look at before a 30-second real-process pair
 # (e2e-compare).
 bench-layers:
-	$(GO) test -run '^$$' -bench . -benchmem $(BENCHFLAGS) ./internal/serve ./internal/journal ./internal/cluster ./internal/export ./internal/features ./internal/classify
+	$(GO) test -run '^$$' -bench . -benchmem $(BENCHFLAGS) ./internal/serve ./internal/journal ./internal/cluster ./internal/export ./internal/features ./internal/classify ./internal/synth ./cmd/longtaild
 
 bench-layers-smoke:
 	$(MAKE) bench-layers BENCHFLAGS=-benchtime=1x

@@ -54,12 +54,14 @@ import (
 	"syscall"
 	"time"
 
+	"repro/internal/avsim"
 	"repro/internal/classify"
 	"repro/internal/dataset"
 	"repro/internal/experiments"
 	"repro/internal/export"
 	"repro/internal/features"
 	"repro/internal/journal"
+	"repro/internal/labeling"
 	"repro/internal/lifecycle"
 	"repro/internal/reputation"
 	"repro/internal/serve"
@@ -73,16 +75,51 @@ func main() {
 	}
 }
 
+// bootStats is what the boot log's context: line reports of how the
+// serving context was built.
+type bootStats struct {
+	source                      string // "generated" or "read"
+	load, label, compile, train time.Duration
+	labeled                     int
+}
+
 // loadStore builds the store and oracle the serving context is compiled
-// from: read from a dataset file when given, otherwise generated.
-func loadStore(path string, seed int64, scale float64) (*dataset.Store, *reputation.Oracle, error) {
+// from: read from a dataset file when given, otherwise generated and
+// labeled as far as the daemon reads labels. Compiling the context reads
+// none; training on the first month (no -rules) reads that month's
+// files' and processes'; the lifecycle's ground truth (-lifecycle) reads
+// any file's. Domain verdicts it never reads.
+func loadStore(path string, seed int64, scale float64, train, everyFile bool, bs *bootStats) (*dataset.Store, *reputation.Oracle, error) {
+	start := time.Now()
 	if path == "" {
-		p, err := experiments.Run(synth.DefaultConfig(seed, scale))
+		bs.source = "generated"
+		res, err := synth.Generate(synth.DefaultConfig(seed, scale))
 		if err != nil {
 			return nil, nil, err
 		}
-		return p.Store, p.Result.Oracle, nil
+		labelStart := time.Now()
+		var events []dataset.DownloadEvent
+		switch {
+		case everyFile:
+			events = res.Store.Events()
+		case train:
+			events = firstMonth(res.Store.Events())
+		}
+		if len(events) > 0 {
+			lab, err := labeling.New(avsim.NewDefaultService(), res.Oracle, nil, nil, 0)
+			if err != nil {
+				return nil, nil, err
+			}
+			if bs.labeled, err = lab.LabelFiles(res.Store, res.Samples, events); err != nil {
+				return nil, nil, err
+			}
+		}
+		bs.label = time.Since(labelStart)
+		res.Store.Freeze()
+		bs.load = time.Since(start) - bs.label
+		return res.Store, res.Oracle, nil
 	}
+	bs.source = "read"
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, nil, err
@@ -93,7 +130,30 @@ func loadStore(path string, seed int64, scale float64) (*dataset.Store, *reputat
 		return nil, nil, err
 	}
 	store.Freeze()
+	bs.load = time.Since(start)
 	return store, oracle, nil
+}
+
+// firstMonth returns the events of the earliest calendar month, the one
+// a rule set is trained on.
+func firstMonth(events []dataset.DownloadEvent) []dataset.DownloadEvent {
+	if len(events) == 0 {
+		return nil
+	}
+	first := events[0].Time
+	for i := range events {
+		if events[i].Time.Before(first) {
+			first = events[i].Time
+		}
+	}
+	month := dataset.MonthOf(first)
+	var out []dataset.DownloadEvent
+	for i := range events {
+		if dataset.MonthOf(events[i].Time) == month {
+			out = append(out, events[i])
+		}
+	}
+	return out
 }
 
 // loadContext returns what the daemon serves with: the compiled feature
@@ -104,7 +164,8 @@ func loadStore(path string, seed int64, scale float64) (*dataset.Store, *reputat
 // for the store's labels as the lifecycle evaluator's ground truth,
 // which keeps the store (and nothing else) reachable.
 func loadContext(datasetPath, rulesPath string, seed int64, scale, tau float64, wantTruth bool) (*features.Extractor, *classify.Classifier, lifecycle.TruthFunc, error) {
-	store, oracle, err := loadStore(datasetPath, seed, scale)
+	var bs bootStats
+	store, oracle, err := loadStore(datasetPath, seed, scale, rulesPath == "", wantTruth, &bs)
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -113,18 +174,27 @@ func loadContext(datasetPath, rulesPath string, seed int64, scale, tau float64, 
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	st := w.Extractor.ContextStats()
-	log.Printf("longtaild: context: %d files, %d domains, %d bytes, compiled in %s",
-		st.Files, st.Domains, st.Bytes, time.Since(start).Round(time.Millisecond))
+	bs.compile = time.Since(start)
+	start = time.Now()
 	if err := w.LoadOrTrainRules(rulesPath, tau); err != nil {
 		return nil, nil, nil, err
 	}
+	bs.train = time.Since(start)
+	rules := "trained"
+	if rulesPath != "" {
+		rules = "rules read"
+	}
+	st := w.Extractor.ContextStats()
+	log.Printf("longtaild: context: %d files, %d domains, %d bytes; %s in %s, labeled %d files in %s, compiled in %s, %s in %s",
+		st.Files, st.Domains, st.Bytes, bs.source, ms(bs.load), bs.labeled, ms(bs.label), ms(bs.compile), rules, ms(bs.train))
 	var truth lifecycle.TruthFunc
 	if wantTruth {
 		truth = storeTruth(store)
 	}
 	return w.Extractor.Serving(), w.Rules, truth, nil
 }
+
+func ms(d time.Duration) time.Duration { return d.Round(time.Millisecond) }
 
 func run() error {
 	addr := flag.String("addr", ":8787", "listen address")

@@ -2,6 +2,7 @@ package dataset
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -115,26 +116,35 @@ func (s *Store) Freeze() {
 	if s.frozen.Load() {
 		return
 	}
-	sort.SliceStable(s.events, func(i, j int) bool {
-		return s.events[i].Time.Before(s.events[j].Time)
-	})
+	// The collection server appends in time order, and a stable sort of
+	// sorted events leaves them as they are.
+	if !slices.IsSortedFunc(s.events, func(a, b DownloadEvent) int { return a.Time.Compare(b.Time) }) {
+		sort.SliceStable(s.events, func(i, j int) bool {
+			return s.events[i].Time.Before(s.events[j].Time)
+		})
+	}
 	s.byFile = make(map[FileHash][]int)
 	s.byMachine = make(map[MachineID][]int)
-	machinesPerFile := make(map[FileHash]map[MachineID]struct{})
 	for i := range s.events {
 		e := &s.events[i]
 		s.byFile[e.File] = append(s.byFile[e.File], i)
 		s.byMachine[e.Machine] = append(s.byMachine[e.Machine], i)
-		set, ok := machinesPerFile[e.File]
-		if !ok {
-			set = make(map[MachineID]struct{}, 1)
-			machinesPerFile[e.File] = set
-		}
-		set[e.Machine] = struct{}{}
 	}
-	s.prevalence = make(map[FileHash]int, len(machinesPerFile))
-	for f, set := range machinesPerFile {
-		s.prevalence[f] = len(set)
+	// A file's prevalence counts its distinct machines: lastFile stamps
+	// each machine with the ordinal of the last file that counted it.
+	s.prevalence = make(map[FileHash]int, len(s.byFile))
+	lastFile := make(map[MachineID]int, len(s.byMachine))
+	ordinal := 0
+	for f, idx := range s.byFile {
+		ordinal++
+		n := 0
+		for _, i := range idx {
+			if m := s.events[i].Machine; lastFile[m] != ordinal {
+				lastFile[m] = ordinal
+				n++
+			}
+		}
+		s.prevalence[f] = n
 	}
 	s.byMonth = make(map[Month][]int)
 	for i := range s.events {

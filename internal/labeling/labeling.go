@@ -231,24 +231,51 @@ type Samples map[dataset.FileHash]*avsim.Sample
 // LabelStore labels every downloaded file and downloading process in the
 // store, plus every download domain, and writes the results back into
 // the store. The store must not be frozen yet.
-//
-// File labeling fans out across all CPUs: each file's label depends only
-// on its own scan profile, so the work is embarrassingly parallel and
-// the result is identical to the sequential order.
 func (l *Labeler) LabelStore(store *dataset.Store, samples Samples) error {
 	if store == nil {
 		return fmt.Errorf("labeling: nil store")
 	}
-	firstSeen := make(map[dataset.FileHash]time.Time)
+	if _, err := l.LabelFiles(store, samples, store.Events()); err != nil {
+		return err
+	}
 	domains := make(map[string]struct{})
 	for _, e := range store.Events() {
-		for _, h := range []dataset.FileHash{e.File, e.Process} {
+		if e.Domain != "" {
+			domains[e.Domain] = struct{}{}
+		}
+	}
+	for d := range domains {
+		if v := l.LabelDomain(d); v != dataset.URLUnknown {
+			if err := store.SetURLVerdict(d, v); err != nil {
+				return fmt.Errorf("labeling: set verdict for %s: %w", d, err)
+			}
+		}
+	}
+	return nil
+}
+
+// LabelFiles labels the files and downloading processes events name,
+// each as of the earliest of those events it appears in, writes the
+// labels into the store and returns how many files it labeled. The
+// store must not be frozen yet. A file's label is the one LabelStore
+// gives it whenever events hold the file's first appearance in the
+// store: a consumer that reads only some files' labels (a rule set
+// trained on one month reads that month's) labels only those.
+//
+// Labeling fans out across all CPUs: each file's label depends only on
+// its own scan profile, so the work is embarrassingly parallel and the
+// result is identical to the sequential order.
+func (l *Labeler) LabelFiles(store *dataset.Store, samples Samples, events []dataset.DownloadEvent) (int, error) {
+	if store == nil {
+		return 0, fmt.Errorf("labeling: nil store")
+	}
+	firstSeen := make(map[dataset.FileHash]time.Time)
+	for i := range events {
+		e := &events[i]
+		for _, h := range [2]dataset.FileHash{e.File, e.Process} {
 			if t, ok := firstSeen[h]; !ok || e.Time.Before(t) {
 				firstSeen[h] = e.Time
 			}
-		}
-		if e.Domain != "" {
-			domains[e.Domain] = struct{}{}
 		}
 	}
 
@@ -298,15 +325,8 @@ func (l *Labeler) LabelStore(store *dataset.Store, samples Samples) error {
 			l.statsMu.Unlock()
 		}
 		if err := store.SetTruth(o.hash, o.gt); err != nil {
-			return fmt.Errorf("labeling: set truth for %s: %w", o.hash, err)
+			return 0, fmt.Errorf("labeling: set truth for %s: %w", o.hash, err)
 		}
 	}
-	for d := range domains {
-		if v := l.LabelDomain(d); v != dataset.URLUnknown {
-			if err := store.SetURLVerdict(d, v); err != nil {
-				return fmt.Errorf("labeling: set verdict for %s: %w", d, err)
-			}
-		}
-	}
-	return nil
+	return len(outcomes), nil
 }

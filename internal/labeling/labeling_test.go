@@ -192,6 +192,39 @@ func TestLabelStore(t *testing.T) {
 	}
 }
 
+// TestLabelFilesSubset labels the files and processes of some events
+// only, each as LabelStore would label it.
+func TestLabelFilesSubset(t *testing.T) {
+	l := newLabeler(t, nil)
+	store := dataset.NewStore()
+	first := dataset.DownloadEvent{File: "mal-file", Machine: "m1", Process: "proc", URL: "http://x.com/a.exe", Domain: "x.com", Time: dlTime, Executed: true}
+	later := first
+	later.File, later.Time = "late-file", dlTime.AddDate(0, 2, 0)
+	for _, e := range []dataset.DownloadEvent{first, later} {
+		if err := store.AddEvent(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	samples := Samples{
+		"mal-file":  {Hash: "mal-file", InCorpus: true, FirstScan: dlTime, LastScan: dlTime.AddDate(2, 0, 0), TrueMalicious: true, Type: dataset.TypeDropper},
+		"late-file": {Hash: "late-file", InCorpus: true, FirstScan: dlTime, LastScan: dlTime.AddDate(2, 0, 0), TrueMalicious: true, Type: dataset.TypeDropper},
+	}
+	n, err := l.LabelFiles(store, samples, []dataset.DownloadEvent{first})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n != 2 {
+		t.Errorf("labeled %d files, want 2 (the file and its process)", n)
+	}
+	store.Freeze()
+	if got := store.Label("mal-file"); got != dataset.LabelMalicious {
+		t.Errorf("mal-file = %v, want malicious", got)
+	}
+	if got := store.Truth("late-file"); got != (dataset.GroundTruth{}) {
+		t.Errorf("late-file labeled %+v, outside the events given", got)
+	}
+}
+
 func TestLabelStoreNil(t *testing.T) {
 	l := newLabeler(t, nil)
 	if err := l.LabelStore(nil, nil); err == nil {

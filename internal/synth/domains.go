@@ -109,6 +109,7 @@ var domainPlans = map[domainKind]struct {
 type domainCatalog struct {
 	byKind map[domainKind][]*domainInfo
 	rng    *rand.Rand
+	zipfs  zipfPicker
 
 	alexa   map[string]int
 	urlWL   []string
@@ -121,6 +122,7 @@ func newDomainCatalog(rng *rand.Rand, scale float64) (*domainCatalog, error) {
 	c := &domainCatalog{
 		byKind: make(map[domainKind][]*domainInfo),
 		rng:    rng,
+		zipfs:  make(zipfPicker),
 		alexa:  make(map[string]int),
 	}
 	// Deterministic build order: map iteration would randomize the RNG
@@ -268,12 +270,12 @@ func (c *domainCatalog) pick(mix []kindWeight) *domainInfo {
 		idx = 0
 	}
 	pool := c.byKind[mix[idx].kind]
-	return zipfPick(pool, c.rng)
+	return zipfPick(c.zipfs, pool, c.rng)
 }
 
 // pickAgentWhitelisted returns a domain suppressed by the agent rules.
 func (c *domainCatalog) pickAgentWhitelisted() *domainInfo {
-	return zipfPick(c.byKind[kindAgentWL], c.rng)
+	return zipfPick(c.zipfs, c.byKind[kindAgentWL], c.rng)
 }
 
 // domainsForClass returns the kind-weight mix for a file population.

@@ -3,6 +3,8 @@ package synth
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
+	"strings"
 	"time"
 
 	"repro/internal/avsim"
@@ -117,7 +119,8 @@ var fileNameStems = []string{
 // the scan-history timeline.
 func (f *fileFactory) newFile(plan classPlan, typ dataset.MalwareType, viaBrowser bool, firstSeen time.Time) *fileRecord {
 	f.counter++
-	hash := dataset.FileHash(fmt.Sprintf("file-%08d", f.counter))
+	num := strconv.Itoa(f.counter)
+	hash := dataset.FileHash("file-" + zeroPad(num, 8))
 	rec := &fileRecord{plan: plan, typ: typ}
 
 	latentMal := false
@@ -134,8 +137,7 @@ func (f *fileFactory) newFile(plan classPlan, typ dataset.MalwareType, viaBrowse
 	meta := &dataset.FileMeta{
 		Hash: hash,
 		Size: stats.LogNormalInt(f.rng, 13.3, 1.6, 8_192, 900_000_000),
-		Path: fmt.Sprintf("C:/Users/user/Downloads/%s_%d.exe",
-			fileNameStems[f.rng.Intn(len(fileNameStems))], f.counter),
+		Path: "C:/Users/user/Downloads/" + fileNameStems[f.rng.Intn(len(fileNameStems))] + "_" + num + ".exe",
 	}
 
 	// Signing.
@@ -148,7 +150,7 @@ func (f *fileFactory) newFile(plan classPlan, typ dataset.MalwareType, viaBrowse
 		case latentMal:
 			si = f.w.signerForMalicious(rec.typ, f.rng)
 		case sketchyBenign:
-			si = zipfPick(f.w.commonSigners, f.rng)
+			si = zipfPick(f.w.zipfs, f.w.commonSigners, f.rng)
 		default:
 			si = f.w.signerForBenign(f.rng)
 		}
@@ -174,8 +176,8 @@ func (f *fileFactory) newFile(plan classPlan, typ dataset.MalwareType, viaBrowse
 		kinds = unknownMalDomainKinds
 	}
 	rec.domain = f.w.domains.pick(kinds)
-	rec.url = fmt.Sprintf("http://%s/dl/%s_%d.exe", rec.domain.Name,
-		fileNameStems[stableIndex(string(hash), len(fileNameStems))], f.counter)
+	rec.url = "http://" + rec.domain.Name + "/dl/" +
+		fileNameStems[stableIndex(string(hash), len(fileNameStems))] + "_" + num + ".exe"
 
 	// Scan-service profile.
 	rec.sample = f.buildSample(hash, plan, rec.typ, firstSeen)
@@ -186,6 +188,15 @@ func (f *fileFactory) newFile(plan classPlan, typ dataset.MalwareType, viaBrowse
 	// Planned prevalence.
 	rec.budget = f.prevSamplers[plan].Draw() - 1
 	return rec
+}
+
+// zeroPad left-pads the digits of a non-negative number with zeros to
+// width, as %0*d does.
+func zeroPad(digits string, width int) string {
+	if len(digits) >= width {
+		return digits
+	}
+	return strings.Repeat("0", width-len(digits)) + digits
 }
 
 // buildSample constructs the avsim profile that realizes the planned

@@ -1,9 +1,10 @@
 package synth
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/agent"
@@ -468,6 +469,28 @@ func (g *generator) run() {
 	}
 }
 
+// sortByTime returns events in time order, ties in their given order:
+// what a stable sort gives. It sorts an index permutation, index as the
+// tiebreak, and moves each event once, where a stable sort of the
+// events themselves would move them on every rotation of its merges.
+func sortByTime(events []dataset.DownloadEvent) []dataset.DownloadEvent {
+	order := make([]int, len(events))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortFunc(order, func(a, b int) int {
+		if c := events[a].Time.Compare(events[b].Time); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	})
+	sorted := make([]dataset.DownloadEvent, len(events))
+	for i, j := range order {
+		sorted[i] = events[j]
+	}
+	return sorted
+}
+
 // Generate builds the world, simulates the observation window, pushes
 // the raw trace through the SA/CS collection pipeline, and returns the
 // resulting dataset.
@@ -485,7 +508,7 @@ func Generate(cfg Config) (*Result, error) {
 	}
 	g.run()
 	// The collection server observes reports in chronological order.
-	sort.SliceStable(g.raw, func(i, j int) bool { return g.raw[i].Time.Before(g.raw[j].Time) })
+	g.raw = sortByTime(g.raw)
 
 	store := dataset.NewStore()
 	// Register metadata for processes and files.

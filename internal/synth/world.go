@@ -35,6 +35,12 @@ type World struct {
 
 	domains   *domainCatalog
 	processes *processCatalog
+
+	// zipfs and malSubsets hold what the per-file draws would otherwise
+	// rebuild on every call: one Zipf sampler per (rng, pool size), and
+	// signerForMalicious's subset of each pool per type.
+	zipfs      zipfPicker
+	malSubsets map[malSubsetKey][]signerInfo
 }
 
 // certification authorities. Real CAs issue to everyone, so the benign
@@ -135,9 +141,11 @@ func NewWorld(cfg Config) (*World, error) {
 		return nil, err
 	}
 	w := &World{
-		cfg:      cfg,
-		rng:      stats.NewRNG(cfg.Seed),
-		families: make(map[dataset.MalwareType][]string),
+		cfg:        cfg,
+		rng:        stats.NewRNG(cfg.Seed),
+		families:   make(map[dataset.MalwareType][]string),
+		zipfs:      make(zipfPicker),
+		malSubsets: make(map[malSubsetKey][]signerInfo),
 	}
 	w.buildSigners()
 	w.buildPackers()
@@ -220,89 +228,126 @@ func (w *World) familyFor(typ dataset.MalwareType, rng *rand.Rand) string {
 	if len(fams) == 0 {
 		return ""
 	}
-	z, err := stats.NewZipf(rng, 1.5, uint64(len(fams)))
-	if err != nil {
-		return fams[0]
-	}
-	return fams[int(z.Draw())-1]
+	return fams[w.zipfs.index(rng, len(fams))]
+}
+
+// malCommonShare is the share of a malicious type's signed files whose
+// signer comes from the common-with-benign pool rather than the
+// exclusive malware signers.
+var malCommonShare = map[dataset.MalwareType]float64{
+	dataset.TypeDropper: 0.30, dataset.TypePUP: 0.35, dataset.TypeAdware: 0.30,
+	dataset.TypeTrojan: 0.20, dataset.TypeUndefined: 0.33,
+	dataset.TypeSpyware: 0.40, dataset.TypeRansomware: 0.25,
+}
+
+// malSubsetPct restricts each type to a deterministic subset of a signer
+// pool, in percent of it (10 for a type not listed), so per-type signer
+// counts differ (Table VII) while still overlapping across types.
+var malSubsetPct = map[dataset.MalwareType]int{
+	dataset.TypeTrojan: 35, dataset.TypeDropper: 20, dataset.TypeRansomware: 3,
+	dataset.TypeBanker: 2, dataset.TypeBot: 3, dataset.TypeWorm: 2,
+	dataset.TypeSpyware: 2, dataset.TypeFakeAV: 3, dataset.TypeAdware: 40,
+	dataset.TypePUP: 50, dataset.TypeUndefined: 70,
+}
+
+// malSubsetKey names one type's subset of one signer pool.
+type malSubsetKey struct {
+	common bool // commonSigners, else malSigners
+	typ    dataset.MalwareType
 }
 
 // signerForMalicious draws a signer for a malicious (or latent-malicious)
 // file of the given type: common-with-benign publishers for the
 // grayware-adjacent types, exclusive malware signers otherwise.
 func (w *World) signerForMalicious(typ dataset.MalwareType, rng *rand.Rand) signerInfo {
-	commonShare := map[dataset.MalwareType]float64{
-		dataset.TypeDropper: 0.30, dataset.TypePUP: 0.35, dataset.TypeAdware: 0.30,
-		dataset.TypeTrojan: 0.20, dataset.TypeUndefined: 0.33,
-		dataset.TypeSpyware: 0.40, dataset.TypeRansomware: 0.25,
-	}[typ]
+	key := malSubsetKey{common: stats.Bernoulli(rng, malCommonShare[typ]), typ: typ}
+	subset, ok := w.malSubsets[key]
+	if !ok {
+		subset = w.malSubset(key)
+		w.malSubsets[key] = subset
+	}
+	return zipfPick(w.zipfs, subset, rng)
+}
+
+// malSubset computes the signers of one type's subset of a pool.
+func (w *World) malSubset(key malSubsetKey) []signerInfo {
 	pool := w.malSigners
-	if stats.Bernoulli(rng, commonShare) {
+	if key.common {
 		pool = w.commonSigners
 	}
-	// Restrict each type to a deterministic subset of the pool so
-	// per-type signer counts differ (Table VII) while still overlapping
-	// across types.
-	subsetPct := map[dataset.MalwareType]int{
-		dataset.TypeTrojan: 35, dataset.TypeDropper: 20, dataset.TypeRansomware: 3,
-		dataset.TypeBanker: 2, dataset.TypeBot: 3, dataset.TypeWorm: 2,
-		dataset.TypeSpyware: 2, dataset.TypeFakeAV: 3, dataset.TypeAdware: 40,
-		dataset.TypePUP: 50, dataset.TypeUndefined: 70,
-	}[typ]
-	if subsetPct == 0 {
-		subsetPct = 10
+	pct, ok := malSubsetPct[key.typ]
+	if !ok {
+		pct = 10
 	}
 	var subset []signerInfo
 	for _, s := range pool {
-		if stableIndex(s.Name+typ.String(), 100) < subsetPct {
+		if stableIndex(s.Name+key.typ.String(), 100) < pct {
 			subset = append(subset, s)
 		}
 	}
 	if len(subset) == 0 {
 		// Tiny pools can leave a rare type with an empty subset; fall
 		// back to a small fixed slice so rare types keep small rosters.
-		n := 3
-		if n > len(pool) {
-			n = len(pool)
-		}
-		subset = pool[:n]
+		subset = pool[:min(3, len(pool))]
 	}
-	return zipfPick(subset, rng)
+	return subset
 }
 
 // signerForBenign draws a signer for a benign (or latent-benign) file.
 func (w *World) signerForBenign(rng *rand.Rand) signerInfo {
 	if stats.Bernoulli(rng, 0.10) {
-		return zipfPick(w.commonSigners, rng)
+		return zipfPick(w.zipfs, w.commonSigners, rng)
 	}
-	return zipfPick(w.benignSigners, rng)
+	return zipfPick(w.zipfs, w.benignSigners, rng)
 }
 
 // packerFor draws a packer name for a file that is packed.
 func (w *World) packerFor(malicious bool, rng *rand.Rand) string {
 	if malicious {
 		if stats.Bernoulli(rng, 0.12) {
-			return zipfPick(w.packersMal, rng)
+			return zipfPick(w.zipfs, w.packersMal, rng)
 		}
-		return zipfPick(w.packersCommon, rng)
+		return zipfPick(w.zipfs, w.packersCommon, rng)
 	}
 	if stats.Bernoulli(rng, 0.12) {
-		return zipfPick(w.packersBenign, rng)
+		return zipfPick(w.zipfs, w.packersBenign, rng)
 	}
-	return zipfPick(w.packersCommon, rng)
+	return zipfPick(w.zipfs, w.packersCommon, rng)
 }
 
-// zipfPick selects an element with rank-weighted (1.5-exponent zipf)
-// probability, so every pool has heavy hitters.
-func zipfPick[T any](pool []T, rng *rand.Rand) T {
+// zipfPicker draws rank-weighted (1.5-exponent zipf) pool indexes, so
+// every pool has heavy hitters. It builds one sampler per (rng, pool
+// size) on first use and keeps it: rand.NewZipf draws nothing from the
+// rng, so a kept sampler draws exactly what a fresh one per pick would.
+type zipfPicker map[zipfKey]*stats.Zipf
+
+// zipfKey names one sampler: the rng it draws from and the pool size.
+type zipfKey struct {
+	rng *rand.Rand
+	n   int
+}
+
+// index draws an index into a pool of n elements.
+func (zp zipfPicker) index(rng *rand.Rand, n int) int {
+	key := zipfKey{rng: rng, n: n}
+	z, ok := zp[key]
+	if !ok {
+		var err error
+		if z, err = stats.NewZipf(rng, 1.5, uint64(n)); err != nil {
+			return 0
+		}
+		zp[key] = z
+	}
+	return int(z.Draw()) - 1
+}
+
+// zipfPick selects a pool element through zp; a pool of one is its own
+// pick and draws nothing.
+func zipfPick[T any](zp zipfPicker, pool []T, rng *rand.Rand) T {
 	if len(pool) == 1 {
 		return pool[0]
 	}
-	z, err := stats.NewZipf(rng, 1.5, uint64(len(pool)))
-	if err != nil {
-		return pool[0]
-	}
-	return pool[int(z.Draw())-1]
+	return pool[zp.index(rng, len(pool))]
 }
 
 // stableIndex hashes s onto [0, n).
