@@ -32,11 +32,14 @@
 // the gates. On SIGINT or SIGTERM the daemon stops accepting, finishes
 // what is in flight within -drain, and exits 0.
 //
-// With no -dataset the daemon generates and labels the synthetic corpus
-// in-process (same seed/scale as the rest of the harness); with no
-// -rules it trains on the first month, so a bare `longtaild` is a fully
-// working deployment. A rules.json written by `longtail rulemine -json
-// -o` loads directly via -rules.
+// With no -dataset the daemon generates the synthetic corpus in-process
+// (same seed/scale as the rest of the harness) and labels only what it
+// reads: with no -rules it trains on the first month, labeling that
+// month's files and processes, so a bare `longtaild` is a fully working
+// deployment; -lifecycle labels every file, the evaluator's ground
+// truth; -rules alone labels nothing. A rules.json written by `longtail
+// rulemine -json -o` loads directly via -rules. The boot log's one
+// context: line gives the generate, label, compile and train times.
 package main
 
 import (
