@@ -81,7 +81,6 @@ func main() {
 // bootStats is what the boot log's context: line reports of how the
 // serving context was built.
 type bootStats struct {
-	source                      string // "generated" or "read"
 	load, label, compile, train time.Duration
 	labeled                     int
 }
@@ -95,7 +94,6 @@ type bootStats struct {
 func loadStore(path string, seed int64, scale float64, train, everyFile bool, bs *bootStats) (*dataset.Store, *reputation.Oracle, error) {
 	start := time.Now()
 	if path == "" {
-		bs.source = "generated"
 		res, err := synth.Generate(synth.DefaultConfig(seed, scale))
 		if err != nil {
 			return nil, nil, err
@@ -122,7 +120,6 @@ func loadStore(path string, seed int64, scale float64, train, everyFile bool, bs
 		bs.load = time.Since(start) - bs.label
 		return res.Store, res.Oracle, nil
 	}
-	bs.source = "read"
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, nil, err
@@ -138,25 +135,15 @@ func loadStore(path string, seed int64, scale float64, train, everyFile bool, bs
 }
 
 // firstMonth returns the events of the earliest calendar month, the one
-// a rule set is trained on.
+// a rule set is trained on: a prefix of a generated store's events,
+// which the collection server appends in time order.
 func firstMonth(events []dataset.DownloadEvent) []dataset.DownloadEvent {
-	if len(events) == 0 {
-		return nil
-	}
-	first := events[0].Time
 	for i := range events {
-		if events[i].Time.Before(first) {
-			first = events[i].Time
+		if dataset.MonthOf(events[i].Time) != dataset.MonthOf(events[0].Time) {
+			return events[:i]
 		}
 	}
-	month := dataset.MonthOf(first)
-	var out []dataset.DownloadEvent
-	for i := range events {
-		if dataset.MonthOf(events[i].Time) == month {
-			out = append(out, events[i])
-		}
-	}
-	return out
+	return events
 }
 
 // loadContext returns what the daemon serves with: the compiled feature
@@ -183,13 +170,16 @@ func loadContext(datasetPath, rulesPath string, seed int64, scale, tau float64, 
 		return nil, nil, nil, err
 	}
 	bs.train = time.Since(start)
-	rules := "trained"
+	source, rules := "generated", "trained"
+	if datasetPath != "" {
+		source = "read"
+	}
 	if rulesPath != "" {
 		rules = "rules read"
 	}
 	st := w.Extractor.ContextStats()
 	log.Printf("longtaild: context: %d files, %d domains, %d bytes; %s in %s, labeled %d files in %s, compiled in %s, %s in %s",
-		st.Files, st.Domains, st.Bytes, bs.source, ms(bs.load), bs.labeled, ms(bs.label), ms(bs.compile), rules, ms(bs.train))
+		st.Files, st.Domains, st.Bytes, source, ms(bs.load), bs.labeled, ms(bs.label), ms(bs.compile), rules, ms(bs.train))
 	var truth lifecycle.TruthFunc
 	if wantTruth {
 		truth = storeTruth(store)

@@ -240,16 +240,6 @@ var malCommonShare = map[dataset.MalwareType]float64{
 	dataset.TypeSpyware: 0.40, dataset.TypeRansomware: 0.25,
 }
 
-// malSubsetPct restricts each type to a deterministic subset of a signer
-// pool, in percent of it (10 for a type not listed), so per-type signer
-// counts differ (Table VII) while still overlapping across types.
-var malSubsetPct = map[dataset.MalwareType]int{
-	dataset.TypeTrojan: 35, dataset.TypeDropper: 20, dataset.TypeRansomware: 3,
-	dataset.TypeBanker: 2, dataset.TypeBot: 3, dataset.TypeWorm: 2,
-	dataset.TypeSpyware: 2, dataset.TypeFakeAV: 3, dataset.TypeAdware: 40,
-	dataset.TypePUP: 50, dataset.TypeUndefined: 70,
-}
-
 // malSubsetKey names one type's subset of one signer pool.
 type malSubsetKey struct {
 	common bool // commonSigners, else malSigners
@@ -269,26 +259,38 @@ func (w *World) signerForMalicious(typ dataset.MalwareType, rng *rand.Rand) sign
 	return zipfPick(w.zipfs, subset, rng)
 }
 
-// malSubset computes the signers of one type's subset of a pool.
+// malSubset computes one type's subset of a signer pool.
 func (w *World) malSubset(key malSubsetKey) []signerInfo {
 	pool := w.malSigners
 	if key.common {
 		pool = w.commonSigners
 	}
-	pct, ok := malSubsetPct[key.typ]
-	if !ok {
-		pct = 10
+	// Restrict each type to a deterministic subset of the pool so
+	// per-type signer counts differ (Table VII) while still overlapping
+	// across types.
+	subsetPct := map[dataset.MalwareType]int{
+		dataset.TypeTrojan: 35, dataset.TypeDropper: 20, dataset.TypeRansomware: 3,
+		dataset.TypeBanker: 2, dataset.TypeBot: 3, dataset.TypeWorm: 2,
+		dataset.TypeSpyware: 2, dataset.TypeFakeAV: 3, dataset.TypeAdware: 40,
+		dataset.TypePUP: 50, dataset.TypeUndefined: 70,
+	}[key.typ]
+	if subsetPct == 0 {
+		subsetPct = 10
 	}
 	var subset []signerInfo
 	for _, s := range pool {
-		if stableIndex(s.Name+key.typ.String(), 100) < pct {
+		if stableIndex(s.Name+key.typ.String(), 100) < subsetPct {
 			subset = append(subset, s)
 		}
 	}
 	if len(subset) == 0 {
 		// Tiny pools can leave a rare type with an empty subset; fall
 		// back to a small fixed slice so rare types keep small rosters.
-		subset = pool[:min(3, len(pool))]
+		n := 3
+		if n > len(pool) {
+			n = len(pool)
+		}
+		subset = pool[:n]
 	}
 	return subset
 }
