@@ -18,6 +18,7 @@ import (
 	"repro/internal/export"
 	"repro/internal/faults"
 	"repro/internal/journal"
+	"repro/internal/leaktest"
 	"repro/internal/obs"
 )
 
@@ -45,50 +46,63 @@ func newTestLedger(t *testing.T, dir string) (*Ledger, *LedgerRecovery) {
 }
 
 // TestLedgerCompactConcurrentAccept: compaction racing with live
-// accepts/results must never delete a batch's only durable record —
-// after a reopen, every acknowledged ID is either completed or pending,
-// regardless of where its journal append fell relative to the seal and
-// the rewrite.
+// accepts/results, while appends fail on and off, must never deadlock
+// and never delete a batch's only durable record — after a reopen,
+// every acknowledged ID is either completed or pending, regardless of
+// where its journal append fell relative to the seal and the rewrite.
+// A compaction holds the journal's locks while it reads the ledger's,
+// so no writer may append under l.mu, on a failed append's path as on
+// a good one: the deadline turns such a deadlock into this test's
+// failure in seconds.
 func TestLedgerCompactConcurrentAccept(t *testing.T) {
 	f := sharedFixture(t)
 	dir := t.TempDir()
-	l, _, err := OpenLedger(LedgerOptions{Journal: journal.Options{Dir: dir}})
+	var fail atomic.Bool
+	l, _, err := OpenLedger(LedgerOptions{Journal: journal.Options{Dir: dir, OpenFile: func(path string) (journal.File, error) {
+		file, err := os.Create(path)
+		return &flakyFile{File: file, failWrites: &fail}, err
+	}}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	const writers, perWriter = 4, 25
-	var wg sync.WaitGroup
-	for w := 0; w < writers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < perWriter; i++ {
-				id := fmt.Sprintf("w%d-%03d", w, i)
-				if err := acceptEvents(l, id, f.replay[:1]); err != nil {
-					t.Error(err)
-					return
-				}
-				if i%2 == 0 {
-					if _, err := l.Result(id, []VerdictRecord{{Type: "verdict", File: id}}); err != nil {
-						t.Error(err)
-						return
+	const writers, perWriter = 4, 50
+	var acked [writers][perWriter]bool
+	leaktest.Within(t, 20*time.Second, "accepts and results racing compactions", func() {
+		var wg sync.WaitGroup
+		for w := 0; w < writers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for i := 0; i < perWriter; i++ {
+					id := fmt.Sprintf("w%d-%03d", w, i)
+					if acked[w][i] = acceptEvents(l, id, f.replay[:1]) == nil; acked[w][i] && i%2 == 0 {
+						l.Result(id, []VerdictRecord{{Type: "verdict", File: id}})
 					}
 				}
-			}
-		}(w)
-	}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for i := 0; i < 20; i++ {
-			if err := l.Compact(); err != nil {
-				t.Error(err)
-				return
-			}
+			}(w)
 		}
-	}()
-	wg.Wait()
-	<-done
+		stop := make(chan struct{})
+		compacted := make(chan int)
+		go func() {
+			n := 0
+			for ; ; n++ {
+				select {
+				case <-stop:
+					compacted <- n
+					return
+				case <-time.After(time.Millisecond):
+					fail.Store(n%2 == 0) // appends fail every other millisecond
+				}
+				l.Compact() // fails while appends do; the log it keeps is intact
+			}
+		}()
+		wg.Wait()
+		close(stop)
+		if <-compacted == 0 {
+			t.Error("no compaction ran alongside the writers; the test is vacuous")
+		}
+	})
+	fail.Store(false)
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -97,14 +111,21 @@ func TestLedgerCompactConcurrentAccept(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l2.Close()
+	failed := 0
 	for w := 0; w < writers; w++ {
 		for i := 0; i < perWriter; i++ {
 			id := fmt.Sprintf("w%d-%03d", w, i)
 			_, completed := l2.Lookup(id)
-			if !completed && !l2.IsPending(id) {
+			switch {
+			case !acked[w][i]:
+				failed++
+			case !completed && !l2.IsPending(id):
 				t.Fatalf("batch %s vanished: accepted durably but lost across a concurrent compaction", id)
 			}
 		}
+	}
+	if failed == 0 {
+		t.Error("no accept failed; the failing-append path went untested")
 	}
 }
 
