@@ -18,6 +18,7 @@ package agent
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/dataset"
@@ -52,8 +53,8 @@ type CollectionServer struct {
 	store   *dataset.Store
 
 	mu    sync.Mutex
-	seen  map[dataset.FileHash]map[dataset.MachineID]struct{} // guarded by mu
-	stats Stats                                               // guarded by mu
+	seen  map[dataset.FileHash][]dataset.MachineID // guarded by mu; at most sigma machines a file
+	stats Stats                                    // guarded by mu
 
 	// At-least-once transport state (transport.go): the next sequence
 	// number ingestion expects, events that arrived ahead of it, and the
@@ -77,7 +78,7 @@ func NewCollectionServer(store *dataset.Store, sigma int, agentWL *reputation.Do
 		sigma:         sigma,
 		agentWL:       agentWL,
 		store:         store,
-		seen:          make(map[dataset.FileHash]map[dataset.MachineID]struct{}),
+		seen:          make(map[dataset.FileHash][]dataset.MachineID),
 		pendingSeq:    make(map[uint64]dataset.DownloadEvent),
 		reorderWindow: DefaultReorderWindow,
 	}, nil
@@ -108,11 +109,7 @@ func (cs *CollectionServer) reportLocked(e dataset.DownloadEvent) error {
 		cs.stats.DroppedWhitelistedURL++
 		return nil
 	}
-	machines, ok := cs.seen[e.File]
-	if !ok {
-		machines = make(map[dataset.MachineID]struct{}, 1)
-		cs.seen[e.File] = machines
-	}
+	machines := cs.seen[e.File]
 	if len(machines) >= cs.sigma {
 		// The distinct-machine count is not below sigma, so the event is
 		// not reported — whether it comes from a new machine or is a
@@ -120,7 +117,9 @@ func (cs *CollectionServer) reportLocked(e dataset.DownloadEvent) error {
 		cs.stats.DroppedPrevalenceCap++
 		return nil
 	}
-	machines[e.Machine] = struct{}{}
+	if !slices.Contains(machines, e.Machine) {
+		cs.seen[e.File] = append(machines, e.Machine)
+	}
 	if err := cs.store.AddEvent(e); err != nil {
 		return fmt.Errorf("agent: store event: %w", err)
 	}

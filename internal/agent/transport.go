@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/dataset"
@@ -130,12 +131,9 @@ func (cs *CollectionServer) Checkpoint() ([]byte, error) {
 	sort.Slice(ck.Pending, func(i, j int) bool { return ck.Pending[i].Seq < ck.Pending[j].Seq })
 	ck.Seen = make([]checkpointSeen, 0, len(cs.seen))
 	for f, machines := range cs.seen {
-		entry := checkpointSeen{File: f, Machines: make([]dataset.MachineID, 0, len(machines))}
-		for m := range machines {
-			entry.Machines = append(entry.Machines, m)
-		}
-		sort.Slice(entry.Machines, func(i, j int) bool { return entry.Machines[i] < entry.Machines[j] })
-		ck.Seen = append(ck.Seen, entry)
+		sorted := slices.Clone(machines)
+		slices.Sort(sorted)
+		ck.Seen = append(ck.Seen, checkpointSeen{File: f, Machines: sorted})
 	}
 	sort.Slice(ck.Seen, func(i, j int) bool { return ck.Seen[i].File < ck.Seen[j].File })
 	return json.Marshal(ck)
@@ -164,11 +162,7 @@ func RestoreCollectionServer(store *dataset.Store, agentWL *reputation.DomainLis
 		cs.pendingSeq[env.Seq] = env.Event
 	}
 	for _, entry := range ck.Seen {
-		set := make(map[dataset.MachineID]struct{}, len(entry.Machines))
-		for _, m := range entry.Machines {
-			set[m] = struct{}{}
-		}
-		cs.seen[entry.File] = set
+		cs.seen[entry.File] = entry.Machines
 	}
 	return cs, nil
 }

@@ -225,51 +225,51 @@ func (c *domainCatalog) oracle(fileWL *reputation.FileList) (*reputation.Oracle,
 	return reputation.NewOracle(alexa, wl, bl, gsb, fileWL, agentWL), nil
 }
 
-// kindWeights maps a file population to the domain kinds serving it.
-type kindWeight struct {
-	kind domainKind
-	w    float64
+// domainMix maps a file population to the domain kinds serving it:
+// kinds[i] is drawn with weight weights[i]. The two slices are the
+// tables themselves, so a draw allocates nothing.
+type domainMix struct {
+	kinds   []domainKind
+	weights []float64
 }
 
-var benignDomainKinds = []kindWeight{
-	{kindHosting, 0.45}, {kindVendor, 0.50}, {kindGeneric, 0.05},
+var benignDomainKinds = domainMix{
+	[]domainKind{kindHosting, kindVendor, kindGeneric},
+	[]float64{0.45, 0.50, 0.05},
 }
 
-var unknownBenignDomainKinds = []kindWeight{
-	{kindVendor, 0.45}, {kindHosting, 0.30}, {kindGeneric, 0.25},
+var unknownBenignDomainKinds = domainMix{
+	[]domainKind{kindVendor, kindHosting, kindGeneric},
+	[]float64{0.45, 0.30, 0.25},
 }
 
-var unknownMalDomainKinds = []kindWeight{
-	{kindAdwareDist, 0.40}, {kindHosting, 0.25}, {kindStreaming, 0.15},
-	{kindGeneric, 0.15}, {kindC2, 0.05},
+var unknownMalDomainKinds = domainMix{
+	[]domainKind{kindAdwareDist, kindHosting, kindStreaming, kindGeneric, kindC2},
+	[]float64{0.40, 0.25, 0.15, 0.15, 0.05},
 }
 
-var malDomainKindsByType = map[dataset.MalwareType][]kindWeight{
-	dataset.TypeDropper:    {{kindHosting, 0.55}, {kindAdwareDist, 0.30}, {kindGeneric, 0.15}},
-	dataset.TypePUP:        {{kindAdwareDist, 0.50}, {kindHosting, 0.30}, {kindGeneric, 0.20}},
-	dataset.TypeAdware:     {{kindStreaming, 0.45}, {kindAdwareDist, 0.35}, {kindHosting, 0.20}},
-	dataset.TypeTrojan:     {{kindHosting, 0.35}, {kindAdwareDist, 0.25}, {kindGeneric, 0.25}, {kindC2, 0.15}},
-	dataset.TypeBanker:     {{kindC2, 0.75}, {kindGeneric, 0.25}},
-	dataset.TypeBot:        {{kindC2, 0.80}, {kindGeneric, 0.20}},
-	dataset.TypeFakeAV:     {{kindFakeAV, 0.85}, {kindGeneric, 0.15}},
-	dataset.TypeRansomware: {{kindC2, 0.55}, {kindGeneric, 0.30}, {kindHosting, 0.15}},
-	dataset.TypeWorm:       {{kindC2, 0.70}, {kindGeneric, 0.30}},
-	dataset.TypeSpyware:    {{kindVendor, 0.40}, {kindGeneric, 0.40}, {kindC2, 0.20}},
-	dataset.TypeUndefined:  {{kindHosting, 0.30}, {kindAdwareDist, 0.30}, {kindGeneric, 0.25}, {kindC2, 0.15}},
+var malDomainKindsByType = map[dataset.MalwareType]domainMix{
+	dataset.TypeDropper:    {[]domainKind{kindHosting, kindAdwareDist, kindGeneric}, []float64{0.55, 0.30, 0.15}},
+	dataset.TypePUP:        {[]domainKind{kindAdwareDist, kindHosting, kindGeneric}, []float64{0.50, 0.30, 0.20}},
+	dataset.TypeAdware:     {[]domainKind{kindStreaming, kindAdwareDist, kindHosting}, []float64{0.45, 0.35, 0.20}},
+	dataset.TypeTrojan:     {[]domainKind{kindHosting, kindAdwareDist, kindGeneric, kindC2}, []float64{0.35, 0.25, 0.25, 0.15}},
+	dataset.TypeBanker:     {[]domainKind{kindC2, kindGeneric}, []float64{0.75, 0.25}},
+	dataset.TypeBot:        {[]domainKind{kindC2, kindGeneric}, []float64{0.80, 0.20}},
+	dataset.TypeFakeAV:     {[]domainKind{kindFakeAV, kindGeneric}, []float64{0.85, 0.15}},
+	dataset.TypeRansomware: {[]domainKind{kindC2, kindGeneric, kindHosting}, []float64{0.55, 0.30, 0.15}},
+	dataset.TypeWorm:       {[]domainKind{kindC2, kindGeneric}, []float64{0.70, 0.30}},
+	dataset.TypeSpyware:    {[]domainKind{kindVendor, kindGeneric, kindC2}, []float64{0.40, 0.40, 0.20}},
+	dataset.TypeUndefined:  {[]domainKind{kindHosting, kindAdwareDist, kindGeneric, kindC2}, []float64{0.30, 0.30, 0.25, 0.15}},
 }
 
-// pick selects a domain for the given kind-weight mix, zipf-weighted
-// within the kind so a handful of domains dominate each population.
-func (c *domainCatalog) pick(mix []kindWeight) *domainInfo {
-	weights := make([]float64, len(mix))
-	for i, kw := range mix {
-		weights[i] = kw.w
-	}
-	idx, err := stats.WeightedChoice(c.rng, weights)
+// pick selects a domain for the given kind mix, zipf-weighted within
+// the kind so a handful of domains dominate each population.
+func (c *domainCatalog) pick(mix domainMix) *domainInfo {
+	idx, err := stats.WeightedChoice(c.rng, mix.weights)
 	if err != nil {
 		idx = 0
 	}
-	pool := c.byKind[mix[idx].kind]
+	pool := c.byKind[mix.kinds[idx]]
 	return zipfPick(c.zipfs, pool, c.rng)
 }
 
@@ -278,8 +278,8 @@ func (c *domainCatalog) pickAgentWhitelisted() *domainInfo {
 	return zipfPick(c.zipfs, c.byKind[kindAgentWL], c.rng)
 }
 
-// domainsForClass returns the kind-weight mix for a file population.
-func domainsForClass(plan classPlan, typ dataset.MalwareType, latentMal bool) []kindWeight {
+// domainsForClass returns the domain mix for a file population.
+func domainsForClass(plan classPlan, typ dataset.MalwareType, latentMal bool) domainMix {
 	switch plan {
 	case planBenign, planLikelyBenign:
 		return benignDomainKinds
