@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/journal"
+	"repro/internal/leaktest"
 )
 
 // fillLedger installs n completed batches ("done-00"...) with
@@ -123,41 +124,46 @@ func TestImportConcurrentCompact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stop := make(chan struct{})
-	compacted := make(chan int)
-	go func() {
-		n := 0
-		for {
-			select {
-			case <-stop:
-				compacted <- n
-				return
-			default:
-			}
-			if err := dst.Compact(); err != nil {
-				t.Error(err)
-			}
-			n++
-		}
-	}()
-	var wg sync.WaitGroup
-	for w := 0; w < importers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := w; i < len(chunks); i += importers {
-				if _, err := dst.ImportChunk(chunks[i].Data); err != nil {
-					t.Error(err)
+	// A compaction holds the journal's locks while it reads the ledger's:
+	// an import that appends under l.mu deadlocks against it, which the
+	// deadline reports in seconds.
+	leaktest.Within(t, 20*time.Second, "imports racing compactions", func() {
+		stop := make(chan struct{})
+		compacted := make(chan int)
+		go func() {
+			n := 0
+			for {
+				select {
+				case <-stop:
+					compacted <- n
 					return
+				default:
 				}
+				if err := dst.Compact(); err != nil {
+					t.Error(err)
+				}
+				n++
 			}
-		}(w)
-	}
-	wg.Wait()
-	close(stop)
-	if n := <-compacted; n == 0 {
-		t.Fatal("no compaction ran alongside the imports; the test is vacuous")
-	}
+		}()
+		var wg sync.WaitGroup
+		for w := 0; w < importers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for i := w; i < len(chunks); i += importers {
+					if _, err := dst.ImportChunk(chunks[i].Data); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}(w)
+		}
+		wg.Wait()
+		close(stop)
+		if n := <-compacted; n == 0 {
+			t.Error("no compaction ran alongside the imports; the test is vacuous")
+		}
+	})
 	if err := dst.Close(); err != nil {
 		t.Fatal(err)
 	}
