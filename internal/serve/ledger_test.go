@@ -259,22 +259,29 @@ func TestLedgerRecyclesRotations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer l.Close()
 	var base journal.Stats
-	for i := 0; l.Stats().Compactions < 6; i++ {
-		if i == 20000 {
-			t.Fatalf("%d compactions after %d requests", l.Stats().Compactions, i)
+	// An eviction-triggered compaction run under l.mu deadlocks here, and
+	// a deferred Close would wait on it.
+	leaktest.Within(t, 20*time.Second, "requests until the sixth compaction", func() {
+		for i := 0; err == nil && l.Stats().Compactions < 6; i++ {
+			if i == 20000 {
+				err = fmt.Errorf("%d compactions after %d requests", l.Stats().Compactions, i)
+			}
+			id := fmt.Sprintf("req-%05d", i)
+			if err == nil {
+				err = acceptEvents(l, id, f.replay[i%64:i%64+4])
+			}
+			if err == nil {
+				_, err = l.Result(id, []VerdictRecord{{Type: "verdict", File: id, Verdict: "benign"}})
+			}
+			if st := l.Stats(); base.Compactions < 2 {
+				base = st
+			}
 		}
-		id := fmt.Sprintf("req-%05d", i)
-		if err := acceptEvents(l, id, f.replay[i%64:i%64+4]); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := l.Result(id, []VerdictRecord{{Type: "verdict", File: id, Verdict: "benign"}}); err != nil {
-			t.Fatal(err)
-		}
-		if st := l.Stats(); base.Compactions < 2 {
-			base = st
-		}
+	})
+	defer l.Close()
+	if err != nil {
+		t.Fatal(err)
 	}
 	st := l.Stats()
 	rotations, recycled := st.Rotations-base.Rotations, st.Recycled-base.Recycled
