@@ -329,50 +329,57 @@ func TestLiveBytesAcrossRotations(t *testing.T) {
 // the journal directory holds segments and nothing else.
 func TestCompactEmitsUnderWriteLocks(t *testing.T) {
 	dir := t.TempDir()
-	s, _ := reopen(t, dir, 2)
+	s, _, err := OpenSharded(Options{Dir: dir}, 2) // not reopen: its cleanup's Close would wait on a deadlock
+	if err != nil {
+		t.Fatal(err)
+	}
 	const writers, perWriter = 4, 50
 	var stateMu sync.Mutex
 	var state []string
-	var wg sync.WaitGroup
-	for w := 0; w < writers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < perWriter; i++ {
-				id := fmt.Sprintf("w%d-%03d", w, i)
-				stateMu.Lock()
-				state = append(state, id)
-				stateMu.Unlock()
-				if err := appendRec(s, id, 1, []byte(id)); err != nil {
+	// Appenders take mu before syncMu: a sync path that takes mu under
+	// syncMu deadlocks against them, which the deadline reports in seconds.
+	leaktest.Within(t, 20*time.Second, "appends racing compactions", func() {
+		var wg sync.WaitGroup
+		for w := 0; w < writers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for i := 0; i < perWriter; i++ {
+					id := fmt.Sprintf("w%d-%03d", w, i)
+					stateMu.Lock()
+					state = append(state, id)
+					stateMu.Unlock()
+					if err := appendRec(s, id, 1, []byte(id)); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}(w)
+		}
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			for i := 0; i < 20; i++ {
+				_, err := s.Compact(func(put func(key string, kind byte, build func(dst []byte) []byte) error) error {
+					stateMu.Lock()
+					captured := state[:len(state):len(state)]
+					stateMu.Unlock()
+					for _, id := range captured {
+						if err := put(id, 1, func(dst []byte) []byte { return append(dst, id...) }); err != nil {
+							return err
+						}
+					}
+					return nil
+				})
+				if err != nil {
 					t.Error(err)
 					return
 				}
 			}
-		}(w)
-	}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for i := 0; i < 20; i++ {
-			_, err := s.Compact(func(put func(key string, kind byte, build func(dst []byte) []byte) error) error {
-				stateMu.Lock()
-				captured := state[:len(state):len(state)]
-				stateMu.Unlock()
-				for _, id := range captured {
-					if err := put(id, 1, func(dst []byte) []byte { return append(dst, id...) }); err != nil {
-						return err
-					}
-				}
-				return nil
-			})
-			if err != nil {
-				t.Error(err)
-				return
-			}
-		}
-	}()
-	wg.Wait()
-	<-done
+		}()
+		wg.Wait()
+		<-done
+	})
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
