@@ -6,8 +6,10 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/classify"
+	"repro/internal/leaktest"
 	"repro/internal/serve"
 )
 
@@ -67,7 +69,9 @@ func TestPromotionClearsDegraded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.BeginShadow(f.champion); err != nil {
+	// SetChallenger re-locking its own mutex hangs here: fail by name.
+	leaktest.Within(t, 5*time.Second, "BeginShadow", func() { _, err = m.BeginShadow(f.champion) })
+	if err != nil {
 		t.Fatal(err)
 	}
 	const batch = 64
