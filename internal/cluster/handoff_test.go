@@ -73,7 +73,7 @@ func TestEjectFlipsStickyRoutes(t *testing.T) {
 	}
 
 	victim.set(func(f *fakeReplica) { f.down = true })
-	rt.ProbeAll(context.Background())
+	leaktest.Within(t, 5*time.Second, "the probe that ejects the victim", func() { rt.ProbeAll(context.Background()) })
 	if st := nodeStateOf(t, rt, victim.addr()); st != "ejected" {
 		t.Fatalf("victim state = %s, want ejected", st)
 	}
