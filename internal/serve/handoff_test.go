@@ -3,12 +3,16 @@ package serve
 import (
 	"bytes"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/classify"
 	"repro/internal/journal"
 	"repro/internal/leaktest"
 )
@@ -180,6 +184,39 @@ func TestImportConcurrentCompact(t *testing.T) {
 	}
 	if rec.Pending != 8 {
 		t.Fatalf("recovered %d pending imports, want 8", rec.Pending)
+	}
+}
+
+// TestRefusedImportIsNotAcknowledged: a handoff import's 200 is the
+// transfer of authority, so an import the journal refuses must answer
+// an error status — nothing may be written before ImportChunk returns.
+func TestRefusedImportIsNotAcknowledged(t *testing.T) {
+	src, _ := newTestLedger(t, t.TempDir())
+	defer src.Close()
+	fillLedger(t, src, 2, 1)
+	chunks, err := src.ExportRange(func(string) bool { return true }, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fail atomic.Bool
+	dst, _, err := OpenLedger(LedgerOptions{Journal: journal.Options{Dir: t.TempDir(), OpenFile: func(path string) (journal.File, error) {
+		file, err := os.Create(path)
+		return &flakyFile{File: file, failWrites: &fail}, err
+	}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dst.Close()
+	srv, err := NewServer(newTestEngine(t, sharedFixture(t), EngineConfig{}), classify.Reject, WithLedger(dst))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	fail.Store(true)
+	rec := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/admin/handoff/import", bytes.NewReader(chunks[0].Data)))
+	if rec.Code != http.StatusInternalServerError {
+		t.Fatalf("an import the journal refused answered %d, want 500", rec.Code)
 	}
 }
 
