@@ -154,7 +154,9 @@ func TestHandoffFlows(t *testing.T) {
 	ctx := context.Background()
 	join := func(t *testing.T, rt *Router) *fakeReplica {
 		joiner := newFakeReplica(t)
-		if err := rt.Join(joiner.addr()); err != nil {
+		var err error
+		leaktest.Within(t, 5*time.Second, "Join", func() { err = rt.Join(joiner.addr()) })
+		if err != nil {
 			t.Fatal(err)
 		}
 		if err := rt.Rebalance(ctx, joiner.addr()); err != nil {
