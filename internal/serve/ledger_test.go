@@ -65,7 +65,7 @@ func TestLedgerCompactConcurrentAccept(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const writers, perWriter = 4, 50
+	const writers, perWriter = 4, 200
 	var acked [writers][perWriter]bool
 	leaktest.Within(t, 20*time.Second, "accepts and results racing compactions", func() {
 		var wg sync.WaitGroup
@@ -91,7 +91,7 @@ func TestLedgerCompactConcurrentAccept(t *testing.T) {
 					compacted <- n
 					return
 				case <-time.After(time.Millisecond):
-					fail.Store(n%2 == 0) // appends fail every other millisecond
+					fail.Store(n%4 != 0) // appends fail three milliseconds in four
 				}
 				l.Compact() // fails while appends do; the log it keeps is intact
 			}
