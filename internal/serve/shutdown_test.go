@@ -62,7 +62,9 @@ func TestShutdownInFlightClassify(t *testing.T) {
 			}
 		}()
 	}
-	time.Sleep(5 * time.Millisecond) // let requests get in flight
+	// Shut down once requests are flowing: a fixed sleep left a loaded
+	// host with none completed, and the test vacuous.
+	leaktest.Until(t, 10*time.Second, "a request completes", func() bool { return completed.Load() > 0 })
 	srv.Close()
 	engine.Close()
 	wg.Wait()
