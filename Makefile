@@ -64,12 +64,10 @@ metrics-format:
 	fi
 
 # The project's own static-analysis suite (internal/lint, DESIGN.md
-# §10): seven analyzers enforcing the determinism, locking, lock-order,
-# metric-naming, journal-ordering, retry-policy and error-wrapping
-# invariants — lock-order and metric-naming interprocedural, fed by
-# facts the loader computes for the whole module. One sweep loads every
-# package once, _test.go files included; exit status 2 on findings
-# fails the target.
+# §10): five analyzers — determinism, lockguard, retrypolicy, errwrap
+# and metricdrift, the last fed by the metric literals the loader
+# collects for the whole module. One sweep loads every package once,
+# _test.go files included; exit status 2 on findings fails the target.
 longtailvet:
 	@mkdir -p $(dir $(LONGTAILVET))
 	$(GO) build -o $(LONGTAILVET) ./cmd/longtailvet

@@ -1,8 +1,7 @@
 // Command longtailvet runs the repo's project-specific static-analysis
-// suite (internal/lint): seven analyzers that mechanically enforce the
-// determinism, locking, lock-order, metric-naming, journal-ordering,
-// retry-policy and error-wrapping invariants the reproduction's
-// correctness rests on.
+// suite (internal/lint): five analyzers that mechanically enforce the
+// determinism, locking, metric-naming, retry-policy and error-wrapping
+// invariants the reproduction's correctness rests on.
 //
 //	longtailvet [-json] ./...
 //

@@ -26,18 +26,14 @@ func buildBinary(t *testing.T) string {
 
 // expectedFindings is the exact diagnostic set the badmod fixture
 // module must produce, as (file-position regexp, message regexp)
-// pairs. The serve findings are the interprocedural seeds: the
-// lock-order cycle only surfaces when the lock package's facts reach
-// serve's analysis. (Facts-positioned findings carry no column, so
-// those regexps only pin file and line.)
+// pairs. The serve finding comes from the cross-package facts, whose
+// positions carry no column, so its regexp only pins file and line.
 var expectedFindings = []struct{ pos, msg string }{
 	{`app/app\.go:\d+:\d+`, `error formatted with %v loses the error chain`},
 	{`app/app\.go:\d+:\d+`, `comparing an error to sentinel ErrBusy with ==`},
 	{`app/app\.go:\d+:\d+`, `time\.Sleep inside a loop is a hand-rolled retry/poll loop`},
 	{`synth/gen\.go:\d+:\d+`, `time\.Now breaks seed-determinism`},
 	{`synth/gen\.go:\d+:\d+`, `global math/rand\.Intn uses shared process state`},
-	{`serve/serve\.go:\d+`, `lock order cycle: serve\.mu -> lock\.mu -> serve\.mu`},
-	{`serve/serve\.go:\d+`, `lock order cycle: lock\.mu -> serve\.mu -> lock\.mu`},
 	{`serve/serve\.go:\d+`, `metric longtail_Served_Total is not snake_case`},
 }
 

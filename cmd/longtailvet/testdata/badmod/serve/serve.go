@@ -1,34 +1,13 @@
-// Package serve seeds one bug per interprocedural analyzer class: a
-// cross-package lock-order cycle (both directions visible only through
-// the lock package's facts) and a misspelled metric. The longtailvet
-// integration test asserts each is caught by the built binary.
+// Package serve seeds the cross-package analyzer's bug class, a
+// misspelled metric, next to a suppressed one. The longtailvet
+// integration test asserts the built binary catches the first and
+// reports the second as suppressed.
 package serve
 
 import (
 	"fmt"
 	"net/http"
-	"sync"
-
-	"badmod/lock"
 )
-
-var mu sync.Mutex
-
-// Flow1 acquires mu, then calls into lock: mu -> lock.mu.
-func Flow1() {
-	mu.Lock()
-	lock.Grab()
-	mu.Unlock()
-}
-
-// Flow2 hands lock a closure acquiring mu under lock.mu: the reverse
-// order, closing the cycle.
-func Flow2() {
-	lock.Nested(func() {
-		mu.Lock()
-		mu.Unlock()
-	})
-}
 
 // Handler emits a camel-case metric.
 func Handler(w http.ResponseWriter, r *http.Request) {

@@ -1,35 +1,30 @@
 // Package lint is longtailvet: the project-specific static-analysis
 // suite that mechanically enforces the conventions the reproduction's
-// correctness rests on. The paper's Table I–XVII numbers only reproduce
-// if every pipeline stage is byte-deterministic from a seed, and the
-// serving layer's exactly-once contract only holds if journal appends
-// and lock-guarded state are touched the way their comments promise.
-// Each analyzer encodes one such invariant so tier-1 (TestTreeClean)
-// and `make lint` catch violations before review does:
+// correctness rests on where no test reaches. The paper's Table I–XVII
+// numbers only reproduce if every pipeline stage is byte-deterministic
+// from a seed, and the serving layer's locking only holds if
+// lock-guarded state is touched the way its comments promise. Each
+// analyzer encodes one such invariant so tier-1 (TestTreeClean) and
+// `make lint` catch violations before review does:
 //
 //	determinism  — no wall clock, global PRNG, or unsorted map
 //	              iteration feeding output inside the deterministic core
 //	lockguard    — fields annotated `// guarded by <mu>` are only
 //	              accessed with the lock held
-//	journalorder — no response bytes leave before the batch is durable
-//	              on the same path: a deferred batch's accept, a direct
-//	              one's Result
 //	retrypolicy  — no hand-rolled sleep-retry loops or raw http.Client
 //	              construction outside the retry/serve layers
 //	errwrap      — errors wrap with %w and compare with errors.Is
-//
-// Two analyzers are interprocedural, built on lintkit's cross-package
-// facts (per-package summaries the loader computes for the whole
-// module — see lintkit/facts.go):
-//
-//	lockorder    — the global mutex-acquisition graph is acyclic; no
-//	              double locks
 //	metricdrift  — longtail_* metric names are snake_case, uniquely
-//	              spelled tree-wide, and documented
+//	              spelled tree-wide, and documented; it reads every
+//	              package's metric literals from lintkit's cross-package
+//	              facts (lintkit/facts.go)
 //
-// Goroutine lifetimes and context propagation are held by plain tests
-// (internal/leaktest and the cancellation tests in serve, cluster and
-// lifecycle); DESIGN.md §10 has the trial that decided so.
+// Goroutine lifetimes, context propagation, lock order and
+// journal-before-response are held by plain tests (internal/leaktest,
+// the cancellation tests in serve, cluster and lifecycle, the
+// compaction races under deadlines in serve and journal, and the
+// ledger's and handler's ordering tests); DESIGN.md §10 names each and
+// EXPERIMENTS.md has the trials that decided so.
 //
 // Copies of lock- and atomic-bearing values are left to `go vet`'s
 // copylocks, which tier-1 runs; testdata/src/copylocks pins that.
@@ -52,9 +47,7 @@ func Suite() []*lintkit.Analyzer {
 	return []*lintkit.Analyzer{
 		Determinism,
 		Lockguard,
-		Lockorder,
 		Metricdrift,
-		JournalOrder,
 		RetryPolicy,
 		ErrWrap,
 	}

@@ -50,18 +50,6 @@ func TestLockguardClean(t *testing.T) {
 	lintkittest.Run(t, "testdata/src/lockguard/clean", Lockguard)
 }
 
-// TestLockorder pins the acceptance bug class: a real cross-package
-// lock-order cycle, where one direction comes from a call made under a
-// lock and the other from a closure run under the callee's lock — both
-// resolved through the cross-package facts.
-func TestLockorder(t *testing.T) {
-	lintkittest.Run(t, "testdata/src/lockorder/a", Lockorder)
-}
-
-func TestLockorderClean(t *testing.T) {
-	lintkittest.Run(t, "testdata/src/lockorder/clean", Lockorder)
-}
-
 // withMetricDocs points metricdrift at the fixture's own documentation
 // file for the duration of one test.
 func withMetricDocs(t *testing.T, path string) {
@@ -86,14 +74,6 @@ func TestMetricdrift(t *testing.T) {
 func TestMetricdriftClean(t *testing.T) {
 	withMetricDocs(t, "testdata/src/metricdrift/docs/METRICS.md")
 	lintkittest.Run(t, "testdata/src/metricdrift/clean", Metricdrift)
-}
-
-func TestJournalOrder(t *testing.T) {
-	lintkittest.Run(t, "testdata/src/journalorder/serve", JournalOrder)
-}
-
-func TestJournalOrderClean(t *testing.T) {
-	lintkittest.Run(t, "testdata/src/journalorder/clean/serve", JournalOrder)
 }
 
 func TestRetryPolicy(t *testing.T) {

@@ -6,10 +6,10 @@
 // (//lint:allow), and the `longtailvet [-json] <packages>` driver.
 //
 // The repo's invariants — byte-determinism from a seed, mutex-guarded
-// field access, journal-before-response ordering — are enforced by the
-// analyzers in the parent package (internal/lint); lintkit is only the
-// machinery that loads typed syntax and reports findings in standard
-// `file:line:col: message` vet format. It exists as its own package so
+// field access, error wrapping, retry discipline, metric naming — are
+// enforced by the analyzers in the parent package (internal/lint);
+// lintkit is only the machinery that loads typed syntax and reports
+// findings in standard `file:line:col: message` vet format. It exists as its own package so
 // the analyzers read like x/tools analyzers and could be ported to the
 // real framework by swapping one import if the dependency ever lands in
 // the module.
@@ -48,10 +48,10 @@ type Pass struct {
 	Files []*ast.File
 	Pkg   *types.Package
 	Info  *types.Info
-	// Facts holds the interprocedural summaries for this package and
-	// every other in-module package of the load — see facts.go. Never
-	// nil under Run; test harnesses constructing a Pass by hand may
-	// leave it nil, and the FactSet accessors are nil-tolerant.
+	// Facts holds the summaries of this package and every other
+	// in-module package of the load — see facts.go. Never nil under
+	// Run; a Pass constructed by hand may leave it nil, which OwnFacts
+	// tolerates.
 	Facts *FactSet
 
 	report func(Diagnostic)
@@ -67,8 +67,8 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 }
 
 // ReportPosition records a finding at an explicit file:line — the form
-// interprocedural analyzers use when the evidence comes from facts
-// (whose positions are file/line pairs, not token.Pos values).
+// an analyzer uses when the evidence comes from facts (whose positions
+// are file/line pairs, not token.Pos values).
 func (p *Pass) ReportPosition(file string, line int, format string, args ...any) {
 	p.report(Diagnostic{
 		Pos:      token.Position{Filename: file, Line: line},

@@ -26,7 +26,7 @@ type LoadedPackage struct {
 	Files []*ast.File
 	Pkg   *types.Package
 	Info  *types.Info
-	// Facts is the interprocedural fact set shared by every package in
+	// Facts is the cross-package fact set shared by every package in
 	// one Load: the summaries of all non-standard packages in the build
 	// graph (targets and in-module dependencies alike).
 	Facts *FactSet
@@ -52,11 +52,10 @@ type listPackage struct {
 // external _test package on its own. Imports resolve through the
 // compiler export data the go command reports, so loading is exact,
 // offline, and as fast as a regular build. Each package's
-// interprocedural facts (facts.go) are summarized into one FactSet
-// shared by every returned package; the packages the patterns matched
-// (not their dependencies) are returned for analysis. A package that
-// fails to type-check fails the load: missing facts would silently
-// blind the interprocedural analyzers.
+// facts (facts.go) are summarized into one FactSet shared by every
+// returned package; the packages the patterns matched (not their
+// dependencies) are returned for analysis. A package that fails to
+// type-check fails the load.
 func Load(dir string, patterns ...string) ([]*LoadedPackage, error) {
 	args := append([]string{
 		"list", "-e", "-export", "-deps", "-test",
@@ -112,7 +111,7 @@ func Load(dir string, patterns ...string) ([]*LoadedPackage, error) {
 		if err != nil {
 			return nil, err
 		}
-		facts.Add(SummarizePackage(lp.Path, lp.Fset, lp.Files, lp.Info))
+		facts.Add(SummarizePackage(lp.Path, lp.Fset, lp.Files))
 		lp.Facts = facts
 		if !p.DepOnly {
 			loaded = append(loaded, lp)
