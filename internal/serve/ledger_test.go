@@ -76,7 +76,7 @@ func TestLedgerCompactConcurrentAccept(t *testing.T) {
 				for i := 0; i < perWriter; i++ {
 					id := fmt.Sprintf("w%d-%03d", w, i)
 					if acked[w][i] = acceptEvents(l, id, f.replay[:1]) == nil; acked[w][i] && i%2 == 0 {
-						l.Result(id, []VerdictRecord{{Type: "verdict", File: id}})
+						l.Result(id, []VerdictRecord{{Type: "verdict", File: id}}) // a failed one leaves the batch pending, which survives too
 					}
 				}
 			}(w)
