@@ -46,15 +46,81 @@ func newTestLedger(t *testing.T, dir string) (*Ledger, *LedgerRecovery) {
 }
 
 // TestLedgerCompactConcurrentAccept: compaction racing with live
-// accepts/results, while appends fail on and off, must never deadlock
-// and never delete a batch's only durable record — after a reopen,
-// every acknowledged ID is either completed or pending, regardless of
-// where its journal append fell relative to the seal and the rewrite.
-// A compaction holds the journal's locks while it reads the ledger's,
-// so no writer may append under l.mu, on a failed append's path as on
-// a good one: the deadline turns such a deadlock into this test's
-// failure in seconds.
+// accepts/results must never delete a batch's only durable record —
+// after a reopen, every acknowledged ID is either completed or pending,
+// regardless of where its journal append fell relative to the seal and
+// the rewrite. On a healthy journal no accept, result or compaction may
+// fail. A compaction holds the journal's locks while it reads the
+// ledger's, so an append under l.mu deadlocks: the deadline turns that
+// into this test's failure in seconds.
 func TestLedgerCompactConcurrentAccept(t *testing.T) {
+	f := sharedFixture(t)
+	dir := t.TempDir()
+	l, _, err := OpenLedger(LedgerOptions{Journal: journal.Options{Dir: dir}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const writers, perWriter = 4, 25
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perWriter; i++ {
+				id := fmt.Sprintf("w%d-%03d", w, i)
+				if err := acceptEvents(l, id, f.replay[:1]); err != nil {
+					t.Error(err)
+					return
+				}
+				if i%2 == 0 {
+					if _, err := l.Result(id, []VerdictRecord{{Type: "verdict", File: id}}); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}
+		}(w)
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 20; i++ {
+			if err := l.Compact(); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	leaktest.Within(t, 20*time.Second, "accepts and results racing compactions", func() {
+		wg.Wait()
+		<-done
+	})
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	l2, _, err := OpenLedger(LedgerOptions{Journal: journal.Options{Dir: dir}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l2.Close()
+	for w := 0; w < writers; w++ {
+		for i := 0; i < perWriter; i++ {
+			id := fmt.Sprintf("w%d-%03d", w, i)
+			_, completed := l2.Lookup(id)
+			if !completed && !l2.IsPending(id) {
+				t.Fatalf("batch %s vanished: accepted durably but lost across a concurrent compaction", id)
+			}
+		}
+	}
+}
+
+// TestLedgerCompactConcurrentFailingAccept is the race above while
+// appends fail on and off: it must never deadlock, and every accept
+// that was acknowledged is still completed or pending after a reopen.
+// No writer may append under l.mu on a failed append's path either,
+// so a retry there deadlocks against a compaction, which the deadline
+// turns into this test's failure in seconds.
+func TestLedgerCompactConcurrentFailingAccept(t *testing.T) {
 	f := sharedFixture(t)
 	dir := t.TempDir()
 	var fail atomic.Bool
@@ -67,7 +133,7 @@ func TestLedgerCompactConcurrentAccept(t *testing.T) {
 	}
 	const writers, perWriter = 4, 200
 	var acked [writers][perWriter]bool
-	leaktest.Within(t, 20*time.Second, "accepts and results racing compactions", func() {
+	leaktest.Within(t, 20*time.Second, "accepts and results racing compactions while appends fail", func() {
 		var wg sync.WaitGroup
 		for w := 0; w < writers; w++ {
 			wg.Add(1)
